@@ -465,7 +465,6 @@ mod tests {
             verdict: AuditVerdict::Forward,
             cause: None,
             cache_hit: true,
-            generation: 0,
             reload_gen: 0,
             epoch: 0,
             chain: 0,

@@ -8,8 +8,9 @@
 //! [`Sampler`] selects a packet, the pipeline re-runs nothing: the same
 //! single walk executes with a [`Recorder`] threaded through it, and the
 //! finished [`ProvenanceRecord`] — every executed chain step with bucket
-//! tokens before/after, the deciding step on a refusal, cache and
-//! generation state at decision time — lands in the [`ProvenanceRing`],
+//! tokens before/after, the deciding step on a refusal, whether the flow
+//! cache classified the packet, and the reload generation and tree epoch
+//! at decision time — lands in the [`ProvenanceRing`],
 //! a try-lock slot array keyed by packet id that never blocks the
 //! data path.
 
@@ -114,10 +115,9 @@ pub struct ProvenanceRecord {
     pub verdict: AuditVerdict,
     /// Why the packet was refused, when it was.
     pub cause: Option<DropCause>,
-    /// Whether the per-flow admission cache resolved the chain.
+    /// Whether the packet's classification hit the exact-match flow cache
+    /// (a miss walked the filter table and filled the entry).
     pub cache_hit: bool,
-    /// Cache generation (`reload_gen + tree epoch`) at decision time.
-    pub generation: u64,
     /// Pipeline hot-reload generation at decision time.
     pub reload_gen: u64,
     /// Tree update epoch at decision time.
@@ -190,9 +190,8 @@ impl ProvenanceRecord {
         use std::fmt::Write as _;
         let _ = writeln!(
             out,
-            "cache {} gen {} (reload {} epoch {}) chain {}",
+            "flow cache {} (reload {} epoch {}) chain {}",
             if self.cache_hit { "hit" } else { "miss" },
-            self.generation,
             self.reload_gen,
             self.epoch,
             if self.chain == u32::MAX {
@@ -243,7 +242,6 @@ impl ToJson for ProvenanceRecord {
             },
         ));
         pairs.push(("cache_hit", JsonValue::Bool(self.cache_hit)));
-        pairs.push(("generation", JsonValue::UInt(self.generation)));
         pairs.push(("reload_gen", JsonValue::UInt(self.reload_gen)));
         pairs.push(("epoch", JsonValue::UInt(self.epoch)));
         pairs.push((
@@ -476,7 +474,6 @@ mod tests {
             verdict: AuditVerdict::Forward,
             cause: None,
             cache_hit: true,
-            generation: 7,
             reload_gen: 1,
             epoch: 6,
             chain: 2,
@@ -538,7 +535,7 @@ mod tests {
         let a = rec(9);
         let mut b = rec(9);
         b.cache_hit = false;
-        b.generation = 99;
+        b.reload_gen = 99;
         b.chain = u32::MAX;
         assert_eq!(a.canonical(), b.canonical());
         assert_ne!(a.render(), b.render());

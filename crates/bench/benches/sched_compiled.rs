@@ -1,18 +1,17 @@
 //! Criterion: the compiled scheduling program against the interpreted
-//! walker — the before/after pair behind DESIGN.md §11's tables — plus the
-//! isolated cost of a decision-cache resolution.
+//! walker — the before/after pair behind DESIGN.md §11's tables.
 //!
-//! `decision_interpreted` is the old per-packet cost (hash-resolving every
+//! `decision_interpreted` is the old per-packet cost (resolving every
 //! class of the label through the id → node index); `decision_compiled`
-//! runs the same admission through a flattened chain fronted by the
-//! direct-mapped decision cache, the way the pipeline's per-class arm does.
+//! runs the same admission through a flattened chain whose id was resolved
+//! once up front, the way the pipeline's flow-cache entry carries it.
 //! Both sides step virtual time (100 ns/packet) exactly as the NIC model
 //! does, so refill epochs roll at the realistic cadence and no wall-clock
 //! reads pollute the measurement.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use flowvalve::label::ClassId;
-use flowvalve::program::{CompiledProgram, DecisionCache};
+use flowvalve::program::CompiledProgram;
 use flowvalve::sched::RealExec;
 use flowvalve::tree::{ClassSpec, SchedulingTree, TreeParams};
 use sim_core::time::Nanos;
@@ -72,17 +71,11 @@ fn bench_sched_compiled(c: &mut Criterion) {
             .label(ClassId(10), &[ClassId(20)])
             .expect("leaf exists");
         let prog = CompiledProgram::compile(&tree, [&label]);
-        let mut cache = DecisionCache::new(64);
+        let chain = prog.resolve(&label).expect("label compiled");
         let mut now = Nanos::ZERO;
         let mut exec = RealExec;
         b.iter(|| {
             now += Nanos::from_nanos(100);
-            let gen = tree.epoch();
-            let chain = cache.lookup(&label, gen).unwrap_or_else(|| {
-                let c = prog.resolve(&label).expect("label compiled");
-                cache.insert(label, c, gen);
-                c
-            });
             std::hint::black_box(tree.schedule_compiled(&prog, chain, 12_144, now, &mut exec))
         });
     });
@@ -106,33 +99,13 @@ fn bench_sched_compiled(c: &mut Criterion) {
             .label(ClassId(10), &[ClassId(20), ClassId(21), ClassId(22)])
             .expect("leaf exists");
         let prog = CompiledProgram::compile(&tree, [&label]);
-        let mut cache = DecisionCache::new(64);
+        let chain = prog.resolve(&label).expect("label compiled");
         let mut now = Nanos::ZERO;
         let mut exec = RealExec;
         b.iter(|| {
             now += Nanos::from_nanos(100);
-            let gen = tree.epoch();
-            let chain = cache.lookup(&label, gen).unwrap_or_else(|| {
-                let c = prog.resolve(&label).expect("label compiled");
-                cache.insert(label, c, gen);
-                c
-            });
             std::hint::black_box(tree.schedule_compiled(&prog, chain, 12_144, now, &mut exec))
         });
-    });
-
-    g.bench_function("resolve_cached", |b| {
-        // The pure per-packet overhead the cache adds on a hit: one
-        // direct-mapped slot probe and a generation compare.
-        let tree = shallow_tree();
-        let label = tree
-            .label(ClassId(10), &[ClassId(20)])
-            .expect("leaf exists");
-        let prog = CompiledProgram::compile(&tree, [&label]);
-        let chain = prog.resolve(&label).expect("label compiled");
-        let mut cache = DecisionCache::new(64);
-        cache.insert(label, chain, 0);
-        b.iter(|| std::hint::black_box(cache.lookup(&label, 0)));
     });
 
     g.finish();

@@ -15,6 +15,12 @@
 //! and lookups stay O(probe length) forever. The table is sized at twice
 //! the flow capacity, capping the load factor at 50%.
 //!
+//! A packet hashes its flow key once and probes once:
+//! [`FlowCache::get_or_insert_with`] is the whole miss-fill discipline in
+//! one call, and every entry keeps the low 32 bits of its hash — compared
+//! before the 13-byte key on the way down a probe chain, and read back
+//! (instead of re-hashing the key) when a deletion shifts the chain.
+//!
 //! [FNV]: netstack::flow::FlowKey::stable_hash
 
 use netstack::flow::FlowKey;
@@ -86,10 +92,13 @@ impl std::fmt::Display for CapacityError {
 
 impl std::error::Error for CapacityError {}
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct Entry<V> {
     key: FlowKey,
     value: V,
+    /// Low 32 bits of `key.stable_hash()`. The slot array never exceeds
+    /// 2^21 slots, so the tag also yields the home slot.
+    tag: u32,
     /// Second-chance reference bit: set on hit, cleared by the clock hand.
     referenced: bool,
 }
@@ -175,23 +184,72 @@ impl<V> FlowCache<V> {
         self.clamped
     }
 
-    /// A flow's home slot.
+    /// Probes linearly from the home slot of `hash` (`flow.stable_hash()`);
+    /// returns `Ok(slot)` on a key match or `Err(first_empty_slot)` on a
+    /// miss. Always terminates: the load factor never exceeds 50%.
     #[inline]
-    fn home(&self, flow: &FlowKey) -> usize {
-        flow.stable_hash() as usize & self.mask
-    }
-
-    /// Probes linearly from the home slot; returns `Ok(slot)` on a key
-    /// match or `Err(first_empty_slot)` on a miss. Always terminates: the
-    /// load factor never exceeds 50%.
-    #[inline]
-    fn probe(&self, flow: &FlowKey) -> Result<usize, usize> {
-        let mut i = self.home(flow);
+    fn probe(&self, flow: &FlowKey, hash: u64) -> Result<usize, usize> {
+        let tag = hash as u32;
+        let mut i = hash as usize & self.mask;
         loop {
             match &self.slots[i] {
-                Some(e) if e.key == *flow => return Ok(i),
+                Some(e) if e.tag == tag && e.key == *flow => return Ok(i),
                 Some(_) => i = (i + 1) & self.mask,
                 None => return Err(i),
+            }
+        }
+    }
+
+    /// Marks the entry at `i` referenced and counts the hit.
+    #[inline]
+    fn hit(&mut self, i: usize) -> &mut Entry<V> {
+        self.stats.hits += 1;
+        let e = self.slots[i].as_mut().expect("probed occupied slot");
+        e.referenced = true;
+        e
+    }
+
+    /// Installs an *unreferenced* entry for an absent `flow` whose probe
+    /// ended at `empty`, clock-evicting a victim first if at capacity.
+    fn fill(&mut self, flow: FlowKey, hash: u64, mut empty: usize, value: V) -> &V {
+        if self.len >= self.capacity {
+            // The eviction's backward shift leaves exactly one new hole.
+            // The first empty slot on this flow's probe chain is whichever
+            // of the old one and the hole comes first from the home slot.
+            let hole = self.evict_one();
+            let home = hash as usize & self.mask;
+            if (hole.wrapping_sub(home) & self.mask) < (empty.wrapping_sub(home) & self.mask) {
+                empty = hole;
+            }
+        }
+        self.len += 1;
+        let entry = self.slots[empty].insert(Entry {
+            key: flow,
+            value,
+            tag: hash as u32,
+            referenced: false,
+        });
+        &entry.value
+    }
+
+    /// The miss-fill discipline in one hash and one probe: a hit sets the
+    /// entry's reference bit; a miss runs `walk` (the table walk), evicts
+    /// if at capacity, and installs the verdict unreferenced. Counters,
+    /// slot placement and victims are exactly those of
+    /// [`lookup`](Self::lookup) followed, on a miss, by
+    /// [`insert`](Self::insert).
+    #[inline]
+    pub fn get_or_insert_with(
+        &mut self,
+        flow: &FlowKey,
+        walk: impl FnOnce() -> V,
+    ) -> (&V, CacheResult) {
+        let hash = flow.stable_hash();
+        match self.probe(flow, hash) {
+            Ok(i) => (&self.hit(i).value, CacheResult::Hit),
+            Err(empty) => {
+                self.stats.misses += 1;
+                (self.fill(*flow, hash, empty, walk()), CacheResult::Miss)
             }
         }
     }
@@ -199,13 +257,8 @@ impl<V> FlowCache<V> {
     /// Looks up `flow`, refreshing its recency on a hit.
     #[inline]
     pub fn lookup(&mut self, flow: &FlowKey) -> (Option<&V>, CacheResult) {
-        match self.probe(flow) {
-            Ok(i) => {
-                self.stats.hits += 1;
-                let e = self.slots[i].as_mut().expect("probed occupied slot");
-                e.referenced = true;
-                (Some(&e.value), CacheResult::Hit)
-            }
+        match self.probe(flow, flow.stable_hash()) {
+            Ok(i) => (Some(&self.hit(i).value), CacheResult::Hit),
             Err(_) => {
                 self.stats.misses += 1;
                 (None, CacheResult::Miss)
@@ -216,34 +269,23 @@ impl<V> FlowCache<V> {
     /// Inserts (or replaces) an entry, clock-evicting a victim if at
     /// capacity.
     pub fn insert(&mut self, flow: FlowKey, verdict: V) {
-        match self.probe(&flow) {
+        let hash = flow.stable_hash();
+        match self.probe(&flow, hash) {
             Ok(i) => {
                 let e = self.slots[i].as_mut().expect("probed occupied slot");
                 e.value = verdict;
                 e.referenced = true;
             }
-            Err(mut empty) => {
-                if self.len >= self.capacity {
-                    self.evict_one();
-                    // The backward shift may have moved entries into (or
-                    // out of) our probe chain; re-probe for the slot.
-                    empty = self
-                        .probe(&flow)
-                        .expect_err("key cannot appear during eviction");
-                }
-                self.slots[empty] = Some(Entry {
-                    key: flow,
-                    value: verdict,
-                    referenced: false,
-                });
-                self.len += 1;
+            Err(empty) => {
+                self.fill(flow, hash, empty, verdict);
             }
         }
     }
 
     /// Second-chance scan: clears reference bits until an unreferenced
-    /// entry comes under the hand, then removes it.
-    fn evict_one(&mut self) {
+    /// entry comes under the hand, then removes it. Returns the slot the
+    /// removal left empty.
+    fn evict_one(&mut self) -> usize {
         debug_assert!(self.len > 0);
         loop {
             let i = self.hand;
@@ -251,9 +293,8 @@ impl<V> FlowCache<V> {
             match &mut self.slots[i] {
                 Some(e) if e.referenced => e.referenced = false,
                 Some(_) => {
-                    let _ = self.remove_slot(i);
                     self.stats.evictions += 1;
-                    return;
+                    return self.remove_slot(i).1;
                 }
                 None => {}
             }
@@ -261,17 +302,17 @@ impl<V> FlowCache<V> {
     }
 
     /// Removes the entry at `i`, backward-shifting the rest of the probe
-    /// chain so no tombstone is left behind.
-    fn remove_slot(&mut self, i: usize) -> Entry<V> {
+    /// chain so no tombstone is left behind. Returns the entry and the
+    /// slot that ended up empty.
+    fn remove_slot(&mut self, i: usize) -> (Entry<V>, usize) {
         let e = self.slots[i].take().expect("remove_slot on empty slot");
         self.len -= 1;
-        self.backward_shift_from(i);
-        e
+        (e, self.backward_shift_from(i))
     }
 
     /// Reads an entry without touching recency or statistics.
     pub fn peek(&self, flow: &FlowKey) -> Option<&V> {
-        match self.probe(flow) {
+        match self.probe(flow, flow.stable_hash()) {
             Ok(i) => self.slots[i].as_ref().map(|e| &e.value),
             Err(_) => None,
         }
@@ -279,8 +320,8 @@ impl<V> FlowCache<V> {
 
     /// Removes a flow (e.g. on policy change), returning its verdict.
     pub fn invalidate(&mut self, flow: &FlowKey) -> Option<V> {
-        match self.probe(flow) {
-            Ok(i) => Some(self.remove_slot(i).value),
+        match self.probe(flow, flow.stable_hash()) {
+            Ok(i) => Some(self.remove_slot(i).0.value),
             Err(_) => None,
         }
     }
@@ -288,12 +329,13 @@ impl<V> FlowCache<V> {
     /// Refills the hole at `i` by walking the probe chain and shifting
     /// back every entry whose home precedes the hole in circular probe
     /// order — shifting any other entry would detach it from its chain.
-    fn backward_shift_from(&mut self, mut i: usize) {
+    /// Returns where the hole ended up.
+    fn backward_shift_from(&mut self, mut i: usize) -> usize {
         let mut j = i;
         loop {
             j = (j + 1) & self.mask;
-            let Some(e) = &self.slots[j] else { return };
-            let home = self.home(&e.key);
+            let Some(e) = &self.slots[j] else { return i };
+            let home = e.tag as usize & self.mask;
             if (j.wrapping_sub(home) & self.mask) >= (j.wrapping_sub(i) & self.mask) {
                 self.slots[i] = self.slots[j].take();
                 i = j;
@@ -303,8 +345,10 @@ impl<V> FlowCache<V> {
 
     /// Drops every entry (full policy reload).
     pub fn invalidate_all(&mut self) {
-        for s in &mut self.slots {
-            *s = None;
+        // An empty table has nothing to wipe: loading N rules into a fresh
+        // classifier must not cost N sweeps of the slot array.
+        if self.len > 0 {
+            self.slots.fill_with(|| None);
         }
         self.len = 0;
         self.hand = 0;
@@ -338,6 +382,16 @@ mod tests {
 
     fn flow(port: u16) -> FlowKey {
         FlowKey::tcp([10, 0, 0, 1], port, [10, 0, 0, 2], 5001)
+    }
+
+    #[test]
+    fn slot_sizes_stay_within_budget() {
+        use std::mem::size_of;
+        // A 36-byte, 2-aligned verdict (an optional QoS label) and the
+        // pipeline's 12-byte compiled verdict, each with key, tag and
+        // reference bit; the empty-slot marker costs nothing extra.
+        assert!(size_of::<Option<Entry<[u16; 18]>>>() <= 56);
+        assert!(size_of::<Option<Entry<[u32; 3]>>>() <= 40);
     }
 
     #[test]
@@ -509,5 +563,97 @@ mod tests {
         }
         assert_eq!(c.len(), cap);
         assert!(c.stats().evictions > 0);
+    }
+
+    /// The single-probe fill against the primitives it replaced on the
+    /// packet path (`lookup`, then on a miss `insert`, then `peek`), and
+    /// both against a fill that finds its slot the old way — evict, then
+    /// probe again — on seeded churn traffic whose working set is at, and
+    /// well over, capacity: same verdict and result for every packet, same
+    /// counters, same victim on every eviction, same slot array and hand.
+    #[test]
+    fn single_probe_fill_matches_lookup_insert_peek() {
+        type Classify = fn(&mut FlowCache<u32>, &FlowKey, u32) -> (u32, CacheResult);
+        fn single(c: &mut FlowCache<u32>, f: &FlowKey, v: u32) -> (u32, CacheResult) {
+            let (v, r) = c.get_or_insert_with(f, || v);
+            (*v, r)
+        }
+        fn primitives(c: &mut FlowCache<u32>, f: &FlowKey, v: u32) -> (u32, CacheResult) {
+            let r = c.lookup(f).1;
+            if r == CacheResult::Miss {
+                c.insert(*f, v);
+            }
+            (*c.peek(f).expect("present after fill"), r)
+        }
+        fn reprobing(c: &mut FlowCache<u32>, f: &FlowKey, v: u32) -> (u32, CacheResult) {
+            let r = c.lookup(f).1;
+            if r == CacheResult::Miss {
+                if c.len >= c.capacity {
+                    c.evict_one();
+                }
+                let hash = f.stable_hash();
+                let empty = c.probe(f, hash).expect_err("absent after a miss");
+                c.slots[empty] = Some(Entry {
+                    key: *f,
+                    value: v,
+                    tag: hash as u32,
+                    referenced: false,
+                });
+                c.len += 1;
+            }
+            (*c.peek(f).expect("present after fill"), r)
+        }
+        fn resident(c: &FlowCache<u32>) -> Vec<FlowKey> {
+            c.slots.iter().flatten().map(|e| e.key).collect()
+        }
+        /// Outcomes per packet, victims in order, and the cache at the end.
+        fn run(
+            classify: Classify,
+            cap: usize,
+            working_set: u64,
+        ) -> (Vec<(u32, CacheResult)>, Vec<FlowKey>, FlowCache<u32>) {
+            let mut c = FlowCache::new(cap);
+            let (mut outcomes, mut victims) = (Vec::new(), Vec::new());
+            let mut x = 0x2545_f491_4f6c_dd1du64 ^ (cap as u64 * working_set);
+            for step in 0..20_000u32 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                // One packet in four goes to a handful of hot flows, so
+                // reference bits are set and the clock hand passes over
+                // live entries; the rest sweep the working set.
+                let port = (x >> 8)
+                    % if x & 3 == 0 {
+                        4.min(working_set)
+                    } else {
+                        working_set
+                    };
+                let before = resident(&c);
+                let evictions = c.stats().evictions;
+                outcomes.push(classify(&mut c, &flow(port as u16), step));
+                if c.stats().evictions > evictions {
+                    let after = resident(&c);
+                    victims.extend(before.iter().filter(|k| !after.contains(k)));
+                }
+            }
+            (outcomes, victims, c)
+        }
+        for (cap, working_set) in [(1, 5), (2, 2), (32, 32), (32, 128), (100, 1_600)] {
+            let (outcomes, victims, c) = run(single, cap, working_set);
+            assert_eq!(c.len(), cap.min(working_set as usize));
+            assert_eq!(victims.len() as u64, c.stats().evictions);
+            assert_eq!(victims.is_empty(), working_set as usize <= cap, "cap {cap}");
+            for reference in [primitives as Classify, reprobing] {
+                let (want, want_victims, r) = run(reference, cap, working_set);
+                assert!(
+                    outcomes == want,
+                    "cap {cap}: a packet classified differently"
+                );
+                assert_eq!(victims, want_victims, "cap {cap}");
+                assert_eq!(c.stats(), r.stats(), "cap {cap}");
+                assert_eq!(c.hand, r.hand, "cap {cap}");
+                assert!(c.slots == r.slots, "cap {cap}: slot arrays differ");
+            }
+        }
     }
 }

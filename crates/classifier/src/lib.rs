@@ -41,7 +41,8 @@ pub use table::FilterTable;
 use netstack::flow::FlowKey;
 use netstack::packet::VfPort;
 
-/// Filter table + flow cache, composed with miss-fill.
+/// Filter table + flow cache, composed with miss-fill: one hash of the flow
+/// key and one probe per packet, the table walk only on a miss.
 ///
 /// Verdicts are `Clone` because a table verdict is copied into the cache on
 /// a miss (mirroring how the hardware cache stores flattened actions).
@@ -64,10 +65,27 @@ impl<V: Clone> Classifier<V> {
     ///
     /// Panics if `cache_capacity` is zero.
     pub fn new(default: V, cache_capacity: usize) -> Self {
+        Self::from_table(FilterTable::new(default), cache_capacity)
+    }
+
+    /// Creates a classifier over a finished rule table (see
+    /// [`FilterTable::from_rules`]): the table is indexed once and the
+    /// cache allocated once, however many rules there are.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cache_capacity` is zero.
+    pub fn from_table(table: FilterTable<V>, cache_capacity: usize) -> Self {
         Classifier {
-            table: FilterTable::new(default),
+            table,
             cache: ShardedFlowCache::new(cache_capacity),
         }
+    }
+
+    /// Takes the classifier apart into its rule table and flow-cache
+    /// capacity, dropping the cached flows.
+    pub fn into_parts(self) -> (FilterTable<V>, usize) {
+        (self.table, self.cache.capacity())
     }
 
     /// Adds a filter rule and invalidates the cache (rule changes can
@@ -92,18 +110,11 @@ impl<V: Clone> Classifier<V> {
     /// worker fills and hits its own shard: a flow migrating across
     /// workers re-misses once per shard it lands on, exactly like a flow
     /// migrating across hardware islands.
+    #[inline]
     pub fn classify_at(&mut self, stripe: usize, flow: &FlowKey, vf: VfPort) -> (&V, CacheResult) {
-        // `.1` copies out the result; the `&V` borrow ends with the statement.
-        let result = self.cache.lookup_at(stripe, flow).1;
-        if result == CacheResult::Miss {
-            let verdict = self.table.lookup(flow, vf).clone();
-            self.cache.insert_at(stripe, *flow, verdict);
-        }
-        let verdict = self
-            .cache
-            .peek_at(stripe, flow)
-            .expect("entry present after fill");
-        (verdict, result)
+        let table = &self.table;
+        self.cache
+            .get_or_insert_with_at(stripe, flow, || table.lookup(flow, vf).clone())
     }
 
     /// The underlying filter table.
@@ -141,6 +152,30 @@ mod classifier_tests {
         assert_eq!((*v, r), (7, CacheResult::Miss));
         let (v, r) = c.classify(&flow(1), VfPort(0));
         assert_eq!((*v, r), (7, CacheResult::Hit));
+    }
+
+    #[test]
+    fn bulk_built_classifier_matches_rule_by_rule() {
+        let rules = vec![
+            FilterRule::new(2, FlowMatch::any(), 1),
+            FilterRule::new(1, FlowMatch::any().dst_port(5001), 2),
+        ];
+        let mut one_by_one: Classifier<u32> = Classifier::new(0, 64);
+        for r in &rules {
+            one_by_one.add_rule(r.clone());
+        }
+        let mut bulk = Classifier::from_table(FilterTable::from_rules(0, rules), 64);
+        let other = FlowKey::tcp([10, 0, 0, 1], 1, [10, 0, 0, 2], 80);
+        for (f, verdict) in [(flow(1), 2), (flow(2), 2), (other, 1)] {
+            assert_eq!(bulk.classify(&f, VfPort(0)), (&verdict, CacheResult::Miss));
+            assert_eq!(one_by_one.classify(&f, VfPort(0)).0, &verdict);
+            assert_eq!(bulk.classify(&f, VfPort(0)), (&verdict, CacheResult::Hit));
+        }
+        // Taking it apart keeps rules and capacity, not the cached flows.
+        let (table, capacity) = bulk.into_parts();
+        assert_eq!((table.len(), capacity), (2, 64));
+        let mut again = Classifier::from_table(table, capacity);
+        assert_eq!(again.classify(&flow(1), VfPort(0)).1, CacheResult::Miss);
     }
 
     #[test]

@@ -97,11 +97,16 @@ impl<V> ShardedFlowCache<V> {
         self.shard(stripe).insert(flow, verdict);
     }
 
-    /// Reads an entry in worker `stripe`'s shard without refreshing its
-    /// recency or counting a lookup.
+    /// [`FlowCache::get_or_insert_with`] on the shard owned by worker
+    /// `stripe`: the packet path's one cache call.
     #[inline]
-    pub fn peek_at(&self, stripe: usize, flow: &FlowKey) -> Option<&V> {
-        self.shards[stripe & SHARD_MASK].0.peek(flow)
+    pub fn get_or_insert_with_at(
+        &mut self,
+        stripe: usize,
+        flow: &FlowKey,
+        walk: impl FnOnce() -> V,
+    ) -> (&V, CacheResult) {
+        self.shard(stripe).get_or_insert_with(flow, walk)
     }
 
     /// Drops every entry in every shard (rule reloads re-classify all
@@ -172,8 +177,13 @@ mod tests {
         assert_eq!(c.lookup_at(1, &flow(1)), (None, CacheResult::Miss));
         // Stripe indices wrap: SHARDS aliases stripe 0.
         assert_eq!(c.lookup_at(SHARDS, &flow(1)), (Some(&7), CacheResult::Hit));
-        assert_eq!(c.peek_at(0, &flow(1)), Some(&7));
-        assert_eq!(c.peek_at(1, &flow(1)), None);
+        // The single-call fill sees the same isolation.
+        let fill = c.get_or_insert_with_at(0, &flow(1), || unreachable!("cached"));
+        assert_eq!(fill, (&7, CacheResult::Hit));
+        assert_eq!(
+            c.get_or_insert_with_at(1, &flow(1), || 8),
+            (&8, CacheResult::Miss)
+        );
     }
 
     #[test]

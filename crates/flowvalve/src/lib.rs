@@ -69,7 +69,7 @@ pub use error::{BuildTreeError, ParseFvError};
 pub use frontend::{FilterSpec, Policy};
 pub use label::{ClassId, QosLabel};
 pub use pipeline::{FlowValvePipeline, LockDiscipline};
-pub use program::{ChainId, CompiledProgram, DecisionCache};
+pub use program::{ChainId, CompiledProgram};
 pub use quantum::{QuantumReserve, ReservedExec};
 pub use sched::{Exec, GlobalLockExec, RealExec, SchedVerdict, SimExec};
 pub use snapshot::{ClassSnapshot, TreeSnapshot};

@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use classifier::{CacheResult, Classifier, FilterRule};
+use classifier::{CacheResult, Classifier, FilterRule, FilterTable};
 use fv_audit::{
     AuditVerdict, DropCause, ProvenanceRecord, ProvenanceRing, Recorder, Sampler, StepKind,
 };
@@ -21,8 +21,8 @@ use sim_core::time::{Cycles, Nanos};
 
 use crate::error::ParseFvError;
 use crate::frontend::Policy;
-use crate::label::{ClassId, QosLabel};
-use crate::program::{CompiledProgram, DecisionCache};
+use crate::label::QosLabel;
+use crate::program::{ChainId, CompiledProgram};
 use crate::sched::{GlobalLockExec, SchedVerdict, SimExec};
 use crate::tree::{SchedulingTree, TreeParams};
 
@@ -90,26 +90,24 @@ struct ClassChannels {
 /// scheduler trace events (`fv.class.<id>.*` namespace).
 struct PipelineTelemetry {
     registry: Registry,
-    per_class: HashMap<ClassId, ClassChannels>,
+    /// Indexed by the tree's node index.
+    per_class: Vec<ClassChannels>,
     ring: Arc<EventRing>,
     spans: SpanRecorder,
 }
 
 impl PipelineTelemetry {
     fn new(registry: &Registry, tree: &SchedulingTree) -> Self {
-        let per_class = tree
-            .class_ids()
-            .into_iter()
-            .map(|id| {
-                let base = format!("fv.class.{id}");
-                let channels = ClassChannels {
+        let per_class = (0..tree.len())
+            .map(|idx| {
+                let base = format!("fv.class.{}", tree.node(idx).spec.id);
+                ClassChannels {
                     forwarded: registry.counter(&format!("{base}.forwarded")),
                     borrowed: registry.counter(&format!("{base}.borrowed")),
                     dropped: registry.counter(&format!("{base}.dropped")),
                     lent: registry.counter(&format!("{base}.lent")),
                     tx_bits: registry.counter(&format!("{base}.tx_bits")),
-                };
-                (id, channels)
+                }
             })
             .collect();
         PipelineTelemetry {
@@ -120,10 +118,22 @@ impl PipelineTelemetry {
         }
     }
 
-    fn record(&self, now: Nanos, leaf: ClassId, wire_bits: u64, verdict: SchedVerdict) {
+    /// The leaf's channels are found through the node index compiled into
+    /// the packet's label slot, a lender's through the tree's
+    /// direct-indexed id table: no hashing either way.
+    fn record(
+        &self,
+        now: Nanos,
+        tree: &SchedulingTree,
+        slot: &LabelSlot,
+        wire_bits: u64,
+        verdict: SchedVerdict,
+    ) {
+        let leaf = slot.label.leaf();
+        let leaf_channels = self.per_class.get(slot.leaf_node);
         match verdict {
             SchedVerdict::Forward => {
-                if let Some(c) = self.per_class.get(&leaf) {
+                if let Some(c) = leaf_channels {
                     c.forwarded.incr(0);
                     c.tx_bits.add(0, wire_bits);
                 }
@@ -131,18 +141,18 @@ impl PipelineTelemetry {
                     .record(now, TraceKind::SchedForward, leaf.0 as u64, wire_bits);
             }
             SchedVerdict::Borrowed(lender) => {
-                if let Some(c) = self.per_class.get(&leaf) {
+                if let Some(c) = leaf_channels {
                     c.borrowed.incr(0);
                     c.tx_bits.add(0, wire_bits);
                 }
-                if let Some(c) = self.per_class.get(&lender) {
+                if let Some(c) = tree.node_index(lender).and_then(|i| self.per_class.get(i)) {
                     c.lent.incr(0);
                 }
                 self.ring
                     .record(now, TraceKind::SchedBorrow, leaf.0 as u64, lender.0 as u64);
             }
             SchedVerdict::Drop => {
-                if let Some(c) = self.per_class.get(&leaf) {
+                if let Some(c) = leaf_channels {
                     c.dropped.incr(0);
                 }
                 self.ring
@@ -160,18 +170,30 @@ struct AuditHook {
     sampler: Sampler,
 }
 
+/// What the flow cache stores for a labeled flow: the policy's
+/// [`QosLabel`] verdict compiled down to an index and its admission chain.
+/// Twelve bytes, unlabeled `None` included, against the label's 36.
+#[derive(Debug, Clone, Copy)]
+struct Verdict {
+    /// Index into `Compiled::labels`.
+    label: u32,
+    /// The label's chain in the pipeline's current program, resolved when
+    /// the verdict was compiled.
+    chain: Option<ChainId>,
+}
+
+/// One distinct label of the installed policy.
+#[derive(Debug)]
+struct LabelSlot {
+    label: QosLabel,
+    /// Tree node index of the label's leaf class (per-class telemetry).
+    leaf_node: usize,
+}
+
 pub struct FlowValvePipeline {
     tree: Arc<SchedulingTree>,
-    classifier: Classifier<Option<QosLabel>>,
-    /// The scheduling tree flattened into admission chains, rebuilt on
-    /// every reload. Labels the policy never emitted (none, in practice)
-    /// fall back to the interpreted walker.
-    program: CompiledProgram,
-    /// Direct-mapped label → chain cache fronting `program`, validated by
-    /// `reload_gen` + the tree's epoch counter.
-    cache: DecisionCache,
-    /// Bumped on every hot reload; folded into the cache generation so
-    /// chain ids never survive a recompile.
+    compiled: Compiled,
+    /// Bumped on every hot reload (provenance records carry it).
     reload_gen: u64,
     /// Compile work (chain steps) of the last hot reload, charged as
     /// `Op::ProgramCompile` on the next decision. The initial compile is
@@ -181,6 +203,9 @@ pub struct FlowValvePipeline {
     /// When false, the per-class arm runs the interpreted walker instead
     /// of the compiled fast path — the differential-testing oracle.
     use_program: bool,
+    /// Decisions that ran a pre-resolved chain / the interpreted walker.
+    chain_decisions: u64,
+    walker_decisions: u64,
     update_hold: Nanos,
     discipline: LockDiscipline,
     freq: sim_core::time::Freq,
@@ -201,6 +226,58 @@ impl core::fmt::Debug for FlowValvePipeline {
         f.debug_struct("FlowValvePipeline")
             .field("classes", &self.tree.len())
             .finish_non_exhaustive()
+    }
+}
+
+/// The policy-dependent half of the pipeline. Built in one pass and
+/// replaced as one value on a reload, so a chain id read from the flow
+/// cache always belongs to the program next to it.
+struct Compiled {
+    /// Filter table + flow cache over compiled verdicts.
+    classifier: Classifier<Option<Verdict>>,
+    /// The scheduling tree flattened into admission chains, one per
+    /// distinct label of the policy.
+    program: CompiledProgram,
+    /// The policy's distinct labels, indexed by `Verdict::label`.
+    labels: Vec<LabelSlot>,
+}
+
+impl Compiled {
+    /// Flattens `tree` into admission chains for every label the table can
+    /// emit — each filter verdict, then the default class — and rewrites
+    /// the table's verdicts to point at them. The rule order and hash
+    /// index of `table` carry over; the flow cache is allocated once, here.
+    fn new(
+        tree: &SchedulingTree,
+        table: FilterTable<Option<QosLabel>>,
+        cache_capacity: usize,
+    ) -> Self {
+        let program = CompiledProgram::compile(
+            tree,
+            table
+                .iter()
+                .filter_map(|r| r.verdict.as_ref())
+                .chain(table.default_verdict().iter()),
+        );
+        let mut labels = Vec::new();
+        let mut slot_of: HashMap<QosLabel, u32> = HashMap::new();
+        let table = table.map(|verdict| {
+            verdict.map(|label| Verdict {
+                label: *slot_of.entry(label).or_insert_with(|| {
+                    labels.push(LabelSlot {
+                        label,
+                        leaf_node: tree.node_index(label.leaf()).unwrap_or(usize::MAX),
+                    });
+                    labels.len() as u32 - 1
+                }),
+                chain: program.resolve(&label),
+            })
+        });
+        Compiled {
+            classifier: Classifier::from_table(table, cache_capacity),
+            program,
+            labels,
+        }
     }
 }
 
@@ -226,32 +303,15 @@ impl FlowValvePipeline {
 
     /// Assembles a pipeline from an already-built tree and classifier
     /// (e.g. with a non-default flow-cache capacity, for the cache
-    /// ablation experiments).
+    /// ablation experiments). The classifier's rule table and cache
+    /// capacity are kept; its cached flows are not.
     pub fn from_classifier(
         tree: Arc<SchedulingTree>,
         classifier: Classifier<Option<QosLabel>>,
         nic: &NicConfig,
     ) -> Self {
-        let update_hold = nic.freq.duration_of(Cycles::new(nic.costs.class_update));
-        let program = Self::build_program(&tree, &classifier);
-        let cache = DecisionCache::new(tree.len().max(64));
-        FlowValvePipeline {
-            tree,
-            classifier,
-            program,
-            cache,
-            reload_gen: 0,
-            pending_compile_ops: 0,
-            use_program: true,
-            update_hold,
-            discipline: LockDiscipline::PerClass,
-            freq: nic.freq,
-            framing: nic.framing,
-            telemetry: None,
-            audit: None,
-            chaos: None,
-            sched_floor: Nanos::ZERO,
-        }
+        let (table, cache_capacity) = classifier.into_parts();
+        Self::assemble(tree, table, cache_capacity, nic)
     }
 
     /// Assembles a pipeline from an already-built tree and compiled rules.
@@ -261,24 +321,27 @@ impl FlowValvePipeline {
         default: Option<QosLabel>,
         nic: &NicConfig,
     ) -> Self {
-        let mut classifier = Classifier::new(default, Self::DEFAULT_CACHE_CAPACITY);
-        for r in rules {
-            classifier.add_rule(r);
-        }
-        // The guarded update section holds its lock for the class_update
-        // cycle cost at the configured clock.
-        let update_hold = nic.freq.duration_of(Cycles::new(nic.costs.class_update));
-        let program = Self::build_program(&tree, &classifier);
-        let cache = DecisionCache::new(tree.len().max(64));
+        let table = FilterTable::from_rules(default, rules);
+        Self::assemble(tree, table, Self::DEFAULT_CACHE_CAPACITY, nic)
+    }
+
+    fn assemble(
+        tree: Arc<SchedulingTree>,
+        table: FilterTable<Option<QosLabel>>,
+        cache_capacity: usize,
+        nic: &NicConfig,
+    ) -> Self {
         FlowValvePipeline {
+            compiled: Compiled::new(&tree, table, cache_capacity),
             tree,
-            classifier,
-            program,
-            cache,
             reload_gen: 0,
             pending_compile_ops: 0,
             use_program: true,
-            update_hold,
+            chain_decisions: 0,
+            walker_decisions: 0,
+            // The guarded update section holds its lock for the
+            // class_update cycle cost at the configured clock.
+            update_hold: nic.freq.duration_of(Cycles::new(nic.costs.class_update)),
             discipline: LockDiscipline::PerClass,
             freq: nic.freq,
             framing: nic.framing,
@@ -287,20 +350,6 @@ impl FlowValvePipeline {
             chaos: None,
             sched_floor: Nanos::ZERO,
         }
-    }
-
-    /// Flattens `tree` into admission chains for every label the
-    /// classifier can emit: each filter verdict plus the default class.
-    fn build_program(
-        tree: &SchedulingTree,
-        classifier: &Classifier<Option<QosLabel>>,
-    ) -> CompiledProgram {
-        let table = classifier.table();
-        let labels = table
-            .iter()
-            .filter_map(|r| r.verdict.as_ref())
-            .chain(table.default_verdict().iter());
-        CompiledProgram::compile(tree, labels)
     }
 
     /// Installs a chaos hook consulted on every scheduling decision (the
@@ -353,7 +402,7 @@ impl FlowValvePipeline {
                     .set(gamma.as_bps());
             }
         }
-        let cache = self.classifier.cache_stats();
+        let cache = self.cache_stats();
         t.registry.gauge("fv.cache.hits").set(cache.hits);
         t.registry.gauge("fv.cache.misses").set(cache.misses);
     }
@@ -400,21 +449,19 @@ impl FlowValvePipeline {
         nic: &NicConfig,
     ) -> Result<(), ParseFvError> {
         let (tree, rules, default) = policy.compile(params)?;
-        let mut classifier = Classifier::new(default, Self::DEFAULT_CACHE_CAPACITY);
-        for r in rules {
-            classifier.add_rule(r);
-        }
+        // Classifier, program and labels are rebuilt against the new tree
+        // and swapped in together: the fresh flow cache holds no entry, so
+        // no chain id of the old program can be read again. The compile
+        // work is charged (Op::ProgramCompile) on the next decision — paid
+        // at reconfiguration time, not per packet.
+        self.compiled = Compiled::new(
+            &tree,
+            FilterTable::from_rules(default, rules),
+            Self::DEFAULT_CACHE_CAPACITY,
+        );
         self.tree = Arc::new(tree);
-        self.classifier = classifier;
-        // Recompile the scheduling program against the new tree and
-        // invalidate every cached resolution: the generation bump keeps
-        // any straggler lookups from resolving against pre-reload state,
-        // and the compile work is charged (Op::ProgramCompile) on the next
-        // decision — paid at reconfiguration time, not per packet.
-        self.program = Self::build_program(&self.tree, &self.classifier);
-        self.cache.clear();
         self.reload_gen = self.reload_gen.wrapping_add(1);
-        self.pending_compile_ops += self.program.compile_ops();
+        self.pending_compile_ops += self.compiled.program.compile_ops();
         self.update_hold = nic.freq.duration_of(Cycles::new(nic.costs.class_update));
         self.freq = nic.freq;
         self.framing = nic.framing;
@@ -431,19 +478,23 @@ impl FlowValvePipeline {
 
     /// Flow-cache statistics.
     pub fn cache_stats(&self) -> classifier::CacheStats {
-        self.classifier.cache_stats()
+        self.compiled.classifier.cache_stats()
     }
 
     /// The compiled scheduling program currently installed.
     pub fn program(&self) -> &CompiledProgram {
-        &self.program
+        &self.compiled.program
     }
 
-    /// (hits, misses) of the per-flow decision cache. Misses cover cold
-    /// flows *and* generation invalidations (reload, epoch roll,
-    /// borrowing-state change).
+    /// (decisions that ran the admission chain carried in their flow-cache
+    /// entry, decisions that fell back to the interpreted walker). Chains
+    /// are resolved when the policy is compiled, so the second count stays
+    /// zero unless [`with_interpreted_scheduler`] or
+    /// [`LockDiscipline::Global`] selects the walker.
+    ///
+    /// [`with_interpreted_scheduler`]: Self::with_interpreted_scheduler
     pub fn decision_cache_stats(&self) -> (u64, u64) {
-        self.cache.stats()
+        (self.chain_decisions, self.walker_decisions)
     }
 }
 
@@ -466,13 +517,17 @@ impl EgressDecider for FlowValvePipeline {
         }
         // Labeling function: exact-match cache with table-walk fill, on
         // this worker's cache shard (per-island EMFC model — no false
-        // sharing between workers' hit paths).
+        // sharing between workers' hit paths). The entry carries the
+        // flow's compiled verdict: label index and admission chain.
         let classify_t0 = meter.total();
         meter.set_stage(AttrStage::Classify);
-        let (label, cache) = self
-            .classifier
-            .classify_at(meter.worker(), &pkt.flow, pkt.vf);
-        let label = *label;
+        let Compiled {
+            classifier,
+            program,
+            labels,
+        } = &mut self.compiled;
+        let (verdict, cache) = classifier.classify_at(meter.worker(), &pkt.flow, pkt.vf);
+        let labeled = verdict.map(|v| (&labels[v.label as usize], v.chain));
         meter.charge(match cache {
             CacheResult::Hit => Op::ClassifyHit,
             CacheResult::Miss => Op::ClassifyMiss,
@@ -488,7 +543,7 @@ impl EgressDecider for FlowValvePipeline {
             if let Some(sink) = t.spans.sink() {
                 // Tell the attribution sink this packet's class before any
                 // of its spans land, so every span attributes cleanly.
-                let class = label.map(|l| l.leaf().0 as u64).unwrap_or(u64::MAX);
+                let class = labeled.map_or(u64::MAX, |(slot, _)| slot.label.leaf().0 as u64);
                 sink.classify(pkt.id, class, pkt.flow.stable_hash(), wire_bits);
             }
             t.spans.record(Stage::Classify, now, pkt.id, classify_dur);
@@ -499,160 +554,122 @@ impl EgressDecider for FlowValvePipeline {
         // the line rate must admit exactly what the wire can carry, or the
         // transmit FIFO builds a standing queue.
         meter.set_stage(AttrStage::Sched);
-        match label {
-            None => Decision::Forward,
-            Some(label) => {
-                // The scheduling function reads its own clock, which an
-                // injected skew fault can run ahead of the NIC clock. Keep
-                // it monotonic so epochs never rewind when the skew clears.
-                let sched_now = match &self.chaos {
-                    Some(h) => {
-                        let skewed = now + h.sched_clock_skew(now);
-                        self.sched_floor = self.sched_floor.max(skewed);
-                        self.sched_floor
-                    }
-                    None => now,
+        let Some((slot, chain)) = labeled else {
+            return Decision::Forward;
+        };
+        let label = &slot.label;
+        // The scheduling function reads its own clock, which an injected
+        // skew fault can run ahead of the NIC clock. Keep it monotonic so
+        // epochs never rewind when the skew clears.
+        let sched_now = match &self.chaos {
+            Some(h) => {
+                let skewed = now + h.sched_clock_skew(now);
+                self.sched_floor = self.sched_floor.max(skewed);
+                self.sched_floor
+            }
+            None => now,
+        };
+        let sched_t0 = meter.total();
+        // The chain was resolved when the policy was compiled and came
+        // with the flow-cache entry; a reload replaces classifier and
+        // program together, so it is never stale. Under SimExec it charges
+        // exactly what the interpreted walker would.
+        let chain =
+            chain.filter(|_| self.use_program && self.discipline == LockDiscipline::PerClass);
+        match chain {
+            Some(_) => self.chain_decisions += 1,
+            None => self.walker_decisions += 1,
+        }
+        let verdict = match self.discipline {
+            LockDiscipline::PerClass => {
+                let mut exec = SimExec {
+                    meter,
+                    locks,
+                    update_hold: self.update_hold,
                 };
-                let sched_t0 = meter.total();
-                let verdict = match self.discipline {
-                    LockDiscipline::PerClass => {
-                        // Per-flow fast path: resolve the label to its
-                        // compiled admission chain through the decision
-                        // cache. Any reload, rate-estimation epoch roll or
-                        // borrowing-state change moves the generation, so
-                        // the stale entry misses and the resolution redoes
-                        // one hash probe — there is no stale-verdict
-                        // window. Under SimExec the chain charges exactly
-                        // what the interpreted walker would.
-                        let mut cache_hit = false;
-                        let chain = if self.use_program {
-                            let gen = self.reload_gen.wrapping_add(self.tree.epoch());
-                            // Each worker resolves through its own cache
-                            // stripe (per-ME EMFC slice): no shared table
-                            // lines between engines, at the price of one
-                            // cold miss per worker per flow.
-                            let stripe = meter.worker();
-                            match self.cache.lookup_at(stripe, &label, gen) {
-                                Some(c) => {
-                                    cache_hit = true;
-                                    Some(c)
-                                }
-                                None => {
-                                    let resolved = self.program.resolve(&label);
-                                    if let Some(c) = resolved {
-                                        self.cache.insert_at(stripe, label, c, gen);
-                                    }
-                                    resolved
-                                }
-                            }
-                        } else {
-                            None
-                        };
-                        let mut exec = SimExec {
-                            meter,
-                            locks,
-                            update_hold: self.update_hold,
-                        };
-                        let sampled = self.audit.as_ref().is_some_and(|a| a.sampler.hit(pkt.id));
-                        if sampled {
-                            // Sampled: the same single walk runs with a
-                            // recorder threaded through it; charges and
-                            // verdict are identical to the unsampled path.
-                            let mut rec = Recorder::new();
-                            let verdict = match chain {
-                                Some(c) => self.tree.schedule_compiled_observed(
-                                    &self.program,
-                                    c,
-                                    wire_bits,
-                                    sched_now,
-                                    &mut exec,
-                                    &mut rec,
-                                ),
-                                None => self.tree.schedule_observed(
-                                    &label, wire_bits, sched_now, &mut exec, &mut rec,
-                                ),
-                            };
-                            let cause = if verdict == SchedVerdict::Drop {
-                                // The deciding step names the refusal: a
-                                // red ceiling meter is an OverCeil, any
-                                // other red meter is the leaf (and its
-                                // lenders) out of tokens.
-                                let deciding =
-                                    rec.steps.iter().rev().find(|s| !s.green).map(|s| s.kind);
-                                Some(match deciding {
-                                    Some(StepKind::MeterCeil) => DropCause::OverCeil,
-                                    _ => DropCause::NoTokens,
-                                })
-                            } else {
-                                None
-                            };
-                            let audit = self.audit.as_ref().expect("sampled implies hook");
-                            audit.ring.record(ProvenanceRecord {
-                                pkt_id: pkt.id,
-                                at: sched_now,
-                                leaf: label.leaf().0,
-                                wire_bits,
-                                verdict: match verdict {
-                                    SchedVerdict::Forward => AuditVerdict::Forward,
-                                    SchedVerdict::Borrowed(l) => AuditVerdict::Borrowed(l.0),
-                                    SchedVerdict::Drop => AuditVerdict::Drop,
-                                },
-                                cause,
-                                cache_hit,
-                                generation: self.reload_gen.wrapping_add(self.tree.epoch()),
-                                reload_gen: self.reload_gen,
-                                epoch: self.tree.epoch(),
-                                chain: chain.map(|c| c.index()).unwrap_or(u32::MAX),
-                                steps: rec.steps,
-                                refunds: rec.refunds,
-                            });
-                            verdict
-                        } else {
-                            match chain {
-                                Some(c) => self.tree.schedule_compiled(
-                                    &self.program,
-                                    c,
-                                    wire_bits,
-                                    sched_now,
-                                    &mut exec,
-                                ),
-                                // Oracle fallback for labels the program
-                                // has no chain for (never emitted by the
-                                // policy).
-                                None => self.tree.schedule(&label, wire_bits, sched_now, &mut exec),
-                            }
-                        }
-                    }
-                    LockDiscipline::Global => {
-                        let mut exec = GlobalLockExec {
-                            meter,
-                            locks,
-                            update_hold: self.update_hold,
-                            wait: Nanos::ZERO,
-                        };
-                        let verdict = self.tree.schedule(&label, wire_bits, sched_now, &mut exec);
-                        // The worker spins while waiting for the global
-                        // lock: charge the wait as busy cycles.
-                        let wait = exec.wait;
-                        meter.charge_cycles(self.freq.cycles_in(wait));
-                        verdict
-                    }
-                };
-                if let Some(t) = &self.telemetry {
-                    // Sched span: every cycle the scheduling function
-                    // charged (token grabs, lock waits, updates), placed
-                    // right after the classify span on the same worker.
-                    let sched_dur = self.freq.duration_of(meter.total() - sched_t0);
-                    t.spans
-                        .record(Stage::Sched, now + classify_dur, pkt.id, sched_dur);
-                    t.record(now, label.leaf(), wire_bits, verdict);
-                }
-                if verdict.passes() {
-                    Decision::Forward
+                let sampled = self.audit.as_ref().is_some_and(|a| a.sampler.hit(pkt.id));
+                if sampled {
+                    // Sampled: the same single walk runs with a recorder
+                    // threaded through it; charges and verdict are
+                    // identical to the unsampled path.
+                    let mut rec = Recorder::new();
+                    let verdict = match chain {
+                        Some(c) => self.tree.schedule_compiled_observed(
+                            program, c, wire_bits, sched_now, &mut exec, &mut rec,
+                        ),
+                        None => self
+                            .tree
+                            .schedule_observed(label, wire_bits, sched_now, &mut exec, &mut rec),
+                    };
+                    let cause = if verdict == SchedVerdict::Drop {
+                        // The deciding step names the refusal: a red
+                        // ceiling meter is an OverCeil, any other red meter
+                        // is the leaf (and its lenders) out of tokens.
+                        let deciding = rec.steps.iter().rev().find(|s| !s.green).map(|s| s.kind);
+                        Some(match deciding {
+                            Some(StepKind::MeterCeil) => DropCause::OverCeil,
+                            _ => DropCause::NoTokens,
+                        })
+                    } else {
+                        None
+                    };
+                    let audit = self.audit.as_ref().expect("sampled implies hook");
+                    audit.ring.record(ProvenanceRecord {
+                        pkt_id: pkt.id,
+                        at: sched_now,
+                        leaf: label.leaf().0,
+                        wire_bits,
+                        verdict: match verdict {
+                            SchedVerdict::Forward => AuditVerdict::Forward,
+                            SchedVerdict::Borrowed(l) => AuditVerdict::Borrowed(l.0),
+                            SchedVerdict::Drop => AuditVerdict::Drop,
+                        },
+                        cause,
+                        cache_hit: cache == CacheResult::Hit,
+                        reload_gen: self.reload_gen,
+                        epoch: self.tree.epoch(),
+                        chain: chain.map(|c| c.index()).unwrap_or(u32::MAX),
+                        steps: rec.steps,
+                        refunds: rec.refunds,
+                    });
+                    verdict
                 } else {
-                    Decision::Drop
+                    match chain {
+                        Some(c) => self
+                            .tree
+                            .schedule_compiled(program, c, wire_bits, sched_now, &mut exec),
+                        None => self.tree.schedule(label, wire_bits, sched_now, &mut exec),
+                    }
                 }
             }
+            LockDiscipline::Global => {
+                let mut exec = GlobalLockExec {
+                    meter,
+                    locks,
+                    update_hold: self.update_hold,
+                    wait: Nanos::ZERO,
+                };
+                let verdict = self.tree.schedule(label, wire_bits, sched_now, &mut exec);
+                // The worker spins while waiting for the global lock:
+                // charge the wait as busy cycles.
+                let wait = exec.wait;
+                meter.charge_cycles(self.freq.cycles_in(wait));
+                verdict
+            }
+        };
+        if let Some(t) = &self.telemetry {
+            // Sched span: every cycle the scheduling function charged
+            // (token grabs, lock waits, updates), placed right after the
+            // classify span on the same worker.
+            let sched_dur = self.freq.duration_of(meter.total() - sched_t0);
+            t.spans
+                .record(Stage::Sched, now + classify_dur, pkt.id, sched_dur);
+            t.record(now, &self.tree, slot, wire_bits, verdict);
+        }
+        if verdict.passes() {
+            Decision::Forward
+        } else {
+            Decision::Drop
         }
     }
 
@@ -695,6 +712,13 @@ mod tests {
             VfPort(0),
             Nanos::ZERO,
         )
+    }
+
+    #[test]
+    fn compiled_verdict_is_a_third_of_the_label() {
+        // Unlabeled `None` included: the flow-cache entry is sized by this.
+        assert!(std::mem::size_of::<Option<Verdict>>() <= 12);
+        assert!(std::mem::size_of::<Option<QosLabel>>() >= 36);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! chain** — an array of [`ChainStep`]s (node index, bucket slab index,
 //! condition template, parent link) in exact evaluation order. Steady
 //! flows then execute only the chain's token test-and-add sequence with
-//! zero tree traversal, fronted by the [`DecisionCache`] direct-mapped
-//! per-flow cache in the pipeline.
+//! zero tree traversal: the pipeline resolves each filter verdict's chain
+//! when the policy is compiled and keeps the [`ChainId`] in the flow-cache
+//! entry, so a packet's one classification probe also yields its chain.
 //!
 //! The interpreted walker stays as the differential oracle — the same
 //! pattern as the calendar-vs-heap `QueueBackend` split: a property test
@@ -91,8 +92,8 @@ struct Chain {
 ///
 /// Compiled against one tree build; [`SchedulingTree::schedule_compiled`]
 /// panics (debug) or misbehaves if run against a different tree, which is
-/// why the pipeline recompiles on every reload and guards cached
-/// resolutions with a generation token.
+/// why the pipeline rebuilds program and classifier together on every
+/// reload.
 #[derive(Debug)]
 pub struct CompiledProgram {
     steps: Vec<ChainStep>,
@@ -416,134 +417,6 @@ impl SchedulingTree {
     }
 }
 
-/// Number of per-worker stripes in a [`DecisionCache`]. Matches the
-/// telemetry counter shard count so worker / [`fv_telemetry::thread_stripe`]
-/// hints spread identically across every striped structure; must stay a
-/// power of two.
-pub const CACHE_STRIPES: usize = fv_telemetry::metrics::SHARDS;
-const CACHE_STRIPE_MASK: usize = CACHE_STRIPES - 1;
-
-/// One worker's private table of a [`DecisionCache`]. The header (table
-/// pointer + hit/miss tallies) is cache-line-aligned so two workers
-/// probing their own stripes never write the same line; the entry arrays
-/// are separate allocations and disjoint by construction.
-#[repr(align(64))]
-#[derive(Debug)]
-struct CacheStripe {
-    entries: Box<[Option<CacheEntry>]>,
-    hits: u64,
-    misses: u64,
-}
-
-/// Direct-mapped per-flow admission cache: classified leaf class → chain
-/// id + the generation the resolution was made under. A lookup hits only
-/// when the stored label matches *and* the generation is current;
-/// generations fold the pipeline's reload counter with
-/// [`SchedulingTree::epoch`], so every `fv` reconfig, rate-estimation
-/// epoch roll and borrowing-state change invalidates stale entries on the
-/// next packet.
-///
-/// Internally the cache is split into [`CACHE_STRIPES`] per-worker tables
-/// (the hardware analogue: each ME owns its EMFC slice). A worker passes
-/// its stripe to [`DecisionCache::lookup_at`]/[`DecisionCache::insert_at`]
-/// — the pipeline uses the cost meter's worker id, real-thread drivers use
-/// [`fv_telemetry::thread_stripe`] — so concurrent resolvers never share a
-/// table cache line. Invalidation is unchanged and stripe-agnostic: the
-/// generation token gates every stripe identically, and [`clear`] wipes
-/// them all. The stripe-less [`lookup`]/[`insert`] wrappers pin stripe 0
-/// for single-worker callers.
-///
-/// [`clear`]: DecisionCache::clear
-/// [`lookup`]: DecisionCache::lookup
-/// [`insert`]: DecisionCache::insert
-#[derive(Debug)]
-pub struct DecisionCache {
-    stripes: Box<[CacheStripe]>,
-    mask: usize,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct CacheEntry {
-    label: QosLabel,
-    chain: ChainId,
-    gen: u64,
-}
-
-impl DecisionCache {
-    /// Creates a cache with at least `slots` entries per stripe (rounded
-    /// up to a power of two; minimum 1).
-    pub fn new(slots: usize) -> Self {
-        let slots = slots.max(1).next_power_of_two();
-        let stripes = (0..CACHE_STRIPES)
-            .map(|_| CacheStripe {
-                entries: vec![None; slots].into_boxed_slice(),
-                hits: 0,
-                misses: 0,
-            })
-            .collect();
-        DecisionCache {
-            stripes,
-            mask: slots - 1,
-        }
-    }
-
-    fn slot(&self, label: &QosLabel) -> usize {
-        label.leaf().0 as usize & self.mask
-    }
-
-    /// The cached chain for `label`, if present and minted under `gen`.
-    /// Stripe-0 wrapper over [`DecisionCache::lookup_at`].
-    pub fn lookup(&mut self, label: &QosLabel, gen: u64) -> Option<ChainId> {
-        self.lookup_at(0, label, gen)
-    }
-
-    /// The cached chain for `label` in `stripe`'s table (masked; any
-    /// worker id or thread-stripe hint is safe).
-    pub fn lookup_at(&mut self, stripe: usize, label: &QosLabel, gen: u64) -> Option<ChainId> {
-        let slot = self.slot(label);
-        let s = &mut self.stripes[stripe & CACHE_STRIPE_MASK];
-        match s.entries[slot] {
-            Some(e) if e.gen == gen && e.label == *label => {
-                s.hits += 1;
-                Some(e.chain)
-            }
-            _ => {
-                s.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Stores a resolution minted under `gen` (direct-mapped: evicts
-    /// whatever shared the slot). Stripe-0 wrapper over
-    /// [`DecisionCache::insert_at`].
-    pub fn insert(&mut self, label: QosLabel, chain: ChainId, gen: u64) {
-        self.insert_at(0, label, chain, gen);
-    }
-
-    /// Stores a resolution in `stripe`'s table (masked).
-    pub fn insert_at(&mut self, stripe: usize, label: QosLabel, chain: ChainId, gen: u64) {
-        let slot = self.slot(&label);
-        self.stripes[stripe & CACHE_STRIPE_MASK].entries[slot] =
-            Some(CacheEntry { label, chain, gen });
-    }
-
-    /// Drops every entry in every stripe (hot reload: the chain ids
-    /// themselves are stale).
-    pub fn clear(&mut self) {
-        for s in self.stripes.iter_mut() {
-            s.entries.iter_mut().for_each(|e| *e = None);
-        }
-    }
-
-    /// (hits, misses) since construction, summed across stripes.
-    pub fn stats(&self) -> (u64, u64) {
-        self.stripes
-            .iter()
-            .fold((0, 0), |(h, m), s| (h + s.hits, m + s.misses))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -622,59 +495,17 @@ mod tests {
     }
 
     #[test]
-    fn decision_cache_hits_until_generation_moves() {
-        let t = tree();
-        let label = t.label(ClassId(10), &[]).unwrap();
-        let prog = CompiledProgram::compile(&t, [&label]);
-        let chain = prog.resolve(&label).unwrap();
-        let mut cache = DecisionCache::new(64);
-        assert_eq!(cache.lookup(&label, 1), None);
-        cache.insert(label, chain, 1);
-        assert_eq!(cache.lookup(&label, 1), Some(chain));
-        // A generation bump invalidates on the very next lookup.
-        assert_eq!(cache.lookup(&label, 2), None);
-        cache.insert(label, chain, 2);
-        assert_eq!(cache.lookup(&label, 2), Some(chain));
-        cache.clear();
-        assert_eq!(cache.lookup(&label, 2), None);
-        let (hits, misses) = cache.stats();
-        assert_eq!((hits, misses), (2, 3));
-    }
-
-    #[test]
-    fn cache_stripes_are_isolated_tables() {
-        let t = tree();
-        let label = t.label(ClassId(10), &[]).unwrap();
-        let prog = CompiledProgram::compile(&t, [&label]);
-        let chain = prog.resolve(&label).unwrap();
-        let mut cache = DecisionCache::new(64);
-        cache.insert_at(0, label, chain, 1);
-        assert_eq!(
-            cache.lookup_at(1, &label, 1),
-            None,
-            "a worker must never see another worker's table"
-        );
-        assert_eq!(cache.lookup_at(0, &label, 1), Some(chain));
-        // Stripe hints mask: CACHE_STRIPES aliases stripe 0.
-        assert_eq!(cache.lookup_at(CACHE_STRIPES, &label, 1), Some(chain));
-        // Stats fold every stripe; clear wipes every stripe.
-        assert_eq!(cache.stats(), (2, 1));
-        cache.clear();
-        assert_eq!(cache.lookup_at(0, &label, 1), None);
-    }
-
-    #[test]
     fn epoch_advances_on_update_and_shadow_rolls() {
         let t = tree();
         let idx = t.node_index(ClassId(10)).unwrap();
         let e0 = t.epoch();
         assert!(t.update_node(idx, Nanos::from_micros(100)));
-        assert!(t.epoch() > e0, "update epoch must bump the generation");
+        assert!(t.epoch() > e0, "update epoch must bump the counter");
         let e1 = t.epoch();
         // Within the interval floor: no epoch, no bump.
         assert!(!t.update_node(idx, Nanos::from_micros(120)));
         assert_eq!(t.epoch(), e1);
         assert!(t.update_shadow(idx, Nanos::from_micros(200)));
-        assert!(t.epoch() > e1, "shadow epoch must bump the generation");
+        assert!(t.epoch() > e1, "shadow epoch must bump the counter");
     }
 }

@@ -338,9 +338,9 @@ pub struct SchedulingTree {
     params: TreeParams,
     root: usize,
     root_rate_raw: u64,
-    /// Decision-cache generation: bumped on every completed update epoch
-    /// (rate-estimation roll) and every shadow epoch (borrowing-state
-    /// change). See [`SchedulingTree::epoch`].
+    /// Bumped on every completed update epoch (rate-estimation roll) and
+    /// every shadow epoch (borrowing-state change). See
+    /// [`SchedulingTree::epoch`].
     epoch: AtomicU64,
     telemetry: OnceLock<TreeTelemetry>,
 }
@@ -647,12 +647,11 @@ impl SchedulingTree {
         out
     }
 
-    /// Monotonic decision-cache generation: incremented on every completed
+    /// Monotonic count of state rolls: incremented on every completed
     /// rate-estimation epoch ([`Self::update_node`] past the interval
-    /// floor) and every shadow epoch (borrowing-state change). The
-    /// pipeline's per-flow admission cache folds this into its validity
-    /// token, so a cached chain resolution never outlives the state it was
-    /// made against.
+    /// floor) and every shadow epoch (borrowing-state change). Per-worker
+    /// token reserves flush their credit when it moves, and provenance
+    /// records carry it.
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }

@@ -9,10 +9,13 @@
 //!   exercises every regime: conforming, overload, borrowing transitions,
 //!   rate-estimation epoch rolls and expired-status removal after idle
 //!   gaps.
-//! * **Pipeline level** — the per-flow decision cache's generation
-//!   invalidation: after every `fv` reload, epoch roll, and borrowing
-//!   flip, the compiled fast path re-converges with the interpreted walker
-//!   on the very first packet (there is no stale-verdict window).
+//! * **Pipeline level** — the chain id carried in the flow-cache entry:
+//!   on the very first packet after an `fv` reload, an epoch roll and a
+//!   borrowing flip, the compiled fast path decides as the interpreted
+//!   walker does, through a chain of the program that is installed then
+//!   (there is no stale-chain window).
+
+use std::sync::Arc;
 
 use flowvalve::frontend::Policy;
 use flowvalve::label::ClassId;
@@ -20,12 +23,13 @@ use flowvalve::pipeline::FlowValvePipeline;
 use flowvalve::program::CompiledProgram;
 use flowvalve::sched::RealExec;
 use flowvalve::tree::{ClassSpec, SchedulingTree, TreeParams};
+use fv_audit::{AuditVerdict, ProvenanceRing, Sampler};
 use netstack::flow::FlowKey;
 use netstack::packet::{AppId, Packet, VfPort};
 use np_sim::config::{CycleCosts, NicConfig};
 use np_sim::cost::CostMeter;
 use np_sim::lock::LockTable;
-use np_sim::nic::EgressDecider;
+use np_sim::nic::{Decision, EgressDecider};
 use sim_core::time::Nanos;
 use sim_core::units::BitRate;
 
@@ -103,19 +107,21 @@ fn compiled_and_interpreted_agree_across_all_regimes() {
 
 const POLICY_V1: &str = "fv qdisc add dev nic0 root handle 1: fv\n\
      fv class add dev nic0 parent root classid 1:1 rate 10gbit\n\
-     fv class add dev nic0 parent 1:1 classid 1:10 name hi prio 0\n\
-     fv class add dev nic0 parent 1:1 classid 1:20 name lo prio 1\n\
-     fv filter add dev nic0 match ip dport 5001 flowid 1:10\n\
-     fv filter add dev nic0 match ip dport 5002 flowid 1:20\n";
+     fv class add dev nic0 parent 1:1 classid 1:10 name a weight 1\n\
+     fv class add dev nic0 parent 1:1 classid 1:20 name b weight 1\n\
+     fv filter add dev nic0 match ip dport 5001 flowid 1:10 borrow 1:20\n\
+     fv filter add dev nic0 match ip dport 5002 flowid 1:20 borrow 1:10\n";
 
-/// V2 swaps the priorities and halves the root: a real reconfiguration,
-/// not a no-op reload.
+/// V2 skews the weights and halves the root: a real reconfiguration, not
+/// a no-op reload. It also lists the filters the other way round, so
+/// the two labels trade chain ids: a chain id that survived the reload
+/// would run the *other* class's admission.
 const POLICY_V2: &str = "fv qdisc add dev nic0 root handle 1: fv\n\
      fv class add dev nic0 parent root classid 1:1 rate 5gbit\n\
-     fv class add dev nic0 parent 1:1 classid 1:10 name hi prio 1\n\
-     fv class add dev nic0 parent 1:1 classid 1:20 name lo prio 0\n\
-     fv filter add dev nic0 match ip dport 5001 flowid 1:10\n\
-     fv filter add dev nic0 match ip dport 5002 flowid 1:20\n";
+     fv class add dev nic0 parent 1:1 classid 1:10 name a weight 1\n\
+     fv class add dev nic0 parent 1:1 classid 1:20 name b weight 3\n\
+     fv filter add dev nic0 match ip dport 5002 flowid 1:20 borrow 1:10\n\
+     fv filter add dev nic0 match ip dport 5001 flowid 1:10 borrow 1:20\n";
 
 fn pkt(id: u64, dport: u16, frame_len: u32) -> Packet {
     Packet::new(
@@ -128,133 +134,222 @@ fn pkt(id: u64, dport: u16, frame_len: u32) -> Packet {
     )
 }
 
+/// A pipeline with its own execution world.
+struct Side {
+    pipe: FlowValvePipeline,
+    meter: CostMeter,
+    locks: LockTable,
+}
+
+impl Side {
+    fn new(pipe: FlowValvePipeline) -> Self {
+        Side {
+            pipe,
+            meter: CostMeter::new(CycleCosts::agilio()),
+            locks: LockTable::new(64),
+        }
+    }
+
+    fn decide(&mut self, p: &Packet, now: Nanos) -> Decision {
+        self.pipe.decide(p, now, &mut self.meter, &mut self.locks)
+    }
+
+    /// The chain the installed program runs for leaf `leaf` borrowing from
+    /// `lender`, as provenance records number it.
+    fn chain_of(&self, leaf: u16, lender: u16) -> u32 {
+        let label = self
+            .pipe
+            .tree()
+            .label(ClassId(leaf), &[ClassId(lender)])
+            .expect("label builds");
+        self.pipe
+            .program()
+            .resolve(&label)
+            .expect("the policy emits this label")
+            .index()
+    }
+}
+
+/// The traffic generator's state and what the traffic so far has put the
+/// fast path through.
+struct Seen {
+    rng: Rng,
+    now: Nanos,
+    id: u64,
+    labeled: u64,
+    /// Packets decided under a later tree epoch than the labeled packet
+    /// before them: the first packet after an epoch roll.
+    after_epoch_roll: u64,
+    /// Packets whose class went from its own tokens to a lender's or
+    /// back: the first packet after a borrowing flip.
+    after_borrow_flip: u64,
+    last_epoch: u64,
+    last_borrowed: [Option<bool>; 2],
+}
+
 #[test]
 fn pipeline_fast_path_reconverges_after_reload_epoch_roll_and_borrow_flip() {
     let nic = NicConfig::agilio_cx_10g();
     let policy = Policy::parse(POLICY_V1).unwrap();
     // The compiled fast path under test...
-    let mut fast = FlowValvePipeline::compile(&policy, TreeParams::default(), &nic).unwrap();
+    let mut fast =
+        Side::new(FlowValvePipeline::compile(&policy, TreeParams::default(), &nic).unwrap());
     // ...against the same pipeline with the fast path disabled: identical
     // lock discipline and execution world, interpreted walker only.
-    let mut oracle = FlowValvePipeline::compile(&policy, TreeParams::default(), &nic)
-        .unwrap()
-        .with_interpreted_scheduler();
+    let mut oracle = Side::new(
+        FlowValvePipeline::compile(&policy, TreeParams::default(), &nic)
+            .unwrap()
+            .with_interpreted_scheduler(),
+    );
+    // Every decision of the fast path leaves a provenance record.
+    let ring = Arc::new(ProvenanceRing::new(256));
+    fast.pipe
+        .attach_auditor(ring.clone(), Sampler::one_in_pow2(0));
 
-    let mut meter_f = CostMeter::new(CycleCosts::agilio());
-    let mut meter_o = CostMeter::new(CycleCosts::agilio());
-    let mut locks_f = LockTable::new(64);
-    let mut locks_o = LockTable::new(64);
-    let mut rng = Rng(0xabcdef0123456789);
-    let mut now = Nanos::ZERO;
-    let mut id = 0u64;
-
-    let mut drive = |fast: &mut FlowValvePipeline,
-                     oracle: &mut FlowValvePipeline,
-                     meter_f: &mut CostMeter,
-                     meter_o: &mut CostMeter,
-                     locks_f: &mut LockTable,
-                     locks_o: &mut LockTable,
-                     now: &mut Nanos,
-                     id: &mut u64,
-                     n: u64,
-                     gap: Nanos| {
-        for _ in 0..n {
-            *now += gap;
-            *id += 1;
-            let r = rng.next();
-            // Mostly class traffic, a sprinkle of unmatched bypass.
-            let dport = match r % 10 {
-                0 => 9_999,
-                1..=5 => 5_001,
-                _ => 5_002,
-            };
-            let p = pkt(*id, dport, 200 + (r % 1_300) as u32);
-            let df = fast.decide(&p, *now, meter_f, locks_f);
-            let dov = oracle.decide(&p, *now, meter_o, locks_o);
-            assert_eq!(df, dov, "packet {id} diverged at t={now:?}");
-        }
+    let mut seen = Seen {
+        rng: Rng(0xabcdef0123456789),
+        now: Nanos::ZERO,
+        id: 0,
+        labeled: 0,
+        after_epoch_roll: 0,
+        after_borrow_flip: 0,
+        last_epoch: 0,
+        last_borrowed: [None; 2],
     };
 
-    // Phase 1 — warm up: cold flows miss, steady flows hit. The 500 ns gap
-    // at ~1250 B offers ~20 Gbps to a 10 Gbps tree, so borrowing flips as
-    // classes run dry and refill (every flip bumps the tree epoch and
-    // invalidates the cache — and verdicts still match on the next packet).
-    drive(
+    // Every packet: same decision on both sides, and a record that names
+    // the installed program's chain for the packet's class under the
+    // current reload generation. Returns the labeled packets' records.
+    let drive = |fast: &mut Side,
+                 oracle: &mut Side,
+                 seen: &mut Seen,
+                 reload_gen: u64,
+                 n: u64,
+                 gap: Nanos| {
+        let chains = [fast.chain_of(10, 20), fast.chain_of(20, 10)];
+        let mut records = Vec::new();
+        for _ in 0..n {
+            seen.now += gap;
+            seen.id += 1;
+            let (now, id) = (seen.now, seen.id);
+            let r = seen.rng.next();
+            // Mostly class traffic, a sprinkle of unmatched bypass. The
+            // classes take turns being the busy one, 256 packets at a
+            // time, so each in turn has tokens to lend and need to borrow.
+            let busy = 5_001 + (id / 256 % 2) as u16;
+            let dport = match r % 10 {
+                0 => 9_999,
+                1..=8 => busy,
+                _ => 10_003 - busy,
+            };
+            let p = pkt(id, dport, 200 + (r % 1_300) as u32);
+            let df = fast.decide(&p, now);
+            let dov = oracle.decide(&p, now);
+            assert_eq!(df, dov, "packet {id} diverged at t={now:?}");
+            let Some(rec) = ring.get(id) else {
+                assert_eq!(dport, 9_999, "labeled packet {id} left no record");
+                continue;
+            };
+            let class = usize::from(dport - 5_001);
+            assert_eq!(rec.leaf, [10, 20][class], "packet {id}");
+            assert_eq!(rec.chain, chains[class], "packet {id} ran a foreign chain");
+            assert_eq!(rec.reload_gen, reload_gen, "packet {id}");
+            seen.labeled += 1;
+            if rec.epoch > seen.last_epoch {
+                seen.after_epoch_roll += 1;
+            }
+            seen.last_epoch = rec.epoch;
+            let borrowed = matches!(rec.verdict, AuditVerdict::Borrowed(_));
+            if seen.last_borrowed[class].is_some_and(|was| was != borrowed) {
+                seen.after_borrow_flip += 1;
+            }
+            if rec.verdict != AuditVerdict::Drop {
+                seen.last_borrowed[class] = Some(borrowed);
+            }
+            records.push(rec);
+        }
+        records
+    };
+
+    // Phase 1 — overload: the 500 ns gap at ~850 B offers ~14 Gbps to a
+    // 10 Gbps tree, most of it to the busy class, which runs dry, borrows
+    // what the quiet one leaves and refills.
+    let warm = drive(
         &mut fast,
         &mut oracle,
-        &mut meter_f,
-        &mut meter_o,
-        &mut locks_f,
-        &mut locks_o,
-        &mut now,
-        &mut id,
+        &mut seen,
+        0,
         20_000,
         Nanos::from_nanos(500),
     );
-    let (hits_warm, misses_warm) = fast.decision_cache_stats();
-    assert!(hits_warm > 0, "steady flows must hit the decision cache");
+    for leaf in [10, 20] {
+        let mut flow = warm.iter().filter(|r| r.leaf == leaf);
+        let first = flow.next().expect("traffic");
+        assert!(!first.cache_hit, "a flow's first packet walks the table");
+        assert!(flow.all(|r| r.cache_hit), "a steady flow hits");
+    }
+    assert!(
+        seen.after_borrow_flip > 10,
+        "overload must flip borrowing: {}",
+        seen.after_borrow_flip
+    );
+    assert!(seen.after_epoch_roll > 10, "{}", seen.after_epoch_roll);
 
-    // Phase 2 — epoch rolls: gaps past the update interval bump the tree
-    // epoch every packet, so every lookup misses and re-resolves. Verdicts
-    // must still agree from the first packet of each roll.
-    drive(
+    // Phase 2 — epoch rolls: every gap is past the update interval, so
+    // every packet is the first one after a roll.
+    let rolls_before = seen.after_epoch_roll;
+    let rolled = drive(
         &mut fast,
         &mut oracle,
-        &mut meter_f,
-        &mut meter_o,
-        &mut locks_f,
-        &mut locks_o,
-        &mut now,
-        &mut id,
+        &mut seen,
+        0,
         200,
         Nanos::from_micros(120),
     );
-    let (_, misses_rolls) = fast.decision_cache_stats();
-    assert!(
-        misses_rolls > misses_warm,
-        "epoch rolls must invalidate cached resolutions"
-    );
+    assert_eq!(seen.after_epoch_roll - rolls_before, rolled.len() as u64);
 
-    // Phase 3 — hot reload on both sides: new tree, new program, new
-    // generation. Re-convergence on the first packet after the reload.
+    // Phase 3 — hot reload on both sides: new tree, new program, the two
+    // labels' chain ids traded. The first packet of either flow must
+    // already run its class's chain in the new program (checked for every
+    // packet inside `drive`), found by a table walk, not in the old cache.
+    let old_chains = [fast.chain_of(10, 20), fast.chain_of(20, 10)];
     let v2 = Policy::parse(POLICY_V2).unwrap();
-    fast.reload(&v2, TreeParams::default(), &nic).unwrap();
-    oracle.reload(&v2, TreeParams::default(), &nic).unwrap();
-    let (_, misses_before) = fast.decision_cache_stats();
-    drive(
+    fast.pipe.reload(&v2, TreeParams::default(), &nic).unwrap();
+    oracle
+        .pipe
+        .reload(&v2, TreeParams::default(), &nic)
+        .unwrap();
+    assert_eq!(
+        [fast.chain_of(20, 10), fast.chain_of(10, 20)],
+        old_chains,
+        "V2 must renumber the chains for this test to mean anything"
+    );
+    let reloaded = drive(
         &mut fast,
         &mut oracle,
-        &mut meter_f,
-        &mut meter_o,
-        &mut locks_f,
-        &mut locks_o,
-        &mut now,
-        &mut id,
+        &mut seen,
+        1,
         20_000,
         Nanos::from_nanos(500),
     );
-    let (hits_after, misses_after) = fast.decision_cache_stats();
-    assert!(
-        misses_after > misses_before,
-        "the reload must invalidate every cached resolution"
-    );
-    assert!(
-        hits_after > hits_warm,
-        "steady flows must re-warm the cache after the reload"
-    );
+    for leaf in [10, 20] {
+        let first = reloaded.iter().find(|r| r.leaf == leaf).expect("traffic");
+        assert!(!first.cache_hit, "the reload must empty the flow cache");
+    }
 
     // Phase 4 — a long idle gap (expired-status removal), then traffic.
-    now += Nanos::from_millis(5);
+    seen.now += Nanos::from_millis(5);
     drive(
         &mut fast,
         &mut oracle,
-        &mut meter_f,
-        &mut meter_o,
-        &mut locks_f,
-        &mut locks_o,
-        &mut now,
-        &mut id,
+        &mut seen,
+        1,
         5_000,
         Nanos::from_nanos(800),
     );
+
+    // Every labeled decision ran a pre-resolved chain on the fast side and
+    // the walker on the oracle side.
+    assert_eq!(fast.pipe.decision_cache_stats(), (seen.labeled, 0));
+    assert_eq!(oracle.pipe.decision_cache_stats(), (0, seen.labeled));
 }

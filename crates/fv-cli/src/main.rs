@@ -40,7 +40,7 @@
 //!                                explain a sampled scheduling decision:
 //!                                every executed chain step with bucket
 //!                                tokens before/after, the deciding step,
-//!                                and cache/generation state
+//!                                and whether the flow cache classified it
 //! fv audit <script.fv> [--plan <plan>] [--json] [--flight FILE]
 //!                                run the demo (or a faulted run under
 //!                                --plan) with provenance capture and fold

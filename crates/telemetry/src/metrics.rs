@@ -106,7 +106,7 @@ impl Gauge {
     #[inline]
     pub fn set(&self, v: u64) {
         self.value.store(v, Relaxed);
-        self.max.fetch_max(v, Relaxed);
+        raise(&self.max, v);
     }
 
     /// The most recently recorded value.
@@ -126,6 +126,26 @@ impl std::fmt::Debug for Gauge {
             .field("value", &self.get())
             .field("max", &self.max())
             .finish()
+    }
+}
+
+/// Folds `v` into a running maximum. `fetch_max` is a `lock cmpxchg` loop
+/// on x86, so it runs only when `v` would actually raise the cell; the
+/// cell never decreases, so a sample at or below any value it has held
+/// cannot change the final maximum and skipping it is exact under every
+/// interleaving.
+#[inline]
+fn raise(cell: &AtomicU64, v: u64) {
+    if v > cell.load(Relaxed) {
+        cell.fetch_max(v, Relaxed);
+    }
+}
+
+/// Folds `v` into a running minimum; the mirror image of [`raise`].
+#[inline]
+fn lower(cell: &AtomicU64, v: u64) {
+    if v < cell.load(Relaxed) {
+        cell.fetch_min(v, Relaxed);
     }
 }
 
@@ -217,8 +237,9 @@ impl Histogram {
         }
     }
 
-    /// Records one sample on the calling thread's stripe. Wait-free: five
-    /// relaxed atomics, four of them on a thread-private cache line.
+    /// Records one sample on the calling thread's stripe. Wait-free: three
+    /// relaxed RMWs (bucket, count, sum) plus two relaxed loads of the
+    /// stripe's extremes, which turn into RMWs only for a new extreme.
     #[inline]
     pub fn record(&self, v: u64) {
         self.record_at(thread_stripe(), v);
@@ -231,8 +252,8 @@ impl Histogram {
         let s = &self.stripes[stripe & SHARD_MASK];
         s.count.fetch_add(1, Relaxed);
         s.sum.fetch_add(v, Relaxed);
-        s.min.fetch_min(v, Relaxed);
-        s.max.fetch_max(v, Relaxed);
+        lower(&s.min, v);
+        raise(&s.max, v);
     }
 
     /// Records a duration sample in nanoseconds.
@@ -707,6 +728,47 @@ mod tests {
         let (a, b) = (h.snapshot(), seq.snapshot());
         assert_eq!(a, b, "merged striped snapshot diverged from sequential");
         assert_eq!(h.quantile(0.5), seq.quantile(0.5));
+    }
+
+    /// The extremes are guarded by a relaxed load before their RMW. Eight
+    /// threads released together onto ONE stripe (and one gauge), with
+    /// unordered samples so new extremes keep arriving mid-run, must still
+    /// merge to exactly the sequential fold's min/max/count/sum.
+    #[test]
+    fn guarded_extremes_match_sequential_fold_on_a_shared_stripe() {
+        const THREADS: u64 = 8;
+        const PER_THREAD: u64 = 20_000;
+        let samples = |t: u64| {
+            let mut x = 0x9e37_79b9_7f4a_7c15u64 ^ (t + 1);
+            (0..PER_THREAD).map(move |_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x % 1_000_000
+            })
+        };
+        let h = Histogram::new();
+        let g = Gauge::new();
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (h, g, start) = (&h, &g, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for v in samples(t) {
+                        h.record_at(0, v);
+                        g.set(v);
+                    }
+                });
+            }
+        });
+        let all: Vec<u64> = (0..THREADS).flat_map(samples).collect();
+        let snap = h.snapshot();
+        assert_eq!(snap.count, all.len() as u64);
+        assert_eq!(snap.sum, all.iter().sum::<u64>());
+        assert_eq!(Some(snap.min), all.iter().copied().min());
+        assert_eq!(Some(snap.max), all.iter().copied().max());
+        assert_eq!(Some(g.max()), all.iter().copied().max());
     }
 
     #[test]

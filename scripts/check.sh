@@ -22,6 +22,16 @@ cargo test -q -p sim-core --doc
 echo "==> cargo bench -- --test (bench smoke: every bench body runs once)"
 cargo bench -p bench -- --test
 
+echo "==> figure replay (every driver must rewrite results/ byte for byte)"
+# The committed results/*.json are what the drivers write, so a diff here
+# is a behaviour change of the simulated path: either unintended, or to be
+# committed and named row by row in CHANGES.md. ~20 s for all twelve.
+for src in crates/bench/src/bin/{ablation,discussion,fig}*.rs; do
+    cargo run --release -q -p bench --bin "$(basename "$src" .rs)" >/dev/null
+done
+git diff --exit-code --stat results/ \
+    || { echo "figure drivers no longer reproduce the committed results/"; exit 1; }
+
 echo "==> fv check scripts/motivation.fv (rate-conformance gate)"
 cargo run --release -q -p fv-cli -- check scripts/motivation.fv
 
@@ -126,7 +136,7 @@ cargo run --release -q -p bench --bin scaling_smoke
 echo "==> bench-diff: committed pr10 snapshot vs pr9 baseline (sched hot path)"
 # Both snapshots are committed, so this is a cheap static gate: it proves
 # the recorded numbers with the sharded hot state (striped counters,
-# per-worker decision-cache stripes, padded bucket slab) never regressed
+# per-worker cache stripes, padded bucket slab) never regressed
 # more than 10% against the pr9 baseline on any sched_* bench — the
 # single-thread decision path must not pay for the multi-core sharding.
 cargo run --release -q -p fv-cli -- bench-diff BENCH_pr10.json BENCH_pr9.json \
