@@ -1,10 +1,10 @@
 //! Decision provenance: what the admission walk actually did, per packet.
 //!
-//! The schedulers (interpreted walker, compiled program, qdisc chain) are
-//! generic over a [`StepObserver`]. The production path instantiates them
-//! with [`NoObserver`], whose `ENABLED: bool = false` constant lets the
-//! compiler erase every capture branch — the unsampled fast path pays one
-//! well-predicted branch per decision, nothing more. When the 1-in-2^n
+//! The schedulers (flowvalve's admission function and the qdisc chain over
+//! it) are generic over a [`StepObserver`]. The production path
+//! instantiates them with [`NoObserver`], whose `ENABLED: bool = false`
+//! constant lets the compiler erase every capture branch — the unsampled
+//! fast path pays one well-predicted branch per decision, nothing more. When the 1-in-2^n
 //! [`Sampler`] selects a packet, the pipeline re-runs nothing: the same
 //! single walk executes with a [`Recorder`] threaded through it, and the
 //! finished [`ProvenanceRecord`] — every executed chain step with bucket
@@ -122,7 +122,8 @@ pub struct ProvenanceRecord {
     pub reload_gen: u64,
     /// Tree update epoch at decision time.
     pub epoch: u64,
-    /// Compiled chain index (`u32::MAX` for the interpreted walker).
+    /// Compiled chain index (`u32::MAX` from a producer that ran no
+    /// compiled chain; the flowvalve pipeline always names one).
     pub chain: u32,
     /// Every executed step, in execution order.
     pub steps: Vec<StepRecord>,
@@ -137,10 +138,9 @@ impl ProvenanceRecord {
     }
 
     /// The canonical walk text: everything the *scheduling semantics*
-    /// produced — steps, verdict, cause, refunds — excluding cache/chain
-    /// bookkeeping that legitimately differs between the compiled program
-    /// and the interpreted walker. The compiled-vs-interpreted oracle
-    /// compares this byte-for-byte.
+    /// produced — steps, verdict, cause, refunds — excluding the cache,
+    /// reload and chain bookkeeping around it, which [`Self::render`]
+    /// appends.
     pub fn canonical(&self) -> String {
         let mut out = String::new();
         use std::fmt::Write as _;

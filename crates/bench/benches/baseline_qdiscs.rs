@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use flowvalve::label::ClassId;
 use flowvalve::program::CompiledProgram;
-use flowvalve::sched::RealExec;
+use flowvalve::sched::{NoObserver, RealExec};
 use flowvalve::tree::{ClassSpec, SchedulingTree, TreeParams};
 use netstack::flow::FlowKey;
 use netstack::packet::{AppId, Packet, VfPort};
@@ -88,7 +88,7 @@ fn bench_baselines(c: &mut Criterion) {
         let label = tree
             .label(ClassId(10), &[ClassId(20)])
             .expect("leaf exists");
-        let prog = CompiledProgram::compile(&tree, [&label]);
+        let prog = CompiledProgram::compile(&tree, [&label]).expect("label of this tree");
         let chain = prog.resolve(&label).expect("label compiled");
         // Virtual time stepped like the NIC model feeds the scheduler
         // (100 ns ≈ one MTU frame at 100 Gbps); a wall-clock read per
@@ -97,7 +97,7 @@ fn bench_baselines(c: &mut Criterion) {
         let mut exec = RealExec;
         b.iter(|| {
             now += Nanos::from_nanos(100);
-            std::hint::black_box(tree.schedule_compiled(&prog, chain, 12_144, now, &mut exec))
+            std::hint::black_box(tree.run(&prog, chain, 12_144, now, &mut exec, &mut NoObserver))
         });
     });
 

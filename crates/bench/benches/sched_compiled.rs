@@ -1,10 +1,11 @@
-//! Criterion: the compiled scheduling program against the interpreted
-//! walker — the before/after pair behind DESIGN.md §11's tables.
+//! Criterion: the two adapters over the one admission function — the
+//! pair behind DESIGN.md §11's tables.
 //!
-//! `decision_interpreted` is the old per-packet cost (resolving every
-//! class of the label through the id → node index); `decision_compiled`
-//! runs the same admission through a flattened chain whose id was resolved
-//! once up front, the way the pipeline's flow-cache entry carries it.
+//! `*_interpreted` is `schedule(&label)`: the same admission with every
+//! class of the label resolved through the id → node table per packet;
+//! `*_compiled` is `run(prog, chain)`, the node indices resolved once up
+//! front, the way the pipeline's flow-cache entry carries them. The gap
+//! between the two is the price of per-packet resolution and nothing else.
 //! Both sides step virtual time (100 ns/packet) exactly as the NIC model
 //! does, so refill epochs roll at the realistic cadence and no wall-clock
 //! reads pollute the measurement.
@@ -12,7 +13,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use flowvalve::label::ClassId;
 use flowvalve::program::CompiledProgram;
-use flowvalve::sched::RealExec;
+use flowvalve::sched::{NoObserver, RealExec};
 use flowvalve::tree::{ClassSpec, SchedulingTree, TreeParams};
 use sim_core::time::Nanos;
 use sim_core::units::BitRate;
@@ -30,8 +31,8 @@ fn shallow_tree() -> SchedulingTree {
     .expect("tree builds")
 }
 
-/// A 4-level path with a ceiling and three lenders: the worst case the
-/// interpreted walker hash-resolves per packet.
+/// A 4-level path with a ceiling and three lenders: the most classes a
+/// label here makes `schedule` resolve per packet.
 fn deep_tree() -> SchedulingTree {
     SchedulingTree::build(
         vec![
@@ -70,13 +71,13 @@ fn bench_sched_compiled(c: &mut Criterion) {
         let label = tree
             .label(ClassId(10), &[ClassId(20)])
             .expect("leaf exists");
-        let prog = CompiledProgram::compile(&tree, [&label]);
+        let prog = CompiledProgram::compile(&tree, [&label]).expect("label of this tree");
         let chain = prog.resolve(&label).expect("label compiled");
         let mut now = Nanos::ZERO;
         let mut exec = RealExec;
         b.iter(|| {
             now += Nanos::from_nanos(100);
-            std::hint::black_box(tree.schedule_compiled(&prog, chain, 12_144, now, &mut exec))
+            std::hint::black_box(tree.run(&prog, chain, 12_144, now, &mut exec, &mut NoObserver))
         });
     });
 
@@ -98,13 +99,13 @@ fn bench_sched_compiled(c: &mut Criterion) {
         let label = tree
             .label(ClassId(10), &[ClassId(20), ClassId(21), ClassId(22)])
             .expect("leaf exists");
-        let prog = CompiledProgram::compile(&tree, [&label]);
+        let prog = CompiledProgram::compile(&tree, [&label]).expect("label of this tree");
         let chain = prog.resolve(&label).expect("label compiled");
         let mut now = Nanos::ZERO;
         let mut exec = RealExec;
         b.iter(|| {
             now += Nanos::from_nanos(100);
-            std::hint::black_box(tree.schedule_compiled(&prog, chain, 12_144, now, &mut exec))
+            std::hint::black_box(tree.run(&prog, chain, 12_144, now, &mut exec, &mut NoObserver))
         });
     });
 

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use flowvalve::bucket::{Color, TokenBucket};
+use flowvalve::bucket::TokenBucket;
 use sim_core::fixed::Tokens;
 
 fn bench_meter(c: &mut Criterion) {
@@ -26,64 +26,6 @@ fn bench_meter(c: &mut Criterion) {
         bucket.drain();
         b.iter(|| std::hint::black_box(bucket.meter(Tokens::from_bits(12_000))));
     });
-
-    // Batched grab vs per-packet metering: the amortization the batch
-    // scheduling path rides on. Both variants admit the same 64 packets
-    // per iteration; the grab does it in one atomic round-trip.
-    const BATCH: u64 = 64;
-    const PKT_BITS: u64 = 12_000;
-    g.throughput(Throughput::Elements(BATCH));
-
-    g.bench_function("per_packet_batch_64", |b| {
-        let bucket = TokenBucket::new(Tokens::from_bits(u32::MAX as u64));
-        bucket.set_level(Tokens::from_bits(u32::MAX as u64));
-        b.iter(|| {
-            bucket.refill(Tokens::from_bits(BATCH * PKT_BITS));
-            let mut green = 0u32;
-            for _ in 0..BATCH {
-                if bucket.meter(Tokens::from_bits(PKT_BITS)) == Color::Green {
-                    green += 1;
-                }
-            }
-            std::hint::black_box(green)
-        });
-    });
-
-    g.bench_function("grab_batch_64", |b| {
-        let bucket = TokenBucket::new(Tokens::from_bits(u32::MAX as u64));
-        bucket.set_level(Tokens::from_bits(u32::MAX as u64));
-        b.iter(|| {
-            bucket.refill(Tokens::from_bits(BATCH * PKT_BITS));
-            std::hint::black_box(bucket.grab(Tokens::from_bits(BATCH * PKT_BITS)))
-        });
-    });
-
-    for threads in [2usize, 4, 8] {
-        g.bench_with_input(
-            BenchmarkId::new("grab_batch_64_contended", threads),
-            &threads,
-            |b, &threads| {
-                b.iter_custom(|iters| {
-                    let bucket = Arc::new(TokenBucket::new(Tokens::from_bits(u64::MAX >> 17)));
-                    bucket.set_level(Tokens::from_bits(u64::MAX >> 17));
-                    let start = std::time::Instant::now();
-                    std::thread::scope(|s| {
-                        for _ in 0..threads {
-                            let bucket = Arc::clone(&bucket);
-                            s.spawn(move || {
-                                for _ in 0..iters / threads as u64 {
-                                    let got = bucket.grab(Tokens::from_bits(BATCH * PKT_BITS));
-                                    bucket.put_back(got);
-                                    std::hint::black_box(got);
-                                }
-                            });
-                        }
-                    });
-                    start.elapsed()
-                });
-            },
-        );
-    }
 
     g.throughput(Throughput::Elements(1));
     for threads in [2usize, 4, 8] {

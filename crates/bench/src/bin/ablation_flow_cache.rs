@@ -50,6 +50,7 @@ fn measure(flows: u16, cache_small: bool) -> (f64, f64) {
             classifier.add_rule(r);
         }
         FlowValvePipeline::from_classifier(std::sync::Arc::new(tree), classifier, &cfg)
+            .expect("labels built by this tree")
     } else {
         FlowValvePipeline::compile(&policy, TreeParams::default(), &cfg).expect("compiles")
     };

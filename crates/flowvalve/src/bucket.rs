@@ -13,10 +13,8 @@
 //! retry loop. The counter is interpreted as a *signed* token level: a
 //! losing racer leaves transient debt that concurrent meters observe as
 //! "no tokens" (a conservative red), and the restore erases it, so tokens
-//! are never created or lost. [`TokenBucket::grab`] extends the same idea
-//! to batches: one round-trip grants up to a whole burst of packets, with
-//! exact accounting on partial grants. The same type serves as the *shadow
-//! bucket* holding a class's lendable tokens.
+//! are never created or lost. The same type serves as the *shadow bucket*
+//! holding a class's lendable tokens.
 
 use std::sync::atomic::{AtomicI64, Ordering};
 
@@ -35,18 +33,17 @@ pub enum Color {
 ///
 /// # Concurrency model
 ///
-/// The level is a signed fixed-point counter. [`meter`] and [`grab`]
-/// subtract first and repair on failure, so under contention the level may
-/// be *transiently* negative; any meter that observes the debt returns a
+/// The level is a signed fixed-point counter. [`meter`] subtracts first
+/// and repairs on failure, so under contention the level may be
+/// *transiently* negative; any meter that observes the debt returns a
 /// conservative [`Color::Red`]. The invariant that holds at all times is
-/// conservation: tokens consumed by green verdicts and partial grants
-/// never exceed tokens added by [`refill`]/[`set_level`]. Spurious reds
+/// conservation: tokens consumed by green verdicts never exceed tokens
+/// added by [`refill`]/[`set_level`]. Spurious reds
 /// under contention are allowed (the paper's NIC accepts the same: a
 /// borrower that loses a race simply drops or retries on the next packet);
 /// token *creation* is not.
 ///
 /// [`meter`]: TokenBucket::meter
-/// [`grab`]: TokenBucket::grab
 /// [`refill`]: TokenBucket::refill
 /// [`set_level`]: TokenBucket::set_level
 ///
@@ -143,38 +140,6 @@ impl TokenBucket {
             self.tokens.fetch_add(need, Ordering::AcqRel);
             Color::Red
         }
-    }
-
-    /// Atomically grabs up to `want` tokens in one round-trip, returning
-    /// the amount actually granted (possibly [`Tokens::ZERO`]).
-    ///
-    /// On a partial grant the ungranted remainder is restored exactly, so
-    /// a caller draining a burst pays one atomic subtract per *batch*
-    /// instead of one compare-exchange per packet, and conservation holds
-    /// to the bit. Unused grant can be returned with
-    /// [`TokenBucket::put_back`].
-    #[inline]
-    pub fn grab(&self, want: Tokens) -> Tokens {
-        let want_raw = want.raw() as i64;
-        if want_raw == 0 {
-            return Tokens::ZERO;
-        }
-        let prev = self.tokens.fetch_sub(want_raw, Ordering::AcqRel);
-        if prev >= want_raw {
-            return want;
-        }
-        // Partial: keep whatever non-negative balance existed, restore the
-        // rest. A negative balance (someone else's transient debt) grants
-        // nothing.
-        let granted = prev.clamp(0, want_raw);
-        self.tokens.fetch_add(want_raw - granted, Ordering::AcqRel);
-        Tokens::from_raw(granted as u64)
-    }
-
-    /// Returns unused tokens from an earlier [`TokenBucket::grab`],
-    /// saturating at the burst capacity.
-    pub fn put_back(&self, unused: Tokens) {
-        self.refill(unused);
     }
 
     /// Adds tokens, saturating at the burst capacity.
@@ -291,33 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn grab_full_partial_and_empty() {
-        let b = TokenBucket::new(Tokens::from_bits(100));
-        b.refill(Tokens::from_bits(100));
-        // Full grant.
-        assert_eq!(b.grab(Tokens::from_bits(60)), Tokens::from_bits(60));
-        assert_eq!(b.level(), Tokens::from_bits(40));
-        // Partial grant: exactly the 40 remaining, nothing lost.
-        assert_eq!(b.grab(Tokens::from_bits(60)), Tokens::from_bits(40));
-        assert_eq!(b.level(), Tokens::ZERO);
-        // Empty: zero grant, level untouched.
-        assert_eq!(b.grab(Tokens::from_bits(60)), Tokens::ZERO);
-        assert_eq!(b.level(), Tokens::ZERO);
-        assert_eq!(b.grab(Tokens::ZERO), Tokens::ZERO);
-    }
-
-    #[test]
-    fn put_back_restores_unused_grant() {
-        let b = TokenBucket::new(Tokens::from_bits(100));
-        b.refill(Tokens::from_bits(100));
-        let got = b.grab(Tokens::from_bits(90));
-        assert_eq!(got, Tokens::from_bits(90));
-        // Caller used 50 bits' worth, returns the rest.
-        b.put_back(Tokens::from_bits(40));
-        assert_eq!(b.level(), Tokens::from_bits(50));
-    }
-
-    #[test]
     fn concurrent_meters_never_overdraw() {
         use std::sync::Arc;
         // 8 threads race to meter 1-bit packets from a 1000-bit budget.
@@ -353,44 +291,12 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_grabs_conserve_tokens() {
+    fn concurrent_meters_with_refills_never_create_tokens() {
         use std::sync::Arc;
-        // 8 threads grab random-ish batches from a fixed budget; the sum of
-        // grants plus the residue must equal the budget exactly.
-        let b = Arc::new(TokenBucket::new(Tokens::from_bits(1 << 20)));
-        b.refill(Tokens::from_bits(1 << 20));
-        let granted: u64 = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..8)
-                .map(|t| {
-                    let b = Arc::clone(&b);
-                    s.spawn(move || {
-                        let mut total = 0u64;
-                        for i in 0..10_000u64 {
-                            let want = 1 + (i.wrapping_mul(31).wrapping_add(t)) % 64;
-                            total += b.grab(Tokens::from_bits(want)).raw();
-                        }
-                        total
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).sum()
-        });
-        let budget = Tokens::from_bits(1 << 20).raw();
-        assert!(granted <= budget, "overdraw: {granted} > {budget}");
-        assert_eq!(
-            granted + b.level().raw(),
-            budget,
-            "tokens created or lost under concurrent grabs"
-        );
-    }
-
-    #[test]
-    fn concurrent_grabs_with_refills_never_create_tokens() {
-        use std::sync::Arc;
-        // Grabbers race a refiller; grants can never exceed what was added.
+        // Meters race a refiller; greens can never exceed what was added.
         let b = Arc::new(TokenBucket::new(Tokens::from_bits(1 << 30)));
         let added = Tokens::from_bits(1 << 14);
-        let granted: u64 = std::thread::scope(|s| {
+        let greens: u64 = std::thread::scope(|s| {
             let refiller = {
                 let b = Arc::clone(&b);
                 s.spawn(move || {
@@ -404,23 +310,21 @@ mod tests {
                 .map(|_| {
                     let b = Arc::clone(&b);
                     s.spawn(move || {
-                        let mut total = 0u64;
-                        for _ in 0..5_000 {
-                            total += b.grab(Tokens::from_bits(33)).raw();
-                        }
-                        total
+                        (0..5_000)
+                            .filter(|_| b.meter(Tokens::from_bits(33)) == Color::Green)
+                            .count() as u64
                     })
                 })
                 .collect();
             refiller.join().unwrap();
             handles.into_iter().map(|h| h.join().unwrap()).sum()
         });
-        // No clamping occurs in this test (burst is huge), so accounting is
-        // exact even while grabs race refills: all ops are adds/subtracts.
+        // No clamping occurs here (the burst is huge), so accounting is
+        // exact even while meters race refills: all ops are adds/subtracts.
         assert_eq!(
-            granted + b.level().raw(),
-            added.raw(),
-            "grants + residue must equal refills exactly"
+            Tokens::from_bits(greens * 33).saturating_add(b.level()),
+            added,
+            "greens + residue must equal refills exactly"
         );
     }
 

@@ -18,10 +18,9 @@
 
 use std::sync::Arc;
 
-use fv_audit::{NoObserver, StepObserver};
+use fv_audit::StepObserver;
 
 use crate::label::QosLabel;
-use crate::program::CompiledProgram;
 use crate::sched::{Exec, SchedVerdict};
 use crate::tree::SchedulingTree;
 use sim_core::time::Nanos;
@@ -56,7 +55,7 @@ impl ChainLabel {
 /// ```
 /// use flowvalve::chain::{ChainLabel, QdiscChain};
 /// use flowvalve::label::ClassId;
-/// use flowvalve::sched::RealExec;
+/// use flowvalve::sched::{NoObserver, RealExec};
 /// use flowvalve::tree::{ClassSpec, SchedulingTree, TreeParams};
 /// use sim_core::time::Nanos;
 /// use sim_core::units::BitRate;
@@ -80,7 +79,8 @@ impl ChainLabel {
 ///     chain.stage(1).label(ClassId(1), &[])?,
 /// ]);
 /// let mut exec = RealExec;
-/// let verdict = chain.schedule(&label, 12_000, Nanos::from_micros(100), &mut exec);
+/// let at = Nanos::from_micros(100);
+/// let verdict = chain.schedule(&label, 12_000, at, &mut exec, &mut NoObserver);
 /// assert!(verdict.passes());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -129,26 +129,14 @@ impl QdiscChain {
 
     /// Schedules one packet through every stage in order. Forwarded only
     /// if every stage admits it; a later-stage drop refunds the earlier
-    /// stages' consumption accounting.
+    /// stages' consumption accounting. `obs` is told which stage each step
+    /// belongs to and sees every Γ-refund; pass
+    /// [`NoObserver`](crate::sched::NoObserver) to capture nothing.
     ///
     /// # Panics
     ///
     /// Panics if the label's stage count differs from the chain's.
-    pub fn schedule<E: Exec>(
-        &self,
-        label: &ChainLabel,
-        bits: u64,
-        now: Nanos,
-        exec: &mut E,
-    ) -> SchedVerdict {
-        self.schedule_observed(label, bits, now, exec, &mut NoObserver)
-    }
-
-    /// [`QdiscChain::schedule`] with provenance capture: `obs` is told
-    /// which stage each step belongs to and sees every Γ-refund a
-    /// later-stage drop issues to the stages that had already admitted
-    /// the packet.
-    pub fn schedule_observed<E: Exec, O: StepObserver>(
+    pub fn schedule<E: Exec, O: StepObserver>(
         &self,
         label: &ChainLabel,
         bits: u64,
@@ -165,7 +153,7 @@ impl QdiscChain {
             if O::ENABLED {
                 obs.on_stage(i as u8);
             }
-            let verdict = tree.schedule_observed(l, bits, now, exec, obs);
+            let verdict = tree.schedule_with(l, bits, now, exec, obs);
             if !verdict.passes() {
                 // Refund the stages that already admitted the packet.
                 for (j, (tree, l)) in self.stages.iter().zip(label.stages()).take(i).enumerate() {
@@ -179,123 +167,13 @@ impl QdiscChain {
         }
         SchedVerdict::Forward
     }
-
-    /// Flattens every stage into a [`CompiledProgram`], one admission chain
-    /// per distinct per-stage label seen across `labels`. Labels the chain
-    /// will carry at schedule time but that are missing here (or reference
-    /// classes absent from their stage's tree) simply fall back to the
-    /// interpreted walker in [`QdiscChain::schedule_compiled`].
-    pub fn compile<'a>(&self, labels: impl IntoIterator<Item = &'a ChainLabel>) -> CompiledChain {
-        let per_stage: Vec<Vec<&QosLabel>> =
-            labels
-                .into_iter()
-                .fold(vec![Vec::new(); self.stages.len()], |mut acc, cl| {
-                    for (slot, l) in acc.iter_mut().zip(cl.stages()) {
-                        slot.push(l);
-                    }
-                    acc
-                });
-        CompiledChain {
-            programs: self
-                .stages
-                .iter()
-                .zip(per_stage)
-                .map(|(tree, ls)| CompiledProgram::compile(tree, ls))
-                .collect(),
-        }
-    }
-
-    /// [`QdiscChain::schedule`] over precompiled stages: each stage whose
-    /// label resolved at compile time runs its flattened admission chain,
-    /// the rest fall back to the interpreted walker. Verdicts, counter
-    /// effects and modeled charge sequences are identical either way — the
-    /// later-stage refund included.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the label's stage count differs from the chain's, or if
-    /// `compiled` came from a different chain.
-    pub fn schedule_compiled<E: Exec>(
-        &self,
-        compiled: &CompiledChain,
-        label: &ChainLabel,
-        bits: u64,
-        now: Nanos,
-        exec: &mut E,
-    ) -> SchedVerdict {
-        self.schedule_compiled_observed(compiled, label, bits, now, exec, &mut NoObserver)
-    }
-
-    /// [`QdiscChain::schedule_compiled`] with provenance capture — the
-    /// compiled counterpart of [`QdiscChain::schedule_observed`], stage
-    /// attribution and refund capture included.
-    pub fn schedule_compiled_observed<E: Exec, O: StepObserver>(
-        &self,
-        compiled: &CompiledChain,
-        label: &ChainLabel,
-        bits: u64,
-        now: Nanos,
-        exec: &mut E,
-        obs: &mut O,
-    ) -> SchedVerdict {
-        assert_eq!(
-            label.stages().len(),
-            self.stages.len(),
-            "label/chain stage count mismatch"
-        );
-        assert_eq!(
-            compiled.programs.len(),
-            self.stages.len(),
-            "compiled/chain stage count mismatch"
-        );
-        for (i, ((tree, l), prog)) in self
-            .stages
-            .iter()
-            .zip(label.stages())
-            .zip(&compiled.programs)
-            .enumerate()
-        {
-            if O::ENABLED {
-                obs.on_stage(i as u8);
-            }
-            let verdict = match prog.resolve(l) {
-                Some(chain) => tree.schedule_compiled_observed(prog, chain, bits, now, exec, obs),
-                None => tree.schedule_observed(l, bits, now, exec, obs),
-            };
-            if !verdict.passes() {
-                for (j, (tree, l)) in self.stages.iter().zip(label.stages()).take(i).enumerate() {
-                    tree.uncount_path_at(l, bits, exec.stripe());
-                    if O::ENABLED {
-                        obs.on_refund(j as u8, l.leaf().0, bits);
-                    }
-                }
-                return SchedVerdict::Drop;
-            }
-        }
-        SchedVerdict::Forward
-    }
-}
-
-/// Per-stage compiled programs for one [`QdiscChain`], built by
-/// [`QdiscChain::compile`]. Valid only against the chain (and tree builds)
-/// it was compiled from — recompile after any stage reload.
-#[derive(Debug)]
-pub struct CompiledChain {
-    programs: Vec<CompiledProgram>,
-}
-
-impl CompiledChain {
-    /// Per-stage compiled programs, in stage order.
-    pub fn stage_programs(&self) -> &[CompiledProgram] {
-        &self.programs
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::label::ClassId;
-    use crate::sched::RealExec;
+    use crate::sched::{NoObserver, RealExec};
     use crate::tree::{ClassSpec, TreeParams};
     use sim_core::units::BitRate;
 
@@ -318,7 +196,10 @@ mod tests {
         let mut now = Nanos::ZERO;
         let mut passed = 0;
         for _ in 0..n {
-            if chain.schedule(label, bits, now, &mut exec).passes() {
+            if chain
+                .schedule(label, bits, now, &mut exec, &mut NoObserver)
+                .passes()
+            {
                 passed += 1;
             }
             now += gap;
@@ -366,7 +247,7 @@ mod tests {
         let mut exec = RealExec;
         let mut now = Nanos::ZERO;
         for _ in 0..50_000 {
-            let _ = chain.schedule(&a, 12_000, now, &mut exec);
+            let _ = chain.schedule(&a, 12_000, now, &mut exec, &mut NoObserver);
             now += Nanos::from_micros(2);
         }
         // A's Γ in stage 1 reflects only what stage 2 let through (~0.1),
@@ -388,61 +269,7 @@ mod tests {
             chain.stage(0).label(ClassId(10), &[]).unwrap(),
         ]);
         let mut exec = RealExec;
-        let _ = chain.schedule(&label, 1, Nanos::ZERO, &mut exec);
-    }
-
-    #[test]
-    fn compiled_chain_matches_interpreted_including_refunds() {
-        // Two identical chain instances: tightest-stage scenario where the
-        // stage-2 cap drops most packets, exercising the refund path.
-        let mk = || QdiscChain::new(vec![tree(10.0, &[10, 20]), tree(0.5, &[30])]);
-        let ci = mk();
-        let cc = mk();
-        let label_for = |c: &QdiscChain| {
-            ChainLabel::new(vec![
-                c.stage(0).label(ClassId(10), &[ClassId(20)]).unwrap(),
-                c.stage(1).label(ClassId(30), &[]).unwrap(),
-            ])
-        };
-        let li = label_for(&ci);
-        let lc = label_for(&cc);
-        let compiled = cc.compile([&lc]);
-        assert_eq!(compiled.stage_programs().len(), 2);
-        let mut exec = RealExec;
-        let mut now = Nanos::ZERO;
-        for i in 0..50_000u64 {
-            now += Nanos::from_micros(2);
-            let bits = 12_000 + (i % 3) * 1_500;
-            let vi = ci.schedule(&li, bits, now, &mut exec);
-            let vc = cc.schedule_compiled(&compiled, &lc, bits, now, &mut exec);
-            assert_eq!(vi, vc, "packet {i} diverged");
-        }
-        for (cid, stage) in [(ClassId(10), 0), (ClassId(20), 0), (ClassId(30), 1)] {
-            assert_eq!(
-                ci.stage(stage).counters(cid).unwrap(),
-                cc.stage(stage).counters(cid).unwrap(),
-                "counters diverged for {cid:?}"
-            );
-        }
-        // Refund: stage-1 Γ reflects only what stage 2 let through.
-        let gamma = cc
-            .stage(0)
-            .gamma(ClassId(10), now)
-            .expect("class exists")
-            .as_gbps();
-        assert!(gamma < 1.0, "compiled refund missing: Γ = {gamma} Gbps");
-    }
-
-    #[test]
-    fn unresolved_stage_label_falls_back_to_interpreter() {
-        let chain = QdiscChain::new(vec![tree(10.0, &[10])]);
-        let label = ChainLabel::new(vec![chain.stage(0).label(ClassId(10), &[]).unwrap()]);
-        // Compile with no labels: nothing resolves, everything falls back.
-        let compiled = chain.compile([]);
-        let mut exec = RealExec;
-        let v =
-            chain.schedule_compiled(&compiled, &label, 12_000, Nanos::from_micros(5), &mut exec);
-        assert!(v.passes());
+        let _ = chain.schedule(&label, 1, Nanos::ZERO, &mut exec, &mut NoObserver);
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //! | [`label`] — QoS labels (hierarchy + borrowing) | §IV-B |
 //! | [`tree`] — scheduling trees, token rates θ, measured rates Γ | §IV-B, §IV-C |
 //! | [`bucket`] — lock-free token & shadow buckets | §IV-C, Figure 8 |
-//! | [`sched`] — the parallel scheduling function | Algorithm 1 |
-//! | [`program`] — compiled admission chains + per-flow decision cache | Algorithm 1, flattened |
-//! | [`quantum`] — per-worker token-quantum reservations | §IV-D, multi-core |
+//! | [`sched`] — the parallel scheduling function, written once | Algorithm 1 |
+//! | [`program`] — admission chains: labels resolved to node indices at compile time | Algorithm 1, flattened |
+//! | [`chain`] — qdisc chaining across trees | §IV |
 //! | [`frontend`] — the `fv` command language | §III-E |
 //! | [`pipeline`] — labeling + scheduling on the NIC model | Figure 5 |
 //!
@@ -58,19 +58,17 @@ pub mod frontend;
 pub mod label;
 pub mod pipeline;
 pub mod program;
-pub mod quantum;
 pub mod sched;
 pub mod snapshot;
 pub mod tree;
 
 pub use bucket::{Color, TokenBucket};
-pub use chain::{ChainLabel, CompiledChain, QdiscChain};
+pub use chain::{ChainLabel, QdiscChain};
 pub use error::{BuildTreeError, ParseFvError};
 pub use frontend::{FilterSpec, Policy};
 pub use label::{ClassId, QosLabel};
 pub use pipeline::{FlowValvePipeline, LockDiscipline};
 pub use program::{ChainId, CompiledProgram};
-pub use quantum::{QuantumReserve, ReservedExec};
 pub use sched::{Exec, GlobalLockExec, RealExec, SchedVerdict, SimExec};
 pub use snapshot::{ClassSnapshot, TreeSnapshot};
 pub use tree::{ClassCounters, ClassSpec, SchedulingTree, TreeParams};

@@ -1,12 +1,12 @@
 //! The NIC back-end pipeline: labeling function + scheduling function,
 //! plugged into the SmartNIC model as an egress decider (paper Figure 5).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use classifier::{CacheResult, Classifier, FilterRule, FilterTable};
 use fv_audit::{
-    AuditVerdict, DropCause, ProvenanceRecord, ProvenanceRing, Recorder, Sampler, StepKind,
+    AuditVerdict, DropCause, NoObserver, ProvenanceRecord, ProvenanceRing, Recorder, Sampler,
+    StepKind,
 };
 use fv_telemetry::metrics::Counter;
 use fv_telemetry::span::{SpanRecorder, Stage};
@@ -19,9 +19,9 @@ use np_sim::lock::LockTable;
 use np_sim::nic::{Decision, EgressDecider};
 use sim_core::time::{Cycles, Nanos};
 
-use crate::error::ParseFvError;
+use crate::error::{BuildTreeError, ParseFvError};
 use crate::frontend::Policy;
-use crate::label::QosLabel;
+use crate::label::{ClassId, QosLabel};
 use crate::program::{ChainId, CompiledProgram};
 use crate::sched::{GlobalLockExec, SchedVerdict, SimExec};
 use crate::tree::{SchedulingTree, TreeParams};
@@ -118,19 +118,18 @@ impl PipelineTelemetry {
         }
     }
 
-    /// The leaf's channels are found through the node index compiled into
-    /// the packet's label slot, a lender's through the tree's
-    /// direct-indexed id table: no hashing either way.
+    /// The leaf's channels are found through the node index its chain
+    /// ends in, a lender's through the tree's direct-indexed id table: no
+    /// hashing either way.
     fn record(
         &self,
         now: Nanos,
         tree: &SchedulingTree,
-        slot: &LabelSlot,
+        (leaf_node, leaf): (usize, ClassId),
         wire_bits: u64,
         verdict: SchedVerdict,
     ) {
-        let leaf = slot.label.leaf();
-        let leaf_channels = self.per_class.get(slot.leaf_node);
+        let leaf_channels = self.per_class.get(leaf_node);
         match verdict {
             SchedVerdict::Forward => {
                 if let Some(c) = leaf_channels {
@@ -170,26 +169,6 @@ struct AuditHook {
     sampler: Sampler,
 }
 
-/// What the flow cache stores for a labeled flow: the policy's
-/// [`QosLabel`] verdict compiled down to an index and its admission chain.
-/// Twelve bytes, unlabeled `None` included, against the label's 36.
-#[derive(Debug, Clone, Copy)]
-struct Verdict {
-    /// Index into `Compiled::labels`.
-    label: u32,
-    /// The label's chain in the pipeline's current program, resolved when
-    /// the verdict was compiled.
-    chain: Option<ChainId>,
-}
-
-/// One distinct label of the installed policy.
-#[derive(Debug)]
-struct LabelSlot {
-    label: QosLabel,
-    /// Tree node index of the label's leaf class (per-class telemetry).
-    leaf_node: usize,
-}
-
 pub struct FlowValvePipeline {
     tree: Arc<SchedulingTree>,
     compiled: Compiled,
@@ -200,12 +179,9 @@ pub struct FlowValvePipeline {
     /// configuration-time work (the NIC is not processing packets yet) and
     /// charges nothing.
     pending_compile_ops: u64,
-    /// When false, the per-class arm runs the interpreted walker instead
-    /// of the compiled fast path — the differential-testing oracle.
-    use_program: bool,
-    /// Decisions that ran a pre-resolved chain / the interpreted walker.
-    chain_decisions: u64,
-    walker_decisions: u64,
+    /// Labeled packets decided (each ran the chain its flow-cache entry
+    /// carried).
+    decisions: u64,
     update_hold: Nanos,
     discipline: LockDiscipline,
     freq: sim_core::time::Freq,
@@ -233,13 +209,12 @@ impl core::fmt::Debug for FlowValvePipeline {
 /// replaced as one value on a reload, so a chain id read from the flow
 /// cache always belongs to the program next to it.
 struct Compiled {
-    /// Filter table + flow cache over compiled verdicts.
-    classifier: Classifier<Option<Verdict>>,
+    /// Filter table + flow cache over compiled verdicts: the admission
+    /// chain of the flow's [`QosLabel`], `None` for unlabeled traffic.
+    classifier: Classifier<Option<ChainId>>,
     /// The scheduling tree flattened into admission chains, one per
     /// distinct label of the policy.
     program: CompiledProgram,
-    /// The policy's distinct labels, indexed by `Verdict::label`.
-    labels: Vec<LabelSlot>,
 }
 
 impl Compiled {
@@ -251,33 +226,21 @@ impl Compiled {
         tree: &SchedulingTree,
         table: FilterTable<Option<QosLabel>>,
         cache_capacity: usize,
-    ) -> Self {
+    ) -> Result<Self, BuildTreeError> {
         let program = CompiledProgram::compile(
             tree,
             table
                 .iter()
                 .filter_map(|r| r.verdict.as_ref())
                 .chain(table.default_verdict().iter()),
-        );
-        let mut labels = Vec::new();
-        let mut slot_of: HashMap<QosLabel, u32> = HashMap::new();
+        )?;
         let table = table.map(|verdict| {
-            verdict.map(|label| Verdict {
-                label: *slot_of.entry(label).or_insert_with(|| {
-                    labels.push(LabelSlot {
-                        label,
-                        leaf_node: tree.node_index(label.leaf()).unwrap_or(usize::MAX),
-                    });
-                    labels.len() as u32 - 1
-                }),
-                chain: program.resolve(&label),
-            })
+            verdict.map(|label| program.resolve(&label).expect("compiled just above"))
         });
-        Compiled {
+        Ok(Compiled {
             classifier: Classifier::from_table(table, cache_capacity),
             program,
-            labels,
-        }
+        })
     }
 }
 
@@ -298,29 +261,39 @@ impl FlowValvePipeline {
         nic: &NicConfig,
     ) -> Result<Self, ParseFvError> {
         let (tree, rules, default) = policy.compile(params)?;
-        Ok(Self::from_parts(Arc::new(tree), rules, default, nic))
+        Ok(Self::from_parts(Arc::new(tree), rules, default, nic)?)
     }
 
     /// Assembles a pipeline from an already-built tree and classifier
     /// (e.g. with a non-default flow-cache capacity, for the cache
     /// ablation experiments). The classifier's rule table and cache
     /// capacity are kept; its cached flows are not.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildTreeError::UnknownBorrowClass`] if a rule's label
+    /// names a class absent from `tree`.
     pub fn from_classifier(
         tree: Arc<SchedulingTree>,
         classifier: Classifier<Option<QosLabel>>,
         nic: &NicConfig,
-    ) -> Self {
+    ) -> Result<Self, BuildTreeError> {
         let (table, cache_capacity) = classifier.into_parts();
         Self::assemble(tree, table, cache_capacity, nic)
     }
 
     /// Assembles a pipeline from an already-built tree and compiled rules.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildTreeError::UnknownBorrowClass`] if a label names a
+    /// class absent from `tree`.
     pub fn from_parts(
         tree: Arc<SchedulingTree>,
         rules: Vec<FilterRule<Option<QosLabel>>>,
         default: Option<QosLabel>,
         nic: &NicConfig,
-    ) -> Self {
+    ) -> Result<Self, BuildTreeError> {
         let table = FilterTable::from_rules(default, rules);
         Self::assemble(tree, table, Self::DEFAULT_CACHE_CAPACITY, nic)
     }
@@ -330,15 +303,13 @@ impl FlowValvePipeline {
         table: FilterTable<Option<QosLabel>>,
         cache_capacity: usize,
         nic: &NicConfig,
-    ) -> Self {
-        FlowValvePipeline {
-            compiled: Compiled::new(&tree, table, cache_capacity),
+    ) -> Result<Self, BuildTreeError> {
+        Ok(FlowValvePipeline {
+            compiled: Compiled::new(&tree, table, cache_capacity)?,
             tree,
             reload_gen: 0,
             pending_compile_ops: 0,
-            use_program: true,
-            chain_decisions: 0,
-            walker_decisions: 0,
+            decisions: 0,
             // The guarded update section holds its lock for the
             // class_update cycle cost at the configured clock.
             update_hold: nic.freq.duration_of(Cycles::new(nic.costs.class_update)),
@@ -349,7 +320,7 @@ impl FlowValvePipeline {
             audit: None,
             chaos: None,
             sched_floor: Nanos::ZERO,
-        }
+        })
     }
 
     /// Installs a chaos hook consulted on every scheduling decision (the
@@ -415,17 +386,6 @@ impl FlowValvePipeline {
         self
     }
 
-    /// Disables the compiled fast path: every decision runs the
-    /// interpreted tree walker (builder-style). This is the differential
-    /// oracle for the compiled scheduling program — verdicts, counters and
-    /// modeled charges must be identical either way, and
-    /// `tests/compiled_oracle.rs` drives both configurations on the same
-    /// traffic to prove it.
-    pub fn with_interpreted_scheduler(mut self) -> Self {
-        self.use_program = false;
-        self
-    }
-
     /// The shared scheduling tree (for experiment-side telemetry).
     pub fn tree(&self) -> &Arc<SchedulingTree> {
         &self.tree
@@ -449,8 +409,8 @@ impl FlowValvePipeline {
         nic: &NicConfig,
     ) -> Result<(), ParseFvError> {
         let (tree, rules, default) = policy.compile(params)?;
-        // Classifier, program and labels are rebuilt against the new tree
-        // and swapped in together: the fresh flow cache holds no entry, so
+        // Classifier and program are rebuilt against the new tree and
+        // swapped in together: the fresh flow cache holds no entry, so
         // no chain id of the old program can be read again. The compile
         // work is charged (Op::ProgramCompile) on the next decision — paid
         // at reconfiguration time, not per packet.
@@ -458,7 +418,7 @@ impl FlowValvePipeline {
             &tree,
             FilterTable::from_rules(default, rules),
             Self::DEFAULT_CACHE_CAPACITY,
-        );
+        )?;
         self.tree = Arc::new(tree);
         self.reload_gen = self.reload_gen.wrapping_add(1);
         self.pending_compile_ops += self.compiled.program.compile_ops();
@@ -486,15 +446,12 @@ impl FlowValvePipeline {
         &self.compiled.program
     }
 
-    /// (decisions that ran the admission chain carried in their flow-cache
-    /// entry, decisions that fell back to the interpreted walker). Chains
-    /// are resolved when the policy is compiled, so the second count stays
-    /// zero unless [`with_interpreted_scheduler`] or
-    /// [`LockDiscipline::Global`] selects the walker.
-    ///
-    /// [`with_interpreted_scheduler`]: Self::with_interpreted_scheduler
+    /// (labeled packets decided, 0). Every decision runs the admission
+    /// chain carried in its flow-cache entry; the second count was the
+    /// interpreted walker's and stays in the signature for the whole-path
+    /// benchmark, which reads both.
     pub fn decision_cache_stats(&self) -> (u64, u64) {
-        (self.chain_decisions, self.walker_decisions)
+        (self.decisions, 0)
     }
 }
 
@@ -518,20 +475,24 @@ impl EgressDecider for FlowValvePipeline {
         // Labeling function: exact-match cache with table-walk fill, on
         // this worker's cache shard (per-island EMFC model — no false
         // sharing between workers' hit paths). The entry carries the
-        // flow's compiled verdict: label index and admission chain.
+        // flow's compiled verdict: its admission chain.
         let classify_t0 = meter.total();
         meter.set_stage(AttrStage::Classify);
         let Compiled {
             classifier,
             program,
-            labels,
         } = &mut self.compiled;
-        let (verdict, cache) = classifier.classify_at(meter.worker(), &pkt.flow, pkt.vf);
-        let labeled = verdict.map(|v| (&labels[v.label as usize], v.chain));
+        let (&chain, cache) = classifier.classify_at(meter.worker(), &pkt.flow, pkt.vf);
         meter.charge(match cache {
             CacheResult::Hit => Op::ClassifyHit,
             CacheResult::Miss => Op::ClassifyMiss,
         });
+        // The leaf class a chain admits for, as telemetry and provenance
+        // name it: node index and class id.
+        let leaf_of = |chain| {
+            let node = program.leaf(chain);
+            (node, self.tree.node(node).spec.id)
+        };
         // Wire bits (frame + preamble/IFG): what the token buckets meter
         // and what an attribution sink weighs heavy hitters by.
         let wire_bits = self.framing.wire_bits(pkt.frame_len as u64);
@@ -543,7 +504,10 @@ impl EgressDecider for FlowValvePipeline {
             if let Some(sink) = t.spans.sink() {
                 // Tell the attribution sink this packet's class before any
                 // of its spans land, so every span attributes cleanly.
-                let class = labeled.map_or(u64::MAX, |(slot, _)| slot.label.leaf().0 as u64);
+                let class = chain.map_or(u64::MAX, |c| {
+                    let (_, leaf) = leaf_of(c);
+                    leaf.0 as u64
+                });
                 sink.classify(pkt.id, class, pkt.flow.stable_hash(), wire_bits);
             }
             t.spans.record(Stage::Classify, now, pkt.id, classify_dur);
@@ -554,10 +518,9 @@ impl EgressDecider for FlowValvePipeline {
         // the line rate must admit exactly what the wire can carry, or the
         // transmit FIFO builds a standing queue.
         meter.set_stage(AttrStage::Sched);
-        let Some((slot, chain)) = labeled else {
+        let Some(chain) = chain else {
             return Decision::Forward;
         };
-        let label = &slot.label;
         // The scheduling function reads its own clock, which an injected
         // skew fault can run ahead of the NIC clock. Keep it monotonic so
         // epochs never rewind when the skew clears.
@@ -572,14 +535,8 @@ impl EgressDecider for FlowValvePipeline {
         let sched_t0 = meter.total();
         // The chain was resolved when the policy was compiled and came
         // with the flow-cache entry; a reload replaces classifier and
-        // program together, so it is never stale. Under SimExec it charges
-        // exactly what the interpreted walker would.
-        let chain =
-            chain.filter(|_| self.use_program && self.discipline == LockDiscipline::PerClass);
-        match chain {
-            Some(_) => self.chain_decisions += 1,
-            None => self.walker_decisions += 1,
-        }
+        // program together, so it is never stale.
+        self.decisions += 1;
         let verdict = match self.discipline {
             LockDiscipline::PerClass => {
                 let mut exec = SimExec {
@@ -587,59 +544,54 @@ impl EgressDecider for FlowValvePipeline {
                     locks,
                     update_hold: self.update_hold,
                 };
-                let sampled = self.audit.as_ref().is_some_and(|a| a.sampler.hit(pkt.id));
-                if sampled {
+                match self.audit.as_ref().filter(|a| a.sampler.hit(pkt.id)) {
                     // Sampled: the same single walk runs with a recorder
                     // threaded through it; charges and verdict are
                     // identical to the unsampled path.
-                    let mut rec = Recorder::new();
-                    let verdict = match chain {
-                        Some(c) => self.tree.schedule_compiled_observed(
-                            program, c, wire_bits, sched_now, &mut exec, &mut rec,
-                        ),
-                        None => self
+                    Some(audit) => {
+                        let (_, leaf) = leaf_of(chain);
+                        let mut rec = Recorder::new();
+                        let verdict = self
                             .tree
-                            .schedule_observed(label, wire_bits, sched_now, &mut exec, &mut rec),
-                    };
-                    let cause = if verdict == SchedVerdict::Drop {
-                        // The deciding step names the refusal: a red
-                        // ceiling meter is an OverCeil, any other red meter
-                        // is the leaf (and its lenders) out of tokens.
-                        let deciding = rec.steps.iter().rev().find(|s| !s.green).map(|s| s.kind);
-                        Some(match deciding {
-                            Some(StepKind::MeterCeil) => DropCause::OverCeil,
-                            _ => DropCause::NoTokens,
-                        })
-                    } else {
-                        None
-                    };
-                    let audit = self.audit.as_ref().expect("sampled implies hook");
-                    audit.ring.record(ProvenanceRecord {
-                        pkt_id: pkt.id,
-                        at: sched_now,
-                        leaf: label.leaf().0,
-                        wire_bits,
-                        verdict: match verdict {
-                            SchedVerdict::Forward => AuditVerdict::Forward,
-                            SchedVerdict::Borrowed(l) => AuditVerdict::Borrowed(l.0),
-                            SchedVerdict::Drop => AuditVerdict::Drop,
-                        },
-                        cause,
-                        cache_hit: cache == CacheResult::Hit,
-                        reload_gen: self.reload_gen,
-                        epoch: self.tree.epoch(),
-                        chain: chain.map(|c| c.index()).unwrap_or(u32::MAX),
-                        steps: rec.steps,
-                        refunds: rec.refunds,
-                    });
-                    verdict
-                } else {
-                    match chain {
-                        Some(c) => self
-                            .tree
-                            .schedule_compiled(program, c, wire_bits, sched_now, &mut exec),
-                        None => self.tree.schedule(label, wire_bits, sched_now, &mut exec),
+                            .run(program, chain, wire_bits, sched_now, &mut exec, &mut rec);
+                        let cause = (verdict == SchedVerdict::Drop).then(|| {
+                            // The deciding step names the refusal: a red
+                            // ceiling meter is an OverCeil, any other red
+                            // meter is the leaf (and its lenders) out of
+                            // tokens.
+                            match rec.steps.iter().rev().find(|s| !s.green).map(|s| s.kind) {
+                                Some(StepKind::MeterCeil) => DropCause::OverCeil,
+                                _ => DropCause::NoTokens,
+                            }
+                        });
+                        audit.ring.record(ProvenanceRecord {
+                            pkt_id: pkt.id,
+                            at: sched_now,
+                            leaf: leaf.0,
+                            wire_bits,
+                            verdict: match verdict {
+                                SchedVerdict::Forward => AuditVerdict::Forward,
+                                SchedVerdict::Borrowed(l) => AuditVerdict::Borrowed(l.0),
+                                SchedVerdict::Drop => AuditVerdict::Drop,
+                            },
+                            cause,
+                            cache_hit: cache == CacheResult::Hit,
+                            reload_gen: self.reload_gen,
+                            epoch: self.tree.epoch(),
+                            chain: chain.index(),
+                            steps: rec.steps,
+                            refunds: rec.refunds,
+                        });
+                        verdict
                     }
+                    None => self.tree.run(
+                        program,
+                        chain,
+                        wire_bits,
+                        sched_now,
+                        &mut exec,
+                        &mut NoObserver,
+                    ),
                 }
             }
             LockDiscipline::Global => {
@@ -649,7 +601,14 @@ impl EgressDecider for FlowValvePipeline {
                     update_hold: self.update_hold,
                     wait: Nanos::ZERO,
                 };
-                let verdict = self.tree.schedule(label, wire_bits, sched_now, &mut exec);
+                let verdict = self.tree.run(
+                    program,
+                    chain,
+                    wire_bits,
+                    sched_now,
+                    &mut exec,
+                    &mut NoObserver,
+                );
                 // The worker spins while waiting for the global lock:
                 // charge the wait as busy cycles.
                 let wait = exec.wait;
@@ -664,7 +623,7 @@ impl EgressDecider for FlowValvePipeline {
             let sched_dur = self.freq.duration_of(meter.total() - sched_t0);
             t.spans
                 .record(Stage::Sched, now + classify_dur, pkt.id, sched_dur);
-            t.record(now, &self.tree, slot, wire_bits, verdict);
+            t.record(now, &self.tree, leaf_of(chain), wire_bits, verdict);
         }
         if verdict.passes() {
             Decision::Forward
@@ -685,9 +644,11 @@ impl EgressDecider for FlowValvePipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::tests::reference;
     use netstack::flow::FlowKey;
     use netstack::packet::{AppId, VfPort};
     use np_sim::config::CycleCosts;
+    use sim_core::rng::SimRng;
 
     fn pipeline_10g() -> FlowValvePipeline {
         let policy = Policy::parse(
@@ -715,9 +676,9 @@ mod tests {
     }
 
     #[test]
-    fn compiled_verdict_is_a_third_of_the_label() {
+    fn compiled_verdict_is_a_quarter_of_the_label() {
         // Unlabeled `None` included: the flow-cache entry is sized by this.
-        assert!(std::mem::size_of::<Option<Verdict>>() <= 12);
+        assert!(std::mem::size_of::<Option<ChainId>>() <= 8);
         assert!(std::mem::size_of::<Option<QosLabel>>() >= 36);
     }
 
@@ -891,5 +852,353 @@ mod tests {
         assert_eq!(classify.a, 3);
         assert_eq!(sched.a, 3);
         assert_eq!(sched.at.as_nanos(), classify.at.as_nanos() + classify.b);
+    }
+
+    const POLICY_V1: &str = "fv qdisc add dev nic0 root handle 1: fv\n\
+         fv class add dev nic0 parent root classid 1:1 rate 10gbit\n\
+         fv class add dev nic0 parent 1:1 classid 1:10 name a weight 1\n\
+         fv class add dev nic0 parent 1:1 classid 1:20 name b weight 1\n\
+         fv filter add dev nic0 match ip dport 5001 flowid 1:10 borrow 1:20\n\
+         fv filter add dev nic0 match ip dport 5002 flowid 1:20 borrow 1:10\n";
+
+    /// V2 skews the weights, halves the root and ceils `b`: a real
+    /// reconfiguration, not a no-op reload. It also lists the filters the
+    /// other way round, so the two labels trade chain ids: a chain id that
+    /// survived the reload would run the *other* class's admission.
+    const POLICY_V2: &str = "fv qdisc add dev nic0 root handle 1: fv\n\
+         fv class add dev nic0 parent root classid 1:1 rate 5gbit\n\
+         fv class add dev nic0 parent 1:1 classid 1:10 name a weight 1\n\
+         fv class add dev nic0 parent 1:1 classid 1:20 name b weight 3 ceil 3gbit\n\
+         fv filter add dev nic0 match ip dport 5002 flowid 1:20 borrow 1:10\n\
+         fv filter add dev nic0 match ip dport 5001 flowid 1:10 borrow 1:20\n";
+
+    /// A pipeline with its own execution world.
+    struct Side {
+        pipe: FlowValvePipeline,
+        meter: CostMeter,
+        locks: LockTable,
+    }
+
+    impl Side {
+        fn new(policy: &str) -> Self {
+            let policy = Policy::parse(policy).unwrap();
+            let nic = NicConfig::agilio_cx_10g();
+            Side {
+                pipe: FlowValvePipeline::compile(&policy, TreeParams::default(), &nic).unwrap(),
+                meter: CostMeter::new(CycleCosts::agilio()),
+                locks: LockTable::new(64),
+            }
+        }
+
+        fn decide(&mut self, p: &Packet, now: Nanos) -> Decision {
+            self.pipe.decide(p, now, &mut self.meter, &mut self.locks)
+        }
+
+        fn reload(&mut self, policy: &str) -> Result<(), ParseFvError> {
+            let policy = Policy::parse(policy).expect("parses");
+            let nic = NicConfig::agilio_cx_10g();
+            self.pipe.reload(&policy, TreeParams::default(), &nic)
+        }
+
+        /// The chain the installed program runs for `leaf` borrowing from
+        /// `lender`, as provenance records number it.
+        fn chain_of(&self, leaf: u16, lender: u16) -> u32 {
+            let label = self.pipe.tree.label(ClassId(leaf), &[ClassId(lender)]);
+            let chain = self.pipe.program().resolve(&label.expect("label builds"));
+            chain.expect("the policy emits this label").index()
+        }
+    }
+
+    /// The reference walker over its own build of a policy's tree: what a
+    /// pipeline running that policy must decide for dports 5001 and 5002.
+    struct Spec {
+        tree: SchedulingTree,
+        labels: [QosLabel; 2],
+        framing: sim_core::units::WireFraming,
+    }
+
+    impl Spec {
+        fn new(policy: &str) -> Self {
+            let policy = Policy::parse(policy).unwrap();
+            let (tree, _, _) = policy.compile(TreeParams::default()).unwrap();
+            let labels = [(10, 20), (20, 10)]
+                .map(|(leaf, lender)| tree.label(ClassId(leaf), &[ClassId(lender)]).unwrap());
+            Spec {
+                tree,
+                labels,
+                framing: NicConfig::agilio_cx_10g().framing,
+            }
+        }
+
+        fn verdict(&self, p: &Packet, now: Nanos) -> AuditVerdict {
+            let label = &self.labels[usize::from(p.flow.dst_port - 5_001)];
+            let bits = self.framing.wire_bits(p.frame_len as u64);
+            match reference(&self.tree, label, bits, now) {
+                SchedVerdict::Forward => AuditVerdict::Forward,
+                SchedVerdict::Borrowed(l) => AuditVerdict::Borrowed(l.0),
+                SchedVerdict::Drop => AuditVerdict::Drop,
+            }
+        }
+    }
+
+    fn sized_pkt(id: u64, dport: u16, frame_len: u32) -> Packet {
+        Packet {
+            frame_len,
+            ..pkt(id, dport)
+        }
+    }
+
+    #[test]
+    fn a_label_naming_a_foreign_class_fails_assembly() {
+        let nic = NicConfig::agilio_cx_10g();
+        let policy = Policy::parse(POLICY_V1).unwrap();
+        let (tree, rules, default) = policy.compile(TreeParams::default()).unwrap();
+        let tree = Arc::new(tree);
+        // A label this tree never built: the leaf exists, a lender does not.
+        let foreign = QosLabel::new(&[ClassId(1), ClassId(10)], &[ClassId(99)]);
+        let unknown = BuildTreeError::UnknownBorrowClass(ClassId(99));
+        let as_default = FlowValvePipeline::from_parts(tree.clone(), rules, Some(foreign), &nic);
+        assert_eq!(as_default.err(), Some(unknown.clone()));
+        let mut classifier = Classifier::new(default, 16);
+        classifier.add_rule(FilterRule::new(0, Default::default(), Some(foreign)));
+        let as_rule = FlowValvePipeline::from_classifier(tree, classifier, &nic);
+        assert_eq!(as_rule.err(), Some(unknown));
+    }
+
+    #[test]
+    fn a_reload_naming_a_foreign_class_leaves_the_running_policy_untouched() {
+        let mut side = Side::new(POLICY_V1);
+        for id in 0..100 {
+            side.decide(&pkt(id, 5001), Nanos::from_micros(id));
+        }
+        let (stats, chain, tree) = (
+            side.pipe.cache_stats(),
+            side.chain_of(10, 20),
+            Arc::as_ptr(side.pipe.tree()),
+        );
+        // Parses; the class is only missed when the policy is compiled.
+        let bad = POLICY_V2.replace("flowid 1:10 borrow 1:20", "flowid 1:10 borrow 1:99");
+        let unknown = BuildTreeError::UnknownBorrowClass(ClassId(99));
+        assert_eq!(side.reload(&bad), Err(ParseFvError::Build(unknown)));
+        // Same tree, same program, same flow cache, no compile charge
+        // pending: the flow's next packet still hits and runs its chain.
+        let cycles = side.meter.total();
+        side.decide(&pkt(100, 5001), Nanos::from_micros(100));
+        assert!((side.meter.total() - cycles).get() < CycleCosts::agilio().program_compile);
+        assert_eq!(side.pipe.cache_stats().hits, stats.hits + 1);
+        assert_eq!(side.pipe.cache_stats().misses, stats.misses);
+        assert_eq!(side.chain_of(10, 20), chain);
+        assert_eq!(Arc::as_ptr(side.pipe.tree()), tree);
+        assert_eq!(side.pipe.reload_gen, 0);
+    }
+
+    /// The traffic generator's state and what the traffic so far has put
+    /// the pipeline through.
+    struct Seen {
+        rng: SimRng,
+        now: Nanos,
+        id: u64,
+        labeled: u64,
+        /// Packets decided under a later tree epoch than the labeled
+        /// packet before them: the first packet after an epoch roll.
+        after_epoch_roll: u64,
+        /// Packets whose class went from its own tokens to a lender's or
+        /// back: the first packet after a borrowing flip.
+        after_borrow_flip: u64,
+        over_ceil: u64,
+        last_epoch: u64,
+        last_borrowed: [Option<bool>; 2],
+    }
+
+    #[test]
+    fn pipeline_decides_as_the_reference_across_reload_epoch_rolls_and_borrow_flips() {
+        // The pipeline under test, every decision leaving a provenance
+        // record; an unsampled twin (capture must not change a verdict or
+        // a charge); and the reference walker on its own tree.
+        let mut sampled = Side::new(POLICY_V1);
+        let mut plain = Side::new(POLICY_V1);
+        let mut spec = Spec::new(POLICY_V1);
+        let ring = Arc::new(ProvenanceRing::new(256));
+        sampled
+            .pipe
+            .attach_auditor(ring.clone(), Sampler::one_in_pow2(0));
+
+        let mut seen = Seen {
+            rng: SimRng::seed(0xabcdef0123456789),
+            now: Nanos::ZERO,
+            id: 0,
+            labeled: 0,
+            after_epoch_roll: 0,
+            after_borrow_flip: 0,
+            over_ceil: 0,
+            last_epoch: 0,
+            last_borrowed: [None; 2],
+        };
+
+        // Every packet: the reference's verdict, on both pipelines, and a
+        // record that names the installed program's chain for the packet's
+        // class under the current reload generation. Returns the labeled
+        // packets' records.
+        let drive = |sampled: &mut Side,
+                     plain: &mut Side,
+                     spec: &Spec,
+                     seen: &mut Seen,
+                     reload_gen: u64,
+                     n: u64,
+                     gap: Nanos| {
+            let chains = [sampled.chain_of(10, 20), sampled.chain_of(20, 10)];
+            let mut records = Vec::new();
+            for _ in 0..n {
+                seen.now += gap;
+                seen.id += 1;
+                let (now, id) = (seen.now, seen.id);
+                let r = seen.rng.next_u64();
+                // Mostly class traffic, a sprinkle of unmatched bypass. The
+                // classes take turns being the busy one, 256 packets at a
+                // time, so each in turn has tokens to lend and need to
+                // borrow.
+                let busy = 5_001 + (id / 256 % 2) as u16;
+                let dport = match r % 10 {
+                    0 => 9_999,
+                    1..=8 => busy,
+                    _ => 10_003 - busy,
+                };
+                let p = sized_pkt(id, dport, 200 + (r % 1_300) as u32);
+                let decision = sampled.decide(&p, now);
+                assert_eq!(decision, plain.decide(&p, now), "packet {id}");
+                assert_eq!(sampled.meter.total(), plain.meter.total(), "packet {id}");
+                let Some(rec) = ring.get(id) else {
+                    assert_eq!(dport, 9_999, "labeled packet {id} left no record");
+                    assert_eq!(decision, Decision::Forward, "bypass traffic is forwarded");
+                    continue;
+                };
+                let class = usize::from(dport - 5_001);
+                assert_eq!(rec.verdict, spec.verdict(&p, now), "packet {id} at {now:?}");
+                assert_eq!(
+                    decision == Decision::Drop,
+                    rec.verdict == AuditVerdict::Drop
+                );
+                assert_eq!(rec.cause.is_some(), rec.verdict == AuditVerdict::Drop);
+                assert_eq!(rec.leaf, [10, 20][class], "packet {id}");
+                assert_eq!(rec.chain, chains[class], "packet {id} ran a foreign chain");
+                assert_eq!(rec.reload_gen, reload_gen, "packet {id}");
+                seen.labeled += 1;
+                seen.over_ceil += u64::from(rec.cause == Some(DropCause::OverCeil));
+                if rec.epoch > seen.last_epoch {
+                    seen.after_epoch_roll += 1;
+                }
+                seen.last_epoch = rec.epoch;
+                let borrowed = matches!(rec.verdict, AuditVerdict::Borrowed(_));
+                if seen.last_borrowed[class].is_some_and(|was| was != borrowed) {
+                    seen.after_borrow_flip += 1;
+                }
+                if rec.verdict != AuditVerdict::Drop {
+                    seen.last_borrowed[class] = Some(borrowed);
+                }
+                records.push(rec);
+            }
+            records
+        };
+
+        // Phase 1 — overload: the 500 ns gap at ~850 B offers ~14 Gbps to a
+        // 10 Gbps tree, most of it to the busy class, which runs dry,
+        // borrows what the quiet one leaves and refills.
+        let gap = Nanos::from_nanos(500);
+        let warm = drive(&mut sampled, &mut plain, &spec, &mut seen, 0, 20_000, gap);
+        for leaf in [10, 20] {
+            let mut flow = warm.iter().filter(|r| r.leaf == leaf);
+            let first = flow.next().expect("traffic");
+            assert!(!first.cache_hit, "a flow's first packet walks the table");
+            assert!(flow.all(|r| r.cache_hit), "a steady flow hits");
+        }
+        assert!(
+            seen.after_borrow_flip > 10,
+            "overload must flip borrowing: {}",
+            seen.after_borrow_flip
+        );
+        assert!(seen.after_epoch_roll > 10, "{}", seen.after_epoch_roll);
+
+        // Phase 2 — epoch rolls: every gap is past the update interval, so
+        // every packet is the first one after a roll.
+        let rolls_before = seen.after_epoch_roll;
+        let gap = Nanos::from_micros(120);
+        let rolled = drive(&mut sampled, &mut plain, &spec, &mut seen, 0, 200, gap);
+        assert_eq!(seen.after_epoch_roll - rolls_before, rolled.len() as u64);
+
+        // Phase 3 — hot reload: new tree, new program, the two labels'
+        // chain ids traded. The first packet of either flow must already
+        // run its class's chain in the new program (checked for every
+        // packet inside `drive`), found by a table walk, not in the old
+        // cache.
+        let old_chains = [sampled.chain_of(10, 20), sampled.chain_of(20, 10)];
+        sampled.reload(POLICY_V2).unwrap();
+        plain.reload(POLICY_V2).unwrap();
+        spec = Spec::new(POLICY_V2);
+        assert_eq!(
+            [sampled.chain_of(20, 10), sampled.chain_of(10, 20)],
+            old_chains,
+            "V2 must renumber the chains for this test to mean anything"
+        );
+        let gap = Nanos::from_nanos(500);
+        let reloaded = drive(&mut sampled, &mut plain, &spec, &mut seen, 1, 20_000, gap);
+        for leaf in [10, 20] {
+            let first = reloaded.iter().find(|r| r.leaf == leaf).expect("traffic");
+            assert!(!first.cache_hit, "the reload must empty the flow cache");
+        }
+        assert!(seen.over_ceil > 0, "V2's ceiling never refused a packet");
+
+        // Phase 4 — a long idle gap (expired-status removal), then traffic.
+        seen.now += Nanos::from_millis(5);
+        let gap = Nanos::from_nanos(800);
+        drive(&mut sampled, &mut plain, &spec, &mut seen, 1, 5_000, gap);
+
+        // Every labeled packet was decided, through its chain.
+        assert_eq!(sampled.pipe.decision_cache_stats(), (seen.labeled, 0));
+        assert_eq!(plain.pipe.decision_cache_stats(), (seen.labeled, 0));
+    }
+
+    #[test]
+    fn one_worker_decides_alike_under_either_lock_discipline() {
+        // The discipline chooses the lock model around the guarded
+        // updates, not the scheduling function. The global lock queues one
+        // packet's own updates behind each other, so with a hold time they
+        // run at later instants than under per-class try-locks; with a
+        // guarded section that costs no time, one worker gets the same
+        // verdicts either way.
+        let mut nic = NicConfig::agilio_cx_10g();
+        nic.costs.class_update = 0;
+        let policy = Policy::parse(POLICY_V2).unwrap();
+        let mut sides = [LockDiscipline::PerClass, LockDiscipline::Global].map(|discipline| Side {
+            pipe: FlowValvePipeline::compile(&policy, TreeParams::default(), &nic)
+                .unwrap()
+                .with_lock_discipline(discipline),
+            meter: CostMeter::new(nic.costs),
+            locks: LockTable::new(64),
+        });
+        let mut rng = SimRng::seed(0x10c4_d15c);
+        let mut drops = 0;
+        for id in 0..40_000u64 {
+            let r = rng.next_u64();
+            let busy = 5_001 + (id / 256 % 2) as u16;
+            let dport = if r.is_multiple_of(8) {
+                10_003 - busy
+            } else {
+                busy
+            };
+            let p = sized_pkt(id, dport, 200 + (r % 1_300) as u32);
+            let now = Nanos::from_nanos(id * 500);
+            let [per_class, global] = &mut sides;
+            let decision = per_class.decide(&p, now);
+            assert_eq!(decision, global.decide(&p, now), "packet {id}");
+            drops += u64::from(decision == Decision::Drop);
+        }
+        assert!((4_000..36_000).contains(&drops), "{drops} drops");
+        let [per_class, global] = &sides;
+        for cid in per_class.pipe.tree.class_ids() {
+            assert_eq!(
+                per_class.pipe.tree.counters(cid),
+                global.pipe.tree.counters(cid)
+            );
+        }
     }
 }

@@ -8,8 +8,14 @@
 //! label order. Only if every bucket is red is the packet dropped — the
 //! specialized early tail drop that emulates shaping.
 //!
-//! The function is generic over an execution environment ([`Exec`]) so the
-//! identical logic runs in two worlds:
+//! The function is written once, as `SchedulingTree::admit` over node
+//! indices. [`SchedulingTree::schedule`] resolves a [`QosLabel`] to indices
+//! on every call; [`SchedulingTree::run`] takes them from a
+//! [`CompiledProgram`] chain that resolved them once, when the policy was
+//! compiled — what the pipeline's flow-cache entry carries.
+//!
+//! It is generic over an execution environment ([`Exec`]) so the identical
+//! logic runs in two worlds:
 //!
 //! * [`SimExec`] — inside the discrete-event NIC model: lock contention is
 //!   *modeled* through [`np_sim::lock::LockTable`] and every operation is
@@ -18,15 +24,17 @@
 //!   the nodes' actual `std::sync` mutexes, and no costs are charged
 //!   because the hardware is doing the timing.
 
-use fv_audit::{NoObserver, StepKind, StepObserver, StepRecord};
+pub use fv_audit::NoObserver;
+use fv_audit::{StepKind, StepObserver, StepRecord};
 use np_sim::cost::{CostMeter, Op};
 use np_sim::lock::{LockId, LockTable};
 use sim_core::fixed::Tokens;
 use sim_core::time::Nanos;
 
 use crate::bucket::Color;
-use crate::label::{ClassId, QosLabel};
-use crate::tree::SchedulingTree;
+use crate::label::{ClassId, QosLabel, MAX_DEPTH};
+use crate::program::{ChainId, CompiledProgram};
+use crate::tree::{Node, SchedulingTree};
 
 /// Which guarded section a lock protects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,7 +79,7 @@ pub trait Exec {
         now: Nanos,
     ) -> bool;
 
-    /// Whether the compiled fast path may skip the guarded-update attempt
+    /// Whether the scheduling function may skip the guarded-update attempt
     /// for a class still inside its minimum update interval. Within the
     /// interval the update is a guaranteed no-op, so eliding it cannot
     /// change verdicts or tree state — but modeled environments keep the
@@ -88,19 +96,6 @@ pub trait Exec {
     /// Merged totals are stripe-independent (see `NodeHot`).
     fn stripe(&self) -> usize {
         0
-    }
-
-    /// Meters `need` tokens against slab bucket `slot` of `tree`: the
-    /// leaf-budget and ceiling checks of the scheduling function route
-    /// through here. The default is the paper's wait-free test-and-add on
-    /// the shared bucket; a reserving environment
-    /// ([`ReservedExec`](crate::quantum::ReservedExec)) may serve the
-    /// charge from worker-local quantum credit instead, amortizing the
-    /// shared atomic. Shadow (borrow) meters never route through this
-    /// hook — lending tokens are contended by design.
-    #[inline]
-    fn meter_bucket(&mut self, tree: &SchedulingTree, slot: u32, need: Tokens) -> Color {
-        tree.slab_bucket(slot).meter(need)
     }
 }
 
@@ -237,7 +232,9 @@ impl Exec for GlobalLockExec<'_> {
 
 impl SchedulingTree {
     /// Runs the scheduling function (Algorithm 1) for one packet of
-    /// `bits` frame bits carrying `label`, processed at `now`.
+    /// `bits` frame bits carrying `label`, processed at `now`: resolves the
+    /// label's classes to node indices — the path on the stack, the
+    /// lenders lazily, only when the leaf runs red — and admits the packet.
     ///
     /// # Panics
     ///
@@ -250,18 +247,12 @@ impl SchedulingTree {
         now: Nanos,
         exec: &mut E,
     ) -> SchedVerdict {
-        self.schedule_observed(label, bits, now, exec, &mut NoObserver)
+        self.schedule_with(label, bits, now, exec, &mut NoObserver)
     }
 
-    /// [`SchedulingTree::schedule`] with provenance capture: the same
-    /// single walk, reporting every executed step (bucket tokens
-    /// before/after, token test color) to `obs`. Capture points mirror
-    /// [`SchedulingTree::schedule_compiled_observed`] exactly, so a
-    /// record taken here is byte-identical (in its canonical form) to one
-    /// taken on the compiled path for the same traffic — the
-    /// compiled-provenance oracle relies on that. With [`NoObserver`] all
-    /// capture branches compile away.
-    pub fn schedule_observed<E: Exec, O: StepObserver>(
+    /// [`SchedulingTree::schedule`] with the observer as a parameter (a
+    /// qdisc chain threads one through every stage).
+    pub(crate) fn schedule_with<E: Exec, O: StepObserver>(
         &self,
         label: &QosLabel,
         bits: u64,
@@ -269,314 +260,169 @@ impl SchedulingTree {
         exec: &mut E,
         obs: &mut O,
     ) -> SchedVerdict {
+        let resolve = |cid: &ClassId| self.node_index(*cid).expect("label class in tree") as u32;
+        let mut path = [0u32; MAX_DEPTH];
+        for (slot, cid) in path.iter_mut().zip(label.path()) {
+            *slot = resolve(cid);
+        }
+        let path = &path[..label.path().len()];
+        self.admit(
+            path,
+            label.borrow().iter().map(resolve),
+            bits,
+            now,
+            exec,
+            obs,
+        )
+    }
+
+    /// Runs the scheduling function through a compiled admission chain:
+    /// [`SchedulingTree::schedule`] with the chain's label, minus the
+    /// per-packet id → node resolution. `obs` is told about every executed
+    /// step (bucket tokens before/after, token test color); with
+    /// [`NoObserver`] the capture code is erased at monomorphization.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chain` indexes a program compiled against a different
+    /// tree with more classes; a same-shaped foreign program silently
+    /// corrupts verdicts — callers must recompile on reload.
+    pub fn run<E: Exec, O: StepObserver>(
+        &self,
+        prog: &CompiledProgram,
+        chain: ChainId,
+        bits: u64,
+        now: Nanos,
+        exec: &mut E,
+        obs: &mut O,
+    ) -> SchedVerdict {
+        let (path, lenders) = prog.parts(chain);
+        self.admit(path, lenders.iter().copied(), bits, now, exec, obs)
+    }
+
+    /// Algorithm 1, written once. `path` holds the node indices of the
+    /// packet's classes root → leaf and `lenders` those of the classes it
+    /// may borrow from, in query order; bucket slots are read off the
+    /// nodes. Under a modeled [`Exec`] the charge and lock sequence below
+    /// *is* the hardware cost model, so its order is part of the contract:
+    /// every virtual-time figure replays it byte for byte.
+    fn admit<E: Exec, O: StepObserver>(
+        &self,
+        path: &[u32],
+        lenders: impl Iterator<Item = u32>,
+        bits: u64,
+        now: Nanos,
+        exec: &mut E,
+        obs: &mut O,
+    ) -> SchedVerdict {
         let need = Tokens::from_bits(bits);
-        let need_raw = need.raw() as i64;
         let elide = exec.elide_idle_updates();
         let stripe = exec.stripe();
 
-        // Lines 1-5: refresh token buckets root→leaf; every class on the
-        // path is marked as touched (drives expiry).
-        for &cid in label.path() {
-            let idx = self.node_index(cid).expect("label class in tree");
-            let bucket = self.node(idx).bucket;
-            let before = if O::ENABLED {
-                self.slab_bucket(bucket).raw()
-            } else {
-                0
-            };
-            if !elide || self.update_due(idx, false, now) {
-                exec.charge(Op::LockOp);
-                exec.locked_update(self, idx, LockKind::Class, now);
-            }
-            exec.charge(Op::AtomicOp);
+        let level = |slot: u32| match O::ENABLED {
+            true => self.slab_bucket(slot).raw(),
+            false => 0,
+        };
+        let report = |obs: &mut O, kind, node: &Node, bucket, need, before, green| {
             if O::ENABLED {
                 obs.on_step(StepRecord {
                     stage: 0,
-                    kind: StepKind::Update,
-                    class: cid.0,
+                    kind,
+                    class: node.spec.id.0,
                     bucket,
-                    need: 0,
+                    need,
                     before,
                     after: self.slab_bucket(bucket).raw(),
-                    green: true,
+                    green,
                 });
             }
-        }
-        self.touch_path_at(label, now, stripe);
+        };
+        // The guarded refresh of a class bucket (Subprocedure 1) or of a
+        // lender's shadow bucket (Subprocedure 2): one core per class wins
+        // the try-lock, the rest proceed (Figure 7(c)).
+        let refresh = |idx: u32, kind, exec: &mut E| {
+            if !elide || self.update_due(idx as usize, kind == LockKind::Shadow, now) {
+                exec.charge(Op::LockOp);
+                exec.locked_update(self, idx as usize, kind, now);
+            }
+            exec.charge(Op::AtomicOp);
+        };
+        // The wait-free token test-and-add.
+        let meter = |obs: &mut O, kind, node: &Node, slot: u32| {
+            let before = level(slot);
+            let green = self.slab_bucket(slot).meter(need) == Color::Green;
+            report(obs, kind, node, slot, need.raw() as i64, before, green);
+            green
+        };
+        // Equation 3's numerator: Γ counts *forwarded* bits on every class
+        // of the path — counting offered packets would let an overloaded
+        // class's drops poison its siblings' residual rates.
+        let count = |exec: &mut E| {
+            for &idx in path {
+                self.node(idx as usize).add_consumed(stripe, bits);
+                exec.charge(Op::AtomicOp);
+            }
+        };
 
-        // Lines 6-8: the leaf meter throttles the flow.
-        let leaf_idx = self.node_index(label.leaf()).expect("leaf in tree");
-        let leaf = self.node(leaf_idx);
+        // Lines 1-5: refresh token buckets root→leaf, then mark every
+        // class on the path touched (drives expiry).
+        for &idx in path {
+            let node = self.node(idx as usize);
+            let before = level(node.bucket);
+            refresh(idx, LockKind::Class, exec);
+            report(obs, StepKind::Update, node, node.bucket, 0, before, true);
+        }
+        for &idx in path {
+            self.node(idx as usize).touch(stripe, now.as_nanos());
+        }
+
+        // Lines 6-8: the leaf meter throttles the flow. A configured
+        // ceiling bounds the class with borrowing included (HTB
+        // semantics), so every packet is also charged against it, whether
+        // its own budget or a lender's would have carried it.
+        let leaf = self.node(*path.last().expect("paths are never empty") as usize);
         exec.charge(Op::AtomicOp);
-        let lb = self.slab_bucket(leaf.bucket);
-        let leaf_before = if O::ENABLED { lb.raw() } else { 0 };
-        let leaf_green = exec.meter_bucket(self, leaf.bucket, need) == Color::Green;
-        if O::ENABLED {
-            obs.on_step(StepRecord {
-                stage: 0,
-                kind: StepKind::MeterLeaf,
-                class: leaf.spec.id.0,
-                bucket: leaf.bucket,
-                need: need_raw,
-                before: leaf_before,
-                after: lb.raw(),
-                green: leaf_green,
-            });
+        let leaf_green = meter(obs, StepKind::MeterLeaf, leaf, leaf.bucket);
+        if let Some(ceil) = leaf.ceil_bucket {
+            exec.charge(Op::AtomicOp);
+            if !meter(obs, StepKind::MeterCeil, leaf, ceil) {
+                leaf.add_dropped(stripe, 1);
+                return SchedVerdict::Drop;
+            }
         }
         if leaf_green {
-            // A configured ceiling bounds the class including borrowing,
-            // so every forwarded packet is also charged against it.
-            if let Some(ci) = leaf.ceil_bucket {
-                exec.charge(Op::AtomicOp);
-                let cb = self.slab_bucket(ci);
-                let before = if O::ENABLED { cb.raw() } else { 0 };
-                let green = exec.meter_bucket(self, ci, need) == Color::Green;
-                if O::ENABLED {
-                    obs.on_step(StepRecord {
-                        stage: 0,
-                        kind: StepKind::MeterCeil,
-                        class: leaf.spec.id.0,
-                        bucket: ci,
-                        need: need_raw,
-                        before,
-                        after: cb.raw(),
-                        green,
-                    });
-                }
-                if !green {
-                    leaf.add_dropped(stripe, 1);
-                    return SchedVerdict::Drop;
-                }
-            }
-            self.count_path_at(label, bits, stripe);
-            exec.charge_path(label);
+            count(exec);
             leaf.add_forwarded(stripe, 1);
             return SchedVerdict::Forward;
         }
 
         // Lines 9-15: the borrowing subprocedure queries each lender's
-        // shadow bucket in label order. A borrowed packet must still
-        // conform to the leaf's own ceiling (HTB semantics: `ceil` bounds
-        // the class with borrowing included).
-        if let Some(ci) = leaf.ceil_bucket {
-            exec.charge(Op::AtomicOp);
-            let cb = self.slab_bucket(ci);
-            let before = if O::ENABLED { cb.raw() } else { 0 };
-            let green = exec.meter_bucket(self, ci, need) == Color::Green;
-            if O::ENABLED {
-                obs.on_step(StepRecord {
-                    stage: 0,
-                    kind: StepKind::MeterCeil,
-                    class: leaf.spec.id.0,
-                    bucket: ci,
-                    need: need_raw,
-                    before,
-                    after: cb.raw(),
-                    green,
-                });
-            }
-            if !green {
-                leaf.add_dropped(stripe, 1);
-                return SchedVerdict::Drop;
-            }
-        }
-        for &lender in label.borrow() {
-            let lidx = self.node_index(lender).expect("lender in tree");
-            if !elide || self.update_due(lidx, true, now) {
-                exec.charge(Op::LockOp);
-                exec.locked_update(self, lidx, LockKind::Shadow, now);
-            }
-            exec.charge(Op::AtomicOp);
-            let lnode = self.node(lidx);
-            let sb = self.slab_bucket(lnode.shadow);
-            let before = if O::ENABLED { sb.raw() } else { 0 };
-            let green = sb.meter(need) == Color::Green;
-            if O::ENABLED {
-                obs.on_step(StepRecord {
-                    stage: 0,
-                    kind: StepKind::Borrow,
-                    class: lender.0,
-                    bucket: lnode.shadow,
-                    need: need_raw,
-                    before,
-                    after: sb.raw(),
-                    green,
-                });
-            }
-            if green {
-                self.count_path_at(label, bits, stripe);
-                exec.charge_path(label);
-                lnode.add_lent(stripe, 1);
+        // shadow bucket in label order.
+        for idx in lenders {
+            let lender = self.node(idx as usize);
+            refresh(idx, LockKind::Shadow, exec);
+            if meter(obs, StepKind::Borrow, lender, lender.shadow) {
+                count(exec);
+                lender.add_lent(stripe, 1);
                 leaf.add_borrowed(stripe, 1);
-                return SchedVerdict::Borrowed(lender);
+                return SchedVerdict::Borrowed(lender.spec.id);
             }
         }
 
-        // Line 16.
+        // Line 16: every bucket is red — the specialized early tail drop.
         leaf.add_dropped(stripe, 1);
         SchedVerdict::Drop
-    }
-
-    /// Runs the scheduling function for a *burst* of `count` same-class
-    /// packets of `bits` each, all processed at `now`, amortizing the
-    /// per-packet costs of [`SchedulingTree::schedule`]:
-    ///
-    /// * the root→leaf guarded updates and path touch run once per batch
-    ///   instead of once per packet;
-    /// * leaf, ceiling and shadow buckets are debited with one
-    ///   [`TokenBucket::grab`](crate::bucket::TokenBucket::grab) round-trip
-    ///   each instead of one meter per packet, with partial grants floored
-    ///   to whole packets and the remainder returned exactly.
-    ///
-    /// Single-threaded, the outcome totals are identical to calling
-    /// `schedule` `count` times at the same `now` (grabs grant exactly the
-    /// packets consecutive meters would have passed). Under contention the
-    /// batch is *coarser*: a losing grab reds the whole batch slice rather
-    /// than a single packet — the same conservative direction as the
-    /// test-and-add meter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the label references classes not present in this tree.
-    pub fn schedule_batch<E: Exec>(
-        &self,
-        label: &QosLabel,
-        bits: u64,
-        count: u64,
-        now: Nanos,
-        exec: &mut E,
-    ) -> BatchOutcome {
-        let mut out = BatchOutcome::default();
-        if count == 0 {
-            return out;
-        }
-        let need_raw = Tokens::from_bits(bits).raw();
-        let elide = exec.elide_idle_updates();
-        let stripe = exec.stripe();
-
-        // Refresh token buckets root→leaf once for the whole burst.
-        for &cid in label.path() {
-            let idx = self.node_index(cid).expect("label class in tree");
-            if !elide || self.update_due(idx, false, now) {
-                exec.charge(Op::LockOp);
-                exec.locked_update(self, idx, LockKind::Class, now);
-            }
-            exec.charge(Op::AtomicOp);
-        }
-        self.touch_path_at(label, now, stripe);
-
-        let leaf_idx = self.node_index(label.leaf()).expect("leaf in tree");
-        let leaf = self.node(leaf_idx);
-
-        /// One whole-packet grab: how many of `want_pkts` packets the
-        /// bucket covers, returning the sub-packet remainder exactly.
-        fn grab_pkts(bucket: &crate::bucket::TokenBucket, need_raw: u64, want_pkts: u64) -> u64 {
-            if want_pkts == 0 || need_raw == 0 {
-                return want_pkts;
-            }
-            let granted = bucket.grab(Tokens::from_raw(need_raw * want_pkts));
-            let pkts = granted.raw() / need_raw;
-            let spare = granted.raw() - pkts * need_raw;
-            if spare > 0 {
-                bucket.put_back(Tokens::from_raw(spare));
-            }
-            pkts
-        }
-
-        // Leaf budget: one grab covers what consecutive meters would pass.
-        exec.charge(Op::AtomicOp);
-        let own = grab_pkts(self.slab_bucket(leaf.bucket), need_raw, count);
-
-        // The ceiling bounds the class with borrowing included, so every
-        // candidate (own-budget or borrowed) is charged against it; like
-        // the per-packet path, ceiling-refused packets do not restore
-        // already-consumed leaf tokens.
-        let (own_pass, mut borrow_budget) = match leaf.ceil_bucket {
-            Some(ci) => {
-                let cb = self.slab_bucket(ci);
-                exec.charge(Op::AtomicOp);
-                let own_pass = grab_pkts(cb, need_raw, own);
-                exec.charge(Op::AtomicOp);
-                let borrow_budget = grab_pkts(cb, need_raw, count - own);
-                (own_pass, borrow_budget)
-            }
-            None => (own, count - own),
-        };
-        out.forwarded = own_pass;
-
-        // Borrowing subprocedure: drain each lender's shadow bucket in
-        // label order, one grab per lender, until the burst is covered.
-        for &lender in label.borrow() {
-            if borrow_budget == 0 {
-                break;
-            }
-            let lidx = self.node_index(lender).expect("lender in tree");
-            if !elide || self.update_due(lidx, true, now) {
-                exec.charge(Op::LockOp);
-                exec.locked_update(self, lidx, LockKind::Shadow, now);
-            }
-            exec.charge(Op::AtomicOp);
-            let lnode = self.node(lidx);
-            let got = grab_pkts(self.slab_bucket(lnode.shadow), need_raw, borrow_budget);
-            if got > 0 {
-                lnode.add_lent(stripe, got);
-                out.borrowed.push((lender, got));
-                borrow_budget -= got;
-            }
-        }
-
-        let borrowed_total: u64 = out.borrowed.iter().map(|(_, n)| n).sum();
-        out.dropped = count - own_pass - borrowed_total;
-        let passed = own_pass + borrowed_total;
-        if passed > 0 {
-            self.count_path_at(label, bits * passed, stripe);
-            exec.charge_path(label);
-        }
-        leaf.add_forwarded(stripe, own_pass);
-        leaf.add_borrowed(stripe, borrowed_total);
-        leaf.add_dropped(stripe, out.dropped);
-        out
-    }
-}
-
-/// Aggregate verdicts of one [`SchedulingTree::schedule_batch`] call.
-/// Every packet of the burst is accounted to exactly one bucket:
-/// `forwarded + borrowed + dropped == count`.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct BatchOutcome {
-    /// Packets forwarded from the leaf class's own budget.
-    pub forwarded: u64,
-    /// Packets forwarded by borrowing, per lender, in label order.
-    pub borrowed: Vec<(ClassId, u64)>,
-    /// Packets dropped (no budget anywhere).
-    pub dropped: u64,
-}
-
-impl BatchOutcome {
-    /// Total packets that passed (own budget or borrowed).
-    pub fn passed(&self) -> u64 {
-        self.forwarded + self.borrowed.iter().map(|(_, n)| n).sum::<u64>()
-    }
-}
-
-/// Blanket helper: charging the per-class consumption counters.
-pub(crate) trait ExecExt {
-    fn charge_path(&mut self, label: &QosLabel);
-}
-
-impl<E: Exec> ExecExt for E {
-    fn charge_path(&mut self, label: &QosLabel) {
-        for _ in label.path() {
-            self.charge(Op::AtomicOp);
-        }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::snapshot::TreeSnapshot;
     use crate::tree::{ClassSpec, TreeParams};
+    use fv_audit::Recorder;
     use np_sim::config::CycleCosts;
+    use sim_core::rng::SimRng;
     use sim_core::units::BitRate;
 
     fn gbps(g: f64) -> BitRate {
@@ -836,113 +682,332 @@ mod tests {
         assert_eq!(c.forwarded + c.dropped, 40_000);
     }
 
-    /// A warmed tree of two same-priority weighted siblings where the
-    /// lightly-loaded `a` lends through its shadow bucket, so batch tests
-    /// exercise forwarding, borrowing and dropping in one run. (A class
-    /// with lower-priority siblings lends nothing, so `tree_prio` cannot
-    /// exhibit borrowing.)
-    fn warmed_tree() -> SchedulingTree {
-        let tree = SchedulingTree::build(
-            vec![
-                ClassSpec::new(ClassId(1), "root", None).rate(gbps(10.0)),
-                ClassSpec::new(ClassId(10), "a", Some(ClassId(1))).weight(1),
-                ClassSpec::new(ClassId(20), "b", Some(ClassId(1))).weight(1),
-            ],
-            TreeParams::default(),
-        )
-        .unwrap();
-        let a = tree.label(ClassId(10), &[]).unwrap();
-        let mut exec = RealExec;
-        // Keep `a` active but far under its share right up to t = 100 us.
-        for i in 90..100u64 {
-            tree.schedule(&a, 12_000, Nanos::from_micros(i), &mut exec);
+    /// Algorithm 1 transcribed over a label, one paper line at a time: the
+    /// spec `admit` is held against. One caller, so every guarded update
+    /// is attempted and wins its lock; counters land on stripe 0.
+    pub(crate) fn reference(
+        tree: &SchedulingTree,
+        label: &QosLabel,
+        bits: u64,
+        now: Nanos,
+    ) -> SchedVerdict {
+        let need = Tokens::from_bits(bits);
+        let idx = |cid: ClassId| tree.node_index(cid).expect("class in tree");
+        let green = |slot: u32| tree.slab_bucket(slot).meter(need) == Color::Green;
+        // Lines 1-5: update every class root→leaf.
+        for &cid in label.path() {
+            tree.update_node(idx(cid), now);
         }
-        tree
-    }
-
-    #[test]
-    fn batch_matches_per_packet_totals() {
-        // Single-threaded and at one instant, a batch must produce exactly
-        // the verdict totals of the per-packet loop: the guarded updates
-        // are idempotent within min_update_interval, and a grab grants
-        // precisely the packets consecutive meters would have passed.
-        let now = Nanos::from_micros(100);
-        let n = 2_000u64;
-
-        let a = warmed_tree();
-        let la = a.label(ClassId(20), &[ClassId(10)]).unwrap();
-        let mut exec = RealExec;
-        let (mut fwd, mut bor, mut dropped) = (0u64, 0u64, 0u64);
-        for _ in 0..n {
-            match a.schedule(&la, 12_000, now, &mut exec) {
-                SchedVerdict::Forward => fwd += 1,
-                SchedVerdict::Borrowed(_) => bor += 1,
-                SchedVerdict::Drop => dropped += 1,
+        tree.touch_path(label, now);
+        // Lines 6-8: the leaf's own budget, within its ceiling.
+        let leaf = tree.node(idx(label.leaf()));
+        let under_ceil = || leaf.ceil_bucket.is_none_or(green);
+        if green(leaf.bucket) {
+            if !under_ceil() {
+                leaf.add_dropped(0, 1);
+                return SchedVerdict::Drop;
+            }
+            tree.count_path(label, bits);
+            leaf.add_forwarded(0, 1);
+            return SchedVerdict::Forward;
+        }
+        // Lines 9-15: borrow from each lender's shadow bucket in turn,
+        // still within the leaf's ceiling.
+        if !under_ceil() {
+            leaf.add_dropped(0, 1);
+            return SchedVerdict::Drop;
+        }
+        for &cid in label.borrow() {
+            let lender = tree.node(idx(cid));
+            tree.update_shadow(idx(cid), now);
+            if green(lender.shadow) {
+                tree.count_path(label, bits);
+                lender.add_lent(0, 1);
+                leaf.add_borrowed(0, 1);
+                return SchedVerdict::Borrowed(cid);
             }
         }
-
-        let b = warmed_tree();
-        let lb = b.label(ClassId(20), &[ClassId(10)]).unwrap();
-        let out = b.schedule_batch(&lb, 12_000, n, now, &mut RealExec);
-        assert_eq!(out.forwarded, fwd);
-        assert_eq!(out.passed() - out.forwarded, bor);
-        assert_eq!(out.dropped, dropped);
-        assert_eq!(out.passed() + out.dropped, n);
-        // The batch exercised all three outcomes, not a degenerate case.
-        assert!(fwd > 0 && bor > 0 && dropped > 0, "{fwd}/{bor}/{dropped}");
-        // Mirrored class counters match too.
-        let (ca, cb) = (
-            a.counters(ClassId(20)).unwrap(),
-            b.counters(ClassId(20)).unwrap(),
-        );
-        assert_eq!(ca.forwarded, cb.forwarded);
-        assert_eq!(ca.borrowed, cb.borrowed);
-        assert_eq!(ca.dropped, cb.dropped);
+        // Line 16.
+        leaf.add_dropped(0, 1);
+        SchedVerdict::Drop
     }
 
-    #[test]
-    fn batch_respects_ceiling() {
-        // lo guarantees 2 Gbps but is ceiled at 4 Gbps; a large burst at
-        // one instant passes at most ceil-bucket's worth of packets even
-        // though the parent has budget to lend.
-        let tree = SchedulingTree::build(
-            vec![
+    /// A policy to hold both engines to: class specs and (leaf, lenders)
+    /// label recipes.
+    struct Case {
+        specs: Vec<ClassSpec>,
+        labels: Vec<(ClassId, Vec<ClassId>)>,
+    }
+
+    impl Case {
+        fn build(&self) -> (SchedulingTree, Vec<QosLabel>) {
+            let tree =
+                SchedulingTree::build(self.specs.clone(), TreeParams::default()).expect("builds");
+            let labels = self
+                .labels
+                .iter()
+                .map(|(leaf, lenders)| tree.label(*leaf, lenders).expect("label builds"))
+                .collect();
+            (tree, labels)
+        }
+    }
+
+    /// Two weighted leaves, one ceiled, each borrowing from the other.
+    fn two_leaf_case() -> Case {
+        Case {
+            specs: vec![
                 ClassSpec::new(ClassId(1), "root", None).rate(gbps(10.0)),
-                ClassSpec::new(ClassId(10), "hi", Some(ClassId(1))).prio(0),
-                ClassSpec::new(ClassId(20), "lo", Some(ClassId(1)))
-                    .prio(1)
-                    .rate(gbps(2.0))
-                    .ceil(gbps(4.0)),
+                ClassSpec::new(ClassId(10), "a", Some(ClassId(1))),
+                ClassSpec::new(ClassId(20), "b", Some(ClassId(1))).ceil(gbps(6.0)),
             ],
-            TreeParams::default(),
-        )
-        .unwrap();
-        let label = tree.label(ClassId(20), &[ClassId(10)]).unwrap();
-        let out = tree.schedule_batch(
-            &label,
-            12_000,
-            50_000,
-            Nanos::from_micros(100),
-            &mut RealExec,
+            labels: vec![
+                (ClassId(10), vec![ClassId(20)]),
+                (ClassId(20), vec![ClassId(10)]),
+            ],
+        }
+    }
+
+    /// A seeded random policy: up to 24 classes at depth <= 8 with mixed
+    /// priorities, weights, guarantees and ceilings, and a label for every
+    /// leaf (capped at 6) with 0-8 distinct lenders. The first class chain
+    /// runs to the full depth so MAX_DEPTH paths are always exercised.
+    fn random_case(seed: u64) -> Case {
+        let mut rng = SimRng::seed(seed);
+        let root_gbps = 1 + rng.range(0, 40);
+        let mut specs = vec![ClassSpec::new(ClassId(1), "root", None).rate(gbps(root_gbps as f64))];
+        let mut depth = vec![1usize];
+        let n = 3 + rng.range(0, 22) as usize;
+        for i in 1..n {
+            // The first MAX_DEPTH classes form one chain; the rest hang
+            // anywhere there is depth left.
+            let parent = match i < MAX_DEPTH {
+                true => i - 1,
+                false => loop {
+                    let p = rng.range(0, specs.len() as u64) as usize;
+                    if depth[p] < MAX_DEPTH {
+                        break p;
+                    }
+                },
+            };
+            let mut spec = ClassSpec::new(ClassId(1 + i as u16), "c", Some(specs[parent].id))
+                .prio(rng.range(0, 3) as u8)
+                .weight(1 + rng.range(0, 8) as u32);
+            let floor = BitRate::from_mbps(10 + rng.range(0, root_gbps * 250));
+            if rng.range(0, 4) == 0 {
+                spec = spec.rate(floor);
+            }
+            if rng.range(0, 3) == 0 {
+                spec = spec.ceil(BitRate::from_bps(floor.as_bps() * (1 + rng.range(0, 4))));
+            }
+            depth.push(depth[parent] + 1);
+            specs.push(spec);
+        }
+        let is_leaf = |s: &ClassSpec| !specs.iter().any(|c| c.parent == Some(s.id));
+        let labels = specs
+            .iter()
+            .filter(|s| is_leaf(s))
+            .take(6)
+            .map(|leaf| {
+                let mut lenders: Vec<ClassId> = Vec::new();
+                for _ in 0..rng.range(0, 9) {
+                    let cid = specs[1 + rng.range(0, specs.len() as u64 - 1) as usize].id;
+                    if cid != leaf.id && !lenders.contains(&cid) {
+                        lenders.push(cid);
+                    }
+                }
+                (leaf.id, lenders)
+            })
+            .collect();
+        Case { specs, labels }
+    }
+
+    /// Which adapter over `admit` a differential run drives, in which
+    /// execution world.
+    #[derive(Clone, Copy)]
+    enum Driver {
+        /// `schedule(&label)` on real locks: idle updates elided, counters
+        /// on the calling thread's stripe.
+        ScheduleReal,
+        /// `run(prog, chain)` under the modeled locks and cost meter, with
+        /// a recorder attached to every packet.
+        RunSim,
+    }
+
+    /// Drives `packets` packets of seeded all-regime traffic through the
+    /// reference on one build of `case` and through `admit` on another:
+    /// every verdict must agree, and at the end so must every class's
+    /// counters, the whole [`TreeSnapshot`] (θ, Γ, activity), every bucket
+    /// level of the slab, and the epoch count. Returns how many packets
+    /// were forwarded, borrowed and dropped.
+    fn assert_admit_matches_reference(
+        case: &Case,
+        seed: u64,
+        packets: u64,
+        driver: Driver,
+    ) -> [u64; 3] {
+        let (spec_tree, labels) = case.build();
+        let (tree, _) = case.build();
+        let prog = CompiledProgram::compile(&tree, &labels).expect("labels of this tree");
+        let (mut meter, mut locks) = sim_parts();
+        let mut rng = SimRng::seed(seed);
+        let mut now = Nanos::ZERO;
+        let mut seen = [0u64; 3];
+        // ~12 kbit packets at this mean gap offer three times the root rate.
+        let root_bps = case.specs[0].rate.expect("root rate").as_bps();
+        let gap = 4_000_000_000_000 / root_bps;
+        for i in 0..packets {
+            let r = rng.next_u64();
+            // Overload in the main, broken up by gaps past the update
+            // interval (50 us) and by idle gaps long enough for
+            // expired-status removal (2 ms).
+            now += Nanos::from_nanos(match r % 2_000 {
+                0 => 2_000_000,
+                1..=6 => 120_000,
+                _ => gap / 2 + (r >> 16) % gap,
+            });
+            // Classes take turns being the busy one, so each in turn runs
+            // dry while the others have tokens to lend.
+            let turn = (i / 256) as usize + usize::from((r >> 40).is_multiple_of(8));
+            let label = &labels[turn % labels.len()];
+            let bits = 4_000 + (r % 16_000);
+            let want = reference(&spec_tree, label, bits, now);
+            let got = match driver {
+                Driver::ScheduleReal => tree.schedule(label, bits, now, &mut RealExec),
+                Driver::RunSim => {
+                    // The modeled hold is shorter than any gap, so every
+                    // try-lock wins, as the reference assumes.
+                    let mut exec = SimExec {
+                        meter: &mut meter,
+                        locks: &mut locks,
+                        update_hold: Nanos::from_nanos(20),
+                    };
+                    let chain = prog.resolve(label).expect("compiled");
+                    let mut rec = Recorder::new();
+                    let got = tree.run(&prog, chain, bits, now, &mut exec, &mut rec);
+                    // The recorded walk explains the verdict, and every
+                    // token test took exactly what it granted.
+                    let mut tests = rec.steps.iter().filter(|s| s.kind != StepKind::Update);
+                    let leaf = tests.next().expect("leaf meter recorded");
+                    let last = tests.next_back().unwrap_or(leaf);
+                    let lent = last.kind == StepKind::Borrow;
+                    assert_eq!(got.passes(), last.green && (leaf.green || lent), "{rec:?}");
+                    for s in rec.steps.iter().filter(|s| s.kind != StepKind::Update) {
+                        assert_eq!(s.before - s.after, s.need * i64::from(s.green), "{s:?}");
+                    }
+                    got
+                }
+            };
+            assert_eq!(
+                got, want,
+                "packet {i} of seed {seed:#x} diverged at {now:?}"
+            );
+            seen[match got {
+                SchedVerdict::Forward => 0,
+                SchedVerdict::Borrowed(_) => 1,
+                SchedVerdict::Drop => 2,
+            }] += 1;
+        }
+        for cid in tree.class_ids() {
+            assert_eq!(tree.counters(cid), spec_tree.counters(cid), "{cid}");
+        }
+        assert_eq!(
+            TreeSnapshot::capture(&tree, now),
+            TreeSnapshot::capture(&spec_tree, now)
         );
-        let ceil_pkts = {
-            let idx = tree.node_index(ClassId(20)).unwrap();
-            let cb = tree.slab_bucket(tree.node(idx).ceil_bucket.unwrap());
-            // Whatever the ceiling accrued, passes cannot exceed it (the
-            // bucket is empty or holds only the sub-packet remainder now).
-            assert!(cb.level() < Tokens::from_bits(12_000));
-            out.passed()
-        };
-        assert!(ceil_pkts < 50_000, "ceiling did not bind");
-        assert_eq!(out.passed() + out.dropped, 50_000);
+        assert_eq!(tree.slab_snapshot(), spec_tree.slab_snapshot());
+        assert_eq!(tree.epoch(), spec_tree.epoch());
+        seen
     }
 
     #[test]
-    fn empty_batch_is_a_noop() {
-        let tree = warmed_tree();
-        let label = tree.label(ClassId(20), &[]).unwrap();
-        let out = tree.schedule_batch(&label, 12_000, 0, Nanos::from_micros(50), &mut RealExec);
-        assert_eq!(out, BatchOutcome::default());
-        assert_eq!(tree.counters(ClassId(20)).unwrap().forwarded, 0);
+    fn admit_matches_reference_across_all_regimes() {
+        // 100 k packets over the two-leaf borrowing tree: conforming,
+        // overload, borrow flips, epoch rolls, expiry after idle gaps.
+        let case = two_leaf_case();
+        for driver in [Driver::ScheduleReal, Driver::RunSim] {
+            let seen = assert_admit_matches_reference(&case, 0x5eed_f10e, 100_000, driver);
+            assert!(seen.iter().all(|&n| n > 1_000), "vacuous traffic: {seen:?}");
+        }
+    }
+
+    #[test]
+    fn admit_matches_reference_on_random_trees() {
+        let (mut deepest, mut most_lenders, mut ceiled) = (0, 0, 0);
+        let mut seen = [0u64; 3];
+        for seed in 1..=40u64 {
+            let case = random_case(seed);
+            let (tree, labels) = case.build();
+            deepest = deepest.max(labels.iter().map(|l| l.path().len()).max().unwrap());
+            most_lenders = most_lenders.max(labels.iter().map(|l| l.borrow().len()).max().unwrap());
+            ceiled += labels
+                .iter()
+                .filter(|l| tree.spec(l.leaf()).unwrap().ceil.is_some())
+                .count();
+            for driver in [Driver::ScheduleReal, Driver::RunSim] {
+                let run = assert_admit_matches_reference(&case, seed, 4_000, driver);
+                seen.iter_mut().zip(run).for_each(|(total, n)| *total += n);
+            }
+        }
+        assert!(
+            seen.iter().all(|&n| n > 10_000),
+            "vacuous traffic: {seen:?}"
+        );
+        // The generator reached the shapes it promises.
+        assert_eq!(deepest, MAX_DEPTH);
+        assert!(most_lenders >= 6, "{most_lenders}");
+        assert!(ceiled >= 10, "{ceiled}");
+    }
+
+    #[test]
+    fn schedule_and_run_record_and_charge_alike() {
+        // `schedule(&label)` and `run(prog, prog.resolve(&label))` are two
+        // ways into one function: same steps with the same bucket levels,
+        // same modeled cycles, same lock traffic.
+        for case in [two_leaf_case(), random_case(7), random_case(23)] {
+            let (ta, labels) = case.build();
+            let (tb, _) = case.build();
+            let prog = CompiledProgram::compile(&tb, &labels).expect("labels of this tree");
+            let (mut ma, mut la) = sim_parts();
+            let (mut mb, mut lb) = sim_parts();
+            let mut rng = SimRng::seed(0xc0ffee);
+            let mut now = Nanos::ZERO;
+            for i in 0..20_000u64 {
+                let r = rng.next_u64();
+                // Gaps below the modeled hold too: lost try-locks included.
+                now += Nanos::from_nanos(50 + r % 1_500);
+                let label = &labels[(i / 64) as usize % labels.len()];
+                let bits = 4_000 + (r % 16_000);
+                let (mut ra, mut rb) = (Recorder::new(), Recorder::new());
+                let hold = Nanos::from_nanos(300);
+                let va = ta.schedule_with(
+                    label,
+                    bits,
+                    now,
+                    &mut SimExec {
+                        meter: &mut ma,
+                        locks: &mut la,
+                        update_hold: hold,
+                    },
+                    &mut ra,
+                );
+                let vb = tb.run(
+                    &prog,
+                    prog.resolve(label).expect("compiled"),
+                    bits,
+                    now,
+                    &mut SimExec {
+                        meter: &mut mb,
+                        locks: &mut lb,
+                        update_hold: hold,
+                    },
+                    &mut rb,
+                );
+                assert_eq!(va, vb, "packet {i}");
+                assert_eq!(ra.steps, rb.steps, "packet {i}");
+                assert_eq!(ma.total(), mb.total(), "packet {i}");
+            }
+            assert_eq!(la.stats(), lb.stats());
+            assert!(la.stats().try_failed > 0, "no lost try-lock exercised");
+        }
     }
 }

@@ -214,33 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn capture_is_identical_under_interpreted_and_compiled_drivers() {
-        // Whatever drove the traffic — the interpreted walker or a compiled
-        // admission chain — the observable snapshot (θ, Γ, counters,
-        // activity) must come out identical, byte for byte in JSON.
-        use crate::program::CompiledProgram;
-        let ti = tree();
-        let tc = tree();
-        let li = ti.label(ClassId(10), &[ClassId(20)]).expect("leaf exists");
-        let lc = tc.label(ClassId(10), &[ClassId(20)]).expect("leaf exists");
-        let prog = CompiledProgram::compile(&tc, [&lc]);
-        let chain = prog.resolve(&lc).expect("compiles");
-        let mut exec = RealExec;
-        let mut now = Nanos::ZERO;
-        for i in 0..5_000u64 {
-            now += Nanos::from_micros(2);
-            let bits = 12_000 + (i % 3) * 1_500;
-            let vi = ti.schedule(&li, bits, now, &mut exec);
-            let vc = tc.schedule_compiled(&prog, chain, bits, now, &mut exec);
-            assert_eq!(vi, vc, "packet {i} diverged");
-        }
-        let si = TreeSnapshot::capture(&ti, now);
-        let sc = TreeSnapshot::capture(&tc, now);
-        assert_eq!(si, sc);
-        assert_eq!(si.to_json().to_compact(), sc.to_json().to_compact());
-    }
-
-    #[test]
     fn snapshot_serializes() {
         let t = tree();
         let snap = TreeSnapshot::capture(&t, Nanos::ZERO);

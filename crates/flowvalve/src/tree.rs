@@ -613,11 +613,6 @@ impl SchedulingTree {
         &self.slab[i as usize]
     }
 
-    /// Number of buckets in the flat slab (bounds quantum-reserve flushes).
-    pub(crate) fn slab_len(&self) -> usize {
-        self.slab.len()
-    }
-
     /// A point-in-time snapshot of the whole bucket slab, attributed to
     /// owning classes, for the fv-audit conservation ledger. Raw levels
     /// (debt included) rather than clamped ones: an overfilled or leaking
@@ -649,8 +644,7 @@ impl SchedulingTree {
 
     /// Monotonic count of state rolls: incremented on every completed
     /// rate-estimation epoch ([`Self::update_node`] past the interval
-    /// floor) and every shadow epoch (borrowing-state change). Per-worker
-    /// token reserves flush their credit when it moves, and provenance
+    /// floor) and every shadow epoch (borrowing-state change). Provenance
     /// records carry it.
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
@@ -860,28 +854,13 @@ impl SchedulingTree {
         true
     }
 
-    /// Records a forwarded packet's consumption along its class path
-    /// (Equation 3's numerator; counted on *forwarding*, as the Γ
-    /// definition requires — counting offered packets would let an
-    /// overloaded class's drops poison its siblings' residual rates).
-    ///
-    /// `stripe` is the worker's hot-state stripe (the
-    /// [`crate::sched::Exec::stripe`] hint), so concurrent workers never
-    /// share a consumption cache line; merged totals are stripe-agnostic.
-    pub(crate) fn count_path_at(&self, label: &QosLabel, bits: u64, stripe: usize) {
-        for cid in label.path() {
-            if let Some(i) = self.node_index(*cid) {
-                self.nodes[i].add_consumed(stripe, bits);
-            }
-        }
-    }
-
-    /// Reverses [`SchedulingTree::count_path_at`] for a packet that a
-    /// later chain stage dropped: without the refund, upstream Γs would
-    /// count bits that never reached the wire. The refund MUST use the
-    /// stripe of the count it reverses (refunds are issued by the same
-    /// worker that counted, so this holds naturally); a plain subtract is
-    /// then exact with no compare-exchange loop.
+    /// Reverses the consumption the scheduling function counted along
+    /// `label`'s path for a packet that a later chain stage dropped:
+    /// without the refund, upstream Γs would count bits that never reached
+    /// the wire. The refund MUST use the stripe of the count it reverses
+    /// (the [`crate::sched::Exec::stripe`] hint; refunds are issued by the
+    /// same worker that counted, so this holds naturally); a plain
+    /// subtract is then exact with no compare-exchange loop.
     pub(crate) fn uncount_path_at(&self, label: &QosLabel, bits: u64, stripe: usize) {
         for cid in label.path() {
             if let Some(i) = self.node_index(*cid) {
@@ -901,25 +880,22 @@ impl SchedulingTree {
         }
     }
 
-    /// Marks every class on the path as recently touched (drives expiry).
-    pub(crate) fn touch_path_at(&self, label: &QosLabel, now: Nanos, stripe: usize) {
+    /// Counts `bits` as forwarded on every class of `label`'s path, on
+    /// stripe 0 (what the scheduling function does for a passing packet).
+    #[cfg(test)]
+    pub(crate) fn count_path(&self, label: &QosLabel, bits: u64) {
         for cid in label.path() {
-            if let Some(i) = self.node_index(*cid) {
-                self.nodes[i].touch(stripe, now.as_nanos());
-            }
+            self.nodes[self.node_index(*cid).expect("class in tree")].add_consumed(0, bits);
         }
     }
 
-    /// Stripe-0 [`SchedulingTree::count_path_at`] (test convenience).
-    #[cfg(test)]
-    pub(crate) fn count_path(&self, label: &QosLabel, bits: u64) {
-        self.count_path_at(label, bits, 0);
-    }
-
-    /// Stripe-0 [`SchedulingTree::touch_path_at`] (test convenience).
+    /// Marks every class on `label`'s path as touched at `now`, on stripe 0
+    /// (what the scheduling function does for every packet).
     #[cfg(test)]
     pub(crate) fn touch_path(&self, label: &QosLabel, now: Nanos) {
-        self.touch_path_at(label, now, 0);
+        for cid in label.path() {
+            self.nodes[self.node_index(*cid).expect("class in tree")].touch(0, now.as_nanos());
+        }
     }
 
     /// The published token rate θ of a class, as a bandwidth.

@@ -150,6 +150,9 @@ impl AddAssign for Nanos {
     }
 }
 
+/// Plain integer subtraction: an underflow panics in debug builds and
+/// *wraps* in release builds. A caller whose operands can be out of order
+/// uses [`Nanos::saturating_sub`] or [`Nanos::checked_sub`].
 impl Sub for Nanos {
     type Output = Nanos;
     #[inline]
@@ -374,6 +377,8 @@ mod tests {
         assert_eq!(a.min(b), b);
     }
 
+    // Release builds have no overflow checks: there the subtraction wraps.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic]
     fn nanos_sub_underflow_panics() {

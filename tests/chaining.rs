@@ -3,7 +3,7 @@
 
 use flowvalve::chain::{ChainLabel, QdiscChain};
 use flowvalve::label::ClassId;
-use flowvalve::sched::RealExec;
+use flowvalve::sched::{NoObserver, RealExec};
 use flowvalve::tree::{ClassSpec, SchedulingTree, TreeParams};
 use netstack::flow::FlowKey;
 use netstack::packet::{AppId, Packet, VfPort};
@@ -54,10 +54,16 @@ fn prio_tree_chained_with_rate_tree() {
     let n = 80_000;
     for _ in 0..n {
         // Each offers ~4 Gbps (12 kbit every 3 us).
-        if chain.schedule(&hi, 12_000, now, &mut exec).passes() {
+        if chain
+            .schedule(&hi, 12_000, now, &mut exec, &mut NoObserver)
+            .passes()
+        {
             passed[0] += 12_000;
         }
-        if chain.schedule(&lo, 12_000, now, &mut exec).passes() {
+        if chain
+            .schedule(&lo, 12_000, now, &mut exec, &mut NoObserver)
+            .passes()
+        {
             passed[1] += 12_000;
         }
         now += Nanos::from_micros(3);
