@@ -7,9 +7,10 @@
 //! refunds still conserve across hot reloads, epoch rolls and borrow
 //! flips. This crate supplies that layer in three parts:
 //!
-//! * [`cause`] — one [`DropCause`] enum shared by flowvalve, the qdisc
-//!   baselines (PRIO/TBF/HTB/SFQ) and the np-sim traffic manager,
-//!   replacing the previous per-crate ad-hoc drop enums.
+//! * [`DropCause`] — one enum shared by flowvalve, the qdisc baselines
+//!   (PRIO/TBF/HTB/SFQ) and the np-sim traffic manager. It lives in
+//!   `fv_telemetry::cause` (those layers count drops, they are not
+//!   audited) and is re-exported here for the provenance records.
 //! * [`provenance`] — the [`StepObserver`] hook the schedulers thread
 //!   through their admission walks, the [`ProvenanceRecord`] it produces
 //!   (every executed chain step with bucket tokens before/after), the
@@ -22,14 +23,13 @@
 //!   family.
 //!
 //! The crate deliberately depends only on `sim-core` and `fv-telemetry`
-//! so that np-sim, qdisc and flowvalve can all adopt the taxonomy and the
-//! observer hook without a dependency cycle.
+//! so that flowvalve can thread the observer hook through its admission
+//! walk without a dependency cycle.
 
-pub mod cause;
 pub mod ledger;
 pub mod provenance;
 
-pub use cause::{CauseCounters, DropCause};
+pub use fv_telemetry::{CauseCounters, DropCause};
 pub use ledger::{AuditReport, BucketLedger, BucketSnapshot, Ledger, Violation, ViolationKind};
 pub use provenance::{
     AuditVerdict, NoObserver, ProvenanceRecord, ProvenanceRing, Recorder, RefundRecord, Sampler,

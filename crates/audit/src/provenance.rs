@@ -19,7 +19,7 @@ use std::sync::Mutex;
 use fv_telemetry::{JsonValue, ToJson};
 use sim_core::time::Nanos;
 
-use crate::cause::DropCause;
+use fv_telemetry::DropCause;
 
 /// What kind of chain step executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,72 +1,181 @@
-//! The resilience harness: the `fv demo` saturation workload, faulted.
+//! The saturation run, written once: clean ([`saturate`]) or faulted
+//! ([`run_chaos`]).
 //!
-//! [`run_chaos`] drives the exact workload `fv demo`/`fv check` runs — one
-//! TCP flow per filter, each offered an equal slice of 1.5x line rate for
-//! 10 ms on the Agilio CX 40G model — but with a [`ChaosController`]
-//! installed at every hook point: the NIC's traffic manager, worker pool
-//! and lock table, the FlowValve scheduler clock, and the host boundary.
-//! `reconfig` faults additionally hot-reload the policy mid-run with every
-//! rate scaled, restoring the original when the window closes.
+//! Both drive the workload behind `fv demo`/`fv check` — one TCP flow per
+//! filter, each offered an equal slice of 1.5x line rate for 10 ms on the
+//! Agilio CX 40G model — through [`np_sim::harness::drive`], and both go
+//! through the same private fixture: it builds the NIC, the registry and
+//! whatever [`Attachments`] asks for, drives the sources, and tears the
+//! run down into a [`Run`] (gauge sync, lock profile, bucket slab, ledger
+//! fold, snapshot). The two entry points differ only in their per-packet
+//! closure.
 //!
-//! After the run, one [`fv_scope::Slo::RateRecovers`] assertion per
-//! completed fault window checks that aggregate NIC throughput returned to
-//! the root rate's conformance band — the paper's pitch is that the
-//! offloaded scheduler keeps shaping through disturbance, and this is
-//! where that claim is pinned.
+//! [`run_chaos`] installs a [`ChaosController`] at every hook point: the
+//! NIC's traffic manager, worker pool and lock table, the FlowValve
+//! scheduler clock, and the host boundary. `reconfig` faults additionally
+//! hot-reload the policy mid-run with every rate scaled, restoring the
+//! original when the window closes. After the run, one
+//! [`fv_scope::Slo::RateRecovers`] assertion per completed fault window
+//! checks that aggregate NIC throughput returned to the root rate's
+//! conformance band — the paper's pitch is that the offloaded scheduler
+//! keeps shaping through disturbance, and this is where that claim is
+//! pinned.
 
 use std::sync::Arc;
 
+use flowvalve::error::ParseFvError;
 use flowvalve::frontend::Policy;
 use flowvalve::pipeline::FlowValvePipeline;
-use flowvalve::tree::TreeParams;
-use fv_audit::{BucketSnapshot, ProvenanceRing, Sampler};
+use flowvalve::tree::{SchedulingTree, TreeParams};
+use fv_audit::{BucketSnapshot, Ledger, ProvenanceRing, Sampler};
 use fv_scope::{evaluate, CheckReport, SamplerConfig, Slo, TimeSampler};
 use fv_telemetry::json::{JsonValue, ToJson};
-use fv_telemetry::SpanSink;
-use fv_telemetry::{Registry, Snapshot};
+use fv_telemetry::{Registry, Snapshot, SpanSink};
 use hostsim::HostChaosHook;
 use netstack::flow::FlowKey;
-use netstack::gen::{ArrivalProcess, LineRateProcess};
-use netstack::packet::{AppId, Packet, PacketIdGen, VfPort};
+use netstack::gen::LineRateProcess;
+use netstack::packet::{AppId, Packet, VfPort};
 use np_sim::config::NicConfig;
 use np_sim::cost::CycleAttr;
+use np_sim::harness::{drive, Source};
 use np_sim::lock::PerLockStats;
 use np_sim::nic::SmartNic;
-use sim_core::rng::SimRng;
 use sim_core::time::Nanos;
 use sim_core::units::BitRate;
 
 use crate::inject::ChaosController;
-use crate::plan::FaultPlan;
+use crate::plan::{FaultKind, FaultPlan};
 
 /// Virtual time granted after a fault clears before recovery is judged.
 pub const SETTLE: Nanos = Nanos::from_micros(500);
 
-/// Everything a chaos run produces.
+/// Simulated length of every saturation run.
+const HORIZON: Nanos = Nanos::from_millis(10);
+
+/// Source addresses run from 10.0.0.10 to 10.0.0.255, one per filter.
+pub const MAX_FLOWS: usize = 246;
+
+/// Default provenance sampling: 1 packet in 2^6 = 64.
+const AUDIT_SHIFT: u32 = 6;
+/// Provenance-ring slots; with [`AUDIT_SHIFT`] this retains a lossless
+/// window of 262144 packet ids, several times the run's packet count.
+const AUDIT_RING_CAPACITY: usize = 4096;
+
+/// The observers a saturation run carries. Every one of them is an
+/// observer only: the packet-level outcome of a run is the same whatever
+/// is attached.
+#[derive(Clone)]
+pub struct Attachments {
+    /// Event-ring capacity (`fv trace` wants a deep ring).
+    pub ring_capacity: usize,
+    /// Attach a virtual-time sampler with this configuration.
+    pub sampler: Option<SamplerConfig>,
+    /// Attach the attribution probes: a [`CycleAttr`] sized for the NIC
+    /// model on the cost meter (handed back as [`Run::cycles`]) and this
+    /// sink on the registry's span path (fv-probe's `LatencyAttr`; the
+    /// caller keeps its own handle).
+    pub probe: Option<Arc<dyn SpanSink>>,
+    /// Attach sampled provenance capture with this 1-in-2^n sampling
+    /// shift; after the run the records are folded through the
+    /// conservation ledger into `audit.*` counters. The default shift
+    /// keeps every sampled packet id of the run resident in the
+    /// provenance ring (capacity × 2^shift id window).
+    pub audit: Option<u32>,
+}
+
+impl Default for Attachments {
+    /// What `fv demo` carries: a shallow event ring and provenance capture.
+    fn default() -> Self {
+        Attachments {
+            ring_capacity: 1024,
+            sampler: None,
+            probe: None,
+            audit: Some(AUDIT_SHIFT),
+        }
+    }
+}
+
+/// Why a saturation run could not start.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RunError {
+    /// The policy has no filter, hence no flow to drive.
+    NoFilters,
+    /// The policy has more filters than there are source addresses.
+    TooManyFilters(usize),
+    /// The policy does not compile.
+    Compile(ParseFvError),
+    /// The policy scaled by a `reconfig` fault does not compile.
+    Reconfig(ParseFvError),
+}
+
+impl core::fmt::Display for RunError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            RunError::NoFilters => write!(f, "no filters to drive"),
+            RunError::TooManyFilters(n) => write!(
+                f,
+                "{n} filters, but the saturation run drives one source per filter \
+                 from 10.0.0.10 up and can address at most {MAX_FLOWS}"
+            ),
+            RunError::Compile(e) => write!(f, "{e}"),
+            RunError::Reconfig(e) => write!(f, "reconfig fault failed to compile: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
+
+/// The provenance capture of a run with [`Attachments::audit`] set; the
+/// conservation ledger has already been folded into the run's `audit.*`
+/// counters.
+#[derive(Debug)]
+pub struct Audit {
+    /// Every sampled decision.
+    pub ring: Arc<ProvenanceRing>,
+    /// End-of-run bucket-slab snapshot the ledger balanced against.
+    pub slab: Vec<BucketSnapshot>,
+    /// The 1-in-2^n sampling shift.
+    pub shift: u32,
+}
+
+/// Everything a saturation run leaves behind.
+#[derive(Debug)]
+pub struct Run {
+    /// End-of-run registry snapshot.
+    pub snapshot: Snapshot,
+    /// The registry itself, for the full event ring.
+    pub registry: Registry,
+    /// The scheduling tree the policy compiled to.
+    pub tree: Arc<SchedulingTree>,
+    /// Simulated run length.
+    pub horizon: Nanos,
+    /// Rate offered by each flow.
+    pub offered: BitRate,
+    /// `stable_hash` → flow key of every driven flow, so profile output
+    /// can name them.
+    pub flow_names: Vec<(u64, FlowKey)>,
+    /// Per-lock contention rows, collected on every run (cheap).
+    pub lock_profile: Vec<PerLockStats>,
+    /// The sampler that watched the run, when one was attached.
+    pub sampler: Option<TimeSampler>,
+    /// Cycle attribution, when the probes were attached.
+    pub cycles: Option<Arc<CycleAttr>>,
+    /// Provenance capture, when auditing was attached.
+    pub audit: Option<Audit>,
+}
+
+/// What a chaos run adds to the [`Run`] underneath it.
 #[derive(Debug)]
 pub struct ChaosReport {
     /// The executed plan.
     pub plan: FaultPlan,
-    /// Simulated run length.
-    pub horizon: Nanos,
-    /// Number of driven flows.
-    pub flows: usize,
-    /// End-of-run registry snapshot (includes `chaos.*` and fault-drop
+    /// The faulted run (its snapshot includes `chaos.*` and fault-drop
     /// counters).
-    pub snapshot: Snapshot,
-    /// The virtual-time sampler that watched the run, for further SLO
-    /// evaluation (e.g. per-class conformance over custom windows).
-    pub sampler: TimeSampler,
+    pub run: Run,
     /// Recovery assertions, one per completed fault window.
     pub recovery: CheckReport,
     /// Faults whose recovery could not be judged (window ends too late).
     pub unchecked: Vec<String>,
-    /// Per-lock attribution rows from the run, for contention profiling
-    /// (not serialized — `fv-probe` folds them into its own report).
-    pub per_lock: Vec<PerLockStats>,
-    /// End-of-run bucket-slab snapshot, for the fv-audit conservation
-    /// ledger (not serialized — `fv audit` folds it into its own report).
-    pub slab: Vec<BucketSnapshot>,
 }
 
 impl ChaosReport {
@@ -75,13 +184,22 @@ impl ChaosReport {
         self.recovery.passed()
     }
 
+    /// The sampler recovery was judged on, for further SLO evaluation
+    /// (e.g. per-class conformance over custom windows).
+    pub fn sampler(&self) -> &TimeSampler {
+        self.run
+            .sampler
+            .as_ref()
+            .expect("run_chaos always attaches a sampler")
+    }
+
     /// Renders a terminal summary: injections, fault drops, recovery.
     pub fn render(&self) -> String {
-        let snap = &self.snapshot;
+        let snap = &self.run.snapshot;
         let mut out = format!(
             "chaos: {} ms horizon, {} flows, {} faults planned (seed {})\n",
-            self.horizon.as_nanos() / 1_000_000,
-            self.flows,
+            self.run.horizon.as_nanos() / 1_000_000,
+            self.run.flow_names.len(),
             self.plan.faults.len(),
             self.plan.seed,
         );
@@ -110,11 +228,11 @@ impl ChaosReport {
 
 impl ToJson for ChaosReport {
     fn to_json(&self) -> JsonValue {
-        let snap = &self.snapshot;
+        let snap = &self.run.snapshot;
         JsonValue::obj([
             ("plan", self.plan.to_json()),
-            ("horizon_ns", JsonValue::UInt(self.horizon.as_nanos())),
-            ("flows", JsonValue::UInt(self.flows as u64)),
+            ("horizon_ns", JsonValue::UInt(self.run.horizon.as_nanos())),
+            ("flows", JsonValue::UInt(self.run.flow_names.len() as u64)),
             (
                 "chaos",
                 JsonValue::obj([
@@ -146,7 +264,7 @@ impl ToJson for ChaosReport {
                 JsonValue::arr(self.unchecked.iter().map(|s| JsonValue::Str(s.clone()))),
             ),
             ("passed", JsonValue::Bool(self.passed())),
-            ("snapshot", self.snapshot.to_json()),
+            ("snapshot", self.run.snapshot.to_json()),
         ])
     }
 }
@@ -162,179 +280,249 @@ fn scale_policy(policy: &Policy, permille: u64) -> Policy {
     scaled
 }
 
-/// Runs the saturation workload under `plan` and judges recovery.
+/// What each of `flows` flows offers: an equal slice of 1.5x line rate,
+/// collectively oversubscribed so the policy has something to decide.
+fn slice_of(cfg: &NicConfig, flows: usize) -> BitRate {
+    cfg.line_rate.scaled(3, 2 * flows as u64)
+}
+
+/// The demo's sources: one TCP flow per filter, matched as precisely as
+/// the filter allows, each a stream of 1518 B frames at [`slice_of`].
+fn sources(policy: &Policy, cfg: &NicConfig) -> Result<Vec<Source>, RunError> {
+    let n = policy.filters.len();
+    if n == 0 {
+        return Err(RunError::NoFilters);
+    }
+    let offered = slice_of(cfg, n);
+    let numbered = policy.filters.iter().enumerate();
+    numbered
+        .map(|(i, f)| {
+            // One range check covers the address, the ports and the VF id.
+            let host = u8::try_from(10 + i).map_err(|_| RunError::TooManyFilters(n))?;
+            let i = host - 10;
+            let m = &f.matcher;
+            Ok(Source {
+                flow: FlowKey::tcp(
+                    [10, 0, 0, host],
+                    m.src_port.unwrap_or(41_000 + u16::from(i)),
+                    [10, 0, 255, 1],
+                    m.dst_port.unwrap_or(5_000 + u16::from(i)),
+                ),
+                app: AppId(u16::from(i)),
+                vf: m.vf.unwrap_or(VfPort(i)),
+                process: Box::new(LineRateProcess::new(offered, 1518, cfg.framing)),
+            })
+        })
+        .collect()
+}
+
+/// The decider of a NIC that [`Fixture::build`] made.
+fn pipeline_of(nic: &mut SmartNic) -> &mut FlowValvePipeline {
+    nic.decider_as::<FlowValvePipeline>()
+        .expect("build boxed a FlowValvePipeline into the NIC")
+}
+
+/// One saturation run between set-up and tear-down: `build`, then any
+/// hooks the caller installs on `nic`/`registry`, then `drive`, then
+/// `finish`.
+struct Fixture {
+    cfg: NicConfig,
+    registry: Registry,
+    nic: SmartNic,
+    tree: Arc<SchedulingTree>,
+    sources: Vec<Source>,
+    sampler_cfg: Option<SamplerConfig>,
+    sampler: Option<TimeSampler>,
+    cycles: Option<Arc<CycleAttr>>,
+    audit: Option<(Arc<ProvenanceRing>, u32)>,
+    flow_names: Vec<(u64, FlowKey)>,
+}
+
+impl Fixture {
+    fn build(policy: &Policy, attach: Attachments) -> Result<Fixture, RunError> {
+        let cfg = NicConfig::agilio_cx_40g();
+        let sources = sources(policy, &cfg)?;
+        let mut pipeline = FlowValvePipeline::compile(policy, TreeParams::default(), &cfg)
+            .map_err(RunError::Compile)?;
+        let registry = Registry::with_ring_capacity(attach.ring_capacity);
+        pipeline.attach_telemetry(&registry);
+        let audit = attach.audit.map(|shift| {
+            let ring = Arc::new(ProvenanceRing::sampled(AUDIT_RING_CAPACITY, shift));
+            pipeline.attach_auditor(ring.clone(), Sampler::one_in_pow2(shift));
+            (ring, shift)
+        });
+        let tree = pipeline.tree().clone();
+        let mut nic = SmartNic::with_registry(cfg.clone(), Box::new(pipeline), &registry);
+        let cycles = attach.probe.map(|sink| {
+            let attr = Arc::new(CycleAttr::new(cfg.num_mes));
+            nic.attach_probe(attr.clone());
+            registry.install_span_sink(sink);
+            attr
+        });
+        Ok(Fixture {
+            flow_names: sources
+                .iter()
+                .map(|s| (s.flow.stable_hash(), s.flow))
+                .collect(),
+            cfg,
+            registry,
+            nic,
+            tree,
+            sources,
+            sampler_cfg: attach.sampler,
+            sampler: None,
+            cycles,
+            audit,
+        })
+    }
+
+    fn pipeline(&mut self) -> &mut FlowValvePipeline {
+        pipeline_of(&mut self.nic)
+    }
+
+    /// Merges the sources and hands each packet to `on_packet`, after the
+    /// sampler has been advanced to its arrival time.
+    fn drive(&mut self, seed: u64, mut on_packet: impl FnMut(&mut SmartNic, &Packet)) {
+        // Created here and not in `build`, so the counters the caller's
+        // hooks registered are in its baseline.
+        let mut sampler = self
+            .sampler_cfg
+            .take()
+            .map(|cfg| TimeSampler::new(&self.registry, cfg));
+        let nic = &mut self.nic;
+        drive(std::mem::take(&mut self.sources), HORIZON, seed, |pkt| {
+            if let Some(s) = sampler.as_mut() {
+                s.advance_to(pkt.created_at);
+            }
+            on_packet(nic, pkt);
+        });
+        if let Some(s) = sampler.as_mut() {
+            s.advance_to(HORIZON);
+        }
+        self.sampler = sampler;
+    }
+
+    fn finish(mut self) -> Run {
+        // Publish cold-path gauges (per-engine utilization, θ/Γ) and capture.
+        self.nic.sync_gauges(HORIZON);
+        let live = self.pipeline();
+        live.sync_gauges(HORIZON);
+        let slab = live.tree().slab_snapshot();
+        // Fold the sampled provenance through the conservation ledger before
+        // the snapshot, so `audit.*` counters are part of it.
+        let audit = self.audit.take().map(|(ring, shift)| {
+            Ledger::audit(&ring.records(), &slab).install_counters(&self.registry, 0);
+            Audit { ring, slab, shift }
+        });
+        Run {
+            snapshot: self.registry.snapshot(HORIZON),
+            registry: self.registry,
+            tree: self.tree,
+            horizon: HORIZON,
+            offered: slice_of(&self.cfg, self.flow_names.len()),
+            flow_names: self.flow_names,
+            lock_profile: self.nic.per_lock_stats().to_vec(),
+            sampler: self.sampler,
+            cycles: self.cycles,
+            audit,
+        }
+    }
+}
+
+/// Saturates every filtered class with an equal share of 1.5x line rate
+/// for 10 ms of simulated time, full telemetry attached.
 ///
-/// Deterministic: the same `(policy, plan)` pair produces a byte-identical
-/// [`ChaosReport::to_json`] document on every run.
+/// Deterministic: the same `(policy, seed)` yields the same [`Run`],
+/// whatever `attach` carries.
 ///
 /// # Errors
 ///
-/// Returns a message when the policy has no filters to drive or fails to
-/// compile (including a mid-run `reconfig` compile failure, which aborts
-/// rather than silently continuing unfaulted).
-pub fn run_chaos(policy: &Policy, plan: &FaultPlan) -> Result<ChaosReport, String> {
-    run_chaos_probed(policy, plan, None, None)
+/// Returns a [`RunError`] when the policy has no filter, more than
+/// [`MAX_FLOWS`], or does not compile.
+pub fn saturate(policy: &Policy, seed: u64, attach: Attachments) -> Result<Run, RunError> {
+    let mut fx = Fixture::build(policy, attach)?;
+    fx.drive(seed, |nic, pkt| {
+        let _ = nic.rx(pkt, pkt.created_at);
+    });
+    Ok(fx.finish())
 }
 
-/// [`run_chaos_probed`] with sampled provenance capture attached: the
-/// pipeline records every sampler-selected decision into `ring`, and the
-/// report carries the end-of-run bucket-slab snapshot so `fv audit
-/// --plan` can run the conservation ledger over a faulted run. The
-/// capture is an observer — the packet-level outcome is unchanged.
-pub fn run_chaos_audited(
+/// Runs the saturation workload under `plan` and judges recovery.
+///
+/// Deterministic: the same `(policy, plan)` pair produces a byte-identical
+/// [`ChaosReport::to_json`] document on every run. Recovery is judged on
+/// the sampled `nic.tx_bits` series, so a run whose `attach` names no
+/// sampler gets a 100 µs one.
+///
+/// # Errors
+///
+/// As [`saturate`] (the seed is the plan's), plus [`RunError::Reconfig`]
+/// when a `reconfig` fault scales the policy into one that does not
+/// compile — found before the first packet, not halfway through the run.
+pub fn run_chaos(
     policy: &Policy,
     plan: &FaultPlan,
-    attr: Option<Arc<CycleAttr>>,
-    sink: Option<Arc<dyn SpanSink>>,
-    audit: Option<(Arc<ProvenanceRing>, Sampler)>,
-) -> Result<ChaosReport, String> {
-    run_chaos_inner(policy, plan, attr, sink, audit)
-}
-
-/// [`run_chaos`] with attribution probes attached: `attr` receives every
-/// cycle charge (stage × op × worker) and `sink` every span stamp and
-/// classification verdict. Both are observers — the packet-level outcome
-/// of the run is identical with or without them, so a probed run still
-/// replays byte-identically.
-pub fn run_chaos_probed(
-    policy: &Policy,
-    plan: &FaultPlan,
-    attr: Option<Arc<CycleAttr>>,
-    sink: Option<Arc<dyn SpanSink>>,
-) -> Result<ChaosReport, String> {
-    run_chaos_inner(policy, plan, attr, sink, None)
-}
-
-fn run_chaos_inner(
-    policy: &Policy,
-    plan: &FaultPlan,
-    attr: Option<Arc<CycleAttr>>,
-    sink: Option<Arc<dyn SpanSink>>,
-    audit: Option<(Arc<ProvenanceRing>, Sampler)>,
-) -> Result<ChaosReport, String> {
-    let cfg = NicConfig::agilio_cx_40g();
-    let mut pipeline = FlowValvePipeline::compile(policy, TreeParams::default(), &cfg)
-        .map_err(|e| e.to_string())?;
-    let tree = pipeline.tree().clone();
-    let line = cfg.line_rate;
-    let framing = cfg.framing;
-
-    let registry = Registry::with_ring_capacity(4096);
-    if let Some(sink) = sink {
-        registry.install_span_sink(sink);
-    }
-    let controller = Arc::new(ChaosController::new(plan.clone(), &registry));
-    let host_skipped = registry.counter("chaos.host_skipped");
-    pipeline.install_chaos_hook(controller.clone());
-    let mut nic = SmartNic::with_registry(cfg.clone(), Box::new(pipeline), &registry);
-    if let Some(attr) = attr {
-        nic.attach_probe(attr);
-    }
-    if let Some(p) = nic.decider_as::<FlowValvePipeline>() {
-        p.attach_telemetry(&registry);
-        if let Some((ring, sampler)) = &audit {
-            p.attach_auditor(ring.clone(), *sampler);
+    mut attach: Attachments,
+) -> Result<ChaosReport, RunError> {
+    attach
+        .sampler
+        .get_or_insert_with(|| SamplerConfig::default().with_interval(Nanos::from_micros(100)));
+    let mut fx = Fixture::build(policy, attach)?;
+    let cfg = fx.cfg.clone();
+    for f in &plan.faults {
+        if let FaultKind::Reconfig { scale_permille } = f.kind {
+            let scaled = scale_policy(policy, scale_permille);
+            FlowValvePipeline::compile(&scaled, TreeParams::default(), &cfg)
+                .map_err(RunError::Reconfig)?;
         }
     }
-    nic.install_fault_injector(controller.clone());
-    let mut sampler = TimeSampler::new(
-        &registry,
-        SamplerConfig::default().with_interval(Nanos::from_micros(100)),
-    );
-
-    // One flow per filter, exactly as `fv demo` builds them.
-    let mut flows: Vec<(FlowKey, VfPort)> = Vec::new();
-    for (i, f) in policy.filters.iter().enumerate() {
-        let m = &f.matcher;
-        let flow = FlowKey::tcp(
-            [10, 0, 0, 10 + i as u8],
-            m.src_port.unwrap_or(41_000 + i as u16),
-            [10, 0, 255, 1],
-            m.dst_port.unwrap_or(5_000 + i as u16),
-        );
-        flows.push((flow, m.vf.unwrap_or(VfPort(i as u8))));
-    }
-    if flows.is_empty() {
-        return Err("no filters to drive".into());
-    }
-
-    let horizon = Nanos::from_millis(10);
-    let mut rng = SimRng::seed(plan.seed);
-    let mut ids = PacketIdGen::new();
-    let offered = line.scaled(3, 2 * flows.len() as u64);
-    let mut gens: Vec<LineRateProcess> = flows
-        .iter()
-        .map(|_| LineRateProcess::new(offered, 1518, framing))
-        .collect();
-    let mut next: Vec<Nanos> = gens
-        .iter_mut()
-        .map(|g| Nanos::ZERO + g.next_arrival(&mut rng).0)
-        .collect();
+    let controller = Arc::new(ChaosController::new(plan.clone(), &fx.registry));
+    let host_skipped = fx.registry.counter("chaos.host_skipped");
+    fx.pipeline().install_chaos_hook(controller.clone());
+    fx.nic.install_fault_injector(controller.clone());
 
     // `reconfig` faults hot-reload the policy; track the applied scale so
     // each window reloads exactly once on entry and once on exit.
     let mut applied_scale: Option<u64> = None;
-
-    loop {
-        let (idx, &t) = next
-            .iter()
-            .enumerate()
-            .min_by_key(|&(i, &t)| (t, i))
-            .expect("flows is non-empty");
-        if t >= horizon {
-            break;
-        }
-        sampler.advance_to(t);
+    fx.drive(plan.seed, |nic, pkt| {
+        let t = pkt.created_at;
         controller.note_transitions(t);
-
         let want_scale = plan.reconfig_scale_at(t);
         if want_scale != applied_scale {
             let target = match want_scale {
                 Some(p) => scale_policy(policy, p),
                 None => policy.clone(),
             };
-            let p = nic
-                .decider_as::<FlowValvePipeline>()
-                .expect("chaos harness always runs the FlowValve pipeline");
-            p.reload(&target, TreeParams::default(), &cfg)
-                .map_err(|e| format!("reconfig fault failed to compile: {e}"))?;
+            pipeline_of(nic)
+                .reload(&target, TreeParams::default(), &cfg)
+                .expect("the policy and every reconfig target compiled before the first packet");
             applied_scale = want_scale;
         }
-
-        let (flow, vf) = flows[idx];
-        let app = AppId(idx as u16);
         // Host-side faults act before the NIC ever sees the frame: a
         // paused app offers nothing, a reset VF's frames die at the edge.
-        let host_blocked =
-            controller.app_paused_until(app, t).is_some() || controller.vf_down(vf, t);
-        if host_blocked {
-            ids.next_id(); // keep the packet-id stream identical either way
+        // The packet id is spent either way, so ids match the clean run's.
+        if controller.app_paused_until(pkt.app, t).is_some() || controller.vf_down(pkt.vf, t) {
             host_skipped.incr(0);
         } else {
-            let pkt = Packet::new(ids.next_id(), flow, 1518, app, vf, t);
-            let _ = nic.rx(&pkt, t);
+            let _ = nic.rx(pkt, t);
         }
-        next[idx] = t + gens[idx].next_arrival(&mut rng).0;
-    }
-    sampler.advance_to(horizon);
-    controller.note_transitions(horizon);
-    nic.sync_gauges(horizon);
-    if let Some(p) = nic.decider_as::<FlowValvePipeline>() {
-        p.sync_gauges(horizon);
-    }
+    });
+    controller.note_transitions(HORIZON);
     // How much is still queued on the wire when the run ends — after the
     // last fault clears this should have drained back to (near) zero.
-    registry
+    fx.registry
         .gauge("chaos.tm_backlog_bytes")
-        .set(nic.tm_backlog_bytes(horizon));
+        .set(fx.nic.tm_backlog_bytes(HORIZON));
+    let run = fx.finish();
 
     // One recovery assertion per fault window that ends early enough to
     // observe a post-settle window: aggregate throughput back in the root
     // rate's band.
-    let root_rate = tree
+    let root_rate = run
+        .tree
         .class_ids()
         .into_iter()
-        .filter_map(|id| tree.spec(id))
+        .filter_map(|id| run.tree.spec(id))
         .find(|s| s.parent.is_none())
         .and_then(|s| s.rate);
     let mut slos = Vec::new();
@@ -342,12 +530,12 @@ fn run_chaos_inner(
     for (i, f) in plan.faults.iter().enumerate() {
         let name = format!("fault {i} ({}) recovers by +{SETTLE}", f.kind.name());
         match root_rate {
-            _ if f.end() + SETTLE >= horizon => unchecked.push(format!(
+            _ if f.end() + SETTLE >= HORIZON => unchecked.push(format!(
                 "note: fault {i} ({}) unchecked (window ends at {} us, \
                  too close to the {} ms horizon)",
                 f.kind.name(),
                 f.end().as_nanos() / 1_000,
-                horizon.as_nanos() / 1_000_000,
+                HORIZON.as_nanos() / 1_000_000,
             )),
             Some(rate) => slos.push(Slo::RateRecovers {
                 name,
@@ -364,22 +552,13 @@ fn run_chaos_inner(
         }
     }
 
-    let slab = nic
-        .decider_as::<FlowValvePipeline>()
-        .map(|p| p.tree().slab_snapshot())
-        .unwrap_or_default();
-    let snapshot = registry.snapshot(horizon);
-    let recovery = evaluate(&slos, &sampler, &snapshot, (Nanos::ZERO, horizon));
+    let sampler = run.sampler.as_ref().expect("attached above");
+    let recovery = evaluate(&slos, sampler, &run.snapshot, (Nanos::ZERO, HORIZON));
     Ok(ChaosReport {
         plan: plan.clone(),
-        horizon,
-        flows: flows.len(),
-        snapshot,
-        sampler,
+        run,
         recovery,
         unchecked,
-        per_lock: nic.per_lock_stats().to_vec(),
-        slab,
     })
 }
 
@@ -397,45 +576,113 @@ mod tests {
         fv filter add dev nic0 match ip dport 5002 flowid 1:20\n\
         fv filter add dev nic0 match ip dport 5003 flowid 1:30\n";
 
+    fn bare() -> Attachments {
+        Attachments {
+            audit: None,
+            ..Attachments::default()
+        }
+    }
+
+    fn chaos(plan: &str) -> ChaosReport {
+        let policy = Policy::parse(POLICY).unwrap();
+        run_chaos(&policy, &FaultPlan::parse(plan).unwrap(), bare()).unwrap()
+    }
+
     #[test]
     fn empty_plan_runs_clean_and_passes() {
-        let policy = Policy::parse(POLICY).unwrap();
-        let plan = FaultPlan {
-            seed: 1,
-            ..FaultPlan::default()
-        };
-        let report = run_chaos(&policy, &plan).unwrap();
+        let report = chaos("chaos seed 1\n");
+        let snap = &report.run.snapshot;
         assert!(report.passed(), "{}", report.render());
-        assert_eq!(report.snapshot.counter("chaos.faults_injected"), 0);
-        assert_eq!(report.snapshot.counter("tm.fifo.fault_drops"), 0);
-        assert_eq!(report.snapshot.counter("nic.fault_drops"), 0);
-        assert_eq!(report.snapshot.counter("chaos.host_skipped"), 0);
-        assert!(report.snapshot.counter("nic.tx_packets") > 0);
+        assert_eq!(snap.counter("chaos.faults_injected"), 0);
+        assert_eq!(snap.counter("tm.fifo.fault_drops"), 0);
+        assert_eq!(snap.counter("nic.fault_drops"), 0);
+        assert_eq!(snap.counter("chaos.host_skipped"), 0);
+        assert!(snap.counter("nic.tx_packets") > 0);
     }
 
     #[test]
     fn wire_flap_is_injected_counted_and_recovered_from() {
-        let policy = Policy::parse(POLICY).unwrap();
-        let plan = FaultPlan::parse(
+        let report = chaos(
             "chaos seed 1\n\
              chaos fault wire_flap at 3ms for 2ms permille 250\n",
-        )
-        .unwrap();
-        let report = run_chaos(&policy, &plan).unwrap();
-        assert_eq!(report.snapshot.counter("chaos.faults_injected"), 1);
-        assert_eq!(report.snapshot.counter("chaos.faults_cleared"), 1);
+        );
+        assert_eq!(report.run.snapshot.counter("chaos.faults_injected"), 1);
+        assert_eq!(report.run.snapshot.counter("chaos.faults_cleared"), 1);
         assert!(report.passed(), "{}", report.render());
         assert_eq!(report.recovery.results.len(), 1);
     }
 
     #[test]
     fn late_fault_is_reported_unchecked_not_failed() {
-        let policy = Policy::parse(POLICY).unwrap();
-        let plan = FaultPlan::parse("chaos fault wire_flap at 9ms for 1ms permille 500\n").unwrap();
-        let report = run_chaos(&policy, &plan).unwrap();
+        let report = chaos("chaos fault wire_flap at 9ms for 1ms permille 500\n");
         assert!(report.recovery.results.is_empty());
         assert_eq!(report.unchecked.len(), 1);
         assert!(report.passed(), "no judgeable window means a pass");
         assert!(report.render().contains("unchecked"));
+    }
+
+    /// The address plan holds 246 sources; one filter more is refused by
+    /// name instead of wrapping onto 10.0.0.0 (and, ten later, onto VF 0).
+    #[test]
+    fn sources_are_refused_past_the_address_plan() {
+        let with_filters = |n: usize| {
+            let mut script = String::from(
+                "fv qdisc add dev nic0 root handle 1: fv default 1:10\n\
+                 fv class add dev nic0 parent root classid 1:1 name root rate 40gbit\n\
+                 fv class add dev nic0 parent 1:1 classid 1:10 name all rate 40gbit\n",
+            );
+            for i in 0..n {
+                script.push_str(&format!(
+                    "fv filter add dev nic0 match ip dport {} flowid 1:10\n",
+                    6000 + i
+                ));
+            }
+            Policy::parse(&script).unwrap()
+        };
+        let cfg = NicConfig::agilio_cx_40g();
+        let full = sources(&with_filters(MAX_FLOWS), &cfg).unwrap();
+        let last = full.last().unwrap();
+        assert_eq!(full.len(), 246);
+        assert_eq!(last.flow.src_ip, std::net::Ipv4Addr::new(10, 0, 0, 255));
+        assert_eq!((last.vf, last.app), (VfPort(245), AppId(245)));
+        let err = sources(&with_filters(MAX_FLOWS + 1), &cfg).unwrap_err();
+        assert_eq!(err, RunError::TooManyFilters(247));
+        assert!(err.to_string().contains("at most 246"), "{err}");
+        assert_eq!(
+            saturate(&with_filters(0), 1, bare()).unwrap_err(),
+            RunError::NoFilters
+        );
+    }
+
+    /// Attachments are observers: switching every one of them on moves no
+    /// NIC or per-class counter.
+    #[test]
+    fn attachments_do_not_change_the_run() {
+        struct NullSink;
+        impl SpanSink for NullSink {
+            fn span(&self, _: fv_telemetry::Stage, _: Nanos, _: u64, _: Nanos) {}
+        }
+        let policy = Policy::parse(POLICY).unwrap();
+        let all = Attachments {
+            ring_capacity: 1 << 12,
+            sampler: Some(SamplerConfig::default().with_interval(Nanos::from_micros(50))),
+            probe: Some(Arc::new(NullSink)),
+            audit: Some(2),
+        };
+        let observed = saturate(&policy, 3, all).unwrap();
+        let plain = saturate(&policy, 3, bare()).unwrap();
+        assert!(observed.cycles.is_some() && observed.sampler.is_some());
+        assert!(observed.snapshot.counter("audit.records") > 0);
+        let kept = |e: &&fv_telemetry::MetricEntry| {
+            matches!(e.value, fv_telemetry::MetricValue::Counter(_))
+                && (e.name.starts_with("nic.") || e.name.starts_with("fv.class."))
+        };
+        let counters = |run: &Run| -> Vec<_> {
+            let rows = run.snapshot.entries.iter().filter(kept);
+            rows.map(|e| (e.name.clone(), run.snapshot.counter(&e.name)))
+                .collect()
+        };
+        assert!(counters(&plain).len() > 10);
+        assert_eq!(counters(&observed), counters(&plain));
     }
 }

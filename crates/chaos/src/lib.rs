@@ -18,14 +18,18 @@
 //!
 //! - [`plan`] — the `chaos` command language and [`FaultPlan`]
 //! - [`inject`] — the [`ChaosController`] answering every hook point
-//! - [`harness`] — [`run_chaos`]: the `fv demo` workload, faulted, with
-//!   per-fault recovery assertions from fv-scope
+//! - [`harness`] — the saturation workload behind `fv demo`, written
+//!   once: [`saturate`] runs it clean, [`run_chaos`] runs it faulted and
+//!   adds per-fault recovery assertions from fv-scope. Both take the
+//!   observers to carry as one [`Attachments`] value and leave a [`Run`]
+//!   behind; every `fv` subcommand and every resilience test goes through
+//!   one of the two.
 //!
 //! # Example
 //!
 //! ```
 //! use flowvalve::frontend::Policy;
-//! use fv_chaos::{run_chaos, FaultPlan};
+//! use fv_chaos::{run_chaos, saturate, Attachments, FaultPlan};
 //!
 //! let policy = Policy::parse(
 //!     "fv qdisc add dev nic0 root handle 1: fv default 1:10\n\
@@ -34,13 +38,16 @@
 //!      fv filter add dev nic0 match any flowid 1:10\n",
 //! )
 //! .unwrap();
+//! let clean = saturate(&policy, 42, Attachments::default()).unwrap();
+//! assert!(clean.snapshot.counter("nic.tx_packets") > 0);
+//!
 //! let plan = FaultPlan::parse(
 //!     "chaos seed 42\n\
 //!      chaos fault wire_flap at 3ms for 2ms permille 250\n",
 //! )
 //! .unwrap();
-//! let report = run_chaos(&policy, &plan).unwrap();
-//! assert_eq!(report.snapshot.counter("chaos.faults_injected"), 1);
+//! let report = run_chaos(&policy, &plan, Attachments::default()).unwrap();
+//! assert_eq!(report.run.snapshot.counter("chaos.faults_injected"), 1);
 //! assert!(report.passed(), "{}", report.render());
 //! ```
 
@@ -48,6 +55,6 @@ pub mod harness;
 pub mod inject;
 pub mod plan;
 
-pub use harness::{run_chaos, run_chaos_audited, run_chaos_probed, ChaosReport, SETTLE};
+pub use harness::{run_chaos, saturate, Attachments, Audit, ChaosReport, Run, RunError, SETTLE};
 pub use inject::ChaosController;
 pub use plan::{FaultKind, FaultPlan, FaultSpec, ParsePlanError};

@@ -66,23 +66,12 @@ use std::sync::Arc;
 
 use flowvalve::frontend::Policy;
 use flowvalve::label::ClassId;
-use flowvalve::pipeline::FlowValvePipeline;
 use flowvalve::tree::{SchedulingTree, TreeParams};
-use fv_audit::{
-    AuditVerdict, BucketSnapshot, Ledger, ProvenanceRecord, ProvenanceRing, Sampler, StepKind,
-};
+use fv_audit::{AuditVerdict, Ledger, ProvenanceRecord, StepKind};
+use fv_chaos::{run_chaos, saturate, Attachments, FaultPlan, Run};
 use fv_probe::{diff_docs, flight_doc, rank_locks, LatencyAttr, ProbeReport, UNATTRIBUTED};
-use fv_scope::{chrome_trace, evaluate, latency_table, prometheus_text, Slo};
-use fv_scope::{SamplerConfig, TimeSampler};
-use fv_telemetry::{JsonValue, MetricValue, Registry, Snapshot, ToJson};
-use netstack::flow::FlowKey;
-use netstack::gen::{ArrivalProcess, LineRateProcess};
-use netstack::packet::{AppId, Packet, PacketIdGen, VfPort};
-use np_sim::config::NicConfig;
-use np_sim::cost::CycleAttr;
-use np_sim::lock::PerLockStats;
-use np_sim::nic::SmartNic;
-use sim_core::rng::SimRng;
+use fv_scope::{chrome_trace, evaluate, latency_table, prometheus_text, SamplerConfig, Slo};
+use fv_telemetry::{JsonValue, MetricValue, Snapshot, SpanSink, ToJson, TraceEvent};
 use sim_core::time::Nanos;
 use sim_core::units::BitRate;
 
@@ -134,7 +123,18 @@ struct Flags {
     inject_mischarge: bool,
 }
 
+/// What a subcommand returns: its exit code, or the message `main` prints
+/// as `fv: <message>` before exiting 1.
+type CmdResult = Result<ExitCode, String>;
+
 fn main() -> ExitCode {
+    run().unwrap_or_else(|e| {
+        eprintln!("fv: {e}");
+        ExitCode::FAILURE
+    })
+}
+
+fn run() -> CmdResult {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut flags = Flags::default();
     let mut positional: Vec<&str> = Vec::new();
@@ -190,37 +190,20 @@ fn main() -> ExitCode {
     }
     let (cmd, path) = match positional.as_slice() {
         [cmd, path] => (*cmd, *path),
-        _ => return usage(),
+        _ => return Ok(usage()),
     };
-
-    let script = match read_script(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("fv: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let policy = match Policy::parse(&script) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("fv: parse error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let script = read_script(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let policy = Policy::parse(&script).map_err(|e| format!("parse error: {e}"))?;
 
     match cmd {
         "check" => check(&policy, &flags),
-        "show" => match policy.compile(TreeParams::default()) {
-            Ok((tree, _, _)) => {
+        "show" => policy
+            .compile(TreeParams::default())
+            .map(|(tree, _, _)| {
                 print!("{}", tree.render());
                 ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("fv: {e}");
-                ExitCode::FAILURE
-            }
-        },
+            })
+            .map_err(|e| e.to_string()),
         "demo" => demo(&policy, flags.json),
         "stats" => stats(&policy, flags.json),
         "trace" => trace(&policy, &flags),
@@ -230,193 +213,91 @@ fn main() -> ExitCode {
         "top" => top(&policy),
         "why" => why(&policy, &flags),
         "audit" => audit_cmd(&policy, &flags),
-        _ => usage(),
+        _ => Ok(usage()),
     }
 }
 
-/// Knobs for [`run_workload`] beyond the policy itself.
-struct RunOptions {
-    /// Event-ring capacity (`fv trace` wants a deep ring).
-    ring_capacity: usize,
-    /// Attach a virtual-time sampler with this configuration.
-    sampler: Option<SamplerConfig>,
-    /// Attach the attribution probes (cycle + latency).
-    probe: bool,
-    /// Attach sampled provenance capture with this 1-in-2^n sampling
-    /// shift; after the run the records are folded through the
-    /// conservation ledger into `audit.*` counters. The default shift
-    /// keeps every sampled packet id of the 10 ms demo resident in the
-    /// provenance ring (capacity × 2^shift id window).
-    audit: Option<u32>,
+/// Seed of every clean `fv` run.
+const SEED: u64 = 1;
+
+/// The clean saturation run behind every reporting subcommand.
+fn run_demo(policy: &Policy, attach: Attachments) -> Result<Run, String> {
+    saturate(policy, SEED, attach).map_err(|e| e.to_string())
 }
 
-/// Default provenance sampling: 1 packet in 2^6 = 64.
-const AUDIT_SHIFT: u32 = 6;
-/// Provenance-ring slots; with [`AUDIT_SHIFT`] this retains a lossless
-/// window of 262144 packet ids, several times the demo's packet count.
-const AUDIT_RING_CAPACITY: usize = 4096;
+/// Attachments with the attribution probes on when `on`; the latency sink
+/// is shared with the run, the handle stays here for the report.
+fn probes(on: bool, attach: Attachments) -> (Option<Arc<LatencyAttr>>, Attachments) {
+    let latency = on.then(|| Arc::new(LatencyAttr::new()));
+    let probe = latency.clone().map(|l| l as Arc<dyn SpanSink>);
+    (latency, Attachments { probe, ..attach })
+}
 
-impl Default for RunOptions {
-    fn default() -> Self {
-        RunOptions {
-            ring_capacity: 1024,
-            sampler: None,
-            probe: false,
-            audit: Some(AUDIT_SHIFT),
+/// The attribution report of a run that carried [`probes`].
+fn probe_report(run: &Run, latency: &LatencyAttr) -> ProbeReport {
+    let cycles = run.cycles.as_ref().expect("run carried the probes");
+    ProbeReport::build(
+        cycles,
+        &run.lock_profile,
+        latency,
+        &run.snapshot,
+        run.horizon,
+    )
+}
+
+/// Writes a flight-recorder document: the attribution profile plus
+/// `events`. A write failure is reported but does not change the verdict.
+fn write_flight(
+    path: &str,
+    trigger: &str,
+    run: &Run,
+    latency: &LatencyAttr,
+    events: &[TraceEvent],
+) {
+    let doc = flight_doc(trigger, run.horizon, &probe_report(run, latency), events);
+    match std::fs::write(path, doc.to_pretty()) {
+        Ok(()) => println!(
+            "wrote flight recorder {path} ({} trace events)",
+            events.len()
+        ),
+        Err(e) => eprintln!("fv: cannot write {path}: {e}"),
+    }
+}
+
+/// Every event still in the run's trace ring, oldest first.
+fn ring_events(run: &Run) -> Vec<TraceEvent> {
+    let ring = run.registry.ring();
+    ring.recent(ring.capacity())
+}
+
+fn write_out(path: &str, text: &str) -> Result<(), String> {
+    std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))
+}
+
+/// Writes `text` to `--out FILE`, or to stdout without one.
+fn emit(out: &Option<String>, text: &str) -> Result<(), String> {
+    match out {
+        Some(path) => write_out(path, text),
+        None => {
+            print!("{text}");
+            Ok(())
         }
     }
 }
 
-/// The attribution probes attached to a run when `RunOptions::probe` is
-/// set: the cycle-attribution array shared with the NIC's cost meter and
-/// the latency sink installed on the registry's span path.
-struct ProbeHandles {
-    attr: Arc<CycleAttr>,
-    latency: Arc<LatencyAttr>,
+/// The demo with the attribution probes on, and the report they fold to.
+fn run_profiled(policy: &Policy) -> Result<(Run, Arc<LatencyAttr>, ProbeReport), String> {
+    let (latency, attach) = probes(true, Attachments::default());
+    let latency = latency.expect("probes were switched on");
+    let run = run_demo(policy, attach)?;
+    let report = probe_report(&run, &latency);
+    Ok((run, latency, report))
 }
 
-/// The provenance capture attached to a run when `RunOptions::audit` is
-/// set; the conservation ledger has already been folded into the run's
-/// `audit.*` counters by the time this is handed out.
-struct AuditHandles {
-    ring: Arc<ProvenanceRing>,
-    slab: Vec<BucketSnapshot>,
-    shift: u32,
-}
-
-/// Everything a reporting command needs after the saturation run.
-struct DemoRun {
-    snapshot: Snapshot,
-    tree: std::sync::Arc<SchedulingTree>,
-    flows: usize,
-    offered: BitRate,
-    registry: Registry,
-    sampler: Option<TimeSampler>,
-    horizon: Nanos,
-    probe: Option<ProbeHandles>,
-    /// Per-lock contention rows, collected on every run (cheap).
-    lock_profile: Vec<PerLockStats>,
-    /// `stable_hash` → flow key, so profile output can name flows.
-    flow_names: Vec<(u64, FlowKey)>,
-    /// Provenance ring and conservation report when auditing was on.
-    audit: Option<AuditHandles>,
-}
-
-/// Saturates every filtered class with an equal share of 1.5x line rate
-/// for 10 ms of simulated time, with full telemetry attached, and returns
-/// the end-of-run registry snapshot.
-fn run_workload(policy: &Policy, opts: RunOptions) -> Result<DemoRun, String> {
-    let cfg = NicConfig::agilio_cx_40g();
-    let pipeline = FlowValvePipeline::compile(policy, TreeParams::default(), &cfg)
-        .map_err(|e| e.to_string())?;
-    let tree = pipeline.tree().clone();
-    let line = cfg.line_rate;
-    let framing = cfg.framing;
-    let num_mes = cfg.num_mes;
-    let registry = Registry::with_ring_capacity(opts.ring_capacity);
-    let mut nic = SmartNic::with_registry(cfg, Box::new(pipeline), &registry);
-    let audit_hook = opts.audit.map(|shift| {
-        (
-            Arc::new(ProvenanceRing::sampled(AUDIT_RING_CAPACITY, shift)),
-            shift,
-        )
-    });
-    if let Some(p) = nic.decider_as::<FlowValvePipeline>() {
-        p.attach_telemetry(&registry);
-        if let Some((ring, shift)) = &audit_hook {
-            p.attach_auditor(ring.clone(), Sampler::one_in_pow2(*shift));
-        }
-    }
-    let probe = if opts.probe {
-        let attr = Arc::new(CycleAttr::new(num_mes));
-        nic.attach_probe(attr.clone());
-        let latency = Arc::new(LatencyAttr::new());
-        registry.install_span_sink(latency.clone());
-        Some(ProbeHandles { attr, latency })
-    } else {
-        None
-    };
-    let mut sampler = opts.sampler.map(|cfg| TimeSampler::new(&registry, cfg));
-
-    // One flow per filter, matched as precisely as the filter allows.
-    let mut flows: Vec<(FlowKey, VfPort)> = Vec::new();
-    for (i, f) in policy.filters.iter().enumerate() {
-        let m = &f.matcher;
-        let flow = FlowKey::tcp(
-            [10, 0, 0, 10 + i as u8],
-            m.src_port.unwrap_or(41_000 + i as u16),
-            [10, 0, 255, 1],
-            m.dst_port.unwrap_or(5_000 + i as u16),
-        );
-        flows.push((flow, m.vf.unwrap_or(VfPort(i as u8))));
-    }
-    if flows.is_empty() {
-        return Err("no filters to demo".into());
-    }
-
-    let horizon = Nanos::from_millis(10);
-    let mut rng = SimRng::seed(1);
-    let mut ids = PacketIdGen::new();
-    // Each flow offers an equal slice of 1.5x line rate: collectively
-    // oversubscribed so the policy has something to decide.
-    let offered = line.scaled(3, 2 * flows.len() as u64);
-    let mut gens: Vec<LineRateProcess> = flows
-        .iter()
-        .map(|_| LineRateProcess::new(offered, 1518, framing))
-        .collect();
-    let mut next: Vec<Nanos> = gens
-        .iter_mut()
-        .map(|g| Nanos::ZERO + g.next_arrival(&mut rng).0)
-        .collect();
-
-    loop {
-        let (idx, &t) = next
-            .iter()
-            .enumerate()
-            .min_by_key(|&(i, &t)| (t, i))
-            .expect("flows is non-empty");
-        if t >= horizon {
-            break;
-        }
-        let (flow, vf) = flows[idx];
-        if let Some(s) = sampler.as_mut() {
-            s.advance_to(t);
-        }
-        let pkt = Packet::new(ids.next_id(), flow, 1518, AppId(idx as u16), vf, t);
-        let _ = nic.rx(&pkt, t);
-        next[idx] = t + gens[idx].next_arrival(&mut rng).0;
-    }
-    if let Some(s) = sampler.as_mut() {
-        s.advance_to(horizon);
-    }
-
-    // Publish cold-path gauges (per-engine utilization, θ/Γ) and capture.
-    nic.sync_gauges(horizon);
-    if let Some(p) = nic.decider_as::<FlowValvePipeline>() {
-        p.sync_gauges(horizon);
-    }
-    let lock_profile = nic.per_lock_stats().to_vec();
-    let flow_names = flows.iter().map(|(f, _)| (f.stable_hash(), *f)).collect();
-    // Fold the sampled provenance through the conservation ledger before
-    // the snapshot, so `audit.*` counters are part of it.
-    let audit = audit_hook.map(|(ring, shift)| {
-        let slab = tree.slab_snapshot();
-        Ledger::audit(&ring.records(), &slab).install_counters(&registry, 0);
-        AuditHandles { ring, slab, shift }
-    });
-    Ok(DemoRun {
-        snapshot: registry.snapshot(horizon),
-        tree,
-        flows: flows.len(),
-        offered,
-        registry,
-        sampler,
-        horizon,
-        probe,
-        lock_profile,
-        flow_names,
-        audit,
-    })
+/// Reads and parses the `--plan` file.
+fn load_plan(path: &str) -> Result<FaultPlan, String> {
+    let text = read_script(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    FaultPlan::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
 fn gauge_of(snapshot: &Snapshot, name: &str) -> u64 {
@@ -432,23 +313,18 @@ fn fmt_bps(bps: u64) -> String {
 
 /// Runs the saturation demo and prints per-class verdicts, all routed
 /// through the telemetry snapshot (`--json` dumps the whole snapshot).
-fn demo(policy: &Policy, json: bool) -> ExitCode {
-    let run = match run_workload(policy, RunOptions::default()) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("fv: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn demo(policy: &Policy, json: bool) -> CmdResult {
+    let run = run_demo(policy, Attachments::default())?;
     if json {
         println!("{}", run.snapshot.to_json().to_pretty());
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     let snap = &run.snapshot;
 
     println!(
         "demo: 10 ms, {} flows, each offered {}\n",
-        run.flows, run.offered
+        run.flow_names.len(),
+        run.offered
     );
     println!(
         "{:<12} {:<12} {:<12} {:>10} {:>9} {:>9} {:>9}",
@@ -494,22 +370,16 @@ fn demo(policy: &Policy, json: bool) -> ExitCode {
             h.p50, h.p99, h.max, h.count
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Runs the saturation demo and prints `tc -s qdisc show`-style per-class
 /// statistics from the telemetry snapshot.
-fn stats(policy: &Policy, json: bool) -> ExitCode {
-    let run = match run_workload(policy, RunOptions::default()) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("fv: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn stats(policy: &Policy, json: bool) -> CmdResult {
+    let run = run_demo(policy, Attachments::default())?;
     if json {
         println!("{}", run.snapshot.to_json().to_pretty());
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     let snap = &run.snapshot;
 
@@ -578,7 +448,7 @@ fn stats(policy: &Policy, json: bool) -> ExitCode {
             snap.counter("audit.violations"),
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// True when `id` or any of its ancestors has a sibling at strictly
@@ -685,27 +555,21 @@ fn conformance_slos(tree: &SchedulingTree) -> (Vec<Slo>, Vec<String>) {
 /// steady-state second half of the run. With `--flight FILE`, an SLO
 /// violation additionally dumps a flight-recorder document (attribution
 /// profile plus the trace-ring tail) for post-mortem analysis.
-fn check(policy: &Policy, flags: &Flags) -> ExitCode {
-    let tree = match policy.compile(TreeParams::default()) {
-        Ok((tree, rules, default)) => {
-            println!(
-                "ok: {} classes, {} filters, default {}",
-                tree.len(),
-                rules.len(),
-                default
-                    .map(|d| d.leaf().to_string())
-                    .unwrap_or_else(|| "none (bypass)".into())
-            );
-            tree
-        }
-        Err(e) => {
-            eprintln!("fv: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn check(policy: &Policy, flags: &Flags) -> CmdResult {
+    let (tree, rules, default) = policy
+        .compile(TreeParams::default())
+        .map_err(|e| e.to_string())?;
+    println!(
+        "ok: {} classes, {} filters, default {}",
+        tree.len(),
+        rules.len(),
+        default
+            .map(|d| d.leaf().to_string())
+            .unwrap_or_else(|| "none (bypass)".into())
+    );
     if policy.filters.is_empty() {
         println!("conformance: skipped (no filters, nothing to drive)");
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     let (slos, notes) = conformance_slos(&tree);
     for note in &notes {
@@ -713,66 +577,39 @@ fn check(policy: &Policy, flags: &Flags) -> ExitCode {
     }
     if slos.is_empty() {
         println!("conformance: skipped (no class carries a rate or ceil)");
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
-    let opts = RunOptions {
-        sampler: Some(SamplerConfig::default().with_prefix("fv.class.")),
-        probe: flags.flight.is_some(),
-        ..RunOptions::default()
-    };
-    let run = match run_workload(policy, opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("fv: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let (latency, attach) = probes(
+        flags.flight.is_some(),
+        Attachments {
+            sampler: Some(SamplerConfig::default().with_prefix("fv.class.")),
+            ..Attachments::default()
+        },
+    );
+    let run = run_demo(policy, attach)?;
     let sampler = run.sampler.as_ref().expect("check attaches a sampler");
     // Steady state: the second half of the run, past bucket warm-up.
     let window = (Nanos::from_nanos(run.horizon.as_nanos() / 2), run.horizon);
     let report = evaluate(&slos, sampler, &run.snapshot, window);
     print!("{}", report.render());
-    if !report.passed() {
-        if let (Some(path), Some(p)) = (&flags.flight, &run.probe) {
-            let probe = ProbeReport::build(
-                &p.attr,
-                &run.lock_profile,
-                &p.latency,
-                &run.snapshot,
-                run.horizon,
-            );
-            let ring = run.registry.ring();
-            let events = ring.recent(ring.capacity());
-            let doc = flight_doc("slo:conformance", run.horizon, &probe, &events);
-            match std::fs::write(path, doc.to_pretty()) {
-                Ok(()) => println!(
-                    "wrote flight recorder {path} ({} trace events)",
-                    events.len()
-                ),
-                Err(e) => eprintln!("fv: cannot write {path}: {e}"),
-            }
-        }
-        return ExitCode::FAILURE;
+    if report.passed() {
+        return Ok(ExitCode::SUCCESS);
     }
-    ExitCode::SUCCESS
+    if let (Some(path), Some(latency)) = (&flags.flight, &latency) {
+        write_flight(path, "slo:conformance", &run, latency, &ring_events(&run));
+    }
+    Ok(ExitCode::FAILURE)
 }
 
 /// Runs the demo with a deep event ring and exports the span trace as a
 /// Chrome-trace JSON document, plus a per-stage latency table.
-fn trace(policy: &Policy, flags: &Flags) -> ExitCode {
-    let opts = RunOptions {
+fn trace(policy: &Policy, flags: &Flags) -> CmdResult {
+    let attach = Attachments {
         ring_capacity: 1 << 17,
-        ..RunOptions::default()
+        ..Attachments::default()
     };
-    let run = match run_workload(policy, opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("fv: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let ring = run.registry.ring();
-    let events = ring.recent(ring.capacity());
+    let run = run_demo(policy, attach)?;
+    let events = ring_events(&run);
     let doc = chrome_trace(&events);
     let spans = events
         .iter()
@@ -780,10 +617,7 @@ fn trace(policy: &Policy, flags: &Flags) -> ExitCode {
         .count();
     match &flags.out {
         Some(path) => {
-            if let Err(e) = std::fs::write(path, doc.to_pretty()) {
-                eprintln!("fv: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+            write_out(path, &doc.to_pretty())?;
             println!(
                 "wrote {path}: {spans} spans of {} events (open in chrome://tracing)\n",
                 events.len()
@@ -792,104 +626,61 @@ fn trace(policy: &Policy, flags: &Flags) -> ExitCode {
         }
         None => println!("{}", doc.to_pretty()),
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Runs the saturation demo under a fault plan and reports injections,
 /// fault drops and post-fault recovery. The `--json` report is fully
 /// deterministic: replaying the same script and plan yields an identical
 /// document.
-fn chaos(policy: &Policy, flags: &Flags) -> ExitCode {
+fn chaos(policy: &Policy, flags: &Flags) -> CmdResult {
     let Some(plan_path) = &flags.plan else {
         eprintln!("fv: chaos requires --plan <file>");
-        return ExitCode::from(2);
+        return Ok(ExitCode::from(2));
     };
-    let plan_text = match read_script(plan_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("fv: cannot read {plan_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let plan = match fv_chaos::FaultPlan::parse(&plan_text) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("fv: {plan_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let plan = load_plan(plan_path)?;
     // `--flight` attaches the attribution probes so the dump can say what
     // the pipeline was doing across the fault windows.
-    let probes = flags.flight.as_ref().map(|_| ProbeHandles {
-        attr: Arc::new(CycleAttr::new(NicConfig::agilio_cx_40g().num_mes)),
-        latency: Arc::new(LatencyAttr::new()),
-    });
-    let report = match fv_chaos::run_chaos_probed(
-        policy,
-        &plan,
-        probes.as_ref().map(|p| p.attr.clone()),
-        probes
-            .as_ref()
-            .map(|p| p.latency.clone() as Arc<dyn fv_telemetry::SpanSink>),
-    ) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("fv: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let (latency, attach) = probes(
+        flags.flight.is_some(),
+        Attachments {
+            audit: None,
+            ..Attachments::default()
+        },
+    );
+    let report = run_chaos(policy, &plan, attach).map_err(|e| e.to_string())?;
     if flags.json {
         println!("{}", report.to_json().to_pretty());
     } else {
         print!("{}", report.render());
     }
-    if let (Some(path), Some(p)) = (&flags.flight, &probes) {
-        let probe = ProbeReport::build(
-            &p.attr,
-            &report.per_lock,
-            &p.latency,
-            &report.snapshot,
-            report.horizon,
-        );
-        let trigger = format!("chaos:{} fault windows", report.plan.faults.len());
-        let doc = flight_doc(&trigger, report.horizon, &probe, &report.snapshot.events);
-        match std::fs::write(path, doc.to_pretty()) {
-            Ok(()) => println!(
-                "wrote flight recorder {path} ({} trace events)",
-                report.snapshot.events.len()
-            ),
-            Err(e) => eprintln!("fv: cannot write {path}: {e}"),
-        }
+    if let (Some(path), Some(latency)) = (&flags.flight, &latency) {
+        let trigger = format!("chaos:{} fault windows", plan.faults.len());
+        let events = &report.run.snapshot.events;
+        write_flight(path, &trigger, &report.run, latency, events);
     }
-    if report.passed() {
+    Ok(if report.passed() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }
 
 /// Runs the demo with the virtual-time sampler attached and prints the
 /// counter-delta time series (CSV by default).
-fn timeseries(policy: &Policy, flags: &Flags) -> ExitCode {
+fn timeseries(policy: &Policy, flags: &Flags) -> CmdResult {
     let mut cfg = SamplerConfig::default();
     if let Some(us) = flags.interval_us {
         if us == 0 {
-            eprintln!("fv: --interval-us must be positive");
-            return ExitCode::FAILURE;
+            return Err("--interval-us must be positive".into());
         }
         cfg.interval = Nanos::from_micros(us);
     }
-    let opts = RunOptions {
+    let attach = Attachments {
         sampler: Some(cfg),
-        ..RunOptions::default()
+        ..Attachments::default()
     };
-    let run = match run_workload(policy, opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("fv: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let run = run_demo(policy, attach)?;
     let sampler = run.sampler.as_ref().expect("timeseries attaches a sampler");
     let text = if flags.prom {
         prometheus_text(&run.snapshot)
@@ -898,16 +689,8 @@ fn timeseries(policy: &Policy, flags: &Flags) -> ExitCode {
     } else {
         sampler.to_csv()
     };
-    match &flags.out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &text) {
-                eprintln!("fv: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        None => print!("{text}"),
-    }
-    ExitCode::SUCCESS
+    emit(&flags.out, &text)?;
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Runs the demo with the attribution probes attached and prints the
@@ -915,26 +698,8 @@ fn timeseries(policy: &Policy, flags: &Flags) -> ExitCode {
 /// stacks (pipe into `inferno-flamegraph`); `--json` the full document.
 /// Attribution is deterministic: the same script yields byte-identical
 /// output on every run.
-fn profile(policy: &Policy, flags: &Flags) -> ExitCode {
-    let opts = RunOptions {
-        probe: true,
-        ..RunOptions::default()
-    };
-    let run = match run_workload(policy, opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("fv: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let p = run.probe.as_ref().expect("profile attaches probes");
-    let report = ProbeReport::build(
-        &p.attr,
-        &run.lock_profile,
-        &p.latency,
-        &run.snapshot,
-        run.horizon,
-    );
+fn profile(policy: &Policy, flags: &Flags) -> CmdResult {
+    let (_, _, report) = run_profiled(policy)?;
     let text = if flags.folded {
         report.folded()
     } else if flags.json {
@@ -944,44 +709,18 @@ fn profile(policy: &Policy, flags: &Flags) -> ExitCode {
     } else {
         report.render()
     };
-    match &flags.out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &text) {
-                eprintln!("fv: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        None => print!("{text}"),
-    }
-    ExitCode::SUCCESS
+    emit(&flags.out, &text)?;
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Runs the profiled demo and prints the heavy hitters: the flows that
 /// moved the most wire bits (named via the demo's flow table) and the
 /// most contended locks.
-fn top(policy: &Policy) -> ExitCode {
-    let opts = RunOptions {
-        probe: true,
-        ..RunOptions::default()
-    };
-    let run = match run_workload(policy, opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("fv: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let p = run.probe.as_ref().expect("top attaches probes");
-    let report = ProbeReport::build(
-        &p.attr,
-        &run.lock_profile,
-        &p.latency,
-        &run.snapshot,
-        run.horizon,
-    );
+fn top(policy: &Policy) -> CmdResult {
+    let (run, latency, report) = run_profiled(policy)?;
     println!(
         "top: {} spans attributed across {} classes\n",
-        p.latency.span_count(),
+        latency.span_count(),
         report.classes.len()
     );
     println!(
@@ -1021,7 +760,7 @@ fn top(policy: &Policy) -> ExitCode {
             );
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Resolves `1:10`, `10` or a class name to a class id of `tree`.
@@ -1040,44 +779,30 @@ fn resolve_class(tree: &SchedulingTree, s: &str) -> Option<ClassId> {
 
 /// Runs the demo with provenance capture and explains one sampled
 /// scheduling decision — the `fv why` layer over the compiled fast path.
-fn why(policy: &Policy, flags: &Flags) -> ExitCode {
+fn why(policy: &Policy, flags: &Flags) -> CmdResult {
     if flags.pkt.is_none() && flags.flow.is_none() {
         eprintln!("fv: why requires --pkt <id> or --flow <class>");
-        return ExitCode::from(2);
+        return Ok(ExitCode::from(2));
     }
-    let run = match run_workload(policy, RunOptions::default()) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("fv: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let run = run_demo(policy, Attachments::default())?;
     let audit = run.audit.as_ref().expect("why runs with auditing attached");
     if let Some(pkt) = flags.pkt {
-        match audit.ring.get(pkt) {
-            Some(rec) => {
-                if flags.json {
-                    println!("{}", rec.to_json().to_pretty());
-                } else {
-                    print!("{}", rec.render());
-                }
-                ExitCode::SUCCESS
-            }
-            None => {
-                eprintln!(
-                    "fv: no provenance for pkt {pkt}: not sampled (1 in {} by \
-                     packet id), unlabeled, or evicted from the ring",
-                    1u64 << audit.shift
-                );
-                ExitCode::FAILURE
-            }
+        let rec = audit.ring.get(pkt).ok_or_else(|| {
+            format!(
+                "no provenance for pkt {pkt}: not sampled (1 in {} by \
+                 packet id), unlabeled, or evicted from the ring",
+                1u64 << audit.shift
+            )
+        })?;
+        if flags.json {
+            println!("{}", rec.to_json().to_pretty());
+        } else {
+            print!("{}", rec.render());
         }
     } else {
         let label = flags.flow.as_deref().expect("checked above");
-        let Some(id) = resolve_class(&run.tree, label) else {
-            eprintln!("fv: no class named {label}");
-            return ExitCode::FAILURE;
-        };
+        let id =
+            resolve_class(&run.tree, label).ok_or_else(|| format!("no class named {label}"))?;
         let recs: Vec<ProvenanceRecord> = audit
             .ring
             .records()
@@ -1085,8 +810,7 @@ fn why(policy: &Policy, flags: &Flags) -> ExitCode {
             .filter(|r| r.leaf == id.0)
             .collect();
         if recs.is_empty() {
-            eprintln!("fv: no sampled decisions for class {id}");
-            return ExitCode::FAILURE;
+            return Err(format!("no sampled decisions for class {id}"));
         }
         if flags.json {
             println!(
@@ -1113,106 +837,26 @@ fn why(policy: &Policy, flags: &Flags) -> ExitCode {
                 .expect("recs is non-empty");
             print!("{}", last.render());
         }
-        ExitCode::SUCCESS
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Runs the demo (or a faulted run under `--plan`) with provenance
 /// capture and folds the records plus the end-of-run bucket slab through
 /// the token-conservation ledger. Exits 1 on any conservation break;
 /// `--inject-mischarge` corrupts one record first as a gate self-test.
-fn audit_cmd(policy: &Policy, flags: &Flags) -> ExitCode {
-    // Collect (records, slab) plus whatever a flight dump would need.
-    struct Collected {
-        records: Vec<ProvenanceRecord>,
-        slab: Vec<BucketSnapshot>,
-        horizon: Nanos,
-        probe: Option<ProbeReport>,
-        events: Vec<fv_telemetry::TraceEvent>,
-    }
-    let collected = if let Some(plan_path) = &flags.plan {
-        let plan_text = match read_script(plan_path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("fv: cannot read {plan_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let plan = match fv_chaos::FaultPlan::parse(&plan_text) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("fv: {plan_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let probes = flags.flight.as_ref().map(|_| ProbeHandles {
-            attr: Arc::new(CycleAttr::new(NicConfig::agilio_cx_40g().num_mes)),
-            latency: Arc::new(LatencyAttr::new()),
-        });
-        let ring = Arc::new(ProvenanceRing::sampled(AUDIT_RING_CAPACITY, AUDIT_SHIFT));
-        let report = match fv_chaos::run_chaos_audited(
-            policy,
-            &plan,
-            probes.as_ref().map(|p| p.attr.clone()),
-            probes
-                .as_ref()
-                .map(|p| p.latency.clone() as Arc<dyn fv_telemetry::SpanSink>),
-            Some((ring.clone(), Sampler::one_in_pow2(AUDIT_SHIFT))),
-        ) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("fv: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let probe = probes.as_ref().map(|p| {
-            ProbeReport::build(
-                &p.attr,
-                &report.per_lock,
-                &p.latency,
-                &report.snapshot,
-                report.horizon,
-            )
-        });
-        Collected {
-            records: ring.records(),
-            slab: report.slab.clone(),
-            horizon: report.horizon,
-            probe,
-            events: report.snapshot.events.clone(),
+fn audit_cmd(policy: &Policy, flags: &Flags) -> CmdResult {
+    let (latency, attach) = probes(flags.flight.is_some(), Attachments::default());
+    let run = match &flags.plan {
+        Some(path) => {
+            run_chaos(policy, &load_plan(path)?, attach)
+                .map_err(|e| e.to_string())?
+                .run
         }
-    } else {
-        let opts = RunOptions {
-            probe: flags.flight.is_some(),
-            ..RunOptions::default()
-        };
-        let run = match run_workload(policy, opts) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("fv: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let audit = run.audit.as_ref().expect("audit runs with capture on");
-        let probe = run.probe.as_ref().map(|p| {
-            ProbeReport::build(
-                &p.attr,
-                &run.lock_profile,
-                &p.latency,
-                &run.snapshot,
-                run.horizon,
-            )
-        });
-        let ring = run.registry.ring();
-        Collected {
-            records: audit.ring.records(),
-            slab: audit.slab.clone(),
-            horizon: run.horizon,
-            probe,
-            events: ring.recent(ring.capacity()),
-        }
+        None => run_demo(policy, attach)?,
     };
-    let mut records = collected.records;
+    let audit = run.audit.as_ref().expect("audit runs with capture on");
+    let mut records = audit.ring.records();
     if flags.inject_mischarge {
         // Gate self-test: move one green meter step's after-level by one
         // token. The ledger must flag exactly this as a mischarge.
@@ -1223,64 +867,44 @@ fn audit_cmd(policy: &Policy, flags: &Flags) -> ExitCode {
             .map(|s| s.after += 1)
             .is_some();
         if !corrupted {
-            eprintln!("fv: --inject-mischarge found no green meter step to corrupt");
-            return ExitCode::FAILURE;
+            return Err("--inject-mischarge found no green meter step to corrupt".into());
         }
     }
-    let report = Ledger::audit(&records, &collected.slab);
+    let report = Ledger::audit(&records, &audit.slab);
     if flags.json {
         println!("{}", report.to_json().to_pretty());
     } else {
         print!("{}", report.render());
     }
     if report.ok() {
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
-    if let (Some(path), Some(probe)) = (&flags.flight, &collected.probe) {
+    if let (Some(path), Some(latency)) = (&flags.flight, &latency) {
         let trigger = format!("audit:{} conservation violations", report.violations.len());
-        let doc = flight_doc(&trigger, collected.horizon, probe, &collected.events);
-        match std::fs::write(path, doc.to_pretty()) {
-            Ok(()) => println!(
-                "wrote flight recorder {path} ({} trace events)",
-                collected.events.len()
-            ),
-            Err(e) => eprintln!("fv: cannot write {path}: {e}"),
-        }
+        write_flight(path, &trigger, &run, latency, &ring_events(&run));
     }
-    ExitCode::FAILURE
+    Ok(ExitCode::FAILURE)
 }
 
 /// Compares two `BENCH_*.json` documents and fails when any shared bench
 /// regressed past the tolerance (default 10%) or a baseline entry is
 /// missing from the fresh run — CI's perf-regression gate.
-fn bench_diff(new_path: &str, base_path: &str, flags: &Flags) -> ExitCode {
+fn bench_diff(new_path: &str, base_path: &str, flags: &Flags) -> CmdResult {
     let read_doc = |path: &str| -> Result<JsonValue, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         JsonValue::parse(&text).map_err(|e| format!("{path}: {e}"))
     };
-    let (new_doc, base_doc) = match (read_doc(new_path), read_doc(base_path)) {
-        (Ok(n), Ok(b)) => (n, b),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("fv: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let (new_doc, base_doc) = (read_doc(new_path)?, read_doc(base_path)?);
     let tolerance = flags.tolerance_pct.unwrap_or(10.0);
-    let report = match diff_docs(&new_doc, &base_doc, tolerance, &flags.only) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("fv: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let report = diff_docs(&new_doc, &base_doc, tolerance, &flags.only)?;
     if flags.json {
         println!("{}", report.to_json().to_pretty());
     } else {
         print!("{}", report.render());
     }
-    if report.passed() {
+    Ok(if report.passed() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }

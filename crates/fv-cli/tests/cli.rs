@@ -642,6 +642,38 @@ fn chaos_flight_writes_profile_dump() {
     );
 }
 
+/// A policy with more filters than the saturation run has source
+/// addresses is refused by name — it used to overflow `10 + i as u8` (a
+/// panic in debug builds, aliased flows in release).
+#[test]
+fn demo_and_chaos_refuse_a_policy_they_cannot_address() {
+    let mut script = String::from(GOOD);
+    for i in 1..250 {
+        script.push_str(&format!(
+            "fv filter add dev nic0 match ip dport {} flowid 1:20\n",
+            1000 + i
+        ));
+    }
+    let f = write_script(&script);
+    let plan = write_script(CHAOS_PLAN);
+    let demo = fv().arg("demo").arg(&f.path).output().expect("fv runs");
+    let chaos = fv()
+        .arg("chaos")
+        .arg(&f.path)
+        .arg("--plan")
+        .arg(&plan.path)
+        .output()
+        .expect("fv runs");
+    for out in [demo, chaos] {
+        assert_eq!(out.status.code(), Some(1));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.starts_with("fv: 250 filters") && err.contains("at most 246"),
+            "{err}"
+        );
+    }
+}
+
 #[test]
 fn chaos_json_schema_matches_golden() {
     use fv_telemetry::json::JsonValue;

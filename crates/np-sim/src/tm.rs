@@ -23,10 +23,10 @@ use sim_core::units::{BitRate, ByteSize, WireFraming};
 
 use crate::fault::{FaultInjector, TmFault};
 
-pub use fv_audit::DropCause;
+pub use fv_telemetry::DropCause;
 
 /// Why the traffic manager refused a packet. Since the drop-cause
-/// unification this is the shared [`fv_audit::DropCause`]; the traffic
+/// unification this is the shared [`fv_telemetry::DropCause`]; the traffic
 /// manager only ever produces the [`DropCause::TailDrop`] /
 /// [`DropCause::CorruptDrop`] variants.
 pub type TmDrop = DropCause;

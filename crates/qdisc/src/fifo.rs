@@ -4,10 +4,10 @@ use std::collections::VecDeque;
 
 use netstack::packet::Packet;
 
-pub use fv_audit::DropCause;
+pub use fv_telemetry::DropCause;
 
 /// Why an enqueue was refused. Since the drop-cause unification this is
-/// the shared [`fv_audit::DropCause`]; software qdiscs only ever produce
+/// the shared [`fv_telemetry::DropCause`]; software qdiscs only ever produce
 /// the [`DropCause::OverPkts`] / [`DropCause::OverBytes`] variants.
 pub type QueueDrop = DropCause;
 

@@ -33,7 +33,7 @@ use sim_core::time::Nanos;
 use sim_core::units::BitRate;
 
 use crate::fifo::{PacketFifo, QueueDrop};
-use fv_audit::CauseCounters;
+use fv_telemetry::CauseCounters;
 
 /// An HTB class handle (the minor of a `tc` `major:minor`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

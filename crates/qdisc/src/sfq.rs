@@ -10,8 +10,8 @@
 
 use std::sync::Arc;
 
-use fv_audit::CauseCounters;
 use fv_telemetry::metrics::Gauge;
+use fv_telemetry::CauseCounters;
 use fv_telemetry::Registry;
 use netstack::packet::Packet;
 use sim_core::time::Nanos;

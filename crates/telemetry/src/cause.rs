@@ -9,7 +9,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use fv_telemetry::{Counter, Registry};
+use crate::{Counter, Registry};
 
 /// Why a packet was refused, anywhere in the pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -13,6 +13,9 @@
 //!   histograms, and virtual-time-windowed rate series.
 //! * [`EventRing`] — a seqlock trace ring for individual scheduler
 //!   decisions, token-bucket refills, lock waits and tail drops.
+//! * [`cause`] — the one [`DropCause`] taxonomy and its lazily registered
+//!   [`CauseCounters`], here so the NIC model and the qdisc baselines can
+//!   count drops by cause without depending on the auditor.
 //! * [`json`] — a small JSON emitter ([`ToJson`]/[`JsonValue`]) behind the
 //!   `fv demo --json` exporter and the bench result files (this workspace
 //!   builds with no crates.io access, so there is no `serde_json`).
@@ -53,12 +56,14 @@
 //! println!("{}", snap.to_json().to_pretty());    // `fv demo --json`
 //! ```
 
+pub mod cause;
 pub mod json;
 pub mod metrics;
 pub mod registry;
 pub mod span;
 pub mod trace;
 
+pub use cause::{CauseCounters, DropCause};
 pub use json::{JsonValue, ToJson};
 pub use metrics::{thread_stripe, Counter, Gauge, Histogram, HistogramSnapshot, RateWindow};
 pub use registry::{MetricEntry, MetricValue, Registry, RegistryError, Snapshot};

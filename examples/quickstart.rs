@@ -8,11 +8,11 @@ use flowvalve::label::ClassId;
 use flowvalve::pipeline::FlowValvePipeline;
 use flowvalve::tree::TreeParams;
 use netstack::flow::FlowKey;
-use netstack::gen::{ArrivalProcess, CbrProcess};
-use netstack::packet::{AppId, Packet, PacketIdGen, VfPort};
+use netstack::gen::CbrProcess;
+use netstack::packet::{AppId, VfPort};
 use np_sim::config::NicConfig;
+use np_sim::harness::{drive, Source};
 use np_sim::nic::SmartNic;
-use sim_core::rng::SimRng;
 use sim_core::time::Nanos;
 use sim_core::units::BitRate;
 
@@ -36,29 +36,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut nic = SmartNic::new(cfg, Box::new(pipeline));
 
     // 3. Offer traffic: api at 4 Gbps, batch at 9 Gbps (total 13 > 10).
-    let api_flow = FlowKey::tcp([10, 0, 0, 1], 40_001, [10, 0, 255, 1], 443);
-    let batch_flow = FlowKey::tcp([10, 0, 0, 2], 40_002, [10, 0, 255, 1], 9000);
-    let mut api = CbrProcess::new(BitRate::from_gbps(4.0), 1_518);
-    let mut batch = CbrProcess::new(BitRate::from_gbps(9.0), 1_518);
-    let mut rng = SimRng::seed(1);
-    let mut ids = PacketIdGen::new();
-
-    let horizon = Nanos::from_millis(20);
-    let mut next_api = Nanos::ZERO + api.next_arrival(&mut rng).0;
-    let mut next_batch = Nanos::ZERO + batch.next_arrival(&mut rng).0;
-    while next_api.min(next_batch) < horizon {
-        let (flow, vf, app, t) = if next_api <= next_batch {
-            let t = next_api;
-            next_api += api.next_arrival(&mut rng).0;
-            (api_flow, VfPort(0), AppId(0), t)
-        } else {
-            let t = next_batch;
-            next_batch += batch.next_arrival(&mut rng).0;
-            (batch_flow, VfPort(1), AppId(1), t)
-        };
-        let pkt = Packet::new(ids.next_id(), flow, 1_518, app, vf, t);
-        let _ = nic.rx(&pkt, t);
-    }
+    //    `drive` merges the two open-loop sources in time order.
+    let cbr = |gbps| Box::new(CbrProcess::new(BitRate::from_gbps(gbps), 1_518));
+    let sources = vec![
+        Source {
+            flow: FlowKey::tcp([10, 0, 0, 1], 40_001, [10, 0, 255, 1], 443),
+            app: AppId(0),
+            vf: VfPort(0),
+            process: cbr(4.0),
+        },
+        Source {
+            flow: FlowKey::tcp([10, 0, 0, 2], 40_002, [10, 0, 255, 1], 9000),
+            app: AppId(1),
+            vf: VfPort(1),
+            process: cbr(9.0),
+        },
+    ];
+    drive(sources, Nanos::from_millis(20), 1, |pkt| {
+        let _ = nic.rx(pkt, pkt.created_at);
+    });
 
     // 4. Inspect what the scheduler did.
     println!("class   theta        forwarded  borrowed  dropped");

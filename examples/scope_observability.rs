@@ -9,11 +9,11 @@ use flowvalve::tree::TreeParams;
 use fv_scope::{chrome_trace, evaluate, latency_table, SamplerConfig, Slo, TimeSampler};
 use fv_telemetry::Registry;
 use netstack::flow::FlowKey;
-use netstack::gen::{ArrivalProcess, CbrProcess};
-use netstack::packet::{AppId, Packet, PacketIdGen, VfPort};
+use netstack::gen::CbrProcess;
+use netstack::packet::{AppId, VfPort};
 use np_sim::config::NicConfig;
+use np_sim::harness::{drive, Source};
 use np_sim::nic::SmartNic;
-use sim_core::rng::SimRng;
 use sim_core::time::Nanos;
 use sim_core::units::BitRate;
 
@@ -49,42 +49,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .with_prefix("fv.class."),
     );
 
-    let flows = [
-        (
-            FlowKey::tcp([10, 0, 0, 1], 40_001, [10, 0, 255, 1], 443),
-            VfPort(0),
-        ),
-        (
-            FlowKey::tcp([10, 0, 0, 2], 40_002, [10, 0, 255, 1], 9000),
-            VfPort(1),
-        ),
+    let cbr = |gbps| Box::new(CbrProcess::new(BitRate::from_gbps(gbps), 1_518));
+    let sources = vec![
+        Source {
+            flow: FlowKey::tcp([10, 0, 0, 1], 40_001, [10, 0, 255, 1], 443),
+            app: AppId(0),
+            vf: VfPort(0),
+            process: cbr(6.0),
+        },
+        Source {
+            flow: FlowKey::tcp([10, 0, 0, 2], 40_002, [10, 0, 255, 1], 9000),
+            app: AppId(1),
+            vf: VfPort(1),
+            process: cbr(12.0),
+        },
     ];
-    let mut gens = [
-        CbrProcess::new(BitRate::from_gbps(6.0), 1_518),
-        CbrProcess::new(BitRate::from_gbps(12.0), 1_518),
-    ];
-    let mut rng = SimRng::seed(7);
-    let mut ids = PacketIdGen::new();
     let horizon = Nanos::from_millis(10);
-    let mut next: Vec<Nanos> = gens
-        .iter_mut()
-        .map(|g| Nanos::ZERO + g.next_arrival(&mut rng).0)
-        .collect();
-    loop {
-        let (i, &t) = next
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, t)| **t)
-            .expect("two flows");
-        if t >= horizon {
-            break;
-        }
-        sampler.advance_to(t);
-        let (flow, vf) = flows[i];
-        let pkt = Packet::new(ids.next_id(), flow, 1_518, AppId(i as u16), vf, t);
-        let _ = nic.rx(&pkt, t);
-        next[i] = t + gens[i].next_arrival(&mut rng).0;
-    }
+    drive(sources, horizon, 7, |pkt| {
+        sampler.advance_to(pkt.created_at);
+        let _ = nic.rx(pkt, pkt.created_at);
+    });
     sampler.advance_to(horizon);
     let snapshot = registry.snapshot(horizon);
 

@@ -13,19 +13,17 @@ use std::sync::Arc;
 use flowvalve::frontend::Policy;
 use flowvalve::pipeline::FlowValvePipeline;
 use flowvalve::tree::TreeParams;
-use fv_chaos::{run_chaos, ChaosController, FaultPlan, SETTLE};
+use fv_chaos::{run_chaos, saturate, Attachments, ChaosController, FaultPlan, SETTLE};
 use fv_scope::{evaluate, SamplerConfig, Slo, TimeSampler};
 use fv_telemetry::{Registry, ToJson};
 use hostsim::engine::{run, run_with_chaos};
 use hostsim::path::EgressPath;
 use hostsim::scenario::{AppSpec, Scenario};
 use netstack::flow::FlowKey;
-use netstack::gen::{ArrivalProcess, LineRateProcess};
 use netstack::packet::{AppId, Packet, PacketIdGen, VfPort};
 use np_sim::config::NicConfig;
 use np_sim::nic::SmartNic;
 use qdisc::{Prio, Tbf};
-use sim_core::rng::SimRng;
 use sim_core::time::Nanos;
 use sim_core::units::BitRate;
 
@@ -45,7 +43,8 @@ fn policy() -> Policy {
 }
 
 fn chaos(plan: &str) -> fv_chaos::ChaosReport {
-    run_chaos(&policy(), &FaultPlan::parse(plan).expect("plan parses")).expect("run succeeds")
+    let plan = FaultPlan::parse(plan).expect("plan parses");
+    run_chaos(&policy(), &plan, Attachments::default()).expect("run succeeds")
 }
 
 #[test]
@@ -56,11 +55,11 @@ fn wire_flap_recovers_drains_backlog_and_restores_per_band_rates() {
     );
     // The harness's own fv-scope verdict: aggregate rate back in band.
     assert!(report.passed(), "{}", report.render());
-    assert_eq!(report.snapshot.counter("chaos.faults_injected"), 1);
-    assert_eq!(report.snapshot.counter("chaos.faults_cleared"), 1);
+    assert_eq!(report.run.snapshot.counter("chaos.faults_injected"), 1);
+    assert_eq!(report.run.snapshot.counter("chaos.faults_cleared"), 1);
 
     let clear = Nanos::from_millis(5);
-    let horizon = report.horizon;
+    let horizon = report.run.horizon;
     // Per-band: each leaf's post-fault rate returns to its pre-fault
     // conformance window (satellite: RateBetween over the recovery tail).
     let pre = (Nanos::from_millis(1), Nanos::from_millis(3));
@@ -68,7 +67,7 @@ fn wire_flap_recovers_drains_backlog_and_restores_per_band_rates() {
     for id in ["1:10", "1:20", "1:30"] {
         let series = format!("fv.class.{id}.tx_bits");
         let before = report
-            .sampler
+            .sampler()
             .window_rate(&series, pre.0, pre.1)
             .unwrap_or_else(|| panic!("{series} has pre-fault samples"));
         assert!(before > 0.0, "{series} idle before the fault");
@@ -88,16 +87,16 @@ fn wire_flap_recovers_drains_backlog_and_restores_per_band_rates() {
     });
     let verdict = evaluate(
         &slos,
-        &report.sampler,
-        &report.snapshot,
+        report.sampler(),
+        &report.run.snapshot,
         (clear + SETTLE, horizon),
     );
     assert!(verdict.passed(), "{}", verdict.render());
     // The flap really did build a queue: peak occupancy during the run
     // dwarfs what is left at the horizon.
     let (peak, final_bytes) = match (
-        report.snapshot.get("tm.fifo.backlog_bytes"),
-        report.snapshot.get("chaos.tm_backlog_bytes"),
+        report.run.snapshot.get("tm.fifo.backlog_bytes"),
+        report.run.snapshot.get("chaos.tm_backlog_bytes"),
     ) {
         (
             Some(fv_telemetry::MetricValue::Gauge { max, .. }),
@@ -119,7 +118,7 @@ fn me_stall_recovers() {
     );
     assert!(report.passed(), "{}", report.render());
     assert_eq!(report.recovery.results.len(), 1);
-    assert_eq!(report.snapshot.counter("chaos.faults_injected"), 1);
+    assert_eq!(report.run.snapshot.counter("chaos.faults_injected"), 1);
 }
 
 #[test]
@@ -134,12 +133,12 @@ fn tm_pause_and_corruption_burst_recover() {
     // The corruption burst visibly dropped frames, and both the TM and
     // the NIC counted them.
     assert!(
-        report.snapshot.counter("tm.fifo.fault_drops") > 0,
+        report.run.snapshot.counter("tm.fifo.fault_drops") > 0,
         "corruption burst dropped nothing"
     );
     assert_eq!(
-        report.snapshot.counter("tm.fifo.fault_drops"),
-        report.snapshot.counter("nic.fault_drops"),
+        report.run.snapshot.counter("tm.fifo.fault_drops"),
+        report.run.snapshot.counter("nic.fault_drops"),
         "TM and NIC disagree on fault drops"
     );
 }
@@ -151,8 +150,8 @@ fn lock_latency_inflation_recovers() {
          chaos fault lock_slow at 3ms for 2ms permille 8000\n",
     );
     assert!(report.passed(), "{}", report.render());
-    assert_eq!(report.snapshot.counter("chaos.faults_injected"), 1);
-    assert_eq!(report.snapshot.counter("chaos.faults_cleared"), 1);
+    assert_eq!(report.run.snapshot.counter("chaos.faults_injected"), 1);
+    assert_eq!(report.run.snapshot.counter("chaos.faults_cleared"), 1);
 }
 
 #[test]
@@ -163,12 +162,12 @@ fn host_pause_silences_one_band_then_recovers() {
     );
     assert!(report.passed(), "{}", report.render());
     assert!(
-        report.snapshot.counter("chaos.host_skipped") > 0,
+        report.run.snapshot.counter("chaos.host_skipped") > 0,
         "pause silenced nothing"
     );
     // The paused app's band went quiet during the window...
     let during = report
-        .sampler
+        .sampler()
         .window_rate(
             "fv.class.1:10.tx_bits",
             Nanos::from_millis(3) + Nanos::from_micros(200),
@@ -176,7 +175,7 @@ fn host_pause_silences_one_band_then_recovers() {
         )
         .unwrap_or(0.0);
     let before = report
-        .sampler
+        .sampler()
         .window_rate(
             "fv.class.1:10.tx_bits",
             Nanos::from_millis(1),
@@ -196,7 +195,7 @@ fn vf_reset_drops_at_the_edge_then_recovers() {
          chaos fault vf_reset at 3ms for 1ms vf 1\n",
     );
     assert!(report.passed(), "{}", report.render());
-    assert!(report.snapshot.counter("chaos.host_skipped") > 0);
+    assert!(report.run.snapshot.counter("chaos.host_skipped") > 0);
 }
 
 #[test]
@@ -207,7 +206,7 @@ fn clock_skew_and_cpu_burn_recover() {
          chaos fault cpu_burn at 5ms for 1ms cycles 400\n",
     );
     assert!(report.passed(), "{}", report.render());
-    assert_eq!(report.snapshot.counter("chaos.faults_injected"), 2);
+    assert_eq!(report.run.snapshot.counter("chaos.faults_injected"), 2);
 }
 
 #[test]
@@ -219,7 +218,7 @@ fn reconfig_halves_throughput_then_restores_it() {
     assert!(report.passed(), "{}", report.render());
     let rate = |from_ms: u64, to_ms: u64| {
         report
-            .sampler
+            .sampler()
             .window_rate(
                 "nic.tx_bits",
                 Nanos::from_millis(from_ms),
@@ -250,66 +249,13 @@ fn same_plan_and_seed_replays_byte_identically() {
     assert_eq!(a, b, "chaos replay must be byte-identical");
 }
 
-/// An empty plan must be invisible: the NIC forwards exactly what an
-/// uninstrumented run of the same workload forwards.
+/// An empty plan must be invisible: the NIC forwards exactly what the
+/// clean run of the same workload forwards, with no fault injector and no
+/// chaos hook installed at all.
 #[test]
 fn empty_plan_matches_a_run_with_no_injector_installed() {
     let report = chaos("chaos seed 1\n");
-
-    // Replay the identical workload on a SmartNic with no fault injector
-    // and no chaos hooks at all.
-    let pol = policy();
-    let cfg = NicConfig::agilio_cx_40g();
-    let pipeline =
-        FlowValvePipeline::compile(&pol, TreeParams::default(), &cfg).expect("policy compiles");
-    let line = cfg.line_rate;
-    let framing = cfg.framing;
-    let registry = Registry::new();
-    let mut nic = SmartNic::with_registry(cfg, Box::new(pipeline), &registry);
-    if let Some(p) = nic.decider_as::<FlowValvePipeline>() {
-        p.attach_telemetry(&registry);
-    }
-    let mut flows: Vec<(FlowKey, VfPort)> = Vec::new();
-    for (i, f) in pol.filters.iter().enumerate() {
-        let m = &f.matcher;
-        flows.push((
-            FlowKey::tcp(
-                [10, 0, 0, 10 + i as u8],
-                m.src_port.unwrap_or(41_000 + i as u16),
-                [10, 0, 255, 1],
-                m.dst_port.unwrap_or(5_000 + i as u16),
-            ),
-            m.vf.unwrap_or(VfPort(i as u8)),
-        ));
-    }
-    let horizon = Nanos::from_millis(10);
-    let mut rng = SimRng::seed(1);
-    let mut ids = PacketIdGen::new();
-    let offered = line.scaled(3, 2 * flows.len() as u64);
-    let mut gens: Vec<LineRateProcess> = flows
-        .iter()
-        .map(|_| LineRateProcess::new(offered, 1518, framing))
-        .collect();
-    let mut next: Vec<Nanos> = gens
-        .iter_mut()
-        .map(|g| Nanos::ZERO + g.next_arrival(&mut rng).0)
-        .collect();
-    loop {
-        let (idx, &t) = next
-            .iter()
-            .enumerate()
-            .min_by_key(|&(i, &t)| (t, i))
-            .expect("flows non-empty");
-        if t >= horizon {
-            break;
-        }
-        let (flow, vf) = flows[idx];
-        let pkt = Packet::new(ids.next_id(), flow, 1518, AppId(idx as u16), vf, t);
-        let _ = nic.rx(&pkt, t);
-        next[idx] = t + gens[idx].next_arrival(&mut rng).0;
-    }
-    let clean = registry.snapshot(horizon);
-
+    let clean = saturate(&policy(), 1, Attachments::default()).expect("run succeeds");
     for c in [
         "nic.offered",
         "nic.tx_packets",
@@ -322,8 +268,8 @@ fn empty_plan_matches_a_run_with_no_injector_installed() {
         "fv.class.1:30.tx_bits",
     ] {
         assert_eq!(
-            report.snapshot.counter(c),
-            clean.counter(c),
+            report.run.snapshot.counter(c),
+            clean.snapshot.counter(c),
             "empty plan perturbed {c}"
         );
     }
