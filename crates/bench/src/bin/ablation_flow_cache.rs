@@ -33,17 +33,19 @@ const HORIZON: Nanos = Nanos::from_millis(2);
 const WARMUP: Nanos = Nanos::from_millis(6);
 
 /// Runs 64 B line-rate traffic over `flows` distinct flows through a NIC
-/// whose flow-cache capacity is `cache_capacity` (0 = model "no cache" by
-/// making the capacity one entry, which thrashes for any flow count > 1).
-/// Returns achieved Mpps and the cache hit ratio.
+/// whose flow cache is the pipeline's default or, with `cache_small`, one
+/// entry per island shard (8 in all), which thrashes for any flow count
+/// above that and so models "no cache". Returns achieved Mpps and the
+/// cache hit ratio.
 fn measure(flows: u16, cache_small: bool) -> (f64, f64) {
     let cfg = NicConfig::agilio_cx_40g();
     let scenario = Scenario::fair_queueing_40g(4);
     let policy = policies::fair_queueing_fv(cfg.line_rate, &scenario);
     // The pipeline's cache capacity is fixed; emulate "disabled" by
-    // thrashing it with one entry.
+    // thrashing it with one entry per shard.
     let pipeline = if cache_small {
-        // Rebuild with a 1-entry cache through the public parts API.
+        // Rebuild with a capacity of 1 (rounded up to one entry in each of
+        // the 8 shards) through the public parts API.
         let (tree, rules, default) = policy.compile(TreeParams::default()).expect("compiles");
         let mut classifier = classifier::Classifier::new(default, 1);
         for r in rules {

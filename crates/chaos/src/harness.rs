@@ -502,7 +502,7 @@ pub fn run_chaos(
         // paused app offers nothing, a reset VF's frames die at the edge.
         // The packet id is spent either way, so ids match the clean run's.
         if controller.app_paused_until(pkt.app, t).is_some() || controller.vf_down(pkt.vf, t) {
-            host_skipped.incr(0);
+            host_skipped.incr();
         } else {
             let _ = nic.rx(pkt, t);
         }

@@ -90,11 +90,11 @@ impl ChaosController {
         for (i, f) in self.plan.faults.iter().enumerate() {
             let bit = 1u64 << i;
             if mask & bit != 0 && prev & bit == 0 {
-                self.faults_injected.incr(0);
+                self.faults_injected.incr();
                 self.ring
                     .record(now, TraceKind::FaultInject, f.kind.code(), i as u64);
             } else if mask & bit == 0 && prev & bit != 0 {
-                self.faults_cleared.incr(0);
+                self.faults_cleared.incr();
                 self.ring
                     .record(now, TraceKind::FaultClear, f.kind.code(), i as u64);
             }

@@ -47,10 +47,10 @@ use netstack::packet::VfPort;
 /// Verdicts are `Clone` because a table verdict is copied into the cache on
 /// a miss (mirroring how the hardware cache stores flattened actions).
 ///
-/// The cache is sharded per worker stripe ([`shard::SHARDS`] padded
-/// tables, modeling per-island EMFCs): multi-worker callers use
-/// [`Classifier::classify_at`] with their worker index so each worker's
-/// hit path stays on its own cache lines; [`Classifier::classify`] is the
+/// The cache is sharded per worker stripe ([`shard::SHARDS`] tables,
+/// modeling per-island EMFCs): the NIC model calls
+/// [`Classifier::classify_at`] with the worker index of each packet, so a
+/// flow misses once per island it visits; [`Classifier::classify`] is the
 /// single-worker form (stripe 0).
 #[derive(Debug, Clone)]
 pub struct Classifier<V> {

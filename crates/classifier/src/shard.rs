@@ -1,23 +1,23 @@
-//! Per-worker sharding for the flow cache: the multi-core EMFC model.
+//! Per-island flow caches: the EMFC model.
 //!
 //! Netronome's exact-match flow caches are *per-island* structures — each
-//! cluster of micro-engines owns its own lookup memory. A single shared
-//! [`FlowCache`] misrepresents that on two axes: worker threads contend on
-//! one clock hand and one probe array (false sharing on the hot hit path),
-//! and one worker's scan traffic can evict another worker's active flows.
+//! cluster of micro-engines owns its own lookup memory. One shared
+//! [`FlowCache`] misrepresents that: a flow seen by workers of two islands
+//! would miss once instead of once per island, and one island's scan
+//! traffic could evict another island's active flows.
 //!
-//! [`ShardedFlowCache`] fixes both. The configured flow capacity is split
-//! across [`SHARDS`] cache-line-aligned tables, one per worker stripe, and
-//! every operation takes an explicit stripe index (masked internally, so
-//! any worker id is valid). A worker only ever touches its own shard, so
-//! the hit path is contention-free by construction and eviction pressure
-//! is isolated per worker — exactly the partitioned-island behavior of the
-//! hardware.
+//! [`ShardedFlowCache`] splits the configured flow capacity across
+//! [`SHARDS`] independent tables and every packet-path call names the
+//! table by a stripe index (masked internally, so any worker id is
+//! valid): the NIC model passes the micro-engine index of the worker the
+//! packet was dispatched to. A caller that always passes stripe 0 sees an
+//! ordinary flow cache of an eighth of the capacity.
 //!
-//! Stripe indices come from whatever worker identity the caller has —
-//! the NIC model's micro-engine index, or `fv_telemetry`'s thread stripe
-//! on the wall-clock path. Single-threaded callers pass stripe 0 and see
-//! an ordinary (smaller) flow cache.
+//! This is a model, not a concurrency structure: the cache sits behind
+//! `&mut self` and no second thread ever reaches it. What rests on it is
+//! `results/ablation_flow_cache.json` (4 096 flows that fit the default
+//! cache: 97.2 % hits, 19.64 Mpps, behind the driver's warm-up of every
+//! flow × island pair) and the benchmark's `flow_churn` hit ratio (0.03).
 //!
 //! Statistics merge exactly: [`ShardedFlowCache::stats`] sums the
 //! per-shard counters, so hit/miss/eviction totals are conserved however
@@ -26,8 +26,10 @@
 use crate::cache::{CacheResult, CacheStats, FlowCache};
 use netstack::flow::FlowKey;
 
-/// Number of shards. Power of two; matches the telemetry stripe count so
-/// one worker identity indexes both structures consistently.
+/// Number of shards: the model's island count, each island owning one
+/// exact-match flow cache (worker `w` looks up in table `w % SHARDS`).
+/// Power of two, so stripe indices are masked. The committed
+/// `results/ablation_flow_cache.json` is a function of it.
 pub const SHARDS: usize = 8;
 
 const SHARD_MASK: usize = SHARDS - 1;
@@ -54,10 +56,10 @@ struct Shard<V>(FlowCache<V>);
 ///
 /// let mut cache = ShardedFlowCache::new(1024);
 /// let flow = FlowKey::tcp([10, 0, 0, 1], 40_000, [10, 0, 0, 2], 5001);
-/// cache.insert_at(0, flow, "kvs");
+/// assert_eq!(cache.get_or_insert_with_at(0, &flow, || "kvs").1, CacheResult::Miss);
 /// // Shards are independent tables: worker 1 does not see worker 0's fill.
-/// assert_eq!(cache.lookup_at(0, &flow).1, CacheResult::Hit);
-/// assert_eq!(cache.lookup_at(1, &flow).1, CacheResult::Miss);
+/// assert_eq!(cache.get_or_insert_with_at(0, &flow, || "kvs").1, CacheResult::Hit);
+/// assert_eq!(cache.get_or_insert_with_at(1, &flow, || "kvs").1, CacheResult::Miss);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ShardedFlowCache<V> {
@@ -85,18 +87,6 @@ impl<V> ShardedFlowCache<V> {
         &mut self.shards[stripe & SHARD_MASK].0
     }
 
-    /// Looks up `flow` in the shard owned by worker `stripe`.
-    #[inline]
-    pub fn lookup_at(&mut self, stripe: usize, flow: &FlowKey) -> (Option<&V>, CacheResult) {
-        self.shard(stripe).lookup(flow)
-    }
-
-    /// Inserts into the shard owned by worker `stripe`.
-    #[inline]
-    pub fn insert_at(&mut self, stripe: usize, flow: FlowKey, verdict: V) {
-        self.shard(stripe).insert(flow, verdict);
-    }
-
     /// [`FlowCache::get_or_insert_with`] on the shard owned by worker
     /// `stripe`: the packet path's one cache call.
     #[inline]
@@ -122,16 +112,6 @@ impl<V> ShardedFlowCache<V> {
         self.shards.iter().map(|s| s.0.capacity()).sum()
     }
 
-    /// Cached flows across all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.0.len()).sum()
-    }
-
-    /// Whether every shard is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Exact merge of the per-shard counters: hits, misses, and evictions
     /// sum across shards, so totals are conserved however the workload
     /// was striped.
@@ -144,14 +124,6 @@ impl<V> ShardedFlowCache<V> {
                 evictions: acc.evictions + st.evictions,
             }
         })
-    }
-
-    /// Mutable access to every shard at once, for callers that split the
-    /// cache across worker threads (`std::thread::scope` + one shard per
-    /// worker). Shards are independent, so this is safe parallelism with
-    /// no interior locking.
-    pub fn shards_mut(&mut self) -> impl Iterator<Item = &mut FlowCache<V>> {
-        self.shards.iter_mut().map(|s| &mut s.0)
     }
 }
 
@@ -172,17 +144,26 @@ mod tests {
     #[test]
     fn shards_are_isolated_tables() {
         let mut c: ShardedFlowCache<u32> = ShardedFlowCache::new(64);
-        c.insert_at(0, flow(1), 7);
-        assert_eq!(c.lookup_at(0, &flow(1)), (Some(&7), CacheResult::Hit));
-        assert_eq!(c.lookup_at(1, &flow(1)), (None, CacheResult::Miss));
+        assert_eq!(
+            c.get_or_insert_with_at(0, &flow(1), || 7),
+            (&7, CacheResult::Miss)
+        );
+        // Copies the verdict out: a hit must not run the walk.
+        let mut cached = |stripe| {
+            let (v, result) = c.get_or_insert_with_at(stripe, &flow(1), || unreachable!("cached"));
+            (*v, result)
+        };
+        assert_eq!(cached(0), (7, CacheResult::Hit));
         // Stripe indices wrap: SHARDS aliases stripe 0.
-        assert_eq!(c.lookup_at(SHARDS, &flow(1)), (Some(&7), CacheResult::Hit));
-        // The single-call fill sees the same isolation.
-        let fill = c.get_or_insert_with_at(0, &flow(1), || unreachable!("cached"));
-        assert_eq!(fill, (&7, CacheResult::Hit));
+        assert_eq!(cached(SHARDS), (7, CacheResult::Hit));
+        // Worker 1's table never saw the flow and runs its own walk.
         assert_eq!(
             c.get_or_insert_with_at(1, &flow(1), || 8),
             (&8, CacheResult::Miss)
+        );
+        assert_eq!(
+            c.get_or_insert_with_at(0, &flow(1), || unreachable!("cached")),
+            (&7, CacheResult::Hit)
         );
     }
 
@@ -199,62 +180,35 @@ mod tests {
     fn stats_merge_exactly_across_shards() {
         let mut c: ShardedFlowCache<u32> = ShardedFlowCache::new(64);
         for stripe in 0..SHARDS {
-            let _ = c.lookup_at(stripe, &flow(stripe as u16)); // miss
-            c.insert_at(stripe, flow(stripe as u16), stripe as u32);
-            let _ = c.lookup_at(stripe, &flow(stripe as u16)); // hit
-            let _ = c.lookup_at(stripe, &flow(stripe as u16)); // hit
+            let f = flow(stripe as u16);
+            for want in [CacheResult::Miss, CacheResult::Hit, CacheResult::Hit] {
+                assert_eq!(
+                    c.get_or_insert_with_at(stripe, &f, || stripe as u32).1,
+                    want
+                );
+            }
         }
         let s = c.stats();
         assert_eq!(
-            (s.hits, s.misses),
-            (2 * SHARDS as u64, SHARDS as u64),
+            (s.hits, s.misses, s.evictions),
+            (2 * SHARDS as u64, SHARDS as u64, 0),
             "merged stats must equal the sum of per-shard traffic"
         );
-        assert_eq!(c.len(), SHARDS);
     }
 
     #[test]
     fn invalidate_all_clears_every_shard() {
         let mut c: ShardedFlowCache<u32> = ShardedFlowCache::new(64);
         for stripe in 0..SHARDS {
-            c.insert_at(stripe, flow(stripe as u16), 1);
+            c.get_or_insert_with_at(stripe, &flow(stripe as u16), || 1);
         }
         c.invalidate_all();
-        assert!(c.is_empty());
         for stripe in 0..SHARDS {
             assert_eq!(
-                c.lookup_at(stripe, &flow(stripe as u16)).1,
-                CacheResult::Miss
+                c.get_or_insert_with_at(stripe, &flow(stripe as u16), || 2),
+                (&2, CacheResult::Miss),
+                "shard {stripe} kept its entry"
             );
         }
-    }
-
-    /// Each worker thread owns one shard outright and hammers it; the
-    /// merged stats must equal the sequential sum of what every thread
-    /// did — nothing lost to striping, nothing double-counted.
-    #[test]
-    fn parallel_shard_traffic_merges_exactly() {
-        const PER_THREAD: u64 = 10_000;
-        let mut c: ShardedFlowCache<u64> = ShardedFlowCache::new(64 * SHARDS);
-        std::thread::scope(|s| {
-            for (k, shard) in c.shards_mut().enumerate() {
-                s.spawn(move || {
-                    let f = flow(k as u16);
-                    for i in 0..PER_THREAD {
-                        if shard.lookup(&f).1 == CacheResult::Miss {
-                            shard.insert(f, i);
-                        }
-                    }
-                });
-            }
-        });
-        let st = c.stats();
-        assert_eq!(st.misses, SHARDS as u64, "one cold miss per worker");
-        assert_eq!(
-            st.hits,
-            SHARDS as u64 * (PER_THREAD - 1),
-            "every later lookup hits the worker's own shard"
-        );
-        assert_eq!(st.evictions, 0);
     }
 }

@@ -260,6 +260,79 @@ mod tests {
         assert!(gamma_a < 0.5, "refund missing: stage-1 Γ = {gamma_a} Gbps");
     }
 
+    /// Counts the Γ-refunds a thread's packets were issued.
+    struct Refunds(u64);
+
+    impl StepObserver for Refunds {
+        const ENABLED: bool = true;
+        fn on_step(&mut self, _rec: fv_audit::StepRecord) {}
+        fn on_refund(&mut self, _stage: u8, _class: u16, _bits: u64) {
+            self.0 += 1;
+        }
+    }
+
+    /// Real threads land on hot-state stripes other than 0, and a refund
+    /// must reverse the count on the stripe that took it. Nothing drains
+    /// the stripes here (the clock stands still, so no update comes due):
+    /// what stage 1 holds at the end, merged and stripe by stripe, is
+    /// exactly what the threads saw pass both stages.
+    #[test]
+    fn refunds_land_on_the_counting_threads_stripe() {
+        const THREADS: usize = 4;
+        const PKTS: u64 = 10_000;
+        const BITS: u64 = 1_000;
+        // Stage 1's burst covers every packet; stage 2's covers a handful.
+        let chain = QdiscChain::new(vec![tree(400.0, &[10]), tree(0.1, &[30])]);
+        let label = ChainLabel::new(vec![
+            chain.stage(0).label(ClassId(10), &[]).unwrap(),
+            chain.stage(1).label(ClassId(30), &[]).unwrap(),
+        ]);
+        let start = std::sync::Barrier::new(THREADS);
+        // Per thread: (stripe, passed both stages, refunded).
+        let tallies: Vec<(usize, u64, u64)> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut exec = RealExec;
+                        let mut refunds = Refunds(0);
+                        start.wait();
+                        let passed = (0..PKTS)
+                            .filter(|_| {
+                                chain
+                                    .schedule(&label, BITS, Nanos::ZERO, &mut exec, &mut refunds)
+                                    .passes()
+                            })
+                            .count() as u64;
+                        (exec.stripe(), passed, refunds.0)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let passed: u64 = tallies.iter().map(|t| t.1).sum();
+        let refunded: u64 = tallies.iter().map(|t| t.2).sum();
+        assert!(passed > 0, "stage 2 admits its burst");
+        for &(stripe, _, refunded) in &tallies {
+            assert!(refunded > 0, "the thread on stripe {stripe} saw no refund");
+        }
+
+        let stage1 = chain.stage(0).counters(ClassId(10)).unwrap();
+        assert_eq!(stage1.forwarded, passed + refunded);
+        assert_eq!(stage1.dropped, THREADS as u64 * PKTS - passed - refunded);
+        let stage2 = chain.stage(1).counters(ClassId(30)).unwrap();
+        assert_eq!((stage2.forwarded, stage2.dropped), (passed, refunded));
+
+        for class in [ClassId(1), ClassId(10)] {
+            let held = chain.stage(0).consumed_bits_by_stripe(class);
+            let mut want = [0u64; crate::tree::HOT_STRIPES];
+            for &(stripe, passed, _) in &tallies {
+                want[stripe % want.len()] += passed * BITS;
+            }
+            assert_eq!(held, want, "class {class:?}: a refund missed its stripe");
+            assert_eq!(held.iter().sum::<u64>(), passed * BITS);
+        }
+    }
+
     #[test]
     #[should_panic]
     fn mismatched_label_panics() {

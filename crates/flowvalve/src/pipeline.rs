@@ -133,26 +133,26 @@ impl PipelineTelemetry {
         match verdict {
             SchedVerdict::Forward => {
                 if let Some(c) = leaf_channels {
-                    c.forwarded.incr(0);
-                    c.tx_bits.add(0, wire_bits);
+                    c.forwarded.incr();
+                    c.tx_bits.add(wire_bits);
                 }
                 self.ring
                     .record(now, TraceKind::SchedForward, leaf.0 as u64, wire_bits);
             }
             SchedVerdict::Borrowed(lender) => {
                 if let Some(c) = leaf_channels {
-                    c.borrowed.incr(0);
-                    c.tx_bits.add(0, wire_bits);
+                    c.borrowed.incr();
+                    c.tx_bits.add(wire_bits);
                 }
                 if let Some(c) = tree.node_index(lender).and_then(|i| self.per_class.get(i)) {
-                    c.lent.incr(0);
+                    c.lent.incr();
                 }
                 self.ring
                     .record(now, TraceKind::SchedBorrow, leaf.0 as u64, lender.0 as u64);
             }
             SchedVerdict::Drop => {
                 if let Some(c) = leaf_channels {
-                    c.dropped.incr(0);
+                    c.dropped.incr();
                 }
                 self.ring
                     .record(now, TraceKind::SchedDrop, leaf.0 as u64, wire_bits);
@@ -473,8 +473,8 @@ impl EgressDecider for FlowValvePipeline {
             self.pending_compile_ops = 0;
         }
         // Labeling function: exact-match cache with table-walk fill, on
-        // this worker's cache shard (per-island EMFC model — no false
-        // sharing between workers' hit paths). The entry carries the
+        // this worker's cache shard (per-island EMFC model: a flow misses
+        // once per island it is dispatched to). The entry carries the
         // flow's compiled verdict: its admission chain.
         let classify_t0 = meter.total();
         meter.set_stage(AttrStage::Classify);

@@ -20,9 +20,11 @@
 //! * [`SimExec`] — inside the discrete-event NIC model: lock contention is
 //!   *modeled* through [`np_sim::lock::LockTable`] and every operation is
 //!   charged to a [`np_sim::cost::CostMeter`];
-//! * [`RealExec`] — on real OS threads (Criterion benchmarks): locks are
-//!   the nodes' actual `std::sync` mutexes, and no costs are charged
-//!   because the hardware is doing the timing.
+//! * [`RealExec`] — on real OS threads (the `wallclock_2t` benchmark
+//!   workload): locks are the nodes' actual `std::sync` mutexes, and no
+//!   costs are charged because the hardware is doing the timing.
+
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 pub use fv_audit::NoObserver;
 use fv_audit::{StepKind, StepObserver, StepRecord};
@@ -148,9 +150,26 @@ impl Exec for SimExec<'_> {
 }
 
 /// Real-thread execution: the tree's own `std::sync` mutexes, no cost
-/// model. Used by the multi-threaded Criterion benchmarks.
+/// model. What OS threads sharing one tree on the wall clock run under.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct RealExec;
+
+/// Stable per-thread stripe hint: each thread is handed the next slot of a
+/// global round-robin on first use, so as many concurrent workers as the
+/// tree has stripes per node land on distinct cache lines (beyond that,
+/// stripes are shared but still correct). Returns the raw index; the tree
+/// masks it against its own stripe count.
+///
+/// The assignment is per-thread, not per-call: one TLS read on the hot
+/// path, no atomics.
+#[inline]
+fn thread_stripe() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static STRIPE: usize = NEXT.fetch_add(1, Relaxed);
+    }
+    STRIPE.with(|s| *s)
+}
 
 impl Exec for RealExec {
     fn charge(&mut self, _op: Op) {}
@@ -160,7 +179,7 @@ impl Exec for RealExec {
     }
 
     fn stripe(&self) -> usize {
-        fv_telemetry::thread_stripe()
+        thread_stripe()
     }
 
     fn locked_update(
@@ -629,6 +648,17 @@ pub(crate) mod tests {
         let idx = tree.node_index(ClassId(20)).unwrap();
         assert!(exec.locked_update(&tree, idx, LockKind::Class, Nanos::from_micros(100)));
         assert!(exec.locked_update(&tree, idx, LockKind::Shadow, Nanos::from_micros(100)));
+    }
+
+    #[test]
+    fn thread_stripe_is_stable_per_thread() {
+        let a = RealExec.stripe();
+        assert_eq!(a, RealExec.stripe(), "stripe must not move within a thread");
+        let b = std::thread::spawn(|| (RealExec.stripe(), RealExec.stripe()))
+            .join()
+            .unwrap();
+        assert_eq!(b.0, b.1);
+        assert_ne!(a, b.0, "fresh threads get fresh stripe slots");
     }
 
     #[test]

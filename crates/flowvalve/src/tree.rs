@@ -135,10 +135,25 @@ pub struct ClassCounters {
     pub lent: u64,
 }
 
-/// Number of per-node hot-state stripes. Matches the telemetry crate's
-/// counter shard count so [`fv_telemetry::thread_stripe`] hints spread the
-/// same way everywhere; must stay a power of two.
-pub(crate) const HOT_STRIPES: usize = fv_telemetry::metrics::SHARDS;
+/// Number of per-node hot-state stripes; must stay a power of two.
+///
+/// More than one because every packet writes the root's `consumed_bits`
+/// and `last_packet`, so without stripes all forwarding threads share
+/// that line. Measured with the benchmark's `wallclock_2t` workload (two
+/// threads, one tree, `RealExec`; 24 s runs, `--trace 0`, interleaved
+/// pairs on seeds 11–16, 2-vCPU Xeon 2.1 GHz), `pkts_per_s` in M/s, every
+/// run:
+///
+/// | stripes | 11    | 12    | 13    | 14    | 15    | 16    | median |
+/// |---------|-------|-------|-------|-------|-------|-------|--------|
+/// | 8       | 13.36 | 13.68 | 13.83 | 13.54 | 13.49 | 13.27 | 13.52  |
+/// | 1       | 8.52  | 8.78  | 8.65  | 8.57  | 8.59  | 8.51  | 8.58   |
+///
+/// That is −37 %, past the benchmark's 25 % bound (`ns_per_pkt_p50`
+/// 148 → 233 ns). Two threads occupy two stripes whatever the count, so
+/// 2…8 cannot be told apart on a 2-vCPU host: the count is **unverified
+/// between 2 and 8**.
+pub(crate) const HOT_STRIPES: usize = 8;
 const HOT_STRIPE_MASK: usize = HOT_STRIPES - 1;
 
 /// One stripe of a node's per-packet hot state. Everything a forwarding
@@ -198,7 +213,7 @@ pub(crate) struct Node {
     hot: [NodeHot; HOT_STRIPES],
     pub(crate) last_update: AtomicU64,
     pub(crate) shadow_last_update: AtomicU64,
-    /// Real-thread update guards (wall-clock benchmark mode).
+    /// Real-thread update guards (`RealExec`).
     pub(crate) update_mutex: Mutex<()>,
     pub(crate) shadow_mutex: Mutex<()>,
 }
@@ -793,7 +808,7 @@ impl SchedulingTree {
         }
         self.bump_epoch();
         if let Some(t) = self.telemetry.get() {
-            t.updates.incr(0);
+            t.updates.incr();
             t.ring.record(
                 now,
                 TraceKind::TokenRefill,
@@ -843,7 +858,7 @@ impl SchedulingTree {
             .refill(TokenRate::from_raw(lendable).accrued(dt.min(self.params.expiry)));
         self.bump_epoch();
         if let Some(t) = self.telemetry.get() {
-            t.shadow_updates.incr(0);
+            t.shadow_updates.incr();
             t.ring.record(
                 now,
                 TraceKind::ShadowRefill,
@@ -896,6 +911,13 @@ impl SchedulingTree {
         for cid in label.path() {
             self.nodes[self.node_index(*cid).expect("class in tree")].touch(0, now.as_nanos());
         }
+    }
+
+    /// Bits counted and not yet drained into Γ, per hot-state stripe.
+    #[cfg(test)]
+    pub(crate) fn consumed_bits_by_stripe(&self, id: ClassId) -> [u64; HOT_STRIPES] {
+        let n = &self.nodes[self.node_index(id).expect("class in tree")];
+        std::array::from_fn(|s| n.hot[s].consumed_bits.load(Ordering::Acquire))
     }
 
     /// The published token rate θ of a class, as a bandwidth.

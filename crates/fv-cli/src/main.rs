@@ -49,16 +49,16 @@
 //!                                any conservation break
 //!                                (--inject-mischarge: corrupt one record
 //!                                first, proving the auditor catches it)
-//! fv bench-diff <new.json> <base.json> [--tolerance-pct N] [--only PREFIX]
-//!                                compare two BENCH_*.json documents and
-//!                                fail on perf regressions past tolerance
 //! ```
 //!
 //! `fv check` also accepts `--flight FILE`: on SLO violation it dumps the
 //! attribution profile plus the trace-ring tail for post-mortem analysis.
 //!
 //! Scripts use the `tc`-style dialect documented in
-//! `flowvalve::frontend`; `-` reads from stdin.
+//! `flowvalve::frontend`; `-` reads from stdin. Valued flags accept
+//! `--flag value` and `--flag=value`; an unknown flag, a missing value and
+//! an unparsable number each exit 2 with the flag named above the usage
+//! line.
 
 use std::io::Read;
 use std::process::ExitCode;
@@ -69,7 +69,7 @@ use flowvalve::label::ClassId;
 use flowvalve::tree::{SchedulingTree, TreeParams};
 use fv_audit::{AuditVerdict, Ledger, ProvenanceRecord, StepKind};
 use fv_chaos::{run_chaos, saturate, Attachments, FaultPlan, Run};
-use fv_probe::{diff_docs, flight_doc, rank_locks, LatencyAttr, ProbeReport, UNATTRIBUTED};
+use fv_probe::{flight_doc, rank_locks, LatencyAttr, ProbeReport, UNATTRIBUTED};
 use fv_scope::{chrome_trace, evaluate, latency_table, prometheus_text, SamplerConfig, Slo};
 use fv_telemetry::{JsonValue, MetricValue, Snapshot, SpanSink, ToJson, TraceEvent};
 use sim_core::time::Nanos;
@@ -90,9 +90,7 @@ fn usage() -> ExitCode {
         "usage: fv <check|show|demo|stats|trace|timeseries|chaos|profile|top|why|audit> \
          <script.fv|-> [--json] [--out FILE] [--csv|--jsonl|--prom] \
          [--interval-us N] [--plan FILE] [--folded] [--flight FILE] \
-         [--pkt ID] [--flow CLASS] [--inject-mischarge]\n\
-         \x20      fv bench-diff <new.json> <base.json> [--tolerance-pct N] \
-         [--only PREFIX]"
+         [--pkt ID] [--flow CLASS] [--inject-mischarge]"
     );
     ExitCode::from(2)
 }
@@ -110,10 +108,6 @@ struct Flags {
     plan: Option<String>,
     /// Flight-recorder output path (`fv check` / `fv chaos`).
     flight: Option<String>,
-    /// Regression tolerance for `fv bench-diff`, in percent.
-    tolerance_pct: Option<f64>,
-    /// Bench-name prefixes `fv bench-diff` restricts itself to.
-    only: Vec<String>,
     /// Packet id `fv why` explains.
     pkt: Option<u64>,
     /// Class (`1:10`, `10` or a class name) `fv why` explains.
@@ -134,60 +128,59 @@ fn main() -> ExitCode {
     })
 }
 
-fn run() -> CmdResult {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// Splits the command line into flags and positionals. A valued flag
+/// takes its value after `=` or from the next argument. `Err` names the
+/// flag that is unknown, lacks its value or carries an unparsable number.
+fn parse_args(args: &[String]) -> Result<(Flags, Vec<&str>), String> {
     let mut flags = Flags::default();
     let mut positional: Vec<&str> = Vec::new();
     let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => flags.json = true,
-            "--csv" => flags.csv = true,
-            "--jsonl" => flags.jsonl = true,
-            "--prom" => flags.prom = true,
-            "--folded" => flags.folded = true,
-            "--out" => flags.out = it.next().cloned(),
-            "--interval-us" => flags.interval_us = it.next().and_then(|v| v.parse().ok()),
-            "--plan" => flags.plan = it.next().cloned(),
-            "--flight" => flags.flight = it.next().cloned(),
-            "--tolerance-pct" => flags.tolerance_pct = it.next().and_then(|v| v.parse().ok()),
-            "--only" => flags.only.extend(it.next().cloned()),
-            "--pkt" => flags.pkt = it.next().and_then(|v| v.parse().ok()),
-            "--flow" => flags.flow = it.next().cloned(),
-            "--inject-mischarge" => flags.inject_mischarge = true,
-            a if a.starts_with("--out=") => {
-                flags.out = Some(a["--out=".len()..].to_owned());
-            }
-            a if a.starts_with("--plan=") => {
-                flags.plan = Some(a["--plan=".len()..].to_owned());
-            }
-            a if a.starts_with("--interval-us=") => {
-                flags.interval_us = a["--interval-us=".len()..].parse().ok();
-            }
-            a if a.starts_with("--flight=") => {
-                flags.flight = Some(a["--flight=".len()..].to_owned());
-            }
-            a if a.starts_with("--tolerance-pct=") => {
-                flags.tolerance_pct = a["--tolerance-pct=".len()..].parse().ok();
-            }
-            a if a.starts_with("--only=") => {
-                flags.only.push(a["--only=".len()..].to_owned());
-            }
-            a if a.starts_with("--pkt=") => {
-                flags.pkt = a["--pkt=".len()..].parse().ok();
-            }
-            a if a.starts_with("--flow=") => {
-                flags.flow = Some(a["--flow=".len()..].to_owned());
-            }
-            // Unknown flags are ignored, matching the old behaviour.
-            a if a.starts_with("--") => {}
-            a => positional.push(a),
+    while let Some(arg) = it.next() {
+        if !arg.starts_with("--") {
+            positional.push(arg);
+            continue;
+        }
+        let (name, inline) = match arg.split_once('=') {
+            Some((name, value)) => (name, Some(value)),
+            None => (arg.as_str(), None),
+        };
+        let mut value = || {
+            inline
+                .or_else(|| it.next().map(String::as_str))
+                .ok_or_else(|| format!("{name} needs a value"))
+        };
+        let number = |v: &str| {
+            v.parse::<u64>()
+                .map_err(|_| format!("{name}: `{v}` is not a non-negative integer"))
+        };
+        match (name, inline) {
+            ("--out", _) => flags.out = Some(value()?.to_owned()),
+            ("--interval-us", _) => flags.interval_us = Some(number(value()?)?),
+            ("--plan", _) => flags.plan = Some(value()?.to_owned()),
+            ("--flight", _) => flags.flight = Some(value()?.to_owned()),
+            ("--pkt", _) => flags.pkt = Some(number(value()?)?),
+            ("--flow", _) => flags.flow = Some(value()?.to_owned()),
+            ("--json", None) => flags.json = true,
+            ("--csv", None) => flags.csv = true,
+            ("--jsonl", None) => flags.jsonl = true,
+            ("--prom", None) => flags.prom = true,
+            ("--folded", None) => flags.folded = true,
+            ("--inject-mischarge", None) => flags.inject_mischarge = true,
+            _ => return Err(format!("unknown flag {arg}")),
         }
     }
-    // `bench-diff` compares two JSON documents — no policy script involved.
-    if let ["bench-diff", new_path, base_path] = positional.as_slice() {
-        return bench_diff(new_path, base_path, &flags);
-    }
+    Ok((flags, positional))
+}
+
+fn run() -> CmdResult {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (flags, positional) = match parse_args(&args) {
+        Ok(parsed) => parsed,
+        Err(msg) => {
+            eprintln!("fv: {msg}");
+            return Ok(usage());
+        }
+    };
     let (cmd, path) = match positional.as_slice() {
         [cmd, path] => (*cmd, *path),
         _ => return Ok(usage()),
@@ -884,27 +877,4 @@ fn audit_cmd(policy: &Policy, flags: &Flags) -> CmdResult {
         write_flight(path, &trigger, &run, latency, &ring_events(&run));
     }
     Ok(ExitCode::FAILURE)
-}
-
-/// Compares two `BENCH_*.json` documents and fails when any shared bench
-/// regressed past the tolerance (default 10%) or a baseline entry is
-/// missing from the fresh run — CI's perf-regression gate.
-fn bench_diff(new_path: &str, base_path: &str, flags: &Flags) -> CmdResult {
-    let read_doc = |path: &str| -> Result<JsonValue, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        JsonValue::parse(&text).map_err(|e| format!("{path}: {e}"))
-    };
-    let (new_doc, base_doc) = (read_doc(new_path)?, read_doc(base_path)?);
-    let tolerance = flags.tolerance_pct.unwrap_or(10.0);
-    let report = diff_docs(&new_doc, &base_doc, tolerance, &flags.only)?;
-    if flags.json {
-        println!("{}", report.to_json().to_pretty());
-    } else {
-        print!("{}", report.render());
-    }
-    Ok(if report.passed() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
 }

@@ -514,51 +514,47 @@ fn top_lists_heavy_flows_and_locks() {
     assert!(stdout.contains("top contended locks"), "stdout: {stdout}");
 }
 
-// ---- fv bench-diff ----------------------------------------------------
+// ---- strict flags -----------------------------------------------------
 
-#[test]
-fn bench_diff_flags_regressions_and_respects_tolerance() {
-    let base =
-        write_script(r#"{"sched_function/a": {"ns_per_iter": 100.0}, "_meta": {"tag": "x"}}"#);
-    let fresh = write_script(r#"{"sched_function/a": {"ns_per_iter": 120.0}}"#);
+/// Runs `fv <args>` on the GOOD script and expects exit 2 with `flag`
+/// named on stderr before the usage line.
+fn assert_refused(args: &[&str], flag: &str) {
+    let f = write_script(GOOD);
     let out = fv()
-        .args(["bench-diff"])
-        .arg(&fresh.path)
-        .arg(&base.path)
+        .arg(args[0])
+        .arg(&f.path)
+        .args(&args[1..])
         .output()
         .expect("fv runs");
-    assert!(!out.status.success(), "20% past a 10% tolerance must fail");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("REGRESSED"), "stdout: {stdout}");
-    assert!(stdout.contains("FAIL"), "stdout: {stdout}");
-
-    let out = fv()
-        .args(["bench-diff"])
-        .arg(&fresh.path)
-        .arg(&base.path)
-        .args(["--tolerance-pct", "25"])
-        .output()
-        .expect("fv runs");
+    assert_eq!(out.status.code(), Some(2), "fv {args:?}");
+    assert!(out.stdout.is_empty(), "a refused command line runs nothing");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let (named, usage) = (stderr.find(flag), stderr.find("usage: fv"));
     assert!(
-        out.status.success(),
-        "20% within a 25% tolerance must pass: {}",
-        String::from_utf8_lossy(&out.stdout)
+        matches!((named, usage), (Some(n), Some(u)) if n < u),
+        "stderr: {stderr}"
     );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("PASS"));
 }
 
 #[test]
-fn bench_diff_fails_when_baseline_entry_is_missing() {
-    let base = write_script(r#"{"a": {"ns_per_iter": 10.0}, "b": {"ns_per_iter": 10.0}}"#);
-    let fresh = write_script(r#"{"a": {"ns_per_iter": 10.0}}"#);
-    let out = fv()
-        .args(["bench-diff"])
-        .arg(&fresh.path)
-        .arg(&base.path)
-        .output()
-        .expect("fv runs");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stdout).contains("MISSING"));
+fn unknown_flag_is_refused() {
+    assert_refused(&["demo", "--bogus"], "unknown flag --bogus");
+    // A switch takes no value: `--json=1` is not a flag `fv` knows.
+    assert_refused(&["demo", "--json=1"], "unknown flag --json=1");
+}
+
+#[test]
+fn valued_flag_without_a_value_is_refused() {
+    for flag in ["--pkt", "--plan", "--out"] {
+        assert_refused(&["why", flag], &format!("{flag} needs a value"));
+    }
+}
+
+#[test]
+fn unparsable_number_is_refused() {
+    assert_refused(&["timeseries", "--interval-us", "abc"], "--interval-us");
+    assert_refused(&["timeseries", "--interval-us=abc"], "--interval-us");
+    assert_refused(&["why", "--pkt", "-1"], "--pkt");
 }
 
 // ---- flight recorder --------------------------------------------------

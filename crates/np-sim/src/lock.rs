@@ -173,14 +173,14 @@ impl LockTable {
             per.acquires += 1;
             per.hold_total += hold;
             if let Some(t) = &self.telemetry {
-                t.try_acquired.incr(0);
+                t.try_acquired.incr();
             }
             true
         } else {
             self.stats.try_failed += 1;
             per.try_failed += 1;
             if let Some(t) = &self.telemetry {
-                t.try_failed.incr(0);
+                t.try_failed.incr();
             }
             false
         }
@@ -209,11 +209,11 @@ impl LockTable {
         per.acquires += 1;
         per.hold_total += hold;
         if let Some(t) = &self.telemetry {
-            t.try_acquired.incr(0);
+            t.try_acquired.incr();
             t.wait_hist.record(wait.as_nanos());
             if start > now {
-                t.contended.incr(0);
-                t.wait_ns.add(0, wait.as_nanos());
+                t.contended.incr();
+                t.wait_ns.add(wait.as_nanos());
                 t.ring
                     .record(now, TraceKind::LockWait, lock.0 as u64, wait.as_nanos());
             }

@@ -292,11 +292,11 @@ impl SmartNic {
     /// parse, the egress decision (with its cycle and lock costs), per-VF
     /// reorder, and the wire-side FIFO.
     pub fn rx(&mut self, pkt: &Packet, now: Nanos) -> RxOutcome {
-        self.telemetry.offered.incr(0);
+        self.telemetry.offered.incr();
         let stall = self.fault.as_ref().and_then(|f| f.stalled_engines(now));
         let start = match self.workers.dispatch_with(now, stall) {
             Dispatch::RxOverflow => {
-                self.telemetry.rx_drops.incr(0);
+                self.telemetry.rx_drops.incr();
                 self.telemetry
                     .ring
                     .record(now, TraceKind::RxDrop, pkt.id, pkt.vf.0 as u64);
@@ -338,7 +338,7 @@ impl SmartNic {
 
         match decision {
             Decision::Drop => {
-                self.telemetry.sched_drops.incr(0);
+                self.telemetry.sched_drops.incr();
                 RxOutcome::SchedDrop { at: done }
             }
             Decision::Forward => {
@@ -348,8 +348,8 @@ impl SmartNic {
                 match self.fifo.enqueue_pkt(pkt.frame_len, release, pkt.id) {
                     Ok(wire_done) => {
                         let delivered = wire_done + self.config.base_pipeline_latency;
-                        self.telemetry.tx_packets.incr(0);
-                        self.telemetry.tx_bits.add(0, pkt.frame_bits());
+                        self.telemetry.tx_packets.incr();
+                        self.telemetry.tx_bits.add(pkt.frame_bits());
                         self.telemetry.tx_rate.record(wire_done, pkt.frame_bits());
                         self.telemetry.latency.record_nanos(delivered - now);
                         RxOutcome::Transmit {
@@ -358,11 +358,11 @@ impl SmartNic {
                         }
                     }
                     Err(TmDrop::TailDrop) => {
-                        self.telemetry.tail_drops.incr(0);
+                        self.telemetry.tail_drops.incr();
                         RxOutcome::TailDrop { at: release }
                     }
                     Err(TmDrop::CorruptDrop) => {
-                        self.telemetry.fault_drops.incr(0);
+                        self.telemetry.fault_drops.incr();
                         RxOutcome::FaultDrop { at: release }
                     }
                     // The TM only ever refuses with the two causes above;

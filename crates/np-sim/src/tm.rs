@@ -180,7 +180,7 @@ impl TxFifo {
                 TmFault::CorruptDrop => {
                     self.stats.fault_drops += 1;
                     if let Some(tel) = &self.telemetry {
-                        tel.fault_drops.incr(0);
+                        tel.fault_drops.incr();
                     }
                     return Err(TmDrop::CorruptDrop);
                 }
@@ -190,7 +190,7 @@ impl TxFifo {
         if backlog > self.max_backlog {
             self.stats.tail_drops += 1;
             if let Some(tel) = &self.telemetry {
-                tel.tail_drops.incr(0);
+                tel.tail_drops.incr();
                 tel.ring.record(
                     t,
                     TraceKind::TailDrop,
@@ -213,8 +213,8 @@ impl TxFifo {
         self.stats.tx_packets += 1;
         self.stats.tx_bits += frame_len as u64 * 8;
         if let Some(tel) = &self.telemetry {
-            tel.tx_packets.incr(0);
-            tel.tx_bits.add(0, frame_len as u64 * 8);
+            tel.tx_packets.incr();
+            tel.tx_bits.add(frame_len as u64 * 8);
             let occupancy = self.rate.bits_in(self.free_at - t) / 8;
             tel.backlog_bytes.set(occupancy);
             tel.spans.record(Stage::TmQueue, t, pkt_id, wire_start - t);

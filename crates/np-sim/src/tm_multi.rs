@@ -163,7 +163,7 @@ impl MultiQueueTm {
         if hq.queue.len() >= hq.cfg.capacity {
             hq.drops += 1;
             if let Some(t) = &self.telemetry {
-                t.queue_drops[q].incr(0);
+                t.queue_drops[q].incr();
                 t.ring
                     .record(pkt.created_at, TraceKind::TailDrop, q as u64, pkt.id);
             }
@@ -217,8 +217,8 @@ impl MultiQueueTm {
                     self.tx_packets += 1;
                     self.tx_bits += pkt.frame_bits();
                     if let Some(t) = &self.telemetry {
-                        t.tx_packets.incr(0);
-                        t.tx_bits.add(0, pkt.frame_bits());
+                        t.tx_packets.incr();
+                        t.tx_bits.add(pkt.frame_bits());
                         t.backlog_pkts
                             .set(self.queues.iter().map(|hw| hw.queue.len() as u64).sum());
                     }

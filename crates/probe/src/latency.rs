@@ -169,8 +169,8 @@ impl Inner {
 /// ```
 ///
 /// The interior mutex is uncontended in the single-threaded discrete-event
-/// simulation; the bench suite's `span_stamp` gate measures the
-/// *uninstalled* cost every packet pays.
+/// simulation; the benchmark's `probe.ns_per_pkt` is what installing it
+/// costs a packet, `telemetry.ns_per_pkt` what the stamps cost without it.
 pub struct LatencyAttr {
     inner: Mutex<Inner>,
 }

@@ -19,8 +19,6 @@
 //!   [`SpanSink`](fv_telemetry::SpanSink) demultiplexing every stage span
 //!   into per-flow-class HDR-style histograms (p50/p90/p99/p999 per stage
 //!   per class) plus a space-saving heavy-hitter sketch (`fv top`).
-//! * [`diff::diff_docs`] — the `BENCH_*.json` comparator behind
-//!   `fv bench-diff`, CI's perf-regression gate.
 //! * [`flight::flight_doc`] — a flight-recorder dump (profile + trace-ring
 //!   tail) written on SLO violations in `fv check` and fault windows in
 //!   `fv chaos`.
@@ -30,13 +28,11 @@
 //! exports — which `scripts/check.sh` asserts.
 
 pub mod contention;
-pub mod diff;
 pub mod flight;
 pub mod latency;
 pub mod report;
 
 pub use contention::{rank_locks, LockRank};
-pub use diff::{diff_docs, BenchDiff, DiffReport};
 pub use flight::flight_doc;
 pub use latency::{ClassLatency, FlowVolume, LatencyAttr, UNATTRIBUTED};
 pub use report::{ProbeReport, Waterline};

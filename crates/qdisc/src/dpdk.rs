@@ -248,14 +248,14 @@ impl DpdkQos {
             Ok(()) => {
                 self.stats.enqueued += 1;
                 if let Some(t) = &self.telemetry {
-                    t.enqueued.incr(0);
+                    t.enqueued.incr();
                     t.backlog_pkts.set(self.backlog_pkts() as u64);
                 }
             }
             Err(_) => {
                 self.stats.drops += 1;
                 if let Some(t) = &self.telemetry {
-                    t.drops.incr(0);
+                    t.drops.incr();
                     t.ring
                         .record(at, TraceKind::TailDrop, (pipe * NUM_TCS + tc) as u64, id);
                 }
@@ -287,8 +287,8 @@ impl DpdkQos {
                     self.stats.dequeued += 1;
                     self.stats.dequeued_bits += pkt.frame_bits();
                     if let Some(t) = &self.telemetry {
-                        t.dequeued.incr(0);
-                        t.dequeued_bits.add(0, pkt.frame_bits());
+                        t.dequeued.incr();
+                        t.dequeued_bits.add(pkt.frame_bits());
                         t.backlog_pkts.set(self.backlog_pkts() as u64);
                     }
                     // Move the grinder past this pipe for round-robin fairness.

@@ -401,16 +401,16 @@ impl Htb {
             Ok(()) => {
                 self.stats.enqueued += 1;
                 if let Some(t) = &self.telemetry {
-                    t.enqueued.incr(0);
+                    t.enqueued.incr();
                     t.backlog_pkts.set(self.backlog_pkts() as u64);
                 }
             }
             Err(cause) => {
                 self.stats.drops += 1;
                 if let Some(t) = &self.telemetry {
-                    t.drops.incr(0);
+                    t.drops.incr();
                     if let Some(cc) = t.causes.get(&class) {
-                        cc.incr(cause, 0);
+                        cc.incr(cause);
                     }
                     t.ring.record(at, TraceKind::TailDrop, class.0 as u64, id);
                 }
@@ -544,8 +544,8 @@ impl Htb {
         self.stats.dequeued += 1;
         self.stats.dequeued_bits += pkt.frame_bits();
         if let Some(t) = &self.telemetry {
-            t.dequeued.incr(0);
-            t.dequeued_bits.add(0, pkt.frame_bits());
+            t.dequeued.incr();
+            t.dequeued_bits.add(pkt.frame_bits());
             t.backlog_pkts.set(self.backlog_pkts() as u64);
             // Queue span: how long the packet waited in its leaf queue.
             let sojourn = now.saturating_sub(pkt.created_at);

@@ -118,20 +118,20 @@ impl Prio {
             Ok(()) => {
                 self.enqueued += 1;
                 if let Some(t) = &self.telemetry {
-                    t.enqueued.incr(0);
+                    t.enqueued.incr();
                     t.backlog_pkts.set(self.backlog_pkts() as u64);
                 }
             }
             Err(cause) => {
                 if let Some(t) = &self.telemetry {
-                    t.drops.incr(0);
+                    t.drops.incr();
                     match cause {
-                        QueueDrop::OverPkts => t.drops_overpkts.incr(0),
-                        QueueDrop::OverBytes => t.drops_overbytes.incr(0),
+                        QueueDrop::OverPkts => t.drops_overpkts.incr(),
+                        QueueDrop::OverBytes => t.drops_overbytes.incr(),
                         // A FIFO never produces the scheduler/TM causes.
                         _ => {}
                     }
-                    t.band_drops[band].incr(0);
+                    t.band_drops[band].incr();
                     t.ring.record(at, TraceKind::TailDrop, band as u64, id);
                 }
             }
@@ -156,7 +156,7 @@ impl Prio {
             if let Some(p) = self.bands[band].pop() {
                 self.dequeued += 1;
                 if let Some(t) = &self.telemetry {
-                    t.dequeued.incr(0);
+                    t.dequeued.incr();
                     t.backlog_pkts.set(self.backlog_pkts() as u64);
                     if let Some(now) = now {
                         let sojourn = now.saturating_sub(p.created_at);

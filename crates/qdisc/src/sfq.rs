@@ -149,7 +149,7 @@ impl Sfq {
             }
             Err(cause) => {
                 if let Some(cc) = &self.cause_counters {
-                    cc[b].incr(cause, 0);
+                    cc[b].incr(cause);
                 }
             }
         }

@@ -113,16 +113,16 @@ impl Tbf {
         match &r {
             Ok(()) => {
                 if let Some(t) = &self.telemetry {
-                    t.enqueued.incr(0);
+                    t.enqueued.incr();
                     t.backlog_pkts.set(self.queue.len() as u64);
                 }
             }
             Err(cause) => {
                 if let Some(t) = &self.telemetry {
-                    t.drops.incr(0);
+                    t.drops.incr();
                     match cause {
-                        QueueDrop::OverPkts => t.drops_overpkts.incr(0),
-                        QueueDrop::OverBytes => t.drops_overbytes.incr(0),
+                        QueueDrop::OverPkts => t.drops_overpkts.incr(),
+                        QueueDrop::OverBytes => t.drops_overbytes.incr(),
                         // A FIFO never produces the scheduler/TM causes.
                         _ => {}
                     }
@@ -149,8 +149,8 @@ impl Tbf {
             self.tokens -= bits;
             let pkt = self.queue.pop();
             if let (Some(p), Some(t)) = (&pkt, &self.telemetry) {
-                t.dequeued.incr(0);
-                t.dequeued_bits.add(0, p.frame_bits());
+                t.dequeued.incr();
+                t.dequeued_bits.add(p.frame_bits());
                 t.backlog_pkts.set(self.queue.len() as u64);
                 // Queue span: how long the packet sat waiting for tokens.
                 let sojourn = now.saturating_sub(p.created_at);

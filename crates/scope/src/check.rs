@@ -363,7 +363,7 @@ mod tests {
         let c = reg.counter("bits");
         let mut s = TimeSampler::new(reg, SamplerConfig::default().with_interval(us(10)));
         for i in 1..=10u64 {
-            c.add(0, 8_000);
+            c.add(8_000);
             s.advance_to(us(i * 10));
         }
         s
@@ -418,8 +418,8 @@ mod tests {
         let b = reg.counter("b.bits");
         let mut s = TimeSampler::new(&reg, SamplerConfig::default().with_interval(us(10)));
         for i in 1..=10u64 {
-            a.add(0, 4_000);
-            b.add(0, 4_000);
+            a.add(4_000);
+            b.add(4_000);
             s.advance_to(us(i * 10));
         }
         let snap = reg.snapshot(us(100));
@@ -436,7 +436,7 @@ mod tests {
     #[test]
     fn counter_zero_and_p99_assertions() {
         let reg = Registry::new();
-        reg.counter("drops").add(0, 2);
+        reg.counter("drops").add(2);
         reg.histogram("lat").record(500);
         let s = TimeSampler::new(&reg, SamplerConfig::default());
         let snap = reg.snapshot(us(100));
@@ -475,7 +475,7 @@ mod tests {
         // Degraded through 50 us (no traffic), full rate afterwards.
         for i in 1..=10u64 {
             if i > 5 {
-                c.add(0, 8_000);
+                c.add(8_000);
             }
             s.advance_to(us(i * 10));
         }

@@ -89,9 +89,9 @@ pub struct Frame {
 /// let cfg = SamplerConfig::default().with_interval(Nanos::from_micros(10));
 /// let mut sampler = TimeSampler::new(&reg, cfg);
 ///
-/// tx.add(0, 8_000);
+/// tx.add(8_000);
 /// sampler.advance_to(Nanos::from_micros(10)); // closes the first interval
-/// tx.add(0, 4_000);
+/// tx.add(4_000);
 /// sampler.advance_to(Nanos::from_micros(25)); // closes the second
 ///
 /// let frames: Vec<_> = sampler.frames().collect();
@@ -376,10 +376,10 @@ mod tests {
         let reg = Registry::new();
         let c = reg.counter("x");
         let mut s = TimeSampler::new(&reg, SamplerConfig::default().with_interval(us(10)));
-        c.add(0, 100);
+        c.add(100);
         s.advance_to(us(10));
         s.advance_to(us(20)); // nothing accumulated
-        c.add(0, 50);
+        c.add(50);
         s.advance_to(us(30));
         let series = s.series("x");
         assert_eq!(series, vec![(us(10), 100), (us(20), 0), (us(30), 50)]);
@@ -389,9 +389,9 @@ mod tests {
     fn pre_attach_totals_are_baselined_not_sampled() {
         let reg = Registry::new();
         let c = reg.counter("x");
-        c.add(0, 1_000_000); // before the sampler exists
+        c.add(1_000_000); // before the sampler exists
         let mut s = TimeSampler::new(&reg, SamplerConfig::default().with_interval(us(10)));
-        c.add(0, 5);
+        c.add(5);
         s.advance_to(us(10));
         assert_eq!(s.series("x"), vec![(us(10), 5)]);
     }
@@ -401,10 +401,10 @@ mod tests {
         let reg = Registry::new();
         let a = reg.counter("a");
         let mut s = TimeSampler::new(&reg, SamplerConfig::default().with_interval(us(10)));
-        a.add(0, 1);
+        a.add(1);
         s.advance_to(us(10));
         let b = reg.counter("b"); // registers after the first frame
-        b.add(0, 7);
+        b.add(7);
         s.advance_to(us(20));
         assert_eq!(s.names(), ["a", "b"]);
         // b's first frame is padded to zero in CSV, 7 in the second row.
@@ -418,8 +418,8 @@ mod tests {
     #[test]
     fn prefix_filter_limits_columns() {
         let reg = Registry::new();
-        reg.counter("nic.tx").add(0, 1);
-        reg.counter("tm.fifo.tx").add(0, 2);
+        reg.counter("nic.tx").add(1);
+        reg.counter("tm.fifo.tx").add(2);
         let mut s = TimeSampler::new(
             &reg,
             SamplerConfig::default()
@@ -453,7 +453,7 @@ mod tests {
         let mut s = TimeSampler::new(&reg, SamplerConfig::default().with_interval(us(10)));
         // 8000 bits per 10 us = 800 Mbit/s, over 5 intervals.
         for i in 1..=5u64 {
-            c.add(0, 8_000);
+            c.add(8_000);
             s.advance_to(us(i * 10));
         }
         let rate = s.window_rate("bits", us(10), us(50)).unwrap();
@@ -474,7 +474,7 @@ mod tests {
             prefixes: Vec::new(),
         };
         let mut s = TimeSampler::new(&reg, cfg);
-        c.add(0, 10);
+        c.add(10);
         s.advance_to(us(10)); // frames 9, 10 retained; 1-8 evicted
         assert!(s.window_rate("x", Nanos::ZERO, us(10)).is_none());
         assert!(s.window_rate("x", us(8), us(10)).is_some());
@@ -485,7 +485,7 @@ mod tests {
         let reg = Registry::new();
         let c = reg.counter("x");
         let mut s = TimeSampler::new(&reg, SamplerConfig::default().with_interval(us(10)));
-        c.add(0, 3);
+        c.add(3);
         s.advance_to(us(10));
         let line = s.to_jsonl();
         let doc = JsonValue::parse(line.trim()).unwrap();
@@ -501,7 +501,7 @@ mod tests {
     #[test]
     fn prometheus_text_covers_all_metric_kinds() {
         let reg = Registry::new();
-        reg.counter("nic.tx_packets").add(0, 5);
+        reg.counter("nic.tx_packets").add(5);
         reg.gauge("tm.fifo.backlog_bytes").set(100);
         reg.histogram("span.wire_ns").record(1_000);
         reg.rate("nic.tx_bits_rate", us(10)).record(us(5), 80);

@@ -3,9 +3,9 @@
 //! The FlowValve scheduling tree is timestamp-driven (token refill intervals
 //! are computed from "now minus last update"). By programming against
 //! [`Clock`], the identical scheduling code runs inside the discrete-event
-//! simulator (where *the simulator* advances time) and on real OS threads in
-//! the Criterion benchmarks (where the hardware clock advances time), which
-//! is how we exercise true multi-core parallelism without SmartNIC hardware.
+//! simulator (where *the simulator* advances time) and on real OS threads
+//! (where the hardware clock advances time), which is how we exercise true
+//! multi-core parallelism without SmartNIC hardware.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -66,7 +66,7 @@ impl Clock for VirtualClock {
 
 /// A wall-clock backed by [`std::time::Instant`], anchored at construction.
 ///
-/// Used by the multi-threaded Criterion benchmarks so the same token-bucket
+/// Used by the benchmark's `wallclock_2t` workload so the same token-bucket
 /// code that runs under virtual time is measured under real time.
 #[derive(Debug)]
 pub struct WallClock {

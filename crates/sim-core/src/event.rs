@@ -586,7 +586,7 @@ mod tests {
 
     #[test]
     fn calendar_matches_heap_under_sparse_churn() {
-        // The small-N regime the churn bench measures: ~1024 pending
+        // The small-N churn regime: ~1024 pending
         // entries with keys packed into a narrow (8 µs) horizon, then
         // steady push-one-pop-one churn. Nearly every pop spills a small
         // bucket, which is exactly the path that recycles the scratch

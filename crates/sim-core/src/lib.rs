@@ -8,7 +8,7 @@
 //! * [`units`] — bit-rate and size units with Ethernet wire-overhead helpers.
 //! * [`clock`] — the [`Clock`] abstraction that lets the *same* scheduling
 //!   code run under simulated virtual time and under wall-clock time
-//!   (for the multi-threaded Criterion benchmarks).
+//!   (on real OS threads).
 //! * [`event`] — a deterministic event queue ([`EventQueue`]) with stable
 //!   FIFO ordering among simultaneous events.
 //! * [`rng`] — seeded deterministic random numbers for reproducible

@@ -107,14 +107,13 @@ impl CauseCounters {
         }
     }
 
-    /// Counts one drop of `cause` on `worker`, registering the counter on
-    /// first use.
-    pub fn incr(&self, cause: DropCause, worker: usize) {
+    /// Counts one drop of `cause`, registering the counter on first use.
+    pub fn incr(&self, cause: DropCause) {
         let c = self.slots[cause.slot()].get_or_init(|| {
             self.registry
                 .counter(&format!("{}.drop.{}", self.prefix, cause.name()))
         });
-        c.incr(worker);
+        c.incr();
     }
 }
 
@@ -155,8 +154,8 @@ mod tests {
             .snapshot(Nanos::ZERO)
             .get("test.q.drop.over_pkts")
             .is_none());
-        family.incr(DropCause::OverPkts, 0);
-        family.incr(DropCause::OverPkts, 0);
+        family.incr(DropCause::OverPkts);
+        family.incr(DropCause::OverPkts);
         let snap = registry.snapshot(Nanos::ZERO);
         assert_eq!(snap.counter("test.q.drop.over_pkts"), 2);
         assert!(snap.get("test.q.drop.over_bytes").is_none());

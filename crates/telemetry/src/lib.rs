@@ -8,7 +8,7 @@
 //! * [`Registry`] — a named-metric registry handing out `Arc` handles to
 //!   wait-free primitives. Registration is cold-path (mutex); recording is
 //!   relaxed atomics only.
-//! * [`Counter`] / [`Gauge`] / [`Histogram`] / [`RateWindow`] — sharded
+//! * [`Counter`] / [`Gauge`] / [`Histogram`] / [`RateWindow`] — one-word
 //!   counters, occupancy gauges with high-water marks, log-linear latency
 //!   histograms, and virtual-time-windowed rate series.
 //! * [`EventRing`] — a seqlock trace ring for individual scheduler
@@ -17,7 +17,7 @@
 //!   [`CauseCounters`], here so the NIC model and the qdisc baselines can
 //!   count drops by cause without depending on the auditor.
 //! * [`json`] — a small JSON emitter ([`ToJson`]/[`JsonValue`]) behind the
-//!   `fv demo --json` exporter and the bench result files (this workspace
+//!   `fv demo --json` exporter and the figure result files (this workspace
 //!   builds with no crates.io access, so there is no `serde_json`).
 //!
 //! # The dual-clock contract
@@ -28,13 +28,12 @@
 //!
 //! * under **virtual time** inside the discrete-event simulator, where
 //!   `sim_core::clock::VirtualClock` advances only when events fire, and
-//! * under **wall-clock time** on real OS threads in the Criterion
-//!   benchmarks, where `sim_core::clock::WallClock` reads the hardware
-//!   clock.
+//! * under **wall-clock time** on real OS threads, where
+//!   `sim_core::clock::WallClock` reads the hardware clock.
 //!
 //! Because the hot path is wait-free (no locks, no CAS loops on counters),
-//! attaching telemetry does not perturb the contention behaviour the
-//! benches exist to measure.
+//! attaching telemetry does not add contention of its own to the run it
+//! observes.
 //!
 //! # Example
 //!
@@ -47,7 +46,7 @@
 //! let lat = reg.histogram("nic.latency_ns");
 //!
 //! // hot path: relaxed atomics only
-//! tx.incr(0);
+//! tx.incr();
 //! lat.record(1_230);
 //!
 //! let snap = reg.snapshot(Nanos::from_micros(10));
@@ -65,7 +64,7 @@ pub mod trace;
 
 pub use cause::{CauseCounters, DropCause};
 pub use json::{JsonValue, ToJson};
-pub use metrics::{thread_stripe, Counter, Gauge, Histogram, HistogramSnapshot, RateWindow};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, RateWindow};
 pub use registry::{MetricEntry, MetricValue, Registry, RegistryError, Snapshot};
 pub use span::{SpanRecorder, SpanSink, Stage, STAGES};
 pub use trace::{EventRing, TraceEvent, TraceKind};

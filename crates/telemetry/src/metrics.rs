@@ -3,56 +3,24 @@
 //! Every hot-path operation here is a handful of `Relaxed` atomic
 //! read-modify-writes — no locks, no CAS retry loops on counters — so the
 //! same instrumentation can sit inside the simulated micro-engine pipeline
-//! (virtual time, single thread per engine) and inside the multi-threaded
-//! Criterion benchmarks (wall-clock time, real contention) without
-//! perturbing what is being measured.
+//! (virtual time, one recording thread) and be read from another thread
+//! while it runs, without perturbing what is being measured.
 //!
-//! Counters are sharded: each recording site passes a small shard hint
-//! (micro-engine id, thread index) and shards are only summed when a
-//! snapshot is taken. Histograms use a single bucket array — two concurrent
-//! `record`s only collide when they land in the same log-linear bucket, and
-//! even then the collision is one relaxed `fetch_add`.
+//! Nothing here is striped per thread: every front end records from one
+//! thread, and striping the counters and the histogram header measured
+//! level on the benchmark's `demo_observed`, `tcp_closed_loop` and
+//! `wallclock_2t` (DESIGN.md §13). The structures stay exact under
+//! concurrent writers all the same — two `record`s collide on a
+//! histogram's header line and, when they land in the same log-linear
+//! bucket, on that bucket, and each collision is one relaxed `fetch_add`.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use sim_core::time::Nanos;
 
-/// Number of independent shards per counter.
-///
-/// Must be a power of two; shard hints are masked, so any `usize` works as a
-/// hint. Eight covers the simulated NFP's worker islands and the bench's
-/// thread counts without excessive footprint.
-pub const SHARDS: usize = 8;
-
-const SHARD_MASK: usize = SHARDS - 1;
-
-/// Stable per-thread stripe hint: each thread is handed the next slot of a
-/// global round-robin on first use, so up to [`SHARDS`] concurrent
-/// recorders land on distinct cache lines (beyond that, stripes are
-/// shared but still correct). Returns the raw (unmasked) index — every
-/// striped consumer masks it against its own stripe count.
-///
-/// The assignment is per-thread, not per-call: one TLS read on the hot
-/// path, no atomics.
-#[inline]
-pub fn thread_stripe() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static STRIPE: usize = NEXT.fetch_add(1, Relaxed);
-    }
-    STRIPE.with(|s| *s)
-}
-
-/// One cache line per shard so two engines never write the same line.
-#[repr(align(64))]
+/// A monotonically increasing counter: one atomic word.
 #[derive(Default)]
-struct PaddedU64(AtomicU64);
-
-/// A monotonically increasing, sharded counter.
-#[derive(Default)]
-pub struct Counter {
-    shards: [PaddedU64; SHARDS],
-}
+pub struct Counter(AtomicU64);
 
 impl Counter {
     /// Creates a counter at zero.
@@ -60,21 +28,21 @@ impl Counter {
         Self::default()
     }
 
-    /// Adds `n` on the shard hinted by `shard` (masked; any value is safe).
+    /// Adds `n`.
     #[inline]
-    pub fn add(&self, shard: usize, n: u64) {
-        self.shards[shard & SHARD_MASK].0.fetch_add(n, Relaxed);
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Relaxed);
     }
 
-    /// Adds one on the hinted shard.
+    /// Adds one.
     #[inline]
-    pub fn incr(&self, shard: usize) {
-        self.add(shard, 1);
+    pub fn incr(&self) {
+        self.add(1);
     }
 
-    /// Sums all shards. Snapshot-path only; not linearizable with writers.
+    /// The current value. Not linearizable with concurrent writers.
     pub fn total(&self) -> u64 {
-        self.shards.iter().map(|s| s.0.load(Relaxed)).sum()
+        self.0.load(Relaxed)
     }
 }
 
@@ -182,41 +150,16 @@ fn bucket_floor(idx: usize) -> u64 {
     (1u64 << decade) + (sub << (decade - SUB_BITS))
 }
 
-/// One stripe of a histogram's scalar header. All four scalars fit in the
-/// single aligned cache line, so a recording thread dirties exactly one
-/// line here (plus the bucket it lands in).
-#[repr(align(64))]
-struct HistStripe {
+/// A wait-free log-linear histogram of `u64` samples (typically nanoseconds).
+///
+/// Besides the bucket it lands in, a `record` writes the scalar header:
+/// four words that fill half a cache line of the histogram itself.
+pub struct Histogram {
+    buckets: Box<[AtomicU64; BUCKETS]>,
     count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
-}
-
-impl Default for HistStripe {
-    fn default() -> Self {
-        HistStripe {
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-        }
-    }
-}
-
-/// A wait-free log-linear histogram of `u64` samples (typically nanoseconds).
-///
-/// The scalar header (count/sum/min/max) is striped per recording thread
-/// like [`Counter`]: every `record` previously hammered four shared cache
-/// lines regardless of the sample value, which made the histogram the
-/// bottleneck of the multi-threaded instrumented benches. Stripes are
-/// merged exactly at read time (wrapping sums, min-of-mins, max-of-maxes),
-/// so snapshots and quantiles see totals identical to the unsharded
-/// layout. The bucket array stays shared — concurrent `record`s only
-/// collide there when they land in the same log-linear bucket.
-pub struct Histogram {
-    buckets: Box<[AtomicU64; BUCKETS]>,
-    stripes: [HistStripe; SHARDS],
 }
 
 impl Default for Histogram {
@@ -233,27 +176,23 @@ impl Histogram {
             buckets.into_boxed_slice().try_into().expect("bucket count");
         Histogram {
             buckets,
-            stripes: Default::default(),
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            min: AtomicU64::new(u64::MAX),
+            max: AtomicU64::new(0),
         }
     }
 
-    /// Records one sample on the calling thread's stripe. Wait-free: three
-    /// relaxed RMWs (bucket, count, sum) plus two relaxed loads of the
-    /// stripe's extremes, which turn into RMWs only for a new extreme.
+    /// Records one sample. Wait-free: three relaxed RMWs (bucket, count,
+    /// sum) plus two relaxed loads of the extremes, which turn into RMWs
+    /// only for a new extreme.
     #[inline]
     pub fn record(&self, v: u64) {
-        self.record_at(thread_stripe(), v);
-    }
-
-    /// Records one sample on an explicit stripe (masked; any hint is safe).
-    #[inline]
-    pub fn record_at(&self, stripe: usize, v: u64) {
         self.buckets[bucket_index(v)].fetch_add(1, Relaxed);
-        let s = &self.stripes[stripe & SHARD_MASK];
-        s.count.fetch_add(1, Relaxed);
-        s.sum.fetch_add(v, Relaxed);
-        lower(&s.min, v);
-        raise(&s.max, v);
+        self.count.fetch_add(1, Relaxed);
+        self.sum.fetch_add(v, Relaxed);
+        lower(&self.min, v);
+        raise(&self.max, v);
     }
 
     /// Records a duration sample in nanoseconds.
@@ -262,30 +201,25 @@ impl Histogram {
         self.record(d.as_nanos());
     }
 
-    /// Exact merge of the striped scalar header. Snapshot-path only; not
-    /// linearizable with writers (like [`Counter::total`]).
-    fn merge(&self) -> (u64, u64, u64, u64) {
-        let mut count = 0u64;
-        let mut sum = 0u64;
-        let mut min = u64::MAX;
-        let mut max = 0u64;
-        for s in &self.stripes {
-            count = count.wrapping_add(s.count.load(Relaxed));
-            sum = sum.wrapping_add(s.sum.load(Relaxed));
-            min = min.min(s.min.load(Relaxed));
-            max = max.max(s.max.load(Relaxed));
-        }
-        (count, sum, min, max)
+    /// The scalar header as `(count, sum, min, max)`. Snapshot-path only;
+    /// not linearizable with writers (like [`Counter::total`]).
+    fn header(&self) -> (u64, u64, u64, u64) {
+        (
+            self.count.load(Relaxed),
+            self.sum.load(Relaxed),
+            self.min.load(Relaxed),
+            self.max.load(Relaxed),
+        )
     }
 
     /// Total samples recorded.
     pub fn count(&self) -> u64 {
-        self.merge().0
+        self.count.load(Relaxed)
     }
 
     /// Immutable summary of the current contents.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let (count, sum, min, max) = self.merge();
+        let (count, sum, min, max) = self.header();
         if count == 0 {
             return HistogramSnapshot::default();
         }
@@ -306,7 +240,7 @@ impl Histogram {
     /// clamped into `[min, max]`), or `None` when the histogram is empty
     /// or `q` is outside `[0, 1]` — never a garbage value.
     pub fn quantile(&self, q: f64) -> Option<u64> {
-        let (count, _, min, max) = self.merge();
+        let (count, _, min, max) = self.header();
         if count == 0 {
             return None;
         }
@@ -398,7 +332,7 @@ const RATE_SLOTS: usize = 64;
 pub struct RateWindow {
     window: Nanos,
     epochs: [AtomicU64; RATE_SLOTS],
-    values: [PaddedU64; RATE_SLOTS],
+    values: [AtomicU64; RATE_SLOTS],
 }
 
 impl RateWindow {
@@ -412,7 +346,7 @@ impl RateWindow {
         RateWindow {
             window,
             epochs: std::array::from_fn(|_| AtomicU64::new(u64::MAX)),
-            values: std::array::from_fn(|_| PaddedU64::default()),
+            values: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
 
@@ -434,10 +368,10 @@ impl RateWindow {
                 .compare_exchange(seen, epoch, Relaxed, Relaxed)
                 .is_ok()
             {
-                self.values[idx].0.store(0, Relaxed);
+                self.values[idx].store(0, Relaxed);
             }
         }
-        self.values[idx].0.fetch_add(amount, Relaxed);
+        self.values[idx].fetch_add(amount, Relaxed);
     }
 
     /// Average rate (amount per second) over up to `windows` completed slots
@@ -453,7 +387,7 @@ impl RateWindow {
             };
             let idx = (epoch as usize) % RATE_SLOTS;
             if self.epochs[idx].load(Relaxed) == epoch {
-                total += self.values[idx].0.load(Relaxed);
+                total += self.values[idx].load(Relaxed);
             }
             counted += 1;
         }
@@ -477,7 +411,7 @@ impl RateWindow {
             if self.epochs[idx].load(Relaxed) == epoch {
                 out.push((
                     Nanos::from_nanos(epoch * self.window.as_nanos()),
-                    self.values[idx].0.load(Relaxed),
+                    self.values[idx].load(Relaxed),
                 ));
             }
         }
@@ -498,30 +432,33 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// A counter is one word: anything wider is memory no recorder writes.
     #[test]
-    fn counter_sums_across_shards() {
-        let c = Counter::new();
-        for shard in 0..SHARDS * 2 {
-            c.add(shard, 2);
-        }
-        c.incr(3);
-        assert_eq!(c.total(), (SHARDS as u64 * 2) * 2 + 1);
+    fn counter_is_one_word() {
+        assert_eq!(std::mem::size_of::<Counter>(), 8);
     }
 
+    /// Eight threads released together onto the one word, with mixed
+    /// amounts: the total is the sequential sum, nothing lost or minted.
     #[test]
     fn counter_is_thread_safe() {
-        let c = Arc::new(Counter::new());
+        const THREADS: u64 = 8;
+        const PER_THREAD: u64 = 25_000;
+        let c = Counter::new();
+        let start = std::sync::Barrier::new(THREADS as usize);
         std::thread::scope(|s| {
-            for t in 0..4 {
-                let c = Arc::clone(&c);
-                s.spawn(move || {
-                    for _ in 0..10_000 {
-                        c.incr(t);
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    start.wait();
+                    for i in 0..PER_THREAD {
+                        c.add(1 + (i & 3));
                     }
+                    c.incr();
                 });
             }
         });
-        assert_eq!(c.total(), 40_000);
+        let per_thread: u64 = (0..PER_THREAD).map(|i| 1 + (i & 3)).sum();
+        assert_eq!(c.total(), THREADS * (per_thread + 1));
     }
 
     #[test]
@@ -664,76 +601,10 @@ mod tests {
         assert_eq!(h.count(), 20_000);
     }
 
-    #[test]
-    fn thread_stripe_is_stable_per_thread() {
-        let a = thread_stripe();
-        assert_eq!(a, thread_stripe(), "stripe must not move within a thread");
-        let b = std::thread::spawn(|| (thread_stripe(), thread_stripe()))
-            .join()
-            .unwrap();
-        assert_eq!(b.0, b.1);
-        assert_ne!(a, b.0, "fresh threads get fresh stripe slots");
-    }
-
-    /// Striped-counter conservation: the merged snapshot of 8 hammering
-    /// threads equals the sequential total — striping must never lose or
-    /// mint increments, whichever stripes the threads land on.
-    #[test]
-    fn striped_counter_merge_equals_sequential_total() {
-        const THREADS: usize = 8;
-        const PER_THREAD: u64 = 25_000;
-        let striped = Arc::new(Counter::new());
-        std::thread::scope(|s| {
-            for t in 0..THREADS {
-                let striped = Arc::clone(&striped);
-                s.spawn(move || {
-                    for i in 0..PER_THREAD {
-                        // Mix of explicit shard hints and amounts.
-                        striped.add(t.wrapping_add(i as usize), 1 + (i & 3));
-                    }
-                });
-            }
-        });
-        let sequential = Counter::new();
-        for t in 0..THREADS {
-            for i in 0..PER_THREAD {
-                sequential.add(t.wrapping_add(i as usize), 1 + (i & 3));
-            }
-        }
-        assert_eq!(striped.total(), sequential.total());
-    }
-
-    /// Striped-histogram conservation: count, sum, min, max and quantiles
-    /// after 8-thread concurrent recording match a sequentially-filled
-    /// histogram of the same samples exactly.
-    #[test]
-    fn striped_histogram_merge_equals_sequential() {
-        const THREADS: u64 = 8;
-        const PER_THREAD: u64 = 10_000;
-        let h = Arc::new(Histogram::new());
-        std::thread::scope(|s| {
-            for t in 0..THREADS {
-                let h = Arc::clone(&h);
-                s.spawn(move || {
-                    for i in 0..PER_THREAD {
-                        h.record(t * PER_THREAD + i + 1);
-                    }
-                });
-            }
-        });
-        let seq = Histogram::new();
-        for v in 1..=THREADS * PER_THREAD {
-            seq.record(v);
-        }
-        let (a, b) = (h.snapshot(), seq.snapshot());
-        assert_eq!(a, b, "merged striped snapshot diverged from sequential");
-        assert_eq!(h.quantile(0.5), seq.quantile(0.5));
-    }
-
     /// The extremes are guarded by a relaxed load before their RMW. Eight
-    /// threads released together onto ONE stripe (and one gauge), with
+    /// threads released together onto the one header (and one gauge), with
     /// unordered samples so new extremes keep arriving mid-run, must still
-    /// merge to exactly the sequential fold's min/max/count/sum.
+    /// read exactly the sequential fold's snapshot and quantiles.
     #[test]
     fn guarded_extremes_match_sequential_fold_on_a_shared_stripe() {
         const THREADS: u64 = 8;
@@ -756,7 +627,7 @@ mod tests {
                 s.spawn(move || {
                     start.wait();
                     for v in samples(t) {
-                        h.record_at(0, v);
+                        h.record(v);
                         g.set(v);
                     }
                 });
@@ -769,6 +640,14 @@ mod tests {
         assert_eq!(Some(snap.min), all.iter().copied().min());
         assert_eq!(Some(snap.max), all.iter().copied().max());
         assert_eq!(Some(g.max()), all.iter().copied().max());
+        let seq = Histogram::new();
+        all.iter().for_each(|&v| seq.record(v));
+        assert_eq!(
+            snap,
+            seq.snapshot(),
+            "concurrent fill diverged from sequential"
+        );
+        assert_eq!(h.quantile(0.5), seq.quantile(0.5));
     }
 
     #[test]

@@ -342,10 +342,10 @@ impl std::fmt::Debug for Registry {
     }
 }
 
-/// The merged value of one metric at snapshot time.
+/// The value of one metric at snapshot time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MetricValue {
-    /// Sum of all counter shards.
+    /// The counter's total.
     Counter(u64),
     /// Last set value and high-water mark.
     Gauge {
@@ -505,8 +505,8 @@ mod tests {
     fn counter_roundtrip_through_snapshot() {
         let reg = Registry::new();
         let c = reg.counter("nic.tx_packets");
-        c.add(0, 41);
-        c.incr(1);
+        c.add(41);
+        c.incr();
         let snap = reg.snapshot(Nanos::from_micros(5));
         assert_eq!(snap.counter("nic.tx_packets"), 42);
         assert_eq!(snap.at, Nanos::from_micros(5));
@@ -515,8 +515,8 @@ mod tests {
     #[test]
     fn counter_totals_enumerates_only_counters() {
         let reg = Registry::new();
-        reg.counter("b.pkts").add(0, 3);
-        reg.counter("a.bits").add(1, 8);
+        reg.counter("b.pkts").add(3);
+        reg.counter("a.bits").add(8);
         reg.gauge("depth").set(5);
         reg.histogram("lat").record(1);
         assert_eq!(
@@ -543,15 +543,15 @@ mod tests {
             handles.iter().map(|(n, _)| n.as_str()).collect::<Vec<_>>(),
             ["a", "b"]
         );
-        handles[0].1.add(0, 5);
+        handles[0].1.add(5);
         assert_eq!(reg.snapshot(Nanos::ZERO).counter("a"), 5);
     }
 
     #[test]
     fn same_name_returns_same_counter() {
         let reg = Registry::new();
-        reg.counter("x").add(0, 1);
-        reg.counter("x").add(0, 1);
+        reg.counter("x").add(1);
+        reg.counter("x").add(1);
         assert_eq!(reg.snapshot(Nanos::ZERO).counter("x"), 2);
     }
 
@@ -580,7 +580,7 @@ mod tests {
         assert!(reg.try_histogram("x").is_err());
         assert!(reg.try_rate("x", Nanos::from_micros(1)).is_err());
         // The happy path still returns the same handle as the panicking one.
-        reg.try_counter("x").unwrap().add(0, 2);
+        reg.try_counter("x").unwrap().add(2);
         assert_eq!(reg.snapshot(Nanos::ZERO).counter("x"), 2);
     }
 
@@ -610,15 +610,15 @@ mod tests {
     fn clones_share_state() {
         let reg = Registry::new();
         let other = reg.clone();
-        other.counter("shared").add(0, 5);
+        other.counter("shared").add(5);
         assert_eq!(reg.snapshot(Nanos::ZERO).counter("shared"), 5);
     }
 
     #[test]
     fn render_aligns_names() {
         let reg = Registry::new();
-        reg.counter("short").add(0, 1);
-        reg.counter("a.much.longer.name").add(0, 2);
+        reg.counter("short").add(1);
+        reg.counter("a.much.longer.name").add(2);
         let text = reg.snapshot(Nanos::ZERO).render();
         assert!(text.contains("a.much.longer.name  2"));
         assert!(text.lines().count() == 2);
@@ -627,7 +627,7 @@ mod tests {
     #[test]
     fn json_export_shape() {
         let reg = Registry::new();
-        reg.counter("tx").add(0, 9);
+        reg.counter("tx").add(9);
         reg.histogram("lat").record(100);
         let doc = reg.snapshot(Nanos::from_nanos(3)).to_json();
         assert_eq!(doc.get("at_ns").and_then(JsonValue::as_u64), Some(3));

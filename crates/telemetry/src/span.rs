@@ -13,9 +13,8 @@
 //!   wrapped or is being sampled.
 //!
 //! Both sinks are wait-free relaxed atomics, so stamping stays cheap enough
-//! to leave on inside the simulated micro-engine hot path and inside the
-//! multi-threaded wall-clock benchmarks (the `span_stamp` bench in the
-//! `bench` crate keeps this honest: ≈ tens of nanoseconds per stamp).
+//! to leave on inside the simulated micro-engine hot path (the benchmark's
+//! `telemetry.ns_per_pkt` on `demo_observed` is its measured price).
 
 use std::sync::{Arc, OnceLock};
 
@@ -32,8 +31,7 @@ use crate::trace::{EventRing, TraceKind};
 /// A sink is installed at most once per registry
 /// ([`Registry::install_span_sink`]), *before* the run starts; every
 /// [`SpanRecorder`] bound to that registry forwards to it. When no sink is
-/// installed the hot path pays one atomic load and a branch, which the
-/// `span_stamp` bench keeps honest.
+/// installed the hot path pays one atomic load and a branch.
 pub trait SpanSink: Send + Sync {
     /// A packet spent `dur` in `stage` starting at `start`.
     fn span(&self, stage: Stage, start: Nanos, pkt_id: u64, dur: Nanos);

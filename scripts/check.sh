@@ -17,12 +17,6 @@ cargo build --release
 echo "==> cargo test -q (tier-1: the whole workspace, via default-members)"
 cargo test -q
 
-echo "==> cargo test -p sim-core --doc (EventQueue API contract)"
-cargo test -q -p sim-core --doc
-
-echo "==> cargo bench -- --test (bench smoke: every bench body runs once)"
-cargo bench -p bench -- --test
-
 echo "==> figure replay (every driver must rewrite results/ byte for byte)"
 # The committed results/*.json are what the drivers write, so a diff here
 # is a behaviour change of the simulated path: either unintended, or to be
@@ -110,40 +104,16 @@ print(f"profile ok: {doc['cycles']['total']} cycles attributed, "
       f"{len(doc['locks'])} locks ranked")
 PY
 
-echo "==> fv why / fv audit smoke (provenance + mischarge self-test)"
-# Packet id 64 is always a sampling hit (1 in 64 by id) and never evicted
-# from the provenance ring.
-$FV why scripts/motivation.fv --pkt 64 | grep "verdict" >/dev/null \
-    || { echo "fv why did not print a verdict"; exit 1; }
+echo "==> fv audit smoke (mischarge self-test; the replay above covers fv why)"
 if $FV audit scripts/motivation.fv --inject-mischarge >/dev/null; then
     echo "fv audit --inject-mischarge must exit 1"; exit 1
 fi
-echo "why/audit ok: packet explained, mischarge caught"
-
-echo "==> scaling smoke (multi-core aggregate speedup gate)"
-# Machine-aware: asserts >= 2x aggregate throughput at 4 threads on hosts
-# with >= 4 CPUs (FV_SCALING_FULL=1 adds the >= 3x @ 8 threads full
-# gate); on smaller hosts it prints an explicit SKIP — thread scaling is
-# a property of the hardware, not of the committed code.
-cargo run --release -q -p bench --bin scaling_smoke
+echo "audit ok: mischarge caught"
 
 echo "==> benchmark/run.sh --smoke (the whole-path benchmark still builds and runs)"
 # The benchmark is a package of its own that compiles against the crates'
 # public API; a PR that breaks a name it uses must fail here, not in the
 # pipeline that runs it afterwards. 1/50 size, < 15 s once built.
 benchmark/run.sh --smoke >/dev/null
-
-# Opt-in perf-regression gate: fresh bench snapshot diffed against the
-# newest committed baseline on the two hot-path acceptance benches.
-# Baselines are machine-specific — if this fires on new hardware while
-# the code is unchanged, re-baseline with scripts/bench.sh first.
-if [[ "${FV_BENCH_GATE:-0}" == "1" ]]; then
-    echo "==> bench regression gate (<=10% vs BENCH_pr9.json)"
-    scripts/bench.sh gate
-    cargo run --release -q -p fv-cli -- bench-diff BENCH_gate.json BENCH_pr9.json \
-        --tolerance-pct 10 \
-        --only sched_function/instrumented_threads --only span_stamp/record
-    rm -f BENCH_gate.json
-fi
 
 echo "All checks passed."
