@@ -59,6 +59,9 @@ pub struct RunReport {
     pub delivered: u64,
     /// Packets dropped anywhere on the path.
     pub dropped: u64,
+    /// Retransmission timeouts fired (windows that made no progress for
+    /// one RTO with data in flight).
+    pub timeouts: u64,
     /// The egress path's display name.
     pub path_name: &'static str,
     /// The simulated horizon.
@@ -126,6 +129,7 @@ pub fn run_with_chaos(
         std::collections::BTreeMap::new();
     let mut delivered = 0u64;
     let mut dropped = 0u64;
+    let mut timeouts = 0u64;
 
     // Host-side per-VF DMA pacing (2x the link so the host never binds).
     let host_rate = scenario.link.saturating_add(scenario.link);
@@ -257,6 +261,7 @@ pub fn run_with_chaos(
                 if conns[ci].progress == progress && conns[ci].tcp.inflight() > 0 {
                     conns[ci].tcp.on_timeout();
                     conns[ci].progress += 1;
+                    timeouts += 1;
                     try_send!(ci, now);
                 }
             }
@@ -304,6 +309,7 @@ pub fn run_with_chaos(
             delay_per_app,
             delivered,
             dropped,
+            timeouts,
             path_name: path.name(),
             horizon: scenario.horizon,
             snapshot,

@@ -18,12 +18,16 @@ echo "==> cargo test -q (tier-1: the whole workspace, via default-members)"
 cargo test -q
 
 echo "==> figure replay (every driver must rewrite results/ byte for byte)"
-# The committed results/*.json are what the drivers write, so a diff here
-# is a behaviour change of the simulated path: either unintended, or to be
-# committed and named row by row in CHANGES.md. ~20 s for all twelve.
+# The committed results/*.json are what the drivers write and results/*.txt
+# what they print (per-figure-second tables, delivered/dropped counts), so
+# a diff here is a behaviour change of the simulated path: either
+# unintended, or to be committed and named row by row in CHANGES.md.
+replay_start=$SECONDS
 for src in crates/bench/src/bin/{ablation,discussion,fig}*.rs; do
-    cargo run --release -q -p bench --bin "$(basename "$src" .rs)" >/dev/null
+    name="$(basename "$src" .rs)"
+    cargo run --release -q -p bench --bin "$name" > "results/$name.txt"
 done
+echo "figure replay: all twelve drivers in $((SECONDS - replay_start)) s"
 git diff --exit-code --stat results/ \
     || { echo "figure drivers no longer reproduce the committed results/"; exit 1; }
 
