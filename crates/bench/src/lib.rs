@@ -60,8 +60,7 @@ pub fn kernel_path(
     model: KernelModel,
 ) -> EgressPath {
     let htb = Htb::new(specs, model).expect("experiment hierarchy builds");
-    let senders = scenario.apps.len();
-    EgressPath::kernel(htb, map, scenario.link, senders)
+    EgressPath::kernel(htb, map, scenario.link)
 }
 
 /// Builds the DPDK QoS egress path.

@@ -23,7 +23,7 @@
 //! per-shard counters, so hit/miss/eviction totals are conserved however
 //! the workload was striped.
 
-use crate::cache::{CacheResult, CacheStats, FlowCache};
+use crate::cache::{CacheResult, CacheStats, FlowCache, MAX_CAPACITY};
 use netstack::flow::FlowKey;
 
 /// Number of shards: the model's island count, each island owning one
@@ -36,10 +36,13 @@ const SHARD_MASK: usize = SHARDS - 1;
 
 /// A shard on its own cache line(s): neighbouring shards' clock hands,
 /// length counters, and stats never share a line, so workers hammering
-/// adjacent shards do not invalidate each other's caches.
+/// adjacent shards do not invalidate each other's caches. `None` until
+/// its island sees a packet: a table is half a megabyte of empty slots at
+/// the default capacity, and writing all eight up front would be nine
+/// tenths of building a NIC.
 #[repr(align(64))]
 #[derive(Debug, Clone)]
-struct Shard<V>(FlowCache<V>);
+struct Shard<V>(Option<FlowCache<V>>);
 
 /// [`SHARDS`] independent flow caches indexed by worker stripe.
 ///
@@ -64,6 +67,8 @@ struct Shard<V>(FlowCache<V>);
 #[derive(Debug, Clone)]
 pub struct ShardedFlowCache<V> {
     shards: Box<[Shard<V>]>,
+    /// Flow capacity of each shard's table.
+    per_shard: usize,
 }
 
 impl<V> ShardedFlowCache<V> {
@@ -74,17 +79,18 @@ impl<V> ShardedFlowCache<V> {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
-        let per_shard = (capacity / SHARDS).max(1);
         ShardedFlowCache {
-            shards: (0..SHARDS)
-                .map(|_| Shard(FlowCache::new(per_shard)))
-                .collect(),
+            shards: (0..SHARDS).map(|_| Shard(None)).collect(),
+            per_shard: (capacity / SHARDS).clamp(1, MAX_CAPACITY),
         }
     }
 
     #[inline]
     fn shard(&mut self, stripe: usize) -> &mut FlowCache<V> {
-        &mut self.shards[stripe & SHARD_MASK].0
+        let per_shard = self.per_shard;
+        self.shards[stripe & SHARD_MASK]
+            .0
+            .get_or_insert_with(|| FlowCache::new(per_shard))
     }
 
     /// [`FlowCache::get_or_insert_with`] on the shard owned by worker
@@ -102,22 +108,23 @@ impl<V> ShardedFlowCache<V> {
     /// Drops every entry in every shard (rule reloads re-classify all
     /// flows, whichever worker cached them).
     pub fn invalidate_all(&mut self) {
-        for s in self.shards.iter_mut() {
-            s.0.invalidate_all();
+        for table in self.shards.iter_mut().filter_map(|s| s.0.as_mut()) {
+            table.invalidate_all();
         }
     }
 
     /// Total flow capacity across all shards.
     pub fn capacity(&self) -> usize {
-        self.shards.iter().map(|s| s.0.capacity()).sum()
+        self.per_shard * SHARDS
     }
 
     /// Exact merge of the per-shard counters: hits, misses, and evictions
     /// sum across shards, so totals are conserved however the workload
     /// was striped.
     pub fn stats(&self) -> CacheStats {
-        self.shards.iter().fold(CacheStats::default(), |acc, s| {
-            let st = s.0.stats();
+        let tables = self.shards.iter().filter_map(|s| s.0.as_ref());
+        tables.fold(CacheStats::default(), |acc, table| {
+            let st = table.stats();
             CacheStats {
                 hits: acc.hits + st.hits,
                 misses: acc.misses + st.misses,
@@ -165,6 +172,20 @@ mod tests {
             c.get_or_insert_with_at(0, &flow(1), || unreachable!("cached")),
             (&7, CacheResult::Hit)
         );
+    }
+
+    #[test]
+    fn a_shard_is_built_when_its_island_sees_a_packet() {
+        let mut c: ShardedFlowCache<u32> = ShardedFlowCache::new(1024);
+        // Nothing allocated, and everything a caller can ask still answers.
+        assert!(c.shards.iter().all(|s| s.0.is_none()));
+        assert_eq!(c.capacity(), 1024);
+        assert_eq!(c.stats(), CacheStats::default());
+        c.invalidate_all();
+        c.get_or_insert_with_at(3, &flow(1), || 7);
+        let built: Vec<usize> = (0..SHARDS).filter(|&i| c.shards[i].0.is_some()).collect();
+        assert_eq!(built, [3]);
+        assert_eq!(c.stats().misses, 1);
     }
 
     #[test]

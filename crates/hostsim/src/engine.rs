@@ -4,7 +4,7 @@
 //! egress path, feeding losses and deliveries back into the senders. This
 //! is the loop behind every throughput-over-time figure: schedulers shape
 //! bandwidth by *dropping*, TCP converges onto what is left, and the
-//! recorder bins the delivered bits into the figure's time series.
+//! recorder accumulates the delivered bits into the figure's time series.
 
 use std::sync::Arc;
 
@@ -19,7 +19,7 @@ use sim_core::time::Nanos;
 use sim_core::units::WireFraming;
 
 use crate::path::{EgressPath, Outcome};
-use crate::scenario::Scenario;
+use crate::scenario::{AppSpec, Scenario};
 
 /// Internal simulation events.
 #[derive(Debug, Clone, Copy)]
@@ -32,18 +32,30 @@ enum Ev {
     Loss(usize, u64),
     /// Poll the egress path's scheduler.
     Poll,
-    /// RTO watchdog for a connection: fires with the progress count at
-    /// arming time; a stale count with inflight data means the window is
-    /// stuck (e.g. packets starved inside a qdisc) and times out.
-    Watchdog(usize, u64),
+    /// A connection's RTO timer, at most one pending per connection. A
+    /// window is stuck (e.g. starved inside a qdisc) when nothing moved
+    /// `progress` for one RTO after a send; of the sends made at one
+    /// `progress` value only the first can find that, so the timer guards
+    /// that one. A send arms it when none is pending; firing, it times the
+    /// window out, moves to the deadline of the send it now guards, or goes
+    /// idle. A timer that moved fires *after* its nanosecond's other events;
+    /// an event per segment, scheduled at its send, would fire before some.
+    Watchdog(usize),
 }
 
-struct ConnState {
-    app: usize,
+struct ConnState<'a> {
+    app: &'a AppSpec,
+    /// The recorder series of the app's name.
+    series: usize,
     tcp: TcpConn,
     flow: FlowKey,
-    /// Bumped on every ACK/loss; the RTO watchdog compares against it.
+    /// Bumped on every ACK, loss and timeout.
     progress: u64,
+    /// `progress` at the send the RTO timer guards, the first made at that
+    /// value; stale once `progress` moves on.
+    rto_progress: u64,
+    /// That send's instant plus the RTO; `Some` while a timer is pending.
+    rto_deadline: Option<Nanos>,
 }
 
 /// Results of one scenario run.
@@ -53,14 +65,11 @@ pub struct RunReport {
     pub recorder: SeriesRecorder,
     /// One-way delay of delivered packets (all apps).
     pub delay: Histogram,
-    /// One-way delay per app name.
-    pub delay_per_app: std::collections::BTreeMap<String, Histogram>,
     /// Packets delivered to the receiver.
     pub delivered: u64,
     /// Packets dropped anywhere on the path.
     pub dropped: u64,
-    /// Retransmission timeouts fired (windows that made no progress for
-    /// one RTO with data in flight).
+    /// Retransmission timeouts: windows with no progress for one RTO.
     pub timeouts: u64,
     /// The egress path's display name.
     pub path_name: &'static str,
@@ -72,20 +81,14 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// One-way delay histogram of a single app (`None` if it delivered
-    /// nothing).
-    pub fn delay_of(&self, app: &str) -> Option<&Histogram> {
-        self.delay_per_app.get(app)
-    }
-
     /// Mean delivered rate of one app over the figure-axis window
     /// `[from_s, to_s)`, in Gbps.
     pub fn mean_gbps(&self, scenario: &Scenario, app: &str, from_s: f64, to_s: f64) -> f64 {
-        let bin = scenario.time_scale; // one figure-second per bin
-        match self.recorder.binned(app, bin) {
-            Some(series) => series.mean_rate(from_s as usize, to_s as usize).as_gbps(),
-            None => 0.0,
-        }
+        // One figure-second per bin.
+        let series = self.recorder.binned(app, scenario.time_scale);
+        series.map_or(0.0, |s| {
+            s.mean_rate(from_s as usize, to_s as usize).as_gbps()
+        })
     }
 }
 
@@ -112,210 +115,201 @@ pub fn run(scenario: &Scenario, path: EgressPath) -> (RunReport, EgressPath) {
     run_with_chaos(scenario, path, None)
 }
 
+/// Everything a send attempt or a packet's fate touches.
+struct Engine<'a> {
+    scenario: &'a Scenario,
+    chaos: Option<Arc<dyn HostChaosHook>>,
+    path: EgressPath,
+    events: EventQueue<Ev>,
+    conns: Vec<ConnState<'a>>,
+    /// Index in `conns` of each app's first connection, by app position.
+    conn_base: Vec<usize>,
+    ids: PacketIdGen,
+    /// Host-side DMA pacing: when each VF is free, how long a frame takes.
+    vf_free: [Nanos; 256],
+    frame_time: Nanos,
+    poll_armed: bool,
+    recorder: SeriesRecorder,
+    delay: Histogram,
+    dropped: u64,
+    timeouts: u64,
+}
+
+impl Engine<'_> {
+    /// One send attempt for connection `ci` at time `now`.
+    fn try_send(&mut self, ci: usize, now: Nanos) {
+        let s = self.scenario;
+        let app = self.conns[ci].app;
+        let chaos = self.chaos.as_deref();
+        let paused = chaos.and_then(|h| h.app_paused_until(app.app, now));
+        if !(app.active_at(now) && self.conns[ci].tcp.can_send()) {
+            return;
+        }
+        if let Some(until) = paused {
+            // Frozen process: nothing leaves until the pause clears.
+            let retry = until.max(now + Nanos::from_nanos(1));
+            return self.events.schedule(retry, Ev::ConnWake(ci));
+        }
+        let seq = self.conns[ci].tcp.on_send();
+        let slot = &mut self.vf_free[app.vf.0 as usize];
+        let t_send = (*slot).max(now);
+        let next = t_send + self.frame_time;
+        *slot = next;
+        let (id, flow) = (self.ids.next_id(), self.conns[ci].flow);
+        let pkt = Packet::new(id, flow, s.frame_len, app.app, app.vf, t_send).with_seq(seq);
+        if chaos.is_some_and(|h| h.vf_down(app.vf, t_send)) {
+            // DMA into a VF under reset: lost at the host boundary; the
+            // sender learns of it like any other loss.
+            self.settle(ci, Outcome::Dropped { pkt, at: t_send });
+        } else {
+            let (outcome, arm) = self.path.send(pkt, t_send);
+            if let Some(out) = outcome {
+                self.settle(ci, out);
+            }
+            if arm && !self.poll_armed {
+                self.poll_armed = true;
+                self.events.schedule(t_send, Ev::Poll);
+            }
+        }
+        // Pace the next segment of this window and arm the RTO.
+        let conn = &mut self.conns[ci];
+        if conn.tcp.can_send() {
+            self.events.schedule(next, Ev::ConnWake(ci));
+        }
+        if conn.rto_progress != conn.progress {
+            conn.rto_progress = conn.progress;
+            // Generous RTO: late enough that ordinary queueing never fires
+            // it, early enough to unstick starved flows within a figure bin.
+            let due = t_send + s.base_rtt * 16 + Nanos::from_millis(2);
+            if conn.rto_deadline.replace(due).is_none() {
+                self.events.schedule(due, Ev::Watchdog(ci));
+            }
+        }
+    }
+
+    /// Books a packet's fate and schedules the feedback its sender sees.
+    fn settle(&mut self, ci: usize, out: Outcome) {
+        match out {
+            Outcome::Delivered { pkt, at } => {
+                let series = self.conns[ci].series;
+                self.recorder.record(series, at, pkt.frame_bits());
+                let delay = at.saturating_sub(pkt.created_at);
+                self.delay.record(delay.as_nanos());
+                let ack_at = at + self.scenario.base_rtt / 2;
+                self.events.schedule(ack_at, Ev::Ack(ci, pkt.seq));
+            }
+            Outcome::Dropped { pkt, at } => {
+                self.dropped += 1;
+                let loss_at = at + self.scenario.base_rtt;
+                self.events.schedule(loss_at, Ev::Loss(ci, pkt.seq));
+            }
+        }
+    }
+
+    /// The sender heard about a segment or timed out: that is progress.
+    fn progress(&mut self, ci: usize, now: Nanos, react: impl FnOnce(&mut TcpConn)) {
+        react(&mut self.conns[ci].tcp);
+        self.conns[ci].progress += 1;
+        self.try_send(ci, now);
+    }
+}
+
 /// [`run`] with an optional host-side chaos hook consulted on every send
 /// attempt (app pauses) and every DMA handoff (VF resets). With `None`
 /// the loop is byte-identical to the clean run.
 pub fn run_with_chaos(
     scenario: &Scenario,
-    mut path: EgressPath,
+    path: EgressPath,
     chaos: Option<Arc<dyn HostChaosHook>>,
 ) -> (RunReport, EgressPath) {
     let mut rng = SimRng::seed(scenario.seed);
-    let mut ids = PacketIdGen::new();
-    let mut events: EventQueue<Ev> = EventQueue::with_capacity(1 << 16);
-    let mut recorder = SeriesRecorder::new();
-    let mut delay = Histogram::new_latency_ns();
-    let mut delay_per_app: std::collections::BTreeMap<String, Histogram> =
-        std::collections::BTreeMap::new();
-    let mut delivered = 0u64;
-    let mut dropped = 0u64;
-    let mut timeouts = 0u64;
-
-    // Host-side per-VF DMA pacing (2x the link so the host never binds).
+    // A thousand slots per figure-second, or as many as divide it evenly.
+    let scale = scenario.time_scale.as_nanos();
+    let slots = (1..=1_000).rev().find(|&n| scale.is_multiple_of(n));
+    // 2x the link so the host never binds.
     let host_rate = scenario.link.saturating_add(scenario.link);
-    let framing = WireFraming::ETHERNET;
-    let mut vf_free = [Nanos::ZERO; 256];
-    let mut poll_armed = false;
-
-    // Build connections.
-    let mut conns: Vec<ConnState> = Vec::new();
+    let mut e = Engine {
+        scenario,
+        chaos,
+        path,
+        // Pending: a segment's ACK or loss, a connection's wake and timer.
+        events: EventQueue::with_capacity(1 << 10),
+        conns: Vec::new(),
+        conn_base: Vec::new(),
+        ids: PacketIdGen::new(),
+        vf_free: [Nanos::ZERO; 256],
+        frame_time: WireFraming::ETHERNET.serialization_time(host_rate, scenario.frame_len as u64),
+        poll_armed: false,
+        recorder: SeriesRecorder::new(Nanos::from_nanos(scale / slots.unwrap_or(1))),
+        delay: Histogram::new_latency_ns(),
+        dropped: 0,
+        timeouts: 0,
+    };
     for (ai, app) in scenario.apps.iter().enumerate() {
+        e.conn_base.push(e.conns.len());
+        let series = e.recorder.series(&app.name);
         for c in 0..app.conns {
-            let flow = FlowKey::tcp(
-                [10, 0, (ai + 1) as u8, 1],
-                40_000 + c as u16,
-                [10, 0, 255, 1],
-                app.dst_port,
-            );
-            conns.push(ConnState {
-                app: ai,
+            let jitter = Nanos::from_nanos(rng.range(0, scenario.base_rtt.as_nanos().max(2)));
+            let wake = Ev::ConnWake(e.conns.len());
+            e.events.schedule(app.start + jitter, wake);
+            let src = ([10, 0, (ai + 1) as u8, 1], 40_000 + c as u16);
+            e.conns.push(ConnState {
+                app,
+                series,
                 tcp: TcpConn::new(scenario.mss, scenario.init_cwnd),
-                flow,
+                flow: FlowKey::tcp(src.0, src.1, [10, 0, 255, 1], app.dst_port),
                 progress: 0,
+                rto_progress: u64::MAX,
+                rto_deadline: None,
             });
         }
     }
-    let conn_of: std::collections::HashMap<FlowKey, usize> = conns
-        .iter()
-        .enumerate()
-        .map(|(ci, c)| (c.flow, ci))
-        .collect();
-    for (ci, conn) in conns.iter().enumerate() {
-        let start = scenario.apps[conn.app].start
-            + Nanos::from_nanos(rng.range(0, scenario.base_rtt.as_nanos().max(2)));
-        events.schedule(start, Ev::ConnWake(ci));
-    }
-
-    let ack_delay = scenario.base_rtt / 2;
-    // Generous RTO: late enough that ordinary queueing never fires it,
-    // early enough to unstick starved flows within a figure bin.
-    let rto = scenario.base_rtt * 16 + Nanos::from_millis(2);
-
-    // One send attempt for `ci` at time `now`.
-    macro_rules! try_send {
-        ($ci:expr, $now:expr) => {{
-            let ci: usize = $ci;
-            let now: Nanos = $now;
-            let app = &scenario.apps[conns[ci].app];
-            let paused = chaos
-                .as_deref()
-                .and_then(|h| h.app_paused_until(app.app, now));
-            if let Some(until) = paused {
-                // Frozen process: nothing leaves until the pause clears.
-                if app.active_at(now) && conns[ci].tcp.can_send() {
-                    events.schedule(until.max(now + Nanos::from_nanos(1)), Ev::ConnWake(ci));
-                }
-            } else if app.active_at(now) && conns[ci].tcp.can_send() {
-                let seq = conns[ci].tcp.on_send();
-                let vf = app.vf;
-                let slot = &mut vf_free[vf.0 as usize];
-                let t_send = (*slot).max(now);
-                *slot = t_send + framing.serialization_time(host_rate, scenario.frame_len as u64);
-                if chaos.as_deref().is_some_and(|h| h.vf_down(vf, t_send)) {
-                    // DMA into a VF under reset: lost at the host boundary;
-                    // the sender learns of it like any other loss.
-                    ids.next_id();
-                    dropped += 1;
-                    events.schedule(t_send + scenario.base_rtt, Ev::Loss(ci, seq));
-                } else {
-                    let pkt = Packet::new(
-                        ids.next_id(),
-                        conns[ci].flow,
-                        scenario.frame_len,
-                        app.app,
-                        vf,
-                        t_send,
-                    )
-                    .with_seq(seq);
-                    let (outcome, arm) = path.send(pkt, t_send);
-                    if let Some(out) = outcome {
-                        match out {
-                            Outcome::Delivered { pkt, at } => {
-                                delivered += 1;
-                                recorder.record(&app.name, at, pkt.frame_bits());
-                                let d = at.saturating_sub(pkt.created_at).as_nanos();
-                                delay.record(d);
-                                delay_per_app
-                                    .entry(app.name.clone())
-                                    .or_insert_with(Histogram::new_latency_ns)
-                                    .record(d);
-                                events.schedule(at + ack_delay, Ev::Ack(ci, seq));
-                            }
-                            Outcome::Dropped { at, .. } => {
-                                dropped += 1;
-                                events.schedule(at + scenario.base_rtt, Ev::Loss(ci, seq));
-                            }
-                        }
-                    }
-                    if arm && !poll_armed {
-                        poll_armed = true;
-                        events.schedule(t_send, Ev::Poll);
-                    }
-                }
-                // Pace the next segment of this window and arm the RTO.
-                if conns[ci].tcp.can_send() {
-                    events.schedule(*slot, Ev::ConnWake(ci));
-                }
-                events.schedule(t_send + rto, Ev::Watchdog(ci, conns[ci].progress));
-            }
-        }};
-    }
-
-    while let Some((now, ev)) = events.pop() {
-        if now > scenario.horizon {
-            break;
-        }
+    while let Some((now, ev)) = e.events.pop().filter(|ev| ev.0 <= scenario.horizon) {
         match ev {
-            Ev::ConnWake(ci) => try_send!(ci, now),
-            Ev::Ack(ci, seq) => {
-                conns[ci].tcp.on_ack(seq);
-                conns[ci].progress += 1;
-                try_send!(ci, now);
-            }
-            Ev::Loss(ci, seq) => {
-                conns[ci].tcp.on_loss(seq);
-                conns[ci].progress += 1;
-                try_send!(ci, now);
-            }
-            Ev::Watchdog(ci, progress) => {
-                if conns[ci].progress == progress && conns[ci].tcp.inflight() > 0 {
-                    conns[ci].tcp.on_timeout();
-                    conns[ci].progress += 1;
-                    timeouts += 1;
-                    try_send!(ci, now);
+            Ev::ConnWake(ci) => e.try_send(ci, now),
+            Ev::Ack(ci, seq) => e.progress(ci, now, |tcp| tcp.on_ack(seq)),
+            Ev::Loss(ci, seq) => e.progress(ci, now, |tcp| tcp.on_loss(seq)),
+            Ev::Watchdog(ci) => {
+                let conn = &mut e.conns[ci];
+                let due = conn.rto_deadline.take().expect("a pending timer");
+                // Else progress since that send and nothing sent after: idle.
+                let guarding = conn.rto_progress == conn.progress;
+                if guarding && now < due {
+                    conn.rto_deadline = Some(due);
+                    e.events.schedule(due, Ev::Watchdog(ci));
+                } else if guarding {
+                    e.timeouts += 1;
+                    e.progress(ci, now, TcpConn::on_timeout);
                 }
             }
             Ev::Poll => {
-                let (outcome, next) = path.poll(now);
+                let (outcome, next) = e.path.poll(now);
                 if let Some(out) = outcome {
-                    match out {
-                        Outcome::Delivered { pkt, at } => {
-                            delivered += 1;
-                            let app = &scenario.apps[pkt.app.0 as usize];
-                            recorder.record(&app.name, at, pkt.frame_bits());
-                            let d = at.saturating_sub(pkt.created_at).as_nanos();
-                            delay.record(d);
-                            delay_per_app
-                                .entry(app.name.clone())
-                                .or_insert_with(Histogram::new_latency_ns)
-                                .record(d);
-                            // Map back to the owning connection via seq/app:
-                            // connections store their app; find by flow.
-                            if let Some(&ci) = conn_of.get(&pkt.flow) {
-                                events.schedule(at + ack_delay, Ev::Ack(ci, pkt.seq));
-                            }
-                        }
-                        Outcome::Dropped { pkt, at } => {
-                            dropped += 1;
-                            if let Some(&ci) = conn_of.get(&pkt.flow) {
-                                events.schedule(at + scenario.base_rtt, Ev::Loss(ci, pkt.seq));
-                            }
-                        }
-                    }
+                    // Its flow key is 10.0.<app position + 1>.1:<40000 + conn>.
+                    let flow = out.packet().flow;
+                    let app = flow.src_ip.octets()[2] as usize - 1;
+                    let ci = e.conn_base[app] + (flow.src_port - 40_000) as usize;
+                    e.settle(ci, out);
                 }
-                match next {
-                    Some(t) => events.schedule(t.max(now + Nanos::from_nanos(1)), Ev::Poll),
-                    None => poll_armed = false,
+                e.poll_armed = next.is_some();
+                if let Some(t) = next.map(|t| t.max(now + Nanos::from_nanos(1))) {
+                    e.events.schedule(t, Ev::Poll);
                 }
             }
         }
     }
-
-    let snapshot = path.telemetry_snapshot(scenario.horizon);
-    (
-        RunReport {
-            recorder,
-            delay,
-            delay_per_app,
-            delivered,
-            dropped,
-            timeouts,
-            path_name: path.name(),
-            horizon: scenario.horizon,
-            snapshot,
-        },
-        path,
-    )
+    let snapshot = e.path.telemetry_snapshot(scenario.horizon);
+    let report = RunReport {
+        delivered: e.delay.count(),
+        recorder: e.recorder,
+        delay: e.delay,
+        dropped: e.dropped,
+        timeouts: e.timeouts,
+        path_name: e.path.name(),
+        horizon: scenario.horizon,
+        snapshot,
+    };
+    (report, e.path)
 }
 
 #[cfg(test)]
@@ -395,6 +389,36 @@ mod tests {
         for (i, r) in series.rates.iter().enumerate().skip(3) {
             assert_eq!(r.as_bps(), 0, "bin {i} not empty");
         }
+    }
+
+    #[test]
+    fn software_paths_book_deliveries_by_app_position_not_id() {
+        use qdisc::htb::{Handle, Htb, HtbClassSpec, KernelModel};
+        // Ids neither dense nor in order: the class map is keyed by them,
+        // the series and the connections by the app's position.
+        let mut s = Scenario::new(BitRate::from_gbps(10.0), Nanos::from_millis(10));
+        s.time_scale = s.horizon;
+        s.apps = vec![
+            AppSpec::new("Seven", 7, 0, 9000, 2, Nanos::ZERO, s.horizon),
+            AppSpec::new("Three", 3, 1, 9001, 2, Nanos::ZERO, s.horizon),
+        ];
+        let link = s.link;
+        let specs = vec![
+            HtbClassSpec::new(Handle(1), None, link),
+            HtbClassSpec::new(Handle(10), Some(Handle(1)), link.scaled(3, 4)),
+            HtbClassSpec::new(Handle(20), Some(Handle(1)), link.scaled(1, 4)),
+        ];
+        let htb = Htb::new(specs, KernelModel::ideal()).unwrap();
+        let map = [(AppId(7), Handle(10)), (AppId(3), Handle(20))].into();
+        let (report, _path) = run(&s, EgressPath::kernel(htb, map, link));
+        let seven = report.mean_gbps(&s, "Seven", 0.0, 1.0);
+        let three = report.mean_gbps(&s, "Three", 0.0, 1.0);
+        assert!(seven > 2.0 * three && three > 2.0, "{seven} vs {three}");
+        let bits: u64 = ["Seven", "Three"]
+            .iter()
+            .map(|app| report.recorder.total_bits(app))
+            .sum();
+        assert_eq!(bits, report.delivered * 1518 * 8);
     }
 
     #[test]

@@ -152,14 +152,8 @@ impl EgressPath {
     }
 
     /// A kernel HTB path on `link`. The contention count adapts to how
-    /// many distinct apps sent within the last millisecond; `_senders` is
-    /// kept for API stability and ignored.
-    pub fn kernel(
-        mut htb: Htb,
-        class_of: HashMap<AppId, Handle>,
-        link: BitRate,
-        _senders: usize,
-    ) -> Self {
+    /// many distinct apps sent within the last millisecond.
+    pub fn kernel(mut htb: Htb, class_of: HashMap<AppId, Handle>, link: BitRate) -> Self {
         let registry = Registry::new();
         htb.attach_telemetry(&registry);
         EgressPath::Kernel {
@@ -364,7 +358,7 @@ mod tests {
         .unwrap();
         let mut map = HashMap::new();
         map.insert(AppId(0), Handle(10));
-        EgressPath::kernel(htb, map, BitRate::from_gbps(10.0), 1)
+        EgressPath::kernel(htb, map, BitRate::from_gbps(10.0))
     }
 
     #[test]

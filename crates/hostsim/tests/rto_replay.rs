@@ -42,16 +42,8 @@ fn case(name: &'static str, apps: &[(&str, usize, f64, f64)], ceilings: &[BitRat
     s.horizon = s.fig_secs(8.0);
     s.seed = 7;
     for (i, &(app, conns, from, to)) in apps.iter().enumerate() {
-        let (i16, i8) = (i as u16, i as u8);
-        let spec = AppSpec::new(
-            app,
-            i16,
-            i8,
-            9000 + i16,
-            conns,
-            s.fig_secs(from),
-            s.fig_secs(to),
-        );
+        let (id, window) = (i as u16, (s.fig_secs(from), s.fig_secs(to)));
+        let spec = AppSpec::new(app, id, i as u8, 9000 + id, conns, window.0, window.1);
         s.apps.push(spec);
     }
     Case {
@@ -113,7 +105,7 @@ fn kernel(c: &Case) -> EgressPath {
         map.insert(AppId(i as u16), h);
     }
     let htb = Htb::new(specs, KernelModel::centos7()).expect("hierarchy builds");
-    EgressPath::kernel(htb, map, c.scenario.link, c.ceilings.len())
+    EgressPath::kernel(htb, map, c.scenario.link)
 }
 
 fn dpdk(c: &Case) -> EgressPath {

@@ -125,9 +125,10 @@ mod tests {
 
     #[test]
     fn integrates_with_recorder() {
-        let mut rec = SeriesRecorder::new();
-        rec.record("app0", Nanos::ZERO, 1_000);
-        rec.record("app0", Nanos::from_micros(1), 2_000);
+        let mut rec = SeriesRecorder::new(Nanos::from_micros(1));
+        let app0 = rec.series("app0");
+        rec.record(app0, Nanos::ZERO, 1_000);
+        rec.record(app0, Nanos::from_micros(1), 2_000);
         let all = rec.binned_all(Nanos::from_micros(1));
         let out = multi_sparkline(&all);
         assert!(out.contains("app0"));

@@ -145,6 +145,8 @@ impl fmt::Display for RunningStats {
 pub struct Histogram {
     base: f64,
     growth: f64,
+    /// `growth.ln()`, the divisor of every bucket lookup.
+    ln_growth: f64,
     counts: Vec<u64>,
     total: u64,
     stats: RunningStats,
@@ -163,6 +165,7 @@ impl Histogram {
         Histogram {
             base,
             growth,
+            ln_growth: growth.ln(),
             counts: vec![0; buckets],
             total: 0,
             stats: RunningStats::new(),
@@ -180,7 +183,7 @@ impl Histogram {
         if v < self.base {
             return 0;
         }
-        let idx = (v / self.base).ln() / self.growth.ln();
+        let idx = (v / self.base).ln() / self.ln_growth;
         (idx as usize + 1).min(self.counts.len() - 1)
     }
 
@@ -343,6 +346,30 @@ mod tests {
         let p50 = h.quantile(0.50);
         let p99 = h.quantile(0.99);
         assert!(p10 <= p50 && p50 <= p99, "{p10} {p50} {p99}");
+    }
+
+    #[test]
+    fn cached_log_buckets_match_the_uncached_formula() {
+        // 10^5 seeded samples spread log-uniformly from below the base to
+        // beyond the last bucket, plus every bucket's own lower edge.
+        let h = Histogram::new_latency_ns();
+        let uncached = |v: u64| {
+            let v = v as f64;
+            if v < h.base {
+                return 0;
+            }
+            let idx = (v / h.base).ln() / h.growth.ln();
+            (idx as usize + 1).min(h.counts.len() - 1)
+        };
+        let mut rng = crate::rng::SimRng::seed(18);
+        let edges = (0..h.counts.len() as i32).map(|i| (h.base * h.growth.powi(i)) as u64);
+        let sweep = (0..100_000).map(|_| {
+            let hi = 1u64 << rng.range(1, 40);
+            rng.range(1, hi)
+        });
+        for v in edges.chain(sweep) {
+            assert_eq!(h.bucket_of(v), uncached(v), "value {v}");
+        }
     }
 
     #[test]

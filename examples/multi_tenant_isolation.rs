@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Kernel HTB path (CentOS 7 artifacts on).
     let (specs, map) = policies::motivation_htb(scenario.policy_rate);
     let htb = Htb::new(specs, KernelModel::centos7())?;
-    let kernel = EgressPath::kernel(htb, map, scenario.link, scenario.apps.len());
+    let kernel = EgressPath::kernel(htb, map, scenario.link);
     let (kernel_report, _) = run(&scenario, kernel);
 
     // FlowValve path.

@@ -45,7 +45,7 @@ fn run_htb(model: KernelModel) -> (Scenario, hostsim::engine::RunReport) {
     let s = two_class_scenario();
     let (specs, map) = htb_specs(s.policy_rate);
     let htb = Htb::new(specs, model).expect("hierarchy builds");
-    let path = EgressPath::kernel(htb, map, s.link, 2);
+    let path = EgressPath::kernel(htb, map, s.link);
     let (report, _path) = run(&s, path);
     (s, report)
 }
@@ -106,7 +106,7 @@ fn kernel_lock_bounds_packet_rate_not_policy() {
     s.policy_rate = BitRate::from_gbps(8.0); // policy out of the way
     let (specs, map) = htb_specs(s.policy_rate);
     let htb = Htb::new(specs, KernelModel::ideal()).expect("hierarchy builds");
-    let path = EgressPath::kernel(htb, map, s.link, 2);
+    let path = EgressPath::kernel(htb, map, s.link);
     let (report, _path) = run(&s, path);
     let total = report.mean_gbps(&s, "HI", 4.0, 20.0) + report.mean_gbps(&s, "LO", 4.0, 20.0);
     // ~1.5 Mpps of lock throughput x 2048 bits ≈ 3 Gbps << the 8 Gbps policy.

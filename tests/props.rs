@@ -101,49 +101,6 @@ fn event_queue_is_time_ordered() {
     }
 }
 
-/// The calendar backend is pop-for-pop identical to the retained
-/// `BinaryHeap` oracle — same `(time, payload)` at every dequeue and the
-/// same `peek_time`, over randomized interleaved schedule/pop traces with
-/// frequent timestamp ties. Pushes are kept monotone (never before the
-/// last pop), which is the simulator's contract.
-#[test]
-fn calendar_backend_matches_heap_oracle() {
-    use sim_core::event::QueueBackend;
-    let mut rng = SimRng::seed(0xF0B1);
-    for _ in 0..50 {
-        let mut cal = EventQueue::with_backend(QueueBackend::Calendar);
-        let mut heap = EventQueue::with_backend(QueueBackend::BinaryHeap);
-        let mut now = 0u64;
-        let mut next_id = 0usize;
-        for _ in 0..400 {
-            if rng.chance(0.6) {
-                // Small deltas force ties; zero delta schedules at `now`.
-                let t = Nanos::from_nanos(now + rng.range(0, 8));
-                cal.schedule(t, next_id);
-                heap.schedule(t, next_id);
-                next_id += 1;
-            } else {
-                assert_eq!(cal.peek_time(), heap.peek_time());
-                let got = cal.pop();
-                assert_eq!(got, heap.pop());
-                if let Some((t, _)) = got {
-                    now = t.as_nanos();
-                }
-            }
-            assert_eq!(cal.len(), heap.len());
-        }
-        loop {
-            assert_eq!(cal.peek_time(), heap.peek_time());
-            let got = cal.pop();
-            assert_eq!(got, heap.pop());
-            if got.is_none() {
-                break;
-            }
-        }
-        assert_eq!(cal.dispatched(), heap.dispatched());
-    }
-}
-
 /// Wire framing never reports more packets than raw bits allow, and
 /// padding makes tiny frames cost the 64-byte minimum.
 #[test]

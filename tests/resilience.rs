@@ -333,7 +333,7 @@ fn host_pause_recovery_flowvalve_vs_htb() {
     .expect("hierarchy builds");
     let map = HashMap::from([(AppId(0), Handle(10)), (AppId(1), Handle(20))]);
     let htb_reg = Registry::new();
-    let htb_path = EgressPath::kernel(htb, map, s.link, 2);
+    let htb_path = EgressPath::kernel(htb, map, s.link);
     let (htb_report, _) = run_with_chaos(&s, htb_path, Some(hook(&htb_reg)));
 
     for (name, report) in [("flowvalve", &fv_report), ("htb", &htb_report)] {
