@@ -16,6 +16,7 @@ use std::sync::Arc;
 use flowvalve::frontend::Policy;
 use flowvalve::pipeline::FlowValvePipeline;
 use flowvalve::tree::TreeParams;
+use fv_telemetry::Registry;
 use hostsim::engine::{run_with_chaos, HostChaosHook};
 use hostsim::path::EgressPath;
 use hostsim::scenario::{AppSpec, Scenario};
@@ -73,7 +74,9 @@ fn cases() -> Vec<Case> {
     ]
 }
 
-fn flowvalve(c: &Case) -> EgressPath {
+/// Each builder hands its scheduler `observer`, when the caller holds one,
+/// before the path takes it over.
+fn flowvalve(c: &Case, observer: Option<&Registry>) -> EgressPath {
     let mut script = format!(
         "fv qdisc add dev nic0 root handle 1: fv\n\
          fv class add dev nic0 parent root classid 1:1 rate {}bit\n",
@@ -91,12 +94,18 @@ fn flowvalve(c: &Case) -> EgressPath {
     }
     let policy = Policy::parse(&script).expect("policy parses");
     let cfg = NicConfig::agilio_cx_10g();
-    let pipe =
+    let mut pipe =
         FlowValvePipeline::compile(&policy, TreeParams::default(), &cfg).expect("policy compiles");
-    EgressPath::flowvalve(SmartNic::new(cfg, Box::new(pipe)))
+    EgressPath::flowvalve(match observer {
+        Some(registry) => {
+            pipe.attach_telemetry(registry);
+            SmartNic::with_registry(cfg, Box::new(pipe), registry)
+        }
+        None => SmartNic::new(cfg, Box::new(pipe)),
+    })
 }
 
-fn kernel(c: &Case) -> EgressPath {
+fn kernel(c: &Case, observer: Option<&Registry>) -> EgressPath {
     let mut specs = vec![HtbClassSpec::new(Handle(1), None, c.scenario.link)];
     let mut map = HashMap::new();
     for (i, &ceil) in c.ceilings.iter().enumerate() {
@@ -104,18 +113,25 @@ fn kernel(c: &Case) -> EgressPath {
         specs.push(HtbClassSpec::new(h, Some(Handle(1)), ceil));
         map.insert(AppId(i as u16), h);
     }
-    let htb = Htb::new(specs, KernelModel::centos7()).expect("hierarchy builds");
+    let mut htb = Htb::new(specs, KernelModel::centos7()).expect("hierarchy builds");
+    if let Some(registry) = observer {
+        htb.attach_telemetry(registry);
+    }
     EgressPath::kernel(htb, map, c.scenario.link)
 }
 
-fn dpdk(c: &Case) -> EgressPath {
+fn dpdk(c: &Case, observer: Option<&Registry>) -> EgressPath {
     let mut cfg = DpdkQosConfig::equal_pipes(c.scenario.link, c.ceilings.len());
     let mut map = HashMap::new();
     for (i, &ceil) in c.ceilings.iter().enumerate() {
         cfg.pipes[i] = PipeConfig::flat(ceil);
         map.insert(AppId(i as u16), (i, 0));
     }
-    EgressPath::dpdk(DpdkQos::new(cfg), map, c.scenario.link, 2)
+    let mut sched = DpdkQos::new(cfg);
+    if let Some(registry) = observer {
+        sched.attach_telemetry(registry);
+    }
+    EgressPath::dpdk(sched, map, c.scenario.link, 2)
 }
 
 /// Everything the engine reports: a header line, then one line per app
@@ -194,14 +210,14 @@ fn engine_replays_the_per_segment_watchdog_runs() {
     let cases = cases();
     let mut got = Vec::new();
     for c in &cases {
-        for path in [flowvalve(c), kernel(c), dpdk(c)] {
+        for path in [flowvalve(c, None), kernel(c, None), dpdk(c, None)] {
             got.push(fingerprint(c, path, None));
         }
     }
     let starved = &cases[2];
     got.push(fingerprint(
         starved,
-        kernel(starved),
+        kernel(starved, None),
         Some(Arc::new(PauseSlow)),
     ));
     let got = got.join("\n");
@@ -209,4 +225,29 @@ fn engine_replays_the_per_segment_watchdog_runs() {
         got == EXPECTED,
         "engine output moved; it now prints:\n{got}"
     );
+}
+
+/// A run is the same run whether or not anyone watches it: each path as
+/// its constructor builds it against the same path with its scheduler (and
+/// NIC) recording into a registry held here. `starved` is the case whose
+/// RTOs fire.
+#[test]
+fn attaching_observers_does_not_change_a_run() {
+    let c = &cases()[2];
+    type Build = fn(&Case, Option<&Registry>) -> EgressPath;
+    let paths: [(Build, &[&str]); 3] = [
+        (flowvalve, &["nic.offered", "fv.class.1:10.forwarded"]),
+        (kernel, &["htb.enqueued", "htb.dequeued"]),
+        (dpdk, &["dpdk.enqueued", "dpdk.dequeued"]),
+    ];
+    for (build, metrics) in paths {
+        let registry = Registry::new();
+        let bare = fingerprint(c, build(c, None), None);
+        let observed = fingerprint(c, build(c, Some(&registry)), None);
+        assert!(bare == observed, "bare:\n{bare}\nobserved:\n{observed}");
+        let snap = registry.snapshot(c.scenario.horizon);
+        for name in metrics {
+            assert!(snap.get(name).is_some(), "{name} was never registered");
+        }
+    }
 }

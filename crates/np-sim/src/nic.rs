@@ -695,6 +695,100 @@ mod tests {
         assert_eq!(reg.snapshot(Nanos::ZERO).counter("tm.fifo.fault_drops"), 2);
     }
 
+    /// Drops every packet of VF 1; VF 0 contends for one lock, blocking on
+    /// every eighth packet.
+    struct LockingDropVf1;
+    impl EgressDecider for LockingDropVf1 {
+        fn decide(
+            &mut self,
+            pkt: &Packet,
+            now: Nanos,
+            meter: &mut CostMeter,
+            locks: &mut LockTable,
+        ) -> Decision {
+            if pkt.vf.0 == 1 {
+                return Decision::Drop;
+            }
+            let hold = Nanos::from_nanos(120);
+            meter.charge(Op::LockOp);
+            if pkt.id.is_multiple_of(8) {
+                locks.acquire(crate::lock::LockId(0), now, hold);
+            } else if locks.try_acquire(crate::lock::LockId(0), now, hold) {
+                meter.charge(Op::ClassUpdate);
+            }
+            Decision::Forward
+        }
+
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn observing_a_nic_does_not_change_what_it_does() {
+        use sim_core::rng::SimRng;
+
+        // 12 000 packets over two VFs: MTU frames at ~3x line rate (the TM
+        // FIFO fills and tail-drops), then 64 B frames at ~5x the compute
+        // bound (the receive ring overflows), then a trickle.
+        let mut rng = SimRng::seed(0x0b5e_77ed);
+        let mut t = Nanos::ZERO;
+        let stream: Vec<(Packet, Nanos)> = (0..12_000u64)
+            .map(|id| {
+                let (len, gap) = match id {
+                    0..=3_999 => (1518, rng.range(40, 160)),
+                    4_000..=9_999 => (64, rng.range(2, 18)),
+                    _ => (1518, rng.range(200, 2_000)),
+                };
+                t += Nanos::from_nanos(gap);
+                let vf = u8::from(rng.chance(0.25));
+                (pkt(id, vf, len), t)
+            })
+            .collect();
+        let horizon = t;
+        let drive = |mut nic: SmartNic| {
+            let outcomes: Vec<RxOutcome> = stream.iter().map(|(p, at)| nic.rx(p, *at)).collect();
+            (outcomes, nic)
+        };
+
+        let cfg = NicConfig::agilio_cx_40g();
+        let (bare_out, bare) = drive(SmartNic::new(cfg.clone(), Box::new(LockingDropVf1)));
+        let reg = Registry::new();
+        let (seen_out, seen) = drive(SmartNic::with_registry(cfg, Box::new(LockingDropVf1), &reg));
+
+        let s = bare.stats();
+        assert!(
+            s.rx_drops > 0 && s.sched_drops > 0 && s.tail_drops > 0 && s.tx_packets > 0,
+            "the stream must reach every outcome: {s:?}"
+        );
+        let l = bare.lock_stats();
+        assert!(l.try_failed > 0 && l.contended > 0, "{l:?}");
+
+        assert_eq!(bare_out, seen_out);
+        assert_eq!(s, seen.stats());
+        assert_eq!(l, seen.lock_stats());
+        assert_eq!(bare.per_lock_stats(), seen.per_lock_stats());
+        assert_eq!(
+            bare.worker_utilization(horizon).to_bits(),
+            seen.worker_utilization(horizon).to_bits()
+        );
+        assert_eq!(bare.throughput(horizon), seen.throughput(horizon));
+
+        // The observed NIC's registry carries the same seven tallies.
+        let snap = reg.snapshot(horizon);
+        assert_eq!(snap.counter("nic.offered"), s.offered);
+        assert_eq!(snap.counter("nic.rx_drops"), s.rx_drops);
+        assert_eq!(snap.counter("nic.sched_drops"), s.sched_drops);
+        assert_eq!(snap.counter("nic.tail_drops"), s.tail_drops);
+        assert_eq!(snap.counter("nic.tx_packets"), s.tx_packets);
+        assert_eq!(snap.counter("nic.tx_bits"), s.tx_bits);
+        assert_eq!(s.fault_drops, 0);
+        assert_eq!(
+            s.offered,
+            s.rx_drops + s.sched_drops + s.tail_drops + s.tx_packets
+        );
+    }
+
     #[test]
     fn debug_impl_mentions_decider() {
         let nic = SmartNic::new(NicConfig::agilio_cx_40g(), Box::new(PassthroughDecider));
