@@ -38,33 +38,6 @@ pub enum LockDiscipline {
     Global,
 }
 
-/// FlowValve's on-NIC processing pipeline.
-///
-/// Owns the compiled policy: the flow classifier (filter table + exact
-/// match flow cache) whose verdicts are ready-made [`QosLabel`]s, and the
-/// shared scheduling tree. Implements [`EgressDecider`] so it slots
-/// directly into [`np_sim::nic::SmartNic`].
-///
-/// # Example
-///
-/// ```
-/// use flowvalve::frontend::Policy;
-/// use flowvalve::pipeline::FlowValvePipeline;
-/// use flowvalve::tree::TreeParams;
-/// use np_sim::config::NicConfig;
-/// use np_sim::nic::SmartNic;
-///
-/// let policy = Policy::parse(
-///     "fv qdisc add dev nic0 root handle 1: fv default 1:10\n\
-///      fv class add dev nic0 parent root classid 1:1 rate 10gbit\n\
-///      fv class add dev nic0 parent 1:1 classid 1:10\n",
-/// )?;
-/// let cfg = NicConfig::agilio_cx_10g();
-/// let pipeline = FlowValvePipeline::compile(&policy, TreeParams::default(), &cfg)?;
-/// let nic = SmartNic::new(cfg, Box::new(pipeline));
-/// assert!(format!("{nic:?}").contains("flowvalve"));
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
 /// Scheduler-side chaos hook: lets fv-chaos skew the clock the scheduling
 /// function sees relative to the NIC clock (the dual-clock-skew fault).
 /// The pipeline clamps the skewed clock to be monotonic, so token-bucket
@@ -169,6 +142,33 @@ struct AuditHook {
     sampler: Sampler,
 }
 
+/// FlowValve's on-NIC processing pipeline.
+///
+/// Owns the compiled policy: the flow classifier (filter table + exact
+/// match flow cache) whose verdicts are ready-made [`QosLabel`]s, and the
+/// shared scheduling tree. Implements [`EgressDecider`] so it slots
+/// directly into [`np_sim::nic::SmartNic`].
+///
+/// # Example
+///
+/// ```
+/// use flowvalve::frontend::Policy;
+/// use flowvalve::pipeline::FlowValvePipeline;
+/// use flowvalve::tree::TreeParams;
+/// use np_sim::config::NicConfig;
+/// use np_sim::nic::SmartNic;
+///
+/// let policy = Policy::parse(
+///     "fv qdisc add dev nic0 root handle 1: fv default 1:10\n\
+///      fv class add dev nic0 parent root classid 1:1 rate 10gbit\n\
+///      fv class add dev nic0 parent 1:1 classid 1:10\n",
+/// )?;
+/// let cfg = NicConfig::agilio_cx_10g();
+/// let pipeline = FlowValvePipeline::compile(&policy, TreeParams::default(), &cfg)?;
+/// let nic = SmartNic::new(cfg, Box::new(pipeline));
+/// assert!(format!("{nic:?}").contains("flowvalve"));
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
 pub struct FlowValvePipeline {
     tree: Arc<SchedulingTree>,
     compiled: Compiled,
@@ -338,11 +338,6 @@ impl FlowValvePipeline {
     /// branch; without this call the capture code is erased entirely.
     pub fn attach_auditor(&mut self, ring: Arc<ProvenanceRing>, sampler: Sampler) {
         self.audit = Some(AuditHook { ring, sampler });
-    }
-
-    /// The attached provenance ring, if any.
-    pub fn provenance_ring(&self) -> Option<&Arc<ProvenanceRing>> {
-        self.audit.as_ref().map(|a| &a.ring)
     }
 
     /// Wires per-class verdict counters (`fv.class.<id>.*`), scheduler

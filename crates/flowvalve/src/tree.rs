@@ -308,6 +308,16 @@ fn inst_rate_raw(bits: u64, dt: Nanos) -> u64 {
     ((bits as u128) << RATE_FRAC_BITS as u128).div_euclid(dt.as_nanos() as u128) as u64
 }
 
+/// Registry handles for update-epoch activity: token-bucket and
+/// shadow-bucket refills, surfaced as counters and trace-ring events.
+/// Recording is wait-free, so the identical instrumentation runs under the
+/// virtual clock (SimExec) and on real OS threads (RealExec benches).
+pub(crate) struct TreeTelemetry {
+    pub(crate) updates: Arc<Counter>,
+    pub(crate) shadow_updates: Arc<Counter>,
+    pub(crate) ring: Arc<EventRing>,
+}
+
 /// The FlowValve scheduling tree.
 ///
 /// # Example
@@ -328,16 +338,6 @@ fn inst_rate_raw(bits: u64, dt: Nanos) -> u64 {
 /// assert_eq!(label.path().len(), 2);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-/// Registry handles for update-epoch activity: token-bucket and
-/// shadow-bucket refills, surfaced as counters and trace-ring events.
-/// Recording is wait-free, so the identical instrumentation runs under the
-/// virtual clock (SimExec) and on real OS threads (RealExec benches).
-pub(crate) struct TreeTelemetry {
-    pub(crate) updates: Arc<Counter>,
-    pub(crate) shadow_updates: Arc<Counter>,
-    pub(crate) ring: Arc<EventRing>,
-}
-
 pub struct SchedulingTree {
     nodes: Vec<Node>,
     /// Every token bucket of the tree — class, shadow and ceiling — in one

@@ -75,9 +75,6 @@ pub struct RunReport {
     pub path_name: &'static str,
     /// The simulated horizon.
     pub horizon: Nanos,
-    /// Telemetry snapshot of the path's registry, captured at the horizon
-    /// (after cold-path gauges were published).
-    pub snapshot: fv_telemetry::Snapshot,
 }
 
 impl RunReport {
@@ -298,7 +295,6 @@ pub fn run_with_chaos(
             }
         }
     }
-    let snapshot = e.path.telemetry_snapshot(scenario.horizon);
     let report = RunReport {
         delivered: e.delay.count(),
         recorder: e.recorder,
@@ -307,7 +303,6 @@ pub fn run_with_chaos(
         timeouts: e.timeouts,
         path_name: e.path.name(),
         horizon: scenario.horizon,
-        snapshot,
     };
     (report, e.path)
 }
@@ -431,10 +426,13 @@ mod tests {
         )
         .unwrap();
         let cfg = NicConfig::agilio_cx_10g();
-        let pipe = FlowValvePipeline::compile(&policy, TreeParams::default(), &cfg).unwrap();
-        let nic = SmartNic::new(cfg, Box::new(pipe));
+        let mut pipe = FlowValvePipeline::compile(&policy, TreeParams::default(), &cfg).unwrap();
+        // Observed because this caller asked: it holds the registry.
+        let registry = fv_telemetry::Registry::new();
+        pipe.attach_telemetry(&registry);
+        let nic = SmartNic::with_registry(cfg, Box::new(pipe), &registry);
         let (report, _path) = run(&s, EgressPath::flowvalve(nic));
-        let snap = &report.snapshot;
+        let snap = registry.snapshot(s.horizon);
         // NIC-level counters agree with the report's own accounting.
         assert_eq!(snap.counter("nic.tx_packets"), report.delivered);
         assert!(snap.counter("nic.sched_drops") > 0);

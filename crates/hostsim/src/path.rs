@@ -13,8 +13,6 @@
 
 use std::collections::HashMap;
 
-use flowvalve::pipeline::FlowValvePipeline;
-use fv_telemetry::{Registry, Snapshot};
 use netstack::packet::{AppId, Packet};
 use np_sim::nic::{RxOutcome, SmartNic};
 use qdisc::costmodel::{DpdkCpuModel, KernelCpuModel};
@@ -109,8 +107,6 @@ pub enum EgressPath {
         wire: HostWire,
         /// Fixed NIC forwarding latency after the wire.
         nic_latency: Nanos,
-        /// Metrics registry the HTB mirrors into.
-        registry: Registry,
     },
     /// DPDK QoS scheduler path.
     Dpdk {
@@ -128,8 +124,6 @@ pub enum EgressPath {
         wire: HostWire,
         /// Fixed NIC forwarding latency after the wire.
         nic_latency: Nanos,
-        /// Metrics registry the scheduler mirrors into.
-        registry: Registry,
     },
 }
 
@@ -140,22 +134,18 @@ impl core::fmt::Debug for EgressPath {
 }
 
 impl EgressPath {
-    /// A FlowValve offload path. If the NIC's decider is a
-    /// [`FlowValvePipeline`], its per-class telemetry is attached to the
-    /// NIC's own registry so one snapshot covers NIC and scheduler.
-    pub fn flowvalve(mut nic: SmartNic) -> Self {
-        let registry = nic.registry().clone();
-        if let Some(p) = nic.decider_as::<FlowValvePipeline>() {
-            p.attach_telemetry(&registry);
-        }
+    /// A FlowValve offload path. Like the other two constructors it
+    /// attaches no observer: a caller that wants the run observed builds
+    /// the NIC `with_registry` and calls `attach_telemetry` on the
+    /// pipeline (or `Htb`, or `DpdkQos`) before handing it over, and
+    /// snapshots the registry it kept.
+    pub fn flowvalve(nic: SmartNic) -> Self {
         EgressPath::FlowValve { nic }
     }
 
     /// A kernel HTB path on `link`. The contention count adapts to how
     /// many distinct apps sent within the last millisecond.
-    pub fn kernel(mut htb: Htb, class_of: HashMap<AppId, Handle>, link: BitRate) -> Self {
-        let registry = Registry::new();
-        htb.attach_telemetry(&registry);
+    pub fn kernel(htb: Htb, class_of: HashMap<AppId, Handle>, link: BitRate) -> Self {
         EgressPath::Kernel {
             htb,
             class_of,
@@ -164,19 +154,16 @@ impl EgressPath {
             lock_free: Nanos::ZERO,
             wire: HostWire::new(link),
             nic_latency: Nanos::from_micros(25),
-            registry,
         }
     }
 
     /// A DPDK QoS path on `link` with `cores` scheduler cores.
     pub fn dpdk(
-        mut sched: DpdkQos,
+        sched: DpdkQos,
         pipe_of: HashMap<AppId, (usize, usize)>,
         link: BitRate,
         cores: usize,
     ) -> Self {
-        let registry = Registry::new();
-        sched.attach_telemetry(&registry);
         EgressPath::Dpdk {
             sched,
             pipe_of,
@@ -185,7 +172,6 @@ impl EgressPath {
             core_free: Nanos::ZERO,
             wire: HostWire::new(link),
             nic_latency: Nanos::from_micros(25),
-            registry,
         }
     }
 
@@ -196,30 +182,6 @@ impl EgressPath {
             EgressPath::Kernel { .. } => "kernel-htb",
             EgressPath::Dpdk { .. } => "dpdk-qos",
         }
-    }
-
-    /// The metrics registry this path's components mirror into.
-    pub fn registry(&self) -> Registry {
-        match self {
-            EgressPath::FlowValve { nic } => nic.registry().clone(),
-            EgressPath::Kernel { registry, .. } | EgressPath::Dpdk { registry, .. } => {
-                registry.clone()
-            }
-        }
-    }
-
-    /// Publishes cold-path gauges (per-engine utilization, θ/Γ rates) and
-    /// captures a point-in-time snapshot of the path's registry.
-    pub fn telemetry_snapshot(&mut self, at: Nanos) -> Snapshot {
-        if let EgressPath::FlowValve { nic } = self {
-            nic.sync_gauges(at);
-            let registry = nic.registry().clone();
-            if let Some(p) = nic.decider_as::<FlowValvePipeline>() {
-                p.sync_gauges(at);
-            }
-            return registry.snapshot(at);
-        }
-        self.registry().snapshot(at)
     }
 
     /// Offers one packet at `now`. Returns the synchronous outcome (the

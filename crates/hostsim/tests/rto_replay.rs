@@ -247,7 +247,7 @@ fn attaching_observers_does_not_change_a_run() {
         assert!(bare == observed, "bare:\n{bare}\nobserved:\n{observed}");
         let snap = registry.snapshot(c.scenario.horizon);
         for name in metrics {
-            assert!(snap.get(name).is_some(), "{name} was never registered");
+            assert!(snap.counter(name) > 0, "{name} saw nothing");
         }
     }
 }

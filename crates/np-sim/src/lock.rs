@@ -54,6 +54,18 @@ pub struct PerLockStats {
     pub hold_total: Nanos,
 }
 
+/// Registry-backed handles mirroring [`LockStats`], plus a wait-time
+/// histogram and `LockWait` trace events. Recording is relaxed-atomic only.
+#[derive(Debug, Clone)]
+struct LockTelemetry {
+    try_acquired: Arc<Counter>,
+    try_failed: Arc<Counter>,
+    contended: Arc<Counter>,
+    wait_ns: Arc<Counter>,
+    wait_hist: Arc<Histogram>,
+    ring: Arc<EventRing>,
+}
+
 /// A table of simulated locks.
 ///
 /// # Example
@@ -71,18 +83,6 @@ pub struct PerLockStats {
 /// // Free again at t=100.
 /// assert!(locks.try_acquire(LockId(0), Nanos::from_nanos(100), hold));
 /// ```
-/// Registry-backed handles mirroring [`LockStats`], plus a wait-time
-/// histogram and `LockWait` trace events. Recording is relaxed-atomic only.
-#[derive(Debug, Clone)]
-struct LockTelemetry {
-    try_acquired: Arc<Counter>,
-    try_failed: Arc<Counter>,
-    contended: Arc<Counter>,
-    wait_ns: Arc<Counter>,
-    wait_hist: Arc<Histogram>,
-    ring: Arc<EventRing>,
-}
-
 #[derive(Debug, Clone)]
 pub struct LockTable {
     free_at: Vec<Nanos>,

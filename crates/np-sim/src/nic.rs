@@ -114,10 +114,10 @@ pub enum RxOutcome {
 
 /// Aggregate NIC counters.
 ///
-/// Since the registry unification this is a *snapshot view*: the live
-/// accounting lives in `fv-telemetry` counters under the `nic.*` namespace
-/// (one source of truth), and [`SmartNic::stats`] materializes this struct
-/// from their totals on demand.
+/// A *snapshot view*: the live accounting is seven `fv-telemetry` counters,
+/// the single count of each event, and [`SmartNic::stats`] materializes this
+/// struct from their totals on demand. [`SmartNic::with_registry`] registers
+/// them as `nic.*`; under [`SmartNic::new`] they belong to the NIC alone.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NicStats {
     /// Packets offered to the NIC.
@@ -146,7 +146,34 @@ impl NicStats {
     }
 }
 
+/// The NIC's seven tallies, plus what only an observed NIC records.
+struct NicTelemetry {
+    offered: Arc<Counter>,
+    rx_drops: Arc<Counter>,
+    sched_drops: Arc<Counter>,
+    tail_drops: Arc<Counter>,
+    fault_drops: Arc<Counter>,
+    tx_packets: Arc<Counter>,
+    tx_bits: Arc<Counter>,
+    observer: Option<NicObserver>,
+}
+
+/// What [`SmartNic::with_registry`] adds to the tallies.
+struct NicObserver {
+    registry: Registry,
+    tx_rate: Arc<RateWindow>,
+    latency: Arc<Histogram>,
+    ring: Arc<EventRing>,
+    spans: SpanRecorder,
+}
+
 /// A simulated NP-based SmartNIC.
+///
+/// Observers are attached, never ambient: a NIC records into a registry
+/// only when its builder handed it one. [`SmartNic::new`] keeps the seven
+/// [`NicStats`] tallies and nothing else; [`SmartNic::with_registry`] is
+/// the one constructor that wires lock, FIFO, span, rate, latency and
+/// trace-event recording, and neither changes what the NIC does.
 ///
 /// # Example
 ///
@@ -165,23 +192,6 @@ impl NicStats {
 ///     other => panic!("unexpected {other:?}"),
 /// }
 /// ```
-/// Registry handles for the NIC's own counters. These *are* the NIC's
-/// accounting — [`NicStats`] is reconstituted from their totals.
-struct NicTelemetry {
-    registry: Registry,
-    offered: Arc<Counter>,
-    rx_drops: Arc<Counter>,
-    sched_drops: Arc<Counter>,
-    tail_drops: Arc<Counter>,
-    fault_drops: Arc<Counter>,
-    tx_packets: Arc<Counter>,
-    tx_bits: Arc<Counter>,
-    tx_rate: Arc<RateWindow>,
-    latency: Arc<Histogram>,
-    ring: Arc<EventRing>,
-    spans: SpanRecorder,
-}
-
 pub struct SmartNic {
     config: NicConfig,
     workers: WorkerPool,
@@ -207,13 +217,15 @@ impl core::fmt::Debug for SmartNic {
 }
 
 impl SmartNic {
-    /// Builds a NIC from a validated configuration and an egress decider.
+    /// Builds an unobserved NIC from a validated configuration and an
+    /// egress decider: it keeps its [`NicStats`] tallies and records
+    /// nothing else.
     ///
     /// # Panics
     ///
     /// Panics if the configuration fails [`NicConfig::validate`].
     pub fn new(config: NicConfig, decider: Box<dyn EgressDecider>) -> Self {
-        Self::with_registry(config, decider, &Registry::new())
+        Self::build(config, decider, None)
     }
 
     /// Builds a NIC whose counters, gauges, and trace events live in
@@ -230,26 +242,42 @@ impl SmartNic {
         decider: Box<dyn EgressDecider>,
         registry: &Registry,
     ) -> Self {
+        Self::build(config, decider, Some(registry))
+    }
+
+    fn build(
+        config: NicConfig,
+        decider: Box<dyn EgressDecider>,
+        registry: Option<&Registry>,
+    ) -> Self {
         config.validate().expect("invalid NIC configuration");
         let mut locks = LockTable::new(64);
-        locks.attach_telemetry(registry);
         let mut fifo = TxFifo::new(config.line_rate, config.framing, config.tm_queue_capacity);
-        fifo.attach_telemetry(registry);
+        if let Some(registry) = registry {
+            locks.attach_telemetry(registry);
+            fifo.attach_telemetry(registry);
+        }
+        let counter = |name| match registry {
+            Some(registry) => registry.counter(name),
+            None => Arc::new(Counter::new()),
+        };
         let telemetry = NicTelemetry {
-            registry: registry.clone(),
-            offered: registry.counter("nic.offered"),
-            rx_drops: registry.counter("nic.rx_drops"),
-            sched_drops: registry.counter("nic.sched_drops"),
-            tail_drops: registry.counter("nic.tail_drops"),
+            offered: counter("nic.offered"),
+            rx_drops: counter("nic.rx_drops"),
+            sched_drops: counter("nic.sched_drops"),
+            tail_drops: counter("nic.tail_drops"),
             // Detached until a fault injector exists: fault-free runs keep
             // their snapshot schema free of fault counters.
             fault_drops: Arc::new(Counter::new()),
-            tx_packets: registry.counter("nic.tx_packets"),
-            tx_bits: registry.counter("nic.tx_bits"),
-            tx_rate: registry.rate("nic.tx_bits_rate", Nanos::from_micros(100)),
-            latency: registry.histogram("nic.latency_ns"),
-            ring: registry.ring(),
-            spans: SpanRecorder::new(registry),
+            tx_packets: counter("nic.tx_packets"),
+            tx_bits: counter("nic.tx_bits"),
+            observer: registry.map(|registry| NicObserver {
+                registry: registry.clone(),
+                tx_rate: registry.rate("nic.tx_bits_rate", Nanos::from_micros(100)),
+                latency: registry.histogram("nic.latency_ns"),
+                ring: registry.ring(),
+                spans: SpanRecorder::new(registry),
+            }),
         };
         SmartNic {
             workers: WorkerPool::new(config.num_mes, config.freq, config.rx_max_wait),
@@ -271,11 +299,13 @@ impl SmartNic {
     /// scheduler code runs faulted or clean — only these hook points
     /// consult the injector.
     pub fn install_fault_injector(&mut self, injector: Arc<dyn FaultInjector>) {
-        // Faults are now possible, so the fault-drop counters join the
-        // registry; fault-free NICs keep their snapshot schema unchanged.
-        let registry = self.telemetry.registry.clone();
-        self.telemetry.fault_drops = registry.counter("nic.fault_drops");
-        self.fifo.attach_fault_telemetry(&registry);
+        // Faults are now possible, so an observed NIC's fault-drop counters
+        // join the registry; fault-free NICs keep their snapshot schema
+        // unchanged. Unobserved, `stats()` counts them all the same.
+        if let Some(obs) = &self.telemetry.observer {
+            self.telemetry.fault_drops = obs.registry.counter("nic.fault_drops");
+            self.fifo.attach_fault_telemetry(&obs.registry);
+        }
         self.fifo.set_fault_injector(Arc::clone(&injector));
         self.locks.set_fault_injector(Arc::clone(&injector));
         self.fault = Some(injector);
@@ -297,9 +327,10 @@ impl SmartNic {
         let start = match self.workers.dispatch_with(now, stall) {
             Dispatch::RxOverflow => {
                 self.telemetry.rx_drops.incr();
-                self.telemetry
-                    .ring
-                    .record(now, TraceKind::RxDrop, pkt.id, pkt.vf.0 as u64);
+                if let Some(obs) = &self.telemetry.observer {
+                    obs.ring
+                        .record(now, TraceKind::RxDrop, pkt.id, pkt.vf.0 as u64);
+                }
                 return RxOutcome::RxDrop;
             }
             Dispatch::Started { start } => start,
@@ -332,9 +363,9 @@ impl SmartNic {
         // when zero so the span count equals the dispatched-packet count.
         // Stamped after the decider ran so an attribution sink has already
         // seen this packet's classification verdict.
-        self.telemetry
-            .spans
-            .record(Stage::Ingress, now, pkt.id, start - now);
+        if let Some(obs) = &self.telemetry.observer {
+            obs.spans.record(Stage::Ingress, now, pkt.id, start - now);
+        }
 
         match decision {
             Decision::Drop => {
@@ -350,8 +381,10 @@ impl SmartNic {
                         let delivered = wire_done + self.config.base_pipeline_latency;
                         self.telemetry.tx_packets.incr();
                         self.telemetry.tx_bits.add(pkt.frame_bits());
-                        self.telemetry.tx_rate.record(wire_done, pkt.frame_bits());
-                        self.telemetry.latency.record_nanos(delivered - now);
+                        if let Some(obs) = &self.telemetry.observer {
+                            obs.tx_rate.record(wire_done, pkt.frame_bits());
+                            obs.latency.record_nanos(delivered - now);
+                        }
                         RxOutcome::Transmit {
                             wire_done,
                             delivered,
@@ -373,7 +406,7 @@ impl SmartNic {
         }
     }
 
-    /// Aggregate counters, materialized from the registry totals.
+    /// Aggregate counters, materialized from the tallies' totals.
     pub fn stats(&self) -> NicStats {
         NicStats {
             offered: self.telemetry.offered.total(),
@@ -386,18 +419,16 @@ impl SmartNic {
         }
     }
 
-    /// The registry this NIC records into.
-    pub fn registry(&self) -> &Registry {
-        &self.telemetry.registry
-    }
-
     /// Publishes point-in-time gauges — per-micro-engine utilization over
-    /// `[0, horizon]`, in permille — into the registry. Call right before
-    /// taking a snapshot; it is a cold-path operation.
+    /// `[0, horizon]`, in permille — into the registry; nothing on an
+    /// unobserved NIC. Call right before taking a snapshot; it is a
+    /// cold-path operation.
     pub fn sync_gauges(&self, horizon: Nanos) {
+        let Some(obs) = &self.telemetry.observer else {
+            return;
+        };
         for (i, u) in self.workers.engine_utilization(horizon).iter().enumerate() {
-            self.telemetry
-                .registry
+            obs.registry
                 .gauge(&format!("nic.me{i}.busy_permille"))
                 .set((u * 1000.0).round() as u64);
         }
@@ -438,11 +469,6 @@ impl SmartNic {
         self.workers.utilization(horizon)
     }
 
-    /// Mutable access to the decider (e.g. to update policies mid-run).
-    pub fn decider_mut(&mut self) -> &mut dyn EgressDecider {
-        &mut *self.decider
-    }
-
     /// Downcasts the decider to a concrete type, for control interfaces
     /// like FlowValve's policy hot-reload.
     pub fn decider_as<T: 'static>(&mut self) -> Option<&mut T> {
@@ -453,6 +479,7 @@ impl SmartNic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::TmFault;
     use netstack::flow::FlowKey;
     use netstack::packet::{AppId, VfPort};
 
@@ -653,23 +680,21 @@ mod tests {
             .any(|e| e.kind == TraceKind::SpanTmQueue && e.a == 8 && e.b > 0));
     }
 
-    #[test]
-    fn installed_injector_perturbs_and_then_clears() {
-        use crate::fault::{FaultInjector, TmFault};
-
-        /// Corrupts every TM enqueue and stalls all engines inside
-        /// `[2us, 4us)`; clean elsewhere.
-        #[derive(Debug)]
-        struct Window;
-        impl FaultInjector for Window {
-            fn tm_fault(&self, now: Nanos, _pkt_id: u64) -> TmFault {
-                if now >= Nanos::from_micros(2) && now < Nanos::from_micros(4) {
-                    TmFault::CorruptDrop
-                } else {
-                    TmFault::None
-                }
+    /// Corrupts every TM enqueue inside `[2us, 4us)`; clean elsewhere.
+    #[derive(Debug)]
+    struct Window;
+    impl FaultInjector for Window {
+        fn tm_fault(&self, now: Nanos, _pkt_id: u64) -> TmFault {
+            if now >= Nanos::from_micros(2) && now < Nanos::from_micros(4) {
+                TmFault::CorruptDrop
+            } else {
+                TmFault::None
             }
         }
+    }
+
+    #[test]
+    fn installed_injector_perturbs_and_then_clears() {
         let reg = Registry::new();
         let mut nic = SmartNic::with_registry(
             NicConfig::agilio_cx_40g(),
@@ -693,6 +718,28 @@ mod tests {
         assert_eq!(s.fault_drops, 2);
         assert_eq!(reg.snapshot(Nanos::ZERO).counter("nic.fault_drops"), 2);
         assert_eq!(reg.snapshot(Nanos::ZERO).counter("tm.fifo.fault_drops"), 2);
+    }
+
+    #[test]
+    fn unobserved_nic_counts_fault_drops_and_conserves_packets() {
+        let mut nic = SmartNic::new(NicConfig::agilio_cx_40g(), Box::new(DropVf1));
+        nic.install_fault_injector(Arc::new(Window));
+        // 64 B at 125 Mpps over both VFs for 200 us: past the fault window and
+        // the 50 us receive budget.
+        for i in 0..25_000u64 {
+            let _ = nic.rx(&pkt(i, (i % 2) as u8, 64), Nanos::from_nanos(i * 8));
+        }
+        let s = nic.stats();
+        assert!(
+            s.fault_drops > 0 && s.rx_drops > 0 && s.sched_drops > 0,
+            "{s:?}"
+        );
+        assert_eq!(
+            s.offered,
+            s.rx_drops + s.sched_drops + s.tail_drops + s.fault_drops + s.tx_packets
+        );
+        // Nothing to publish into: a no-op, not a panic.
+        nic.sync_gauges(Nanos::from_micros(8));
     }
 
     /// Drops every packet of VF 1; VF 0 contends for one lock, blocking on
@@ -774,14 +821,19 @@ mod tests {
         );
         assert_eq!(bare.throughput(horizon), seen.throughput(horizon));
 
-        // The observed NIC's registry carries the same seven tallies.
+        // The observed NIC's registry carries the same tallies (fault
+        // drops join it only with an injector).
         let snap = reg.snapshot(horizon);
-        assert_eq!(snap.counter("nic.offered"), s.offered);
-        assert_eq!(snap.counter("nic.rx_drops"), s.rx_drops);
-        assert_eq!(snap.counter("nic.sched_drops"), s.sched_drops);
-        assert_eq!(snap.counter("nic.tail_drops"), s.tail_drops);
-        assert_eq!(snap.counter("nic.tx_packets"), s.tx_packets);
-        assert_eq!(snap.counter("nic.tx_bits"), s.tx_bits);
+        for (name, tally) in [
+            ("nic.offered", s.offered),
+            ("nic.rx_drops", s.rx_drops),
+            ("nic.sched_drops", s.sched_drops),
+            ("nic.tail_drops", s.tail_drops),
+            ("nic.tx_packets", s.tx_packets),
+            ("nic.tx_bits", s.tx_bits),
+        ] {
+            assert_eq!(snap.counter(name), tally, "{name}");
+        }
         assert_eq!(s.fault_drops, 0);
         assert_eq!(
             s.offered,

@@ -44,6 +44,19 @@ pub struct TmStats {
     pub fault_drops: u64,
 }
 
+/// Registry-backed mirrors of [`TmStats`] plus FIFO occupancy and
+/// `TailDrop` trace events.
+#[derive(Debug, Clone)]
+struct FifoTelemetry {
+    tx_packets: Arc<Counter>,
+    tx_bits: Arc<Counter>,
+    tail_drops: Arc<Counter>,
+    fault_drops: Arc<Counter>,
+    backlog_bytes: Arc<Gauge>,
+    ring: Arc<EventRing>,
+    spans: SpanRecorder,
+}
+
 /// A FIFO transmit queue in front of a fixed-rate wire.
 ///
 /// # Example
@@ -62,19 +75,6 @@ pub struct TmStats {
 /// // (1518 + 20) bytes at 10 Gbps ≈ 1.23 us.
 /// assert_eq!(done.as_nanos(), 1_231);
 /// ```
-/// Registry-backed mirrors of [`TmStats`] plus FIFO occupancy and
-/// `TailDrop` trace events.
-#[derive(Debug, Clone)]
-struct FifoTelemetry {
-    tx_packets: Arc<Counter>,
-    tx_bits: Arc<Counter>,
-    tail_drops: Arc<Counter>,
-    fault_drops: Arc<Counter>,
-    backlog_bytes: Arc<Gauge>,
-    ring: Arc<EventRing>,
-    spans: SpanRecorder,
-}
-
 #[derive(Debug, Clone)]
 pub struct TxFifo {
     rate: BitRate,

@@ -48,6 +48,16 @@ struct HwQueue {
     drops: u64,
 }
 
+/// Registry-backed mirrors of the traffic-manager counters: per-queue tail
+/// drops, aggregate transmit counters, occupancy, and `TailDrop` events.
+struct MqTelemetry {
+    tx_packets: Arc<Counter>,
+    tx_bits: Arc<Counter>,
+    queue_drops: Vec<Arc<Counter>>,
+    backlog_pkts: Arc<Gauge>,
+    ring: Arc<EventRing>,
+}
+
 /// A fixed-function multi-queue traffic manager in front of a wire.
 ///
 /// # Example
@@ -73,16 +83,6 @@ struct HwQueue {
 /// // Strict priority: queue 0 dequeues first.
 /// assert_eq!(tm.dequeue(Nanos::ZERO).map(|(p, _)| p.id), Some(1));
 /// ```
-/// Registry-backed mirrors of the traffic-manager counters: per-queue tail
-/// drops, aggregate transmit counters, occupancy, and `TailDrop` events.
-struct MqTelemetry {
-    tx_packets: Arc<Counter>,
-    tx_bits: Arc<Counter>,
-    queue_drops: Vec<Arc<Counter>>,
-    backlog_pkts: Arc<Gauge>,
-    ring: Arc<EventRing>,
-}
-
 pub struct MultiQueueTm {
     queues: Vec<HwQueue>,
     rate: BitRate,

@@ -124,7 +124,9 @@ impl SpaceSaving {
 }
 
 struct Inner {
-    // Open-addressed (pkt_id + 1, class) pairs; 0 marks an empty slot.
+    // Open-addressed (pkt_id, class) pairs. Slot `i` starts out keyed `!i`,
+    // an id that belongs to another slot, so no id matches an empty one:
+    // not even the `u64::MAX` of spans stamped without a packet id.
     pkt_class: Vec<(u64, u64)>,
     // (class, stage) histograms, discovered on first span.
     hists: Vec<(u64, [Option<Histogram>; STAGES.len()])>,
@@ -135,7 +137,7 @@ struct Inner {
 impl Inner {
     fn class_of(&self, pkt_id: u64) -> u64 {
         let slot = &self.pkt_class[(pkt_id as usize) & (PKT_SLOTS - 1)];
-        if slot.0 == pkt_id + 1 {
+        if slot.0 == pkt_id {
             slot.1
         } else {
             UNATTRIBUTED
@@ -186,7 +188,7 @@ impl LatencyAttr {
     pub fn new() -> Self {
         LatencyAttr {
             inner: Mutex::new(Inner {
-                pkt_class: vec![(0, 0); PKT_SLOTS],
+                pkt_class: (0..PKT_SLOTS as u64).map(|i| (!i, 0)).collect(),
                 hists: Vec::new(),
                 sketch: SpaceSaving::new(),
                 spans: 0,
@@ -231,7 +233,7 @@ impl SpanSink for LatencyAttr {
 
     fn classify(&self, pkt_id: u64, class: u64, flow_hash: u64, wire_bits: u64) {
         let mut inner = self.inner.lock().unwrap();
-        inner.pkt_class[(pkt_id as usize) & (PKT_SLOTS - 1)] = (pkt_id + 1, class);
+        inner.pkt_class[(pkt_id as usize) & (PKT_SLOTS - 1)] = (pkt_id, class);
         inner.sketch.offer(flow_hash, class, wire_bits);
     }
 }
@@ -284,6 +286,23 @@ mod tests {
             classes.iter().map(|c| c.class).collect::<Vec<_>>(),
             vec![UNATTRIBUTED]
         );
+    }
+
+    #[test]
+    fn a_span_without_a_packet_id_is_unattributed() {
+        // `TxFifo::enqueue` stamps `u64::MAX` for callers without an id.
+        let lat = LatencyAttr::new();
+        lat.span(Stage::Wire, Nanos::ZERO, u64::MAX, Nanos::from_nanos(900));
+        // Nor does packet 0 match its never-written slot.
+        lat.span(Stage::Wire, Nanos::ZERO, 0, Nanos::from_nanos(900));
+        let classes = lat.class_breakdown();
+        assert_eq!(classes.len(), 1);
+        assert_eq!(classes[0].class, UNATTRIBUTED);
+        assert_eq!(classes[0].samples(), 2);
+        // An id-less classification is still found again.
+        lat.classify(u64::MAX, 7, 0xabc, 8_000);
+        lat.span(Stage::Wire, Nanos::ZERO, u64::MAX, Nanos::from_nanos(900));
+        assert_eq!(lat.class_breakdown()[0].class, 7);
     }
 
     #[test]

@@ -125,6 +125,18 @@ pub struct DpdkStats {
     pub dequeued_bits: u64,
 }
 
+/// Registry handles mirroring [`DpdkStats`]. Attached via
+/// [`DpdkQos::attach_telemetry`].
+#[derive(Debug, Clone)]
+struct DpdkTelemetry {
+    enqueued: Arc<Counter>,
+    drops: Arc<Counter>,
+    dequeued: Arc<Counter>,
+    dequeued_bits: Arc<Counter>,
+    backlog_pkts: Arc<Gauge>,
+    ring: Arc<EventRing>,
+}
+
 /// The hierarchical scheduler.
 ///
 /// # Example
@@ -143,18 +155,6 @@ pub struct DpdkStats {
 /// assert!(sched.dequeue(Nanos::ZERO).is_some());
 /// # Ok::<(), qdisc::fifo::QueueDrop>(())
 /// ```
-/// Registry handles mirroring [`DpdkStats`]. Attached via
-/// [`DpdkQos::attach_telemetry`].
-#[derive(Debug, Clone)]
-struct DpdkTelemetry {
-    enqueued: Arc<Counter>,
-    drops: Arc<Counter>,
-    dequeued: Arc<Counter>,
-    dequeued_bits: Arc<Counter>,
-    backlog_pkts: Arc<Gauge>,
-    ring: Arc<EventRing>,
-}
-
 pub struct DpdkQos {
     subport: TokenState,
     pipes: Vec<PipeState>,

@@ -207,6 +207,23 @@ pub struct HtbStats {
     pub dequeued_bits: u64,
 }
 
+/// Registry handles mirroring [`HtbStats`] (plus a backlog gauge and
+/// tail-drop trace events). Attached via [`Htb::attach_telemetry`].
+#[derive(Debug)]
+struct HtbTelemetry {
+    enqueued: Arc<Counter>,
+    drops: Arc<Counter>,
+    dequeued: Arc<Counter>,
+    dequeued_bits: Arc<Counter>,
+    backlog_pkts: Arc<Gauge>,
+    /// Per-class drop-cause split (`htb.class.<n>.drop.<cause>`); each
+    /// cause's counter registers on the first drop it counts, so clean
+    /// runs keep their snapshot schema.
+    causes: HashMap<Handle, CauseCounters>,
+    ring: Arc<EventRing>,
+    spans: SpanRecorder,
+}
+
 /// The HTB qdisc.
 ///
 /// # Example
@@ -226,23 +243,6 @@ pub struct HtbStats {
 /// assert_eq!(htb.leaf_handles(), vec![Handle(10)]);
 /// # Ok::<(), qdisc::htb::HtbError>(())
 /// ```
-/// Registry handles mirroring [`HtbStats`] (plus a backlog gauge and
-/// tail-drop trace events). Attached via [`Htb::attach_telemetry`].
-#[derive(Debug)]
-struct HtbTelemetry {
-    enqueued: Arc<Counter>,
-    drops: Arc<Counter>,
-    dequeued: Arc<Counter>,
-    dequeued_bits: Arc<Counter>,
-    backlog_pkts: Arc<Gauge>,
-    /// Per-class drop-cause split (`htb.class.<n>.drop.<cause>`); each
-    /// cause's counter registers on the first drop it counts, so clean
-    /// runs keep their snapshot schema.
-    causes: HashMap<Handle, CauseCounters>,
-    ring: Arc<EventRing>,
-    spans: SpanRecorder,
-}
-
 pub struct Htb {
     classes: Vec<ClassState>,
     index: HashMap<Handle, usize>,

@@ -15,6 +15,21 @@ use sim_core::time::Nanos;
 
 use crate::fifo::{PacketFifo, QueueDrop};
 
+/// Registry handles mirroring the PRIO counters. Attached via
+/// [`Prio::attach_telemetry`].
+#[derive(Debug, Clone)]
+struct PrioTelemetry {
+    enqueued: Arc<Counter>,
+    dequeued: Arc<Counter>,
+    drops: Arc<Counter>,
+    drops_overpkts: Arc<Counter>,
+    drops_overbytes: Arc<Counter>,
+    band_drops: Vec<Arc<Counter>>,
+    backlog_pkts: Arc<Gauge>,
+    ring: Arc<EventRing>,
+    spans: SpanRecorder,
+}
+
 /// A strict-priority qdisc with `N` bands.
 ///
 /// # Example
@@ -33,21 +48,6 @@ use crate::fifo::{PacketFifo, QueueDrop};
 /// assert_eq!(prio.dequeue().map(|p| p.id), Some(1)); // high pops first
 /// # Ok::<(), qdisc::fifo::QueueDrop>(())
 /// ```
-/// Registry handles mirroring the PRIO counters. Attached via
-/// [`Prio::attach_telemetry`].
-#[derive(Debug, Clone)]
-struct PrioTelemetry {
-    enqueued: Arc<Counter>,
-    dequeued: Arc<Counter>,
-    drops: Arc<Counter>,
-    drops_overpkts: Arc<Counter>,
-    drops_overbytes: Arc<Counter>,
-    band_drops: Vec<Arc<Counter>>,
-    backlog_pkts: Arc<Gauge>,
-    ring: Arc<EventRing>,
-    spans: SpanRecorder,
-}
-
 #[derive(Debug)]
 pub struct Prio {
     bands: Vec<PacketFifo>,

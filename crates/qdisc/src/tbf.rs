@@ -17,6 +17,21 @@ use sim_core::units::BitRate;
 
 use crate::fifo::{PacketFifo, QueueDrop};
 
+/// Registry handles mirroring the TBF counters. Attached via
+/// [`Tbf::attach_telemetry`].
+#[derive(Debug, Clone)]
+struct TbfTelemetry {
+    enqueued: Arc<Counter>,
+    dequeued: Arc<Counter>,
+    dequeued_bits: Arc<Counter>,
+    drops: Arc<Counter>,
+    drops_overpkts: Arc<Counter>,
+    drops_overbytes: Arc<Counter>,
+    backlog_pkts: Arc<Gauge>,
+    ring: Arc<EventRing>,
+    spans: SpanRecorder,
+}
+
 /// A token bucket filter.
 ///
 /// # Example
@@ -37,21 +52,6 @@ use crate::fifo::{PacketFifo, QueueDrop};
 /// assert!(tbf.dequeue(Nanos::ZERO).is_some());
 /// # Ok::<(), qdisc::fifo::QueueDrop>(())
 /// ```
-/// Registry handles mirroring the TBF counters. Attached via
-/// [`Tbf::attach_telemetry`].
-#[derive(Debug, Clone)]
-struct TbfTelemetry {
-    enqueued: Arc<Counter>,
-    dequeued: Arc<Counter>,
-    dequeued_bits: Arc<Counter>,
-    drops: Arc<Counter>,
-    drops_overpkts: Arc<Counter>,
-    drops_overbytes: Arc<Counter>,
-    backlog_pkts: Arc<Gauge>,
-    ring: Arc<EventRing>,
-    spans: SpanRecorder,
-}
-
 #[derive(Debug)]
 pub struct Tbf {
     rate: BitRate,

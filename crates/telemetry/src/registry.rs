@@ -250,36 +250,9 @@ impl Registry {
         self.inner.span_sink.set(sink).is_ok()
     }
 
-    /// The installed span sink, if any.
-    pub fn span_sink(&self) -> Option<Arc<dyn SpanSink>> {
-        self.inner.span_sink.get().cloned()
-    }
-
     /// The install-once cell recorders poll on the hot path.
     pub(crate) fn sink_cell(&self) -> SinkCell {
         Arc::clone(&self.inner.span_sink)
-    }
-
-    /// Thins the event trace to 1 in `2^shift` events (0 = record all).
-    /// Counters, gauges and histograms are unaffected — only the ring.
-    /// See [`EventRing::set_sampling_shift`].
-    pub fn set_trace_sampling_shift(&self, shift: u32) {
-        self.inner.ring.set_sampling_shift(shift);
-    }
-
-    /// Names and current totals of every registered counter, sorted by
-    /// name. This is the sampler's cold-path read: cheaper than a full
-    /// [`Registry::snapshot`] because gauges, histograms, rates and the
-    /// event ring are not materialized.
-    pub fn counter_totals(&self) -> Vec<(String, u64)> {
-        let metrics = self.inner.metrics.lock().unwrap();
-        metrics
-            .iter()
-            .filter_map(|(name, metric)| match metric {
-                Metric::Counter(c) => Some((name.clone(), c.total())),
-                _ => None,
-            })
-            .collect()
     }
 
     /// Sequence number of counter registrations: increments once per new
@@ -510,19 +483,6 @@ mod tests {
         let snap = reg.snapshot(Nanos::from_micros(5));
         assert_eq!(snap.counter("nic.tx_packets"), 42);
         assert_eq!(snap.at, Nanos::from_micros(5));
-    }
-
-    #[test]
-    fn counter_totals_enumerates_only_counters() {
-        let reg = Registry::new();
-        reg.counter("b.pkts").add(3);
-        reg.counter("a.bits").add(8);
-        reg.gauge("depth").set(5);
-        reg.histogram("lat").record(1);
-        assert_eq!(
-            reg.counter_totals(),
-            vec![("a.bits".into(), 8), ("b.pkts".into(), 3)]
-        );
     }
 
     #[test]

@@ -10,11 +10,11 @@
 //!   `chrome` module), and
 //! * into a per-stage log-linear [`Histogram`] (`span.<stage>_ns`), so the
 //!   latency *decomposition* survives even when the bounded ring has
-//!   wrapped or is being sampled.
+//!   wrapped.
 //!
-//! Both sinks are wait-free relaxed atomics, so stamping stays cheap enough
-//! to leave on inside the simulated micro-engine hot path (the benchmark's
-//! `telemetry.ns_per_pkt` on `demo_observed` is its measured price).
+//! Both sinks are wait-free relaxed atomics; a recorder exists only where a
+//! caller attached a registry, and the benchmark's `telemetry.ns_per_pkt`
+//! on `demo_observed` is the measured price of doing so.
 
 use std::sync::{Arc, OnceLock};
 
@@ -171,9 +171,8 @@ impl SpanRecorder {
     }
 
     /// Records that a packet spent `dur` in `stage` starting at `start`.
-    /// Wait-free: one histogram record plus one (possibly sampled) ring
-    /// record, all relaxed atomics; an installed [`SpanSink`] adds one
-    /// virtual call.
+    /// Wait-free: one histogram record plus one ring record, all relaxed
+    /// atomics; an installed [`SpanSink`] adds one virtual call.
     #[inline]
     pub fn record(&self, stage: Stage, start: Nanos, pkt_id: u64, dur: Nanos) {
         self.hists[stage as usize].record(dur.as_nanos());

@@ -156,24 +156,12 @@ impl Slot {
 
 /// A bounded multi-producer trace buffer that overwrites oldest entries.
 ///
-/// # Sampling
-///
-/// Per-packet callers (the scheduler's forward/borrow/drop verdicts, NIC
-/// RX drops) can push an event for *every* packet, which at line rate
-/// makes the ring's `fetch_add` ticket the hottest atomic in the process.
-/// [`EventRing::set_sampling_shift`] keeps 1 in 2^n offered events and
-/// drops the rest with a single relaxed counter increment — the metric
-/// counters attached alongside the ring stay exact; only the event *trace*
-/// is thinned. The default shift of 0 records everything, so attaching a
-/// ring stays lossless unless a deployment opts into sampling.
+/// The ring records every event it is offered and keeps the newest
+/// `capacity` of them: it has no switch and no sampler of its own. A
+/// component records here only once a caller attached a registry to it.
 pub struct EventRing {
     slots: Box<[Slot]>,
     head: AtomicU64,
-    enabled: AtomicU64,
-    /// Events offered to [`EventRing::record`], sampled or not.
-    offered: AtomicU64,
-    /// Keep 1 in `2^sample_shift` offered events (0 = keep all).
-    sample_shift: AtomicU64,
 }
 
 impl EventRing {
@@ -184,9 +172,6 @@ impl EventRing {
         EventRing {
             slots: (0..capacity).map(|_| Slot::empty()).collect(),
             head: AtomicU64::new(0),
-            enabled: AtomicU64::new(1),
-            offered: AtomicU64::new(0),
-            sample_shift: AtomicU64::new(0),
         }
     }
 
@@ -200,41 +185,9 @@ impl EventRing {
         self.head.load(Ordering::Relaxed)
     }
 
-    /// Turns recording on or off. Disabled recording is a single relaxed
-    /// load, so leaving a ring attached costs almost nothing.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(u64::from(on), Ordering::Relaxed);
-    }
-
-    /// Keeps only 1 in `2^shift` recorded events (0 = record everything,
-    /// the default). Sampling applies to the whole ring, so per-packet
-    /// hot-path events and rare control events are thinned alike — choose
-    /// the shift from the packet rate. `shift` is clamped to 63.
-    pub fn set_sampling_shift(&self, shift: u32) {
-        self.sample_shift
-            .store(u64::from(shift.min(63)), Ordering::Relaxed);
-    }
-
-    /// The current sampling shift (see [`EventRing::set_sampling_shift`]).
-    pub fn sampling_shift(&self) -> u32 {
-        self.sample_shift.load(Ordering::Relaxed) as u32
-    }
-
-    /// Records one event (subject to the sampling shift).
+    /// Records one event.
     #[inline]
     pub fn record(&self, at: Nanos, kind: TraceKind, a: u64, b: u64) {
-        if self.enabled.load(Ordering::Relaxed) == 0 {
-            return;
-        }
-        let shift = self.sample_shift.load(Ordering::Relaxed);
-        if shift > 0 {
-            // One relaxed increment decides; no slot ticket is claimed for
-            // the skipped events.
-            let n = self.offered.fetch_add(1, Ordering::Relaxed);
-            if n & ((1u64 << shift) - 1) != 0 {
-                return;
-            }
-        }
         let ticket = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(ticket as usize) & (self.slots.len() - 1)];
         // Claim: bump to odd. Writers lapping each other on the same slot is
@@ -335,17 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_ring_records_nothing() {
-        let ring = EventRing::new(8);
-        ring.set_enabled(false);
-        ring.record(Nanos::ZERO, TraceKind::SchedDrop, 1, 2);
-        assert_eq!(ring.recorded(), 0);
-        ring.set_enabled(true);
-        ring.record(Nanos::ZERO, TraceKind::SchedDrop, 1, 2);
-        assert_eq!(ring.recorded(), 1);
-    }
-
-    #[test]
     fn concurrent_writers_never_produce_torn_kinds() {
         let ring = Arc::new(EventRing::new(64));
         std::thread::scope(|s| {
@@ -366,26 +308,6 @@ mod tests {
             }
         });
         assert_eq!(ring.recorded(), 40_000);
-    }
-
-    #[test]
-    fn sampling_keeps_one_in_two_to_the_n() {
-        let ring = EventRing::new(1024);
-        ring.set_sampling_shift(3); // keep 1 in 8
-        assert_eq!(ring.sampling_shift(), 3);
-        for i in 0..800u64 {
-            ring.record(Nanos::from_nanos(i), TraceKind::SchedForward, i, 0);
-        }
-        assert_eq!(ring.recorded(), 100);
-        // The kept events are an even stride over the offered stream.
-        let events = ring.recent(1024);
-        assert!(events.windows(2).all(|w| w[1].a - w[0].a == 8));
-        // Back to record-all.
-        ring.set_sampling_shift(0);
-        let before = ring.recorded();
-        ring.record(Nanos::ZERO, TraceKind::SchedDrop, 0, 0);
-        ring.record(Nanos::ZERO, TraceKind::SchedDrop, 0, 0);
-        assert_eq!(ring.recorded(), before + 2);
     }
 
     #[test]
