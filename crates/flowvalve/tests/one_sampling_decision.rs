@@ -1,0 +1,146 @@
+//! What an observed packet leaves behind, checked on one seeded stream
+//! through `SmartNic::with_registry` + `attach_telemetry` +
+//! `attach_auditor`: every counter is exact.
+//!
+//! The stream reaches every outcome the observers tell apart: two VFs, a
+//! policy whose root admits more than the 40 G wire carries (so the TM
+//! FIFO tail-drops), a small-weight class that borrows from a sibling
+//! using little of its share and is dropped once the lender runs dry, and
+//! a 64 B stretch past the compute bound (the receive ring overflows).
+
+use std::sync::Arc;
+
+use flowvalve::frontend::Policy;
+use flowvalve::pipeline::FlowValvePipeline;
+use flowvalve::tree::TreeParams;
+use fv_audit::{ProvenanceRing, Sampler};
+use fv_telemetry::{Registry, Snapshot};
+use netstack::flow::FlowKey;
+use netstack::packet::{AppId, Packet, VfPort};
+use np_sim::config::NicConfig;
+use np_sim::nic::{RxOutcome, SmartNic};
+use sim_core::rng::SimRng;
+use sim_core::time::Nanos;
+
+const POLICY: &str = "\
+fv qdisc add dev nic0 root handle 1: fv default 1:10
+fv class add dev nic0 parent root classid 1:1 name link rate 100gbit
+fv class add dev nic0 parent 1:1 classid 1:10 name bulk weight 40
+fv class add dev nic0 parent 1:1 classid 1:20 name small weight 1
+fv class add dev nic0 parent 1:1 classid 1:30 name light weight 4
+fv filter add dev nic0 match vf 1 ip dport 5001 flowid 1:20 borrow 1:30
+fv filter add dev nic0 match vf 1 ip dport 5002 flowid 1:30
+";
+
+const PACKETS: u64 = 40_000;
+const SHIFT: u32 = 6;
+
+/// One packet of the stream: what was offered, when, and what became of it.
+struct Offered {
+    pkt: Packet,
+    outcome: RxOutcome,
+}
+
+/// Everything the run left behind.
+struct Observed {
+    stream: Vec<Offered>,
+    snapshot: Snapshot,
+}
+
+fn run() -> Observed {
+    let cfg = NicConfig::agilio_cx_40g();
+    let policy = Policy::parse(POLICY).expect("policy parses");
+    let mut pipeline =
+        FlowValvePipeline::compile(&policy, TreeParams::default(), &cfg).expect("policy compiles");
+    // Deep enough to retain every event of the run, so "an unsampled id
+    // has none" is checked against everything that was ever recorded.
+    let registry = Registry::with_ring_capacity(1 << 19);
+    pipeline.attach_telemetry(&registry);
+    let provenance = Arc::new(ProvenanceRing::sampled(4096, SHIFT));
+    pipeline.attach_auditor(provenance.clone(), Sampler::one_in_pow2(SHIFT));
+    let mut nic = SmartNic::with_registry(cfg, Box::new(pipeline), &registry);
+
+    // MTU frames at ~2x line rate (the TM FIFO fills and tail-drops), then
+    // 64 B frames at ~5x the compute bound (the receive ring overflows),
+    // then MTU frames under line rate. A quarter of each is VF 1's small
+    // class, one packet in twenty its lender.
+    let mut rng = SimRng::seed(0x5a3b_1e64);
+    let mut t = Nanos::ZERO;
+    let stream: Vec<Offered> = (0..PACKETS)
+        .map(|id| {
+            let (len, gap) = match id {
+                0..=19_999 => (1518, rng.range(60, 240)),
+                20_000..=31_999 => (64, rng.range(2, 18)),
+                _ => (1518, rng.range(200, 800)),
+            };
+            t += Nanos::from_nanos(gap);
+            let (vf, dport) = match rng.range(0, 20) {
+                0 => (1, 5002),
+                1..=5 => (1, 5001),
+                _ => (0, 5000),
+            };
+            let flow = FlowKey::tcp([10, 0, 0, 1], 4000, [10, 0, 0, 2], dport);
+            let pkt = Packet::new(id, flow, len, AppId(vf as u16), VfPort(vf), t);
+            let outcome = nic.rx(&pkt, t);
+            Offered { pkt, outcome }
+        })
+        .collect();
+    nic.sync_gauges(t);
+    Observed {
+        stream,
+        snapshot: registry.snapshot(t),
+    }
+}
+
+fn count(stream: &[Offered], keep: impl Fn(&RxOutcome) -> bool) -> u64 {
+    stream.iter().filter(|o| keep(&o.outcome)).count() as u64
+}
+
+#[test]
+fn counters_are_exact_on_an_observed_nic() {
+    let Observed { stream, snapshot } = run();
+    let rx_drops = count(&stream, |o| matches!(o, RxOutcome::RxDrop));
+    let sched_drops = count(&stream, |o| matches!(o, RxOutcome::SchedDrop { .. }));
+    let tail_drops = count(&stream, |o| matches!(o, RxOutcome::TailDrop { .. }));
+    let transmitted = count(&stream, |o| matches!(o, RxOutcome::Transmit { .. }));
+    assert!(
+        rx_drops > 0 && sched_drops > 0 && tail_drops > 0 && transmitted > 0,
+        "the stream must reach every outcome: rx {rx_drops} sched {sched_drops} \
+         tail {tail_drops} tx {transmitted}"
+    );
+    for (name, tally) in [
+        ("nic.offered", PACKETS),
+        ("nic.rx_drops", rx_drops),
+        ("nic.sched_drops", sched_drops),
+        ("nic.tail_drops", tail_drops),
+        ("nic.tx_packets", transmitted),
+        ("tm.fifo.tx_packets", transmitted),
+        ("tm.fifo.tail_drops", tail_drops),
+    ] {
+        assert_eq!(snapshot.counter(name), tally, "{name}");
+    }
+
+    // Every packet that reached `decide` has exactly one class verdict.
+    let verdicts = |suffix: &str| -> u64 {
+        snapshot
+            .with_prefix("fv.class.")
+            .filter(|e| e.name.ends_with(suffix))
+            .map(|e| snapshot.counter(&e.name))
+            .sum()
+    };
+    let (forwarded, borrowed, dropped) = (
+        verdicts(".forwarded"),
+        verdicts(".borrowed"),
+        verdicts(".dropped"),
+    );
+    assert!(borrowed > 0, "the small class must borrow");
+    assert_eq!(forwarded + borrowed + dropped, PACKETS - rx_drops);
+    assert_eq!(dropped, sched_drops);
+    assert_eq!(verdicts(".lent"), borrowed);
+
+    // End-to-end latency is a per-packet histogram, not a sampled span.
+    let latency = snapshot
+        .histogram("nic.latency_ns")
+        .expect("nic.latency_ns");
+    assert_eq!(latency.count, transmitted);
+}
