@@ -13,9 +13,10 @@
 //!   audited) and is re-exported here for the provenance records.
 //! * [`provenance`] — the [`StepObserver`] hook the schedulers thread
 //!   through their admission walks, the [`ProvenanceRecord`] it produces
-//!   (every executed chain step with bucket tokens before/after), the
-//!   1-in-2^n [`Sampler`], and the lock-free [`ProvenanceRing`] keyed by
-//!   packet id.
+//!   (every executed chain step with bucket tokens before/after) and the
+//!   lock-free [`ProvenanceRing`] keyed by packet id. Which packets are
+//!   captured is the registry's one per-packet decision, the 1-in-2^n
+//!   [`Sampler`] of `fv_telemetry`, re-exported here.
 //! * [`ledger`] — the token-conservation auditor: folds sampled records
 //!   plus a bucket-slab snapshot into a per-bucket ledger
 //!   (charged = consumed + refunded + residual, borrowing attributed

@@ -5,7 +5,9 @@
 //! instantiates them with [`NoObserver`], whose `ENABLED: bool = false`
 //! constant lets the compiler erase every capture branch — the unsampled
 //! fast path pays one well-predicted branch per decision, nothing more. When the 1-in-2^n
-//! [`Sampler`] selects a packet, the pipeline re-runs nothing: the same
+//! [`Sampler`] (the registry's one per-packet decision, defined in
+//! `fv_telemetry::sampler` and shared with spans and trace events)
+//! selects a packet, the pipeline re-runs nothing: the same
 //! single walk executes with a [`Recorder`] threaded through it, and the
 //! finished [`ProvenanceRecord`] — every executed chain step with bucket
 //! tokens before/after, the deciding step on a refusal, whether the flow
@@ -20,6 +22,7 @@ use fv_telemetry::{JsonValue, ToJson};
 use sim_core::time::Nanos;
 
 use fv_telemetry::DropCause;
+pub use fv_telemetry::Sampler;
 
 /// What kind of chain step executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -351,40 +354,13 @@ impl StepObserver for Recorder {
     }
 }
 
-/// 1-in-2^n packet sampler: a packet is captured iff its low `shift` id
-/// bits are zero. `shift == 0` samples everything.
-#[derive(Debug, Clone, Copy)]
-pub struct Sampler {
-    shift: u32,
-}
-
-impl Sampler {
-    /// Samples one packet in `2^shift` (`shift` clamped to 63).
-    pub fn one_in_pow2(shift: u32) -> Self {
-        Sampler {
-            shift: shift.min(63),
-        }
-    }
-
-    /// Whether `pkt_id` is selected.
-    #[inline]
-    pub fn hit(&self, pkt_id: u64) -> bool {
-        pkt_id & ((1u64 << self.shift) - 1) == 0
-    }
-
-    /// The sampling shift.
-    pub fn shift(&self) -> u32 {
-        self.shift
-    }
-}
-
 /// Lock-free-enough provenance store: a power-of-two slot array indexed
 /// by packet id. Writers `try_lock` their slot and drop the record on
 /// contention (never block the data path). When built with
 /// [`Self::sampled`], the id is shifted right by the sampler's shift
-/// before the modulo, so consecutive *sampled* ids (which are multiples
-/// of `2^shift`) land in consecutive slots and a capture window of
-/// `capacity × 2^shift` packet ids is retained losslessly.
+/// before the modulo, so consecutive *sampled* ids (exactly one in every
+/// aligned block of `2^shift`) land in consecutive slots and a capture
+/// window of `capacity × 2^shift` packet ids is retained losslessly.
 #[derive(Debug)]
 pub struct ProvenanceRing {
     slots: Vec<Mutex<Option<ProvenanceRecord>>>,
@@ -400,8 +376,8 @@ impl ProvenanceRing {
     }
 
     /// A ring laid out for a 1-in-`2^shift` sampler: slots are indexed by
-    /// `pkt_id >> shift`, so the sampled ids fill every slot before any
-    /// eviction happens.
+    /// `pkt_id >> shift`, the number of the aligned block the id lies in,
+    /// so the sampled ids fill every slot before any eviction happens.
     pub fn sampled(capacity: usize, shift: u32) -> Self {
         let cap = capacity.next_power_of_two().max(1);
         ProvenanceRing {
@@ -502,6 +478,20 @@ mod tests {
     }
 
     #[test]
+    fn sampled_ring_keeps_every_id_its_sampler_hits() {
+        // One hit per aligned block is what makes `id >> shift` a
+        // collision-free slot index over capacity × 2^shift ids.
+        let s = Sampler::one_in_pow2(6);
+        let ring = ProvenanceRing::sampled(16, s.shift());
+        let hits: Vec<u64> = (0..16u64 << 6).filter(|&id| s.hit(id)).collect();
+        assert_eq!(hits.len(), 16);
+        for &id in &hits {
+            ring.record(rec(id));
+        }
+        assert!(hits.iter().all(|&id| ring.get(id).is_some()));
+    }
+
+    #[test]
     fn ring_stores_and_resolves_by_pkt_id() {
         let ring = ProvenanceRing::new(8);
         ring.record(rec(5));
@@ -513,9 +503,10 @@ mod tests {
 
     #[test]
     fn sampled_ring_fills_every_slot_before_evicting() {
-        // With a 1-in-8 sampler the sampled ids are multiples of 8; a
-        // shift-aware ring places them in consecutive slots so the
-        // lossless window is capacity × 2^shift ids, not capacity ids.
+        // A 1-in-8 sampler hits one id per aligned block of 8 (the block's
+        // first id stands in for it here); a shift-aware ring places them
+        // in consecutive slots so the lossless window is
+        // capacity × 2^shift ids, not capacity ids.
         let ring = ProvenanceRing::sampled(4, 3);
         for id in [0u64, 8, 16, 24] {
             ring.record(rec(id));

@@ -10,7 +10,7 @@ use fv_audit::{
 };
 use fv_telemetry::metrics::Counter;
 use fv_telemetry::span::{SpanRecorder, Stage};
-use fv_telemetry::trace::{EventRing, TraceKind};
+use fv_telemetry::trace::TraceKind;
 use fv_telemetry::Registry;
 use netstack::packet::Packet;
 use np_sim::config::NicConfig;
@@ -59,13 +59,13 @@ struct ClassChannels {
     tx_bits: Arc<Counter>,
 }
 
-/// Registry handles for the pipeline's per-class verdict accounting and
-/// scheduler trace events (`fv.class.<id>.*` namespace).
+/// Registry handles for the pipeline's per-class verdict accounting
+/// (`fv.class.<id>.*` namespace, exact) and its per-packet records:
+/// classify/sched spans and verdict events, for sampled packets.
 struct PipelineTelemetry {
     registry: Registry,
     /// Indexed by the tree's node index.
     per_class: Vec<ClassChannels>,
-    ring: Arc<EventRing>,
     spans: SpanRecorder,
 }
 
@@ -86,11 +86,11 @@ impl PipelineTelemetry {
         PipelineTelemetry {
             registry: registry.clone(),
             per_class,
-            ring: registry.ring(),
             spans: SpanRecorder::new(registry),
         }
     }
 
+    /// Counts the verdict (every packet) and traces it (sampled packets).
     /// The leaf's channels are found through the node index its chain
     /// ends in, a lender's through the tree's direct-indexed id table: no
     /// hashing either way.
@@ -98,19 +98,19 @@ impl PipelineTelemetry {
         &self,
         now: Nanos,
         tree: &SchedulingTree,
+        pkt_id: u64,
         (leaf_node, leaf): (usize, ClassId),
         wire_bits: u64,
         verdict: SchedVerdict,
     ) {
         let leaf_channels = self.per_class.get(leaf_node);
-        match verdict {
+        let (kind, b) = match verdict {
             SchedVerdict::Forward => {
                 if let Some(c) = leaf_channels {
                     c.forwarded.incr();
                     c.tx_bits.add(wire_bits);
                 }
-                self.ring
-                    .record(now, TraceKind::SchedForward, leaf.0 as u64, wire_bits);
+                (TraceKind::SchedForward, wire_bits)
             }
             SchedVerdict::Borrowed(lender) => {
                 if let Some(c) = leaf_channels {
@@ -120,17 +120,16 @@ impl PipelineTelemetry {
                 if let Some(c) = tree.node_index(lender).and_then(|i| self.per_class.get(i)) {
                     c.lent.incr();
                 }
-                self.ring
-                    .record(now, TraceKind::SchedBorrow, leaf.0 as u64, lender.0 as u64);
+                (TraceKind::SchedBorrow, lender.0 as u64)
             }
             SchedVerdict::Drop => {
                 if let Some(c) = leaf_channels {
                     c.dropped.incr();
                 }
-                self.ring
-                    .record(now, TraceKind::SchedDrop, leaf.0 as u64, wire_bits);
+                (TraceKind::SchedDrop, wire_bits)
             }
-        }
+        };
+        self.spans.event(now, kind, pkt_id, leaf.0 as u64, b);
     }
 }
 
@@ -336,12 +335,17 @@ impl FlowValvePipeline {
     /// finished [`ProvenanceRecord`] lands in `ring`, resolvable by
     /// `fv why --pkt <id>`. Unsampled decisions pay a single predictable
     /// branch; without this call the capture code is erased entirely.
+    ///
+    /// Pass the sampler of the registry the pipeline's telemetry is
+    /// attached to (`registry.sampler()`), so the packets with provenance
+    /// are the packets with spans and trace events.
     pub fn attach_auditor(&mut self, ring: Arc<ProvenanceRing>, sampler: Sampler) {
         self.audit = Some(AuditHook { ring, sampler });
     }
 
-    /// Wires per-class verdict counters (`fv.class.<id>.*`), scheduler
-    /// trace events, and the tree's refill telemetry into `registry`.
+    /// Wires per-class verdict counters (`fv.class.<id>.*`, exact), the
+    /// classify/sched spans and verdict trace events of sampled packets,
+    /// and the tree's refill telemetry into `registry`.
     /// Typically called with the same registry the owning
     /// [`np_sim::nic::SmartNic`] records into, so one snapshot covers the
     /// whole pipeline.
@@ -491,22 +495,33 @@ impl EgressDecider for FlowValvePipeline {
         // Wire bits (frame + preamble/IFG): what the token buckets meter
         // and what an attribution sink weighs heavy hitters by.
         let wire_bits = self.framing.wire_bits(pkt.frame_len as u64);
-        // Classify span: the cycles this packet's labeling charged to the
-        // worker, converted at the NIC clock. Starts when the worker picked
-        // the packet up (`now` here is the dispatch start).
-        let classify_dur = self.freq.duration_of(meter.total() - classify_t0);
-        if let Some(t) = &self.telemetry {
-            if let Some(sink) = t.spans.sink() {
-                // Tell the attribution sink this packet's class before any
-                // of its spans land, so every span attributes cleanly.
-                let class = chain.map_or(u64::MAX, |c| {
-                    let (_, leaf) = leaf_of(c);
-                    leaf.0 as u64
-                });
-                sink.classify(pkt.id, class, pkt.flow.stable_hash(), wire_bits);
-            }
-            t.spans.record(Stage::Classify, now, pkt.id, classify_dur);
-        }
+        // The records keyed by this packet — classify and sched span, the
+        // sink's classification feed — exist on an observed pipeline for
+        // the packets its registry samples. Everyone else skips what would
+        // only feed them, the cycles-to-nanoseconds conversions included.
+        let traced = self
+            .telemetry
+            .as_ref()
+            .filter(|t| t.spans.sampled(pkt.id))
+            .map(|t| {
+                if let Some(sink) = t.spans.sink_for(pkt.id) {
+                    // Tell the attribution sink this packet's class before
+                    // any of its spans land, so every span attributes
+                    // cleanly.
+                    let class = chain.map_or(u64::MAX, |c| {
+                        let (_, leaf) = leaf_of(c);
+                        leaf.0 as u64
+                    });
+                    sink.classify(pkt.id, class, pkt.flow.stable_hash(), wire_bits);
+                }
+                // Classify span: the cycles this packet's labeling charged
+                // to the worker, converted at the NIC clock. Starts when
+                // the worker picked the packet up (`now` here is the
+                // dispatch start).
+                let classify_dur = self.freq.duration_of(meter.total() - classify_t0);
+                t.spans.record(Stage::Classify, now, pkt.id, classify_dur);
+                (t, classify_dur)
+            });
 
         // Scheduling function (Algorithm 1); unlabeled traffic bypasses it.
         // Tokens are metered in *wire* bits: a tree whose root rate equals
@@ -611,14 +626,16 @@ impl EgressDecider for FlowValvePipeline {
                 verdict
             }
         };
-        if let Some(t) = &self.telemetry {
+        if let Some((t, classify_dur)) = traced {
             // Sched span: every cycle the scheduling function charged
             // (token grabs, lock waits, updates), placed right after the
             // classify span on the same worker.
             let sched_dur = self.freq.duration_of(meter.total() - sched_t0);
             t.spans
                 .record(Stage::Sched, now + classify_dur, pkt.id, sched_dur);
-            t.record(now, &self.tree, leaf_of(chain), wire_bits, verdict);
+        }
+        if let Some(t) = &self.telemetry {
+            t.record(now, &self.tree, pkt.id, leaf_of(chain), wire_bits, verdict);
         }
         if verdict.passes() {
             Decision::Forward
@@ -823,7 +840,7 @@ mod tests {
     #[test]
     fn decide_stamps_classify_and_sched_spans() {
         let mut p = pipeline_10g();
-        let registry = Registry::new();
+        let registry = Registry::with_sampler(1024, Sampler::one_in_pow2(0));
         p.attach_telemetry(&registry);
         let mut meter = CostMeter::new(CycleCosts::agilio());
         let mut locks = LockTable::new(16);

@@ -1,6 +1,8 @@
 //! What an observed packet leaves behind, checked on one seeded stream
 //! through `SmartNic::with_registry` + `attach_telemetry` +
-//! `attach_auditor`: every counter is exact.
+//! `attach_auditor`: every counter is exact, and the records keyed by a
+//! packet id — stage spans, verdict and drop events, provenance — follow
+//! one decision, all of them for a sampled id and none for any other.
 //!
 //! The stream reaches every outcome the observers tell apart: two VFs, a
 //! policy whose root admits more than the 40 G wire carries (so the TM
@@ -13,8 +15,8 @@ use std::sync::Arc;
 use flowvalve::frontend::Policy;
 use flowvalve::pipeline::FlowValvePipeline;
 use flowvalve::tree::TreeParams;
-use fv_audit::{ProvenanceRing, Sampler};
-use fv_telemetry::{Registry, Snapshot};
+use fv_audit::{AuditVerdict, ProvenanceRing};
+use fv_telemetry::{Registry, Sampler, Snapshot, Stage, TraceEvent, TraceKind, STAGES};
 use netstack::flow::FlowKey;
 use netstack::packet::{AppId, Packet, VfPort};
 use np_sim::config::NicConfig;
@@ -33,7 +35,6 @@ fv filter add dev nic0 match vf 1 ip dport 5002 flowid 1:30
 ";
 
 const PACKETS: u64 = 40_000;
-const SHIFT: u32 = 6;
 
 /// One packet of the stream: what was offered, when, and what became of it.
 struct Offered {
@@ -45,6 +46,12 @@ struct Offered {
 struct Observed {
     stream: Vec<Offered>,
     snapshot: Snapshot,
+    /// The registry's per-packet decision.
+    sampler: Sampler,
+    /// Every trace event of the run (the ring never wrapped).
+    events: Vec<TraceEvent>,
+    /// Every provenance record of the run (nor did this one).
+    provenance: Arc<ProvenanceRing>,
 }
 
 fn run() -> Observed {
@@ -56,8 +63,9 @@ fn run() -> Observed {
     // has none" is checked against everything that was ever recorded.
     let registry = Registry::with_ring_capacity(1 << 19);
     pipeline.attach_telemetry(&registry);
-    let provenance = Arc::new(ProvenanceRing::sampled(4096, SHIFT));
-    pipeline.attach_auditor(provenance.clone(), Sampler::one_in_pow2(SHIFT));
+    let sampler = registry.sampler();
+    let provenance = Arc::new(ProvenanceRing::sampled(4096, sampler.shift()));
+    pipeline.attach_auditor(provenance.clone(), sampler);
     let mut nic = SmartNic::with_registry(cfg, Box::new(pipeline), &registry);
 
     // MTU frames at ~2x line rate (the TM FIFO fills and tail-drops), then
@@ -86,9 +94,17 @@ fn run() -> Observed {
         })
         .collect();
     nic.sync_gauges(t);
+    let ring = registry.ring();
+    assert!(
+        ring.recorded() <= ring.capacity() as u64,
+        "event ring wrapped"
+    );
     Observed {
         stream,
         snapshot: registry.snapshot(t),
+        sampler,
+        events: ring.recent(ring.capacity()),
+        provenance,
     }
 }
 
@@ -98,7 +114,9 @@ fn count(stream: &[Offered], keep: impl Fn(&RxOutcome) -> bool) -> u64 {
 
 #[test]
 fn counters_are_exact_on_an_observed_nic() {
-    let Observed { stream, snapshot } = run();
+    let Observed {
+        stream, snapshot, ..
+    } = run();
     let rx_drops = count(&stream, |o| matches!(o, RxOutcome::RxDrop));
     let sched_drops = count(&stream, |o| matches!(o, RxOutcome::SchedDrop { .. }));
     let tail_drops = count(&stream, |o| matches!(o, RxOutcome::TailDrop { .. }));
@@ -143,4 +161,156 @@ fn counters_are_exact_on_an_observed_nic() {
         .histogram("nic.latency_ns")
         .expect("nic.latency_ns");
     assert_eq!(latency.count, transmitted);
+}
+
+/// Whether the packet got past the receive ring, to `decide`.
+fn decided(o: &Offered) -> bool {
+    !matches!(o.outcome, RxOutcome::RxDrop)
+}
+
+/// The leaf class `POLICY` files a packet under.
+fn class_of(pkt: &Packet) -> u64 {
+    match (pkt.vf.0, pkt.flow.dst_port) {
+        (1, 5001) => 20,
+        (1, 5002) => 30,
+        _ => 10,
+    }
+}
+
+#[test]
+fn a_packet_has_all_of_its_records_or_none() {
+    let Observed {
+        stream,
+        snapshot,
+        sampler,
+        events,
+        provenance,
+    } = run();
+    let sampled: Vec<&Offered> = stream.iter().filter(|o| sampler.hit(o.pkt.id)).collect();
+    assert_eq!(sampled.len() as u64, PACKETS >> sampler.shift());
+    assert_eq!(snapshot.sample_period(), 1 << sampler.shift());
+
+    // Events that name their packet: the ring holds exactly what the
+    // sampled packets of the stream should have left, nothing of any other.
+    let mut expected: Vec<(u64, TraceKind)> = Vec::new();
+    for o in &sampled {
+        let kinds: &[TraceKind] = match o.outcome {
+            RxOutcome::RxDrop => &[TraceKind::RxDrop],
+            RxOutcome::SchedDrop { .. } => &[
+                TraceKind::SpanIngress,
+                TraceKind::SpanClassify,
+                TraceKind::SpanSched,
+            ],
+            RxOutcome::TailDrop { .. } => &[
+                TraceKind::SpanIngress,
+                TraceKind::SpanClassify,
+                TraceKind::SpanSched,
+                TraceKind::TailDrop,
+            ],
+            RxOutcome::Transmit { .. } => &[
+                TraceKind::SpanIngress,
+                TraceKind::SpanClassify,
+                TraceKind::SpanSched,
+                TraceKind::SpanTmQueue,
+                TraceKind::SpanWire,
+            ],
+            RxOutcome::FaultDrop { .. } => unreachable!("no injector installed"),
+        };
+        expected.extend(kinds.iter().map(|&k| (o.pkt.id, k)));
+    }
+    let by_id_then_kind = |&(id, kind): &(u64, TraceKind)| (id, kind as u8);
+    expected.sort_by_key(by_id_then_kind);
+    let mut actual: Vec<(u64, TraceKind)> = events
+        .iter()
+        .filter_map(|e| match e.kind {
+            TraceKind::RxDrop => Some((e.a, e.kind)),
+            TraceKind::TailDrop => Some((e.b, e.kind)),
+            k if k.is_span() => Some((e.a, e.kind)),
+            _ => None,
+        })
+        .collect();
+    actual.sort_by_key(by_id_then_kind);
+    assert_eq!(actual, expected);
+    for kind in [TraceKind::RxDrop, TraceKind::TailDrop, TraceKind::SpanWire] {
+        assert!(
+            expected.iter().any(|&(_, k)| k == kind),
+            "no sampled packet left a {kind:?}"
+        );
+    }
+
+    // Verdict events name a class, not a packet; they carry the instant
+    // the packet's classify span starts at. One per sampled packet that
+    // reached `decide`, none besides.
+    let mut expected: Vec<(Nanos, u64, bool)> = sampled
+        .iter()
+        .filter(|o| decided(o))
+        .map(|o| {
+            let classify = events
+                .iter()
+                .find(|e| e.kind == TraceKind::SpanClassify && e.a == o.pkt.id)
+                .expect("checked above");
+            let dropped = matches!(o.outcome, RxOutcome::SchedDrop { .. });
+            (classify.at, class_of(&o.pkt), dropped)
+        })
+        .collect();
+    expected.sort();
+    let mut actual: Vec<(Nanos, u64, bool)> = events
+        .iter()
+        .filter_map(|e| match e.kind {
+            TraceKind::SchedForward | TraceKind::SchedBorrow => Some((e.at, e.a, false)),
+            TraceKind::SchedDrop => Some((e.at, e.a, true)),
+            _ => None,
+        })
+        .collect();
+    actual.sort();
+    assert_eq!(actual, expected);
+    assert!(
+        events.iter().any(|e| e.kind == TraceKind::SchedBorrow),
+        "no sampled borrow"
+    );
+
+    // Provenance: the same packets again, with the verdict the NIC acted on.
+    let records = provenance.records();
+    let record_ids: Vec<u64> = records.iter().map(|r| r.pkt_id).collect();
+    let decided_ids: Vec<u64> = sampled
+        .iter()
+        .filter(|o| decided(o))
+        .map(|o| o.pkt.id)
+        .collect();
+    assert_eq!(record_ids, decided_ids);
+    for (r, o) in records.iter().zip(sampled.iter().filter(|o| decided(o))) {
+        assert_eq!(
+            r.verdict == AuditVerdict::Drop,
+            matches!(o.outcome, RxOutcome::SchedDrop { .. }),
+            "pkt {}",
+            r.pkt_id
+        );
+        assert_eq!(u64::from(r.leaf), class_of(&o.pkt), "pkt {}", r.pkt_id);
+    }
+
+    // Each span histogram counts the sampled packets that reached its stage.
+    let reached = |stage: Stage| -> u64 {
+        let n = sampled.iter().filter(|o| match stage {
+            Stage::Ingress | Stage::Classify | Stage::Sched => decided(o),
+            Stage::TmQueue | Stage::Wire => matches!(o.outcome, RxOutcome::Transmit { .. }),
+            Stage::Queue => false,
+        });
+        n.count() as u64
+    };
+    for stage in STAGES {
+        let name = stage.metric();
+        let h = snapshot.histogram(name).expect(name);
+        assert_eq!(h.count, reached(stage), "{name}");
+    }
+
+    // What is not about one packet is never sampled: every refill the tree
+    // counted is in the ring.
+    for (kind, counter) in [
+        (TraceKind::TokenRefill, "fv.tree.updates"),
+        (TraceKind::ShadowRefill, "fv.tree.shadow_updates"),
+    ] {
+        let traced = events.iter().filter(|e| e.kind == kind).count() as u64;
+        assert!(traced > 0, "{counter}");
+        assert_eq!(traced, snapshot.counter(counter), "{counter}");
+    }
 }

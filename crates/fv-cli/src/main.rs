@@ -59,6 +59,10 @@
 //! `--flag value` and `--flag=value`; an unknown flag, a missing value and
 //! an unparsable number each exit 2 with the flag named above the usage
 //! line.
+//!
+//! A reader that closes the pipe early (`fv top … | head -8`) ends `fv` the
+//! way it ends `yes`: killed by `SIGPIPE`, silently, which a shell reports
+//! as status 141.
 
 use std::io::Read;
 use std::process::ExitCode;
@@ -121,7 +125,31 @@ struct Flags {
 /// as `fv: <message>` before exiting 1.
 type CmdResult = Result<ExitCode, String>;
 
+/// Puts `SIGPIPE` back to its default action. The Rust runtime ignores the
+/// signal, which turns a closed stdout into an `EPIPE` that `println!`
+/// panics on ("failed printing to stdout", with a backtrace); a closed
+/// stdout is the reader's decision, not a bug in `fv`, so every write to
+/// it ends the process quietly instead — here, once, for all of them.
+#[cfg(unix)]
+fn die_quietly_on_closed_stdout() {
+    extern "C" {
+        fn signal(signum: i32, handler: usize) -> usize;
+    }
+    const SIGPIPE: i32 = 13;
+    const SIG_DFL: usize = 0;
+    // SAFETY: `signal` is the C library's, linked into every unix Rust
+    // binary; the arguments are a valid signal number and the default
+    // disposition, and no other thread exists yet to race the change.
+    unsafe {
+        signal(SIGPIPE, SIG_DFL);
+    }
+}
+
+#[cfg(not(unix))]
+fn die_quietly_on_closed_stdout() {}
+
 fn main() -> ExitCode {
+    die_quietly_on_closed_stdout();
     run().unwrap_or_else(|e| {
         eprintln!("fv: {e}");
         ExitCode::FAILURE
@@ -432,11 +460,11 @@ fn stats(policy: &Policy, json: bool) -> CmdResult {
             );
         }
     }
-    if let Some(audit) = &run.audit {
+    if run.audit.is_some() {
         println!(
             "audit: {} sampled records (1 in {}), {} meter steps checked, {} violations",
             snap.counter("audit.records"),
-            1u64 << audit.shift,
+            snap.sample_period(),
             snap.counter("audit.steps_checked"),
             snap.counter("audit.violations"),
         );
@@ -612,8 +640,10 @@ fn trace(policy: &Policy, flags: &Flags) -> CmdResult {
         Some(path) => {
             write_out(path, &doc.to_pretty())?;
             println!(
-                "wrote {path}: {spans} spans of {} events (open in chrome://tracing)\n",
-                events.len()
+                "wrote {path}: {spans} spans of {} events, per-packet records \
+                 sampled 1 in {} (open in chrome://tracing)\n",
+                events.len(),
+                run.snapshot.sample_period()
             );
             print!("{}", latency_table(&run.snapshot));
         }
@@ -637,7 +667,7 @@ fn chaos(policy: &Policy, flags: &Flags) -> CmdResult {
     let (latency, attach) = probes(
         flags.flight.is_some(),
         Attachments {
-            audit: None,
+            audit: false,
             ..Attachments::default()
         },
     );
@@ -712,8 +742,10 @@ fn profile(policy: &Policy, flags: &Flags) -> CmdResult {
 fn top(policy: &Policy) -> CmdResult {
     let (run, latency, report) = run_profiled(policy)?;
     println!(
-        "top: {} spans attributed across {} classes\n",
+        "top: {} spans of sampled packets (1 in {}) attributed across {} classes; \
+         flow volumes count sampled packets\n",
         latency.span_count(),
+        report.sample_period,
         report.classes.len()
     );
     println!(
@@ -784,7 +816,7 @@ fn why(policy: &Policy, flags: &Flags) -> CmdResult {
             format!(
                 "no provenance for pkt {pkt}: not sampled (1 in {} by \
                  packet id), unlabeled, or evicted from the ring",
-                1u64 << audit.shift
+                run.snapshot.sample_period()
             )
         })?;
         if flags.json {
@@ -820,9 +852,10 @@ fn why(policy: &Policy, flags: &Flags) -> CmdResult {
                 }
             }
             println!(
-                "class {id}: {} sampled decisions ({fwd} forwarded, {bor} \
+                "class {id}: {} sampled decisions (1 in {}; {fwd} forwarded, {bor} \
                  borrowed, {dropped} dropped); most recent:",
-                recs.len()
+                recs.len(),
+                run.snapshot.sample_period()
             );
             let last = recs
                 .iter()
@@ -867,6 +900,10 @@ fn audit_cmd(policy: &Policy, flags: &Flags) -> CmdResult {
     if flags.json {
         println!("{}", report.to_json().to_pretty());
     } else {
+        println!(
+            "provenance sampled 1 packet in {}",
+            run.snapshot.sample_period()
+        );
         print!("{}", report.render());
     }
     if report.ok() {

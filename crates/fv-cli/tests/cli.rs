@@ -514,6 +514,40 @@ fn top_lists_heavy_flows_and_locks() {
     assert!(stdout.contains("top contended locks"), "stdout: {stdout}");
 }
 
+// ---- closed stdout ------------------------------------------------------
+
+/// `fv top … | head -1`: the reader goes away while `fv` still prints. That
+/// ends `fv` by `SIGPIPE` (what a shell shows as status 141), without a
+/// panic message or a backtrace.
+#[cfg(unix)]
+#[test]
+fn a_closed_stdout_ends_fv_quietly() {
+    use std::io::{BufRead as _, BufReader};
+    use std::os::unix::process::ExitStatusExt as _;
+
+    // `fv trace` prints megabytes, so the pipe is still full when the read
+    // end closes.
+    let mut child = fv()
+        .args(["trace"])
+        .arg(motivation_script())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("fv runs");
+    let mut first = String::new();
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    stdout.read_line(&mut first).expect("first line");
+    assert_eq!(first, "{\n");
+    drop(stdout);
+    let out = child.wait_with_output().expect("fv exits");
+    assert_eq!(out.status.signal(), Some(13), "{:?}", out.status);
+    assert!(
+        out.stderr.is_empty(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
 // ---- strict flags -----------------------------------------------------
 
 /// Runs `fv <args>` on the GOOD script and expects exit 2 with `flag`
@@ -733,15 +767,24 @@ fn stats_layout_matches_golden() {
     assert_matches_golden("stats_layout.txt", &normalized);
 }
 
+/// The first packet id in `range` the registry's sampler does (`true`) or
+/// does not (`false`) select — asked of the sampler, never guessed.
+fn first_id(range: std::ops::Range<u64>, sampled: bool) -> u64 {
+    let sampler = fv_telemetry::Sampler::default();
+    let mut ids = range;
+    ids.find(|&id| sampler.hit(id) == sampled)
+        .expect("a block of 64 ids holds one sampled id and 63 others")
+}
+
 #[test]
 fn why_resolves_a_sampled_packet_and_rejects_an_unsampled_one() {
     let f = write_script(GOOD);
-    // Packet id 64 is a sampling hit (1 in 64 by id) and early enough to
-    // never be evicted from the provenance ring.
+    // Early enough to never be evicted from the provenance ring.
+    let (hit, miss) = (first_id(64..128, true), first_id(64..128, false));
     let out = fv()
         .args(["why"])
         .arg(&f.path)
-        .args(["--pkt", "64"])
+        .args(["--pkt", &hit.to_string()])
         .output()
         .expect("fv runs");
     assert!(
@@ -750,19 +793,109 @@ fn why_resolves_a_sampled_packet_and_rejects_an_unsampled_one() {
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("pkt 64"), "stdout: {stdout}");
+    assert!(stdout.contains(&format!("pkt {hit} ")), "stdout: {stdout}");
     assert!(stdout.contains("verdict"), "stdout: {stdout}");
     assert!(stdout.contains("tokens"), "stdout: {stdout}");
-    // Id 65 is never sampled: the command must fail with an explanation.
+    // An unsampled id: the command must fail with an explanation.
     let out = fv()
         .args(["why"])
         .arg(&f.path)
-        .args(["--pkt", "65"])
+        .args(["--pkt", &miss.to_string()])
         .output()
         .expect("fv runs");
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("no provenance"), "stderr: {stderr}");
+    assert!(stderr.contains("1 in 64"), "stderr: {stderr}");
+}
+
+/// `scripts/check.sh` replays `fv why … --pkt <id>` against a committed
+/// digest; the id it names must be one the sampler selects, or the line
+/// pins an error message instead of a decision walk.
+#[test]
+fn replayed_why_line_names_a_sampled_packet() {
+    let check = std::fs::read_to_string(motivation_script().with_file_name("check.sh"))
+        .expect("scripts/check.sh");
+    let line = check
+        .lines()
+        .find(|l| l.starts_with("why scripts/motivation.fv --pkt "))
+        .expect("check.sh replays a `why --pkt` line");
+    let id: u64 = line.rsplit(' ').next().unwrap().parse().expect("packet id");
+    assert_eq!(id, first_id(64..128, true), "{line}");
+}
+
+/// The in-tree policy: four equal-rate flows, one per filter, so a sampler
+/// whose period the flow count divides would only ever see the first.
+fn motivation_script() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scripts/motivation.fv")
+}
+
+#[test]
+fn why_flow_resolves_a_class_that_is_not_the_first() {
+    let out = fv()
+        .args(["why"])
+        .arg(motivation_script())
+        .args(["--flow", "1:30"])
+        .output()
+        .expect("fv runs");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("class 1:30:"), "stdout: {stdout}");
+    assert!(
+        stdout.contains("sampled decisions (1 in 64;"),
+        "stdout: {stdout}"
+    );
+}
+
+#[test]
+fn audit_covers_every_leaf_and_a_shadow_bucket() {
+    use fv_telemetry::json::JsonValue;
+
+    let script = motivation_script();
+    let out = fv()
+        .args(["audit"])
+        .arg(&script)
+        .args(["--json"])
+        .output()
+        .expect("fv runs");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let doc = JsonValue::parse(&String::from_utf8_lossy(&out.stdout)).expect("audit json");
+    let ledgers = doc
+        .get("ledgers")
+        .and_then(|l| l.as_arr())
+        .expect("ledgers");
+    let metered = |class: u64, role: &str| {
+        ledgers.iter().any(|l| {
+            l.get("class").and_then(JsonValue::as_u64) == Some(class)
+                && l.get("role").and_then(|r| r.as_str()) == Some(role)
+                && l.get("attempts").and_then(JsonValue::as_u64) > Some(0)
+        })
+    };
+    let policy = flowvalve::frontend::Policy::parse(&std::fs::read_to_string(&script).unwrap())
+        .expect("motivation.fv parses");
+    assert_eq!(policy.filters.len(), 4);
+    for f in &policy.filters {
+        assert!(
+            metered(f.class.0.into(), "class"),
+            "no meter step audited on leaf 1:{}",
+            f.class.0
+        );
+    }
+    assert!(
+        ledgers
+            .iter()
+            .filter_map(|l| l.get("class").and_then(JsonValue::as_u64))
+            .any(|class| metered(class, "shadow")),
+        "no shadow bucket audited: borrowing went unchecked"
+    );
 }
 
 #[test]

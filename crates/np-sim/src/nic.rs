@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use fv_telemetry::metrics::{Counter, Histogram, RateWindow};
 use fv_telemetry::span::{SpanRecorder, Stage};
-use fv_telemetry::trace::{EventRing, TraceKind};
+use fv_telemetry::trace::TraceKind;
 use fv_telemetry::Registry;
 use netstack::packet::Packet;
 use sim_core::time::{Cycles, Nanos};
@@ -163,7 +163,6 @@ struct NicObserver {
     registry: Registry,
     tx_rate: Arc<RateWindow>,
     latency: Arc<Histogram>,
-    ring: Arc<EventRing>,
     spans: SpanRecorder,
 }
 
@@ -173,7 +172,10 @@ struct NicObserver {
 /// only when its builder handed it one. [`SmartNic::new`] keeps the seven
 /// [`NicStats`] tallies and nothing else; [`SmartNic::with_registry`] is
 /// the one constructor that wires lock, FIFO, span, rate, latency and
-/// trace-event recording, and neither changes what the NIC does.
+/// trace-event recording, and neither changes what the NIC does. Of
+/// those, what is keyed by a packet id (the stage spans, `RxDrop` and
+/// `TailDrop` events) is kept for the packets the registry's sampler
+/// selects; every counter, the rate series and `nic.latency_ns` are exact.
 ///
 /// # Example
 ///
@@ -275,7 +277,6 @@ impl SmartNic {
                 registry: registry.clone(),
                 tx_rate: registry.rate("nic.tx_bits_rate", Nanos::from_micros(100)),
                 latency: registry.histogram("nic.latency_ns"),
-                ring: registry.ring(),
                 spans: SpanRecorder::new(registry),
             }),
         };
@@ -328,8 +329,8 @@ impl SmartNic {
             Dispatch::RxOverflow => {
                 self.telemetry.rx_drops.incr();
                 if let Some(obs) = &self.telemetry.observer {
-                    obs.ring
-                        .record(now, TraceKind::RxDrop, pkt.id, pkt.vf.0 as u64);
+                    obs.spans
+                        .event(now, TraceKind::RxDrop, pkt.id, pkt.id, pkt.vf.0 as u64);
                 }
                 return RxOutcome::RxDrop;
             }
@@ -360,9 +361,9 @@ impl SmartNic {
         }
         let done = self.workers.complete(start, self.meter.total());
         // Ingress span: time spent waiting for a free worker. Recorded even
-        // when zero so the span count equals the dispatched-packet count.
-        // Stamped after the decider ran so an attribution sink has already
-        // seen this packet's classification verdict.
+        // when zero so the span count equals the count of sampled packets
+        // dispatched. Stamped after the decider ran so an attribution sink
+        // has already seen this packet's classification verdict.
         if let Some(obs) = &self.telemetry.observer {
             obs.spans.record(Stage::Ingress, now, pkt.id, start - now);
         }
@@ -647,7 +648,7 @@ mod tests {
 
     #[test]
     fn transmit_path_stamps_stage_spans() {
-        let reg = Registry::new();
+        let reg = Registry::with_sampler(1024, fv_telemetry::Sampler::one_in_pow2(0));
         let mut nic = SmartNic::with_registry(
             NicConfig::agilio_cx_40g(),
             Box::new(PassthroughDecider),

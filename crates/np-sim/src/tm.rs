@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use fv_telemetry::metrics::{Counter, Gauge};
 use fv_telemetry::span::{SpanRecorder, Stage};
-use fv_telemetry::trace::{EventRing, TraceKind};
+use fv_telemetry::trace::TraceKind;
 use fv_telemetry::Registry;
 use sim_core::time::Nanos;
 use sim_core::units::{BitRate, ByteSize, WireFraming};
@@ -44,8 +44,8 @@ pub struct TmStats {
     pub fault_drops: u64,
 }
 
-/// Registry-backed mirrors of [`TmStats`] plus FIFO occupancy and
-/// `TailDrop` trace events.
+/// Registry-backed mirrors of [`TmStats`] plus FIFO occupancy and, for
+/// sampled packets, `TailDrop` trace events and `tm_queue`/`wire` spans.
 #[derive(Debug, Clone)]
 struct FifoTelemetry {
     tx_packets: Arc<Counter>,
@@ -53,7 +53,6 @@ struct FifoTelemetry {
     tail_drops: Arc<Counter>,
     fault_drops: Arc<Counter>,
     backlog_bytes: Arc<Gauge>,
-    ring: Arc<EventRing>,
     spans: SpanRecorder,
 }
 
@@ -71,7 +70,7 @@ struct FifoTelemetry {
 ///     WireFraming::ETHERNET,
 ///     ByteSize::from_kib(64),
 /// );
-/// let done = fifo.enqueue(1518, Nanos::ZERO).expect("queue is empty");
+/// let done = fifo.enqueue_pkt(1518, Nanos::ZERO, 0).expect("queue is empty");
 /// // (1518 + 20) bytes at 10 Gbps ≈ 1.23 us.
 /// assert_eq!(done.as_nanos(), 1_231);
 /// ```
@@ -118,9 +117,9 @@ impl TxFifo {
     }
 
     /// Mirrors every enqueue into `registry` under the `tm.fifo.*`
-    /// namespace: the [`TmStats`] counters, an occupancy gauge (whose
-    /// high-water mark survives drains), `TailDrop` trace events, and —
-    /// for packets offered via [`TxFifo::enqueue_pkt`] — per-packet
+    /// namespace: the [`TmStats`] counters and an occupancy gauge (whose
+    /// high-water mark survives drains), both exact, and — for the packets
+    /// the registry's sampler selects — `TailDrop` trace events and
     /// `tm_queue`/`wire` stage spans.
     pub fn attach_telemetry(&mut self, registry: &Registry) {
         self.telemetry = Some(FifoTelemetry {
@@ -131,7 +130,6 @@ impl TxFifo {
             // their snapshot schema free of fault counters.
             fault_drops: Arc::new(Counter::new()),
             backlog_bytes: registry.gauge("tm.fifo.backlog_bytes"),
-            ring: registry.ring(),
             spans: SpanRecorder::new(registry),
         });
     }
@@ -148,7 +146,9 @@ impl TxFifo {
         }
     }
 
-    /// Offers a frame of `frame_len` bytes to the FIFO at time `t`.
+    /// Offers packet `pkt_id`, a frame of `frame_len` bytes, to the FIFO at
+    /// time `t`. The id keys the FIFO wait (`tm_queue`) and serialization
+    /// (`wire`) spans, the `TailDrop` event and the fault injector.
     ///
     /// On success, returns the instant the frame's last bit leaves the wire.
     /// Slightly out-of-order timestamps (from parallel workers completing
@@ -157,18 +157,8 @@ impl TxFifo {
     ///
     /// # Errors
     ///
-    /// [`TmDrop::TailDrop`] when the backlog would exceed capacity.
-    pub fn enqueue(&mut self, frame_len: u32, t: Nanos) -> Result<Nanos, TmDrop> {
-        self.enqueue_pkt(frame_len, t, u64::MAX)
-    }
-
-    /// [`TxFifo::enqueue`] with the packet's id threaded through so the
-    /// FIFO wait (`tm_queue`) and serialization (`wire`) spans carry it.
-    /// Callers without an id (`enqueue`) stamp `u64::MAX`.
-    ///
-    /// # Errors
-    ///
-    /// [`TmDrop::TailDrop`] when the backlog would exceed capacity.
+    /// [`TmDrop::TailDrop`] when the backlog would exceed capacity,
+    /// [`TmDrop::CorruptDrop`] when an injected fault consumes the frame.
     pub fn enqueue_pkt(&mut self, frame_len: u32, t: Nanos, pkt_id: u64) -> Result<Nanos, TmDrop> {
         let t = t.max(self.last_t);
         self.last_t = t;
@@ -191,12 +181,7 @@ impl TxFifo {
             self.stats.tail_drops += 1;
             if let Some(tel) = &self.telemetry {
                 tel.tail_drops.incr();
-                tel.ring.record(
-                    t,
-                    TraceKind::TailDrop,
-                    frame_len as u64,
-                    self.rate.bits_in(backlog) / 8,
-                );
+                tel.spans.event(t, TraceKind::TailDrop, pkt_id, 0, pkt_id);
             }
             return Err(TmDrop::TailDrop);
         }
@@ -273,15 +258,15 @@ mod tests {
     fn empty_fifo_serializes_immediately() {
         let mut f = fifo_1g();
         // 1000 bytes = 8000 bits at 1 bit/ns.
-        let done = f.enqueue(1_000, Nanos::ZERO).unwrap();
+        let done = f.enqueue_pkt(1_000, Nanos::ZERO, 0).unwrap();
         assert_eq!(done, Nanos::from_nanos(8_000));
     }
 
     #[test]
     fn backlog_accumulates_fifo_order() {
         let mut f = fifo_1g();
-        let d1 = f.enqueue(1_000, Nanos::ZERO).unwrap();
-        let d2 = f.enqueue(1_000, Nanos::ZERO).unwrap();
+        let d1 = f.enqueue_pkt(1_000, Nanos::ZERO, 0).unwrap();
+        let d2 = f.enqueue_pkt(1_000, Nanos::ZERO, 1).unwrap();
         assert_eq!(d2, d1 + Nanos::from_nanos(8_000));
         assert_eq!(f.backlog_bytes(Nanos::ZERO), 2_000);
     }
@@ -289,7 +274,7 @@ mod tests {
     #[test]
     fn wire_drains_over_time() {
         let mut f = fifo_1g();
-        f.enqueue(1_000, Nanos::ZERO).unwrap();
+        f.enqueue_pkt(1_000, Nanos::ZERO, 0).unwrap();
         assert_eq!(f.backlog_bytes(Nanos::from_nanos(4_000)), 500);
         assert_eq!(f.backlog_bytes(Nanos::from_nanos(8_000)), 0);
     }
@@ -300,8 +285,8 @@ mod tests {
         // Fill past 10 KB: each enqueue is 1 KB; at t=0, 11th packet sees
         // 80 us backlog == max => allowed; 12th sees 88 us > 80 us => drop.
         let mut accepted = 0;
-        for _ in 0..12 {
-            if f.enqueue(1_000, Nanos::ZERO).is_ok() {
+        for id in 0..12 {
+            if f.enqueue_pkt(1_000, Nanos::ZERO, id).is_ok() {
                 accepted += 1;
             }
         }
@@ -312,9 +297,9 @@ mod tests {
     #[test]
     fn out_of_order_timestamps_clamped() {
         let mut f = fifo_1g();
-        f.enqueue(1_000, Nanos::from_nanos(100)).unwrap();
+        f.enqueue_pkt(1_000, Nanos::from_nanos(100), 0).unwrap();
         // Enqueue "at 50 ns" after one at 100 ns: treated as 100 ns.
-        let done = f.enqueue(1_000, Nanos::from_nanos(50)).unwrap();
+        let done = f.enqueue_pkt(1_000, Nanos::from_nanos(50), 1).unwrap();
         assert_eq!(done, Nanos::from_nanos(100 + 16_000));
     }
 
@@ -325,7 +310,7 @@ mod tests {
             WireFraming::ETHERNET,
             ByteSize::from_kib(64),
         );
-        let done = f.enqueue(64, Nanos::ZERO).unwrap();
+        let done = f.enqueue_pkt(64, Nanos::ZERO, 0).unwrap();
         // (64 + 20) * 8 = 672 ns on the wire...
         assert_eq!(done, Nanos::from_nanos(672));
         // ...but only 512 frame bits counted as throughput.
@@ -336,7 +321,7 @@ mod tests {
     fn throughput_accounting() {
         let mut f = fifo_1g();
         for i in 0..10u64 {
-            let _ = f.enqueue(1_000, Nanos::from_micros(i * 10));
+            let _ = f.enqueue_pkt(1_000, Nanos::from_micros(i * 10), i);
         }
         let tput = f.throughput(Nanos::from_micros(100));
         // 80_000 bits over 100 us = 800 Mbps.
@@ -347,12 +332,12 @@ mod tests {
     #[test]
     fn telemetry_mirrors_fifo_stats() {
         use fv_telemetry::MetricValue;
-        let reg = Registry::new();
+        let reg = Registry::with_sampler(64, fv_telemetry::Sampler::one_in_pow2(0));
         let mut f = fifo_1g();
         f.attach_telemetry(&reg);
         // 10 KB buffer, 1 KB frames: 11 accepted, the 12th tail-drops.
-        for _ in 0..12 {
-            let _ = f.enqueue(1_000, Nanos::ZERO);
+        for id in 0..12 {
+            let _ = f.enqueue_pkt(1_000, Nanos::ZERO, id);
         }
         let snap = reg.snapshot(Nanos::ZERO);
         assert_eq!(snap.counter("tm.fifo.tx_packets"), 11);
@@ -365,7 +350,8 @@ mod tests {
         assert!(snap
             .events
             .iter()
-            .any(|e| e.kind == TraceKind::TailDrop && e.a == 1_000));
+            .any(|e| e.kind == TraceKind::TailDrop && (e.a, e.b) == (0, 11)));
+        assert_eq!(snap.histogram("span.wire_ns").unwrap().count, 11);
     }
 
     #[derive(Debug)]
@@ -403,10 +389,10 @@ mod tests {
             permille: 250,
         }));
         // 8000 bits at a quarter of 1 Gbps take 4x as long.
-        let done = f.enqueue(1_000, Nanos::ZERO).unwrap();
+        let done = f.enqueue_pkt(1_000, Nanos::ZERO, 0).unwrap();
         assert_eq!(done, Nanos::from_nanos(32_000));
         // Outside the window the wire is back to nominal.
-        let done = f.enqueue(1_000, Nanos::from_micros(40)).unwrap();
+        let done = f.enqueue_pkt(1_000, Nanos::from_micros(40), 1).unwrap();
         assert_eq!(done, Nanos::from_nanos(48_000));
     }
 
@@ -420,7 +406,7 @@ mod tests {
             fault: TmFault::Paused { until },
             permille: 1000,
         }));
-        let done = f.enqueue(1_000, Nanos::ZERO).unwrap();
+        let done = f.enqueue_pkt(1_000, Nanos::ZERO, 0).unwrap();
         assert_eq!(done, until + Nanos::from_nanos(8_000));
     }
 
@@ -436,8 +422,11 @@ mod tests {
             fault: TmFault::CorruptDrop,
             permille: 1000,
         }));
-        assert_eq!(f.enqueue(1_000, Nanos::ZERO), Err(TmDrop::CorruptDrop));
-        assert!(f.enqueue(1_000, Nanos::from_micros(5)).is_ok());
+        assert_eq!(
+            f.enqueue_pkt(1_000, Nanos::ZERO, 0),
+            Err(TmDrop::CorruptDrop)
+        );
+        assert!(f.enqueue_pkt(1_000, Nanos::from_micros(5), 1).is_ok());
         assert_eq!(f.stats().fault_drops, 1);
         assert_eq!(f.stats().tx_packets, 1);
         let snap = reg.snapshot(Nanos::ZERO);
@@ -448,7 +437,7 @@ mod tests {
     fn queueing_delay_reported() {
         let mut f = fifo_1g();
         assert_eq!(f.queueing_delay(Nanos::ZERO), Nanos::ZERO);
-        f.enqueue(1_000, Nanos::ZERO).unwrap();
+        f.enqueue_pkt(1_000, Nanos::ZERO, 0).unwrap();
         assert_eq!(f.queueing_delay(Nanos::ZERO), Nanos::from_nanos(8_000));
     }
 }

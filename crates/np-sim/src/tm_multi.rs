@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use fv_telemetry::metrics::{Counter, Gauge};
 use fv_telemetry::trace::{EventRing, TraceKind};
-use fv_telemetry::Registry;
+use fv_telemetry::{Registry, Sampler};
 use netstack::packet::Packet;
 use sim_core::time::Nanos;
 use sim_core::units::{BitRate, WireFraming};
@@ -49,13 +49,16 @@ struct HwQueue {
 }
 
 /// Registry-backed mirrors of the traffic-manager counters: per-queue tail
-/// drops, aggregate transmit counters, occupancy, and `TailDrop` events.
+/// drops, aggregate transmit counters, occupancy, and — for sampled
+/// packets — `TailDrop` events.
 struct MqTelemetry {
     tx_packets: Arc<Counter>,
     tx_bits: Arc<Counter>,
     queue_drops: Vec<Arc<Counter>>,
     backlog_pkts: Arc<Gauge>,
     ring: Arc<EventRing>,
+    /// The registry's per-packet sampling decision (`TailDrop` events).
+    sampler: Sampler,
 }
 
 /// A fixed-function multi-queue traffic manager in front of a wire.
@@ -134,7 +137,8 @@ impl MultiQueueTm {
 
     /// Mirrors enqueue/dequeue activity into `registry` under the `tm.mq.*`
     /// namespace: aggregate transmit counters, per-queue tail-drop counters
-    /// (`tm.mq.q<i>.drops`), a backlog gauge, and `TailDrop` trace events.
+    /// (`tm.mq.q<i>.drops`), a backlog gauge, and `TailDrop` trace events
+    /// for the packets the registry's sampler selects.
     pub fn attach_telemetry(&mut self, registry: &Registry) {
         self.telemetry = Some(MqTelemetry {
             tx_packets: registry.counter("tm.mq.tx_packets"),
@@ -144,6 +148,7 @@ impl MultiQueueTm {
                 .collect(),
             backlog_pkts: registry.gauge("tm.mq.backlog_pkts"),
             ring: registry.ring(),
+            sampler: registry.sampler(),
         });
     }
 
@@ -164,8 +169,10 @@ impl MultiQueueTm {
             hq.drops += 1;
             if let Some(t) = &self.telemetry {
                 t.queue_drops[q].incr();
-                t.ring
-                    .record(pkt.created_at, TraceKind::TailDrop, q as u64, pkt.id);
+                if t.sampler.hit(pkt.id) {
+                    t.ring
+                        .record(pkt.created_at, TraceKind::TailDrop, q as u64, pkt.id);
+                }
             }
             false
         } else {
@@ -368,7 +375,7 @@ mod tests {
     #[test]
     fn telemetry_tracks_per_queue_drops_and_occupancy() {
         use fv_telemetry::MetricValue;
-        let reg = Registry::new();
+        let reg = Registry::with_sampler(1024, fv_telemetry::Sampler::one_in_pow2(0));
         let mut tm = MultiQueueTm::new(
             BitRate::from_gbps(10.0),
             WireFraming::ETHERNET,

@@ -19,11 +19,20 @@ use fv_telemetry::span::{SpanSink, Stage, STAGES};
 use sim_core::time::Nanos;
 
 /// The class value spans fall into before (or without) a classification
-/// verdict for their packet: unlabeled bypass traffic, or ring spans whose
-/// packet aged out of the bounded pkt→class table.
+/// verdict for their packet: unlabeled bypass traffic, or spans whose
+/// packet aged out of the bounded pkt→class table. Every span the
+/// workspace stamps carries a real packet id; only a foreign
+/// [`SpanSink`] caller can still hand in an id-less (`u64::MAX`) span, and
+/// it lands here too unless the caller classified that id.
 pub const UNATTRIBUTED: u64 = u64::MAX;
 
-/// Slots in the bounded open-addressed pkt→class table (power of two).
+/// Slots in the bounded pkt→class table (power of two), indexed by the low
+/// id bits: a packet's entry is evicted by the next classified packet
+/// whose id is a multiple of `PKT_SLOTS` further on. Recorders feed the
+/// sink sampled packets only (one id per aligned block of 64 by default),
+/// so about 1 in 64 slots is ever written, and a span still attributes if
+/// it arrives within `PKT_SLOTS` ids of its packet's classification — the
+/// bound the table had when every packet was fed, now a lower bound.
 const PKT_SLOTS: usize = 1 << 16;
 
 /// Entries tracked by the heavy-hitter sketch.
@@ -124,9 +133,9 @@ impl SpaceSaving {
 }
 
 struct Inner {
-    // Open-addressed (pkt_id, class) pairs. Slot `i` starts out keyed `!i`,
+    // Direct-mapped (pkt_id, class) pairs. Slot `i` starts out keyed `!i`,
     // an id that belongs to another slot, so no id matches an empty one:
-    // not even the `u64::MAX` of spans stamped without a packet id.
+    // not even the `u64::MAX` of a span handed in without a packet id.
     pkt_class: Vec<(u64, u64)>,
     // (class, stage) histograms, discovered on first span.
     hists: Vec<(u64, [Option<Histogram>; STAGES.len()])>,
@@ -156,7 +165,8 @@ impl Inner {
     }
 }
 
-/// A [`SpanSink`] that attributes every span to its packet's flow class.
+/// A [`SpanSink`] that attributes every span it is handed — the spans of
+/// the packets the registry samples — to its packet's flow class.
 ///
 /// Install once per registry before the run:
 ///
@@ -290,7 +300,7 @@ mod tests {
 
     #[test]
     fn a_span_without_a_packet_id_is_unattributed() {
-        // `TxFifo::enqueue` stamps `u64::MAX` for callers without an id.
+        // Nothing in the workspace stamps one; a foreign caller might.
         let lat = LatencyAttr::new();
         lat.span(Stage::Wire, Nanos::ZERO, u64::MAX, Nanos::from_nanos(900));
         // Nor does packet 0 match its never-written slot.

@@ -32,6 +32,11 @@ pub struct Waterline {
 pub struct ProbeReport {
     /// Simulated horizon the profile covers.
     pub horizon: Nanos,
+    /// Packets behind each span sample and heavy-hitter count: the
+    /// latency sink sees the packets the registry samples, one in this
+    /// many ([`Snapshot::sample_period`]). Cycles, locks and waterlines
+    /// are exact.
+    pub sample_period: u64,
     /// Worker rows in the cycle attribution (micro-engines).
     pub workers: usize,
     /// Non-zero cycle-attribution cells, `(worker, stage, op)` ordered.
@@ -74,6 +79,7 @@ impl ProbeReport {
             .collect();
         ProbeReport {
             horizon,
+            sample_period: snapshot.sample_period(),
             workers: attr.workers(),
             cells: attr.cells(),
             locks: rank_locks(per_lock),
@@ -201,7 +207,10 @@ impl ProbeReport {
             ));
         }
 
-        out.push_str("\nlatency by class (ns)\n");
+        out.push_str(&format!(
+            "\nlatency by class (ns; sampled packets, 1 in {})\n",
+            self.sample_period
+        ));
         out.push_str("  class      stage      count       p50       p90       p99      p999\n");
         for cl in &self.classes {
             for (i, stage) in STAGES.iter().enumerate() {
@@ -219,7 +228,10 @@ impl ProbeReport {
             }
         }
 
-        out.push_str("\ntop flows (wire bits)\n");
+        out.push_str(&format!(
+            "\ntop flows (wire bits of sampled packets, 1 in {})\n",
+            self.sample_period
+        ));
         for f in &self.top_flows {
             out.push_str(&format!(
                 "  {:#018x}  {:<10} {:>14} bits (±{})  {} pkts\n",
@@ -272,6 +284,7 @@ impl ProbeReport {
                     ),
                 ]),
             ),
+            ("sampled_one_in", JsonValue::UInt(self.sample_period)),
             (
                 "span_samples",
                 JsonValue::obj(
@@ -413,6 +426,8 @@ mod tests {
         assert_eq!(r.waterlines[0].max, 9_000);
 
         let doc = r.to_json();
+        // No span recorder was wired to this registry: nothing is sampled.
+        assert_eq!(doc.get("sampled_one_in").unwrap().as_u64(), Some(1));
         let by_phase = doc.get("cycles").unwrap().get("by_phase").unwrap();
         assert_eq!(
             by_phase.get("parse").unwrap().as_u64().unwrap(),

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use fv_telemetry::metrics::{Counter, Gauge};
 use fv_telemetry::trace::{EventRing, TraceKind};
-use fv_telemetry::Registry;
+use fv_telemetry::{Registry, Sampler};
 use netstack::packet::Packet;
 use sim_core::time::Nanos;
 use sim_core::units::BitRate;
@@ -135,6 +135,8 @@ struct DpdkTelemetry {
     dequeued_bits: Arc<Counter>,
     backlog_pkts: Arc<Gauge>,
     ring: Arc<EventRing>,
+    /// The registry's per-packet sampling decision (`TailDrop` events).
+    sampler: Sampler,
 }
 
 /// The hierarchical scheduler.
@@ -200,8 +202,9 @@ impl DpdkQos {
     }
 
     /// Mirrors this scheduler's counters into `registry` under `dpdk.*` —
-    /// enqueue drops additionally trace [`TraceKind::TailDrop`] events
-    /// whose `a` operand encodes `pipe * NUM_TCS + tc`.
+    /// enqueue drops of sampled packets additionally trace
+    /// [`TraceKind::TailDrop`] events whose `a` operand encodes
+    /// `pipe * NUM_TCS + tc`.
     pub fn attach_telemetry(&mut self, registry: &Registry) {
         self.telemetry = Some(DpdkTelemetry {
             enqueued: registry.counter("dpdk.enqueued"),
@@ -210,6 +213,7 @@ impl DpdkQos {
             dequeued_bits: registry.counter("dpdk.dequeued_bits"),
             backlog_pkts: registry.gauge("dpdk.backlog_pkts"),
             ring: registry.ring(),
+            sampler: registry.sampler(),
         });
     }
 
@@ -256,8 +260,10 @@ impl DpdkQos {
                 self.stats.drops += 1;
                 if let Some(t) = &self.telemetry {
                     t.drops.incr();
-                    t.ring
-                        .record(at, TraceKind::TailDrop, (pipe * NUM_TCS + tc) as u64, id);
+                    if t.sampler.hit(id) {
+                        t.ring
+                            .record(at, TraceKind::TailDrop, (pipe * NUM_TCS + tc) as u64, id);
+                    }
                 }
             }
         }
@@ -417,7 +423,7 @@ mod tests {
         let mut cfg = DpdkQosConfig::equal_pipes(BitRate::from_gbps(1.0), 2);
         cfg.queue_pkts = 1;
         let mut q = DpdkQos::new(cfg);
-        let registry = Registry::new();
+        let registry = Registry::with_sampler(1024, fv_telemetry::Sampler::one_in_pow2(0));
         q.attach_telemetry(&registry);
         q.enqueue(0, 0, pkt(0, 0)).unwrap();
         assert!(q.enqueue(0, 0, pkt(1, 0)).is_err());

@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use fv_telemetry::metrics::{Counter, Gauge};
 use fv_telemetry::span::{SpanRecorder, Stage};
-use fv_telemetry::trace::{EventRing, TraceKind};
+use fv_telemetry::trace::TraceKind;
 use fv_telemetry::Registry;
 use netstack::packet::Packet;
 use sim_core::time::Nanos;
@@ -220,7 +220,6 @@ struct HtbTelemetry {
     /// cause's counter registers on the first drop it counts, so clean
     /// runs keep their snapshot schema.
     causes: HashMap<Handle, CauseCounters>,
-    ring: Arc<EventRing>,
     spans: SpanRecorder,
 }
 
@@ -330,7 +329,8 @@ impl Htb {
     }
 
     /// Mirrors this qdisc's counters into `registry` under `htb.*` —
-    /// enqueue drops additionally trace [`TraceKind::TailDrop`] events.
+    /// enqueue drops of sampled packets additionally trace
+    /// [`TraceKind::TailDrop`] events.
     pub fn attach_telemetry(&mut self, registry: &Registry) {
         let causes = self
             .classes
@@ -350,7 +350,6 @@ impl Htb {
             dequeued_bits: registry.counter("htb.dequeued_bits"),
             backlog_pkts: registry.gauge("htb.backlog_pkts"),
             causes,
-            ring: registry.ring(),
             spans: SpanRecorder::new(registry),
         });
     }
@@ -412,7 +411,8 @@ impl Htb {
                     if let Some(cc) = t.causes.get(&class) {
                         cc.incr(cause);
                     }
-                    t.ring.record(at, TraceKind::TailDrop, class.0 as u64, id);
+                    t.spans
+                        .event(at, TraceKind::TailDrop, id, class.0 as u64, id);
                 }
             }
         }
@@ -809,7 +809,7 @@ mod tests {
             model,
         )
         .unwrap();
-        let registry = Registry::new();
+        let registry = Registry::with_sampler(1024, fv_telemetry::Sampler::one_in_pow2(0));
         htb.attach_telemetry(&registry);
         for i in 0..5 {
             let _ = htb.enqueue(Handle(10), pkt(i, 100, 0)).unwrap();

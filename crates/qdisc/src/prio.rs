@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use fv_telemetry::metrics::{Counter, Gauge};
 use fv_telemetry::span::{SpanRecorder, Stage};
-use fv_telemetry::trace::{EventRing, TraceKind};
+use fv_telemetry::trace::TraceKind;
 use fv_telemetry::Registry;
 use netstack::packet::Packet;
 use sim_core::time::Nanos;
@@ -26,7 +26,6 @@ struct PrioTelemetry {
     drops_overbytes: Arc<Counter>,
     band_drops: Vec<Arc<Counter>>,
     backlog_pkts: Arc<Gauge>,
-    ring: Arc<EventRing>,
     spans: SpanRecorder,
 }
 
@@ -76,7 +75,8 @@ impl Prio {
     }
 
     /// Mirrors this qdisc's counters into `registry` under `prio.*` —
-    /// band overflows additionally trace [`TraceKind::TailDrop`] events.
+    /// band overflows of sampled packets additionally trace
+    /// [`TraceKind::TailDrop`] events.
     /// Drops are broken out by cause (`prio.drops_overpkts` /
     /// `prio.drops_overbytes`) and by band (`prio.band<i>.drops`)
     /// alongside the aggregate `prio.drops`.
@@ -91,7 +91,6 @@ impl Prio {
                 .map(|i| registry.counter(&format!("prio.band{i}.drops")))
                 .collect(),
             backlog_pkts: registry.gauge("prio.backlog_pkts"),
-            ring: registry.ring(),
             spans: SpanRecorder::new(registry),
         });
     }
@@ -132,7 +131,7 @@ impl Prio {
                         _ => {}
                     }
                     t.band_drops[band].incr();
-                    t.ring.record(at, TraceKind::TailDrop, band as u64, id);
+                    t.spans.event(at, TraceKind::TailDrop, id, band as u64, id);
                 }
             }
         }
@@ -256,7 +255,7 @@ mod tests {
     #[test]
     fn telemetry_mirrors_counters() {
         let mut q = Prio::new(2, 1 << 20, 1);
-        let registry = Registry::new();
+        let registry = Registry::with_sampler(1024, fv_telemetry::Sampler::one_in_pow2(0));
         q.attach_telemetry(&registry);
         q.enqueue(0, pkt(0)).unwrap();
         assert!(q.enqueue(0, pkt(1)).is_err());
@@ -300,7 +299,7 @@ mod tests {
     #[test]
     fn dequeue_at_stamps_queue_sojourn_spans() {
         let mut q = Prio::new(2, 1 << 20, 10);
-        let registry = Registry::new();
+        let registry = Registry::with_sampler(1024, fv_telemetry::Sampler::one_in_pow2(0));
         q.attach_telemetry(&registry);
         q.enqueue(0, pkt(5)).unwrap(); // created_at = 0
         let now = Nanos::from_micros(3);

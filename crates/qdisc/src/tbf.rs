@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use fv_telemetry::metrics::{Counter, Gauge};
 use fv_telemetry::span::{SpanRecorder, Stage};
-use fv_telemetry::trace::{EventRing, TraceKind};
+use fv_telemetry::trace::TraceKind;
 use fv_telemetry::Registry;
 use netstack::packet::Packet;
 use sim_core::time::Nanos;
@@ -28,7 +28,6 @@ struct TbfTelemetry {
     drops_overpkts: Arc<Counter>,
     drops_overbytes: Arc<Counter>,
     backlog_pkts: Arc<Gauge>,
-    ring: Arc<EventRing>,
     spans: SpanRecorder,
 }
 
@@ -84,8 +83,8 @@ impl Tbf {
     }
 
     /// Mirrors this shaper's counters into `registry` under `tbf.*` —
-    /// backlog overflows additionally trace [`TraceKind::TailDrop`]
-    /// events, and drops are broken out by cause
+    /// backlog overflows of sampled packets additionally trace
+    /// [`TraceKind::TailDrop`] events, and drops are broken out by cause
     /// (`tbf.drops_overpkts` / `tbf.drops_overbytes`).
     pub fn attach_telemetry(&mut self, registry: &Registry) {
         self.telemetry = Some(TbfTelemetry {
@@ -96,7 +95,6 @@ impl Tbf {
             drops_overpkts: registry.counter("tbf.drops_overpkts"),
             drops_overbytes: registry.counter("tbf.drops_overbytes"),
             backlog_pkts: registry.gauge("tbf.backlog_pkts"),
-            ring: registry.ring(),
             spans: SpanRecorder::new(registry),
         });
     }
@@ -126,7 +124,7 @@ impl Tbf {
                         // A FIFO never produces the scheduler/TM causes.
                         _ => {}
                     }
-                    t.ring.record(at, TraceKind::TailDrop, 0, id);
+                    t.spans.event(at, TraceKind::TailDrop, id, 0, id);
                 }
             }
         }
@@ -251,7 +249,7 @@ mod tests {
         use fv_telemetry::Registry;
 
         let mut tbf = Tbf::new(BitRate::from_gbps(1.0), 10_000, 1 << 20, 1);
-        let registry = Registry::new();
+        let registry = Registry::with_sampler(1024, fv_telemetry::Sampler::one_in_pow2(0));
         tbf.attach_telemetry(&registry);
         tbf.enqueue(pkt(0, 1250)).unwrap();
         assert!(tbf.enqueue(pkt(1, 1250)).is_err());
@@ -293,7 +291,7 @@ mod tests {
 
         // Tiny burst: the packet must wait for tokens before release.
         let mut tbf = Tbf::new(BitRate::from_gbps(1.0), 1_250, 1 << 20, 10);
-        let registry = Registry::new();
+        let registry = Registry::with_sampler(1024, fv_telemetry::Sampler::one_in_pow2(0));
         tbf.attach_telemetry(&registry);
         tbf.enqueue(pkt(0, 1250)).unwrap(); // exactly one burst worth
         tbf.enqueue(pkt(1, 1250)).unwrap();

@@ -39,11 +39,12 @@ fn us(nanos: u64) -> JsonValue {
 ///
 /// ```
 /// use fv_scope::chrome::chrome_trace;
-/// use fv_telemetry::Registry;
+/// use fv_telemetry::{Registry, Sampler};
 /// use fv_telemetry::span::{SpanRecorder, Stage};
 /// use sim_core::time::Nanos;
 ///
-/// let reg = Registry::new();
+/// // Keep every packet (a registry keeps one in 64 by default).
+/// let reg = Registry::with_sampler(1024, Sampler::one_in_pow2(0));
 /// let spans = SpanRecorder::new(&reg);
 /// spans.record(Stage::Wire, Nanos::from_nanos(100), 7, Nanos::from_nanos(1_230));
 /// let doc = chrome_trace(&reg.ring().recent(16));
@@ -128,10 +129,14 @@ pub fn chrome_trace(events: &[TraceEvent]) -> JsonValue {
 }
 
 /// Renders the per-stage latency histograms of `snapshot` as an aligned
-/// text table (`fv trace`'s on-terminal companion to the JSON file).
+/// text table (`fv trace`'s on-terminal companion to the JSON file). The
+/// histograms hold the spans of sampled packets; the first line says at
+/// what rate.
 pub fn latency_table(snapshot: &Snapshot) -> String {
-    let mut out = String::from(
-        "stage        count       mean_ns        p50_ns        p99_ns        max_ns\n",
+    let mut out = format!(
+        "stage latency over sampled packets (1 in {})\n\
+         stage        count       mean_ns        p50_ns        p99_ns        max_ns\n",
+        snapshot.sample_period()
     );
     for stage in STAGES {
         let Some(h) = snapshot.histogram(stage.metric()) else {
@@ -154,12 +159,17 @@ pub fn latency_table(snapshot: &Snapshot) -> String {
 mod tests {
     use super::*;
     use fv_telemetry::span::SpanRecorder;
-    use fv_telemetry::Registry;
+    use fv_telemetry::{Registry, Sampler};
     use sim_core::time::Nanos;
+
+    /// A registry that keeps every packet, so small ids can be asserted on.
+    fn every_packet() -> Registry {
+        Registry::with_sampler(1024, Sampler::one_in_pow2(0))
+    }
 
     #[test]
     fn spans_become_complete_events_with_stage_lanes() {
-        let reg = Registry::new();
+        let reg = every_packet();
         let spans = SpanRecorder::new(&reg);
         spans.record(
             Stage::Ingress,
@@ -219,7 +229,7 @@ mod tests {
 
     #[test]
     fn document_roundtrips_through_the_parser() {
-        let reg = Registry::new();
+        let reg = every_packet();
         let spans = SpanRecorder::new(&reg);
         for i in 0..10 {
             spans.record(
@@ -290,7 +300,8 @@ mod tests {
             Nanos::from_nanos(50),
         );
         let table = latency_table(&reg.snapshot(Nanos::from_micros(1)));
+        assert!(table.starts_with("stage latency over sampled packets (1 in 64)\n"));
         assert!(table.contains("classify"));
-        assert!(table.lines().count() >= 2);
+        assert!(table.lines().count() >= 3);
     }
 }

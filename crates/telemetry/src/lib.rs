@@ -13,6 +13,9 @@
 //!   histograms, and virtual-time-windowed rate series.
 //! * [`EventRing`] — a seqlock trace ring for individual scheduler
 //!   decisions, token-bucket refills, lock waits and tail drops.
+//! * [`Sampler`] — the one per-packet sampling decision: spans, per-packet
+//!   trace events and provenance are kept for the same one packet in 64;
+//!   counters, gauges, rate series and `nic.latency_ns` stay exact.
 //! * [`cause`] — the one [`DropCause`] taxonomy and its lazily registered
 //!   [`CauseCounters`], here so the NIC model and the qdisc baselines can
 //!   count drops by cause without depending on the auditor.
@@ -59,6 +62,7 @@ pub mod cause;
 pub mod json;
 pub mod metrics;
 pub mod registry;
+pub mod sampler;
 pub mod span;
 pub mod trace;
 
@@ -66,5 +70,6 @@ pub use cause::{CauseCounters, DropCause};
 pub use json::{JsonValue, ToJson};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, RateWindow};
 pub use registry::{MetricEntry, MetricValue, Registry, RegistryError, Snapshot};
+pub use sampler::Sampler;
 pub use span::{SpanRecorder, SpanSink, Stage, STAGES};
 pub use trace::{EventRing, TraceEvent, TraceKind};

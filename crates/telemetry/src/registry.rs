@@ -18,6 +18,7 @@ use sim_core::time::Nanos;
 
 use crate::json::{JsonValue, ToJson};
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot, RateWindow};
+use crate::sampler::Sampler;
 use crate::span::{SinkCell, SpanSink};
 use crate::trace::{EventRing, TraceEvent};
 
@@ -80,6 +81,9 @@ struct Inner {
     /// registered since the last tick (see [`Registry::counter_handles`]).
     counter_gen: AtomicU64,
     ring: Arc<EventRing>,
+    /// The per-packet sampling decision every recorder built from this
+    /// registry copies (see [`crate::sampler`]).
+    sampler: Sampler,
     /// Install-once span-sink cell shared with every [`crate::span::SpanRecorder`]
     /// bound to this registry (see [`Registry::install_span_sink`]).
     span_sink: SinkCell,
@@ -102,18 +106,27 @@ impl Default for Registry {
 }
 
 impl Registry {
-    /// Creates a registry with a 1024-entry event ring.
+    /// Creates a registry with a 1024-entry event ring, keeping per-packet
+    /// records for one packet in 64.
     pub fn new() -> Registry {
         Registry::with_ring_capacity(1024)
     }
 
     /// Creates a registry with a custom event-ring capacity.
     pub fn with_ring_capacity(capacity: usize) -> Registry {
+        Registry::with_sampler(capacity, Sampler::default())
+    }
+
+    /// Creates a registry whose recorders keep per-packet records for the
+    /// packets `sampler` selects. This is the one place a sampling rate is
+    /// set; unit tests that want every span pass `Sampler::one_in_pow2(0)`.
+    pub fn with_sampler(capacity: usize, sampler: Sampler) -> Registry {
         Registry {
             inner: Arc::new(Inner {
                 metrics: Mutex::new(BTreeMap::new()),
                 counter_gen: AtomicU64::new(0),
                 ring: Arc::new(EventRing::new(capacity)),
+                sampler,
                 span_sink: SinkCell::default(),
             }),
         }
@@ -239,6 +252,13 @@ impl Registry {
     /// The shared event-trace ring.
     pub fn ring(&self) -> Arc<EventRing> {
         Arc::clone(&self.inner.ring)
+    }
+
+    /// The per-packet sampling decision of this registry. Anything that
+    /// writes a record keyed by a packet id copies it at wiring time and
+    /// writes only for the ids it selects.
+    pub fn sampler(&self) -> Sampler {
+        self.inner.sampler
     }
 
     /// Installs the registry's one [`SpanSink`]: every
@@ -378,6 +398,17 @@ impl Snapshot {
         match self.get(name) {
             Some(MetricValue::Histogram(h)) => Some(*h),
             _ => None,
+        }
+    }
+
+    /// How many packets stand behind each per-packet record (span sample,
+    /// verdict event, heavy-hitter count, provenance record) of the run:
+    /// 2^`obs.sample_shift`, which a [`crate::span::SpanRecorder`]
+    /// publishes when it is wired. 1 without one — nothing was sampled.
+    pub fn sample_period(&self) -> u64 {
+        match self.get("obs.sample_shift") {
+            Some(MetricValue::Gauge { value, .. }) => 1 << (*value).min(63),
+            _ => 1,
         }
     }
 

@@ -3,16 +3,27 @@
 //! A *span* is one packet's dwell in one stage of the pipeline — ingress
 //! dispatch wait, classification, the scheduling verdict, the transmit-FIFO
 //! wait, serialization onto the wire, or residency in a software qdisc.
-//! [`SpanRecorder`] publishes each span twice from a single call:
+//! Spans are sampled: [`SpanRecorder::record`] asks the registry's
+//! [`Sampler`] about the packet id and returns at once for a packet it
+//! does not select (one packet in 64 is kept by default). For a selected
+//! packet it publishes the span three ways from the single call:
 //!
 //! * as a [`TraceKind`] span event in the shared [`EventRing`], so a run
 //!   can be exported to Chrome-trace/Perfetto JSON (the `fv-scope` crate's
-//!   `chrome` module), and
+//!   `chrome` module),
 //! * into a per-stage log-linear [`Histogram`] (`span.<stage>_ns`), so the
 //!   latency *decomposition* survives even when the bounded ring has
-//!   wrapped.
+//!   wrapped, and
+//! * to the registry's [`SpanSink`], when one is installed.
 //!
-//! Both sinks are wait-free relaxed atomics; a recorder exists only where a
+//! The same recorder carries the other records keyed by a packet id — the
+//! verdict and drop events ([`SpanRecorder::event`]) and the sink's
+//! classification feed ([`SpanRecorder::sink_for`]) — so a packet has all
+//! of its records or none, and no call site decides for itself. The
+//! histograms therefore hold a 1-in-2^shift sample of the stage latencies;
+//! `obs.sample_shift` in the same snapshot says which.
+//!
+//! All writes are wait-free relaxed atomics; a recorder exists only where a
 //! caller attached a registry, and the benchmark's `telemetry.ns_per_pkt`
 //! on `demo_observed` is the measured price of doing so.
 
@@ -22,6 +33,7 @@ use sim_core::time::Nanos;
 
 use crate::metrics::Histogram;
 use crate::registry::Registry;
+use crate::sampler::Sampler;
 use crate::trace::{EventRing, TraceKind};
 
 /// An observer of span stamps and classification verdicts, for attribution
@@ -30,8 +42,9 @@ use crate::trace::{EventRing, TraceKind};
 ///
 /// A sink is installed at most once per registry
 /// ([`Registry::install_span_sink`]), *before* the run starts; every
-/// [`SpanRecorder`] bound to that registry forwards to it. When no sink is
-/// installed the hot path pays one atomic load and a branch.
+/// [`SpanRecorder`] bound to that registry forwards to it, for the packets
+/// the registry's sampler selects. When no sink is installed a sampled
+/// packet pays one atomic load and a branch.
 pub trait SpanSink: Send + Sync {
     /// A packet spent `dur` in `stage` starting at `start`.
     fn span(&self, stage: Stage, start: Nanos, pkt_id: u64, dur: Nanos);
@@ -132,8 +145,9 @@ impl core::fmt::Display for Stage {
     }
 }
 
-/// Stamps per-packet spans into a registry's event ring and per-stage
-/// histograms.
+/// Stamps the records keyed by a packet id — stage spans, verdict and drop
+/// events — into a registry's event ring and per-stage histograms, for the
+/// packets the registry's [`Sampler`] selects.
 ///
 /// Cloning is cheap (`Arc` handles); all clones record into the same sinks.
 ///
@@ -141,40 +155,71 @@ impl core::fmt::Display for Stage {
 ///
 /// ```
 /// use fv_telemetry::span::{SpanRecorder, Stage};
-/// use fv_telemetry::Registry;
+/// use fv_telemetry::{Registry, Sampler};
 /// use sim_core::time::Nanos;
 ///
 /// let reg = Registry::new();
 /// let spans = SpanRecorder::new(&reg);
-/// // Packet 7 waited 80 ns in the transmit FIFO starting at t=1 us.
-/// spans.record(Stage::TmQueue, Nanos::from_micros(1), 7, Nanos::from_nanos(80));
+/// // One id in every aligned block of 64 is kept; find the first block's.
+/// let kept = (0..64).find(|&id| reg.sampler().hit(id)).unwrap();
+/// // Packets waited 80 ns in the transmit FIFO starting at t=1 us.
+/// for id in 0..64 {
+///     spans.record(Stage::TmQueue, Nanos::from_micros(1), id, Nanos::from_nanos(80));
+/// }
 /// let snap = reg.snapshot(Nanos::from_micros(2));
 /// assert_eq!(snap.histogram("span.tm_queue_ns").unwrap().count, 1);
-/// assert_eq!(snap.events[0].a, 7);
+/// assert_eq!(snap.events[0].a, kept);
+/// assert_eq!(snap.sample_period(), 64);
+///
+/// // `Registry::with_sampler` is where a test asks for every packet.
+/// let all = Registry::with_sampler(1024, Sampler::one_in_pow2(0));
+/// SpanRecorder::new(&all).record(Stage::Wire, Nanos::ZERO, 7, Nanos::from_nanos(1_231));
+/// assert_eq!(all.snapshot(Nanos::ZERO).histogram("span.wire_ns").unwrap().count, 1);
 /// ```
 #[derive(Clone)]
 pub struct SpanRecorder {
+    sampler: Sampler,
     ring: Arc<EventRing>,
     hists: [Arc<Histogram>; STAGES.len()],
     sink: SinkCell,
 }
 
 impl SpanRecorder {
-    /// Registers the per-stage histograms in `registry` and binds to its
-    /// event ring. Cold path; call once at wiring time.
+    /// Registers the per-stage histograms in `registry`, binds to its
+    /// event ring, copies its sampler and publishes the rate as the
+    /// `obs.sample_shift` gauge, so a snapshot that holds sampled numbers
+    /// says at what rate. Cold path; call once at wiring time.
     pub fn new(registry: &Registry) -> SpanRecorder {
+        let sampler = registry.sampler();
+        registry
+            .gauge("obs.sample_shift")
+            .set(u64::from(sampler.shift()));
         SpanRecorder {
+            sampler,
             ring: registry.ring(),
             hists: STAGES.map(|s| registry.histogram(s.metric())),
             sink: registry.sink_cell(),
         }
     }
 
-    /// Records that a packet spent `dur` in `stage` starting at `start`.
-    /// Wait-free: one histogram record plus one ring record, all relaxed
-    /// atomics; an installed [`SpanSink`] adds one virtual call.
+    /// Whether `pkt_id` is one of the packets this recorder keeps records
+    /// for. Every recording method asks for itself; a caller asks only to
+    /// skip work that would feed them (a cycles-to-nanoseconds conversion,
+    /// a flow hash) for a packet that will leave no record.
+    #[inline]
+    pub fn sampled(&self, pkt_id: u64) -> bool {
+        self.sampler.hit(pkt_id)
+    }
+
+    /// Records that a packet spent `dur` in `stage` starting at `start`,
+    /// if the packet is sampled: histogram, ring event and sink call
+    /// together or not at all. Wait-free; an unsampled packet pays the
+    /// decision (a multiply and a compare) and nothing else.
     #[inline]
     pub fn record(&self, stage: Stage, start: Nanos, pkt_id: u64, dur: Nanos) {
+        if !self.sampled(pkt_id) {
+            return;
+        }
         self.hists[stage as usize].record(dur.as_nanos());
         self.ring
             .record(start, stage.kind(), pkt_id, dur.as_nanos());
@@ -183,11 +228,29 @@ impl SpanRecorder {
         }
     }
 
-    /// The registry's installed [`SpanSink`], if any — components with
-    /// sink-relevant context beyond spans (e.g. the labeling function's
-    /// classification verdicts) feed it through here.
-    pub fn sink(&self) -> Option<&Arc<dyn SpanSink>> {
-        self.sink.get()
+    /// Records a per-packet event that is not a span — a scheduling
+    /// verdict, a drop — under the same decision: kept for the packets
+    /// [`SpanRecorder::record`] keeps, skipped for the rest. Events that
+    /// are not about one packet (refills, lock waits, faults) go to the
+    /// ring directly and are never sampled.
+    #[inline]
+    pub fn event(&self, at: Nanos, kind: TraceKind, pkt_id: u64, a: u64, b: u64) {
+        if self.sampled(pkt_id) {
+            self.ring.record(at, kind, a, b);
+        }
+    }
+
+    /// The registry's installed [`SpanSink`], if there is one and `pkt_id`
+    /// is sampled — components with sink-relevant context beyond spans
+    /// (the labeling function's classification verdicts) feed it through
+    /// here, so the sink hears of exactly the packets whose spans it gets.
+    #[inline]
+    pub fn sink_for(&self, pkt_id: u64) -> Option<&Arc<dyn SpanSink>> {
+        if self.sampled(pkt_id) {
+            self.sink.get()
+        } else {
+            None
+        }
     }
 }
 
@@ -214,9 +277,14 @@ mod tests {
         assert_eq!(Stage::from_kind(TraceKind::TailDrop), None);
     }
 
+    /// A registry that keeps every packet, so small ids can be asserted on.
+    fn every_packet() -> Registry {
+        Registry::with_sampler(1024, Sampler::one_in_pow2(0))
+    }
+
     #[test]
     fn record_feeds_both_histogram_and_ring() {
-        let reg = Registry::new();
+        let reg = every_packet();
         let spans = SpanRecorder::new(&reg);
         spans.record(
             Stage::Sched,
@@ -268,7 +336,7 @@ mod tests {
             }
         }
 
-        let reg = Registry::new();
+        let reg = every_packet();
         // Recorder wired *before* the sink exists — the install-once cell
         // still reaches it.
         let spans = SpanRecorder::new(&reg);
@@ -281,7 +349,7 @@ mod tests {
         spans.record(Stage::Wire, Nanos::ZERO, 2, Nanos::from_nanos(10));
         assert_eq!(sink.spans.load(Ordering::Relaxed), 2);
         spans
-            .sink()
+            .sink_for(2)
             .expect("sink visible")
             .classify(2, 7, 0xdead, 512);
         assert_eq!(sink.classified.load(Ordering::Relaxed), 1);
@@ -289,7 +357,7 @@ mod tests {
 
     #[test]
     fn clones_share_sinks() {
-        let reg = Registry::new();
+        let reg = every_packet();
         let a = SpanRecorder::new(&reg);
         let b = a.clone();
         a.record(Stage::Ingress, Nanos::ZERO, 1, Nanos::from_nanos(5));
@@ -301,5 +369,54 @@ mod tests {
                 .count,
             2
         );
+    }
+
+    /// Histogram, span event, other per-packet events and sink calls follow
+    /// one decision: all of them for a sampled id, none for the others.
+    #[test]
+    fn a_packet_has_all_of_its_records_or_none() {
+        use std::sync::Mutex;
+
+        #[derive(Default)]
+        struct Seen(Mutex<Vec<u64>>);
+        impl SpanSink for Seen {
+            fn span(&self, _stage: Stage, _start: Nanos, pkt_id: u64, _dur: Nanos) {
+                self.0.lock().unwrap().push(pkt_id);
+            }
+            fn classify(&self, pkt_id: u64, _class: u64, _hash: u64, _bits: u64) {
+                self.0.lock().unwrap().push(pkt_id);
+            }
+        }
+
+        let reg = Registry::new();
+        let sampler = reg.sampler();
+        let spans = SpanRecorder::new(&reg);
+        let sink = Arc::new(Seen::default());
+        assert!(reg.install_span_sink(sink.clone()));
+        for id in 0..640u64 {
+            if let Some(s) = spans.sink_for(id) {
+                s.classify(id, 7, 0xdead, 512);
+            }
+            spans.record(
+                Stage::Sched,
+                Nanos::from_nanos(id),
+                id,
+                Nanos::from_nanos(40),
+            );
+            spans.event(Nanos::from_nanos(id), TraceKind::SchedDrop, id, 7, id);
+        }
+        let kept: Vec<u64> = (0..640).filter(|&id| sampler.hit(id)).collect();
+        assert_eq!(kept.len(), 10);
+        let snap = reg.snapshot(Nanos::ZERO);
+        assert_eq!(snap.histogram("span.sched_ns").unwrap().count, 10);
+        assert_eq!(snap.sample_period(), 64);
+        let events = reg.ring().recent(1024);
+        let ids_of = |kind: TraceKind, id: fn(&crate::TraceEvent) -> u64| -> Vec<u64> {
+            events.iter().filter(|e| e.kind == kind).map(id).collect()
+        };
+        assert_eq!(ids_of(TraceKind::SpanSched, |e| e.a), kept);
+        assert_eq!(ids_of(TraceKind::SchedDrop, |e| e.b), kept);
+        let doubled: Vec<u64> = kept.iter().flat_map(|&id| [id, id]).collect();
+        assert_eq!(*sink.0.lock().unwrap(), doubled);
     }
 }

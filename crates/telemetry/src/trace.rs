@@ -6,6 +6,15 @@
 //! the caller. Writers claim a slot with one relaxed `fetch_add` and publish
 //! through a per-slot sequence word (a seqlock): readers that race a writer
 //! simply skip the torn slot, so tracing never blocks the data path.
+//!
+//! The ring keeps what it is offered. Which events are offered is decided
+//! by kind: the ones about a single packet — the three `Sched*` verdicts,
+//! `RxDrop`, `TailDrop` and the six spans — reach it through
+//! [`SpanRecorder`](crate::span::SpanRecorder) (or behind the registry's
+//! [`Sampler`](crate::Sampler)) for sampled packets only, so a packet's
+//! events are all here or all absent; `TokenRefill`, `ShadowRefill`,
+//! `LockWait`, `FaultInject`, `FaultClear` and `AuditViolation` are not
+//! about one packet and are recorded every time.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -28,9 +37,11 @@ pub enum TraceKind {
     ShadowRefill = 4,
     /// Blocking lock wait. `a` = lock id, `b` = wait in nanoseconds.
     LockWait = 5,
-    /// Traffic-manager tail drop. `a` = queue index.
+    /// Tail drop at a queue. `a` = queue index (0 at the NIC's single
+    /// transmit FIFO), `b` = packet id.
     TailDrop = 6,
-    /// Packet dropped before scheduling (dispatch overload). `a` = VF.
+    /// Packet dropped before scheduling (dispatch overload). `a` = packet
+    /// id, `b` = VF.
     RxDrop = 7,
     /// Span: ingress dispatch wait (arrival to worker start).
     /// For every span kind `at` = span start, `a` = packet id, `b` =
@@ -157,7 +168,8 @@ impl Slot {
 /// A bounded multi-producer trace buffer that overwrites oldest entries.
 ///
 /// The ring records every event it is offered and keeps the newest
-/// `capacity` of them: it has no switch and no sampler of its own. A
+/// `capacity` of them: it has no switch and no sampler of its own (the
+/// module docs say which kinds are offered for sampled packets only). A
 /// component records here only once a caller attached a registry to it.
 pub struct EventRing {
     slots: Box<[Slot]>,

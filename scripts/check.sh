@@ -38,6 +38,9 @@ echo "==> CLI replay (every deterministic fv invocation must hash to results/cli
 # behaviour change of `fv` — unintended, or to be committed and named in
 # CHANGES.md. A non-zero exit fails too, which makes the `check` line the
 # rate-conformance gate and the two `audit` lines the conservation gates.
+# The `why --pkt` id is the one sampled packet of ids 64..127 (fv-cli's
+# replayed_why_line_names_a_sampled_packet asks the sampler and fails on
+# any other).
 FV=target/release/fv
 while read -r args; do
     sum="$($FV $args </dev/null | sha256sum)" || { echo "fv $args failed"; exit 1; }
@@ -53,7 +56,7 @@ timeseries scripts/motivation.fv
 profile scripts/motivation.fv --folded
 profile scripts/motivation.fv --json
 top scripts/motivation.fv
-why scripts/motivation.fv --pkt 64
+why scripts/motivation.fv --pkt 103
 audit scripts/motivation.fv --json
 audit scripts/motivation.fv --plan scripts/demo.chaos --json
 EOF
@@ -113,7 +116,22 @@ print(f"profile ok: {doc['cycles']['total']} cycles attributed, "
       f"{len(doc['locks'])} locks ranked")
 PY
 
-echo "==> fv audit smoke (mischarge self-test; the replay above covers fv why)"
+echo "==> fv audit smoke (class coverage, mischarge self-test; the replay above covers fv why)"
+# The conservation gate is only as wide as the sample behind it: a sampler
+# that aliases with the four-flow merge audits one leaf and no borrowing.
+$FV audit scripts/motivation.fv --json > "$TMP/audit.json"
+python3 - "$TMP/audit.json" <<'PY'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+assert doc["ok"] is True and doc["violations"] == [], doc["violations"]
+metered = {(l["class"], l["role"]) for l in doc["ledgers"] if l["attempts"] > 0}
+for leaf in (10, 30, 40, 41):
+    assert (leaf, "class") in metered, f"no meter step audited on leaf 1:{leaf}: {sorted(metered)}"
+shadows = sorted(c for c, role in metered if role == "shadow")
+assert shadows, "no shadow bucket audited: borrowing went unchecked"
+print(f"audit ok: {doc['steps_checked']} meter steps over {doc['records']} records, "
+      f"every leaf covered, shadow buckets of {shadows}")
+PY
 if $FV audit scripts/motivation.fv --inject-mischarge >/dev/null; then
     echo "fv audit --inject-mischarge must exit 1"; exit 1
 fi
