@@ -30,7 +30,7 @@
 pub mod ledger;
 pub mod provenance;
 
-pub use fv_telemetry::{CauseCounters, DropCause};
+pub use fv_telemetry::DropCause;
 pub use ledger::{AuditReport, BucketLedger, BucketSnapshot, Ledger, Violation, ViolationKind};
 pub use provenance::{
     AuditVerdict, NoObserver, ProvenanceRecord, ProvenanceRing, Recorder, RefundRecord, Sampler,

@@ -141,12 +141,6 @@ pub fn banner(id: &str, caption: &str) {
     println!("==============================================================");
 }
 
-/// Scaled horizon sanity check used by the long-running drivers: the
-/// figure axis in seconds represented by the simulated horizon.
-pub fn fig_axis_secs(scenario: &Scenario) -> f64 {
-    scenario.horizon.as_nanos() as f64 / scenario.time_scale.as_nanos() as f64
-}
-
 /// Shortens a [`Nanos`] for table output as fractional microseconds.
 pub fn us(t: f64) -> String {
     format!("{:.2}us", t / 1e3)
@@ -172,12 +166,6 @@ mod tests {
         let (cfg, map) = policies::fair_queueing_dpdk(scenario.link, 4);
         let d = dpdk_path(cfg, map, &scenario, 2);
         assert_eq!(d.name(), "dpdk-qos");
-    }
-
-    #[test]
-    fn fig_axis_matches_scale() {
-        let s = Scenario::motivation_example();
-        assert!((fig_axis_secs(&s) - 45.0).abs() < 0.01);
     }
 
     #[test]

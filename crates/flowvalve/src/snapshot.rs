@@ -1,11 +1,11 @@
 //! Point-in-time snapshots of a scheduling tree's runtime state.
 //!
-//! The front end's `fv` tool (and any monitoring plane) needs a consistent
-//! read of every class's configured policy, published rate θ, measured
-//! rate Γ, and data-path counters. [`TreeSnapshot`] gathers those with
-//! plain atomic loads — the same wait-free reads the data plane uses — and
-//! exports as JSON (via `fv_telemetry::json`) for dashboards or the
-//! experiment harness.
+//! A consistent read of every class's configured policy, published rate
+//! θ, measured rate Γ, and data-path counters, gathered with plain atomic
+//! loads — the same wait-free reads the data plane uses. Today's one
+//! reader is the differential test of the scheduling engine
+//! (`sched::tests`), which compares two trees snapshot for snapshot; no
+//! `fv` subcommand prints from it (DESIGN.md §17).
 
 use fv_telemetry::json::{JsonValue, ToJson};
 use sim_core::time::Nanos;
@@ -107,20 +107,7 @@ impl TreeSnapshot {
         self.classes.iter().find(|c| c.id == id)
     }
 
-    /// Total packets forwarded (own budget + borrowed) across all leaves.
-    pub fn total_forwarded(&self) -> u64 {
-        self.classes
-            .iter()
-            .map(|c| c.counters.forwarded + c.counters.borrowed)
-            .sum()
-    }
-
-    /// Total packets dropped across all leaves.
-    pub fn total_dropped(&self) -> u64 {
-        self.classes.iter().map(|c| c.counters.dropped).sum()
-    }
-
-    /// Renders the snapshot as an aligned text table (the `fv demo` view).
+    /// Renders the snapshot as an aligned text table.
     pub fn render(&self) -> String {
         let mut out = format!(
             "{:<10} {:<12} {:>12} {:>12} {:>9} {:>9} {:>9}\n",
@@ -209,8 +196,7 @@ mod tests {
         let b = snap.class(ClassId(20)).expect("present");
         assert_eq!(b.ceil, Some(BitRate::from_gbps(1.0)));
         assert!(!b.active);
-        assert_eq!(snap.total_forwarded(), a.counters.forwarded);
-        assert_eq!(snap.total_dropped(), a.counters.dropped);
+        assert_eq!(b.counters.forwarded + b.counters.dropped, 0);
     }
 
     #[test]

@@ -409,11 +409,15 @@ mod tests {
         let seven = report.mean_gbps(&s, "Seven", 0.0, 1.0);
         let three = report.mean_gbps(&s, "Three", 0.0, 1.0);
         assert!(seven > 2.0 * three && three > 2.0, "{seven} vs {three}");
-        let bits: u64 = ["Seven", "Three"]
+        // Every delivery is booked once. 10 ms bins: a rate is the bin's
+        // bits x 100, exactly; stragglers land in a second bin.
+        let bps: u64 = report
+            .recorder
+            .binned_all(s.horizon)
             .iter()
-            .map(|app| report.recorder.total_bits(app))
+            .flat_map(|series| series.rates.iter().map(|rate| rate.as_bps()))
             .sum();
-        assert_eq!(bits, report.delivered * 1518 * 8);
+        assert_eq!(bps, report.delivered * 1518 * 8 * 100);
     }
 
     #[test]

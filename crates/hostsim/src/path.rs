@@ -137,8 +137,8 @@ impl EgressPath {
     /// A FlowValve offload path. Like the other two constructors it
     /// attaches no observer: a caller that wants the run observed builds
     /// the NIC `with_registry` and calls `attach_telemetry` on the
-    /// pipeline (or `Htb`, or `DpdkQos`) before handing it over, and
-    /// snapshots the registry it kept.
+    /// pipeline before handing it over, and snapshots the registry it
+    /// kept. (The software baselines have no observer to attach.)
     pub fn flowvalve(nic: SmartNic) -> Self {
         EgressPath::FlowValve { nic }
     }

@@ -105,7 +105,7 @@ fn flowvalve(c: &Case, observer: Option<&Registry>) -> EgressPath {
     })
 }
 
-fn kernel(c: &Case, observer: Option<&Registry>) -> EgressPath {
+fn kernel(c: &Case) -> EgressPath {
     let mut specs = vec![HtbClassSpec::new(Handle(1), None, c.scenario.link)];
     let mut map = HashMap::new();
     for (i, &ceil) in c.ceilings.iter().enumerate() {
@@ -113,25 +113,18 @@ fn kernel(c: &Case, observer: Option<&Registry>) -> EgressPath {
         specs.push(HtbClassSpec::new(h, Some(Handle(1)), ceil));
         map.insert(AppId(i as u16), h);
     }
-    let mut htb = Htb::new(specs, KernelModel::centos7()).expect("hierarchy builds");
-    if let Some(registry) = observer {
-        htb.attach_telemetry(registry);
-    }
+    let htb = Htb::new(specs, KernelModel::centos7()).expect("hierarchy builds");
     EgressPath::kernel(htb, map, c.scenario.link)
 }
 
-fn dpdk(c: &Case, observer: Option<&Registry>) -> EgressPath {
+fn dpdk(c: &Case) -> EgressPath {
     let mut cfg = DpdkQosConfig::equal_pipes(c.scenario.link, c.ceilings.len());
     let mut map = HashMap::new();
     for (i, &ceil) in c.ceilings.iter().enumerate() {
         cfg.pipes[i] = PipeConfig::flat(ceil);
         map.insert(AppId(i as u16), (i, 0));
     }
-    let mut sched = DpdkQos::new(cfg);
-    if let Some(registry) = observer {
-        sched.attach_telemetry(registry);
-    }
-    EgressPath::dpdk(sched, map, c.scenario.link, 2)
+    EgressPath::dpdk(DpdkQos::new(cfg), map, c.scenario.link, 2)
 }
 
 /// Everything the engine reports: a header line, then one line per app
@@ -210,14 +203,14 @@ fn engine_replays_the_per_segment_watchdog_runs() {
     let cases = cases();
     let mut got = Vec::new();
     for c in &cases {
-        for path in [flowvalve(c, None), kernel(c, None), dpdk(c, None)] {
+        for path in [flowvalve(c, None), kernel(c), dpdk(c)] {
             got.push(fingerprint(c, path, None));
         }
     }
     let starved = &cases[2];
     got.push(fingerprint(
         starved,
-        kernel(starved, None),
+        kernel(starved),
         Some(Arc::new(PauseSlow)),
     ));
     let got = got.join("\n");
@@ -227,27 +220,19 @@ fn engine_replays_the_per_segment_watchdog_runs() {
     );
 }
 
-/// A run is the same run whether or not anyone watches it: each path as
-/// its constructor builds it against the same path with its scheduler (and
-/// NIC) recording into a registry held here. `starved` is the case whose
-/// RTOs fire.
+/// A run is the same run whether or not anyone watches it: the FlowValve
+/// path as its constructor builds it against the same path with pipeline
+/// and NIC recording into a registry held here (the software baselines
+/// have no observer to attach). `starved` is the case whose RTOs fire.
 #[test]
 fn attaching_observers_does_not_change_a_run() {
     let c = &cases()[2];
-    type Build = fn(&Case, Option<&Registry>) -> EgressPath;
-    let paths: [(Build, &[&str]); 3] = [
-        (flowvalve, &["nic.offered", "fv.class.1:10.forwarded"]),
-        (kernel, &["htb.enqueued", "htb.dequeued"]),
-        (dpdk, &["dpdk.enqueued", "dpdk.dequeued"]),
-    ];
-    for (build, metrics) in paths {
-        let registry = Registry::new();
-        let bare = fingerprint(c, build(c, None), None);
-        let observed = fingerprint(c, build(c, Some(&registry)), None);
-        assert!(bare == observed, "bare:\n{bare}\nobserved:\n{observed}");
-        let snap = registry.snapshot(c.scenario.horizon);
-        for name in metrics {
-            assert!(snap.counter(name) > 0, "{name} saw nothing");
-        }
+    let registry = Registry::new();
+    let bare = fingerprint(c, flowvalve(c, None), None);
+    let observed = fingerprint(c, flowvalve(c, Some(&registry)), None);
+    assert!(bare == observed, "bare:\n{bare}\nobserved:\n{observed}");
+    let snap = registry.snapshot(c.scenario.horizon);
+    for name in ["nic.offered", "fv.class.1:10.forwarded"] {
+        assert!(snap.counter(name) > 0, "{name} saw nothing");
     }
 }

@@ -103,17 +103,6 @@ impl FlowKey {
         }
     }
 
-    /// The reverse direction of this flow (for ACK/response traffic).
-    pub fn reversed(&self) -> FlowKey {
-        FlowKey {
-            src_ip: self.dst_ip,
-            dst_ip: self.src_ip,
-            src_port: self.dst_port,
-            dst_port: self.src_port,
-            proto: self.proto,
-        }
-    }
-
     /// A stable 64-bit hash of the tuple, used for RSS-style core placement
     /// and flow-cache bucketing. This is a simple FNV-1a; it only needs to
     /// be deterministic and well-spread, not cryptographic.
@@ -164,15 +153,6 @@ mod tests {
         for p in [IpProto::Tcp, IpProto::Udp, IpProto::Other(89)] {
             assert_eq!(IpProto::from(p.number()), p);
         }
-    }
-
-    #[test]
-    fn reversed_swaps_endpoints() {
-        let f = FlowKey::tcp([1, 2, 3, 4], 100, [5, 6, 7, 8], 200);
-        let r = f.reversed();
-        assert_eq!(r.src_ip, Ipv4Addr::new(5, 6, 7, 8));
-        assert_eq!(r.dst_port, 100);
-        assert_eq!(r.reversed(), f);
     }
 
     #[test]

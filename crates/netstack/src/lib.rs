@@ -1,5 +1,4 @@
-//! Packet, flow, header-codec and TCP-model substrate for the FlowValve
-//! reproduction.
+//! Packet, flow and TCP-model substrate for the FlowValve reproduction.
 //!
 //! This crate provides everything packet-shaped that the rest of the
 //! workspace consumes:
@@ -8,8 +7,6 @@
 //!   RSS-style placement.
 //! * [`packet`] — the simulation [`Packet`] (flow key + frame length +
 //!   provenance), deliberately payload-free for 40 Gbps-scale simulation.
-//! * [`headers`] — byte-level Ethernet/IPv4/TCP/UDP codecs with RFC 1071
-//!   checksums, for classifier paths that exercise real parsing.
 //! * [`tcp`] — a NewReno-style AIMD window model; the congestion-responsive
 //!   senders behind the paper's Figure 3 / Figure 11 throughput plots.
 //! * [`gen`] — open-loop arrival processes (CBR, Poisson, on/off,
@@ -28,15 +25,10 @@
 //! ```
 
 pub mod flow;
-pub mod flowgen;
 pub mod gen;
-pub mod headers;
 pub mod packet;
 pub mod tcp;
-pub mod trace;
 
 pub use flow::{FlowKey, IpProto};
-pub use flowgen::{BoundedPareto, FlowSpec, FlowWorkload};
 pub use packet::{AppId, Packet, PacketIdGen, VfPort};
 pub use tcp::TcpConn;
-pub use trace::PcapWriter;

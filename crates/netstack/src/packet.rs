@@ -2,8 +2,7 @@
 //!
 //! Simulated packets carry their flow key and frame length rather than full
 //! payload bytes (payloads would only burn memory at 40 Gbps simulation
-//! scale); the byte-level header codecs in [`crate::headers`] exist for the
-//! classifier paths that want to exercise real parsing.
+//! scale): the classifier works on the flow key.
 
 use core::fmt;
 

@@ -11,9 +11,6 @@
 
 use core::fmt;
 
-use sim_core::time::Nanos;
-use sim_core::units::BitRate;
-
 /// Congestion-control phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CcPhase {
@@ -167,17 +164,6 @@ impl TcpConn {
         self.inflight = 0;
         self.recover_seq = self.next_seq;
     }
-
-    /// The send rate this window sustains at a given round-trip time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rtt` is zero.
-    pub fn rate_at_rtt(&self, rtt: Nanos) -> BitRate {
-        assert!(rtt > Nanos::ZERO, "RTT must be positive");
-        let bits_per_rtt = self.cwnd * self.mss_bytes as f64 * 8.0;
-        BitRate::from_bps((bits_per_rtt * 1e9 / rtt.as_nanos() as f64) as u64)
-    }
 }
 
 impl fmt::Display for TcpConn {
@@ -269,13 +255,6 @@ mod tests {
         assert!(!c.can_send());
         c.on_ack(0);
         assert!(c.can_send());
-    }
-
-    #[test]
-    fn rate_at_rtt_scales() {
-        let c = TcpConn::new(1250, 10); // 10 pkts * 10_000 bits = 100_000 bits per RTT
-        let r = c.rate_at_rtt(Nanos::from_micros(100));
-        assert_eq!(r, BitRate::from_gbps(1.0));
     }
 
     #[test]

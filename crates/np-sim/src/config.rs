@@ -149,23 +149,9 @@ impl NicConfig {
         }
     }
 
-    /// Total worker hardware threads.
-    pub fn total_threads(&self) -> usize {
-        self.num_mes * self.threads_per_me
-    }
-
     /// Aggregate instruction-cycle budget per second across all MEs.
     pub fn aggregate_cycle_rate(&self) -> u64 {
         self.num_mes as u64 * self.freq.as_hz()
-    }
-
-    /// The compute-bound packet rate ceiling for a given per-packet
-    /// instruction-cycle cost.
-    pub fn compute_bound_pps(&self, cycles_per_packet: u64) -> f64 {
-        if cycles_per_packet == 0 {
-            return f64::INFINITY;
-        }
-        self.aggregate_cycle_rate() as f64 / cycles_per_packet as f64
     }
 
     /// Validates internal consistency.
@@ -221,7 +207,7 @@ mod tests {
     #[test]
     fn totals() {
         let cfg = NicConfig::agilio_cx_40g();
-        assert_eq!(cfg.total_threads(), 400);
+        assert_eq!(cfg.num_mes * cfg.threads_per_me, 400);
         assert_eq!(cfg.aggregate_cycle_rate(), 50 * 800_000_000);
     }
 
@@ -231,7 +217,7 @@ mod tests {
         // cycles per packet; the profile must then be compute-bound near
         // 20 Mpps (the paper's 19.69 Mpps at 64 B) and line-rate-bound at MTU.
         let cfg = NicConfig::agilio_cx_40g();
-        let pps = cfg.compute_bound_pps(2_000);
+        let pps = cfg.aggregate_cycle_rate() as f64 / 2_000.0;
         assert!((15e6..25e6).contains(&pps), "pps {pps}");
         // 1518 B line rate is ~3.25 Mpps << compute bound.
         let line = cfg.framing.line_rate_pps(cfg.line_rate, 1518);
@@ -249,11 +235,5 @@ mod tests {
         let mut cfg = NicConfig::agilio_cx_40g();
         cfg.line_rate = BitRate::ZERO;
         assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn zero_cycle_cost_is_unbounded() {
-        let cfg = NicConfig::agilio_cx_40g();
-        assert!(cfg.compute_bound_pps(0).is_infinite());
     }
 }

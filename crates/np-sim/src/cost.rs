@@ -265,7 +265,6 @@ impl core::fmt::Debug for CycleAttr {
 pub struct CostMeter {
     costs: CycleCosts,
     total: Cycles,
-    ops: u64,
     attr: Option<Arc<CycleAttr>>,
     stage: u8,
     worker: u8,
@@ -277,7 +276,6 @@ impl CostMeter {
         CostMeter {
             costs,
             total: Cycles::ZERO,
-            ops: 0,
             attr: None,
             stage: AttrStage::Other as u8,
             worker: u8::MAX,
@@ -336,7 +334,6 @@ impl CostMeter {
     pub fn charge_n(&mut self, op: Op, n: u64) {
         let cycles = self.cost_of(op) * n;
         self.total += Cycles::new(cycles);
-        self.ops += n;
         if let Some(attr) = &self.attr {
             attr.record(
                 self.stage as usize,
@@ -352,7 +349,6 @@ impl CostMeter {
     pub fn charge_cycles(&mut self, c: Cycles) {
         self.total += c;
         if c > Cycles::ZERO {
-            self.ops += 1;
             if let Some(attr) = &self.attr {
                 attr.record(
                     self.stage as usize,
@@ -370,15 +366,9 @@ impl CostMeter {
         self.total
     }
 
-    /// Number of charge operations recorded.
-    pub fn op_count(&self) -> u64 {
-        self.ops
-    }
-
     /// Resets the meter for the next packet, keeping the cost table.
     pub fn reset(&mut self) {
         self.total = Cycles::ZERO;
-        self.ops = 0;
     }
 }
 
@@ -394,7 +384,6 @@ mod tests {
         m.charge(Op::ForwardBase);
         let c = CycleCosts::agilio();
         assert_eq!(m.total().get(), c.parse + c.classify_hit + c.forward_base);
-        assert_eq!(m.op_count(), 3);
     }
 
     #[test]
@@ -411,14 +400,6 @@ mod tests {
         assert_eq!(m.total().get(), 123);
         m.reset();
         assert_eq!(m.total(), Cycles::ZERO);
-        assert_eq!(m.op_count(), 0);
-    }
-
-    #[test]
-    fn zero_raw_charge_not_counted_as_op() {
-        let mut m = CostMeter::new(CycleCosts::agilio());
-        m.charge_cycles(Cycles::ZERO);
-        assert_eq!(m.op_count(), 0);
     }
 
     #[test]

@@ -203,11 +203,6 @@ impl WorkerPool {
         self.busy.iter().fold(Cycles::ZERO, |acc, &c| acc + c)
     }
 
-    /// Instruction cycles retired by each micro-engine, indexed by engine.
-    pub fn engine_busy_cycles(&self) -> &[Cycles] {
-        &self.busy
-    }
-
     /// Aggregate worker utilization over `[0, horizon]`.
     pub fn utilization(&self, horizon: Nanos) -> f64 {
         if horizon == Nanos::ZERO {
@@ -384,14 +379,8 @@ mod tests {
             };
             p.complete(start, Cycles::new(100));
         }
-        let per = p.engine_busy_cycles().to_vec();
-        assert_eq!(per.len(), 2);
-        assert_eq!(
-            per.iter().fold(Cycles::ZERO, |a, &c| a + c),
-            p.busy_cycles()
-        );
+        assert_eq!(p.busy_cycles(), Cycles::new(400));
         // The load balancer alternates between the two idle engines.
-        assert!(per.iter().all(|c| c.get() > 0), "{per:?}");
         let u = p.engine_utilization(Nanos::from_micros(1));
         assert_eq!(u.len(), 2);
         assert!(u.iter().all(|&x| x > 0.0 && x <= 1.0), "{u:?}");

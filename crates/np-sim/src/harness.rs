@@ -59,17 +59,6 @@ pub struct OpenLoopReport {
     pub per_app_bits: Vec<(AppId, u64)>,
 }
 
-impl OpenLoopReport {
-    /// Transmitted bits for one app (zero if absent).
-    pub fn app_bits(&self, app: AppId) -> u64 {
-        self.per_app_bits
-            .iter()
-            .find(|(a, _)| *a == app)
-            .map(|&(_, b)| b)
-            .unwrap_or(0)
-    }
-}
-
 /// Merges `sources` in time order and hands every arrival before
 /// `horizon` to `on_packet` — the workspace's one open-loop driver.
 ///
@@ -219,9 +208,9 @@ mod tests {
         );
         assert_eq!(report.nic.rx_drops + report.nic.tail_drops, 0);
         assert!((report.throughput.as_gbps() - 10.0).abs() < 0.2);
-        assert!(report.app_bits(AppId(0)) > 0);
-        assert!(report.app_bits(AppId(1)) > 0);
-        assert_eq!(report.app_bits(AppId(9)), 0);
+        let apps: Vec<AppId> = report.per_app_bits.iter().map(|&(a, _)| a).collect();
+        assert_eq!(apps, [AppId(0), AppId(1)]);
+        assert!(report.per_app_bits.iter().all(|&(_, bits)| bits > 0));
     }
 
     #[test]

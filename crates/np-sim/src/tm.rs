@@ -214,12 +214,6 @@ impl TxFifo {
         self.rate.bits_in(backlog) / 8
     }
 
-    /// Queueing delay a frame enqueued at `t` would experience before its
-    /// first bit hits the wire.
-    pub fn queueing_delay(&self, t: Nanos) -> Nanos {
-        self.free_at.saturating_sub(t.max(self.last_t))
-    }
-
     /// The configured wire rate.
     pub fn rate(&self) -> BitRate {
         self.rate
@@ -431,13 +425,5 @@ mod tests {
         assert_eq!(f.stats().tx_packets, 1);
         let snap = reg.snapshot(Nanos::ZERO);
         assert_eq!(snap.counter("tm.fifo.fault_drops"), 1);
-    }
-
-    #[test]
-    fn queueing_delay_reported() {
-        let mut f = fifo_1g();
-        assert_eq!(f.queueing_delay(Nanos::ZERO), Nanos::ZERO);
-        f.enqueue_pkt(1_000, Nanos::ZERO, 0).unwrap();
-        assert_eq!(f.queueing_delay(Nanos::ZERO), Nanos::from_nanos(8_000));
     }
 }

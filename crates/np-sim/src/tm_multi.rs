@@ -10,11 +10,7 @@
 //! exactly that failure.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
-use fv_telemetry::metrics::{Counter, Gauge};
-use fv_telemetry::trace::{EventRing, TraceKind};
-use fv_telemetry::{Registry, Sampler};
 use netstack::packet::Packet;
 use sim_core::time::Nanos;
 use sim_core::units::{BitRate, WireFraming};
@@ -46,19 +42,6 @@ struct HwQueue {
     /// WRR deficit in bytes.
     deficit: i64,
     drops: u64,
-}
-
-/// Registry-backed mirrors of the traffic-manager counters: per-queue tail
-/// drops, aggregate transmit counters, occupancy, and — for sampled
-/// packets — `TailDrop` events.
-struct MqTelemetry {
-    tx_packets: Arc<Counter>,
-    tx_bits: Arc<Counter>,
-    queue_drops: Vec<Arc<Counter>>,
-    backlog_pkts: Arc<Gauge>,
-    ring: Arc<EventRing>,
-    /// The registry's per-packet sampling decision (`TailDrop` events).
-    sampler: Sampler,
 }
 
 /// A fixed-function multi-queue traffic manager in front of a wire.
@@ -94,7 +77,6 @@ pub struct MultiQueueTm {
     rr_cursor: usize,
     tx_packets: u64,
     tx_bits: u64,
-    telemetry: Option<MqTelemetry>,
 }
 
 impl core::fmt::Debug for MultiQueueTm {
@@ -131,30 +113,7 @@ impl MultiQueueTm {
             rr_cursor: 0,
             tx_packets: 0,
             tx_bits: 0,
-            telemetry: None,
         }
-    }
-
-    /// Mirrors enqueue/dequeue activity into `registry` under the `tm.mq.*`
-    /// namespace: aggregate transmit counters, per-queue tail-drop counters
-    /// (`tm.mq.q<i>.drops`), a backlog gauge, and `TailDrop` trace events
-    /// for the packets the registry's sampler selects.
-    pub fn attach_telemetry(&mut self, registry: &Registry) {
-        self.telemetry = Some(MqTelemetry {
-            tx_packets: registry.counter("tm.mq.tx_packets"),
-            tx_bits: registry.counter("tm.mq.tx_bits"),
-            queue_drops: (0..self.queues.len())
-                .map(|i| registry.counter(&format!("tm.mq.q{i}.drops")))
-                .collect(),
-            backlog_pkts: registry.gauge("tm.mq.backlog_pkts"),
-            ring: registry.ring(),
-            sampler: registry.sampler(),
-        });
-    }
-
-    /// Number of queues.
-    pub fn num_queues(&self) -> usize {
-        self.queues.len()
     }
 
     /// Offers a packet to queue `q`; returns whether it was accepted
@@ -167,20 +126,9 @@ impl MultiQueueTm {
         let hq = &mut self.queues[q];
         if hq.queue.len() >= hq.cfg.capacity {
             hq.drops += 1;
-            if let Some(t) = &self.telemetry {
-                t.queue_drops[q].incr();
-                if t.sampler.hit(pkt.id) {
-                    t.ring
-                        .record(pkt.created_at, TraceKind::TailDrop, q as u64, pkt.id);
-                }
-            }
             false
         } else {
             hq.queue.push_back(pkt);
-            if let Some(t) = &self.telemetry {
-                t.backlog_pkts
-                    .set(self.queues.iter().map(|hw| hw.queue.len() as u64).sum());
-            }
             true
         }
     }
@@ -223,12 +171,6 @@ impl MultiQueueTm {
                             .serialization_time(self.rate, pkt.frame_len as u64);
                     self.tx_packets += 1;
                     self.tx_bits += pkt.frame_bits();
-                    if let Some(t) = &self.telemetry {
-                        t.tx_packets.incr();
-                        t.tx_bits.add(pkt.frame_bits());
-                        t.backlog_pkts
-                            .set(self.queues.iter().map(|hw| hw.queue.len() as u64).sum());
-                    }
                     return Some((pkt, self.wire_free));
                 }
                 if pass == 0 {
@@ -373,47 +315,6 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_tracks_per_queue_drops_and_occupancy() {
-        use fv_telemetry::MetricValue;
-        let reg = Registry::with_sampler(1024, fv_telemetry::Sampler::one_in_pow2(0));
-        let mut tm = MultiQueueTm::new(
-            BitRate::from_gbps(10.0),
-            WireFraming::ETHERNET,
-            vec![
-                HwQueueConfig {
-                    capacity: 1,
-                    ..Default::default()
-                },
-                HwQueueConfig {
-                    capacity: 8,
-                    ..Default::default()
-                },
-            ],
-        );
-        tm.attach_telemetry(&reg);
-        assert!(tm.enqueue(0, pkt(0, 0, 64)));
-        assert!(!tm.enqueue(0, pkt(1, 0, 64))); // queue 0 full
-        assert!(tm.enqueue(1, pkt(2, 1, 1_518)));
-        let (_, done) = tm.dequeue(Nanos::ZERO).expect("prio queue first");
-        let snap = reg.snapshot(done);
-        assert_eq!(snap.counter("tm.mq.q0.drops"), 1);
-        assert_eq!(snap.counter("tm.mq.q1.drops"), 0);
-        assert_eq!(snap.counter("tm.mq.tx_packets"), 1);
-        assert_eq!(snap.counter("tm.mq.tx_bits"), 64 * 8);
-        match snap.get("tm.mq.backlog_pkts") {
-            Some(MetricValue::Gauge { value, max }) => {
-                assert_eq!(*value, 1);
-                assert_eq!(*max, 2);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(snap
-            .events
-            .iter()
-            .any(|e| e.kind == TraceKind::TailDrop && e.a == 0 && e.b == 1));
-    }
-
-    #[test]
     fn empty_tm_dequeues_none() {
         let mut tm = MultiQueueTm::new(
             BitRate::from_gbps(1.0),
@@ -422,6 +323,5 @@ mod tests {
         );
         assert!(tm.dequeue(Nanos::ZERO).is_none());
         assert_eq!(tm.tx_packets(), 0);
-        assert_eq!(tm.num_queues(), 1);
     }
 }

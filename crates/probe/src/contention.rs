@@ -7,7 +7,6 @@
 //! now answerable per lock instead of in aggregate).
 
 use np_sim::lock::{LockId, PerLockStats};
-use sim_core::time::Nanos;
 
 /// One ranked lock: its id and attribution row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,14 +51,10 @@ pub fn rank_locks(per_lock: &[PerLockStats]) -> Vec<LockRank> {
     out
 }
 
-/// Total wait across all ranked locks.
-pub fn total_wait(ranked: &[LockRank]) -> Nanos {
-    ranked.iter().map(|r| r.stats.wait_total).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_core::time::Nanos;
 
     fn row(acquires: u64, try_failed: u64, contended: u64, wait: u64, hold: u64) -> PerLockStats {
         PerLockStats {
@@ -84,7 +79,6 @@ mod tests {
             ranked.iter().map(|r| r.id).collect::<Vec<_>>(),
             vec![LockId(2), LockId(3), LockId(0)]
         );
-        assert_eq!(total_wait(&ranked), Nanos::from_nanos(1_000));
     }
 
     #[test]

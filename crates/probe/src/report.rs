@@ -19,7 +19,7 @@ use crate::latency::{ClassLatency, FlowVolume, LatencyAttr, UNATTRIBUTED};
 /// A queue-depth high-water mark mirrored from a registry gauge.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Waterline {
-    /// Gauge name (e.g. `tm.fifo.backlog_bytes`, `sfq.backlog_pkts`).
+    /// Gauge name (e.g. `tm.fifo.backlog_bytes`).
     pub name: String,
     /// Value at snapshot time.
     pub value: u64,

@@ -106,16 +106,6 @@ impl KernelCpuModel {
     pub fn max_pps(&self, senders: usize) -> f64 {
         1e9 / self.per_packet(senders).as_nanos() as f64
     }
-
-    /// CPU cores consumed at `pps`: the lock-holder's work plus the spin
-    /// time wasted by the other senders while the lock is held.
-    pub fn cores_consumed(&self, pps: f64, senders: usize) -> f64 {
-        let locked = self.per_packet(senders).as_nanos() as f64 * 1e-9 * pps;
-        // While the lock is busy, each other contending sender spins for a
-        // fraction of that time (bounded by full spinning).
-        let spin = locked.min(1.0) * senders.saturating_sub(1) as f64 * 0.5;
-        locked + spin
-    }
 }
 
 #[cfg(test)]
@@ -156,14 +146,5 @@ mod tests {
         // full enqueue+dequeue path in hostsim lands near 1.2 Mpps.
         let pps = m.max_pps(1);
         assert!((1.4e6..2.2e6).contains(&pps), "pps {pps}");
-    }
-
-    #[test]
-    fn kernel_cores_grow_with_contention() {
-        let m = KernelCpuModel::default();
-        let solo = m.cores_consumed(1.5e6, 1);
-        let four = m.cores_consumed(1.5e6, 4);
-        assert!(four > solo);
-        assert!(solo > 0.8, "the lock holder is saturated: {solo}");
     }
 }

@@ -6,11 +6,6 @@
 //! accounting — DPDK *does* enforce policy accurately (paper §II-A); what
 //! it costs is CPU, which [`crate::costmodel`] accounts separately.
 
-use std::sync::Arc;
-
-use fv_telemetry::metrics::{Counter, Gauge};
-use fv_telemetry::trace::{EventRing, TraceKind};
-use fv_telemetry::{Registry, Sampler};
 use netstack::packet::Packet;
 use sim_core::time::Nanos;
 use sim_core::units::BitRate;
@@ -125,20 +120,6 @@ pub struct DpdkStats {
     pub dequeued_bits: u64,
 }
 
-/// Registry handles mirroring [`DpdkStats`]. Attached via
-/// [`DpdkQos::attach_telemetry`].
-#[derive(Debug, Clone)]
-struct DpdkTelemetry {
-    enqueued: Arc<Counter>,
-    drops: Arc<Counter>,
-    dequeued: Arc<Counter>,
-    dequeued_bits: Arc<Counter>,
-    backlog_pkts: Arc<Gauge>,
-    ring: Arc<EventRing>,
-    /// The registry's per-packet sampling decision (`TailDrop` events).
-    sampler: Sampler,
-}
-
 /// The hierarchical scheduler.
 ///
 /// # Example
@@ -162,7 +143,6 @@ pub struct DpdkQos {
     pipes: Vec<PipeState>,
     grinder: usize,
     stats: DpdkStats,
-    telemetry: Option<DpdkTelemetry>,
 }
 
 impl core::fmt::Debug for DpdkQos {
@@ -197,29 +177,7 @@ impl DpdkQos {
                 .collect(),
             grinder: 0,
             stats: DpdkStats::default(),
-            telemetry: None,
         }
-    }
-
-    /// Mirrors this scheduler's counters into `registry` under `dpdk.*` —
-    /// enqueue drops of sampled packets additionally trace
-    /// [`TraceKind::TailDrop`] events whose `a` operand encodes
-    /// `pipe * NUM_TCS + tc`.
-    pub fn attach_telemetry(&mut self, registry: &Registry) {
-        self.telemetry = Some(DpdkTelemetry {
-            enqueued: registry.counter("dpdk.enqueued"),
-            drops: registry.counter("dpdk.drops"),
-            dequeued: registry.counter("dpdk.dequeued"),
-            dequeued_bits: registry.counter("dpdk.dequeued_bits"),
-            backlog_pkts: registry.gauge("dpdk.backlog_pkts"),
-            ring: registry.ring(),
-            sampler: registry.sampler(),
-        });
-    }
-
-    /// Number of pipes.
-    pub fn num_pipes(&self) -> usize {
-        self.pipes.len()
     }
 
     /// Aggregate counters.
@@ -246,26 +204,10 @@ impl DpdkQos {
     ///
     /// Panics if `pipe` or `tc` is out of range.
     pub fn enqueue(&mut self, pipe: usize, tc: usize, pkt: Packet) -> Result<(), QueueDrop> {
-        let (at, id) = (pkt.created_at, pkt.id);
         let r = self.pipes[pipe].queues[tc].push(pkt);
         match r {
-            Ok(()) => {
-                self.stats.enqueued += 1;
-                if let Some(t) = &self.telemetry {
-                    t.enqueued.incr();
-                    t.backlog_pkts.set(self.backlog_pkts() as u64);
-                }
-            }
-            Err(_) => {
-                self.stats.drops += 1;
-                if let Some(t) = &self.telemetry {
-                    t.drops.incr();
-                    if t.sampler.hit(id) {
-                        t.ring
-                            .record(at, TraceKind::TailDrop, (pipe * NUM_TCS + tc) as u64, id);
-                    }
-                }
-            }
+            Ok(()) => self.stats.enqueued += 1,
+            Err(_) => self.stats.drops += 1,
         }
         r
     }
@@ -292,11 +234,6 @@ impl DpdkQos {
                     let pkt = pipe.queues[tc].pop().expect("peeked head exists");
                     self.stats.dequeued += 1;
                     self.stats.dequeued_bits += pkt.frame_bits();
-                    if let Some(t) = &self.telemetry {
-                        t.dequeued.incr();
-                        t.dequeued_bits.add(pkt.frame_bits());
-                        t.backlog_pkts.set(self.backlog_pkts() as u64);
-                    }
                     // Move the grinder past this pipe for round-robin fairness.
                     self.grinder = (pi + 1) % n;
                     return Some(pkt);
@@ -409,37 +346,11 @@ mod tests {
         let s = q.stats();
         assert_eq!((s.enqueued, s.drops), (1, 1));
         assert_eq!(q.backlog_pkts(), 1);
-        assert_eq!(q.num_pipes(), 1);
     }
 
     #[test]
     fn idle_scheduler_has_no_timer() {
         let q = DpdkQos::new(DpdkQosConfig::equal_pipes(BitRate::from_mbps(10), 1));
         assert_eq!(q.next_ready(Nanos::ZERO), None);
-    }
-
-    #[test]
-    fn telemetry_mirrors_stats() {
-        let mut cfg = DpdkQosConfig::equal_pipes(BitRate::from_gbps(1.0), 2);
-        cfg.queue_pkts = 1;
-        let mut q = DpdkQos::new(cfg);
-        let registry = Registry::with_sampler(1024, fv_telemetry::Sampler::one_in_pow2(0));
-        q.attach_telemetry(&registry);
-        q.enqueue(0, 0, pkt(0, 0)).unwrap();
-        assert!(q.enqueue(0, 0, pkt(1, 0)).is_err());
-        q.enqueue(1, 2, pkt(2, 1)).unwrap();
-        assert!(q.enqueue(1, 2, pkt(3, 1)).is_err());
-        let out = q.dequeue(Nanos::ZERO).unwrap();
-        let snap = registry.snapshot(Nanos::ZERO);
-        let s = q.stats();
-        assert_eq!(snap.counter("dpdk.enqueued"), s.enqueued);
-        assert_eq!(snap.counter("dpdk.drops"), s.drops);
-        assert_eq!(snap.counter("dpdk.dequeued"), 1);
-        assert_eq!(snap.counter("dpdk.dequeued_bits"), out.frame_bits());
-        // The drop on (pipe 1, tc 2) encodes its queue index in `a`.
-        assert!(snap
-            .events
-            .iter()
-            .any(|e| e.kind == TraceKind::TailDrop && e.a == (NUM_TCS + 2) as u64));
     }
 }

@@ -22,18 +22,12 @@
 //! again.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use fv_telemetry::metrics::{Counter, Gauge};
-use fv_telemetry::span::{SpanRecorder, Stage};
-use fv_telemetry::trace::TraceKind;
-use fv_telemetry::Registry;
 use netstack::packet::Packet;
 use sim_core::time::Nanos;
 use sim_core::units::BitRate;
 
 use crate::fifo::{PacketFifo, QueueDrop};
-use fv_telemetry::CauseCounters;
 
 /// An HTB class handle (the minor of a `tc` `major:minor`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -207,22 +201,6 @@ pub struct HtbStats {
     pub dequeued_bits: u64,
 }
 
-/// Registry handles mirroring [`HtbStats`] (plus a backlog gauge and
-/// tail-drop trace events). Attached via [`Htb::attach_telemetry`].
-#[derive(Debug)]
-struct HtbTelemetry {
-    enqueued: Arc<Counter>,
-    drops: Arc<Counter>,
-    dequeued: Arc<Counter>,
-    dequeued_bits: Arc<Counter>,
-    backlog_pkts: Arc<Gauge>,
-    /// Per-class drop-cause split (`htb.class.<n>.drop.<cause>`); each
-    /// cause's counter registers on the first drop it counts, so clean
-    /// runs keep their snapshot schema.
-    causes: HashMap<Handle, CauseCounters>,
-    spans: SpanRecorder,
-}
-
 /// The HTB qdisc.
 ///
 /// # Example
@@ -249,7 +227,6 @@ pub struct Htb {
     model: KernelModel,
     rr_cursor: usize,
     stats: HtbStats,
-    telemetry: Option<HtbTelemetry>,
 }
 
 impl core::fmt::Debug for Htb {
@@ -324,34 +301,7 @@ impl Htb {
             model,
             rr_cursor: 0,
             stats: HtbStats::default(),
-            telemetry: None,
         })
-    }
-
-    /// Mirrors this qdisc's counters into `registry` under `htb.*` —
-    /// enqueue drops of sampled packets additionally trace
-    /// [`TraceKind::TailDrop`] events.
-    pub fn attach_telemetry(&mut self, registry: &Registry) {
-        let causes = self
-            .classes
-            .iter()
-            .map(|c| {
-                let id = c.spec.id;
-                (
-                    id,
-                    CauseCounters::new(registry, format!("htb.class.{}", id.0)),
-                )
-            })
-            .collect();
-        self.telemetry = Some(HtbTelemetry {
-            enqueued: registry.counter("htb.enqueued"),
-            drops: registry.counter("htb.drops"),
-            dequeued: registry.counter("htb.dequeued"),
-            dequeued_bits: registry.counter("htb.dequeued_bits"),
-            backlog_pkts: registry.gauge("htb.backlog_pkts"),
-            causes,
-            spans: SpanRecorder::new(registry),
-        });
     }
 
     /// Handles of all leaf classes, in declaration order.
@@ -394,27 +344,10 @@ impl Htb {
         if !self.classes[i].children.is_empty() {
             return Err(HtbError::NotALeaf(class));
         }
-        let (at, id) = (pkt.created_at, pkt.id);
         let r = self.classes[i].queue.push(pkt);
         match r {
-            Ok(()) => {
-                self.stats.enqueued += 1;
-                if let Some(t) = &self.telemetry {
-                    t.enqueued.incr();
-                    t.backlog_pkts.set(self.backlog_pkts() as u64);
-                }
-            }
-            Err(cause) => {
-                self.stats.drops += 1;
-                if let Some(t) = &self.telemetry {
-                    t.drops.incr();
-                    if let Some(cc) = t.causes.get(&class) {
-                        cc.incr(cause);
-                    }
-                    t.spans
-                        .event(at, TraceKind::TailDrop, id, class.0 as u64, id);
-                }
-            }
+            Ok(()) => self.stats.enqueued += 1,
+            Err(_) => self.stats.drops += 1,
         }
         Ok(r)
     }
@@ -510,7 +443,7 @@ impl Htb {
                 if self.classes[i].deficit >= head_len {
                     self.classes[i].deficit -= head_len;
                     self.rr_cursor = (self.rr_cursor + k) % n;
-                    return Some(self.transmit(i, now));
+                    return Some(self.transmit(i));
                 }
                 if pass == 0 {
                     self.classes[i].deficit += self.classes[i].spec.quantum as i64;
@@ -523,7 +456,7 @@ impl Htb {
 
     /// Pops leaf `i`'s head and charges tokens along the hierarchy, with
     /// the kernel model's undercharging applied.
-    fn transmit(&mut self, i: usize, now: Nanos) -> Packet {
+    fn transmit(&mut self, i: usize) -> Packet {
         let pkt = self.classes[i].queue.pop().expect("leaf has a head");
         let charged = (pkt.frame_bits() as f64 * self.model.charge_factor) as i64;
         let lender = if self.classes[i].tokens <= 0 {
@@ -543,15 +476,6 @@ impl Htb {
         }
         self.stats.dequeued += 1;
         self.stats.dequeued_bits += pkt.frame_bits();
-        if let Some(t) = &self.telemetry {
-            t.dequeued.incr();
-            t.dequeued_bits.add(pkt.frame_bits());
-            t.backlog_pkts.set(self.backlog_pkts() as u64);
-            // Queue span: how long the packet waited in its leaf queue.
-            let sojourn = now.saturating_sub(pkt.created_at);
-            t.spans
-                .record(Stage::Queue, pkt.created_at, pkt.id, sojourn);
-        }
         pkt
     }
 
@@ -795,39 +719,6 @@ mod tests {
         assert_eq!(htb.stats().enqueued, 2);
         assert_eq!(htb.stats().drops, 3);
         assert_eq!(htb.backlog_pkts(), 2);
-    }
-
-    #[test]
-    fn telemetry_mirrors_stats() {
-        let mut model = KernelModel::ideal();
-        model.queue_limit_pkts = 2;
-        let mut htb = Htb::new(
-            vec![
-                HtbClassSpec::new(Handle(1), None, gbps(1.0)),
-                HtbClassSpec::new(Handle(10), Some(Handle(1)), gbps(1.0)),
-            ],
-            model,
-        )
-        .unwrap();
-        let registry = Registry::with_sampler(1024, fv_telemetry::Sampler::one_in_pow2(0));
-        htb.attach_telemetry(&registry);
-        for i in 0..5 {
-            let _ = htb.enqueue(Handle(10), pkt(i, 100, 0)).unwrap();
-        }
-        let out = htb.dequeue(Nanos::ZERO).unwrap();
-        let snap = registry.snapshot(Nanos::ZERO);
-        assert_eq!(snap.counter("htb.enqueued"), htb.stats().enqueued);
-        assert_eq!(snap.counter("htb.drops"), htb.stats().drops);
-        assert_eq!(snap.counter("htb.dequeued"), 1);
-        assert_eq!(snap.counter("htb.dequeued_bits"), out.frame_bits());
-        assert!(snap
-            .events
-            .iter()
-            .any(|e| e.kind == TraceKind::TailDrop && e.a == 10));
-        // The queue limit is a packet-count limit, so every drop splits
-        // into over_pkts; the over_bytes counter never registers.
-        assert_eq!(snap.counter("htb.class.10.drop.over_pkts"), 3);
-        assert!(snap.get("htb.class.10.drop.over_bytes").is_none());
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //!   overruns ceilings, quantum-only borrowing that ignores leaf priority,
 //!   coarse watchdog timers). These are the artifacts of the paper's
 //!   Figure 3.
-//! * [`prio`] — strict-priority bands (the kernel PRIO qdisc).
-//! * [`sfq`] — Stochastic Fairness Queueing, the classless fair reference.
-//! * [`tbf`] — a token-bucket *shaper*, the buffering reference FlowValve's
-//!   early-drop emulates.
+//! * [`prio`] — strict-priority bands (the kernel PRIO qdisc) and
+//!   [`tbf`] — a token-bucket *shaper*: the two reference implementations
+//!   `tests/baseline_references.rs` compares a FlowValve policy against.
+//!   No figure builds them; nothing observes them.
 //! * [`dpdk`] — a DPDK QoS Scheduler model (subport → pipe → strict-prio
 //!   traffic classes) with exact conformance.
 //! * [`costmodel`] — the CPU cost side of Figure 13: cores-per-Mpps for
@@ -23,7 +23,6 @@ pub mod dpdk;
 pub mod fifo;
 pub mod htb;
 pub mod prio;
-pub mod sfq;
 pub mod tbf;
 
 pub use costmodel::{DpdkCpuModel, KernelCpuModel};
@@ -31,5 +30,4 @@ pub use dpdk::{DpdkQos, DpdkQosConfig, PipeConfig};
 pub use fifo::{PacketFifo, QueueDrop};
 pub use htb::{Handle, Htb, HtbClassSpec, HtbError, KernelModel};
 pub use prio::Prio;
-pub use sfq::{Sfq, SfqConfig};
 pub use tbf::Tbf;

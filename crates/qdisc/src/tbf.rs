@@ -5,31 +5,11 @@
 //! which requires exactly the queue control NP hardware lacks. It serves
 //! as the reference shaper for rate-conformance comparisons.
 
-use std::sync::Arc;
-
-use fv_telemetry::metrics::{Counter, Gauge};
-use fv_telemetry::span::{SpanRecorder, Stage};
-use fv_telemetry::trace::TraceKind;
-use fv_telemetry::Registry;
 use netstack::packet::Packet;
 use sim_core::time::Nanos;
 use sim_core::units::BitRate;
 
 use crate::fifo::{PacketFifo, QueueDrop};
-
-/// Registry handles mirroring the TBF counters. Attached via
-/// [`Tbf::attach_telemetry`].
-#[derive(Debug, Clone)]
-struct TbfTelemetry {
-    enqueued: Arc<Counter>,
-    dequeued: Arc<Counter>,
-    dequeued_bits: Arc<Counter>,
-    drops: Arc<Counter>,
-    drops_overpkts: Arc<Counter>,
-    drops_overbytes: Arc<Counter>,
-    backlog_pkts: Arc<Gauge>,
-    spans: SpanRecorder,
-}
 
 /// A token bucket filter.
 ///
@@ -58,7 +38,6 @@ pub struct Tbf {
     tokens: i64,
     last: Nanos,
     queue: PacketFifo,
-    telemetry: Option<TbfTelemetry>,
 }
 
 impl Tbf {
@@ -78,25 +57,7 @@ impl Tbf {
             tokens: burst_bits,
             last: Nanos::ZERO,
             queue: PacketFifo::new(queue_bytes, queue_pkts),
-            telemetry: None,
         }
-    }
-
-    /// Mirrors this shaper's counters into `registry` under `tbf.*` —
-    /// backlog overflows of sampled packets additionally trace
-    /// [`TraceKind::TailDrop`] events, and drops are broken out by cause
-    /// (`tbf.drops_overpkts` / `tbf.drops_overbytes`).
-    pub fn attach_telemetry(&mut self, registry: &Registry) {
-        self.telemetry = Some(TbfTelemetry {
-            enqueued: registry.counter("tbf.enqueued"),
-            dequeued: registry.counter("tbf.dequeued"),
-            dequeued_bits: registry.counter("tbf.dequeued_bits"),
-            drops: registry.counter("tbf.drops"),
-            drops_overpkts: registry.counter("tbf.drops_overpkts"),
-            drops_overbytes: registry.counter("tbf.drops_overbytes"),
-            backlog_pkts: registry.gauge("tbf.backlog_pkts"),
-            spans: SpanRecorder::new(registry),
-        });
     }
 
     /// Queues a packet for shaping.
@@ -106,29 +67,7 @@ impl Tbf {
     /// [`QueueDrop::OverPkts`] / [`QueueDrop::OverBytes`] when the backlog
     /// is full, naming which limit refused the packet.
     pub fn enqueue(&mut self, pkt: Packet) -> Result<(), QueueDrop> {
-        let (at, id) = (pkt.created_at, pkt.id);
-        let r = self.queue.push(pkt);
-        match &r {
-            Ok(()) => {
-                if let Some(t) = &self.telemetry {
-                    t.enqueued.incr();
-                    t.backlog_pkts.set(self.queue.len() as u64);
-                }
-            }
-            Err(cause) => {
-                if let Some(t) = &self.telemetry {
-                    t.drops.incr();
-                    match cause {
-                        QueueDrop::OverPkts => t.drops_overpkts.incr(),
-                        QueueDrop::OverBytes => t.drops_overbytes.incr(),
-                        // A FIFO never produces the scheduler/TM causes.
-                        _ => {}
-                    }
-                    t.spans.event(at, TraceKind::TailDrop, id, 0, id);
-                }
-            }
-        }
-        r
+        self.queue.push(pkt)
     }
 
     fn refill(&mut self, now: Nanos) {
@@ -145,16 +84,7 @@ impl Tbf {
         let bits = self.queue.peek()?.frame_bits() as i64;
         if self.tokens >= bits {
             self.tokens -= bits;
-            let pkt = self.queue.pop();
-            if let (Some(p), Some(t)) = (&pkt, &self.telemetry) {
-                t.dequeued.incr();
-                t.dequeued_bits.add(p.frame_bits());
-                t.backlog_pkts.set(self.queue.len() as u64);
-                // Queue span: how long the packet sat waiting for tokens.
-                let sojourn = now.saturating_sub(p.created_at);
-                t.spans.record(Stage::Queue, p.created_at, p.id, sojourn);
-            }
-            pkt
+            self.queue.pop()
         } else {
             None
         }
@@ -245,67 +175,12 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_mirrors_counters() {
-        use fv_telemetry::Registry;
-
-        let mut tbf = Tbf::new(BitRate::from_gbps(1.0), 10_000, 1 << 20, 1);
-        let registry = Registry::with_sampler(1024, fv_telemetry::Sampler::one_in_pow2(0));
-        tbf.attach_telemetry(&registry);
-        tbf.enqueue(pkt(0, 1250)).unwrap();
-        assert!(tbf.enqueue(pkt(1, 1250)).is_err());
-        let out = tbf.dequeue(Nanos::ZERO).unwrap();
-        let snap = registry.snapshot(Nanos::ZERO);
-        assert_eq!(snap.counter("tbf.enqueued"), 1);
-        assert_eq!(snap.counter("tbf.drops"), 1);
-        assert_eq!(snap.counter("tbf.dequeued"), 1);
-        assert_eq!(snap.counter("tbf.dequeued_bits"), out.frame_bits());
-        assert!(snap
-            .events
-            .iter()
-            .any(|e| e.kind == fv_telemetry::trace::TraceKind::TailDrop && e.b == 1));
-        // The 1-packet limit refused packet 1: cause is OverPkts.
-        assert_eq!(snap.counter("tbf.drops_overpkts"), 1);
-        assert_eq!(snap.counter("tbf.drops_overbytes"), 0);
-    }
-
-    #[test]
     fn byte_limit_drops_are_attributed() {
-        use fv_telemetry::Registry;
-
         // 2000-byte backlog: one 1250 B packet fits, the second overflows
         // the byte limit (packet limit is generous).
         let mut tbf = Tbf::new(BitRate::from_gbps(1.0), 10_000, 2_000, 100);
-        let registry = Registry::new();
-        tbf.attach_telemetry(&registry);
         tbf.enqueue(pkt(0, 1250)).unwrap();
         assert_eq!(tbf.enqueue(pkt(1, 1250)), Err(QueueDrop::OverBytes));
-        let snap = registry.snapshot(Nanos::ZERO);
-        assert_eq!(snap.counter("tbf.drops_overbytes"), 1);
-        assert_eq!(snap.counter("tbf.drops_overpkts"), 0);
-    }
-
-    #[test]
-    fn dequeue_stamps_queue_sojourn_spans() {
-        use fv_telemetry::trace::TraceKind;
-        use fv_telemetry::Registry;
-
-        // Tiny burst: the packet must wait for tokens before release.
-        let mut tbf = Tbf::new(BitRate::from_gbps(1.0), 1_250, 1 << 20, 10);
-        let registry = Registry::with_sampler(1024, fv_telemetry::Sampler::one_in_pow2(0));
-        tbf.attach_telemetry(&registry);
-        tbf.enqueue(pkt(0, 1250)).unwrap(); // exactly one burst worth
-        tbf.enqueue(pkt(1, 1250)).unwrap();
-        assert!(tbf.dequeue(Nanos::ZERO).is_some());
-        let ready = tbf.next_ready(Nanos::ZERO).unwrap();
-        assert!(tbf.dequeue(ready).is_some());
-        let snap = registry.snapshot(ready);
-        let h = snap.histogram("span.queue_ns").expect("queue span hist");
-        assert_eq!(h.count, 2);
-        assert_eq!(h.max, ready.as_nanos()); // second packet waited 10 us
-        assert!(registry
-            .ring()
-            .recent(8)
-            .iter()
-            .any(|e| e.kind == TraceKind::SpanQueue && e.a == 1 && e.b == ready.as_nanos()));
+        assert_eq!((tbf.drops(), tbf.backlog_pkts()), (1, 1));
     }
 }

@@ -5,7 +5,7 @@
 //! interval boundary (a [`sim_core::tick::Ticker`] tick) it reads the
 //! registry's counter totals and appends one [`Frame`] of *deltas* — how
 //! much each counter grew over the closed interval. Frames live in a
-//! bounded ring: when full, the oldest frame is discarded (and counted),
+//! bounded ring: when full, the oldest frame is discarded,
 //! so a sampler attached to an unbounded run uses bounded memory.
 //!
 //! Deltas, not totals, are the exported unit because every downstream
@@ -115,7 +115,6 @@ pub struct TimeSampler {
     seen_gen: u64,
     last: Vec<u64>,
     frames: VecDeque<Frame>,
-    dropped: u64,
 }
 
 impl TimeSampler {
@@ -134,7 +133,6 @@ impl TimeSampler {
             seen_gen: registry.counter_generation(),
             last: Vec::new(),
             frames: VecDeque::new(),
-            dropped: 0,
         };
         // Baseline without emitting a frame: pre-attach accumulation is
         // not part of any sampled interval.
@@ -185,11 +183,6 @@ impl TimeSampler {
         self.frames.iter()
     }
 
-    /// Frames evicted because the ring was full.
-    pub fn dropped_frames(&self) -> u64 {
-        self.dropped
-    }
-
     /// Advances virtual time to `now`, emitting one frame per interval
     /// boundary crossed. Call with monotonically non-decreasing times;
     /// calls that cross no boundary are cheap (one comparison).
@@ -218,7 +211,6 @@ impl TimeSampler {
         }
         if self.frames.len() >= self.cfg.capacity {
             self.frames.pop_front();
-            self.dropped += 1;
         }
         self.frames.push_back(Frame { at, deltas });
     }
@@ -442,7 +434,6 @@ mod tests {
         let mut s = TimeSampler::new(&reg, cfg);
         s.advance_to(us(10));
         assert_eq!(s.frames().len(), 4);
-        assert_eq!(s.dropped_frames(), 6);
         assert_eq!(s.frames().next().unwrap().at, us(7));
     }
 

@@ -106,11 +106,6 @@ impl<E> EventQueue<E> {
         Some((s.time, s.event))
     }
 
-    /// The timestamp of the earliest pending event.
-    pub fn peek_time(&self) -> Option<Nanos> {
-        self.heap.peek().map(|s| s.time)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -179,18 +174,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_consume() {
-        let mut q = EventQueue::new();
-        q.schedule(Nanos::from_nanos(42), ());
-        assert_eq!(q.peek_time(), Some(Nanos::from_nanos(42)));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-        q.pop();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-    }
-
-    #[test]
     fn dispatched_counts_pops() {
         let mut q = EventQueue::new();
         q.schedule(Nanos::ZERO, 1);
@@ -239,9 +222,7 @@ mod tests {
         q.schedule(Nanos::from_nanos(10), 1u64);
         q.schedule(Nanos::from_nanos(50), 2u64);
         assert_eq!(q.pop(), Some((Nanos::from_nanos(10), 1)));
-        assert_eq!(q.peek_time(), Some(Nanos::from_nanos(50)));
         q.schedule(Nanos::from_nanos(20), 3u64);
-        assert_eq!(q.peek_time(), Some(Nanos::from_nanos(20)));
         assert_eq!(q.pop(), Some((Nanos::from_nanos(20), 3)));
         assert_eq!(q.pop(), Some((Nanos::from_nanos(50), 2)));
     }

@@ -45,14 +45,6 @@ impl SimRng {
         }
     }
 
-    /// Derives an independent child RNG, e.g. one per flow or per core.
-    ///
-    /// Mixing in `stream` keeps children decorrelated even for adjacent ids.
-    pub fn fork(&mut self, stream: u64) -> SimRng {
-        let base = self.next_u64();
-        SimRng::seed(base ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-
     /// The next raw 64-bit value (xoshiro256\*\*).
     pub fn next_u64(&mut self) -> u64 {
         let [s0, s1, s2, s3] = self.state;
@@ -142,23 +134,6 @@ mod tests {
         let mut a = SimRng::seed(1);
         let mut b = SimRng::seed(2);
         let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
-        assert!(same < 4);
-    }
-
-    #[test]
-    fn forked_children_are_deterministic() {
-        let mut p1 = SimRng::seed(9);
-        let mut p2 = SimRng::seed(9);
-        let mut c1 = p1.fork(3);
-        let mut c2 = p2.fork(3);
-        assert_eq!(c1.next_u64(), c2.next_u64());
-    }
-
-    #[test]
-    fn forked_children_decorrelated_from_parent() {
-        let mut p = SimRng::seed(9);
-        let mut c = p.fork(1);
-        let same = (0..64).filter(|_| p.next_u64() == c.next_u64()).count();
         assert!(same < 4);
     }
 

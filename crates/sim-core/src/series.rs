@@ -37,12 +37,6 @@ impl BinnedSeries {
             .sum();
         BitRate::from_bps((sum / (to - from) as u128) as u64)
     }
-
-    /// The rate of the bin containing time `t` (zero outside the series).
-    pub fn rate_at(&self, t: Nanos) -> BitRate {
-        let idx = (t.as_nanos() / self.bin.as_nanos()) as usize;
-        self.rates.get(idx).copied().unwrap_or(BitRate::ZERO)
-    }
 }
 
 /// Accumulates `(time, bits)` events for multiple named series into
@@ -134,11 +128,6 @@ impl SeriesRecorder {
         names
     }
 
-    /// Total bits recorded for `name` (zero if unknown).
-    pub fn total_bits(&self, name: &str) -> u64 {
-        self.slots_of(name).map_or(0, |slots| slots.iter().sum())
-    }
-
     /// Bins one series into fixed intervals of width `bin`, producing the
     /// average rate per bin up to the latest event recorded. Returns `None`
     /// for a series that recorded nothing.
@@ -180,29 +169,6 @@ impl SeriesRecorder {
             s.rates.resize(max_len, BitRate::ZERO);
         }
         all
-    }
-
-    /// Renders all series as an aligned text table of Gbps per bin — the
-    /// textual analogue of the paper's throughput-over-time figures.
-    pub fn render_table(&self, bin: Nanos) -> String {
-        let all = self.binned_all(bin);
-        let mut out = String::new();
-        out.push_str("time_s");
-        for s in &all {
-            out.push('\t');
-            out.push_str(&s.name);
-        }
-        out.push('\n');
-        let nbins = all.first().map(|s| s.rates.len()).unwrap_or(0);
-        for i in 0..nbins {
-            let t = bin.as_secs_f64() * i as f64;
-            out.push_str(&format!("{t:.1}"));
-            for s in &all {
-                out.push_str(&format!("\t{:.2}", s.rates[i].as_gbps()));
-            }
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -314,39 +280,18 @@ mod tests {
     }
 
     #[test]
-    fn rate_at_time() {
-        let s = BinnedSeries {
-            name: "x".into(),
-            bin: Nanos::from_secs(1),
-            rates: vec![BitRate::from_gbps(1.0), BitRate::from_gbps(2.0)],
-        };
-        assert_eq!(s.rate_at(Nanos::from_millis(500)), BitRate::from_gbps(1.0));
-        assert_eq!(
-            s.rate_at(Nanos::from_millis(1_500)),
-            BitRate::from_gbps(2.0)
-        );
-        assert_eq!(s.rate_at(Nanos::from_secs(10)), BitRate::ZERO);
-    }
-
-    #[test]
     fn totals_and_names() {
         let (mut rec, [b, a]) = recorder(["b", "a"]);
         rec.record(b, Nanos::ZERO, 10);
         rec.record(a, Nanos::ZERO, 5);
         rec.record(a, Nanos::ZERO, 5);
         assert_eq!(rec.names(), vec!["a", "b"]);
-        assert_eq!(rec.total_bits("a"), 10);
-        assert_eq!(rec.total_bits("b"), 10);
-        assert_eq!(rec.total_bits("zzz"), 0);
-    }
-
-    #[test]
-    fn render_table_has_header_and_rows() {
-        let (mut rec, [a]) = recorder(["a"]);
-        rec.record(a, Nanos::ZERO, 1000);
-        let table = rec.render_table(Nanos::from_micros(1));
-        let mut lines = table.lines();
-        assert_eq!(lines.next(), Some("time_s\ta"));
-        assert!(lines.next().is_some());
+        // 10 bits in one 100 ns slot, however many records they came in.
+        let slot = Nanos::from_nanos(100);
+        for name in ["a", "b"] {
+            let rates = rec.binned(name, slot).expect("recorded").rates;
+            assert_eq!(rates, [BitRate::from_bps(100_000_000)]);
+        }
+        assert!(rec.binned("zzz", slot).is_none());
     }
 }

@@ -7,10 +7,6 @@
 //! records, ledgers and counters can speak a single language; the old
 //! names survive as type aliases at their original paths.
 
-use std::sync::{Arc, OnceLock};
-
-use crate::{Counter, Registry};
-
 /// Why a packet was refused, anywhere in the pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DropCause {
@@ -32,7 +28,7 @@ pub enum DropCause {
 }
 
 impl DropCause {
-    /// Every cause, in a stable order (counter registration, docs).
+    /// Every cause, in a stable order.
     pub const ALL: [DropCause; 6] = [
         DropCause::NoTokens,
         DropCause::OverCeil,
@@ -51,18 +47,6 @@ impl DropCause {
             DropCause::OverBytes => "over_bytes",
             DropCause::TailDrop => "tail_drop",
             DropCause::CorruptDrop => "corrupt_drop",
-        }
-    }
-
-    /// Position in [`Self::ALL`].
-    fn slot(&self) -> usize {
-        match self {
-            DropCause::NoTokens => 0,
-            DropCause::OverCeil => 1,
-            DropCause::OverPkts => 2,
-            DropCause::OverBytes => 3,
-            DropCause::TailDrop => 4,
-            DropCause::CorruptDrop => 5,
         }
     }
 }
@@ -85,37 +69,6 @@ impl core::fmt::Display for DropCause {
 }
 
 impl std::error::Error for DropCause {}
-
-/// Lazily registered per-cause drop counters under a fixed prefix
-/// (`<prefix>.drop.<cause>`), following the fv-chaos convention: nothing
-/// is registered until the first drop of that cause actually happens, so
-/// snapshots of clean runs keep their schema.
-#[derive(Debug)]
-pub struct CauseCounters {
-    registry: Registry,
-    prefix: String,
-    slots: [OnceLock<Arc<Counter>>; 6],
-}
-
-impl CauseCounters {
-    /// Creates the lazy family; no counters are registered yet.
-    pub fn new(registry: &Registry, prefix: impl Into<String>) -> Self {
-        CauseCounters {
-            registry: registry.clone(),
-            prefix: prefix.into(),
-            slots: Default::default(),
-        }
-    }
-
-    /// Counts one drop of `cause`, registering the counter on first use.
-    pub fn incr(&self, cause: DropCause) {
-        let c = self.slots[cause.slot()].get_or_init(|| {
-            self.registry
-                .counter(&format!("{}.drop.{}", self.prefix, cause.name()))
-        });
-        c.incr();
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -142,22 +95,5 @@ mod tests {
             DropCause::CorruptDrop.to_string(),
             "traffic-manager corruption drop (injected fault)"
         );
-    }
-
-    #[test]
-    fn cause_counters_register_lazily() {
-        use sim_core::time::Nanos;
-
-        let registry = Registry::new();
-        let family = CauseCounters::new(&registry, "test.q");
-        assert!(registry
-            .snapshot(Nanos::ZERO)
-            .get("test.q.drop.over_pkts")
-            .is_none());
-        family.incr(DropCause::OverPkts);
-        family.incr(DropCause::OverPkts);
-        let snap = registry.snapshot(Nanos::ZERO);
-        assert_eq!(snap.counter("test.q.drop.over_pkts"), 2);
-        assert!(snap.get("test.q.drop.over_bytes").is_none());
     }
 }

@@ -16,9 +16,9 @@
 //! * [`Sampler`] — the one per-packet sampling decision: spans, per-packet
 //!   trace events and provenance are kept for the same one packet in 64;
 //!   counters, gauges, rate series and `nic.latency_ns` stay exact.
-//! * [`cause`] — the one [`DropCause`] taxonomy and its lazily registered
-//!   [`CauseCounters`], here so the NIC model and the qdisc baselines can
-//!   count drops by cause without depending on the auditor.
+//! * [`cause`] — the one [`DropCause`] taxonomy, here so the NIC model and
+//!   the qdisc baselines can name a drop's cause without depending on the
+//!   auditor.
 //! * [`json`] — a small JSON emitter ([`ToJson`]/[`JsonValue`]) behind the
 //!   `fv demo --json` exporter and the figure result files (this workspace
 //!   builds with no crates.io access, so there is no `serde_json`).
@@ -66,7 +66,7 @@ pub mod sampler;
 pub mod span;
 pub mod trace;
 
-pub use cause::{CauseCounters, DropCause};
+pub use cause::DropCause;
 pub use json::{JsonValue, ToJson};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, RateWindow};
 pub use registry::{MetricEntry, MetricValue, Registry, RegistryError, Snapshot};

@@ -60,7 +60,12 @@ fn run_case(with_flowvalve: bool) -> (f64, f64, f64) {
         },
     ];
     let report = run_open_loop(&mut nic, sources, Nanos::from_millis(20), 5);
-    let rpc_gbps = report.app_bits(AppId(0)) as f64 / Nanos::from_millis(20).as_secs_f64() / 1e9;
+    let rpc_bits = report
+        .per_app_bits
+        .iter()
+        .find(|(app, _)| *app == AppId(0))
+        .map_or(0, |&(_, bits)| bits);
+    let rpc_gbps = rpc_bits as f64 / Nanos::from_millis(20).as_secs_f64() / 1e9;
     (
         report.delay.mean() / 1e3,
         report.delay.std_dev() / 1e3,

@@ -75,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         s.offered,
         s.tx_packets,
         s.sched_drops,
-        100.0 * s.delivery_ratio()
+        100.0 * s.tx_packets as f64 / s.offered as f64
     );
     println!(
         "\napi was offered 4 Gbps and keeps strict priority; batch was offered\n\

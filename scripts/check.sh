@@ -1,13 +1,39 @@
 #!/usr/bin/env bash
-# Repo-wide gate: formatting, lints, release build, tier-1 tests (every
-# crate of the workspace), figure replay, CLI smokes, benchmark smoke and
-# the benchmark's own tests.
+# Repo-wide gate: formatting, reachability, lints, release build, tier-1
+# tests (every crate of the workspace), figure replay, CLI smokes,
+# benchmark smoke and the benchmark's own tests.
 # Run from anywhere; operates on the workspace root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> cargo fmt --check"
 cargo fmt --check
+
+echo "==> reachability (every pub fn of crates/*/src has a non-test caller)"
+# DESIGN.md "Reachability": a public function that nothing but tests calls
+# is deleted or made pub(crate) in the PR that orphans it; there is no
+# allowlist. Name-based on purpose: cut each file at its first
+# #[cfg(test)], collect `pub fn` names outside src/bin, and fail on any
+# name that occurs nowhere else in the non-test text of crates/*/src and
+# benchmark/src.
+python3 - <<'PY'
+import glob, re, sys
+paths = glob.glob("crates/*/src/**/*.rs", recursive=True) + glob.glob("benchmark/src/**/*.rs", recursive=True)
+text = {p: open(p).read().split("#[cfg(test)]")[0] for p in paths}
+uses, defs = {}, {}
+for path, src in text.items():
+    for word in re.findall(r"\w+", src):
+        uses[word] = uses.get(word, 0) + 1
+    if path.startswith("crates/") and "/src/bin/" not in path:
+        for name in re.findall(r"\bpub fn (\w+)", src):
+            defs[name] = defs.get(name, 0) + 1
+dead = sorted(name for name, n in defs.items() if uses[name] <= n)
+for name in dead:
+    where = sorted(p for p, src in text.items() if re.search(rf"\bpub fn {name}\b", src))
+    print(f"  {name}  ({', '.join(where)})")
+print(f"reachability: {len(dead)} pub fn(s) with no non-test caller")
+sys.exit(1 if dead else 0)
+PY
 
 echo "==> cargo clippy --workspace -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

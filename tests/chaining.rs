@@ -1,13 +1,9 @@
-//! Integration: qdisc chaining across crates, plus pcap export of the
-//! surviving traffic.
+//! Integration: qdisc chaining across crates.
 
 use flowvalve::chain::{ChainLabel, QdiscChain};
 use flowvalve::label::ClassId;
 use flowvalve::sched::{NoObserver, RealExec};
 use flowvalve::tree::{ClassSpec, SchedulingTree, TreeParams};
-use netstack::flow::FlowKey;
-use netstack::packet::{AppId, Packet, VfPort};
-use netstack::trace::PcapWriter;
 use sim_core::time::Nanos;
 use sim_core::units::BitRate;
 use std::sync::Arc;
@@ -77,47 +73,4 @@ fn prio_tree_chained_with_rate_tree() {
     );
     assert!(lo_g < 0.8, "lo was not starved: {lo_g} Gbps");
     assert!(hi_g + lo_g < 2.5, "cap exceeded: {}", hi_g + lo_g);
-}
-
-#[test]
-fn surviving_traffic_exports_to_pcap() {
-    // Schedule packets through a tree and write the survivors to a pcap
-    // buffer; the trace must parse back as valid frames.
-    let tree = SchedulingTree::build(
-        vec![
-            ClassSpec::new(ClassId(1), "root", None).rate(BitRate::from_gbps(1.0)),
-            ClassSpec::new(ClassId(10), "only", Some(ClassId(1))),
-        ],
-        TreeParams::default(),
-    )
-    .expect("tree builds");
-    let label = tree.label(ClassId(10), &[]).expect("leaf exists");
-    let flow = FlowKey::tcp([10, 0, 0, 1], 40_000, [10, 0, 255, 1], 443);
-
-    let mut buf = Vec::new();
-    let mut pcap = PcapWriter::with_snaplen(&mut buf, 128).expect("header writes");
-    let mut exec = RealExec;
-    let mut now = Nanos::ZERO;
-    let mut written = 0u64;
-    for i in 0..5_000u64 {
-        now += Nanos::from_micros(6); // 2 Gbps offered against 1 Gbps
-        let pkt = Packet::new(i, flow, 1_518, AppId(0), VfPort(0), now);
-        if tree
-            .schedule(&label, pkt.frame_bits(), now, &mut exec)
-            .passes()
-        {
-            pcap.write_packet(&pkt, now).expect("record writes");
-            written += 1;
-        }
-    }
-    assert_eq!(pcap.packets(), written);
-    // Roughly half survive the 2:1 oversubscription.
-    let ratio = written as f64 / 5_000.0;
-    assert!((0.35..0.7).contains(&ratio), "pass ratio {ratio}");
-    // The buffer is a structurally valid pcap: global header + records.
-    assert_eq!(buf.len() as u64, 24 + written * (16 + 128));
-    // And the first embedded frame parses.
-    let first = &buf[24 + 16..24 + 16 + 128];
-    let parsed = netstack::headers::parse_frame(first).expect("valid frame");
-    assert_eq!(parsed.flow.dst_port, 443);
 }

@@ -1,6 +1,5 @@
-//! Cross-stack integration: raw frame bytes → header parsing → the
-//! classifier → QoS labels → the scheduling function → the NIC model.
-//! Exercises the byte-level path the fast simulation normally skips.
+//! Cross-stack integration: flow keys → the classifier → QoS labels →
+//! the scheduling function → the NIC model.
 
 use classifier::{CacheResult, Classifier, FilterRule, FlowMatch};
 use flowvalve::frontend::Policy;
@@ -8,7 +7,6 @@ use flowvalve::label::{ClassId, QosLabel};
 use flowvalve::pipeline::FlowValvePipeline;
 use flowvalve::tree::TreeParams;
 use netstack::flow::FlowKey;
-use netstack::headers::{encode_frame, parse_frame};
 use netstack::packet::{AppId, Packet, VfPort};
 use np_sim::config::NicConfig;
 use np_sim::nic::{RxOutcome, SmartNic};
@@ -16,17 +14,10 @@ use sim_core::time::Nanos;
 
 #[test]
 fn bytes_to_label_to_verdict() {
-    // 1. Build frames as raw bytes and parse them back.
     let kvs_flow = FlowKey::tcp([10, 0, 1, 1], 41_000, [10, 0, 255, 1], 5001);
     let bulk_flow = FlowKey::tcp([10, 0, 1, 2], 41_001, [10, 0, 255, 1], 9999);
-    let kvs_bytes = encode_frame(&kvs_flow, 512, 0).expect("kvs frame encodes");
-    let bulk_bytes = encode_frame(&bulk_flow, 1518, 0).expect("bulk frame encodes");
-    let kvs_parsed = parse_frame(&kvs_bytes).expect("kvs frame parses");
-    let bulk_parsed = parse_frame(&bulk_bytes).expect("bulk frame parses");
-    assert_eq!(kvs_parsed.flow, kvs_flow);
-    assert_eq!(bulk_parsed.flow, bulk_flow);
 
-    // 2. Classify the parsed flows into QoS labels.
+    // 1. Classify the flows into QoS labels.
     let policy = Policy::parse(
         "fv qdisc add dev nic0 root handle 1: fv\n\
          fv class add dev nic0 parent root classid 1:1 rate 10gbit\n\
@@ -42,14 +33,14 @@ fn bytes_to_label_to_verdict() {
         cls.add_rule(r);
     }
 
-    let (label, result) = cls.classify(&kvs_parsed.flow, VfPort(0));
+    let (label, result) = cls.classify(&kvs_flow, VfPort(0));
     assert_eq!(result, CacheResult::Miss);
     assert_eq!(label.expect("kvs matched").leaf(), ClassId(10));
-    let (label, _) = cls.classify(&bulk_parsed.flow, VfPort(0));
+    let (label, _) = cls.classify(&bulk_flow, VfPort(0));
     assert_eq!(label.expect("bulk matched").leaf(), ClassId(20));
 
-    // 3. The second lookup of the same flow hits the cache.
-    let (_, result) = cls.classify(&kvs_parsed.flow, VfPort(0));
+    // 2. The second lookup of the same flow hits the cache.
+    let (_, result) = cls.classify(&kvs_flow, VfPort(0));
     assert_eq!(result, CacheResult::Hit);
     let _ = tree;
 }

@@ -8,33 +8,11 @@
 use flowvalve::label::ClassId;
 use flowvalve::sched::RealExec;
 use flowvalve::tree::{ClassSpec, SchedulingTree, TreeParams};
-use netstack::headers::{encode_frame, parse_frame};
 use sim_core::event::EventQueue;
 use sim_core::fixed::{TokenRate, Tokens};
 use sim_core::rng::SimRng;
 use sim_core::time::Nanos;
 use sim_core::units::{BitRate, WireFraming};
-
-/// Frame encode → parse is the identity on the flow tuple for any ports,
-/// addresses, and representable length.
-#[test]
-fn frame_codec_roundtrips() {
-    let mut rng = SimRng::seed(0xF0A3);
-    for _ in 0..256 {
-        let src: [u8; 4] = rng.next_u64().to_le_bytes()[..4].try_into().unwrap();
-        let dst: [u8; 4] = rng.next_u64().to_le_bytes()[..4].try_into().unwrap();
-        let sport = rng.range(0, 1 << 16) as u16;
-        let dport = rng.range(0, 1 << 16) as u16;
-        let len = rng.range(64, 1600) as usize;
-        let dscp = rng.range(0, 64) as u8;
-        let flow = netstack::flow::FlowKey::tcp(src, sport, dst, dport);
-        let bytes = encode_frame(&flow, len, dscp).expect("own encoding succeeds");
-        let parsed = parse_frame(&bytes).expect("own encoding parses");
-        assert_eq!(parsed.flow, flow);
-        assert_eq!(parsed.frame_len, len);
-        assert_eq!(parsed.dscp, dscp);
-    }
-}
 
 /// Fixed-point rate conversion roundtrips within 0.1% across nine decades
 /// of bandwidth.
