@@ -20,7 +20,8 @@ use fv_telemetry::{Registry, Sampler, Snapshot, Stage, TraceEvent, TraceKind, ST
 use netstack::flow::FlowKey;
 use netstack::packet::{AppId, Packet, VfPort};
 use np_sim::config::NicConfig;
-use np_sim::nic::{RxOutcome, SmartNic};
+use np_sim::lock::{LockStats, PerLockStats};
+use np_sim::nic::{NicStats, RxOutcome, SmartNic};
 use sim_core::rng::SimRng;
 use sim_core::time::Nanos;
 
@@ -46,6 +47,10 @@ struct Offered {
 struct Observed {
     stream: Vec<Offered>,
     snapshot: Snapshot,
+    /// The NIC's own view of its tallies.
+    nic: NicStats,
+    locks: LockStats,
+    per_lock: Vec<PerLockStats>,
     /// The registry's per-packet decision.
     sampler: Sampler,
     /// Every trace event of the run (the ring never wrapped).
@@ -54,27 +59,21 @@ struct Observed {
     provenance: Arc<ProvenanceRing>,
 }
 
-fn run() -> Observed {
-    let cfg = NicConfig::agilio_cx_40g();
+fn pipeline(cfg: &NicConfig) -> FlowValvePipeline {
     let policy = Policy::parse(POLICY).expect("policy parses");
-    let mut pipeline =
-        FlowValvePipeline::compile(&policy, TreeParams::default(), &cfg).expect("policy compiles");
-    // Deep enough to retain every event of the run, so "an unsampled id
-    // has none" is checked against everything that was ever recorded.
-    let registry = Registry::with_ring_capacity(1 << 19);
-    pipeline.attach_telemetry(&registry);
-    let sampler = registry.sampler();
-    let provenance = Arc::new(ProvenanceRing::sampled(4096, sampler.shift()));
-    pipeline.attach_auditor(provenance.clone(), sampler);
-    let mut nic = SmartNic::with_registry(cfg, Box::new(pipeline), &registry);
+    FlowValvePipeline::compile(&policy, TreeParams::default(), cfg).expect("policy compiles")
+}
 
-    // MTU frames at ~2x line rate (the TM FIFO fills and tail-drops), then
-    // 64 B frames at ~5x the compute bound (the receive ring overflows),
-    // then MTU frames under line rate. A quarter of each is VF 1's small
-    // class, one packet in twenty its lender.
+/// Offers the seeded stream to `nic`; returns it with the last arrival.
+///
+/// MTU frames at ~2x line rate (the TM FIFO fills and tail-drops), then
+/// 64 B frames at ~5x the compute bound (the receive ring overflows),
+/// then MTU frames under line rate. A quarter of each is VF 1's small
+/// class, one packet in twenty its lender.
+fn offer(nic: &mut SmartNic) -> (Vec<Offered>, Nanos) {
     let mut rng = SimRng::seed(0x5a3b_1e64);
     let mut t = Nanos::ZERO;
-    let stream: Vec<Offered> = (0..PACKETS)
+    let stream = (0..PACKETS)
         .map(|id| {
             let (len, gap) = match id {
                 0..=19_999 => (1518, rng.range(60, 240)),
@@ -93,6 +92,21 @@ fn run() -> Observed {
             Offered { pkt, outcome }
         })
         .collect();
+    (stream, t)
+}
+
+fn run() -> Observed {
+    let cfg = NicConfig::agilio_cx_40g();
+    let mut pipeline = pipeline(&cfg);
+    // Deep enough to retain every event of the run, so "an unsampled id
+    // has none" is checked against everything that was ever recorded.
+    let registry = Registry::with_ring_capacity(1 << 19);
+    pipeline.attach_telemetry(&registry);
+    let sampler = registry.sampler();
+    let provenance = Arc::new(ProvenanceRing::sampled(4096, sampler.shift()));
+    pipeline.attach_auditor(provenance.clone(), sampler);
+    let mut nic = SmartNic::with_registry(cfg, Box::new(pipeline), &registry);
+    let (stream, t) = offer(&mut nic);
     nic.sync_gauges(t);
     let ring = registry.ring();
     assert!(
@@ -102,6 +116,9 @@ fn run() -> Observed {
     Observed {
         stream,
         snapshot: registry.snapshot(t),
+        nic: nic.stats(),
+        locks: nic.lock_stats(),
+        per_lock: nic.per_lock_stats().to_vec(),
         sampler,
         events: ring.recent(ring.capacity()),
         provenance,
@@ -115,7 +132,12 @@ fn count(stream: &[Offered], keep: impl Fn(&RxOutcome) -> bool) -> u64 {
 #[test]
 fn counters_are_exact_on_an_observed_nic() {
     let Observed {
-        stream, snapshot, ..
+        stream,
+        snapshot,
+        nic,
+        locks,
+        per_lock,
+        ..
     } = run();
     let rx_drops = count(&stream, |o| matches!(o, RxOutcome::RxDrop));
     let sched_drops = count(&stream, |o| matches!(o, RxOutcome::SchedDrop { .. }));
@@ -132,11 +154,56 @@ fn counters_are_exact_on_an_observed_nic() {
         ("nic.sched_drops", sched_drops),
         ("nic.tail_drops", tail_drops),
         ("nic.tx_packets", transmitted),
-        ("tm.fifo.tx_packets", transmitted),
-        ("tm.fifo.tail_drops", tail_drops),
     ] {
         assert_eq!(snapshot.counter(name), tally, "{name}");
     }
+    // The FIFO's cells and the NIC's count the same departures and drops,
+    // and `stats()` reads what the registry holds.
+    for (fifo, nic_name, tally) in [
+        ("tm.fifo.tx_packets", "nic.tx_packets", nic.tx_packets),
+        ("tm.fifo.tx_bits", "nic.tx_bits", nic.tx_bits),
+        ("tm.fifo.tail_drops", "nic.tail_drops", nic.tail_drops),
+    ] {
+        assert_eq!(snapshot.counter(fifo), tally, "{fifo}");
+        assert_eq!(snapshot.counter(nic_name), tally, "{nic_name}");
+    }
+    assert!(nic.tx_bits > 0);
+
+    // Lock tallies: the registry, `lock_stats()` and the sums over the
+    // per-lock rows are one count, and an unobserved NIC offered the same
+    // stream arrives at it too.
+    assert!(locks.try_acquired > 0 && locks.try_failed > 0, "{locks:?}");
+    for (name, tally, summed) in [
+        (
+            "lock.try_acquired",
+            locks.try_acquired,
+            per_lock.iter().map(|r| r.acquires).sum::<u64>(),
+        ),
+        (
+            "lock.try_failed",
+            locks.try_failed,
+            per_lock.iter().map(|r| r.try_failed).sum(),
+        ),
+        (
+            "lock.contended",
+            locks.contended,
+            per_lock.iter().map(|r| r.contended).sum(),
+        ),
+        (
+            "lock.wait_ns",
+            locks.wait_total.as_nanos(),
+            per_lock.iter().map(|r| r.wait_total.as_nanos()).sum(),
+        ),
+    ] {
+        assert_eq!(snapshot.counter(name), tally, "{name}");
+        assert_eq!(summed, tally, "{name} against the per-lock rows");
+    }
+    let cfg = NicConfig::agilio_cx_40g();
+    let mut bare = SmartNic::new(cfg.clone(), Box::new(pipeline(&cfg)));
+    offer(&mut bare);
+    assert_eq!(bare.lock_stats(), locks);
+    assert_eq!(bare.per_lock_stats(), per_lock);
+    assert_eq!(bare.stats(), nic);
 
     // Every packet that reached `decide` has exactly one class verdict.
     let verdicts = |suffix: &str| -> u64 {
@@ -185,6 +252,7 @@ fn a_packet_has_all_of_its_records_or_none() {
         sampler,
         events,
         provenance,
+        ..
     } = run();
     let sampled: Vec<&Offered> = stream.iter().filter(|o| sampler.hit(o.pkt.id)).collect();
     assert_eq!(sampled.len() as u64, PACKETS >> sampler.shift());

@@ -822,8 +822,39 @@ mod tests {
             ("nic.tail_drops", s.tail_drops),
             ("nic.tx_packets", s.tx_packets),
             ("nic.tx_bits", s.tx_bits),
+            ("tm.fifo.tx_packets", s.tx_packets),
+            ("tm.fifo.tx_bits", s.tx_bits),
+            ("tm.fifo.tail_drops", s.tail_drops),
         ] {
             assert_eq!(snap.counter(name), tally, "{name}");
+        }
+        // So do the lock tallies: the registry, `lock_stats()` (equal on
+        // both NICs, above) and the sums over the per-lock rows.
+        let rows = seen.per_lock_stats();
+        for (name, tally, summed) in [
+            (
+                "lock.try_acquired",
+                l.try_acquired,
+                rows.iter().map(|r| r.acquires).sum::<u64>(),
+            ),
+            (
+                "lock.try_failed",
+                l.try_failed,
+                rows.iter().map(|r| r.try_failed).sum(),
+            ),
+            (
+                "lock.contended",
+                l.contended,
+                rows.iter().map(|r| r.contended).sum(),
+            ),
+            (
+                "lock.wait_ns",
+                l.wait_total.as_nanos(),
+                rows.iter().map(|r| r.wait_total.as_nanos()).sum(),
+            ),
+        ] {
+            assert_eq!(snap.counter(name), tally, "{name}");
+            assert_eq!(summed, tally, "{name} against the per-lock rows");
         }
         assert_eq!(s.fault_drops, 0);
         assert_eq!(
