@@ -59,7 +59,8 @@ pub mod label;
 pub mod pipeline;
 pub mod program;
 pub mod sched;
-pub mod snapshot;
+#[cfg(test)]
+mod snapshot;
 pub mod tree;
 
 pub use bucket::{Color, TokenBucket};
@@ -70,5 +71,4 @@ pub use label::{ClassId, QosLabel};
 pub use pipeline::{FlowValvePipeline, LockDiscipline};
 pub use program::{ChainId, CompiledProgram};
 pub use sched::{Exec, GlobalLockExec, RealExec, SchedVerdict, SimExec};
-pub use snapshot::{ClassSnapshot, TreeSnapshot};
 pub use tree::{ClassCounters, ClassSpec, SchedulingTree, TreeParams};

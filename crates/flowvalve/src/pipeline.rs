@@ -93,7 +93,8 @@ impl PipelineTelemetry {
     /// Counts the verdict (every packet) and traces it (sampled packets).
     /// The leaf's channels are found through the node index its chain
     /// ends in, a lender's through the tree's direct-indexed id table: no
-    /// hashing either way.
+    /// hashing either way. The counts are single-writer adds: the one
+    /// caller is `decide`, from behind the pipeline's `&mut self`.
     fn record(
         &self,
         now: Nanos,
@@ -107,24 +108,24 @@ impl PipelineTelemetry {
         let (kind, b) = match verdict {
             SchedVerdict::Forward => {
                 if let Some(c) = leaf_channels {
-                    c.forwarded.incr();
-                    c.tx_bits.add(wire_bits);
+                    c.forwarded.add_single_writer(1);
+                    c.tx_bits.add_single_writer(wire_bits);
                 }
                 (TraceKind::SchedForward, wire_bits)
             }
             SchedVerdict::Borrowed(lender) => {
                 if let Some(c) = leaf_channels {
-                    c.borrowed.incr();
-                    c.tx_bits.add(wire_bits);
+                    c.borrowed.add_single_writer(1);
+                    c.tx_bits.add_single_writer(wire_bits);
                 }
                 if let Some(c) = tree.node_index(lender).and_then(|i| self.per_class.get(i)) {
-                    c.lent.incr();
+                    c.lent.add_single_writer(1);
                 }
                 (TraceKind::SchedBorrow, lender.0 as u64)
             }
             SchedVerdict::Drop => {
                 if let Some(c) = leaf_channels {
-                    c.dropped.incr();
+                    c.dropped.add_single_writer(1);
                 }
                 (TraceKind::SchedDrop, wire_bits)
             }

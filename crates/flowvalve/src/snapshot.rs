@@ -2,12 +2,11 @@
 //!
 //! A consistent read of every class's configured policy, published rate
 //! θ, measured rate Γ, and data-path counters, gathered with plain atomic
-//! loads — the same wait-free reads the data plane uses. Today's one
-//! reader is the differential test of the scheduling engine
-//! (`sched::tests`), which compares two trees snapshot for snapshot; no
-//! `fv` subcommand prints from it (DESIGN.md §17).
+//! loads — the same wait-free reads the data plane uses. Test-only: it is
+//! the whole-tree equality probe of the scheduling engine's differential
+//! test (`sched::tests::admit_matches_reference_on_random_trees`), which
+//! compares two trees snapshot for snapshot (DESIGN.md §17).
 
-use fv_telemetry::json::{JsonValue, ToJson};
 use sim_core::time::Nanos;
 use sim_core::units::BitRate;
 
@@ -42,28 +41,6 @@ pub struct ClassSnapshot {
 }
 
 /// A whole-tree snapshot.
-///
-/// # Example
-///
-/// ```
-/// use flowvalve::label::ClassId;
-/// use flowvalve::snapshot::TreeSnapshot;
-/// use flowvalve::tree::{ClassSpec, SchedulingTree, TreeParams};
-/// use sim_core::time::Nanos;
-/// use sim_core::units::BitRate;
-///
-/// let tree = SchedulingTree::build(
-///     vec![
-///         ClassSpec::new(ClassId(1), "root", None).rate(BitRate::from_gbps(10.0)),
-///         ClassSpec::new(ClassId(10), "leaf", Some(ClassId(1))),
-///     ],
-///     TreeParams::default(),
-/// )?;
-/// let snap = TreeSnapshot::capture(&tree, Nanos::ZERO);
-/// assert_eq!(snap.classes.len(), 2);
-/// assert_eq!(snap.class(ClassId(10)).expect("leaf present").name, "leaf");
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct TreeSnapshot {
     /// Snapshot instant.
@@ -106,57 +83,6 @@ impl TreeSnapshot {
     pub fn class(&self, id: ClassId) -> Option<&ClassSnapshot> {
         self.classes.iter().find(|c| c.id == id)
     }
-
-    /// Renders the snapshot as an aligned text table.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "{:<10} {:<12} {:>12} {:>12} {:>9} {:>9} {:>9}\n",
-            "class", "name", "theta", "gamma", "fwd", "borrowed", "dropped"
-        );
-        for c in &self.classes {
-            out.push_str(&format!(
-                "{:<10} {:<12} {:>12} {:>12} {:>9} {:>9} {:>9}\n",
-                c.id.to_string(),
-                c.name,
-                c.theta.to_string(),
-                c.gamma.to_string(),
-                c.counters.forwarded,
-                c.counters.borrowed,
-                c.counters.dropped
-            ));
-        }
-        out
-    }
-}
-
-impl ToJson for ClassSnapshot {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::obj([
-            ("id", self.id.to_string().to_json()),
-            ("name", self.name.to_json()),
-            ("parent", self.parent.map(|p| p.to_string()).to_json()),
-            ("prio", self.prio.to_json()),
-            ("weight", self.weight.to_json()),
-            ("rate_bps", self.rate.map(|r| r.as_bps()).to_json()),
-            ("ceil_bps", self.ceil.map(|r| r.as_bps()).to_json()),
-            ("theta_bps", self.theta.as_bps().to_json()),
-            ("gamma_bps", self.gamma.as_bps().to_json()),
-            ("active", self.active.to_json()),
-            ("forwarded", self.counters.forwarded.to_json()),
-            ("borrowed", self.counters.borrowed.to_json()),
-            ("dropped", self.counters.dropped.to_json()),
-            ("lent", self.counters.lent.to_json()),
-        ])
-    }
-}
-
-impl ToJson for TreeSnapshot {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::obj([
-            ("at_ns", self.at.as_nanos().to_json()),
-            ("classes", self.classes.to_json()),
-        ])
-    }
 }
 
 #[cfg(test)]
@@ -197,32 +123,5 @@ mod tests {
         assert_eq!(b.ceil, Some(BitRate::from_gbps(1.0)));
         assert!(!b.active);
         assert_eq!(b.counters.forwarded + b.counters.dropped, 0);
-    }
-
-    #[test]
-    fn snapshot_serializes() {
-        let t = tree();
-        let snap = TreeSnapshot::capture(&t, Nanos::ZERO);
-        let doc = snap.to_json();
-        let json = doc.to_compact();
-        assert!(json.contains("\"root\""));
-        let classes = doc
-            .get("classes")
-            .and_then(JsonValue::as_arr)
-            .expect("classes");
-        assert_eq!(classes.len(), 3);
-        let root = &classes[0];
-        assert_eq!(root.get("name").and_then(JsonValue::as_str), Some("root"));
-        assert_eq!(
-            root.get("theta_bps").and_then(JsonValue::as_u64),
-            Some(snap.classes[0].theta.as_bps())
-        );
-    }
-
-    #[test]
-    fn render_has_one_row_per_class_plus_header() {
-        let t = tree();
-        let snap = TreeSnapshot::capture(&t, Nanos::ZERO);
-        assert_eq!(snap.render().lines().count(), 4);
     }
 }

@@ -658,7 +658,7 @@ impl SchedulingTree {
     }
 
     /// Monotonic count of state rolls: incremented on every completed
-    /// rate-estimation epoch ([`Self::update_node`] past the interval
+    /// rate-estimation epoch (a class update past the interval
     /// floor) and every shadow epoch (borrowing-state change). Provenance
     /// records carry it.
     pub fn epoch(&self) -> u64 {

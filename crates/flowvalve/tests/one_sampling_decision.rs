@@ -173,31 +173,20 @@ fn counters_are_exact_on_an_observed_nic() {
     // per-lock rows are one count, and an unobserved NIC offered the same
     // stream arrives at it too.
     assert!(locks.try_acquired > 0 && locks.try_failed > 0, "{locks:?}");
-    for (name, tally, summed) in [
-        (
-            "lock.try_acquired",
-            locks.try_acquired,
-            per_lock.iter().map(|r| r.acquires).sum::<u64>(),
-        ),
-        (
-            "lock.try_failed",
-            locks.try_failed,
-            per_lock.iter().map(|r| r.try_failed).sum(),
-        ),
-        (
-            "lock.contended",
-            locks.contended,
-            per_lock.iter().map(|r| r.contended).sum(),
-        ),
-        (
-            "lock.wait_ns",
-            locks.wait_total.as_nanos(),
-            per_lock.iter().map(|r| r.wait_total.as_nanos()).sum(),
-        ),
-    ] {
-        assert_eq!(snapshot.counter(name), tally, "{name}");
-        assert_eq!(summed, tally, "{name} against the per-lock rows");
-    }
+    let summed = LockStats {
+        try_acquired: per_lock.iter().map(|r| r.acquires).sum(),
+        try_failed: per_lock.iter().map(|r| r.try_failed).sum(),
+        contended: per_lock.iter().map(|r| r.contended).sum(),
+        wait_total: per_lock.iter().map(|r| r.wait_total).sum(),
+    };
+    let registered = LockStats {
+        try_acquired: snapshot.counter("lock.try_acquired"),
+        try_failed: snapshot.counter("lock.try_failed"),
+        contended: snapshot.counter("lock.contended"),
+        wait_total: Nanos::from_nanos(snapshot.counter("lock.wait_ns")),
+    };
+    assert_eq!(summed, locks);
+    assert_eq!(registered, locks);
     let cfg = NicConfig::agilio_cx_40g();
     let mut bare = SmartNic::new(cfg.clone(), Box::new(pipeline(&cfg)));
     offer(&mut bare);
@@ -361,7 +350,6 @@ fn a_packet_has_all_of_its_records_or_none() {
         let n = sampled.iter().filter(|o| match stage {
             Stage::Ingress | Stage::Classify | Stage::Sched => decided(o),
             Stage::TmQueue | Stage::Wire => matches!(o.outcome, RxOutcome::Transmit { .. }),
-            Stage::Queue => false,
         });
         n.count() as u64
     };

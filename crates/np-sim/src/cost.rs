@@ -7,9 +7,9 @@
 //! same scheduling code can be re-costed under different hardware
 //! assumptions.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use fv_telemetry::Counter;
 use sim_core::time::Cycles;
 
 use crate::config::CycleCosts;
@@ -40,7 +40,7 @@ pub enum Op {
 }
 
 impl Op {
-    /// Every operation, in [`Op::index`] order.
+    /// Every operation, in the order [`CycleAttr::cells`] lists them.
     pub const ALL: [Op; 9] = [
         Op::Parse,
         Op::ClassifyHit,
@@ -159,14 +159,15 @@ impl AttrCell {
 ///
 /// Attached to a [`CostMeter`] ([`CostMeter::attach_attr`]), every charge
 /// folds into the cell addressed by the meter's current attribution
-/// context. Cells are relaxed atomics so the array can be shared
-/// (`Arc`) between the simulator and the reporting side; under the
-/// single-threaded discrete-event simulation the folding order is
-/// deterministic, so the same seed yields a byte-identical profile.
+/// context. Cells are [`Counter`]s so the array can be shared (`Arc`)
+/// between the one meter that writes it and the reporting side that reads
+/// it; under the single-threaded discrete-event simulation the folding
+/// order is deterministic, so the same seed yields a byte-identical
+/// profile.
 pub struct CycleAttr {
     workers: usize,
-    cycles: Vec<AtomicU64>,
-    counts: Vec<AtomicU64>,
+    cycles: Vec<Counter>,
+    counts: Vec<Counter>,
 }
 
 impl CycleAttr {
@@ -176,8 +177,8 @@ impl CycleAttr {
         let slots = ATTR_STAGES.len() * OP_SLOTS * (workers + 1);
         CycleAttr {
             workers,
-            cycles: (0..slots).map(|_| AtomicU64::new(0)).collect(),
-            counts: (0..slots).map(|_| AtomicU64::new(0)).collect(),
+            cycles: (0..slots).map(|_| Counter::new()).collect(),
+            counts: (0..slots).map(|_| Counter::new()).collect(),
         }
     }
 
@@ -191,15 +192,17 @@ impl CycleAttr {
         (w * ATTR_STAGES.len() + stage) * OP_SLOTS + op
     }
 
+    /// Single-writer adds: the one writer is the [`CostMeter`] the array
+    /// is attached to, charging from behind its `&mut self`.
     fn record(&self, stage: usize, op: usize, worker: usize, cycles: u64, n: u64) {
         let i = self.slot(stage, op, worker);
-        self.cycles[i].fetch_add(cycles, Ordering::Relaxed);
-        self.counts[i].fetch_add(n, Ordering::Relaxed);
+        self.cycles[i].add_single_writer(cycles);
+        self.counts[i].add_single_writer(n);
     }
 
     /// Total cycles attributed across all cells.
     pub fn total_cycles(&self) -> u64 {
-        self.cycles.iter().map(|c| c.load(Ordering::Relaxed)).sum()
+        self.cycles.iter().map(Counter::total).sum()
     }
 
     /// Every non-zero cell, ordered by `(worker, stage, op)` — a
@@ -210,8 +213,8 @@ impl CycleAttr {
             for (si, stage) in ATTR_STAGES.iter().enumerate() {
                 for op in 0..OP_SLOTS {
                     let i = (worker * ATTR_STAGES.len() + si) * OP_SLOTS + op;
-                    let cycles = self.cycles[i].load(Ordering::Relaxed);
-                    let count = self.counts[i].load(Ordering::Relaxed);
+                    let cycles = self.cycles[i].total();
+                    let count = self.counts[i].total();
                     if cycles == 0 && count == 0 {
                         continue;
                     }
@@ -226,16 +229,6 @@ impl CycleAttr {
             }
         }
         out
-    }
-
-    /// Clears every cell.
-    pub fn reset(&self) {
-        for c in &self.cycles {
-            c.store(0, Ordering::Relaxed);
-        }
-        for c in &self.counts {
-            c.store(0, Ordering::Relaxed);
-        }
     }
 }
 
@@ -283,7 +276,8 @@ impl CostMeter {
     }
 
     /// Attaches a shared attribution array; subsequent charges fold into
-    /// it under the current `(stage, worker)` context.
+    /// it under the current `(stage, worker)` context. One meter per
+    /// array: its cells take single-writer adds.
     pub fn attach_attr(&mut self, attr: Arc<CycleAttr>) {
         self.attr = Some(attr);
     }
@@ -427,10 +421,6 @@ mod tests {
         assert_eq!(cells[2].op, None);
         assert_eq!(cells[2].op_name(), "raw");
         assert_eq!(cells[2].cycles, 50);
-
-        attr.reset();
-        assert_eq!(attr.total_cycles(), 0);
-        assert!(attr.cells().is_empty());
     }
 
     #[test]

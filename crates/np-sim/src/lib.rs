@@ -41,6 +41,10 @@ pub mod nic;
 pub mod tm;
 pub mod tm_multi;
 
+use std::sync::Arc;
+
+use fv_telemetry::{Counter, Registry};
+
 pub use config::{CycleCosts, NicConfig};
 pub use cost::{AttrCell, AttrStage, CostMeter, CycleAttr, Op, ATTR_STAGES};
 pub use fault::{FaultInjector, TmFault};
@@ -48,3 +52,15 @@ pub use lock::{LockId, LockTable, PerLockStats};
 pub use nic::{Decision, EgressDecider, NicStats, PassthroughDecider, RxOutcome, SmartNic};
 pub use tm::{TmDrop, TxFifo};
 pub use tm_multi::{HwQueueConfig, MultiQueueTm};
+
+/// Moves one exact tally into `registry`: `cell` becomes the registered
+/// counter `name`, which takes over what `cell` had counted. A component
+/// keeps one cell per event — its own until a registry is attached, the
+/// registry's from then on — never a second count beside it.
+pub(crate) fn register_cell(registry: &Registry, name: &str, cell: &mut Arc<Counter>) {
+    let registered = registry.counter(name);
+    if !Arc::ptr_eq(cell, &registered) {
+        registered.add(cell.total());
+        *cell = registered;
+    }
+}

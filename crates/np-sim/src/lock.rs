@@ -25,7 +25,8 @@ use crate::fault::FaultInjector;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LockId(pub u32);
 
-/// Statistics about lock behaviour, for the ablation benches.
+/// Statistics about lock behaviour, for the ablation benches: a snapshot
+/// view [`LockTable::stats`] materializes from the table's four tallies.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LockStats {
     /// Successful `try_acquire` calls.
@@ -54,14 +55,10 @@ pub struct PerLockStats {
     pub hold_total: Nanos,
 }
 
-/// Registry-backed handles mirroring [`LockStats`], plus a wait-time
-/// histogram and `LockWait` trace events. Recording is relaxed-atomic only.
-#[derive(Debug, Clone)]
+/// What only an observed table records: a wait-time histogram and
+/// `LockWait` trace events.
+#[derive(Debug)]
 struct LockTelemetry {
-    try_acquired: Arc<Counter>,
-    try_failed: Arc<Counter>,
-    contended: Arc<Counter>,
-    wait_ns: Arc<Counter>,
     wait_hist: Arc<Histogram>,
     ring: Arc<EventRing>,
 }
@@ -83,10 +80,16 @@ struct LockTelemetry {
 /// // Free again at t=100.
 /// assert!(locks.try_acquire(LockId(0), Nanos::from_nanos(100), hold));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct LockTable {
     free_at: Vec<Nanos>,
-    stats: LockStats,
+    /// The four [`LockStats`] tallies, the single count of each event:
+    /// free-standing until [`LockTable::attach_telemetry`] swaps in the
+    /// registry's `lock.*` cells. Written only from `&mut self`.
+    try_acquired: Arc<Counter>,
+    try_failed: Arc<Counter>,
+    contended: Arc<Counter>,
+    wait_ns: Arc<Counter>,
     per_lock: Vec<PerLockStats>,
     telemetry: Option<LockTelemetry>,
     injector: Option<Arc<dyn FaultInjector>>,
@@ -97,7 +100,10 @@ impl LockTable {
     pub fn new(n: usize) -> Self {
         LockTable {
             free_at: vec![Nanos::ZERO; n],
-            stats: LockStats::default(),
+            try_acquired: Arc::default(),
+            try_failed: Arc::default(),
+            contended: Arc::default(),
+            wait_ns: Arc::default(),
             per_lock: vec![PerLockStats::default(); n],
             telemetry: None,
             injector: None,
@@ -125,15 +131,21 @@ impl LockTable {
         }
     }
 
-    /// Mirrors every acquisition into `registry` under the `lock.*`
-    /// namespace (counters for the [`LockStats`] fields, a wait-time
-    /// histogram, and `LockWait` trace events for contended acquires).
+    /// Moves the table's tallies into `registry` as `lock.try_acquired`,
+    /// `lock.try_failed`, `lock.contended` and `lock.wait_ns`, carrying
+    /// over what they have counted so far, and starts recording what only
+    /// an observed table keeps: a wait-time histogram and `LockWait` trace
+    /// events for contended acquires.
     pub fn attach_telemetry(&mut self, registry: &Registry) {
+        for (cell, name) in [
+            (&mut self.try_acquired, "lock.try_acquired"),
+            (&mut self.try_failed, "lock.try_failed"),
+            (&mut self.contended, "lock.contended"),
+            (&mut self.wait_ns, "lock.wait_ns"),
+        ] {
+            crate::register_cell(registry, name, cell);
+        }
         self.telemetry = Some(LockTelemetry {
-            try_acquired: registry.counter("lock.try_acquired"),
-            try_failed: registry.counter("lock.try_failed"),
-            contended: registry.counter("lock.contended"),
-            wait_ns: registry.counter("lock.wait_ns"),
             wait_hist: registry.histogram("lock.wait_hist_ns"),
             ring: registry.ring(),
         });
@@ -169,19 +181,13 @@ impl LockTable {
         let f = &mut self.free_at[lock.0 as usize];
         if *f <= now {
             *f = now + hold;
-            self.stats.try_acquired += 1;
+            self.try_acquired.add_single_writer(1);
             per.acquires += 1;
             per.hold_total += hold;
-            if let Some(t) = &self.telemetry {
-                t.try_acquired.incr();
-            }
             true
         } else {
-            self.stats.try_failed += 1;
+            self.try_failed.add_single_writer(1);
             per.try_failed += 1;
-            if let Some(t) = &self.telemetry {
-                t.try_failed.incr();
-            }
             false
         }
     }
@@ -199,21 +205,18 @@ impl LockTable {
         let start = (*f).max(now);
         let wait = start - now;
         if start > now {
-            self.stats.contended += 1;
-            self.stats.wait_total += wait;
+            self.contended.add_single_writer(1);
+            self.wait_ns.add_single_writer(wait.as_nanos());
             per.contended += 1;
             per.wait_total += wait;
         }
         *f = start + hold;
-        self.stats.try_acquired += 1;
+        self.try_acquired.add_single_writer(1);
         per.acquires += 1;
         per.hold_total += hold;
         if let Some(t) = &self.telemetry {
-            t.try_acquired.incr();
             t.wait_hist.record(wait.as_nanos());
             if start > now {
-                t.contended.incr();
-                t.wait_ns.add(wait.as_nanos());
                 t.ring
                     .record(now, TraceKind::LockWait, lock.0 as u64, wait.as_nanos());
             }
@@ -221,26 +224,19 @@ impl LockTable {
         start
     }
 
-    /// When `lock` next becomes free.
-    pub fn free_at(&self, lock: LockId) -> Nanos {
-        self.free_at[lock.0 as usize]
-    }
-
-    /// Accumulated contention statistics.
+    /// Accumulated contention statistics, materialized from the tallies.
     pub fn stats(&self) -> LockStats {
-        self.stats
+        LockStats {
+            try_acquired: self.try_acquired.total(),
+            try_failed: self.try_failed.total(),
+            contended: self.contended.total(),
+            wait_total: Nanos::from_nanos(self.wait_ns.total()),
+        }
     }
 
     /// Per-lock attribution rows, indexed by [`LockId`].
     pub fn per_lock_stats(&self) -> &[PerLockStats] {
         &self.per_lock
-    }
-
-    /// Resets all locks to free and clears statistics.
-    pub fn reset(&mut self) {
-        self.free_at.fill(Nanos::ZERO);
-        self.stats = LockStats::default();
-        self.per_lock.fill(PerLockStats::default());
     }
 }
 
@@ -321,8 +317,35 @@ mod tests {
             .events
             .iter()
             .any(|e| e.kind == TraceKind::LockWait && e.a == 0 && e.b == 80));
-        // The plain-struct view agrees with the registry view.
+        // The plain-struct view reads the registry's cells.
         assert_eq!(t.stats().wait_total, Nanos::from_nanos(80));
+    }
+
+    #[test]
+    fn attaching_after_traffic_carries_the_totals_into_the_registry() {
+        let mut t = LockTable::new(1);
+        assert!(t.try_acquire(LockId(0), Nanos::ZERO, HOLD));
+        assert!(!t.try_acquire(LockId(0), Nanos::from_nanos(10), HOLD));
+        t.acquire(LockId(0), Nanos::from_nanos(20), HOLD); // waits 80 ns
+        let reg = Registry::new();
+        t.attach_telemetry(&reg);
+        t.attach_telemetry(&reg); // the same registry again: nothing counts twice
+        assert!(t.try_acquire(LockId(0), Nanos::from_micros(1), HOLD));
+        let snap = reg.snapshot(Nanos::ZERO);
+        let registered = LockStats {
+            try_acquired: snap.counter("lock.try_acquired"),
+            try_failed: snap.counter("lock.try_failed"),
+            contended: snap.counter("lock.contended"),
+            wait_total: Nanos::from_nanos(snap.counter("lock.wait_ns")),
+        };
+        // Two acquisitions, the failed try and the wait predate the registry.
+        let all = LockStats {
+            try_acquired: 3,
+            try_failed: 1,
+            contended: 1,
+            wait_total: Nanos::from_nanos(80),
+        };
+        assert_eq!((registered, t.stats()), (all, all));
     }
 
     #[test]
@@ -355,8 +378,7 @@ mod tests {
 
         t.ensure(4);
         assert_eq!(t.per_lock_stats().len(), 4);
-        t.reset();
-        assert_eq!(t.per_lock_stats()[0], PerLockStats::default());
+        assert_eq!(t.per_lock_stats()[3], PerLockStats::default());
     }
 
     #[test]
@@ -380,15 +402,5 @@ mod tests {
         assert!(t.try_acquire(LockId(0), Nanos::from_nanos(800), HOLD));
         // Past the window the hold is nominal again.
         assert!(t.try_acquire(LockId(0), Nanos::from_nanos(900), HOLD));
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut t = LockTable::new(1);
-        t.acquire(LockId(0), Nanos::ZERO, HOLD);
-        t.acquire(LockId(0), Nanos::ZERO, HOLD);
-        t.reset();
-        assert_eq!(t.stats(), LockStats::default());
-        assert_eq!(t.free_at(LockId(0)), Nanos::ZERO);
     }
 }

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use fv_telemetry::metrics::{Counter, Histogram, RateWindow};
+use fv_telemetry::metrics::{Counter, Histogram};
 use fv_telemetry::span::{SpanRecorder, Stage};
 use fv_telemetry::trace::TraceKind;
 use fv_telemetry::Registry;
@@ -136,7 +136,8 @@ pub struct NicStats {
     pub tx_bits: u64,
 }
 
-/// The NIC's seven tallies, plus what only an observed NIC records.
+/// The NIC's seven tallies, written only from `rx(&mut self)`, plus what
+/// only an observed NIC records.
 struct NicTelemetry {
     offered: Arc<Counter>,
     rx_drops: Arc<Counter>,
@@ -151,7 +152,6 @@ struct NicTelemetry {
 /// What [`SmartNic::with_registry`] adds to the tallies.
 struct NicObserver {
     registry: Registry,
-    tx_rate: Arc<RateWindow>,
     latency: Arc<Histogram>,
     spans: SpanRecorder,
 }
@@ -161,11 +161,11 @@ struct NicObserver {
 /// Observers are attached, never ambient: a NIC records into a registry
 /// only when its builder handed it one. [`SmartNic::new`] keeps the seven
 /// [`NicStats`] tallies and nothing else; [`SmartNic::with_registry`] is
-/// the one constructor that wires lock, FIFO, span, rate, latency and
+/// the one constructor that wires lock, FIFO, span, latency and
 /// trace-event recording, and neither changes what the NIC does. Of
 /// those, what is keyed by a packet id (the stage spans, `RxDrop` and
 /// `TailDrop` events) is kept for the packets the registry's sampler
-/// selects; every counter, the rate series and `nic.latency_ns` are exact.
+/// selects; every counter and `nic.latency_ns` are exact.
 ///
 /// # Example
 ///
@@ -265,7 +265,6 @@ impl SmartNic {
             tx_bits: counter("nic.tx_bits"),
             observer: registry.map(|registry| NicObserver {
                 registry: registry.clone(),
-                tx_rate: registry.rate("nic.tx_bits_rate", Nanos::from_micros(100)),
                 latency: registry.histogram("nic.latency_ns"),
                 spans: SpanRecorder::new(registry),
             }),
@@ -313,11 +312,11 @@ impl SmartNic {
     /// parse, the egress decision (with its cycle and lock costs), per-VF
     /// reorder, and the wire-side FIFO.
     pub fn rx(&mut self, pkt: &Packet, now: Nanos) -> RxOutcome {
-        self.telemetry.offered.incr();
+        self.telemetry.offered.add_single_writer(1);
         let stall = self.fault.as_ref().and_then(|f| f.stalled_engines(now));
         let start = match self.workers.dispatch_with(now, stall) {
             Dispatch::RxOverflow => {
-                self.telemetry.rx_drops.incr();
+                self.telemetry.rx_drops.add_single_writer(1);
                 if let Some(obs) = &self.telemetry.observer {
                     obs.spans
                         .event(now, TraceKind::RxDrop, pkt.id, pkt.id, pkt.vf.0 as u64);
@@ -360,7 +359,7 @@ impl SmartNic {
 
         match decision {
             Decision::Drop => {
-                self.telemetry.sched_drops.incr();
+                self.telemetry.sched_drops.add_single_writer(1);
                 RxOutcome::SchedDrop { at: done }
             }
             Decision::Forward => {
@@ -370,10 +369,9 @@ impl SmartNic {
                 match self.fifo.enqueue_pkt(pkt.frame_len, release, pkt.id) {
                     Ok(wire_done) => {
                         let delivered = wire_done + self.config.base_pipeline_latency;
-                        self.telemetry.tx_packets.incr();
-                        self.telemetry.tx_bits.add(pkt.frame_bits());
+                        self.telemetry.tx_packets.add_single_writer(1);
+                        self.telemetry.tx_bits.add_single_writer(pkt.frame_bits());
                         if let Some(obs) = &self.telemetry.observer {
-                            obs.tx_rate.record(wire_done, pkt.frame_bits());
                             obs.latency.record_nanos(delivered - now);
                         }
                         RxOutcome::Transmit {
@@ -382,11 +380,11 @@ impl SmartNic {
                         }
                     }
                     Err(TmDrop::TailDrop) => {
-                        self.telemetry.tail_drops.incr();
+                        self.telemetry.tail_drops.add_single_writer(1);
                         RxOutcome::TailDrop { at: release }
                     }
                     Err(TmDrop::CorruptDrop) => {
-                        self.telemetry.fault_drops.incr();
+                        self.telemetry.fault_drops.add_single_writer(1);
                         RxOutcome::FaultDrop { at: release }
                     }
                     // The TM only ever refuses with the two causes above;
@@ -828,34 +826,23 @@ mod tests {
         ] {
             assert_eq!(snap.counter(name), tally, "{name}");
         }
-        // So do the lock tallies: the registry, `lock_stats()` (equal on
-        // both NICs, above) and the sums over the per-lock rows.
+        // So do the lock tallies: the registry and the sums over the
+        // per-lock rows are `lock_stats()` (equal on both NICs, above).
         let rows = seen.per_lock_stats();
-        for (name, tally, summed) in [
-            (
-                "lock.try_acquired",
-                l.try_acquired,
-                rows.iter().map(|r| r.acquires).sum::<u64>(),
-            ),
-            (
-                "lock.try_failed",
-                l.try_failed,
-                rows.iter().map(|r| r.try_failed).sum(),
-            ),
-            (
-                "lock.contended",
-                l.contended,
-                rows.iter().map(|r| r.contended).sum(),
-            ),
-            (
-                "lock.wait_ns",
-                l.wait_total.as_nanos(),
-                rows.iter().map(|r| r.wait_total.as_nanos()).sum(),
-            ),
-        ] {
-            assert_eq!(snap.counter(name), tally, "{name}");
-            assert_eq!(summed, tally, "{name} against the per-lock rows");
-        }
+        let summed = crate::lock::LockStats {
+            try_acquired: rows.iter().map(|r| r.acquires).sum(),
+            try_failed: rows.iter().map(|r| r.try_failed).sum(),
+            contended: rows.iter().map(|r| r.contended).sum(),
+            wait_total: rows.iter().map(|r| r.wait_total).sum(),
+        };
+        let registered = crate::lock::LockStats {
+            try_acquired: snap.counter("lock.try_acquired"),
+            try_failed: snap.counter("lock.try_failed"),
+            contended: snap.counter("lock.contended"),
+            wait_total: Nanos::from_nanos(snap.counter("lock.wait_ns")),
+        };
+        assert_eq!(summed, l);
+        assert_eq!(registered, l);
         assert_eq!(s.fault_drops, 0);
         assert_eq!(
             s.offered,

@@ -31,7 +31,8 @@ pub use fv_telemetry::DropCause;
 /// [`DropCause::CorruptDrop`] variants.
 pub type TmDrop = DropCause;
 
-/// Counters maintained by the FIFO wire model.
+/// Counters maintained by the FIFO wire model: a snapshot view
+/// [`TxFifo::stats`] materializes from the FIFO's four tallies.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TmStats {
     /// Packets accepted and serialized.
@@ -44,14 +45,10 @@ pub struct TmStats {
     pub fault_drops: u64,
 }
 
-/// Registry-backed mirrors of [`TmStats`] plus FIFO occupancy and, for
-/// sampled packets, `TailDrop` trace events and `tm_queue`/`wire` spans.
-#[derive(Debug, Clone)]
+/// What only an observed FIFO records: its occupancy and, for sampled
+/// packets, `TailDrop` trace events and `tm_queue`/`wire` spans.
+#[derive(Debug)]
 struct FifoTelemetry {
-    tx_packets: Arc<Counter>,
-    tx_bits: Arc<Counter>,
-    tail_drops: Arc<Counter>,
-    fault_drops: Arc<Counter>,
     backlog_bytes: Arc<Gauge>,
     spans: SpanRecorder,
 }
@@ -74,7 +71,7 @@ struct FifoTelemetry {
 /// // (1518 + 20) bytes at 10 Gbps ≈ 1.23 us.
 /// assert_eq!(done.as_nanos(), 1_231);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct TxFifo {
     rate: BitRate,
     framing: WireFraming,
@@ -84,7 +81,13 @@ pub struct TxFifo {
     free_at: Nanos,
     /// Latest enqueue timestamp seen, to keep internal time monotonic.
     last_t: Nanos,
-    stats: TmStats,
+    /// The four [`TmStats`] tallies, the single count of each event:
+    /// free-standing until [`TxFifo::attach_telemetry`] swaps in the
+    /// registry's `tm.fifo.*` cells. Written only from `&mut self`.
+    tx_packets: Arc<Counter>,
+    tx_bits: Arc<Counter>,
+    tail_drops: Arc<Counter>,
+    fault_drops: Arc<Counter>,
     telemetry: Option<FifoTelemetry>,
     injector: Option<Arc<dyn FaultInjector>>,
 }
@@ -104,7 +107,10 @@ impl TxFifo {
             max_backlog: rate.serialization_time(capacity.as_bits()),
             free_at: Nanos::ZERO,
             last_t: Nanos::ZERO,
-            stats: TmStats::default(),
+            tx_packets: Arc::default(),
+            tx_bits: Arc::default(),
+            tail_drops: Arc::default(),
+            fault_drops: Arc::default(),
             telemetry: None,
             injector: None,
         }
@@ -116,33 +122,36 @@ impl TxFifo {
         self.injector = Some(injector);
     }
 
-    /// Mirrors every enqueue into `registry` under the `tm.fifo.*`
-    /// namespace: the [`TmStats`] counters and an occupancy gauge (whose
-    /// high-water mark survives drains), both exact, and — for the packets
-    /// the registry's sampler selects — `TailDrop` trace events and
-    /// `tm_queue`/`wire` stage spans.
+    /// Moves the FIFO's tallies into `registry` as `tm.fifo.tx_packets`,
+    /// `tm.fifo.tx_bits` and `tm.fifo.tail_drops`, carrying over what they
+    /// have counted so far, and starts recording what only an observed
+    /// FIFO keeps: an occupancy gauge (whose high-water mark survives
+    /// drains), exact, and — for the packets the registry's sampler
+    /// selects — `TailDrop` trace events and `tm_queue`/`wire` stage spans.
     pub fn attach_telemetry(&mut self, registry: &Registry) {
+        for (cell, name) in [
+            (&mut self.tx_packets, "tm.fifo.tx_packets"),
+            (&mut self.tx_bits, "tm.fifo.tx_bits"),
+            (&mut self.tail_drops, "tm.fifo.tail_drops"),
+        ] {
+            crate::register_cell(registry, name, cell);
+        }
         self.telemetry = Some(FifoTelemetry {
-            tx_packets: registry.counter("tm.fifo.tx_packets"),
-            tx_bits: registry.counter("tm.fifo.tx_bits"),
-            tail_drops: registry.counter("tm.fifo.tail_drops"),
-            // Detached until a fault injector exists: fault-free runs keep
-            // their snapshot schema free of fault counters.
-            fault_drops: Arc::new(Counter::new()),
             backlog_bytes: registry.gauge("tm.fifo.backlog_bytes"),
             spans: SpanRecorder::new(registry),
         });
     }
 
-    /// Registers the corruption-drop counter as `tm.fifo.fault_drops`.
+    /// Moves the corruption-drop tally into `registry` as
+    /// `tm.fifo.fault_drops`.
     ///
     /// Deliberately separate from [`TxFifo::attach_telemetry`]: fault
     /// drops require an injector, so a fault-free run never grows its
     /// snapshot schema. Call alongside [`TxFifo::set_fault_injector`];
     /// a no-op until telemetry is attached.
     pub fn attach_fault_telemetry(&mut self, registry: &Registry) {
-        if let Some(tel) = &mut self.telemetry {
-            tel.fault_drops = registry.counter("tm.fifo.fault_drops");
+        if self.telemetry.is_some() {
+            crate::register_cell(registry, "tm.fifo.fault_drops", &mut self.fault_drops);
         }
     }
 
@@ -168,19 +177,15 @@ impl TxFifo {
                 TmFault::None => {}
                 TmFault::Paused { until } => paused_until = until,
                 TmFault::CorruptDrop => {
-                    self.stats.fault_drops += 1;
-                    if let Some(tel) = &self.telemetry {
-                        tel.fault_drops.incr();
-                    }
+                    self.fault_drops.add_single_writer(1);
                     return Err(TmDrop::CorruptDrop);
                 }
             }
         }
         let backlog = self.free_at.saturating_sub(t);
         if backlog > self.max_backlog {
-            self.stats.tail_drops += 1;
+            self.tail_drops.add_single_writer(1);
             if let Some(tel) = &self.telemetry {
-                tel.tail_drops.incr();
                 tel.spans.event(t, TraceKind::TailDrop, pkt_id, 0, pkt_id);
             }
             return Err(TmDrop::TailDrop);
@@ -195,11 +200,9 @@ impl TxFifo {
         }
         let wire_start = self.free_at.max(t).max(paused_until);
         self.free_at = wire_start + ser;
-        self.stats.tx_packets += 1;
-        self.stats.tx_bits += frame_len as u64 * 8;
+        self.tx_packets.add_single_writer(1);
+        self.tx_bits.add_single_writer(frame_len as u64 * 8);
         if let Some(tel) = &self.telemetry {
-            tel.tx_packets.incr();
-            tel.tx_bits.add(frame_len as u64 * 8);
             let occupancy = self.rate.bits_in(self.free_at - t) / 8;
             tel.backlog_bytes.set(occupancy);
             tel.spans.record(Stage::TmQueue, t, pkt_id, wire_start - t);
@@ -214,14 +217,14 @@ impl TxFifo {
         self.rate.bits_in(backlog) / 8
     }
 
-    /// The configured wire rate.
-    pub fn rate(&self) -> BitRate {
-        self.rate
-    }
-
-    /// Accumulated counters.
+    /// Accumulated counters, materialized from the tallies.
     pub fn stats(&self) -> TmStats {
-        self.stats
+        TmStats {
+            tx_packets: self.tx_packets.total(),
+            tx_bits: self.tx_bits.total(),
+            tail_drops: self.tail_drops.total(),
+            fault_drops: self.fault_drops.total(),
+        }
     }
 
     /// Achieved throughput over `[0, horizon]` (frame bits, no framing).
@@ -230,7 +233,7 @@ impl TxFifo {
             return BitRate::ZERO;
         }
         BitRate::from_bps(
-            (self.stats.tx_bits as u128 * 1_000_000_000u128 / horizon.as_nanos() as u128) as u64,
+            (self.tx_bits.total() as u128 * 1_000_000_000u128 / horizon.as_nanos() as u128) as u64,
         )
     }
 }
@@ -346,6 +349,24 @@ mod tests {
             .iter()
             .any(|e| e.kind == TraceKind::TailDrop && (e.a, e.b) == (0, 11)));
         assert_eq!(snap.histogram("span.wire_ns").unwrap().count, 11);
+    }
+
+    #[test]
+    fn attaching_after_traffic_carries_the_totals_into_the_registry() {
+        let mut f = fifo_1g();
+        // 10 KB buffer, 1 KB frames: 11 accepted, the 12th tail-drops.
+        for id in 0..12 {
+            let _ = f.enqueue_pkt(1_000, Nanos::ZERO, id);
+        }
+        let reg = Registry::new();
+        f.attach_telemetry(&reg);
+        f.enqueue_pkt(1_000, Nanos::from_millis(1), 12).unwrap();
+        let snap = reg.snapshot(Nanos::ZERO);
+        assert_eq!(snap.counter("tm.fifo.tx_packets"), 12);
+        assert_eq!(snap.counter("tm.fifo.tx_bits"), 12 * 8_000);
+        assert_eq!(snap.counter("tm.fifo.tail_drops"), 1);
+        let s = f.stats();
+        assert_eq!((s.tx_packets, s.tx_bits, s.tail_drops), (12, 96_000, 1));
     }
 
     #[derive(Debug)]

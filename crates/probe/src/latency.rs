@@ -4,7 +4,7 @@
 //! does each pipeline stage take" — aggregated over *all* traffic. The
 //! paper's SLOs are per class, so the profiler needs the same decomposition
 //! *per flow class*: [`LatencyAttr`] implements
-//! [`SpanSink`](fv_telemetry::SpanSink) and, fed classification verdicts by
+//! [`SpanSink`] and, fed classification verdicts by
 //! the labeling function, demultiplexes every span into an HDR-style
 //! log-bucket histogram keyed by `(class, stage)`.
 //!
@@ -42,7 +42,7 @@ const SKETCH_ENTRIES: usize = 32;
 /// wire-bit volume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowVolume {
-    /// The flow's stable hash ([`netstack::flow::FlowKey::stable_hash`]-
+    /// The flow's stable hash (`netstack::flow::FlowKey::stable_hash`-
     /// compatible; the caller maps hashes back to 5-tuples).
     pub flow_hash: u64,
     /// The class the flow last resolved to ([`UNATTRIBUTED`] if none).

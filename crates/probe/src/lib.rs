@@ -2,7 +2,7 @@
 //!
 //! The paper's core claim is that the whole scheduling pipeline fits an
 //! NP's per-packet cycle budget. The telemetry stack (fv-telemetry,
-//! fv-scope) says *how much* — counters, rate windows, span durations —
+//! fv-scope) says *how much* — counters, gauges, span durations —
 //! but tuning needs *where*: which pipeline phase burns the cycles, which
 //! lock serializes the scheduling function, which flow class eats the
 //! tail latency, on which micro-engine. This crate aggregates the signals
@@ -11,7 +11,7 @@
 //! * [`report::ProbeReport`] — the assembled profile, exported as
 //!   flamegraph folded stacks (`fv profile --folded`), a summary table, or
 //!   JSON. Cycle attribution comes from
-//!   [`np_sim::cost::CycleAttr`](np_sim::cost::CycleAttr) (stage × op ×
+//!   [`np_sim::cost::CycleAttr`] (stage × op ×
 //!   worker cells folded by the cost meter), contention from the lock
 //!   table's per-lock rows ranked by [`contention::rank_locks`], and
 //!   waterlines from the registry's queue-depth gauges.

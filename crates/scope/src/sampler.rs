@@ -347,9 +347,6 @@ pub fn prometheus_text(snapshot: &fv_telemetry::Snapshot) -> String {
                 }
                 out.push_str(&format!("{name}_sum {}\n{name}_count {}\n", h.sum, h.count));
             }
-            MetricValue::Rate { per_sec } => {
-                out.push_str(&format!("# TYPE {name} gauge\n{name} {per_sec}\n"));
-            }
         }
     }
     out
@@ -495,7 +492,6 @@ mod tests {
         reg.counter("nic.tx_packets").add(5);
         reg.gauge("tm.fifo.backlog_bytes").set(100);
         reg.histogram("span.wire_ns").record(1_000);
-        reg.rate("nic.tx_bits_rate", us(10)).record(us(5), 80);
         let text = prometheus_text(&reg.snapshot(us(10)));
         assert!(text.contains("# TYPE fv_nic_tx_packets counter"));
         assert!(text.contains("fv_nic_tx_packets 5"));

@@ -8,14 +8,16 @@
 //! * [`Registry`] — a named-metric registry handing out `Arc` handles to
 //!   wait-free primitives. Registration is cold-path (mutex); recording is
 //!   relaxed atomics only.
-//! * [`Counter`] / [`Gauge`] / [`Histogram`] / [`RateWindow`] — one-word
-//!   counters, occupancy gauges with high-water marks, log-linear latency
-//!   histograms, and virtual-time-windowed rate series.
+//! * [`Counter`] / [`Gauge`] / [`Histogram`] — one-word counters (one
+//!   cell per exact tally, written with a plain add by the component that
+//!   owns it), occupancy gauges with high-water marks and log-linear
+//!   latency histograms. Rates are read off counters by `fv-scope`'s
+//!   `TimeSampler`; nothing here keeps a second series.
 //! * [`EventRing`] — a seqlock trace ring for individual scheduler
 //!   decisions, token-bucket refills, lock waits and tail drops.
 //! * [`Sampler`] — the one per-packet sampling decision: spans, per-packet
 //!   trace events and provenance are kept for the same one packet in 64;
-//!   counters, gauges, rate series and `nic.latency_ns` stay exact.
+//!   counters, gauges and `nic.latency_ns` stay exact.
 //! * [`cause`] — the one [`DropCause`] taxonomy, here so the NIC model and
 //!   the qdisc baselines can name a drop's cause without depending on the
 //!   auditor.
@@ -68,8 +70,8 @@ pub mod trace;
 
 pub use cause::DropCause;
 pub use json::{JsonValue, ToJson};
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, RateWindow};
-pub use registry::{MetricEntry, MetricValue, Registry, RegistryError, Snapshot};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
+pub use registry::{MetricEntry, MetricValue, Registry, Snapshot};
 pub use sampler::Sampler;
 pub use span::{SpanRecorder, SpanSink, Stage, STAGES};
 pub use trace::{EventRing, TraceEvent, TraceKind};

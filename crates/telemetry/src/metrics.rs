@@ -1,18 +1,26 @@
 //! Wait-free metric primitives.
 //!
-//! Every hot-path operation here is a handful of `Relaxed` atomic
-//! read-modify-writes — no locks, no CAS retry loops on counters — so the
-//! same instrumentation can sit inside the simulated micro-engine pipeline
+//! No operation here takes a lock or retries a CAS, so the same
+//! instrumentation can sit inside the simulated micro-engine pipeline
 //! (virtual time, one recording thread) and be read from another thread
-//! while it runs, without perturbing what is being measured.
+//! while it runs, without perturbing what is being measured. What a write
+//! costs depends on who else writes the cell:
+//!
+//! * A [`Counter`] whose owner holds `&mut self` on every write — the
+//!   NIC's, lock table's, FIFO's and pipeline's exact tallies — takes
+//!   [`Counter::add_single_writer`]: a relaxed load and a relaxed store,
+//!   the price of a plain `+= 1`.
+//! * A cell several threads may write ([`Counter::add`], [`Gauge::set`]
+//!   on a new maximum, [`Histogram::record`]) pays relaxed atomic
+//!   read-modify-writes and stays exact under concurrent writers — two
+//!   `record`s collide on a histogram's header line and, when they land in
+//!   the same log-linear bucket, on that bucket, and each collision is one
+//!   relaxed `fetch_add`.
 //!
 //! Nothing here is striped per thread: every front end records from one
 //! thread, and striping the counters and the histogram header measured
 //! level on the benchmark's `demo_observed`, `tcp_closed_loop` and
-//! `wallclock_2t` (DESIGN.md §13). The structures stay exact under
-//! concurrent writers all the same — two `record`s collide on a
-//! histogram's header line and, when they land in the same log-linear
-//! bucket, on that bucket, and each collision is one relaxed `fetch_add`.
+//! `wallclock_2t` (DESIGN.md §13, §18).
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
@@ -28,10 +36,24 @@ impl Counter {
         Self::default()
     }
 
-    /// Adds `n`.
+    /// Adds `n`: one atomic read-modify-write, exact under any number of
+    /// concurrent writers.
     #[inline]
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Relaxed);
+    }
+
+    /// Adds `n` as a relaxed load and a relaxed store: no `lock`-prefixed
+    /// instruction, the price of a plain integer add.
+    ///
+    /// Contract: one writing thread at a time, any number of readers. The
+    /// owner of the cell upholds it by writing only from behind its own
+    /// `&mut self`. Readers see a value that never decreases; a second
+    /// thread writing concurrently (by either method) can lose updates,
+    /// which is why cells with several writers keep [`Counter::add`].
+    #[inline]
+    pub fn add_single_writer(&self, n: u64) {
+        self.0.store(self.0.load(Relaxed).wrapping_add(n), Relaxed);
     }
 
     /// Adds one.
@@ -319,114 +341,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// Number of slots in a [`RateWindow`].
-const RATE_SLOTS: usize = 64;
-
-/// A windowed rate accumulator over explicit timestamps.
-///
-/// Values (typically bits) are bucketed into fixed-width time slots keyed by
-/// the epoch `now / window`. Because the clock is passed in, the same series
-/// works under virtual and wall-clock time. Slots are reclaimed lazily with
-/// a CAS on the epoch — the only non-`fetch_add` atomic, and it is taken at
-/// most once per slot per window, never per packet.
-pub struct RateWindow {
-    window: Nanos,
-    epochs: [AtomicU64; RATE_SLOTS],
-    values: [AtomicU64; RATE_SLOTS],
-}
-
-impl RateWindow {
-    /// Creates a series with `window`-wide slots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn new(window: Nanos) -> Self {
-        assert!(window > Nanos::ZERO, "rate window must be positive");
-        RateWindow {
-            window,
-            epochs: std::array::from_fn(|_| AtomicU64::new(u64::MAX)),
-            values: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-
-    /// The configured slot width.
-    pub fn window(&self) -> Nanos {
-        self.window
-    }
-
-    /// Accumulates `amount` into the slot covering `now`.
-    #[inline]
-    pub fn record(&self, now: Nanos, amount: u64) {
-        let epoch = now.as_nanos() / self.window.as_nanos();
-        let idx = (epoch as usize) % RATE_SLOTS;
-        let seen = self.epochs[idx].load(Relaxed);
-        if seen != epoch {
-            // First write into a recycled slot this window: reset it. The
-            // CAS loser simply accumulates into the freshly reset slot.
-            if self.epochs[idx]
-                .compare_exchange(seen, epoch, Relaxed, Relaxed)
-                .is_ok()
-            {
-                self.values[idx].store(0, Relaxed);
-            }
-        }
-        self.values[idx].fetch_add(amount, Relaxed);
-    }
-
-    /// Average rate (amount per second) over up to `windows` completed slots
-    /// ending at the slot before the one covering `now`.
-    pub fn rate_per_sec(&self, now: Nanos, windows: usize) -> f64 {
-        let windows = windows.clamp(1, RATE_SLOTS - 1);
-        let current = now.as_nanos() / self.window.as_nanos();
-        let mut total = 0u64;
-        let mut counted = 0u64;
-        for back in 1..=windows as u64 {
-            let Some(epoch) = current.checked_sub(back) else {
-                break;
-            };
-            let idx = (epoch as usize) % RATE_SLOTS;
-            if self.epochs[idx].load(Relaxed) == epoch {
-                total += self.values[idx].load(Relaxed);
-            }
-            counted += 1;
-        }
-        if counted == 0 {
-            return 0.0;
-        }
-        let span_ns = counted as f64 * self.window.as_nanos() as f64;
-        total as f64 * 1e9 / span_ns
-    }
-
-    /// The raw `(epoch_start, amount)` series of still-live slots up to
-    /// `now`, oldest first. Useful for plotting per-window throughput.
-    pub fn series(&self, now: Nanos) -> Vec<(Nanos, u64)> {
-        let current = now.as_nanos() / self.window.as_nanos();
-        let mut out = Vec::new();
-        for back in (0..RATE_SLOTS as u64).rev() {
-            let Some(epoch) = current.checked_sub(back) else {
-                continue;
-            };
-            let idx = (epoch as usize) % RATE_SLOTS;
-            if self.epochs[idx].load(Relaxed) == epoch {
-                out.push((
-                    Nanos::from_nanos(epoch * self.window.as_nanos()),
-                    self.values[idx].load(Relaxed),
-                ));
-            }
-        }
-        out
-    }
-}
-
-impl std::fmt::Debug for RateWindow {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RateWindow")
-            .field("window", &self.window)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -459,6 +373,44 @@ mod tests {
         });
         let per_thread: u64 = (0..PER_THREAD).map(|i| 1 + (i & 3)).sum();
         assert_eq!(c.total(), THREADS * (per_thread + 1));
+    }
+
+    /// The single-writer contract: one thread adds 10^6 times without a
+    /// read-modify-write while a second reads. The reader never sees the
+    /// total go backwards, and the final total is exact.
+    #[test]
+    fn single_writer_add_is_exact_and_monotone_for_a_concurrent_reader() {
+        const ADDS: u64 = 1_000_000;
+        let c = Counter::new();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                for i in 0..ADDS {
+                    c.add_single_writer(1 + (i & 1));
+                }
+            });
+            s.spawn(|| {
+                start.wait();
+                let mut last = 0;
+                while last < ADDS + ADDS / 2 {
+                    let now = c.total();
+                    assert!(now >= last, "total went from {last} back to {now}");
+                    last = now;
+                }
+            });
+        });
+        assert_eq!(c.total(), ADDS + ADDS / 2);
+    }
+
+    /// Both adds write the one word: from one thread they sum.
+    #[test]
+    fn single_writer_add_and_add_sum_from_one_thread() {
+        let c = Counter::new();
+        c.add(39);
+        c.add_single_writer(2);
+        c.incr();
+        assert_eq!(c.total(), 42);
     }
 
     #[test]
@@ -648,43 +600,5 @@ mod tests {
             "concurrent fill diverged from sequential"
         );
         assert_eq!(h.quantile(0.5), seq.quantile(0.5));
-    }
-
-    #[test]
-    fn rate_window_measures_throughput() {
-        let w = RateWindow::new(Nanos::from_micros(100));
-        // 1000 bits every 10 us for 1 ms => 100 Mbit/s.
-        for i in 0..100u64 {
-            w.record(Nanos::from_micros(i * 10), 1_000);
-        }
-        let rate = w.rate_per_sec(Nanos::from_millis(1), 8);
-        assert!((rate - 1e8).abs() / 1e8 < 0.01, "rate={rate}");
-    }
-
-    #[test]
-    fn rate_window_slots_recycle() {
-        let w = RateWindow::new(Nanos::from_nanos(100));
-        w.record(Nanos::from_nanos(50), 7);
-        // Same slot index, far later epoch: old value must not leak.
-        let later = Nanos::from_nanos(50 + 100 * RATE_SLOTS as u64);
-        w.record(later, 3);
-        let series = w.series(later);
-        assert_eq!(series.last().map(|&(_, v)| v), Some(3));
-        assert!(series.iter().all(|&(_, v)| v != 7));
-    }
-
-    #[test]
-    fn rate_window_series_in_order() {
-        let w = RateWindow::new(Nanos::from_micros(1));
-        for i in 0..5u64 {
-            w.record(Nanos::from_micros(i), i + 1);
-        }
-        let series = w.series(Nanos::from_micros(4));
-        assert_eq!(
-            series,
-            (0..5u64)
-                .map(|i| (Nanos::from_micros(i), i + 1))
-                .collect::<Vec<_>>()
-        );
     }
 }

@@ -17,61 +17,25 @@ use std::sync::{Arc, Mutex};
 use sim_core::time::Nanos;
 
 use crate::json::{JsonValue, ToJson};
-use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot, RateWindow};
+use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 use crate::sampler::Sampler;
 use crate::span::{SinkCell, SpanSink};
 use crate::trace::{EventRing, TraceEvent};
 
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 enum Metric {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
-    Rate(Arc<RateWindow>),
 }
 
-impl Metric {
-    fn type_name(&self) -> &'static str {
-        match self {
-            Metric::Counter(_) => "counter",
-            Metric::Gauge(_) => "gauge",
-            Metric::Histogram(_) => "histogram",
-            Metric::Rate(_) => "rate",
-        }
-    }
+/// A name is one metric of one kind for the life of the registry.
+fn type_conflict(name: &str, existing: &Metric, requested: &str) -> ! {
+    panic!(
+        "metric {name:?} already registered with another type \
+         (existing {existing:?}, requested {requested})"
+    )
 }
-
-/// Why a metric registration failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RegistryError {
-    /// The name is taken by a metric of a different type.
-    TypeConflict {
-        /// The requested metric name.
-        name: String,
-        /// Type of the metric already registered under `name`.
-        existing: &'static str,
-        /// Type the caller asked for.
-        requested: &'static str,
-    },
-}
-
-impl std::fmt::Display for RegistryError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RegistryError::TypeConflict {
-                name,
-                existing,
-                requested,
-            } => write!(
-                f,
-                "metric {name:?} already registered with another type \
-                 (existing {existing}, requested {requested})"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for RegistryError {}
 
 struct Inner {
     metrics: Mutex<BTreeMap<String, Metric>>,
@@ -132,31 +96,19 @@ impl Registry {
         }
     }
 
-    /// Gets or creates the counter named `name`, reporting a type clash
-    /// as an error instead of panicking.
-    pub fn try_counter(&self, name: &str) -> Result<Arc<Counter>, RegistryError> {
+    /// The entry named `name`, built by `fresh` when there is none yet.
+    fn get_or_create(&self, name: &str, fresh: fn() -> Metric) -> Metric {
         let mut metrics = self.inner.metrics.lock().unwrap();
-        let mut inserted = false;
-        let metric = metrics.entry(name.to_owned()).or_insert_with(|| {
-            inserted = true;
-            Metric::Counter(Arc::new(Counter::new()))
-        });
-        match metric {
-            Metric::Counter(c) => {
-                let c = Arc::clone(c);
-                if inserted {
-                    // Still under the metrics lock, so a sampler that
-                    // observes the new sequence also observes the entry.
-                    self.inner.counter_gen.fetch_add(1, Ordering::Release);
-                }
-                Ok(c)
+        let entry = metrics.entry(name.to_owned()).or_insert_with(|| {
+            let metric = fresh();
+            if let Metric::Counter(_) = metric {
+                // Under the metrics lock, so a sampler that observes the
+                // new sequence also observes the entry.
+                self.inner.counter_gen.fetch_add(1, Ordering::Release);
             }
-            other => Err(RegistryError::TypeConflict {
-                name: name.to_owned(),
-                existing: other.type_name(),
-                requested: "counter",
-            }),
-        }
+            metric
+        });
+        entry.clone()
     }
 
     /// Gets or creates the counter named `name`.
@@ -165,23 +117,9 @@ impl Registry {
     ///
     /// Panics if `name` is already registered as a different metric type.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        self.try_counter(name).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Gets or creates the gauge named `name`, reporting a type clash as
-    /// an error instead of panicking.
-    pub fn try_gauge(&self, name: &str) -> Result<Arc<Gauge>, RegistryError> {
-        let mut metrics = self.inner.metrics.lock().unwrap();
-        match metrics
-            .entry(name.to_owned())
-            .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::new())))
-        {
-            Metric::Gauge(g) => Ok(Arc::clone(g)),
-            other => Err(RegistryError::TypeConflict {
-                name: name.to_owned(),
-                existing: other.type_name(),
-                requested: "gauge",
-            }),
+        match self.get_or_create(name, || Metric::Counter(Arc::default())) {
+            Metric::Counter(c) => c,
+            other => type_conflict(name, &other, "counter"),
         }
     }
 
@@ -191,23 +129,9 @@ impl Registry {
     ///
     /// Panics if `name` is already registered as a different metric type.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        self.try_gauge(name).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Gets or creates the histogram named `name`, reporting a type clash
-    /// as an error instead of panicking.
-    pub fn try_histogram(&self, name: &str) -> Result<Arc<Histogram>, RegistryError> {
-        let mut metrics = self.inner.metrics.lock().unwrap();
-        match metrics
-            .entry(name.to_owned())
-            .or_insert_with(|| Metric::Histogram(Arc::new(Histogram::new())))
-        {
-            Metric::Histogram(h) => Ok(Arc::clone(h)),
-            other => Err(RegistryError::TypeConflict {
-                name: name.to_owned(),
-                existing: other.type_name(),
-                requested: "histogram",
-            }),
+        match self.get_or_create(name, || Metric::Gauge(Arc::default())) {
+            Metric::Gauge(g) => g,
+            other => type_conflict(name, &other, "gauge"),
         }
     }
 
@@ -217,36 +141,10 @@ impl Registry {
     ///
     /// Panics if `name` is already registered as a different metric type.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        self.try_histogram(name).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Gets or creates the rate series named `name` with slot width
-    /// `window` (the width of an existing series is kept), reporting a
-    /// type clash as an error instead of panicking.
-    pub fn try_rate(&self, name: &str, window: Nanos) -> Result<Arc<RateWindow>, RegistryError> {
-        let mut metrics = self.inner.metrics.lock().unwrap();
-        match metrics
-            .entry(name.to_owned())
-            .or_insert_with(|| Metric::Rate(Arc::new(RateWindow::new(window))))
-        {
-            Metric::Rate(r) => Ok(Arc::clone(r)),
-            other => Err(RegistryError::TypeConflict {
-                name: name.to_owned(),
-                existing: other.type_name(),
-                requested: "rate",
-            }),
+        match self.get_or_create(name, || Metric::Histogram(Arc::default())) {
+            Metric::Histogram(h) => h,
+            other => type_conflict(name, &other, "histogram"),
         }
-    }
-
-    /// Gets or creates the rate series named `name` with slot width
-    /// `window` (the width of an existing series is kept).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered as a different metric type.
-    pub fn rate(&self, name: &str, window: Nanos) -> Arc<RateWindow> {
-        self.try_rate(name, window)
-            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The shared event-trace ring.
@@ -314,9 +212,6 @@ impl Registry {
                         max: g.max(),
                     },
                     Metric::Histogram(h) => MetricValue::Histogram(h.snapshot()),
-                    Metric::Rate(r) => MetricValue::Rate {
-                        per_sec: r.rate_per_sec(at, 8),
-                    },
                 },
             })
             .collect();
@@ -349,11 +244,6 @@ pub enum MetricValue {
     },
     /// Histogram summary statistics.
     Histogram(HistogramSnapshot),
-    /// Windowed average rate.
-    Rate {
-        /// Amount per second over the trailing windows.
-        per_sec: f64,
-    },
 }
 
 /// One named metric in a snapshot.
@@ -435,7 +325,6 @@ impl Snapshot {
                     h.p99,
                     h.max
                 ),
-                MetricValue::Rate { per_sec } => format!("{per_sec:.0}/s"),
             };
             out.push_str(&format!("{:width$}  {}\n", e.name, value));
         }
@@ -466,7 +355,6 @@ impl ToJson for MetricValue {
                 JsonValue::obj([("value", value.to_json()), ("max", max.to_json())])
             }
             MetricValue::Histogram(h) => h.to_json(),
-            MetricValue::Rate { per_sec } => per_sec.to_json(),
         }
     }
 }
@@ -555,27 +443,6 @@ mod tests {
     }
 
     #[test]
-    fn try_constructors_report_type_conflicts() {
-        let reg = Registry::new();
-        reg.counter("x");
-        let err = reg.try_gauge("x").unwrap_err();
-        assert_eq!(
-            err,
-            RegistryError::TypeConflict {
-                name: "x".into(),
-                existing: "counter",
-                requested: "gauge",
-            }
-        );
-        assert!(err.to_string().contains("already registered"));
-        assert!(reg.try_histogram("x").is_err());
-        assert!(reg.try_rate("x", Nanos::from_micros(1)).is_err());
-        // The happy path still returns the same handle as the panicking one.
-        reg.try_counter("x").unwrap().add(2);
-        assert_eq!(reg.snapshot(Nanos::ZERO).counter("x"), 2);
-    }
-
-    #[test]
     fn snapshot_is_sorted_and_prefix_filterable() {
         let reg = Registry::new();
         reg.counter("b.two");
@@ -626,21 +493,5 @@ mod tests {
         assert_eq!(metrics.get("tx").and_then(JsonValue::as_u64), Some(9));
         let lat = metrics.get("lat").expect("histogram");
         assert_eq!(lat.get("count").and_then(JsonValue::as_u64), Some(1));
-    }
-
-    #[test]
-    fn rate_metric_snapshots_per_second() {
-        let reg = Registry::new();
-        let r = reg.rate("bits", Nanos::from_micros(10));
-        for i in 0..100u64 {
-            r.record(Nanos::from_micros(i), 1_000);
-        }
-        let snap = reg.snapshot(Nanos::from_micros(100));
-        match snap.get("bits") {
-            Some(MetricValue::Rate { per_sec }) => {
-                assert!((per_sec - 1e9).abs() / 1e9 < 0.05, "rate={per_sec}")
-            }
-            other => panic!("unexpected {other:?}"),
-        }
     }
 }

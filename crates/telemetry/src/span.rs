@@ -2,7 +2,7 @@
 //!
 //! A *span* is one packet's dwell in one stage of the pipeline — ingress
 //! dispatch wait, classification, the scheduling verdict, the transmit-FIFO
-//! wait, serialization onto the wire, or residency in a software qdisc.
+//! wait or serialization onto the wire.
 //! Spans are sampled: [`SpanRecorder::record`] asks the registry's
 //! [`Sampler`] about the packet id and returns at once for a packet it
 //! does not select (one packet in 64 is kept by default). For a selected
@@ -74,18 +74,15 @@ pub enum Stage {
     TmQueue = 3,
     /// Serialization onto the wire.
     Wire = 4,
-    /// Residency in a software qdisc (enqueue to dequeue).
-    Queue = 5,
 }
 
 /// All stages, in discriminant order.
-pub const STAGES: [Stage; 6] = [
+pub const STAGES: [Stage; 5] = [
     Stage::Ingress,
     Stage::Classify,
     Stage::Sched,
     Stage::TmQueue,
     Stage::Wire,
-    Stage::Queue,
 ];
 
 impl Stage {
@@ -97,7 +94,6 @@ impl Stage {
             Stage::Sched => "sched",
             Stage::TmQueue => "tm_queue",
             Stage::Wire => "wire",
-            Stage::Queue => "queue",
         }
     }
 
@@ -109,7 +105,6 @@ impl Stage {
             Stage::Sched => "span.sched_ns",
             Stage::TmQueue => "span.tm_queue_ns",
             Stage::Wire => "span.wire_ns",
-            Stage::Queue => "span.queue_ns",
         }
     }
 
@@ -121,7 +116,6 @@ impl Stage {
             Stage::Sched => TraceKind::SpanSched,
             Stage::TmQueue => TraceKind::SpanTmQueue,
             Stage::Wire => TraceKind::SpanWire,
-            Stage::Queue => TraceKind::SpanQueue,
         }
     }
 
@@ -133,7 +127,6 @@ impl Stage {
             TraceKind::SpanSched => Stage::Sched,
             TraceKind::SpanTmQueue => Stage::TmQueue,
             TraceKind::SpanWire => Stage::Wire,
-            TraceKind::SpanQueue => Stage::Queue,
             _ => return None,
         })
     }
@@ -312,7 +305,7 @@ mod tests {
         assert_eq!(snap.histogram("span.wire_ns").unwrap().count, 1);
         // Empty stages still exist in the snapshot (count 0), so exporters
         // always see the full decomposition.
-        assert_eq!(snap.histogram("span.queue_ns").unwrap().count, 0);
+        assert_eq!(snap.histogram("span.ingress_ns").unwrap().count, 0);
         let spans_in_ring: Vec<_> = snap.events.iter().filter(|e| e.kind.is_span()).collect();
         assert_eq!(spans_in_ring.len(), 3);
         assert_eq!(spans_in_ring[0].b, 40);

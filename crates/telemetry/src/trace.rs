@@ -9,12 +9,12 @@
 //!
 //! The ring keeps what it is offered. Which events are offered is decided
 //! by kind: the ones about a single packet — the three `Sched*` verdicts,
-//! `RxDrop`, `TailDrop` and the six spans — reach it through
+//! `RxDrop`, `TailDrop` and the five spans — reach it through
 //! [`SpanRecorder`](crate::span::SpanRecorder) (or behind the registry's
 //! [`Sampler`](crate::Sampler)) for sampled packets only, so a packet's
 //! events are all here or all absent; `TokenRefill`, `ShadowRefill`,
-//! `LockWait`, `FaultInject`, `FaultClear` and `AuditViolation` are not
-//! about one packet and are recorded every time.
+//! `LockWait`, `FaultInject` and `FaultClear` are not about one packet and
+//! are recorded every time.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -55,18 +55,12 @@ pub enum TraceKind {
     SpanTmQueue = 11,
     /// Span: serialization onto the wire.
     SpanWire = 12,
-    /// Span: residency in a software qdisc (enqueue to dequeue).
-    SpanQueue = 13,
     /// A fault window opened (fv-chaos). `a` = fault kind code, `b` =
     /// fault index within the plan.
-    FaultInject = 14,
+    FaultInject = 13,
     /// A fault window closed (fv-chaos). `a` = fault kind code, `b` =
     /// fault index within the plan.
-    FaultClear = 15,
-    /// A token-conservation violation found by fv-audit. `a` = violation
-    /// kind code, `b` = the offending bucket's slab index (or packet id
-    /// for refund violations).
-    AuditViolation = 16,
+    FaultClear = 14,
 }
 
 impl TraceKind {
@@ -85,10 +79,8 @@ impl TraceKind {
             10 => TraceKind::SpanSched,
             11 => TraceKind::SpanTmQueue,
             12 => TraceKind::SpanWire,
-            13 => TraceKind::SpanQueue,
-            14 => TraceKind::FaultInject,
-            15 => TraceKind::FaultClear,
-            16 => TraceKind::AuditViolation,
+            13 => TraceKind::FaultInject,
+            14 => TraceKind::FaultClear,
             _ => return None,
         })
     }
@@ -109,10 +101,8 @@ impl TraceKind {
             TraceKind::SpanSched => "span_sched",
             TraceKind::SpanTmQueue => "span_tm_queue",
             TraceKind::SpanWire => "span_wire",
-            TraceKind::SpanQueue => "span_queue",
             TraceKind::FaultInject => "fault_inject",
             TraceKind::FaultClear => "fault_clear",
-            TraceKind::AuditViolation => "audit_violation",
         }
     }
 
@@ -126,7 +116,6 @@ impl TraceKind {
                 | TraceKind::SpanSched
                 | TraceKind::SpanTmQueue
                 | TraceKind::SpanWire
-                | TraceKind::SpanQueue
         )
     }
 }
@@ -337,7 +326,6 @@ mod tests {
             TraceKind::SpanSched,
             TraceKind::SpanTmQueue,
             TraceKind::SpanWire,
-            TraceKind::SpanQueue,
         ];
         for (i, k) in kinds.iter().enumerate() {
             assert!(k.is_span());

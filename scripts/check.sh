@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Repo-wide gate: formatting, reachability, lints, release build, tier-1
+# Repo-wide gate: formatting, reachability, lints, docs, release build, tier-1
 # tests (every crate of the workspace), figure replay, CLI smokes,
 # benchmark smoke and the benchmark's own tests.
 # Run from anywhere; operates on the workspace root.
@@ -37,6 +37,10 @@ PY
 
 echo "==> cargo clippy --workspace -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc -D warnings (no dangling or private intra-doc link)"
+# Nothing else notices a doc comment that links to a name a PR deleted.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 echo "==> cargo build --release"
 cargo build --release
@@ -133,7 +137,6 @@ phases = doc["cycles"]["by_phase"]
 for phase in ("parse", "classify", "sched", "tx_enqueue"):
     assert phases[phase] > 0, f"no cycles attributed to {phase}: {phases}"
 spans = doc["span_samples"]
-# Queue spans only fire on deferred qdisc dequeues, not in the NIC demo.
 for stage in ("ingress", "classify", "sched", "tm_queue", "wire"):
     assert spans[stage] > 0, f"no span samples in {stage}: {spans}"
 assert doc["locks"], "no per-lock contention rows"
