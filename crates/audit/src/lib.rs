@@ -8,13 +8,14 @@
 //! flips. This crate supplies that layer in three parts:
 //!
 //! * [`DropCause`] — one enum shared by flowvalve, the qdisc baselines
-//!   (PRIO/TBF/HTB/SFQ) and the np-sim traffic manager. It lives in
+//!   (PRIO/TBF/HTB) and the np-sim traffic manager. It lives in
 //!   `fv_telemetry::cause` (those layers count drops, they are not
 //!   audited) and is re-exported here for the provenance records.
 //! * [`provenance`] — the [`StepObserver`] hook the schedulers thread
 //!   through their admission walks, the [`ProvenanceRecord`] it produces
 //!   (every executed chain step with bucket tokens before/after) and the
-//!   lock-free [`ProvenanceRing`] keyed by packet id. Which packets are
+//!   [`ProvenanceRing`] that keeps the newest of them, the workspace's one
+//!   overwrite-oldest ring (`fv_telemetry::Ring`). Which packets are
 //!   captured is the registry's one per-packet decision, the 1-in-2^n
 //!   [`Sampler`] of `fv_telemetry`, re-exported here.
 //! * [`ledger`] — the token-conservation auditor: folds sampled records

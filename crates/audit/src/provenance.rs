@@ -12,13 +12,11 @@
 //! finished [`ProvenanceRecord`] — every executed chain step with bucket
 //! tokens before/after, the deciding step on a refusal, whether the flow
 //! cache classified the packet, and the reload generation and tree epoch
-//! at decision time — lands in the [`ProvenanceRing`],
-//! a try-lock slot array keyed by packet id that never blocks the
-//! data path.
+//! at decision time — lands in the [`ProvenanceRing`], the workspace's
+//! one overwrite-oldest [`Ring`], which keeps the newest records in the
+//! order they were made and never blocks the data path.
 
-use std::sync::Mutex;
-
-use fv_telemetry::{JsonValue, ToJson};
+use fv_telemetry::{JsonValue, Ring, ToJson};
 use sim_core::time::Nanos;
 
 use fv_telemetry::DropCause;
@@ -354,86 +352,42 @@ impl StepObserver for Recorder {
     }
 }
 
-/// Lock-free-enough provenance store: a power-of-two slot array indexed
-/// by packet id. Writers `try_lock` their slot and drop the record on
-/// contention (never block the data path). When built with
-/// [`Self::sampled`], the id is shifted right by the sampler's shift
-/// before the modulo, so consecutive *sampled* ids (exactly one in every
-/// aligned block of `2^shift`) land in consecutive slots and a capture
-/// window of `capacity × 2^shift` packet ids is retained losslessly.
+/// The sampled decisions of a run: a [`Ring`] of [`ProvenanceRecord`]s in
+/// the order `decide` wrote them, keeping the newest `capacity`. Writers
+/// never block; a record whose slot another thread holds is dropped.
 #[derive(Debug)]
-pub struct ProvenanceRing {
-    slots: Vec<Mutex<Option<ProvenanceRecord>>>,
-    mask: u64,
-    shift: u32,
-}
+pub struct ProvenanceRing(Ring<ProvenanceRecord>);
 
 impl ProvenanceRing {
-    /// A ring with `capacity` slots (rounded up to a power of two),
-    /// indexed by raw packet id — pair it with a `shift == 0` sampler.
+    /// A ring of `capacity` slots (rounded up to a power of two, minimum 8).
     pub fn new(capacity: usize) -> Self {
-        Self::sampled(capacity, 0)
+        ProvenanceRing(Ring::new(capacity))
     }
 
-    /// A ring laid out for a 1-in-`2^shift` sampler: slots are indexed by
-    /// `pkt_id >> shift`, the number of the aligned block the id lies in,
-    /// so the sampled ids fill every slot before any eviction happens.
-    pub fn sampled(capacity: usize, shift: u32) -> Self {
-        let cap = capacity.next_power_of_two().max(1);
-        ProvenanceRing {
-            slots: (0..cap).map(|_| Mutex::new(None)).collect(),
-            mask: cap as u64 - 1,
-            shift: shift.min(63),
-        }
+    /// Delegates to [`Self::new`]: the ring fills in arrival order at any
+    /// sampling rate, so `_shift` is ignored. Kept because the
+    /// `benchmark/` package calls it.
+    pub fn sampled(capacity: usize, _shift: u32) -> Self {
+        Self::new(capacity)
     }
 
-    #[inline]
-    fn slot_of(&self, pkt_id: u64) -> usize {
-        ((pkt_id >> self.shift) & self.mask) as usize
-    }
-
-    /// Slot count.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Stores `rec`, overwriting any older record in its slot. Silently
-    /// drops the record if the slot is contended.
+    /// Stores `rec` over the oldest record.
     pub fn record(&self, rec: ProvenanceRecord) {
-        let slot = &self.slots[self.slot_of(rec.pkt_id)];
-        if let Ok(mut s) = slot.try_lock() {
-            *s = Some(rec);
-        }
+        self.0.push(rec);
     }
 
-    /// The record for `pkt_id`, if it is still resident.
+    /// The record for `pkt_id`, if it is still resident. The scan runs
+    /// newest-first, so the record of the decision just made is the first
+    /// one it looks at.
     pub fn get(&self, pkt_id: u64) -> Option<ProvenanceRecord> {
-        let slot = self.slots[self.slot_of(pkt_id)].lock().ok()?;
-        slot.as_ref().filter(|r| r.pkt_id == pkt_id).cloned()
+        self.0.newest(|r| r.pkt_id == pkt_id)
     }
 
     /// Every resident record, ordered by packet id.
     pub fn records(&self) -> Vec<ProvenanceRecord> {
-        let mut out: Vec<ProvenanceRecord> = self
-            .slots
-            .iter()
-            .filter_map(|s| s.lock().ok().and_then(|g| g.clone()))
-            .collect();
+        let mut out = self.0.recent(self.0.capacity());
         out.sort_by_key(|r| r.pkt_id);
         out
-    }
-
-    /// Number of resident records.
-    pub fn len(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| s.lock().map(|g| g.is_some()).unwrap_or(false))
-            .count()
-    }
-
-    /// Whether no record is resident.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -479,8 +433,8 @@ mod tests {
 
     #[test]
     fn sampled_ring_keeps_every_id_its_sampler_hits() {
-        // One hit per aligned block is what makes `id >> shift` a
-        // collision-free slot index over capacity × 2^shift ids.
+        // The shift is ignored: 16 sampled ids fill 16 slots in the order
+        // they come, whatever their spacing.
         let s = Sampler::one_in_pow2(6);
         let ring = ProvenanceRing::sampled(16, s.shift());
         let hits: Vec<u64> = (0..16u64 << 6).filter(|&id| s.hit(id)).collect();
@@ -489,36 +443,37 @@ mod tests {
             ring.record(rec(id));
         }
         assert!(hits.iter().all(|&id| ring.get(id).is_some()));
+        let held: Vec<u64> = ring.records().iter().map(|r| r.pkt_id).collect();
+        assert_eq!(held, hits);
     }
 
     #[test]
     fn ring_stores_and_resolves_by_pkt_id() {
         let ring = ProvenanceRing::new(8);
         ring.record(rec(5));
-        ring.record(rec(13)); // same slot (13 & 7 == 5): overwrites.
-        assert_eq!(ring.get(5), None);
+        ring.record(rec(13)); // a slot follows arrival, not the id: both stay
+        assert_eq!(ring.get(5).map(|r| r.pkt_id), Some(5));
         assert_eq!(ring.get(13).map(|r| r.pkt_id), Some(13));
-        assert_eq!(ring.len(), 1);
+        assert_eq!(ring.get(21), None);
+        // Of two records for one id, the newer answers.
+        ring.record(ProvenanceRecord { epoch: 7, ..rec(5) });
+        assert_eq!(ring.get(5).map(|r| r.epoch), Some(7));
     }
 
     #[test]
     fn sampled_ring_fills_every_slot_before_evicting() {
-        // A 1-in-8 sampler hits one id per aligned block of 8 (the block's
-        // first id stands in for it here); a shift-aware ring places them
-        // in consecutive slots so the lossless window is
-        // capacity × 2^shift ids, not capacity ids.
-        let ring = ProvenanceRing::sampled(4, 3);
-        for id in [0u64, 8, 16, 24] {
+        // Ids in any order and spacing fill the slots in arrival order, and
+        // the next record evicts the oldest one, whatever its id.
+        let ring = ProvenanceRing::new(8);
+        let ids = [40u64, 3, 17, 1_000, 8, 9, 64, 2];
+        for id in ids {
             ring.record(rec(id));
         }
-        assert_eq!(ring.len(), 4);
-        for id in [0u64, 8, 16, 24] {
-            assert_eq!(ring.get(id).map(|r| r.pkt_id), Some(id));
-        }
-        // The next sampled id wraps and evicts the oldest.
-        ring.record(rec(32));
-        assert_eq!(ring.get(0), None);
-        assert_eq!(ring.get(32).map(|r| r.pkt_id), Some(32));
+        assert!(ids.iter().all(|&id| ring.get(id).is_some()));
+        ring.record(rec(5));
+        assert_eq!(ring.get(40), None);
+        let held: Vec<u64> = ring.records().iter().map(|r| r.pkt_id).collect();
+        assert_eq!(held, [2, 3, 5, 8, 9, 17, 64, 1_000]);
     }
 
     #[test]

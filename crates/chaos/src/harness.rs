@@ -55,9 +55,9 @@ const HORIZON: Nanos = Nanos::from_millis(10);
 /// Source addresses run from 10.0.0.10 to 10.0.0.255, one per filter.
 pub const MAX_FLOWS: usize = 246;
 
-/// Provenance-ring slots; at the registry's 1 packet in 64 this retains a
-/// lossless window of 262144 packet ids, several times the run's packet
-/// count.
+/// Provenance-ring slots: the newest 4096 sampled decisions. At the
+/// registry's 1 packet in 64 that is more than a run makes, so `fv why` and
+/// `fv audit` see every one.
 const AUDIT_RING_CAPACITY: usize = 4096;
 
 /// The observers a saturation run carries. Every one of them is an
@@ -347,10 +347,7 @@ impl Fixture {
         pipeline.attach_telemetry(&registry);
         let audit = attach.audit.then(|| {
             let sampler = registry.sampler();
-            let ring = Arc::new(ProvenanceRing::sampled(
-                AUDIT_RING_CAPACITY,
-                sampler.shift(),
-            ));
+            let ring = Arc::new(ProvenanceRing::new(AUDIT_RING_CAPACITY));
             pipeline.attach_auditor(ring.clone(), sampler);
             ring
         });
@@ -556,7 +553,7 @@ pub fn run_chaos(
     }
 
     let sampler = run.sampler.as_ref().expect("attached above");
-    let recovery = evaluate(&slos, sampler, &run.snapshot, (Nanos::ZERO, HORIZON));
+    let recovery = evaluate(&slos, sampler, (Nanos::ZERO, HORIZON));
     Ok(ChaosReport {
         plan: plan.clone(),
         run,

@@ -31,7 +31,7 @@ use crate::plan::{FaultKind, FaultPlan, MAX_FAULTS};
 pub struct ChaosController {
     plan: FaultPlan,
     /// Frames offered to the TM while a `tm_drop` window is active.
-    tm_seq: AtomicU64,
+    tm_offered: AtomicU64,
     /// Bitmask of fault indices active at the last `note_transitions`.
     active_mask: AtomicU64,
     faults_injected: Arc<Counter>,
@@ -55,7 +55,7 @@ impl ChaosController {
         );
         ChaosController {
             plan,
-            tm_seq: AtomicU64::new(0),
+            tm_offered: AtomicU64::new(0),
             active_mask: AtomicU64::new(0),
             faults_injected: registry.counter("chaos.faults_injected"),
             faults_cleared: registry.counter("chaos.faults_cleared"),
@@ -161,7 +161,7 @@ impl FaultInjector for ChaosController {
             // Counting only frames offered during a window keeps replay
             // exact: the n-th in-window frame drops, whichever packet
             // that happens to be.
-            let seq = self.tm_seq.fetch_add(1, Ordering::Relaxed);
+            let seq = self.tm_offered.fetch_add(1, Ordering::Relaxed);
             if seq.is_multiple_of(every) {
                 return TmFault::CorruptDrop;
             }

@@ -103,7 +103,7 @@ fn run() -> Observed {
     let registry = Registry::with_ring_capacity(1 << 19);
     pipeline.attach_telemetry(&registry);
     let sampler = registry.sampler();
-    let provenance = Arc::new(ProvenanceRing::sampled(4096, sampler.shift()));
+    let provenance = Arc::new(ProvenanceRing::new(4096));
     pipeline.attach_auditor(provenance.clone(), sampler);
     let mut nic = SmartNic::with_registry(cfg, Box::new(pipeline), &registry);
     let (stream, t) = offer(&mut nic);

@@ -611,7 +611,7 @@ fn check(policy: &Policy, flags: &Flags) -> CmdResult {
     let sampler = run.sampler.as_ref().expect("check attaches a sampler");
     // Steady state: the second half of the run, past bucket warm-up.
     let window = (Nanos::from_nanos(run.horizon.as_nanos() / 2), run.horizon);
-    let report = evaluate(&slos, sampler, &run.snapshot, window);
+    let report = evaluate(&slos, sampler, window);
     print!("{}", report.render());
     if report.passed() {
         return Ok(ExitCode::SUCCESS);

@@ -957,3 +957,32 @@ fn audit_json_reports_machine_readable_verdict() {
     assert!(stdout.contains("\"violations\": []"), "stdout: {stdout}");
     assert!(stdout.contains("\"records\""), "stdout: {stdout}");
 }
+
+/// Every `--json` line of `scripts/check.sh`'s replay list prints one
+/// document that `JsonValue::parse` reads back and re-renders byte for
+/// byte, so the parser's bounds refuse nothing `fv` writes.
+#[test]
+fn every_replayed_json_output_parses_and_round_trips() {
+    use fv_telemetry::json::JsonValue;
+
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let check = std::fs::read_to_string(root.join("scripts/check.sh")).expect("scripts/check.sh");
+    let lines: Vec<&str> = check
+        .lines()
+        .skip_while(|l| !l.ends_with("<<'EOF'"))
+        .take_while(|&l| l != "EOF")
+        .filter(|l| l.ends_with("--json"))
+        .collect();
+    assert_eq!(lines.len(), 5, "{lines:?}");
+    for line in lines {
+        let out = fv()
+            .current_dir(&root)
+            .args(line.split(' '))
+            .output()
+            .expect("fv runs");
+        assert!(out.status.success(), "fv {line}");
+        let text = String::from_utf8(out.stdout).expect("utf-8");
+        let doc = JsonValue::parse(&text).unwrap_or_else(|e| panic!("fv {line}: {e}"));
+        assert_eq!(doc.to_pretty() + "\n", text, "fv {line}");
+    }
+}

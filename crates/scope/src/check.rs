@@ -2,14 +2,13 @@
 //!
 //! A [`Slo`] states an invariant the run must uphold — a class's achieved
 //! rate stays within a band of its configured rate over a steady-state
-//! window, a drop counter stays at zero, a stage's p99 latency stays
-//! under a bound. [`evaluate`] checks every assertion against a
-//! [`TimeSampler`]'s delta series and a registry [`Snapshot`], producing
-//! a [`CheckReport`] that renders for the terminal (`fv check`) or as
-//! JSON, and that tests assert on directly.
+//! window, the sum of several rates does, a rate is back in its band after
+//! a fault clears. [`evaluate`] checks every assertion against a
+//! [`TimeSampler`]'s delta series, producing a [`CheckReport`] that
+//! renders for the terminal (`fv check`) or as JSON, and that tests assert
+//! on directly.
 
 use fv_telemetry::json::{JsonValue, ToJson};
-use fv_telemetry::Snapshot;
 use sim_core::time::Nanos;
 
 use crate::sampler::TimeSampler;
@@ -41,24 +40,6 @@ pub enum Slo {
         /// Inclusive upper bound (units per second).
         max: f64,
     },
-    /// Counter `counter` is zero at snapshot time (e.g. priority
-    /// inversions, unexpected drops).
-    CounterZero {
-        /// Human-readable assertion name.
-        name: String,
-        /// The counter that must not have fired.
-        counter: String,
-    },
-    /// The p99 of histogram `histogram` is at most `max_ns`. Holds
-    /// vacuously when the histogram is absent or empty.
-    P99Below {
-        /// Human-readable assertion name.
-        name: String,
-        /// The latency histogram to bound.
-        histogram: String,
-        /// Inclusive p99 bound in nanoseconds.
-        max_ns: u64,
-    },
     /// After a fault clears at `clear`, the windowed rate of `series`
     /// measured over `[clear + within, window end]` is back in
     /// `[min, max]`. Fails when the recovery window is empty or the
@@ -78,16 +59,6 @@ pub enum Slo {
         /// Settling time granted before the recovery window opens.
         within: Nanos,
     },
-    /// Gauge `gauge` reads at most `max` at snapshot time (e.g. a queue
-    /// backlog that must have drained). Fails when the gauge is absent.
-    GaugeAtMost {
-        /// Human-readable assertion name.
-        name: String,
-        /// The gauge to bound.
-        gauge: String,
-        /// Inclusive upper bound on the final gauge value.
-        max: u64,
-    },
 }
 
 impl Slo {
@@ -96,10 +67,7 @@ impl Slo {
         match self {
             Slo::RateBetween { name, .. }
             | Slo::SumRateBetween { name, .. }
-            | Slo::CounterZero { name, .. }
-            | Slo::P99Below { name, .. }
-            | Slo::RateRecovers { name, .. }
-            | Slo::GaugeAtMost { name, .. } => name,
+            | Slo::RateRecovers { name, .. } => name,
         }
     }
 }
@@ -201,15 +169,10 @@ fn fmt_rate(v: f64) -> String {
     }
 }
 
-/// Evaluates `slos` against the sampler's series over `window` and the
-/// snapshot's counters/histograms. Rate assertions fail (rather than pass
-/// vacuously) when their series has no samples in the window.
-pub fn evaluate(
-    slos: &[Slo],
-    sampler: &TimeSampler,
-    snapshot: &Snapshot,
-    window: (Nanos, Nanos),
-) -> CheckReport {
+/// Evaluates `slos` against the sampler's series over `window`. An
+/// assertion fails (rather than passing vacuously) when its series has no
+/// samples in the window.
+pub fn evaluate(slos: &[Slo], sampler: &TimeSampler, window: (Nanos, Nanos)) -> CheckReport {
     let (from, to) = window;
     let results = slos
         .iter()
@@ -266,30 +229,6 @@ pub fn evaluate(
                     }
                 }
             }
-            Slo::CounterZero { name, counter } => {
-                let v = snapshot.counter(counter);
-                SloResult {
-                    name: name.clone(),
-                    passed: v == 0,
-                    detail: format!("{counter} = {v}"),
-                }
-            }
-            Slo::P99Below {
-                name,
-                histogram,
-                max_ns,
-            } => match snapshot.histogram(histogram) {
-                Some(h) if h.count > 0 => SloResult {
-                    name: name.clone(),
-                    passed: h.p99 <= *max_ns,
-                    detail: format!("p99 {} ns, bound {max_ns} ns (n={})", h.p99, h.count),
-                },
-                _ => SloResult {
-                    name: name.clone(),
-                    passed: true,
-                    detail: format!("{histogram} empty; bound holds vacuously"),
-                },
-            },
             Slo::RateRecovers {
                 name,
                 series,
@@ -331,18 +270,6 @@ pub fn evaluate(
                     }
                 }
             }
-            Slo::GaugeAtMost { name, gauge, max } => match snapshot.get(gauge) {
-                Some(fv_telemetry::MetricValue::Gauge { value, .. }) => SloResult {
-                    name: name.clone(),
-                    passed: *value <= *max,
-                    detail: format!("{gauge} = {value}, bound {max}"),
-                },
-                _ => SloResult {
-                    name: name.clone(),
-                    passed: false,
-                    detail: format!("gauge {gauge:?} absent from snapshot"),
-                },
-            },
         })
         .collect();
     CheckReport { window, results }
@@ -373,7 +300,6 @@ mod tests {
     fn rate_within_band_passes_and_outside_fails() {
         let reg = Registry::new();
         let s = steady_sampler(&reg);
-        let snap = reg.snapshot(us(100));
         let slos = [
             Slo::RateBetween {
                 name: "in-band".into(),
@@ -388,7 +314,7 @@ mod tests {
                 max: 1e9,
             },
         ];
-        let report = evaluate(&slos, &s, &snap, (us(50), us(100)));
+        let report = evaluate(&slos, &s, (us(50), us(100)));
         assert!(report.results[0].passed, "{}", report.render());
         assert!(!report.results[1].passed);
         assert!(!report.passed());
@@ -400,14 +326,13 @@ mod tests {
     fn missing_series_fails_rather_than_passing_vacuously() {
         let reg = Registry::new();
         let s = steady_sampler(&reg);
-        let snap = reg.snapshot(us(100));
         let slos = [Slo::RateBetween {
             name: "ghost".into(),
             series: "no.such.counter".into(),
             min: 0.0,
             max: 1e12,
         }];
-        let report = evaluate(&slos, &s, &snap, (us(50), us(100)));
+        let report = evaluate(&slos, &s, (us(50), us(100)));
         assert!(!report.passed());
     }
 
@@ -422,49 +347,14 @@ mod tests {
             b.add(4_000);
             s.advance_to(us(i * 10));
         }
-        let snap = reg.snapshot(us(100));
         let slos = [Slo::SumRateBetween {
             name: "total".into(),
             series: vec!["a.bits".into(), "b.bits".into()],
             min: 7.6e8,
             max: 8.4e8,
         }];
-        let report = evaluate(&slos, &s, &snap, (us(50), us(100)));
+        let report = evaluate(&slos, &s, (us(50), us(100)));
         assert!(report.passed(), "{}", report.render());
-    }
-
-    #[test]
-    fn counter_zero_and_p99_assertions() {
-        let reg = Registry::new();
-        reg.counter("drops").add(2);
-        reg.histogram("lat").record(500);
-        let s = TimeSampler::new(&reg, SamplerConfig::default());
-        let snap = reg.snapshot(us(100));
-        let slos = [
-            Slo::CounterZero {
-                name: "no-drops".into(),
-                counter: "drops".into(),
-            },
-            Slo::CounterZero {
-                name: "no-inversions".into(),
-                counter: "inversions".into(), // absent counter reads 0
-            },
-            Slo::P99Below {
-                name: "lat-bounded".into(),
-                histogram: "lat".into(),
-                max_ns: 1_000,
-            },
-            Slo::P99Below {
-                name: "empty-hist".into(),
-                histogram: "nope".into(),
-                max_ns: 1,
-            },
-        ];
-        let report = evaluate(&slos, &s, &snap, (us(0), us(100)));
-        assert!(!report.results[0].passed);
-        assert!(report.results[1].passed);
-        assert!(report.results[2].passed);
-        assert!(report.results[3].passed, "vacuous bound must hold");
     }
 
     #[test]
@@ -479,7 +369,6 @@ mod tests {
             }
             s.advance_to(us(i * 10));
         }
-        let snap = reg.snapshot(us(100));
         let slos = [
             Slo::RateRecovers {
                 name: "recovers".into(),
@@ -506,53 +395,23 @@ mod tests {
                 within: us(10),
             },
         ];
-        let report = evaluate(&slos, &s, &snap, (us(0), us(100)));
+        let report = evaluate(&slos, &s, (us(0), us(100)));
         assert!(report.results[0].passed, "{}", report.render());
         assert!(!report.results[1].passed, "empty recovery window must fail");
         assert!(!report.results[2].passed, "absent series must fail");
     }
 
     #[test]
-    fn gauge_at_most_bounds_final_value_and_fails_when_absent() {
-        let reg = Registry::new();
-        let g = reg.gauge("depth");
-        g.set(40);
-        g.set(3);
-        let s = TimeSampler::new(&reg, SamplerConfig::default());
-        let snap = reg.snapshot(us(100));
-        let slos = [
-            Slo::GaugeAtMost {
-                name: "drained".into(),
-                gauge: "depth".into(),
-                max: 5,
-            },
-            Slo::GaugeAtMost {
-                name: "still-full".into(),
-                gauge: "depth".into(),
-                max: 2,
-            },
-            Slo::GaugeAtMost {
-                name: "ghost".into(),
-                gauge: "missing".into(),
-                max: 100,
-            },
-        ];
-        let report = evaluate(&slos, &s, &snap, (us(0), us(100)));
-        assert!(report.results[0].passed, "{}", report.render());
-        assert!(!report.results[1].passed);
-        assert!(!report.results[2].passed, "absent gauge must fail");
-    }
-
-    #[test]
     fn report_json_shape() {
         let reg = Registry::new();
         let s = steady_sampler(&reg);
-        let snap = reg.snapshot(us(100));
-        let slos = [Slo::CounterZero {
+        let slos = [Slo::RateBetween {
             name: "z".into(),
-            counter: "drops".into(),
+            series: "bits".into(),
+            min: 0.0,
+            max: 1e12,
         }];
-        let report = evaluate(&slos, &s, &snap, (us(50), us(100)));
+        let report = evaluate(&slos, &s, (us(50), us(100)));
         let doc = JsonValue::parse(&report.to_json().to_pretty()).unwrap();
         assert_eq!(doc.get("passed"), Some(&JsonValue::Bool(true)));
         let results = doc.get("results").and_then(|r| r.as_arr()).unwrap();

@@ -28,16 +28,6 @@ pub enum DropCause {
 }
 
 impl DropCause {
-    /// Every cause, in a stable order.
-    pub const ALL: [DropCause; 6] = [
-        DropCause::NoTokens,
-        DropCause::OverCeil,
-        DropCause::OverPkts,
-        DropCause::OverBytes,
-        DropCause::TailDrop,
-        DropCause::CorruptDrop,
-    ];
-
     /// Stable snake_case name, used as the counter-name suffix.
     pub fn name(&self) -> &'static str {
         match self {
@@ -76,7 +66,17 @@ mod tests {
 
     #[test]
     fn names_are_stable_and_distinct() {
-        let names: Vec<&str> = DropCause::ALL.iter().map(|c| c.name()).collect();
+        let names: Vec<&str> = [
+            DropCause::NoTokens,
+            DropCause::OverCeil,
+            DropCause::OverPkts,
+            DropCause::OverBytes,
+            DropCause::TailDrop,
+            DropCause::CorruptDrop,
+        ]
+        .iter()
+        .map(|c| c.name())
+        .collect();
         let mut dedup = names.clone();
         dedup.sort_unstable();
         dedup.dedup();

@@ -103,6 +103,7 @@ impl JsonValue {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -169,11 +170,18 @@ impl JsonValue {
     }
 }
 
+/// How deep arrays and objects may nest before [`JsonValue::parse`] refuses
+/// the document instead of recursing further. Every document the workspace
+/// and the benchmark write is under 10 deep.
+const MAX_DEPTH: usize = 128;
+
 /// Recursive-descent JSON parser over raw bytes (multi-byte UTF-8 is only
 /// ever copied through inside strings, never inspected).
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -215,8 +223,19 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!("{}: nesting too deep", self.pos));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("{}: expected a value", self.pos)),
         }
@@ -308,13 +327,16 @@ impl Parser<'_> {
                         b'b' => out.push('\u{8}'),
                         b'f' => out.push('\u{c}'),
                         b'u' => {
-                            let hex = self
+                            // Exactly four hex digits: `from_str_radix` alone
+                            // would also take a sign.
+                            let code = self
                                 .bytes
                                 .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+                                .and_then(|h| {
+                                    u32::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok()
+                                })
                                 .ok_or_else(|| format!("{}: bad \\u escape", self.pos))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("{}: bad \\u escape", self.pos))?;
                             self.pos += 4;
                             // Surrogate pairs are not produced by our emitter;
                             // map lone surrogates to the replacement char.
@@ -628,6 +650,36 @@ mod tests {
         ] {
             assert!(JsonValue::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn parse_refuses_deep_nesting_instead_of_overflowing_the_stack() {
+        for open in ["[", "{\"k\":"] {
+            let hostile = open.repeat(1_000_000);
+            assert_eq!(
+                JsonValue::parse(&hostile),
+                Err(format!("{}: nesting too deep", MAX_DEPTH * open.len()))
+            );
+        }
+        let deepest = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(JsonValue::parse(&deepest).is_ok());
+    }
+
+    #[test]
+    fn parse_unicode_escape_takes_exactly_four_hex_digits() {
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u04""#,
+            r#""\u0g41""#,
+        ] {
+            assert!(JsonValue::parse(bad).is_err(), "accepted {bad}");
+        }
+        assert_eq!(
+            JsonValue::parse(r#""\u004A""#),
+            Ok(JsonValue::Str("J".into()))
+        );
     }
 
     #[test]

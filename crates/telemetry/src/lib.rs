@@ -13,8 +13,10 @@
 //!   owns it), occupancy gauges with high-water marks and log-linear
 //!   latency histograms. Rates are read off counters by `fv-scope`'s
 //!   `TimeSampler`; nothing here keeps a second series.
-//! * [`EventRing`] — a seqlock trace ring for individual scheduler
-//!   decisions, token-bucket refills, lock waits and tail drops.
+//! * [`Ring`] — the one overwrite-oldest ring (try-lock slots, a writer
+//!   never blocks); [`EventRing`] is the registry's ring of individual
+//!   scheduler decisions, token-bucket refills, lock waits and tail drops,
+//!   and `fv_audit`'s provenance ring is the same structure.
 //! * [`Sampler`] — the one per-packet sampling decision: spans, per-packet
 //!   trace events and provenance are kept for the same one packet in 64;
 //!   counters, gauges and `nic.latency_ns` stay exact.
@@ -36,9 +38,9 @@
 //! * under **wall-clock time** on real OS threads, where
 //!   `sim_core::clock::WallClock` reads the hardware clock.
 //!
-//! Because the hot path is wait-free (no locks, no CAS loops on counters),
-//! attaching telemetry does not add contention of its own to the run it
-//! observes.
+//! Because the hot path is wait-free (no lock is waited for, no CAS loops
+//! on counters), attaching telemetry does not add contention of its own to
+//! the run it observes.
 //!
 //! # Example
 //!
@@ -74,4 +76,4 @@ pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{MetricEntry, MetricValue, Registry, Snapshot};
 pub use sampler::Sampler;
 pub use span::{SpanRecorder, SpanSink, Stage, STAGES};
-pub use trace::{EventRing, TraceEvent, TraceKind};
+pub use trace::{EventRing, Ring, TraceEvent, TraceKind};

@@ -7,8 +7,8 @@
 //! function of the id, so it needs no field in the packet and no argument
 //! in any signature: every recorder copies the [`Sampler`] of the
 //! [`Registry`](crate::Registry) it was built from and asks it again.
-//! Counters, gauges, rate windows and per-packet histograms that are not
-//! spans (`nic.latency_ns`) never ask: they stay exact.
+//! Counters, gauges and per-packet histograms that are not spans
+//! (`nic.latency_ns`) never ask: they stay exact.
 //!
 //! # Why not the low bits
 //!
@@ -20,9 +20,7 @@
 //! each aligned block of `2^shift` ids holds exactly one sampled id, at an
 //! offset hashed from the block number (Fibonacci hashing: the top `shift`
 //! bits of `block × 2^64/φ`). Consecutive blocks walk the offsets as a
-//! golden-ratio sequence, which is equidistributed modulo every small `k`,
-//! and "one per block" is what lets a ring indexed by `id >> shift` keep a
-//! window of sampled ids without a collision.
+//! golden-ratio sequence, which is equidistributed modulo every small `k`.
 
 /// 2^64 / φ, the multiplier of Fibonacci hashing.
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;

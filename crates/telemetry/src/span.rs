@@ -23,9 +23,10 @@
 //! histograms therefore hold a 1-in-2^shift sample of the stage latencies;
 //! `obs.sample_shift` in the same snapshot says which.
 //!
-//! All writes are wait-free relaxed atomics; a recorder exists only where a
-//! caller attached a registry, and the benchmark's `telemetry.ns_per_pkt`
-//! on `demo_observed` is the measured price of doing so.
+//! All writes are wait-free (relaxed atomics, and the ring's one slot
+//! `try_lock`); a recorder exists only where a caller attached a registry,
+//! and the benchmark's `telemetry.ns_per_pkt` on `demo_observed` is the
+//! measured price of doing so.
 
 use std::sync::{Arc, OnceLock};
 

@@ -113,7 +113,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             max: f64::INFINITY,
         },
     ];
-    let report = evaluate(&slos, &sampler, &snapshot, (Nanos::from_millis(5), horizon));
+    let report = evaluate(&slos, &sampler, (Nanos::from_millis(5), horizon));
     println!("\n{}", report.render());
     if report.passed() {
         Ok(())

@@ -35,6 +35,37 @@ print(f"reachability: {len(dead)} pub fn(s) with no non-test caller")
 sys.exit(1 if dead else 0)
 PY
 
+echo "==> cross-references (every §N names a DESIGN.md section, every ROADMAP item an open one)"
+# A section or item renumbered or closed leaves its references behind;
+# nothing else notices. An item is open unless its marker says "Closed"; a
+# lettered part is a bold "(x)" inside the item.
+python3 - <<'PY'
+import re, sys
+sections = set(re.findall(r"^## (\d+)\.", open("DESIGN.md").read(), re.M))
+roadmap = open("ROADMAP.md").read().split("\n## Open items", 1)[1].split("\n### ", 1)[0]
+items = {}
+for m in re.finditer(r"^- \*\*(\d+)\.(.*?)(?=^- \*\*\d+\.|\Z)", roadmap, re.M | re.S):
+    if not m.group(2).lstrip("* ").startswith("Closed"):
+        items[m.group(1)] = set(re.findall(r"\*\*\((\w)\)", m.group(2)))
+bad = []
+for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
+    text = open(doc).read()
+    at = lambda m: f"{doc}:{text.count(chr(10), 0, m.start()) + 1}"
+    for m in re.finditer(r"§(\d+)", text):
+        if m.group(1) not in sections:
+            bad.append(f"{at(m)}: §{m.group(1)} names no DESIGN.md section")
+    for m in re.finditer(r"ROADMAP\s+item\s+(\d+)(?:\s+\((\w)\))?", text):
+        n, part = m.groups()
+        if n not in items:
+            bad.append(f"{at(m)}: ROADMAP item {n} is not an open item")
+        elif part and part not in items[n]:
+            bad.append(f"{at(m)}: ROADMAP item {n} has no part ({part})")
+for b in bad:
+    print(f"  {b}")
+print(f"cross-references: {len(bad)} dangling")
+sys.exit(1 if bad else 0)
+PY
+
 echo "==> cargo clippy --workspace -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

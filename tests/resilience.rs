@@ -78,22 +78,11 @@ fn wire_flap_recovers_drains_backlog_and_restores_per_band_rates() {
             max: 1.20 * before,
         });
     }
-    // And the serializer backlog built during the flap has drained back
-    // to steady-state occupancy (a few frames in flight on a 10G stream).
-    slos.push(Slo::GaugeAtMost {
-        name: "tm backlog drained".into(),
-        gauge: "chaos.tm_backlog_bytes".into(),
-        max: 16 * 1518,
-    });
-    let verdict = evaluate(
-        &slos,
-        report.sampler(),
-        &report.run.snapshot,
-        (clear + SETTLE, horizon),
-    );
+    let verdict = evaluate(&slos, report.sampler(), (clear + SETTLE, horizon));
     assert!(verdict.passed(), "{}", verdict.render());
-    // The flap really did build a queue: peak occupancy during the run
-    // dwarfs what is left at the horizon.
+    // The flap really did build a queue, and it has drained back to
+    // steady-state occupancy (a few frames in flight on a 10G stream):
+    // peak occupancy during the run dwarfs what is left at the horizon.
     let (peak, final_bytes) = match (
         report.run.snapshot.get("tm.fifo.backlog_bytes"),
         report.run.snapshot.get("chaos.tm_backlog_bytes"),
@@ -104,6 +93,10 @@ fn wire_flap_recovers_drains_backlog_and_restores_per_band_rates() {
         ) => (*max, *value),
         other => panic!("backlog gauges missing: {other:?}"),
     };
+    assert!(
+        final_bytes <= 16 * 1518,
+        "backlog not drained: {final_bytes} B"
+    );
     assert!(
         peak > 4 * final_bytes.max(1518),
         "flap built no backlog: peak {peak}, final {final_bytes}"
