@@ -215,6 +215,9 @@ struct Compiled {
     /// The scheduling tree flattened into admission chains, one per
     /// distinct label of the policy.
     program: CompiledProgram,
+    /// The flow-cache capacity the pipeline was built with; a reload
+    /// allocates the new cache at the same size.
+    cache_capacity: usize,
 }
 
 impl Compiled {
@@ -240,6 +243,7 @@ impl Compiled {
         Ok(Compiled {
             classifier: Classifier::from_table(table, cache_capacity),
             program,
+            cache_capacity,
         })
     }
 }
@@ -396,7 +400,8 @@ impl FlowValvePipeline {
     /// In-flight classification state (the flow cache) is invalidated, so
     /// the next packet of every flow re-classifies against the new rules —
     /// the runtime reconfiguration that fixed-function NIC traffic
-    /// managers lack (paper §II-B).
+    /// managers lack (paper §II-B). The new flow cache has the running
+    /// one's capacity.
     ///
     /// # Errors
     ///
@@ -417,7 +422,7 @@ impl FlowValvePipeline {
         self.compiled = Compiled::new(
             &tree,
             FilterTable::from_rules(default, rules),
-            Self::DEFAULT_CACHE_CAPACITY,
+            self.compiled.cache_capacity,
         )?;
         self.tree = Arc::new(tree);
         self.reload_gen = self.reload_gen.wrapping_add(1);
@@ -481,6 +486,7 @@ impl EgressDecider for FlowValvePipeline {
         let Compiled {
             classifier,
             program,
+            ..
         } = &mut self.compiled;
         let (&chain, cache) = classifier.classify_at(meter.worker(), &pkt.flow, pkt.vf);
         meter.charge(match cache {
@@ -1003,6 +1009,40 @@ mod tests {
         assert_eq!(side.chain_of(10, 20), chain);
         assert_eq!(Arc::as_ptr(side.pipe.tree()), tree);
         assert_eq!(side.pipe.reload_gen, 0);
+    }
+
+    #[test]
+    fn a_reload_keeps_a_custom_flow_cache_capacity() {
+        let nic = NicConfig::agilio_cx_10g();
+        let policy = Policy::parse(POLICY_V1).unwrap();
+        let (tree, rules, default) = policy.compile(TreeParams::default()).unwrap();
+        let classifier = Classifier::from_table(FilterTable::from_rules(default, rules), 64);
+        let mut side = Side {
+            pipe: FlowValvePipeline::from_classifier(Arc::new(tree), classifier, &nic).unwrap(),
+            meter: CostMeter::new(CycleCosts::agilio()),
+            locks: LockTable::new(64),
+        };
+        side.reload(POLICY_V2).unwrap();
+        // 64 flows over 8 shards hold 8 per stripe, so 16 flows cycled
+        // twice on one stripe miss again on the second lap; a cache
+        // regrown to the 65 536-flow default would hit the whole of it.
+        for id in 0..32u64 {
+            let flow = FlowKey::tcp(
+                [10, 0, 0, 1],
+                40_000 + (id % 16) as u16,
+                [10, 0, 0, 2],
+                5001,
+            );
+            side.decide(
+                &Packet {
+                    flow,
+                    ..pkt(id, 5001)
+                },
+                Nanos::from_micros(id),
+            );
+        }
+        let s = side.pipe.cache_stats();
+        assert!(s.misses > 16, "second lap hit: {s:?}");
     }
 
     /// The traffic generator's state and what the traffic so far has put

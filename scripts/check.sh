@@ -66,6 +66,54 @@ print(f"cross-references: {len(bad)} dangling")
 sys.exit(1 if bad else 0)
 PY
 
+echo "==> code paths (every backticked crate::path::Name names a module file or item)"
+# A module or item renamed or deleted leaves its backticked path in the
+# prose. The first segment is a workspace crate (package or directory
+# name); each next segment descends into a module file while one exists,
+# and the first that is not one must be declared or re-exported (`pub use`)
+# in the module reached; segments after it (a method, a variant) must occur
+# somewhere in that crate. Text about a deleted name drops the backticks.
+python3 - <<'PY'
+import glob, os, re, sys
+crates = {}
+for toml in glob.glob("crates/*/Cargo.toml"):
+    src = os.path.join(os.path.dirname(toml), "src")
+    name = re.search(r'^name = "([^"]+)"', open(toml).read(), re.M).group(1)
+    if os.path.exists(f"{src}/lib.rs"):
+        for alias in (name, os.path.basename(os.path.dirname(toml))):
+            crates[alias.replace("-", "_")] = src
+def declares(path, name):
+    src = open(path).read()
+    return bool(re.search(rf"\b(fn|struct|enum|trait|type|const|static|mod)\s+{name}\b", src)
+                or re.search(rf"\bpub use [^;]*\b{name}\b[^;]*;", src))
+def resolves(src_dir, segs):
+    path = f"{src_dir}/lib.rs"
+    for i, seg in enumerate(segs):
+        base = os.path.dirname(path) if os.path.basename(path) in ("lib.rs", "mod.rs") else path[:-3]
+        found = [p for p in (f"{base}/{seg}.rs", f"{base}/{seg}/mod.rs") if os.path.exists(p)]
+        if found:
+            path = found[0]
+            continue
+        if not declares(path, seg):
+            return False
+        words = set()
+        for p in glob.glob(f"{src_dir}/**/*.rs", recursive=True):
+            words.update(re.findall(r"\w+", open(p).read()))
+        return all(s in words for s in segs[i + 1:])
+    return True
+bad = []
+for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
+    text = open(doc).read()
+    for m in re.finditer(r"`([a-z_][a-z0-9_]*)((?:::\w+)+)`", text):
+        crate, segs = m.group(1), m.group(2)[2:].split("::")
+        if crate in crates and not resolves(crates[crate], segs):
+            bad.append(f"{doc}:{text.count(chr(10), 0, m.start()) + 1}: `{m.group(1)}{m.group(2)}`")
+for b in bad:
+    print(f"  {b} names no module file or item")
+print(f"code paths: {len(bad)} dangling")
+sys.exit(1 if bad else 0)
+PY
+
 echo "==> cargo clippy --workspace -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
