@@ -8,10 +8,7 @@
 //!    tokens (`after == before − need`); anything else is a *mischarge*.
 //! 2. **Restore exactness** — a red meter step restored the bucket
 //!    (`after == before`); anything else is a *leak*.
-//! 3. **Refund completeness** — a chain drop at stage *i* refunds every
-//!    already-admitted stage `0..i` exactly once, each for the packet's
-//!    full wire bits; and non-drop verdicts refund nothing.
-//! 4. **No overfill** — no bucket's level exceeds its burst capacity in
+//! 3. **No overfill** — no bucket's level exceeds its burst capacity in
 //!    the slab snapshot.
 //!
 //! Violations surface as the `audit.*` counter family; borrowing flows
@@ -49,8 +46,6 @@ pub enum ViolationKind {
     Mischarge,
     /// Red meter step that did not restore the bucket.
     Leak,
-    /// Chain-drop refunds missing, duplicated, or with wrong bits.
-    RefundMismatch,
     /// A bucket level above its burst capacity.
     Overfill,
 }
@@ -61,7 +56,6 @@ impl ViolationKind {
         match self {
             ViolationKind::Mischarge => "mischarge",
             ViolationKind::Leak => "leak",
-            ViolationKind::RefundMismatch => "refund_mismatch",
             ViolationKind::Overfill => "overfill",
         }
     }
@@ -367,52 +361,6 @@ impl Ledger {
                 }
             }
 
-            // Refund completeness: a drop at chain stage i refunds each
-            // admitted stage 0..i exactly once, full wire bits each.
-            if rec.verdict == AuditVerdict::Drop {
-                let drop_stage = rec.deciding_step().map(|i| rec.steps[i].stage).unwrap_or(0);
-                let mut expected: Vec<u8> = (0..drop_stage).collect();
-                for r in &rec.refunds {
-                    if r.bits != rec.wire_bits {
-                        violations.push(Violation {
-                            kind: ViolationKind::RefundMismatch,
-                            pkt_id: Some(rec.pkt_id),
-                            bucket: None,
-                            detail: format!(
-                                "refund to stage {} was {} bits, packet is {}",
-                                r.stage, r.bits, rec.wire_bits
-                            ),
-                        });
-                    }
-                    match expected.iter().position(|&s| s == r.stage) {
-                        Some(i) => {
-                            expected.remove(i);
-                        }
-                        None => violations.push(Violation {
-                            kind: ViolationKind::RefundMismatch,
-                            pkt_id: Some(rec.pkt_id),
-                            bucket: None,
-                            detail: format!("unexpected refund to stage {}", r.stage),
-                        }),
-                    }
-                }
-                for s in expected {
-                    violations.push(Violation {
-                        kind: ViolationKind::RefundMismatch,
-                        pkt_id: Some(rec.pkt_id),
-                        bucket: None,
-                        detail: format!("missing refund to admitted stage {s}"),
-                    });
-                }
-            } else if !rec.refunds.is_empty() {
-                violations.push(Violation {
-                    kind: ViolationKind::RefundMismatch,
-                    pkt_id: Some(rec.pkt_id),
-                    bucket: None,
-                    detail: format!("{} verdict carries refunds", rec.verdict.name()),
-                });
-            }
-
             if let AuditVerdict::Borrowed(lender) = rec.verdict {
                 let e = borrows.entry((lender, rec.leaf)).or_insert((0, 0));
                 e.0 += 1;
@@ -471,7 +419,6 @@ mod tests {
             epoch: 0,
             chain: 0,
             steps: vec![StepRecord {
-                stage: 0,
                 kind: StepKind::MeterLeaf,
                 class: 10,
                 bucket: 1,
@@ -480,7 +427,6 @@ mod tests {
                 after: 38_000,
                 green: true,
             }],
-            refunds: vec![],
         }
     }
 
@@ -523,21 +469,6 @@ mod tests {
             .violations
             .iter()
             .any(|v| v.kind == ViolationKind::Leak));
-    }
-
-    #[test]
-    fn missing_refund_is_flagged() {
-        let mut r = clean_record(0);
-        // Drop at stage 1 with stage 0 already admitted, but no refund.
-        r.verdict = AuditVerdict::Drop;
-        r.steps[0].green = false;
-        r.steps[0].after = r.steps[0].before;
-        r.steps[0].stage = 1;
-        let report = Ledger::audit(&[r], &slab());
-        assert!(report
-            .violations
-            .iter()
-            .any(|v| v.kind == ViolationKind::RefundMismatch));
     }
 
     #[test]

@@ -1,20 +1,19 @@
 //! Decision provenance: what the admission walk actually did, per packet.
 //!
-//! The schedulers (flowvalve's admission function and the qdisc chain over
-//! it) are generic over a [`StepObserver`]. The production path
-//! instantiates them with [`NoObserver`], whose `ENABLED: bool = false`
-//! constant lets the compiler erase every capture branch — the unsampled
-//! fast path pays one well-predicted branch per decision, nothing more. When the 1-in-2^n
-//! [`Sampler`] (the registry's one per-packet decision, defined in
-//! `fv_telemetry::sampler` and shared with spans and trace events)
-//! selects a packet, the pipeline re-runs nothing: the same
-//! single walk executes with a [`Recorder`] threaded through it, and the
-//! finished [`ProvenanceRecord`] — every executed chain step with bucket
-//! tokens before/after, the deciding step on a refusal, whether the flow
-//! cache classified the packet, and the reload generation and tree epoch
-//! at decision time — lands in the [`ProvenanceRing`], the workspace's
-//! one overwrite-oldest [`Ring`], which keeps the newest records in the
-//! order they were made and never blocks the data path.
+//! flowvalve's admission function is generic over a [`StepObserver`]. The
+//! production path instantiates it with [`NoObserver`], whose `ENABLED:
+//! bool = false` constant lets the compiler erase every capture branch —
+//! the unsampled fast path pays one well-predicted branch per decision,
+//! nothing more. When the 1-in-2^n [`Sampler`] (the registry's one
+//! per-packet decision, defined in `fv_telemetry::sampler` and shared with
+//! spans and trace events) selects a packet, the pipeline re-runs nothing:
+//! the same single walk executes with a [`Recorder`] threaded through it,
+//! and the finished [`ProvenanceRecord`] — every executed chain step with
+//! bucket tokens before/after, the deciding step on a refusal, whether the
+//! flow cache classified the packet, and the reload generation and tree
+//! epoch at decision time — lands in the [`ProvenanceRing`], the
+//! workspace's one overwrite-oldest [`Ring`], which keeps the newest
+//! records in the order they were made and never blocks the data path.
 
 use fv_telemetry::{JsonValue, Ring, ToJson};
 use sim_core::time::Nanos;
@@ -50,8 +49,6 @@ impl StepKind {
 /// One executed admission-chain step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepRecord {
-    /// Qdisc-chain stage index (0 for a single-tree walk).
-    pub stage: u8,
     /// What the step did.
     pub kind: StepKind,
     /// Raw class id of the node the step touched.
@@ -66,17 +63,6 @@ pub struct StepRecord {
     pub after: i64,
     /// Whether the step passed (meters: token test green; updates: always).
     pub green: bool,
-}
-
-/// A Γ-refund issued to an earlier chain stage when a later stage drops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RefundRecord {
-    /// Stage that receives the refund.
-    pub stage: u8,
-    /// Leaf class of the refunded label on that stage.
-    pub class: u16,
-    /// Wire bits uncounted.
-    pub bits: u64,
 }
 
 /// The verdict, mirrored here so the auditor does not depend on flowvalve.
@@ -123,13 +109,10 @@ pub struct ProvenanceRecord {
     pub reload_gen: u64,
     /// Tree update epoch at decision time.
     pub epoch: u64,
-    /// Compiled chain index (`u32::MAX` from a producer that ran no
-    /// compiled chain; the flowvalve pipeline always names one).
+    /// Index of the compiled admission chain the walk ran.
     pub chain: u32,
     /// Every executed step, in execution order.
     pub steps: Vec<StepRecord>,
-    /// Γ-refunds to earlier stages (qdisc chains only).
-    pub refunds: Vec<RefundRecord>,
 }
 
 impl ProvenanceRecord {
@@ -139,7 +122,7 @@ impl ProvenanceRecord {
     }
 
     /// The canonical walk text: everything the *scheduling semantics*
-    /// produced — steps, verdict, cause, refunds — excluding the cache,
+    /// produced — steps, verdict, cause — excluding the cache,
     /// reload and chain bookkeeping around it, which [`Self::render`]
     /// appends.
     pub fn canonical(&self) -> String {
@@ -156,8 +139,7 @@ impl ProvenanceRecord {
         for (i, s) in self.steps.iter().enumerate() {
             let _ = writeln!(
                 out,
-                "  [{i}] s{} {} 1:{} bucket {} need {} tokens {} -> {} {}",
-                s.stage,
+                "  [{i}] {} 1:{} bucket {} need {} tokens {} -> {} {}",
                 s.kind.name(),
                 s.class,
                 s.bucket,
@@ -166,9 +148,6 @@ impl ProvenanceRecord {
                 s.after,
                 if s.green { "green" } else { "red" }
             );
-        }
-        for r in &self.refunds {
-            let _ = writeln!(out, "  refund s{} 1:{} bits {}", r.stage, r.class, r.bits);
         }
         match self.verdict {
             AuditVerdict::Borrowed(l) => {
@@ -195,11 +174,7 @@ impl ProvenanceRecord {
             if self.cache_hit { "hit" } else { "miss" },
             self.reload_gen,
             self.epoch,
-            if self.chain == u32::MAX {
-                "interpreted".to_string()
-            } else {
-                self.chain.to_string()
-            }
+            self.chain
         );
         if let Some(i) = self.deciding_step() {
             let _ = writeln!(out, "deciding step [{i}]");
@@ -211,7 +186,6 @@ impl ProvenanceRecord {
 impl ToJson for StepRecord {
     fn to_json(&self) -> JsonValue {
         JsonValue::obj([
-            ("stage", JsonValue::UInt(self.stage as u64)),
             ("kind", JsonValue::Str(self.kind.name().to_string())),
             ("class", JsonValue::UInt(self.class as u64)),
             ("bucket", JsonValue::UInt(self.bucket as u64)),
@@ -245,14 +219,7 @@ impl ToJson for ProvenanceRecord {
         pairs.push(("cache_hit", JsonValue::Bool(self.cache_hit)));
         pairs.push(("reload_gen", JsonValue::UInt(self.reload_gen)));
         pairs.push(("epoch", JsonValue::UInt(self.epoch)));
-        pairs.push((
-            "chain",
-            if self.chain == u32::MAX {
-                JsonValue::Null
-            } else {
-                JsonValue::UInt(self.chain as u64)
-            },
-        ));
+        pairs.push(("chain", JsonValue::UInt(self.chain as u64)));
         pairs.push((
             "deciding_step",
             match self.deciding_step() {
@@ -264,21 +231,11 @@ impl ToJson for ProvenanceRecord {
             "steps",
             JsonValue::arr(self.steps.iter().map(|s| s.to_json())),
         ));
-        pairs.push((
-            "refunds",
-            JsonValue::arr(self.refunds.iter().map(|r| {
-                JsonValue::obj([
-                    ("stage", JsonValue::UInt(r.stage as u64)),
-                    ("class", JsonValue::UInt(r.class as u64)),
-                    ("bits", JsonValue::UInt(r.bits)),
-                ])
-            })),
-        ));
         JsonValue::obj(pairs)
     }
 }
 
-/// The capture hook the schedulers are generic over.
+/// The capture hook the admission function is generic over.
 ///
 /// `ENABLED` is an associated *constant*: with [`NoObserver`] every
 /// capture site folds to dead code at monomorphization, so the production
@@ -289,15 +246,6 @@ pub trait StepObserver {
 
     /// Called after each executed chain step.
     fn on_step(&mut self, rec: StepRecord);
-
-    /// Called for each Γ-refund a chain drop issues to an earlier stage.
-    fn on_refund(&mut self, stage: u8, class: u16, bits: u64);
-
-    /// Called by a qdisc chain as it enters stage `stage`; subsequent
-    /// steps belong to that stage. Single-tree walks never call this.
-    fn on_stage(&mut self, stage: u8) {
-        let _ = stage;
-    }
 }
 
 /// The erased observer for the production path.
@@ -309,24 +257,17 @@ impl StepObserver for NoObserver {
 
     #[inline(always)]
     fn on_step(&mut self, _rec: StepRecord) {}
-
-    #[inline(always)]
-    fn on_refund(&mut self, _stage: u8, _class: u16, _bits: u64) {}
 }
 
 /// The collecting observer used for sampled packets.
 #[derive(Debug, Default)]
 pub struct Recorder {
-    /// Chain stage the next steps belong to (set by the qdisc chain).
-    pub stage: u8,
     /// Steps collected so far.
     pub steps: Vec<StepRecord>,
-    /// Refunds collected so far.
-    pub refunds: Vec<RefundRecord>,
 }
 
 impl Recorder {
-    /// A fresh empty recorder at stage 0.
+    /// A fresh empty recorder.
     pub fn new() -> Self {
         Self::default()
     }
@@ -336,19 +277,8 @@ impl StepObserver for Recorder {
     const ENABLED: bool = true;
 
     #[inline]
-    fn on_step(&mut self, mut rec: StepRecord) {
-        rec.stage = self.stage;
+    fn on_step(&mut self, rec: StepRecord) {
         self.steps.push(rec);
-    }
-
-    #[inline]
-    fn on_refund(&mut self, stage: u8, class: u16, bits: u64) {
-        self.refunds.push(RefundRecord { stage, class, bits });
-    }
-
-    #[inline]
-    fn on_stage(&mut self, stage: u8) {
-        self.stage = stage;
     }
 }
 
@@ -408,7 +338,6 @@ mod tests {
             epoch: 6,
             chain: 2,
             steps: vec![StepRecord {
-                stage: 0,
                 kind: StepKind::MeterLeaf,
                 class: 10,
                 bucket: 3,
@@ -417,7 +346,6 @@ mod tests {
                 after: 38_000,
                 green: true,
             }],
-            refunds: vec![],
         }
     }
 
@@ -482,7 +410,7 @@ mod tests {
         let mut b = rec(9);
         b.cache_hit = false;
         b.reload_gen = 99;
-        b.chain = u32::MAX;
+        b.chain = 5;
         assert_eq!(a.canonical(), b.canonical());
         assert_ne!(a.render(), b.render());
     }
@@ -491,7 +419,6 @@ mod tests {
     fn deciding_step_is_last_red() {
         let mut r = rec(1);
         r.steps.push(StepRecord {
-            stage: 0,
             kind: StepKind::Borrow,
             class: 1,
             bucket: 1,

@@ -19,7 +19,6 @@
 //! | [`bucket`] — lock-free token & shadow buckets | §IV-C, Figure 8 |
 //! | [`sched`] — the parallel scheduling function, written once | Algorithm 1 |
 //! | [`program`] — admission chains: labels resolved to node indices at compile time | Algorithm 1, flattened |
-//! | [`chain`] — qdisc chaining across trees | §IV |
 //! | [`frontend`] — the `fv` command language | §III-E |
 //! | [`pipeline`] — labeling + scheduling on the NIC model | Figure 5 |
 //!
@@ -52,7 +51,6 @@
 //! ```
 
 pub mod bucket;
-pub mod chain;
 pub mod error;
 pub mod frontend;
 pub mod label;
@@ -64,7 +62,6 @@ mod snapshot;
 pub mod tree;
 
 pub use bucket::{Color, TokenBucket};
-pub use chain::{ChainLabel, QdiscChain};
 pub use error::{BuildTreeError, ParseFvError};
 pub use frontend::{FilterSpec, Policy};
 pub use label::{ClassId, QosLabel};

@@ -597,7 +597,6 @@ impl EgressDecider for FlowValvePipeline {
                             epoch: self.tree.epoch(),
                             chain: chain.index(),
                             steps: rec.steps,
-                            refunds: rec.refunds,
                         });
                         verdict
                     }

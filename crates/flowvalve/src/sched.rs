@@ -269,8 +269,7 @@ impl SchedulingTree {
         self.schedule_with(label, bits, now, exec, &mut NoObserver)
     }
 
-    /// [`SchedulingTree::schedule`] with the observer as a parameter (a
-    /// qdisc chain threads one through every stage).
+    /// [`SchedulingTree::schedule`] with the observer as a parameter.
     pub(crate) fn schedule_with<E: Exec, O: StepObserver>(
         &self,
         label: &QosLabel,
@@ -346,7 +345,6 @@ impl SchedulingTree {
         let report = |obs: &mut O, kind, node: &Node, bucket, need, before, green| {
             if O::ENABLED {
                 obs.on_step(StepRecord {
-                    stage: 0,
                     kind,
                     class: node.spec.id.0,
                     bucket,

@@ -167,9 +167,8 @@ const HOT_STRIPE_MASK: usize = HOT_STRIPES - 1;
 /// thread writes per packet lives here, one aligned cache line per stripe,
 /// so concurrent workers hammering the same class (or the shared root)
 /// never bounce a line between cores. Merges read the live stripes (see
-/// `HOT_STRIPES`) and are exact: plain wrapping sums for the counters
-/// (count/uncount pairs always land on the same stripe — they come from
-/// the same worker), `max` for `last_packet`.
+/// `HOT_STRIPES`) and are exact: sums for the counters, which only ever
+/// grow, and `max` for `last_packet`.
 #[repr(align(64))]
 #[derive(Default)]
 pub(crate) struct NodeHot {
@@ -820,12 +819,12 @@ impl SchedulingTree {
         n.last_update.store(now.as_nanos(), Ordering::Release);
 
         // Γ: fold this epoch's instantaneous consumption rate (Equation 3).
-        // Drain every live stripe; the wrapping sum of the swapped values is
-        // the exact net consumption even if a stripe transiently wrapped
-        // below zero from an uncount refund (modular arithmetic).
-        let consumed = self.live_hot(idx).fold(0u64, |acc, h| {
-            acc.wrapping_add(h.consumed_bits.swap(0, Ordering::AcqRel))
-        });
+        // Drain every live stripe: the sum of the swapped values is the
+        // exact consumption since the last epoch.
+        let consumed: u64 = self
+            .live_hot(idx)
+            .map(|h| h.consumed_bits.swap(0, Ordering::AcqRel))
+            .sum();
         // A very long gap means the class was idle; treat the stale epoch
         // as zero-rate rather than averaging bits over the whole gap.
         let dt_capped = dt.min(self.params.expiry);
@@ -938,32 +937,6 @@ impl SchedulingTree {
         true
     }
 
-    /// Reverses the consumption the scheduling function counted along
-    /// `label`'s path for a packet that a later chain stage dropped:
-    /// without the refund, upstream Γs would count bits that never reached
-    /// the wire. The refund MUST use the stripe of the count it reverses
-    /// (the [`crate::sched::Exec::stripe`] hint; refunds are issued by the
-    /// same worker that counted, so this holds naturally); a plain
-    /// subtract is then exact with no compare-exchange loop.
-    pub(crate) fn uncount_path_at(&self, label: &QosLabel, bits: u64, stripe: usize) {
-        for cid in label.path() {
-            if let Some(i) = self.node_index(*cid) {
-                debug_assert!(
-                    self.nodes[i]
-                        .hot(stripe)
-                        .consumed_bits
-                        .load(Ordering::Acquire)
-                        >= bits,
-                    "uncount without a matching count on this stripe"
-                );
-                self.nodes[i]
-                    .hot(stripe)
-                    .consumed_bits
-                    .fetch_sub(bits, Ordering::AcqRel);
-            }
-        }
-    }
-
     /// Counts `bits` as forwarded on every class of `label`'s path, on
     /// stripe 0 (what the scheduling function does for a passing packet).
     #[cfg(test)]
@@ -1004,12 +977,9 @@ impl SchedulingTree {
     /// Data-path counters for a class.
     pub fn counters(&self, id: ClassId) -> Option<ClassCounters> {
         let i = self.node_index(id)?;
-        // Wrapping sums over the live stripes: exact under the same-stripe
-        // count/uncount contract (transient per-stripe wraparound cancels).
+        // Sums over the live stripes (see `HOT_STRIPES`).
         let sum = |f: fn(&NodeHot) -> &AtomicU64| {
-            self.live_hot(i).fold(0u64, |acc, h| {
-                acc.wrapping_add(f(h).load(Ordering::Acquire))
-            })
+            self.live_hot(i).map(|h| f(h).load(Ordering::Acquire)).sum()
         };
         Some(ClassCounters {
             forwarded: sum(|h| &h.forwarded),

@@ -694,10 +694,11 @@ fn chaos(policy: &Policy, flags: &Flags) -> CmdResult {
 fn timeseries(policy: &Policy, flags: &Flags) -> CmdResult {
     let mut cfg = SamplerConfig::default();
     if let Some(us) = flags.interval_us {
-        if us == 0 {
-            return Err("--interval-us must be positive".into());
-        }
-        cfg.interval = Nanos::from_micros(us);
+        let ns = us
+            .checked_mul(1_000)
+            .filter(|&ns| ns > 0)
+            .ok_or_else(|| format!("--interval-us must be between 1 and {}", u64::MAX / 1_000))?;
+        cfg.interval = Nanos::from_nanos(ns);
     }
     let attach = Attachments {
         sampler: Some(cfg),

@@ -326,6 +326,29 @@ fn timeseries_emits_per_class_csv() {
     }
 }
 
+/// An interval of zero, or one whose nanoseconds do not fit in `u64`, is
+/// refused by name before anything runs.
+#[test]
+fn timeseries_refuses_an_interval_it_cannot_sample_at() {
+    let f = write_script(GOOD);
+    // u64::MAX / 1000 + 1: the smallest count of microseconds that overflows.
+    for us in ["0", "18446744073709552"] {
+        let out = fv()
+            .args(["timeseries"])
+            .arg(&f.path)
+            .args(["--interval-us", us])
+            .output()
+            .expect("fv runs");
+        assert_eq!(out.status.code(), Some(1), "--interval-us {us}");
+        assert!(out.stdout.is_empty(), "--interval-us {us} sampled");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--interval-us must be between 1 and 18446744073709551"),
+            "stderr: {stderr}"
+        );
+    }
+}
+
 #[test]
 fn timeseries_prometheus_text_has_typed_families() {
     let f = write_script(GOOD);
@@ -973,7 +996,7 @@ fn every_replayed_json_output_parses_and_round_trips() {
         .take_while(|&l| l != "EOF")
         .filter(|l| l.ends_with("--json"))
         .collect();
-    assert_eq!(lines.len(), 5, "{lines:?}");
+    assert_eq!(lines.len(), 6, "{lines:?}");
     for line in lines {
         let out = fv()
             .current_dir(&root)

@@ -166,6 +166,7 @@ profile scripts/motivation.fv --folded
 profile scripts/motivation.fv --json
 top scripts/motivation.fv
 why scripts/motivation.fv --pkt 103
+why scripts/motivation.fv --pkt 103 --json
 audit scripts/motivation.fv --json
 audit scripts/motivation.fv --plan scripts/demo.chaos --json
 EOF
