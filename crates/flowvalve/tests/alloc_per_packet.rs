@@ -1,9 +1,12 @@
-//! Heap allocations per packet in the steady state of the demo workload:
-//! `scripts/motivation.fv` on the 40 G NIC model, one 1518 B TCP flow per
-//! filter at an equal slice of 1.5x line rate (what `fv demo` drives),
-//! merged by `np_sim::harness::drive`. A counting global allocator wraps
-//! `std::alloc::System`; the count is per thread, so other tests running
-//! alongside do not leak into it.
+//! Heap allocations per packet in the steady state of two workloads. The
+//! demo: `scripts/motivation.fv` on the 40 G NIC model, one 1518 B TCP
+//! flow per filter at an equal slice of 1.5x line rate (what `fv demo`
+//! drives), merged by `np_sim::harness::drive`. Flow churn: 64 B packets
+//! whose flows are drawn from a working set eight times the flow cache, so
+//! most lookups miss, scan the filter table and evict. A counting global
+//! allocator wraps `std::alloc::System`; the count is per thread, so other
+//! tests running alongside do not leak into it. The Fig. 13 and Fig. 11b
+//! fixtures, which need `hostsim`, are in the root `tests/alloc_per_packet.rs`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -16,10 +19,11 @@ use fv_audit::ProvenanceRing;
 use fv_telemetry::Registry;
 use netstack::flow::FlowKey;
 use netstack::gen::LineRateProcess;
-use netstack::packet::{AppId, VfPort};
+use netstack::packet::{AppId, Packet, PacketIdGen, VfPort};
 use np_sim::config::NicConfig;
 use np_sim::harness::{drive, Source};
 use np_sim::nic::SmartNic;
+use sim_core::rng::SimRng;
 use sim_core::time::Nanos;
 
 struct Counting;
@@ -160,4 +164,71 @@ fn an_observed_packet_allocates_only_for_its_sampled_steps() {
         run.packets,
         run.sampled
     );
+}
+
+/// The churn fixture's flow cache, and the working set drawn against it.
+const CACHE: usize = 512;
+const FLOWS: u64 = 8 * CACHE as u64;
+
+#[test]
+fn a_packet_that_misses_the_flow_cache_allocates_nothing() {
+    // Four weighted leaves, one `dport` filter each, behind a `/24` filter
+    // every lookup scans first.
+    let policy = Policy::parse(
+        "fv qdisc add dev nic0 root handle 1: fv\n\
+         fv class add dev nic0 parent root classid 1:1 rate 40gbit\n\
+         fv class add dev nic0 parent 1:1 classid 1:10 weight 1\n\
+         fv class add dev nic0 parent 1:1 classid 1:11 weight 2\n\
+         fv class add dev nic0 parent 1:1 classid 1:12 weight 3\n\
+         fv class add dev nic0 parent 1:1 classid 1:13 weight 4\n\
+         fv filter add dev nic0 prio 1 match ip src 10.9.0.0/24 flowid 1:10\n\
+         fv filter add dev nic0 prio 2 match ip dport 6000 flowid 1:10\n\
+         fv filter add dev nic0 prio 3 match ip dport 6001 flowid 1:11\n\
+         fv filter add dev nic0 prio 4 match ip dport 6002 flowid 1:12\n\
+         fv filter add dev nic0 prio 5 match ip dport 6003 flowid 1:13\n",
+    )
+    .expect("parses");
+    let cfg = NicConfig::agilio_cx_40g();
+    let (tree, rules, default) = policy.compile(TreeParams::default()).expect("compiles");
+    let mut classifier = classifier::Classifier::new(default, CACHE);
+    for rule in rules {
+        classifier.add_rule(rule);
+    }
+    let pipeline =
+        FlowValvePipeline::from_classifier(Arc::new(tree), classifier, &cfg).expect("builds");
+    let mut nic = SmartNic::new(cfg, Box::new(pipeline));
+    // 64 B at 8 Mpps: 1 ms of warm-up, then 2 ms measured.
+    let (gap, warm_up, end) = (
+        Nanos::from_nanos(125),
+        Nanos::from_millis(1),
+        Nanos::from_millis(3),
+    );
+    let (mut rng, mut ids) = (SimRng::seed(29), PacketIdGen::new());
+    let (mut t, mut before, mut packets) = (Nanos::ZERO, None, 0u64);
+    while t < end {
+        if t >= warm_up {
+            before.get_or_insert(allocs());
+            packets += 1;
+        }
+        let i = rng.range(0, FLOWS);
+        let flow = FlowKey::udp(
+            [10, 8, (i >> 8) as u8, i as u8],
+            40_000,
+            [10, 0, 255, 1],
+            6000 + (i % 4) as u16,
+        );
+        let pkt = Packet::new(ids.next_id(), flow, 64, AppId(0), VfPort(0), t);
+        let _ = nic.rx(&pkt, t);
+        t += gap;
+    }
+    let allocs = allocs() - before.expect("the run outlasts its warm-up");
+    let stats = nic
+        .decider_as::<FlowValvePipeline>()
+        .expect("flowvalve decider")
+        .cache_stats();
+    assert!(
+        stats.misses > stats.hits,
+        "the cache does not thrash: {stats:?}"
+    );
+    assert_eq!(allocs, 0, "over {packets} packets");
 }
