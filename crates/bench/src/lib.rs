@@ -141,11 +141,6 @@ pub fn banner(id: &str, caption: &str) {
     println!("==============================================================");
 }
 
-/// Shortens a [`Nanos`] for table output as fractional microseconds.
-pub fn us(t: f64) -> String {
-    format!("{:.2}us", t / 1e3)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

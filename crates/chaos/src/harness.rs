@@ -183,15 +183,6 @@ impl ChaosReport {
         self.recovery.passed()
     }
 
-    /// The sampler recovery was judged on, for further SLO evaluation
-    /// (e.g. per-class conformance over custom windows).
-    pub fn sampler(&self) -> &TimeSampler {
-        self.run
-            .sampler
-            .as_ref()
-            .expect("run_chaos always attaches a sampler")
-    }
-
     /// Renders a terminal summary: injections, fault drops, recovery.
     pub fn render(&self) -> String {
         let snap = &self.run.snapshot;

@@ -63,11 +63,6 @@ impl ChaosController {
         }
     }
 
-    /// The plan this controller executes.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Records window transitions up to `now`: each fault that became
     /// active since the last call emits a [`TraceKind::FaultInject`] event
     /// (`a` = kind code, `b` = fault index) and bumps
@@ -209,11 +204,6 @@ impl HostChaosHook for ChaosController {
             _ => false,
         })
     }
-}
-
-/// Convenience: one `Arc` usable at every hook point.
-pub fn controller(plan: FaultPlan, registry: &Registry) -> Arc<ChaosController> {
-    Arc::new(ChaosController::new(plan, registry))
 }
 
 #[cfg(test)]

@@ -31,9 +31,7 @@ use netstack::flow::FlowKey;
 /// bound caps the table at 2^21 slots — matching the size class of the
 /// hardware exact-match tables the cache models (hundreds of thousands of
 /// entries), and keeping a misconfigured constructor from attempting a
-/// multi-gigabyte allocation. Requests above the bound are clamped;
-/// [`FlowCache::new`] reports the clamp through [`FlowCache::clamped`]
-/// and [`FlowCache::checked_new`] rejects it instead.
+/// multi-gigabyte allocation. [`FlowCache::new`] clamps requests above it.
 pub const MAX_CAPACITY: usize = 1 << 20;
 
 /// Whether a lookup hit the cache.
@@ -58,7 +56,8 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Hit ratio over all lookups (0 when empty).
-    pub fn hit_ratio(&self) -> f64 {
+    #[cfg(test)] // staged: only its test calls it (DESIGN.md §17)
+    fn hit_ratio(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
             return 0.0;
@@ -66,31 +65,6 @@ impl CacheStats {
         self.hits as f64 / total as f64
     }
 }
-
-/// The error [`FlowCache::checked_new`] returns for out-of-range capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CapacityError {
-    /// What the caller asked for.
-    pub requested: usize,
-    /// The bound it exceeded ([`MAX_CAPACITY`]) — or 0 for a zero request.
-    pub bound: usize,
-}
-
-impl std::fmt::Display for CapacityError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.requested == 0 {
-            write!(f, "flow cache capacity must be positive")
-        } else {
-            write!(
-                f,
-                "flow cache capacity {} exceeds MAX_CAPACITY {}",
-                self.requested, self.bound
-            )
-        }
-    }
-}
-
-impl std::error::Error for CapacityError {}
 
 #[derive(Debug, Clone, PartialEq)]
 struct Entry<V> {
@@ -118,9 +92,10 @@ struct Entry<V> {
 ///
 /// let mut cache = FlowCache::new(1024);
 /// let flow = FlowKey::tcp([10, 0, 0, 1], 40_000, [10, 0, 0, 2], 5001);
-/// assert_eq!(cache.lookup(&flow), (None, CacheResult::Miss));
-/// cache.insert(flow, "kvs");
-/// assert_eq!(cache.lookup(&flow), (Some(&"kvs"), CacheResult::Hit));
+/// // A miss runs the table walk and installs its verdict...
+/// assert_eq!(cache.get_or_insert_with(&flow, || "kvs"), (&"kvs", CacheResult::Miss));
+/// // ...which the next packet of the flow hits without walking.
+/// assert_eq!(cache.get_or_insert_with(&flow, || "walked"), (&"kvs", CacheResult::Hit));
 /// ```
 #[derive(Debug, Clone)]
 pub struct FlowCache<V> {
@@ -130,23 +105,18 @@ pub struct FlowCache<V> {
     len: usize,
     /// Clock hand for second-chance eviction.
     hand: usize,
-    clamped: bool,
     stats: CacheStats,
 }
 
 impl<V> FlowCache<V> {
-    /// Creates a cache holding at most `capacity` flows.
-    ///
-    /// Capacities above [`MAX_CAPACITY`] are clamped to it; the clamp is
-    /// observable through [`FlowCache::clamped`] (and callers that must
-    /// not lose capacity silently should use [`FlowCache::checked_new`]).
+    /// Creates a cache holding at most `capacity` flows; capacities above
+    /// [`MAX_CAPACITY`] are clamped to it.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
-        let clamped = capacity > MAX_CAPACITY;
         let capacity = capacity.min(MAX_CAPACITY);
         let slots = (capacity * 2).next_power_of_two();
         FlowCache {
@@ -155,33 +125,8 @@ impl<V> FlowCache<V> {
             capacity,
             len: 0,
             hand: 0,
-            clamped,
             stats: CacheStats::default(),
         }
-    }
-
-    /// Like [`FlowCache::new`] but rejects out-of-range capacities
-    /// (zero or above [`MAX_CAPACITY`]) instead of panicking or clamping.
-    pub fn checked_new(capacity: usize) -> Result<Self, CapacityError> {
-        if capacity == 0 {
-            return Err(CapacityError {
-                requested: 0,
-                bound: 0,
-            });
-        }
-        if capacity > MAX_CAPACITY {
-            return Err(CapacityError {
-                requested: capacity,
-                bound: MAX_CAPACITY,
-            });
-        }
-        Ok(Self::new(capacity))
-    }
-
-    /// Whether the constructor clamped the requested capacity to
-    /// [`MAX_CAPACITY`].
-    pub fn clamped(&self) -> bool {
-        self.clamped
     }
 
     /// Probes linearly from the home slot of `hash` (`flow.stable_hash()`);
@@ -235,9 +180,9 @@ impl<V> FlowCache<V> {
     /// The miss-fill discipline in one hash and one probe: a hit sets the
     /// entry's reference bit; a miss runs `walk` (the table walk), evicts
     /// if at capacity, and installs the verdict unreferenced. Counters,
-    /// slot placement and victims are exactly those of
-    /// [`lookup`](Self::lookup) followed, on a miss, by
-    /// [`insert`](Self::insert).
+    /// slot placement and victims are exactly those of a lookup followed,
+    /// on a miss, by an insert (the test-only `lookup` and `insert` this
+    /// is held to).
     #[inline]
     pub fn get_or_insert_with(
         &mut self,
@@ -254,9 +199,11 @@ impl<V> FlowCache<V> {
         }
     }
 
-    /// Looks up `flow`, refreshing its recency on a hit.
-    #[inline]
-    pub fn lookup(&mut self, flow: &FlowKey) -> (Option<&V>, CacheResult) {
+    /// Looks up `flow`, refreshing its recency on a hit. With `insert` and
+    /// `peek`, the two-probe discipline `get_or_insert_with` is tested
+    /// against.
+    #[cfg(test)]
+    fn lookup(&mut self, flow: &FlowKey) -> (Option<&V>, CacheResult) {
         match self.probe(flow, flow.stable_hash()) {
             Ok(i) => (Some(&self.hit(i).value), CacheResult::Hit),
             Err(_) => {
@@ -268,7 +215,8 @@ impl<V> FlowCache<V> {
 
     /// Inserts (or replaces) an entry, clock-evicting a victim if at
     /// capacity.
-    pub fn insert(&mut self, flow: FlowKey, verdict: V) {
+    #[cfg(test)]
+    fn insert(&mut self, flow: FlowKey, verdict: V) {
         let hash = flow.stable_hash();
         match self.probe(&flow, hash) {
             Ok(i) => {
@@ -311,15 +259,18 @@ impl<V> FlowCache<V> {
     }
 
     /// Reads an entry without touching recency or statistics.
-    pub fn peek(&self, flow: &FlowKey) -> Option<&V> {
+    #[cfg(test)]
+    fn peek(&self, flow: &FlowKey) -> Option<&V> {
         match self.probe(flow, flow.stable_hash()) {
             Ok(i) => self.slots[i].as_ref().map(|e| &e.value),
             Err(_) => None,
         }
     }
 
-    /// Removes a flow (e.g. on policy change), returning its verdict.
-    pub fn invalidate(&mut self, flow: &FlowKey) -> Option<V> {
+    /// Removes a flow, returning its verdict: the tests' way to open a
+    /// hole anywhere in a probe chain for `backward_shift_from` to close.
+    #[cfg(test)]
+    fn invalidate(&mut self, flow: &FlowKey) -> Option<V> {
         match self.probe(flow, flow.stable_hash()) {
             Ok(i) => Some(self.remove_slot(i).0.value),
             Err(_) => None,
@@ -352,21 +303,6 @@ impl<V> FlowCache<V> {
         }
         self.len = 0;
         self.hand = 0;
-    }
-
-    /// Number of cached flows.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Configured capacity (post-clamp).
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Traffic counters.
@@ -418,7 +354,7 @@ mod tests {
         assert_eq!(c.lookup(&flow(1)).1, CacheResult::Hit);
         assert_eq!(c.lookup(&flow(3)).1, CacheResult::Hit);
         assert_eq!(c.stats().evictions, 1);
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.len, 2);
     }
 
     #[test]
@@ -454,8 +390,9 @@ mod tests {
         assert_eq!(c.invalidate(&flow(1)), Some(1));
         assert_eq!(c.invalidate(&flow(1)), None);
         c.invalidate_all();
-        assert!(c.is_empty());
-        assert_eq!(c.capacity(), 8);
+        assert_eq!(c.len, 0);
+        assert_eq!(c.lookup(&flow(2)).1, CacheResult::Miss);
+        assert_eq!(c.capacity, 8);
     }
 
     #[test]
@@ -473,19 +410,10 @@ mod tests {
     #[test]
     fn capacity_clamp_is_reported() {
         let c: FlowCache<u8> = FlowCache::new(MAX_CAPACITY + 1);
-        assert!(c.clamped());
-        assert_eq!(c.capacity(), MAX_CAPACITY);
-        let c: FlowCache<u8> = FlowCache::new(MAX_CAPACITY);
-        assert!(!c.clamped());
-        assert_eq!(
-            FlowCache::<u8>::checked_new(MAX_CAPACITY + 1).err(),
-            Some(CapacityError {
-                requested: MAX_CAPACITY + 1,
-                bound: MAX_CAPACITY,
-            })
-        );
-        assert!(FlowCache::<u8>::checked_new(0).is_err());
-        assert!(FlowCache::<u8>::checked_new(64).is_ok());
+        assert_eq!(c.capacity, MAX_CAPACITY);
+        assert_eq!(c.slots.len(), 2 * MAX_CAPACITY);
+        let c: FlowCache<u8> = FlowCache::new(64);
+        assert_eq!((c.capacity, c.slots.len()), (64, 128));
     }
 
     #[test]
@@ -537,7 +465,7 @@ mod tests {
                     );
                 }
             }
-            assert_eq!(c.len(), model.len(), "step {step}");
+            assert_eq!(c.len, model.len(), "step {step}");
         }
         assert_eq!(c.stats().evictions, 0);
     }
@@ -559,9 +487,9 @@ mod tests {
                 c.insert(f, step);
                 assert_eq!(c.peek(&f), Some(&step), "insert not visible");
             }
-            assert!(c.len() <= cap, "over capacity at step {step}");
+            assert!(c.len <= cap, "over capacity at step {step}");
         }
-        assert_eq!(c.len(), cap);
+        assert_eq!(c.len, cap);
         assert!(c.stats().evictions > 0);
     }
 
@@ -640,7 +568,7 @@ mod tests {
         }
         for (cap, working_set) in [(1, 5), (2, 2), (32, 32), (32, 128), (100, 1_600)] {
             let (outcomes, victims, c) = run(single, cap, working_set);
-            assert_eq!(c.len(), cap.min(working_set as usize));
+            assert_eq!(c.len, cap.min(working_set as usize));
             assert_eq!(victims.len() as u64, c.stats().evictions);
             assert_eq!(victims.is_empty(), working_set as usize <= cap, "cap {cap}");
             for reference in [primitives as Classify, reprobing] {

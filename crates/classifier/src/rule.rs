@@ -8,7 +8,9 @@
 use core::fmt;
 use std::net::Ipv4Addr;
 
-use netstack::flow::{FlowKey, IpProto};
+#[cfg(test)]
+use netstack::flow::FlowKey;
+use netstack::flow::IpProto;
 use netstack::packet::VfPort;
 
 /// An IPv4 CIDR prefix match.
@@ -34,12 +36,9 @@ impl Cidr {
         }
     }
 
-    /// A host route (/32).
-    pub fn host(addr: impl Into<Ipv4Addr>) -> Self {
-        Self::new(addr, 32)
-    }
-
-    /// Whether `ip` falls inside this prefix.
+    /// Whether `ip` falls inside this prefix: half of [`FlowMatch::matches`],
+    /// the linear walk the filter table's tests hold its hash groups to.
+    #[cfg(test)]
     pub fn contains(&self, ip: Ipv4Addr) -> bool {
         if self.prefix == 0 {
             return true;
@@ -78,43 +77,10 @@ impl FlowMatch {
         Self::default()
     }
 
-    /// Matches an exact destination port (builder-style).
-    pub fn dst_port(mut self, port: u16) -> Self {
-        self.dst_port = Some(port);
-        self
-    }
-
-    /// Matches an exact source port (builder-style).
-    pub fn src_port(mut self, port: u16) -> Self {
-        self.src_port = Some(port);
-        self
-    }
-
-    /// Matches a source prefix (builder-style).
-    pub fn src(mut self, cidr: Cidr) -> Self {
-        self.src = Some(cidr);
-        self
-    }
-
-    /// Matches a destination prefix (builder-style).
-    pub fn dst(mut self, cidr: Cidr) -> Self {
-        self.dst = Some(cidr);
-        self
-    }
-
-    /// Matches a protocol (builder-style).
-    pub fn proto(mut self, proto: IpProto) -> Self {
-        self.proto = Some(proto);
-        self
-    }
-
-    /// Matches an ingress VF (builder-style).
-    pub fn vf(mut self, vf: VfPort) -> Self {
-        self.vf = Some(vf);
-        self
-    }
-
-    /// Whether this match accepts `flow` entering through `vf`.
+    /// Whether this match accepts `flow` entering through `vf`: the
+    /// reference first-match walk the filter table's tuple-space search is
+    /// tested against.
+    #[cfg(test)]
     pub fn matches(&self, flow: &FlowKey, vf: VfPort) -> bool {
         if let Some(c) = self.src {
             if !c.contains(flow.src_ip) {
@@ -192,7 +158,7 @@ mod tests {
         let c = Cidr::new([10, 0, 0, 0], 8);
         assert!(c.contains(Ipv4Addr::new(10, 200, 3, 4)));
         assert!(!c.contains(Ipv4Addr::new(11, 0, 0, 1)));
-        let host = Cidr::host([10, 0, 0, 7]);
+        let host = Cidr::new([10, 0, 0, 7], 32);
         assert!(host.contains(Ipv4Addr::new(10, 0, 0, 7)));
         assert!(!host.contains(Ipv4Addr::new(10, 0, 0, 8)));
     }
@@ -219,24 +185,35 @@ mod tests {
     #[test]
     fn field_matching() {
         let f = FlowKey::tcp([10, 0, 0, 1], 4000, [10, 0, 0, 2], 5001);
-        let m = FlowMatch::any()
-            .dst_port(5001)
-            .proto(IpProto::Tcp)
-            .vf(VfPort(1));
+        let m = FlowMatch {
+            dst_port: Some(5001),
+            proto: Some(IpProto::Tcp),
+            vf: Some(VfPort(1)),
+            ..FlowMatch::any()
+        };
         assert!(m.matches(&f, VfPort(1)));
         assert!(!m.matches(&f, VfPort(2)));
-        assert!(!m.dst_port(80).matches(&f, VfPort(1)));
+        let other_port = FlowMatch {
+            dst_port: Some(80),
+            ..m
+        };
+        assert!(!other_port.matches(&f, VfPort(1)));
         assert_eq!(m.specificity(), 3);
     }
 
     #[test]
     fn src_and_prefix_matching() {
         let f = FlowKey::udp([192, 168, 5, 5], 999, [10, 0, 0, 2], 53);
-        let m = FlowMatch::any()
-            .src(Cidr::new([192, 168, 0, 0], 16))
-            .src_port(999);
+        let m = FlowMatch {
+            src: Some(Cidr::new([192, 168, 0, 0], 16)),
+            src_port: Some(999),
+            ..FlowMatch::any()
+        };
         assert!(m.matches(&f, VfPort(0)));
-        let m2 = FlowMatch::any().src(Cidr::new([192, 169, 0, 0], 16));
+        let m2 = FlowMatch {
+            src: Some(Cidr::new([192, 169, 0, 0], 16)),
+            ..FlowMatch::any()
+        };
         assert!(!m2.matches(&f, VfPort(0)));
     }
 

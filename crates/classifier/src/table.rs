@@ -160,7 +160,7 @@ struct SigGroup {
 /// use netstack::packet::VfPort;
 ///
 /// let mut table = FilterTable::new("default");
-/// table.add(FilterRule::new(10, FlowMatch::any().dst_port(5001), "kvs"));
+/// table.add(FilterRule::new(10, FlowMatch { dst_port: Some(5001), ..FlowMatch::any() }, "kvs"));
 /// table.add(FilterRule::new(20, FlowMatch::any(), "bulk"));
 ///
 /// let kvs = FlowKey::tcp([10, 0, 0, 1], 40_000, [10, 0, 0, 2], 5001);
@@ -226,16 +226,6 @@ impl<V> FilterTable<V> {
         }
     }
 
-    /// Number of rules.
-    pub fn len(&self) -> usize {
-        self.rules.len()
-    }
-
-    /// Whether the table has no rules.
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
-    }
-
     /// The verdict for unmatched flows.
     pub fn default_verdict(&self) -> &V {
         &self.default
@@ -267,12 +257,6 @@ impl<V> FilterTable<V> {
     /// Iterates over the rules in match order.
     pub fn iter(&self) -> impl Iterator<Item = &FilterRule<V>> {
         self.rules.iter()
-    }
-
-    /// Removes all rules.
-    pub fn clear(&mut self) {
-        self.rules.clear();
-        self.groups.clear();
     }
 }
 
@@ -321,7 +305,14 @@ mod tests {
     fn specificity_breaks_priority_ties() {
         let mut t = FilterTable::new(0u32);
         t.add(FilterRule::new(10, FlowMatch::any(), 1));
-        t.add(FilterRule::new(10, FlowMatch::any().dst_port(80), 2));
+        t.add(FilterRule::new(
+            10,
+            FlowMatch {
+                dst_port: Some(80),
+                ..FlowMatch::any()
+            },
+            2,
+        ));
         assert_eq!(*t.lookup(&flow(80), VfPort(0)), 2);
         assert_eq!(*t.lookup(&flow(81), VfPort(0)), 1);
     }
@@ -329,7 +320,14 @@ mod tests {
     #[test]
     fn default_when_no_match() {
         let mut t = FilterTable::new(99u32);
-        t.add(FilterRule::new(10, FlowMatch::any().dst_port(80), 1));
+        t.add(FilterRule::new(
+            10,
+            FlowMatch {
+                dst_port: Some(80),
+                ..FlowMatch::any()
+            },
+            1,
+        ));
         assert_eq!(*t.lookup(&flow(81), VfPort(0)), 99);
         assert_eq!(*t.default_verdict(), 99);
     }
@@ -337,8 +335,22 @@ mod tests {
     #[test]
     fn vf_scoped_rules() {
         let mut t = FilterTable::new("none");
-        t.add(FilterRule::new(10, FlowMatch::any().vf(VfPort(1)), "vm1"));
-        t.add(FilterRule::new(10, FlowMatch::any().vf(VfPort(2)), "vm2"));
+        t.add(FilterRule::new(
+            10,
+            FlowMatch {
+                vf: Some(VfPort(1)),
+                ..FlowMatch::any()
+            },
+            "vm1",
+        ));
+        t.add(FilterRule::new(
+            10,
+            FlowMatch {
+                vf: Some(VfPort(2)),
+                ..FlowMatch::any()
+            },
+            "vm2",
+        ));
         assert_eq!(*t.lookup(&flow(80), VfPort(1)), "vm1");
         assert_eq!(*t.lookup(&flow(80), VfPort(2)), "vm2");
         assert_eq!(*t.lookup(&flow(80), VfPort(3)), "none");
@@ -349,14 +361,14 @@ mod tests {
         let mut t = FilterTable::new(0u8);
         t.add(FilterRule::new(
             5,
-            FlowMatch::any().dst(Cidr::new([10, 0, 0, 0], 24)),
+            FlowMatch {
+                dst: Some(Cidr::new([10, 0, 0, 0], 24)),
+                ..FlowMatch::any()
+            },
             7,
         ));
         assert_eq!(*t.lookup(&flow(80), VfPort(0)), 7);
         assert_eq!(t.iter().count(), 1);
-        assert_eq!(t.len(), 1);
-        t.clear();
-        assert!(t.is_empty());
     }
 
     #[test]
@@ -381,27 +393,27 @@ mod tests {
             let mut m = FlowMatch::any();
             if salt & 1 != 0 {
                 let net = [10, (i % 3) as u8, (i % 2) as u8, (i % 8) as u8];
-                m = m.dst(Cidr::new(net, prefix(salt >> 8)));
+                m.dst = Some(Cidr::new(net, prefix(salt >> 8)));
             }
             if salt & 2 != 0 {
                 let net = [10, (i % 2) as u8, 0, (i % 5) as u8];
-                m = m.src(Cidr::new(net, prefix(salt >> 16)));
+                m.src = Some(Cidr::new(net, prefix(salt >> 16)));
             }
             if salt & 8 != 0 {
-                m = m.dst_port(5_000 + (i % 16) as u16);
+                m.dst_port = Some(5_000 + (i % 16) as u16);
             }
             if salt & 16 != 0 {
-                m = m.src_port(40_000 + (i % 4) as u16);
+                m.src_port = Some(40_000 + (i % 4) as u16);
             }
             if salt & 32 != 0 {
-                m = m.proto(if salt & 64 != 0 {
+                m.proto = Some(if salt & 64 != 0 {
                     IpProto::Tcp
                 } else {
                     IpProto::Udp
                 });
             }
             if salt & 128 != 0 {
-                m = m.vf(VfPort((i % 4) as u8));
+                m.vf = Some(VfPort((i % 4) as u8));
             }
             rules.push(FilterRule::new((i % 7) as u16, m, i));
         }
@@ -442,8 +454,22 @@ mod tests {
     #[test]
     fn map_keeps_order_and_index() {
         let mut t = FilterTable::new(7u32);
-        t.add(FilterRule::new(20, FlowMatch::any().dst_port(81), 2));
-        t.add(FilterRule::new(10, FlowMatch::any().dst_port(80), 1));
+        t.add(FilterRule::new(
+            20,
+            FlowMatch {
+                dst_port: Some(81),
+                ..FlowMatch::any()
+            },
+            2,
+        ));
+        t.add(FilterRule::new(
+            10,
+            FlowMatch {
+                dst_port: Some(80),
+                ..FlowMatch::any()
+            },
+            1,
+        ));
         let t = t.map(|v| v * 10);
         assert_eq!(*t.lookup(&flow(80), VfPort(0)), 10);
         assert_eq!(*t.lookup(&flow(81), VfPort(0)), 20);
@@ -458,7 +484,10 @@ mod tests {
         let mut t = FilterTable::new("none");
         t.add(FilterRule::new(
             10,
-            FlowMatch::any().proto(IpProto::Other(6)),
+            FlowMatch {
+                proto: Some(IpProto::Other(6)),
+                ..FlowMatch::any()
+            },
             "other6",
         ));
         let f = FlowKey::tcp([10, 0, 0, 1], 40_000, [10, 0, 0, 2], 80);
@@ -472,9 +501,11 @@ mod tests {
         let mut t = FilterTable::new(0u8);
         t.add(FilterRule::new(
             10,
-            FlowMatch::any()
-                .dst(Cidr::new([99, 99, 99, 99], 0))
-                .dst_port(80),
+            FlowMatch {
+                dst: Some(Cidr::new([99, 99, 99, 99], 0)),
+                dst_port: Some(80),
+                ..FlowMatch::any()
+            },
             7,
         ));
         let f = FlowKey::tcp([10, 0, 0, 1], 40_000, [10, 0, 0, 2], 80);
@@ -484,8 +515,22 @@ mod tests {
     #[test]
     fn insertion_order_stable_for_identical_keys() {
         let mut t = FilterTable::new(0u32);
-        t.add(FilterRule::new(10, FlowMatch::any().dst_port(80), 1));
-        t.add(FilterRule::new(10, FlowMatch::any().dst_port(80), 2));
+        t.add(FilterRule::new(
+            10,
+            FlowMatch {
+                dst_port: Some(80),
+                ..FlowMatch::any()
+            },
+            1,
+        ));
+        t.add(FilterRule::new(
+            10,
+            FlowMatch {
+                dst_port: Some(80),
+                ..FlowMatch::any()
+            },
+            2,
+        ));
         // First inserted wins.
         assert_eq!(*t.lookup(&flow(80), VfPort(0)), 1);
     }

@@ -101,16 +101,10 @@ impl TokenBucket {
         self.burst
     }
 
-    /// Current token level. Transient debt from racing meters reads as
-    /// zero.
-    pub fn level(&self) -> Tokens {
-        Tokens::from_raw(self.tokens.load(Ordering::Acquire).max(0) as u64)
-    }
-
     /// Raw signed token level, transient debt included. The provenance
     /// capture reads this around meter calls so the conservation auditor
-    /// can check exact deltas — [`TokenBucket::level`] clamps debt to
-    /// zero, which would hide a mischarge.
+    /// can check exact deltas; a level clamped at zero would hide a
+    /// mischarge.
     pub fn raw(&self) -> i64 {
         self.tokens.load(Ordering::Acquire)
     }
@@ -156,11 +150,6 @@ impl TokenBucket {
         if over > 0 {
             self.tokens.fetch_sub(over.min(add), Ordering::AcqRel);
         }
-    }
-
-    /// Empties the bucket (expired-status removal).
-    pub fn drain(&self) {
-        self.tokens.store(0, Ordering::Release);
     }
 
     /// Sets the level exactly (used when restoring initial state).
@@ -213,15 +202,20 @@ impl AtomicRate {
 mod tests {
     use super::*;
 
+    /// `n` bits as a raw signed token level.
+    fn bits(n: u64) -> i64 {
+        Tokens::from_bits(n).raw() as i64
+    }
+
     #[test]
     fn meter_consumes_only_on_green() {
         let b = TokenBucket::new(Tokens::from_bits(100));
         b.refill(Tokens::from_bits(100));
         assert_eq!(b.meter(Tokens::from_bits(60)), Color::Green);
-        assert_eq!(b.level(), Tokens::from_bits(40));
+        assert_eq!(b.raw(), bits(40));
         assert_eq!(b.meter(Tokens::from_bits(60)), Color::Red);
         // Red leaves the level untouched (Figure 8 step 5).
-        assert_eq!(b.level(), Tokens::from_bits(40));
+        assert_eq!(b.raw(), bits(40));
     }
 
     #[test]
@@ -229,24 +223,24 @@ mod tests {
         let b = TokenBucket::new(Tokens::from_bits(100));
         b.refill(Tokens::from_bits(70));
         b.refill(Tokens::from_bits(70));
-        assert_eq!(b.level(), Tokens::from_bits(100));
+        assert_eq!(b.raw(), bits(100));
     }
 
     #[test]
     fn zero_refill_is_noop() {
         let b = TokenBucket::new(Tokens::from_bits(10));
         b.refill(Tokens::ZERO);
-        assert_eq!(b.level(), Tokens::ZERO);
+        assert_eq!(b.raw(), 0);
     }
 
     #[test]
     fn drain_and_set_level() {
         let b = TokenBucket::new(Tokens::from_bits(100));
         b.refill(Tokens::from_bits(50));
-        b.drain();
-        assert_eq!(b.level(), Tokens::ZERO);
+        b.set_level(Tokens::ZERO);
+        assert_eq!(b.raw(), 0);
         b.set_level(Tokens::from_bits(1_000)); // clamped to burst
-        assert_eq!(b.level(), Tokens::from_bits(100));
+        assert_eq!(b.raw(), bits(100));
     }
 
     #[test]
@@ -284,8 +278,8 @@ mod tests {
         });
         assert!(greens <= 1_000, "overdraw: {greens} greens");
         assert_eq!(
-            Tokens::from_bits(greens).saturating_add(b.level()),
-            Tokens::from_bits(1_000),
+            bits(greens) + b.raw(),
+            bits(1_000),
             "tokens created or lost"
         );
     }
@@ -322,8 +316,8 @@ mod tests {
         // No clamping occurs here (the burst is huge), so accounting is
         // exact even while meters race refills: all ops are adds/subtracts.
         assert_eq!(
-            Tokens::from_bits(greens * 33).saturating_add(b.level()),
-            added,
+            bits(greens * 33) + b.raw(),
+            added.raw() as i64,
             "greens + residue must equal refills exactly"
         );
     }

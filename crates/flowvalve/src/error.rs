@@ -32,6 +32,10 @@ pub enum BuildTreeError {
     UnknownBorrowClass(ClassId),
     /// A ceiling is lower than the configured guarantee.
     CeilBelowRate(ClassId),
+    /// A rate or ceil is too large for the token arithmetic: its token
+    /// rate, its bucket burst or the tokens it accrues in one expiry window
+    /// would overflow.
+    RateOutOfRange(ClassId),
 }
 
 impl fmt::Display for BuildTreeError {
@@ -58,6 +62,9 @@ impl fmt::Display for BuildTreeError {
             }
             BuildTreeError::CeilBelowRate(c) => {
                 write!(f, "class {c} has ceil below its guaranteed rate")
+            }
+            BuildTreeError::RateOutOfRange(c) => {
+                write!(f, "class {c} has a rate or ceil too large to meter")
             }
         }
     }

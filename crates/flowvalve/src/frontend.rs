@@ -448,7 +448,7 @@ fv filter add dev nic0 prio 4 match vf 2 flowid 1:30 borrow 1:22
     fn rate_suffixes() {
         assert_eq!(parse_rate("10gbit").unwrap(), BitRate::from_gbps(10.0));
         assert_eq!(parse_rate("500mbit").unwrap(), BitRate::from_mbps(500));
-        assert_eq!(parse_rate("250kbit").unwrap(), BitRate::from_kbps(250));
+        assert_eq!(parse_rate("250kbit").unwrap(), BitRate::from_bps(250_000));
         assert_eq!(parse_rate("64bit").unwrap(), BitRate::from_bps(64));
         assert_eq!(parse_rate("1.5gbit").unwrap(), BitRate::from_mbps(1_500));
         assert!(parse_rate("10zbit").is_err());

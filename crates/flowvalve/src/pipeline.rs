@@ -446,11 +446,6 @@ impl FlowValvePipeline {
         self.compiled.classifier.cache_stats()
     }
 
-    /// The compiled scheduling program currently installed.
-    pub fn program(&self) -> &CompiledProgram {
-        &self.compiled.program
-    }
-
     /// (labeled packets decided, 0). Every decision runs the admission
     /// chain carried in its flow-cache entry; the second count was the
     /// interpreted walker's and stays in the signature for the whole-path
@@ -473,7 +468,6 @@ impl EgressDecider for FlowValvePipeline {
         // decision after it (figure drivers never reload, so their cost
         // streams are untouched).
         if self.pending_compile_ops > 0 {
-            meter.set_stage(AttrStage::Sched);
             meter.charge_n(Op::ProgramCompile, self.pending_compile_ops);
             self.pending_compile_ops = 0;
         }
@@ -482,7 +476,6 @@ impl EgressDecider for FlowValvePipeline {
         // once per island it is dispatched to). The entry carries the
         // flow's compiled verdict: its admission chain.
         let classify_t0 = meter.total();
-        meter.set_stage(AttrStage::Classify);
         let Compiled {
             classifier,
             program,
@@ -534,7 +527,6 @@ impl EgressDecider for FlowValvePipeline {
         // Tokens are metered in *wire* bits: a tree whose root rate equals
         // the line rate must admit exactly what the wire can carry, or the
         // transmit FIFO builds a standing queue.
-        meter.set_stage(AttrStage::Sched);
         let Some(chain) = chain else {
             return Decision::Forward;
         };
@@ -628,7 +620,7 @@ impl EgressDecider for FlowValvePipeline {
                 // The worker spins while waiting for the global lock:
                 // charge the wait as busy cycles.
                 let wait = exec.wait;
-                meter.charge_cycles(self.freq.cycles_in(wait));
+                meter.charge_cycles(AttrStage::Sched, self.freq.cycles_in(wait));
                 verdict
             }
         };
@@ -922,7 +914,11 @@ mod tests {
         /// `lender`, as provenance records number it.
         fn chain_of(&self, leaf: u16, lender: u16) -> u32 {
             let label = self.pipe.tree.label(ClassId(leaf), &[ClassId(lender)]);
-            let chain = self.pipe.program().resolve(&label.expect("label builds"));
+            let chain = self
+                .pipe
+                .compiled
+                .program
+                .resolve(&label.expect("label builds"));
             chain.expect("the policy emits this label").index()
         }
     }

@@ -101,11 +101,6 @@ impl CompiledProgram {
         self.lookup.get(label).copied()
     }
 
-    /// Number of compiled chains.
-    pub fn chains(&self) -> usize {
-        self.chains.len()
-    }
-
     /// Total steps flattened — the unit count for the cost model's
     /// `Op::ProgramCompile` charge (compile work scales with chain steps,
     /// not packets).
@@ -140,7 +135,10 @@ mod tests {
             vec![
                 ClassSpec::new(ClassId(1), "root", None).rate(BitRate::from_gbps(10.0)),
                 ClassSpec::new(ClassId(10), "a", Some(ClassId(1))),
-                ClassSpec::new(ClassId(20), "b", Some(ClassId(1))).ceil(BitRate::from_gbps(4.0)),
+                ClassSpec {
+                    ceil: Some(BitRate::from_gbps(4.0)),
+                    ..ClassSpec::new(ClassId(20), "b", Some(ClassId(1)))
+                },
             ],
             TreeParams::default(),
         )
@@ -154,7 +152,7 @@ mod tests {
         let la = t.label(ClassId(10), &[ClassId(20)]).unwrap();
         let lb = t.label(ClassId(20), &[]).unwrap();
         let prog = CompiledProgram::compile(&t, [&la, &lb]).unwrap();
-        assert_eq!(prog.chains(), 2);
+        assert_eq!(prog.chains.len(), 2);
         let (path, lenders) = prog.parts(prog.resolve(&la).unwrap());
         assert_eq!(path, [idx(1), idx(10)]);
         assert_eq!(lenders, [idx(20)]);
@@ -171,7 +169,7 @@ mod tests {
         let t = tree();
         let la = t.label(ClassId(10), &[]).unwrap();
         let prog = CompiledProgram::compile(&t, [&la, &la]).unwrap();
-        assert_eq!(prog.chains(), 1);
+        assert_eq!(prog.chains.len(), 1);
         for foreign in [
             QosLabel::new(&[ClassId(7), ClassId(77)], &[]),
             QosLabel::new(&[ClassId(1), ClassId(10)], &[ClassId(99)]),

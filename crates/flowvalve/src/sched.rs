@@ -910,7 +910,10 @@ pub(crate) mod tests {
             specs: vec![
                 ClassSpec::new(ClassId(1), "root", None).rate(gbps(10.0)),
                 ClassSpec::new(ClassId(10), "a", Some(ClassId(1))),
-                ClassSpec::new(ClassId(20), "b", Some(ClassId(1))).ceil(gbps(6.0)),
+                ClassSpec {
+                    ceil: Some(gbps(6.0)),
+                    ..ClassSpec::new(ClassId(20), "b", Some(ClassId(1)))
+                },
             ],
             labels: vec![
                 (ClassId(10), vec![ClassId(20)]),
@@ -971,7 +974,7 @@ pub(crate) mod tests {
                 spec = spec.rate(floor);
             }
             if rng.range(0, 3) == 0 {
-                spec = spec.ceil(BitRate::from_bps(floor.as_bps() * (1 + rng.range(0, 4))));
+                spec.ceil = Some(BitRate::from_bps(floor.as_bps() * (1 + rng.range(0, 4))));
             }
             depth.push(depth[parent] + 1);
             specs.push(spec);

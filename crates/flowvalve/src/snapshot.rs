@@ -96,7 +96,10 @@ mod tests {
             vec![
                 ClassSpec::new(ClassId(1), "root", None).rate(BitRate::from_gbps(2.0)),
                 ClassSpec::new(ClassId(10), "a", Some(ClassId(1))),
-                ClassSpec::new(ClassId(20), "b", Some(ClassId(1))).ceil(BitRate::from_gbps(1.0)),
+                ClassSpec {
+                    ceil: Some(BitRate::from_gbps(1.0)),
+                    ..ClassSpec::new(ClassId(20), "b", Some(ClassId(1)))
+                },
             ],
             TreeParams::default(),
         )

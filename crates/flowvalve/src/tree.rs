@@ -89,12 +89,6 @@ impl ClassSpec {
         self.rate = Some(rate);
         self
     }
-
-    /// Sets the ceiling (builder-style).
-    pub fn ceil(mut self, ceil: BitRate) -> Self {
-        self.ceil = Some(ceil);
-        self
-    }
 }
 
 /// Tuning knobs of the scheduling functions.
@@ -292,6 +286,16 @@ impl core::fmt::Debug for Node {
 }
 
 /// Raw fixed-point rate for an optional bandwidth.
+/// Whether `rate` converts to a token rate without truncating and the
+/// tokens it accrues over `window` fit a bucket's signed level — the bound
+/// on every burst and on every refill, whose interval is capped at the
+/// expiry window.
+fn meterable(rate: BitRate, window: Nanos) -> bool {
+    let raw = (u128::from(rate.as_bps()) << RATE_FRAC_BITS) / 1_000_000_000;
+    raw <= u128::from(u64::MAX)
+        && TokenRate::from_raw(raw as u64).accrued(window).raw() <= i64::MAX as u64
+}
+
 fn rate_raw(rate: Option<BitRate>) -> u64 {
     rate.map(|r| TokenRate::from_bit_rate(r).raw()).unwrap_or(0)
 }
@@ -390,6 +394,10 @@ impl SchedulingTree {
     /// zero weights, or a ceiling below the guarantee.
     pub fn build(specs: Vec<ClassSpec>, params: TreeParams) -> Result<Self, BuildTreeError> {
         // Index and uniqueness.
+        let window = params
+            .expiry
+            .max(params.burst_window)
+            .max(params.shadow_burst_window);
         let mut index = HashMap::with_capacity(specs.len());
         for (i, s) in specs.iter().enumerate() {
             if index.insert(s.id, i).is_some() {
@@ -397,6 +405,13 @@ impl SchedulingTree {
             }
             if s.weight == 0 {
                 return Err(BuildTreeError::ZeroWeight(s.id));
+            }
+            if [s.rate, s.ceil]
+                .into_iter()
+                .flatten()
+                .any(|r| !meterable(r, window))
+            {
+                return Err(BuildTreeError::RateOutOfRange(s.id));
             }
             if let (Some(r), Some(c)) = (s.rate, s.ceil) {
                 if c < r {
@@ -606,6 +621,9 @@ impl SchedulingTree {
     }
 
     /// Whether the tree has no classes (never true for a built tree).
+    // Kept public because clippy's `len_without_is_empty` wants it beside
+    // `len`.
+    #[allow(dead_code)]
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
     }
@@ -1084,13 +1102,58 @@ mod tests {
             BuildTreeError::ZeroWeight(ClassId(2))
         );
 
-        let specs = vec![ClassSpec::new(ClassId(1), "r", None)
-            .rate(gbps(2.0))
-            .ceil(gbps(1.0))];
+        let specs = vec![ClassSpec {
+            ceil: Some(gbps(1.0)),
+            ..ClassSpec::new(ClassId(1), "r", None).rate(gbps(2.0))
+        }];
         assert_eq!(
             SchedulingTree::build(specs, TreeParams::default()).unwrap_err(),
             BuildTreeError::CeilBelowRate(ClassId(1))
         );
+    }
+
+    #[test]
+    fn build_refuses_a_rate_one_bit_per_second_past_the_token_range() {
+        let params = TreeParams::default();
+        // The largest rate whose tokens over one expiry window (the longest
+        // refill interval) fit a bucket's signed level.
+        let fits = |bps| {
+            let rate = TokenRate::from_bit_rate(BitRate::from_bps(bps));
+            rate.accrued(params.expiry).raw() <= i64::MAX as u64
+        };
+        let (mut bound, mut past) = (1u64, 1_000_000_000_000_000_000u64);
+        while past - bound > 1 {
+            let mid = bound + (past - bound) / 2;
+            if fits(mid) {
+                bound = mid;
+            } else {
+                past = mid;
+            }
+        }
+        let tree = |root: u64, ceil: u64| {
+            let specs = vec![
+                ClassSpec::new(ClassId(1), "root", None).rate(BitRate::from_bps(root)),
+                ClassSpec {
+                    ceil: Some(BitRate::from_bps(ceil)),
+                    ..ClassSpec::new(ClassId(10), "leaf", Some(ClassId(1)))
+                },
+            ];
+            SchedulingTree::build(specs, params)
+        };
+        let out_of_range = |c| Err(BuildTreeError::RateOutOfRange(ClassId(c)));
+        assert_eq!(tree(bound + 1, bound).map(|_| ()), out_of_range(1));
+        assert_eq!(
+            tree(10_000_000_000, bound + 1).map(|_| ()),
+            out_of_range(10)
+        );
+        // At the bound, a leaf idle for a whole expiry window refills its
+        // ceiling instead of draining it.
+        let t = tree(bound, bound).expect("the bound builds");
+        let label = t.label(ClassId(10), &[]).unwrap();
+        let mut exec = crate::sched::RealExec;
+        assert!(t.schedule(&label, 12_144, Nanos::ZERO, &mut exec).passes());
+        let later = params.expiry + params.min_update_interval;
+        assert!(t.schedule(&label, 12_144, later, &mut exec).passes());
     }
 
     #[test]
@@ -1298,7 +1361,10 @@ mod tests {
     fn ceiling_caps_theta() {
         let specs = vec![
             ClassSpec::new(ClassId(1), "root", None).rate(gbps(10.0)),
-            ClassSpec::new(ClassId(10), "capped", Some(ClassId(1))).ceil(gbps(4.0)),
+            ClassSpec {
+                ceil: Some(gbps(4.0)),
+                ..ClassSpec::new(ClassId(10), "capped", Some(ClassId(1)))
+            },
         ];
         let tree = SchedulingTree::build(specs, TreeParams::default()).unwrap();
         let idx = tree.node_index(ClassId(10)).unwrap();
@@ -1328,7 +1394,7 @@ mod tests {
             tree.update_shadow(a, now);
         }
         let shadow = tree.slab_bucket(tree.node(a).shadow);
-        assert!(shadow.level() > Tokens::ZERO, "shadow empty");
+        assert!(shadow.raw() > 0, "shadow empty");
     }
 
     #[test]
@@ -1344,7 +1410,7 @@ mod tests {
             tree.touch_path(&label_hi, now);
             tree.update_shadow(hi, now);
         }
-        assert_eq!(tree.slab_bucket(tree.node(hi).shadow).level(), Tokens::ZERO);
+        assert_eq!(tree.slab_bucket(tree.node(hi).shadow).raw(), 0);
     }
 
     #[test]

@@ -197,8 +197,9 @@ fn counters_are_exact_on_an_observed_nic() {
     // Every packet that reached `decide` has exactly one class verdict.
     let verdicts = |suffix: &str| -> u64 {
         snapshot
-            .with_prefix("fv.class.")
-            .filter(|e| e.name.ends_with(suffix))
+            .entries
+            .iter()
+            .filter(|e| e.name.starts_with("fv.class.") && e.name.ends_with(suffix))
             .map(|e| snapshot.counter(&e.name))
             .sum()
     };

@@ -96,6 +96,40 @@ fn parse_errors_are_reported() {
     assert!(stderr.contains("bad rate"), "stderr: {stderr}");
 }
 
+/// Rates the token arithmetic cannot hold: a root whose burst overflows the
+/// bucket's signed level (it used to panic), a ceil whose token rate
+/// truncated to zero (a starved class), and a ceil whose accrual over one
+/// refill interval went negative (a drained ceiling).
+#[test]
+fn rates_past_the_token_range_are_refused_by_name() {
+    for (class, root, ceil) in [
+        ("1:1", "562949954gbit", "10gbit"),
+        ("1:10", "10gbit", "4294967296gbit"),
+        ("1:10", "10gbit", "4294967295gbit"),
+    ] {
+        let f = write_script(&format!(
+            "fv qdisc add dev nic0 root handle 1: fv\n\
+             fv class add dev nic0 parent root classid 1:1 rate {root}\n\
+             fv class add dev nic0 parent 1:1 classid 1:10 ceil {ceil}\n\
+             fv filter add dev nic0 match ip dport 5001 flowid 1:10\n"
+        ));
+        for cmd in ["show", "demo", "check"] {
+            let out = fv().arg(cmd).arg(&f.path).output().expect("fv runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(
+                out.status.code(),
+                Some(1),
+                "fv {cmd}, {root}/{ceil}: {stderr}"
+            );
+            assert!(
+                stderr.contains(&format!("class {class} has a rate or ceil too large")),
+                "fv {cmd}, {root}/{ceil}: {stderr}"
+            );
+            assert!(!stderr.contains("panicked"), "{stderr}");
+        }
+    }
+}
+
 #[test]
 fn reads_from_stdin() {
     let mut child = fv()

@@ -186,9 +186,11 @@ mod tests {
     #[test]
     fn motivation_htb_builds() {
         let (specs, map) = motivation_htb(BitRate::from_gbps(10.0));
-        let htb = qdisc::htb::Htb::new(specs, qdisc::htb::KernelModel::centos7()).unwrap();
-        assert_eq!(htb.leaf_handles().len(), 4);
+        let is_leaf = |h| !specs.iter().any(|c| c.parent == Some(h));
+        assert_eq!(specs.iter().filter(|s| is_leaf(s.id)).count(), 4);
+        assert!(map.values().all(|&h| is_leaf(h)));
         assert_eq!(map.len(), 4);
+        qdisc::htb::Htb::new(specs, qdisc::htb::KernelModel::centos7()).unwrap();
     }
 
     #[test]

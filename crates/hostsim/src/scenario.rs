@@ -106,12 +106,6 @@ impl Scenario {
         }
     }
 
-    /// Adds an app (builder-style).
-    pub fn app(mut self, app: AppSpec) -> Self {
-        self.apps.push(app);
-        self
-    }
-
     /// Converts a figure-axis second to simulated time.
     pub fn fig_secs(&self, s: f64) -> Nanos {
         Nanos::from_nanos((self.time_scale.as_nanos() as f64 * s).round() as u64)
@@ -189,7 +183,7 @@ mod tests {
 
     #[test]
     fn fig_secs_scales() {
-        let s = Scenario::new(BitRate::from_gbps(10.0), Nanos::from_secs(1));
+        let s = Scenario::new(BitRate::from_gbps(10.0), Nanos::from_millis(1_000));
         assert_eq!(s.fig_secs(2.0), Nanos::from_millis(50));
     }
 

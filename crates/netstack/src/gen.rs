@@ -79,6 +79,10 @@ impl PoissonProcess {
     /// # Panics
     ///
     /// Panics if `rate` is zero.
+    // Kept public as a stimulus for other crates' tests:
+    // `np_sim::harness::tests::drive_matches_the_reference_merge` and
+    // `tests/baseline_references.rs`.
+    #[allow(dead_code)]
     pub fn new(rate: BitRate, frame_len: u32) -> Self {
         assert!(rate > BitRate::ZERO, "rate must be positive");
         let pps = rate.as_bps() as f64 / (frame_len as f64 * 8.0);
@@ -114,6 +118,9 @@ impl OnOffProcess {
     /// # Panics
     ///
     /// Panics if `peak` is zero or either duration is zero.
+    // Kept public as a stimulus for
+    // `np_sim::harness::tests::drive_matches_the_reference_merge`.
+    #[allow(dead_code)]
     pub fn new(peak: BitRate, frame_len: u32, mean_on: Nanos, mean_off: Nanos) -> Self {
         assert!(peak > BitRate::ZERO, "peak rate must be positive");
         assert!(
@@ -179,11 +186,6 @@ impl LineRateProcess {
             last_t_ns: 0,
         }
     }
-
-    /// Packets per second this process produces.
-    pub fn pps(&self) -> f64 {
-        self.rate_bps as f64 / self.wire_bits as f64
-    }
 }
 
 impl ArrivalProcess for LineRateProcess {
@@ -244,9 +246,16 @@ mod tests {
 
     #[test]
     fn line_rate_pps_matches_framing_math() {
-        let p = LineRateProcess::new(BitRate::from_gbps(40.0), 64, WireFraming::ETHERNET);
+        let mut p = LineRateProcess::new(BitRate::from_gbps(40.0), 64, WireFraming::ETHERNET);
         let expect = WireFraming::ETHERNET.line_rate_pps(BitRate::from_gbps(40.0), 64);
-        assert!((p.pps() - expect).abs() / expect < 0.01);
+        let mut rng = SimRng::seed(5);
+        let n = 100_000u64;
+        let elapsed: u64 = (0..n).map(|_| p.next_arrival(&mut rng).0.as_nanos()).sum();
+        let pps = n as f64 * 1e9 / elapsed as f64;
+        assert!(
+            (pps - expect).abs() / expect < 1e-6,
+            "{pps} against {expect}"
+        );
     }
 
     #[test]

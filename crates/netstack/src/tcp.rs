@@ -29,11 +29,12 @@ pub enum CcPhase {
 /// ```
 /// use netstack::tcp::TcpConn;
 ///
-/// let mut c = TcpConn::new(1448, 10);
-/// assert!(c.can_send());
+/// let mut c = TcpConn::new(1448, 1);
 /// let seq = c.on_send();
+/// assert!(!c.can_send()); // a window of one segment is full
 /// c.on_ack(seq);
-/// assert!(c.cwnd_packets() > 10.0); // slow start grew the window
+/// c.on_send();
+/// assert!(c.can_send()); // slow start grew the window to two
 /// ```
 #[derive(Debug, Clone)]
 pub struct TcpConn {
@@ -73,34 +74,9 @@ impl TcpConn {
         }
     }
 
-    /// Maximum segment size in bytes.
-    pub fn mss_bytes(&self) -> u32 {
-        self.mss_bytes
-    }
-
-    /// Current congestion window in segments.
-    pub fn cwnd_packets(&self) -> f64 {
-        self.cwnd
-    }
-
-    /// Current slow-start threshold in segments.
-    pub fn ssthresh(&self) -> f64 {
-        self.ssthresh
-    }
-
-    /// Segments currently in flight (sent, neither acked nor lost).
-    pub fn inflight(&self) -> u64 {
-        self.inflight
-    }
-
     /// Total payload bytes acknowledged so far.
     pub fn delivered_bytes(&self) -> u64 {
         self.delivered_bytes
-    }
-
-    /// Total segments reported lost so far.
-    pub fn lost_packets(&self) -> u64 {
-        self.lost_packets
     }
 
     /// Which growth phase the window is in.
@@ -191,7 +167,7 @@ mod tests {
         for s in seqs {
             c.on_ack(s);
         }
-        assert_eq!(c.cwnd_packets(), 20.0);
+        assert_eq!(c.cwnd, 20.0);
         assert_eq!(c.phase(), CcPhase::SlowStart);
     }
 
@@ -201,12 +177,12 @@ mod tests {
         let seqs: Vec<u64> = (0..16).map(|_| c.on_send()).collect();
         // Three losses within the same window count as one congestion event.
         c.on_loss(seqs[3]);
-        let after_first = c.cwnd_packets();
+        let after_first = c.cwnd;
         assert_eq!(after_first, 8.0);
         c.on_loss(seqs[5]);
         c.on_loss(seqs[9]);
-        assert_eq!(c.cwnd_packets(), after_first);
-        assert_eq!(c.lost_packets(), 3);
+        assert_eq!(c.cwnd, after_first);
+        assert_eq!(c.lost_packets, 3);
     }
 
     #[test]
@@ -216,7 +192,7 @@ mod tests {
         c.on_loss(s); // cwnd 16 -> 8, recover at next_seq = 1
         let s2 = c.on_send(); // seq 1, new window
         c.on_loss(s2);
-        assert_eq!(c.cwnd_packets(), 4.0);
+        assert_eq!(c.cwnd, 4.0);
     }
 
     #[test]
@@ -225,13 +201,13 @@ mod tests {
         let s = c.on_send();
         c.on_loss(s); // enter CA at cwnd 8
         assert_eq!(c.phase(), CcPhase::CongestionAvoidance);
-        let before = c.cwnd_packets();
+        let before = c.cwnd;
         // One full window of acks adds ~1 segment.
         let seqs: Vec<u64> = (0..8).map(|_| c.on_send()).collect();
         for s in seqs {
             c.on_ack(s);
         }
-        let growth = c.cwnd_packets() - before;
+        let growth = c.cwnd - before;
         assert!((growth - 1.0).abs() < 0.1, "growth {growth}");
     }
 
@@ -242,7 +218,7 @@ mod tests {
             let s = c.on_send();
             c.on_loss(s);
         }
-        assert!(c.cwnd_packets() >= TcpConn::MIN_CWND);
+        assert!(c.cwnd >= TcpConn::MIN_CWND);
     }
 
     #[test]
@@ -275,11 +251,11 @@ mod tests {
         }
         assert!(!c.can_send());
         c.on_timeout();
-        assert_eq!(c.inflight(), 0);
-        assert_eq!(c.cwnd_packets(), TcpConn::MIN_CWND);
+        assert_eq!(c.inflight, 0);
+        assert_eq!(c.cwnd, TcpConn::MIN_CWND);
         assert!(c.can_send());
-        assert_eq!(c.lost_packets(), 16);
-        assert_eq!(c.ssthresh(), 8.0);
+        assert_eq!(c.lost_packets, 16);
+        assert_eq!(c.ssthresh, 8.0);
     }
 
     #[test]

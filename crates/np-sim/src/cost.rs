@@ -68,6 +68,16 @@ impl Op {
         }
     }
 
+    /// The pipeline phase every charge of this operation belongs to.
+    fn stage(self) -> AttrStage {
+        match self {
+            Op::Parse | Op::ForwardBase => AttrStage::Parse,
+            Op::ClassifyHit | Op::ClassifyMiss => AttrStage::Classify,
+            Op::AtomicOp | Op::ClassUpdate | Op::LockOp | Op::ProgramCompile => AttrStage::Sched,
+            Op::TxEnqueue => AttrStage::TxEnqueue,
+        }
+    }
+
     fn index(self) -> usize {
         match self {
             Op::Parse => 0,
@@ -84,9 +94,8 @@ impl Op {
 }
 
 /// The pipeline phase a charge is attributed to — the middle frame of the
-/// `nic;me<worker>;<phase>;<op>` profile stacks. Set on the meter by the
-/// component that owns the phase (the NIC for parse/fault/tx-enqueue, the
-/// egress decider for classify/sched) and sticky until the next set.
+/// `nic;me<worker>;<phase>;<op>` profile stacks. An [`Op`] names its own;
+/// a raw [`CostMeter::charge_cycles`] amount names it at the call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttrStage {
     /// Header parse + base forwarding work.
@@ -99,18 +108,15 @@ pub enum AttrStage {
     TxEnqueue = 3,
     /// Extra cycles charged by an injected fault (cpu_burn windows).
     Fault = 4,
-    /// Anything charged outside an attributed phase.
-    Other = 5,
 }
 
 /// All attribution phases, in discriminant order.
-pub const ATTR_STAGES: [AttrStage; 6] = [
+pub const ATTR_STAGES: [AttrStage; 5] = [
     AttrStage::Parse,
     AttrStage::Classify,
     AttrStage::Sched,
     AttrStage::TxEnqueue,
     AttrStage::Fault,
-    AttrStage::Other,
 ];
 
 impl AttrStage {
@@ -122,7 +128,6 @@ impl AttrStage {
             AttrStage::Sched => "sched",
             AttrStage::TxEnqueue => "tx_enqueue",
             AttrStage::Fault => "fault",
-            AttrStage::Other => "other",
         }
     }
 }
@@ -158,8 +163,8 @@ impl AttrCell {
 /// behind `fv profile`.
 ///
 /// Attached to a [`CostMeter`] ([`CostMeter::attach_attr`]), every charge
-/// folds into the cell addressed by the meter's current attribution
-/// context. Cells are [`Counter`]s so the array can be shared (`Arc`)
+/// folds into the cell addressed by its phase, its op and the meter's
+/// worker. Cells are [`Counter`]s so the array can be shared (`Arc`)
 /// between the one meter that writes it and the reporting side that reads
 /// it; under the single-threaded discrete-event simulation the folding
 /// order is deterministic, so the same seed yields a byte-identical
@@ -259,7 +264,6 @@ pub struct CostMeter {
     costs: CycleCosts,
     total: Cycles,
     attr: Option<Arc<CycleAttr>>,
-    stage: u8,
     worker: u8,
 }
 
@@ -270,24 +274,15 @@ impl CostMeter {
             costs,
             total: Cycles::ZERO,
             attr: None,
-            stage: AttrStage::Other as u8,
             worker: u8::MAX,
         }
     }
 
     /// Attaches a shared attribution array; subsequent charges fold into
-    /// it under the current `(stage, worker)` context. One meter per
-    /// array: its cells take single-writer adds.
+    /// it under the meter's current worker. One meter per array: its cells
+    /// take single-writer adds.
     pub fn attach_attr(&mut self, attr: Arc<CycleAttr>) {
         self.attr = Some(attr);
-    }
-
-    /// Sets the pipeline phase subsequent charges are attributed to.
-    /// A plain byte store — free enough to call per packet even when no
-    /// attribution array is attached.
-    #[inline]
-    pub fn set_stage(&mut self, stage: AttrStage) {
-        self.stage = stage as u8;
     }
 
     /// Sets the micro-engine subsequent charges are attributed to.
@@ -330,7 +325,7 @@ impl CostMeter {
         self.total += Cycles::new(cycles);
         if let Some(attr) = &self.attr {
             attr.record(
-                self.stage as usize,
+                op.stage() as usize,
                 op.index(),
                 self.worker as usize,
                 cycles,
@@ -339,18 +334,12 @@ impl CostMeter {
         }
     }
 
-    /// Charges a raw cycle amount (for costs not in the table).
-    pub fn charge_cycles(&mut self, c: Cycles) {
+    /// Charges a raw cycle amount (for costs not in the table) to `stage`.
+    pub fn charge_cycles(&mut self, stage: AttrStage, c: Cycles) {
         self.total += c;
         if c > Cycles::ZERO {
             if let Some(attr) = &self.attr {
-                attr.record(
-                    self.stage as usize,
-                    RAW_OP,
-                    self.worker as usize,
-                    c.get(),
-                    1,
-                );
+                attr.record(stage as usize, RAW_OP, self.worker as usize, c.get(), 1);
             }
         }
     }
@@ -390,7 +379,7 @@ mod tests {
     #[test]
     fn raw_cycles_and_reset() {
         let mut m = CostMeter::new(CycleCosts::agilio());
-        m.charge_cycles(Cycles::new(123));
+        m.charge_cycles(AttrStage::Fault, Cycles::new(123));
         assert_eq!(m.total().get(), 123);
         m.reset();
         assert_eq!(m.total(), Cycles::ZERO);
@@ -402,11 +391,9 @@ mod tests {
         let mut m = CostMeter::new(CycleCosts::agilio());
         m.attach_attr(Arc::clone(&attr));
         m.set_worker(2);
-        m.set_stage(AttrStage::Parse);
         m.charge(Op::Parse);
-        m.set_stage(AttrStage::Sched);
         m.charge_n(Op::AtomicOp, 3);
-        m.charge_cycles(Cycles::new(50));
+        m.charge_cycles(AttrStage::Sched, Cycles::new(50));
 
         let c = CycleCosts::agilio();
         assert_eq!(attr.total_cycles(), c.parse + 3 * c.atomic_op + 50);
@@ -417,8 +404,10 @@ mod tests {
         assert_eq!(cells[0].op, Some(Op::Parse));
         assert_eq!(cells[0].worker, 2);
         assert_eq!(cells[1].op, Some(Op::AtomicOp));
+        assert_eq!(cells[1].stage, AttrStage::Sched);
         assert_eq!(cells[1].count, 3);
         assert_eq!(cells[2].op, None);
+        assert_eq!(cells[2].stage, AttrStage::Sched);
         assert_eq!(cells[2].op_name(), "raw");
         assert_eq!(cells[2].cycles, 50);
     }
@@ -432,7 +421,7 @@ mod tests {
         let cells = attr.cells();
         assert_eq!(cells.len(), 1);
         assert_eq!(cells[0].worker, 2); // overflow row index == workers()
-        assert_eq!(cells[0].stage, AttrStage::Other);
+        assert_eq!(cells[0].stage, AttrStage::Parse);
     }
 
     #[test]

@@ -49,8 +49,6 @@ pub struct WorkerPool {
     free_at: BinaryHeap<Reverse<(Nanos, usize)>>,
     freq: Freq,
     rx_max_wait: Nanos,
-    rx_drops: u64,
-    dispatched: u64,
     /// Instruction cycles retired by each micro-engine individually.
     busy: Vec<Cycles>,
     /// Worker popped by `dispatch`, awaiting `complete`.
@@ -70,21 +68,9 @@ impl WorkerPool {
             free_at: (0..n).map(|i| Reverse((Nanos::ZERO, i))).collect(),
             freq,
             rx_max_wait,
-            rx_drops: 0,
-            dispatched: 0,
             busy: vec![Cycles::ZERO; n],
             pending: None,
         }
-    }
-
-    /// Number of workers (idle or busy).
-    pub fn len(&self) -> usize {
-        self.free_at.len() + usize::from(self.pending.is_some())
-    }
-
-    /// Whether the pool has no workers.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Attempts to hand a packet arriving at `now` to the earliest-free
@@ -99,12 +85,10 @@ impl WorkerPool {
         let Reverse((free, engine)) = *self.free_at.peek().expect("pool is non-empty");
         let start = free.max(now);
         if start - now > self.rx_max_wait {
-            self.rx_drops += 1;
             return Dispatch::RxOverflow;
         }
         self.free_at.pop();
         self.pending = Some((start, engine));
-        self.dispatched += 1;
         Dispatch::Started { start }
     }
 
@@ -145,12 +129,10 @@ impl WorkerPool {
         }
         let start = effective(&(free, engine)).0.max(now);
         if start - now > self.rx_max_wait {
-            self.rx_drops += 1;
             self.free_at.push(Reverse((free, engine)));
             return Dispatch::RxOverflow;
         }
         self.pending = Some((start, engine));
-        self.dispatched += 1;
         Dispatch::Started { start }
     }
 
@@ -169,33 +151,10 @@ impl WorkerPool {
         done
     }
 
-    /// Abandons the pending dispatch without charging work (e.g. the packet
-    /// was consumed by an earlier pipeline stage).
-    ///
-    /// # Panics
-    ///
-    /// Panics if there is no pending dispatch.
-    pub fn abandon(&mut self, start: Nanos) {
-        let (pending, engine) = self.pending.take().expect("no pending dispatch");
-        assert_eq!(pending, start, "abandon does not match dispatch");
-        self.free_at.push(Reverse((start, engine)));
-        self.dispatched -= 1;
-    }
-
     /// The micro-engine index of the in-flight dispatch, if any — the
     /// worker axis for cycle attribution.
     pub fn pending_engine(&self) -> Option<usize> {
         self.pending.map(|(_, engine)| engine)
-    }
-
-    /// Packets dropped at ingress because no worker freed up in time.
-    pub fn rx_drops(&self) -> u64 {
-        self.rx_drops
-    }
-
-    /// Packets successfully dispatched to workers.
-    pub fn dispatched(&self) -> u64 {
-        self.dispatched
     }
 
     /// Total instruction cycles executed by all workers.
@@ -208,7 +167,7 @@ impl WorkerPool {
         if horizon == Nanos::ZERO {
             return 0.0;
         }
-        let capacity = self.len() as f64 * self.freq.cycles_in(horizon).get() as f64;
+        let capacity = self.busy.len() as f64 * self.freq.cycles_in(horizon).get() as f64;
         (self.busy_cycles().get() as f64 / capacity).min(1.0)
     }
 
@@ -260,7 +219,6 @@ mod tests {
         let done2 = p.complete(start, Cycles::new(2_000));
         // A packet at t=0 now needs to wait 3 us > 1 us budget: dropped.
         assert_eq!(p.dispatch(Nanos::ZERO), Dispatch::RxOverflow);
-        assert_eq!(p.rx_drops(), 1);
         // But at t = done2 the worker is free again.
         let Dispatch::Started { start } = p.dispatch(done2) else {
             panic!()
@@ -307,22 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn abandon_returns_worker_unchanged() {
-        let mut p = pool(1);
-        let Dispatch::Started { start } = p.dispatch(Nanos::ZERO) else {
-            panic!()
-        };
-        p.abandon(start);
-        assert_eq!(p.dispatched(), 0);
-        // Worker is immediately available again.
-        let Dispatch::Started { start } = p.dispatch(Nanos::ZERO) else {
-            panic!()
-        };
-        assert_eq!(start, Nanos::ZERO);
-        p.complete(start, Cycles::ZERO);
-    }
-
-    #[test]
     fn stalled_engines_are_skipped_until_window_clears() {
         let mut p = pool(2);
         let until = Nanos::from_nanos(600);
@@ -346,7 +288,6 @@ mod tests {
         let mut p1 = pool(1);
         let d = p1.dispatch_with(Nanos::ZERO, Some((1, Nanos::from_millis(1))));
         assert_eq!(d, Dispatch::RxOverflow);
-        assert_eq!(p1.rx_drops(), 1);
         // And a no-stall call is the plain dispatch fast path.
         let Dispatch::Started { start } = p1.dispatch_with(Nanos::ZERO, None) else {
             panic!()

@@ -151,16 +151,6 @@ impl LockTable {
         });
     }
 
-    /// Number of locks in the table.
-    pub fn len(&self) -> usize {
-        self.free_at.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.free_at.is_empty()
-    }
-
     /// Grows the table to hold at least `n` locks.
     pub fn ensure(&mut self, n: usize) {
         if self.free_at.len() < n {
@@ -290,10 +280,10 @@ mod tests {
     fn ensure_grows() {
         let mut t = LockTable::new(1);
         t.ensure(10);
-        assert_eq!(t.len(), 10);
+        assert_eq!(t.free_at.len(), 10);
         assert!(t.try_acquire(LockId(9), Nanos::ZERO, HOLD));
         t.ensure(5); // never shrinks
-        assert_eq!(t.len(), 10);
+        assert_eq!(t.free_at.len(), 10);
     }
 
     #[test]

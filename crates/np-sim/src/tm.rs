@@ -31,20 +31,6 @@ pub use fv_telemetry::DropCause;
 /// [`DropCause::CorruptDrop`] variants.
 pub type TmDrop = DropCause;
 
-/// Counters maintained by the FIFO wire model: a snapshot view
-/// [`TxFifo::stats`] materializes from the FIFO's four tallies.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TmStats {
-    /// Packets accepted and serialized.
-    pub tx_packets: u64,
-    /// Frame bits transmitted (excluding wire framing overhead).
-    pub tx_bits: u64,
-    /// Packets tail-dropped at the FIFO.
-    pub tail_drops: u64,
-    /// Packets dropped by an injected corruption fault.
-    pub fault_drops: u64,
-}
-
 /// What only an observed FIFO records: its occupancy and, for sampled
 /// packets, `TailDrop` trace events and `tm_queue`/`wire` spans.
 #[derive(Debug)]
@@ -81,9 +67,10 @@ pub struct TxFifo {
     free_at: Nanos,
     /// Latest enqueue timestamp seen, to keep internal time monotonic.
     last_t: Nanos,
-    /// The four [`TmStats`] tallies, the single count of each event:
-    /// free-standing until [`TxFifo::attach_telemetry`] swaps in the
-    /// registry's `tm.fifo.*` cells. Written only from `&mut self`.
+    /// Packets sent, frame bits sent (no framing overhead), tail drops and
+    /// corruption drops, the single count of each event: free-standing
+    /// until [`TxFifo::attach_telemetry`] swaps in the registry's
+    /// `tm.fifo.*` cells. Written only from `&mut self`.
     tx_packets: Arc<Counter>,
     tx_bits: Arc<Counter>,
     tail_drops: Arc<Counter>,
@@ -216,26 +203,6 @@ impl TxFifo {
         let backlog = self.free_at.saturating_sub(t.max(self.last_t));
         self.rate.bits_in(backlog) / 8
     }
-
-    /// Accumulated counters, materialized from the tallies.
-    pub fn stats(&self) -> TmStats {
-        TmStats {
-            tx_packets: self.tx_packets.total(),
-            tx_bits: self.tx_bits.total(),
-            tail_drops: self.tail_drops.total(),
-            fault_drops: self.fault_drops.total(),
-        }
-    }
-
-    /// Achieved throughput over `[0, horizon]` (frame bits, no framing).
-    pub fn throughput(&self, horizon: Nanos) -> BitRate {
-        if horizon == Nanos::ZERO {
-            return BitRate::ZERO;
-        }
-        BitRate::from_bps(
-            (self.tx_bits.total() as u128 * 1_000_000_000u128 / horizon.as_nanos() as u128) as u64,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -243,11 +210,11 @@ mod tests {
     use super::*;
 
     fn fifo_1g() -> TxFifo {
-        // 1 Gbps, no framing overhead, 10 KB buffer => 80 us max backlog.
+        // 1 Gbps, no framing overhead, 10 KiB buffer => 81.92 us max backlog.
         TxFifo::new(
             BitRate::from_bps(1_000_000_000),
             WireFraming::NONE,
-            ByteSize::from_bytes(10_000),
+            ByteSize::from_kib(10),
         )
     }
 
@@ -279,8 +246,9 @@ mod tests {
     #[test]
     fn tail_drop_when_full() {
         let mut f = fifo_1g();
-        // Fill past 10 KB: each enqueue is 1 KB; at t=0, 11th packet sees
-        // 80 us backlog == max => allowed; 12th sees 88 us > 80 us => drop.
+        // Fill past 10 KiB: each enqueue is 1 KB; at t=0, the 11th packet
+        // sees 80 us of backlog => allowed; the 12th sees 88 us > 81.92 us
+        // => drop.
         let mut accepted = 0;
         for id in 0..12 {
             if f.enqueue_pkt(1_000, Nanos::ZERO, id).is_ok() {
@@ -288,7 +256,7 @@ mod tests {
             }
         }
         assert_eq!(accepted, 11);
-        assert_eq!(f.stats().tail_drops, 1);
+        assert_eq!(f.tail_drops.total(), 1);
     }
 
     #[test]
@@ -311,7 +279,7 @@ mod tests {
         // (64 + 20) * 8 = 672 ns on the wire...
         assert_eq!(done, Nanos::from_nanos(672));
         // ...but only 512 frame bits counted as throughput.
-        assert_eq!(f.stats().tx_bits, 512);
+        assert_eq!(f.tx_bits.total(), 512);
     }
 
     #[test]
@@ -320,10 +288,9 @@ mod tests {
         for i in 0..10u64 {
             let _ = f.enqueue_pkt(1_000, Nanos::from_micros(i * 10), i);
         }
-        let tput = f.throughput(Nanos::from_micros(100));
-        // 80_000 bits over 100 us = 800 Mbps.
-        assert_eq!(tput, BitRate::from_mbps(800));
-        assert_eq!(f.throughput(Nanos::ZERO), BitRate::ZERO);
+        // Frame bits only: 10 x 8 000, none of the (zero) framing.
+        assert_eq!(f.tx_bits.total(), 80_000);
+        assert_eq!(f.tx_packets.total(), 10);
     }
 
     #[test]
@@ -332,7 +299,7 @@ mod tests {
         let reg = Registry::with_sampler(64, fv_telemetry::Sampler::one_in_pow2(0));
         let mut f = fifo_1g();
         f.attach_telemetry(&reg);
-        // 10 KB buffer, 1 KB frames: 11 accepted, the 12th tail-drops.
+        // 10 KiB buffer, 1 KB frames: 11 accepted, the 12th tail-drops.
         for id in 0..12 {
             let _ = f.enqueue_pkt(1_000, Nanos::ZERO, id);
         }
@@ -354,7 +321,7 @@ mod tests {
     #[test]
     fn attaching_after_traffic_carries_the_totals_into_the_registry() {
         let mut f = fifo_1g();
-        // 10 KB buffer, 1 KB frames: 11 accepted, the 12th tail-drops.
+        // 10 KiB buffer, 1 KB frames: 11 accepted, the 12th tail-drops.
         for id in 0..12 {
             let _ = f.enqueue_pkt(1_000, Nanos::ZERO, id);
         }
@@ -365,8 +332,8 @@ mod tests {
         assert_eq!(snap.counter("tm.fifo.tx_packets"), 12);
         assert_eq!(snap.counter("tm.fifo.tx_bits"), 12 * 8_000);
         assert_eq!(snap.counter("tm.fifo.tail_drops"), 1);
-        let s = f.stats();
-        assert_eq!((s.tx_packets, s.tx_bits, s.tail_drops), (12, 96_000, 1));
+        let totals = [&f.tx_packets, &f.tx_bits, &f.tail_drops].map(|c| c.total());
+        assert_eq!(totals, [12, 96_000, 1]);
     }
 
     #[derive(Debug)]
@@ -442,8 +409,8 @@ mod tests {
             Err(TmDrop::CorruptDrop)
         );
         assert!(f.enqueue_pkt(1_000, Nanos::from_micros(5), 1).is_ok());
-        assert_eq!(f.stats().fault_drops, 1);
-        assert_eq!(f.stats().tx_packets, 1);
+        assert_eq!(f.fault_drops.total(), 1);
+        assert_eq!(f.tx_packets.total(), 1);
         let snap = reg.snapshot(Nanos::ZERO);
         assert_eq!(snap.counter("tm.fifo.fault_drops"), 1);
     }

@@ -41,7 +41,6 @@ struct HwQueue {
     queue: VecDeque<Packet>,
     /// WRR deficit in bytes.
     deficit: i64,
-    drops: u64,
 }
 
 /// A fixed-function multi-queue traffic manager in front of a wire.
@@ -75,15 +74,12 @@ pub struct MultiQueueTm {
     framing: WireFraming,
     wire_free: Nanos,
     rr_cursor: usize,
-    tx_packets: u64,
-    tx_bits: u64,
 }
 
 impl core::fmt::Debug for MultiQueueTm {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("MultiQueueTm")
             .field("queues", &self.queues.len())
-            .field("tx_packets", &self.tx_packets)
             .finish_non_exhaustive()
     }
 }
@@ -104,15 +100,12 @@ impl MultiQueueTm {
                     cfg,
                     queue: VecDeque::new(),
                     deficit: 0,
-                    drops: 0,
                 })
                 .collect(),
             rate,
             framing,
             wire_free: Nanos::ZERO,
             rr_cursor: 0,
-            tx_packets: 0,
-            tx_bits: 0,
         }
     }
 
@@ -124,13 +117,11 @@ impl MultiQueueTm {
     /// Panics if `q` is out of range.
     pub fn enqueue(&mut self, q: usize, pkt: Packet) -> bool {
         let hq = &mut self.queues[q];
-        if hq.queue.len() >= hq.cfg.capacity {
-            hq.drops += 1;
-            false
-        } else {
+        let accepted = hq.queue.len() < hq.cfg.capacity;
+        if accepted {
             hq.queue.push_back(pkt);
-            true
         }
+        accepted
     }
 
     /// Dequeues per the fixed scheme at `now`, returning the packet and
@@ -169,8 +160,6 @@ impl MultiQueueTm {
                         + self
                             .framing
                             .serialization_time(self.rate, pkt.frame_len as u64);
-                    self.tx_packets += 1;
-                    self.tx_bits += pkt.frame_bits();
                     return Some((pkt, self.wire_free));
                 }
                 if pass == 0 {
@@ -179,31 +168,6 @@ impl MultiQueueTm {
             }
         }
         unreachable!("WRR quantum covers at least one MTU");
-    }
-
-    /// Packets transmitted so far.
-    pub fn tx_packets(&self) -> u64 {
-        self.tx_packets
-    }
-
-    /// Frame bits transmitted so far.
-    pub fn tx_bits(&self) -> u64 {
-        self.tx_bits
-    }
-
-    /// Tail drops of queue `q`.
-    pub fn drops(&self, q: usize) -> u64 {
-        self.queues[q].drops
-    }
-
-    /// Total queued packets.
-    pub fn backlog_pkts(&self) -> usize {
-        self.queues.iter().map(|q| q.queue.len()).sum()
-    }
-
-    /// When the wire next frees up.
-    pub fn wire_free_at(&self) -> Nanos {
-        self.wire_free
     }
 }
 
@@ -310,8 +274,7 @@ mod tests {
         );
         assert!(tm.enqueue(0, pkt(0, 0, 64)));
         assert!(!tm.enqueue(0, pkt(1, 0, 64)));
-        assert_eq!(tm.drops(0), 1);
-        assert_eq!(tm.backlog_pkts(), 1);
+        assert_eq!(tm.queues[0].queue.len(), 1);
     }
 
     #[test]
@@ -322,6 +285,5 @@ mod tests {
             vec![HwQueueConfig::default()],
         );
         assert!(tm.dequeue(Nanos::ZERO).is_none());
-        assert_eq!(tm.tx_packets(), 0);
     }
 }

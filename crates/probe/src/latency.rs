@@ -18,22 +18,13 @@ use fv_telemetry::metrics::{Histogram, HistogramSnapshot};
 use fv_telemetry::span::{SpanSink, Stage, STAGES};
 use sim_core::time::Nanos;
 
-/// The class value spans fall into before (or without) a classification
-/// verdict for their packet: unlabeled bypass traffic, or spans whose
-/// packet aged out of the bounded pkt→class table. Every span the
-/// workspace stamps carries a real packet id; only a foreign
-/// [`SpanSink`] caller can still hand in an id-less (`u64::MAX`) span, and
-/// it lands here too unless the caller classified that id.
+/// The class value spans fall into without a classification verdict for
+/// their packet: unlabeled bypass traffic, or a span of any packet other
+/// than the one last classified. Every span the workspace stamps carries a
+/// real packet id; only a foreign [`SpanSink`] caller can still hand in an
+/// id-less (`u64::MAX`) span, and it lands here too unless the caller
+/// classified that id.
 pub const UNATTRIBUTED: u64 = u64::MAX;
-
-/// Slots in the bounded pkt→class table (power of two), indexed by the low
-/// id bits: a packet's entry is evicted by the next classified packet
-/// whose id is a multiple of `PKT_SLOTS` further on. Recorders feed the
-/// sink sampled packets only (one id per aligned block of 64 by default),
-/// so about 1 in 64 slots is ever written, and a span still attributes if
-/// it arrives within `PKT_SLOTS` ids of its packet's classification — the
-/// bound the table had when every packet was fed, now a lower bound.
-const PKT_SLOTS: usize = 1 << 16;
 
 /// Entries tracked by the heavy-hitter sketch.
 const SKETCH_ENTRIES: usize = 32;
@@ -63,13 +54,6 @@ pub struct ClassLatency {
     /// One histogram summary per [`Stage`], indexed by discriminant;
     /// `None` where the class never hit the stage.
     pub stages: [Option<HistogramSnapshot>; STAGES.len()],
-}
-
-impl ClassLatency {
-    /// Total spans recorded for this class across all stages.
-    pub fn samples(&self) -> u64 {
-        self.stages.iter().flatten().map(|h| h.count).sum()
-    }
 }
 
 struct SpaceSaving {
@@ -133,10 +117,10 @@ impl SpaceSaving {
 }
 
 struct Inner {
-    // Direct-mapped (pkt_id, class) pairs. Slot `i` starts out keyed `!i`,
-    // an id that belongs to another slot, so no id matches an empty one:
-    // not even the `u64::MAX` of a span handed in without a packet id.
-    pkt_class: Vec<(u64, u64)>,
+    // The (pkt_id, class) the sink was last told. A packet's spans are all
+    // stamped inside its one `SmartNic::rx` call, after `decide` fed its
+    // class here, so no other packet's classification comes in between.
+    last: (u64, u64),
     // (class, stage) histograms, discovered on first span.
     hists: Vec<(u64, [Option<Histogram>; STAGES.len()])>,
     sketch: SpaceSaving,
@@ -145,11 +129,9 @@ struct Inner {
 
 impl Inner {
     fn class_of(&self, pkt_id: u64) -> u64 {
-        let slot = &self.pkt_class[(pkt_id as usize) & (PKT_SLOTS - 1)];
-        if slot.0 == pkt_id {
-            slot.1
-        } else {
-            UNATTRIBUTED
+        match self.last {
+            (id, class) if id == pkt_id => class,
+            _ => UNATTRIBUTED,
         }
     }
 
@@ -198,7 +180,7 @@ impl LatencyAttr {
     pub fn new() -> Self {
         LatencyAttr {
             inner: Mutex::new(Inner {
-                pkt_class: (0..PKT_SLOTS as u64).map(|i| (!i, 0)).collect(),
+                last: (u64::MAX, UNATTRIBUTED),
                 hists: Vec::new(),
                 sketch: SpaceSaving::new(),
                 spans: 0,
@@ -243,7 +225,7 @@ impl SpanSink for LatencyAttr {
 
     fn classify(&self, pkt_id: u64, class: u64, flow_hash: u64, wire_bits: u64) {
         let mut inner = self.inner.lock().unwrap();
-        inner.pkt_class[(pkt_id as usize) & (PKT_SLOTS - 1)] = (pkt_id, class);
+        inner.last = (pkt_id, class);
         inner.sketch.offer(flow_hash, class, wire_bits);
     }
 }
@@ -260,6 +242,11 @@ impl core::fmt::Debug for LatencyAttr {
 mod tests {
     use super::*;
 
+    /// Spans recorded for one class across all stages.
+    fn spans(c: &ClassLatency) -> u64 {
+        c.stages.iter().flatten().map(|h| h.count).sum()
+    }
+
     #[test]
     fn spans_attribute_to_the_packets_class() {
         let lat = LatencyAttr::new();
@@ -272,26 +259,25 @@ mod tests {
         let classes = lat.class_breakdown();
         assert_eq!(classes.len(), 2);
         assert_eq!(classes[0].class, 7);
-        assert_eq!(classes[0].samples(), 2);
+        assert_eq!(spans(&classes[0]), 2);
         let sched = classes[0].stages[Stage::Sched as usize].unwrap();
         assert_eq!(sched.count, 1);
         assert_eq!(sched.max, 30);
         assert!(classes[0].stages[Stage::Wire as usize].is_none());
         assert_eq!(classes[1].class, UNATTRIBUTED);
-        assert_eq!(classes[1].samples(), 1);
+        assert_eq!(spans(&classes[1]), 1);
         assert_eq!(lat.span_count(), 3);
     }
 
     #[test]
-    fn pkt_table_is_bounded_but_collision_safe() {
+    fn a_span_of_a_packet_other_than_the_one_last_classified_is_unattributed() {
         let lat = LatencyAttr::new();
         lat.classify(5, 1, 0x1, 100);
-        // Same slot (5 + PKT_SLOTS), different packet: overwrites.
-        lat.classify(5 + PKT_SLOTS as u64, 2, 0x2, 100);
+        lat.classify(6, 2, 0x2, 100);
         lat.span(Stage::Sched, Nanos::ZERO, 5, Nanos::from_nanos(10));
         let classes = lat.class_breakdown();
-        // Packet 5's entry was evicted, so its span is unattributed —
-        // never misattributed to class 2.
+        // Packet 6 was classified after packet 5, so 5's span is
+        // unattributed — never misattributed to class 2.
         assert_eq!(
             classes.iter().map(|c| c.class).collect::<Vec<_>>(),
             vec![UNATTRIBUTED]
@@ -303,12 +289,12 @@ mod tests {
         // Nothing in the workspace stamps one; a foreign caller might.
         let lat = LatencyAttr::new();
         lat.span(Stage::Wire, Nanos::ZERO, u64::MAX, Nanos::from_nanos(900));
-        // Nor does packet 0 match its never-written slot.
+        // Nor does packet 0 match before anything was classified.
         lat.span(Stage::Wire, Nanos::ZERO, 0, Nanos::from_nanos(900));
         let classes = lat.class_breakdown();
         assert_eq!(classes.len(), 1);
         assert_eq!(classes[0].class, UNATTRIBUTED);
-        assert_eq!(classes[0].samples(), 2);
+        assert_eq!(spans(&classes[0]), 2);
         // An id-less classification is still found again.
         lat.classify(u64::MAX, 7, 0xabc, 8_000);
         lat.span(Stage::Wire, Nanos::ZERO, u64::MAX, Nanos::from_nanos(900));

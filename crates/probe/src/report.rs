@@ -372,7 +372,7 @@ mod tests {
     use fv_telemetry::span::{SpanSink, Stage};
     use fv_telemetry::Registry;
     use np_sim::config::CycleCosts;
-    use np_sim::cost::{AttrStage, CostMeter, Op};
+    use np_sim::cost::{CostMeter, Op};
     use np_sim::lock::{LockId, LockTable};
 
     use super::*;
@@ -382,9 +382,7 @@ mod tests {
         let mut m = CostMeter::new(CycleCosts::agilio());
         m.attach_attr(Arc::clone(&attr));
         m.set_worker(0);
-        m.set_stage(AttrStage::Parse);
         m.charge(Op::Parse);
-        m.set_stage(AttrStage::Sched);
         m.charge_n(Op::AtomicOp, 2);
 
         let mut locks = LockTable::new(2);

@@ -107,19 +107,6 @@ struct PipeState {
     queues: [PacketFifo; NUM_TCS],
 }
 
-/// Aggregate counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DpdkStats {
-    /// Packets accepted.
-    pub enqueued: u64,
-    /// Enqueue-side drops.
-    pub drops: u64,
-    /// Packets dequeued.
-    pub dequeued: u64,
-    /// Bits dequeued.
-    pub dequeued_bits: u64,
-}
-
 /// The hierarchical scheduler.
 ///
 /// # Example
@@ -142,14 +129,12 @@ pub struct DpdkQos {
     subport: TokenState,
     pipes: Vec<PipeState>,
     grinder: usize,
-    stats: DpdkStats,
 }
 
 impl core::fmt::Debug for DpdkQos {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("DpdkQos")
             .field("pipes", &self.pipes.len())
-            .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
 }
@@ -176,13 +161,7 @@ impl DpdkQos {
                 })
                 .collect(),
             grinder: 0,
-            stats: DpdkStats::default(),
         }
-    }
-
-    /// Aggregate counters.
-    pub fn stats(&self) -> DpdkStats {
-        self.stats
     }
 
     /// Total backlog across all queues.
@@ -204,12 +183,7 @@ impl DpdkQos {
     ///
     /// Panics if `pipe` or `tc` is out of range.
     pub fn enqueue(&mut self, pipe: usize, tc: usize, pkt: Packet) -> Result<(), QueueDrop> {
-        let r = self.pipes[pipe].queues[tc].push(pkt);
-        match r {
-            Ok(()) => self.stats.enqueued += 1,
-            Err(_) => self.stats.drops += 1,
-        }
-        r
+        self.pipes[pipe].queues[tc].push(pkt)
     }
 
     /// Dequeues the next conforming packet: the grinder rotates over pipes;
@@ -232,8 +206,6 @@ impl DpdkQos {
                     pipe.tb.charge(bits);
                     pipe.tcs[tc].charge(bits);
                     let pkt = pipe.queues[tc].pop().expect("peeked head exists");
-                    self.stats.dequeued += 1;
-                    self.stats.dequeued_bits += pkt.frame_bits();
                     // Move the grinder past this pipe for round-robin fairness.
                     self.grinder = (pi + 1) % n;
                     return Some(pkt);
@@ -343,8 +315,6 @@ mod tests {
         let mut q = DpdkQos::new(cfg);
         q.enqueue(0, 0, pkt(0, 0)).unwrap();
         assert!(q.enqueue(0, 0, pkt(1, 0)).is_err());
-        let s = q.stats();
-        assert_eq!((s.enqueued, s.drops), (1, 1));
         assert_eq!(q.backlog_pkts(), 1);
     }
 

@@ -93,11 +93,6 @@ impl PacketFifo {
         self.queue.is_empty()
     }
 
-    /// Queued bytes.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
     /// Packets refused so far.
     pub fn drops(&self) -> u64 {
         self.drops
@@ -133,7 +128,7 @@ mod tests {
         q.push(pkt(1, 100)).unwrap();
         assert_eq!(q.push(pkt(2, 100)), Err(QueueDrop::OverBytes));
         assert_eq!(q.drops(), 1);
-        assert_eq!(q.bytes(), 200);
+        assert_eq!(q.bytes, 200);
     }
 
     #[test]
@@ -162,6 +157,6 @@ mod tests {
         q.push(pkt(0, 100)).unwrap();
         q.push(pkt(1, 200)).unwrap();
         q.pop();
-        assert_eq!(q.bytes(), 200);
+        assert_eq!(q.bytes, 200);
     }
 }

@@ -124,7 +124,10 @@ impl KernelModel {
     }
 
     /// An idealized shaper (exact charging, priority-aware borrowing,
-    /// fine timer) — the reference for conformance tests and ablations.
+    /// fine timer) — the reference for conformance tests.
+    // Kept public for `tests/baseline_artifacts.rs`, `tests/resilience.rs`
+    // and `crates/qdisc/tests/props.rs`.
+    #[allow(dead_code)]
     pub fn ideal() -> Self {
         KernelModel {
             charge_factor: 1.0,
@@ -188,19 +191,6 @@ struct ClassState {
     queue: PacketFifo,
 }
 
-/// Aggregate qdisc counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HtbStats {
-    /// Packets accepted into leaf queues.
-    pub enqueued: u64,
-    /// Packets dropped at enqueue (queue limits).
-    pub drops: u64,
-    /// Packets dequeued to the wire.
-    pub dequeued: u64,
-    /// Bits dequeued.
-    pub dequeued_bits: u64,
-}
-
 /// The HTB qdisc.
 ///
 /// # Example
@@ -217,7 +207,7 @@ pub struct HtbStats {
 ///     ],
 ///     KernelModel::ideal(),
 /// )?;
-/// assert_eq!(htb.leaf_handles(), vec![Handle(10)]);
+/// assert_eq!(htb.backlog_pkts(), 0);
 /// # Ok::<(), qdisc::htb::HtbError>(())
 /// ```
 pub struct Htb {
@@ -226,14 +216,12 @@ pub struct Htb {
     leaves: Vec<usize>,
     model: KernelModel,
     rr_cursor: usize,
-    stats: HtbStats,
 }
 
 impl core::fmt::Debug for Htb {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Htb")
             .field("classes", &self.classes.len())
-            .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
 }
@@ -300,21 +288,7 @@ impl Htb {
             leaves,
             model,
             rr_cursor: 0,
-            stats: HtbStats::default(),
         })
-    }
-
-    /// Handles of all leaf classes, in declaration order.
-    pub fn leaf_handles(&self) -> Vec<Handle> {
-        self.leaves
-            .iter()
-            .map(|&i| self.classes[i].spec.id)
-            .collect()
-    }
-
-    /// Aggregate counters.
-    pub fn stats(&self) -> HtbStats {
-        self.stats
     }
 
     /// Total packets queued across all leaves.
@@ -344,12 +318,7 @@ impl Htb {
         if !self.classes[i].children.is_empty() {
             return Err(HtbError::NotALeaf(class));
         }
-        let r = self.classes[i].queue.push(pkt);
-        match r {
-            Ok(()) => self.stats.enqueued += 1,
-            Err(_) => self.stats.drops += 1,
-        }
-        Ok(r)
+        Ok(self.classes[i].queue.push(pkt))
     }
 
     fn refill(&mut self, i: usize, now: Nanos) {
@@ -474,8 +443,6 @@ impl Htb {
             self.classes[c].ctokens -= charged;
             cur = self.classes[c].parent;
         }
-        self.stats.dequeued += 1;
-        self.stats.dequeued_bits += pkt.frame_bits();
         pkt
     }
 
@@ -713,11 +680,10 @@ mod tests {
             model,
         )
         .unwrap();
-        for i in 0..5 {
-            let _ = htb.enqueue(Handle(10), pkt(i, 100, 0)).unwrap();
-        }
-        assert_eq!(htb.stats().enqueued, 2);
-        assert_eq!(htb.stats().drops, 3);
+        let accepted = (0..5)
+            .filter(|&i| htb.enqueue(Handle(10), pkt(i, 100, 0)).unwrap().is_ok())
+            .count();
+        assert_eq!(accepted, 2);
         assert_eq!(htb.backlog_pkts(), 2);
     }
 

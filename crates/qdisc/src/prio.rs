@@ -33,6 +33,9 @@ pub struct Prio {
     dequeued: u64,
 }
 
+// Kept public, and every method with it, as the reference
+// `tests/baseline_references.rs` holds FlowValve to.
+#[allow(dead_code)]
 impl Prio {
     /// Creates a PRIO qdisc with `bands` bands, each bounded by the given
     /// byte and packet limits.

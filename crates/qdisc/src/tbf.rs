@@ -40,6 +40,9 @@ pub struct Tbf {
     queue: PacketFifo,
 }
 
+// Kept public, and every method with it, as the reference
+// `tests/baseline_references.rs` holds FlowValve to.
+#[allow(dead_code)]
 impl Tbf {
     /// Creates a TBF shaping to `rate` with `burst_bytes` of burst and the
     /// given queue limits.

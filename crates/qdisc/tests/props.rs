@@ -61,8 +61,6 @@ fn htb_conserves_packets() {
             }
         }
         assert_eq!(dequeued + htb.backlog_pkts() as u64, accepted);
-        assert_eq!(htb.stats().enqueued, accepted);
-        assert_eq!(htb.stats().dequeued, dequeued);
     }
 }
 

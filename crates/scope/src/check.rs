@@ -61,17 +61,6 @@ pub enum Slo {
     },
 }
 
-impl Slo {
-    /// The assertion's display name.
-    pub fn name(&self) -> &str {
-        match self {
-            Slo::RateBetween { name, .. }
-            | Slo::SumRateBetween { name, .. }
-            | Slo::RateRecovers { name, .. } => name,
-        }
-    }
-}
-
 /// The outcome of one [`Slo`].
 #[derive(Debug, Clone)]
 pub struct SloResult {

@@ -168,16 +168,6 @@ impl TimeSampler {
         }
     }
 
-    /// The sampling configuration.
-    pub fn config(&self) -> &SamplerConfig {
-        &self.cfg
-    }
-
-    /// Sampled counter names, in column order.
-    pub fn names(&self) -> &[String] {
-        &self.names
-    }
-
     /// Retained frames, oldest first.
     pub fn frames(&self) -> impl ExactSizeIterator<Item = &Frame> {
         self.frames.iter()
@@ -241,18 +231,6 @@ impl TimeSampler {
             return None;
         }
         Some(sum as f64 / (to - from).as_secs_f64())
-    }
-
-    /// The `(at, delta)` series of one counter. Empty when unknown.
-    pub fn series(&self, name: &str) -> Vec<(Nanos, u64)> {
-        match self.index.get(name) {
-            Some(&idx) => self
-                .frames
-                .iter()
-                .map(|f| (f.at, f.deltas.get(idx).copied().unwrap_or(0)))
-                .collect(),
-            None => Vec::new(),
-        }
     }
 
     /// CSV export: header `t_ns,<name>,…`, one row per frame, short
@@ -370,8 +348,7 @@ mod tests {
         s.advance_to(us(20)); // nothing accumulated
         c.add(50);
         s.advance_to(us(30));
-        let series = s.series("x");
-        assert_eq!(series, vec![(us(10), 100), (us(20), 0), (us(30), 50)]);
+        assert_eq!(s.to_csv(), "t_ns,x\n10000,100\n20000,0\n30000,50\n");
     }
 
     #[test]
@@ -382,7 +359,7 @@ mod tests {
         let mut s = TimeSampler::new(&reg, SamplerConfig::default().with_interval(us(10)));
         c.add(5);
         s.advance_to(us(10));
-        assert_eq!(s.series("x"), vec![(us(10), 5)]);
+        assert_eq!(s.to_csv(), "t_ns,x\n10000,5\n");
     }
 
     #[test]
@@ -395,7 +372,7 @@ mod tests {
         let b = reg.counter("b"); // registers after the first frame
         b.add(7);
         s.advance_to(us(20));
-        assert_eq!(s.names(), ["a", "b"]);
+        assert_eq!(s.names, ["a", "b"]);
         // b's first frame is padded to zero in CSV, 7 in the second row.
         let csv = s.to_csv();
         let lines: Vec<&str> = csv.lines().collect();
@@ -416,7 +393,7 @@ mod tests {
                 .with_prefix("nic."),
         );
         s.advance_to(us(10));
-        assert_eq!(s.names(), ["nic.tx"]);
+        assert_eq!(s.names, ["nic.tx"]);
     }
 
     #[test]

@@ -22,7 +22,7 @@ const BARS: [char; 9] = [' ', '▁', '▂', '▃', '▄', '▅', '▆', '▇', '
 ///
 /// let s = BinnedSeries {
 ///     name: "app".into(),
-///     bin: Nanos::from_secs(1),
+///     bin: Nanos::from_millis(1_000),
 ///     rates: vec![BitRate::ZERO, BitRate::from_gbps(5.0), BitRate::from_gbps(10.0)],
 /// };
 /// assert_eq!(sparkline(&s, Some(10.0)), " ▄█");
@@ -85,7 +85,7 @@ mod tests {
     fn series(name: &str, gbps: &[f64]) -> BinnedSeries {
         BinnedSeries {
             name: name.into(),
-            bin: Nanos::from_secs(1),
+            bin: Nanos::from_millis(1_000),
             rates: gbps.iter().map(|&g| BitRate::from_gbps(g)).collect(),
         }
     }

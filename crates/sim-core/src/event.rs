@@ -72,7 +72,6 @@ impl<E> Ord for Scheduled<E> {
 pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
     seq: u64,
-    popped: u64,
 }
 
 impl<E> EventQueue<E> {
@@ -86,7 +85,6 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::with_capacity(cap),
             seq: 0,
-            popped: 0,
         }
     }
 
@@ -102,27 +100,18 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(Nanos, E)> {
         let s = self.heap.pop()?;
-        self.popped += 1;
         Some((s.time, s.event))
     }
 
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
     /// Whether the queue holds no pending events.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)] // staged: only its test calls it (DESIGN.md §17)
+    fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
 
-    /// Total number of events dispatched so far (popped).
-    pub fn dispatched(&self) -> u64 {
-        self.popped
-    }
-
     /// Drops every pending event.
-    pub fn clear(&mut self) {
+    #[cfg(test)] // staged: only its test calls it (DESIGN.md §17)
+    fn clear(&mut self) {
         self.heap.clear();
     }
 }
@@ -171,18 +160,6 @@ mod tests {
         }
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn dispatched_counts_pops() {
-        let mut q = EventQueue::new();
-        q.schedule(Nanos::ZERO, 1);
-        q.schedule(Nanos::ZERO, 2);
-        q.pop();
-        assert_eq!(q.dispatched(), 1);
-        q.pop();
-        q.pop();
-        assert_eq!(q.dispatched(), 2);
     }
 
     #[test]
@@ -244,6 +221,6 @@ mod tests {
                 q.schedule(t + Nanos::from_nanos(13 + v % 11), popped * 2 + 1);
             }
         }
-        assert_eq!(q.dispatched(), 999);
+        assert_eq!(popped, 999);
     }
 }

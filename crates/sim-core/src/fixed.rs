@@ -38,7 +38,7 @@ pub const RATE_SCALE: u64 = 1 << RATE_FRAC_BITS;
 /// use sim_core::fixed::Tokens;
 ///
 /// let t = Tokens::from_bits(1500 * 8);
-/// assert_eq!(t.whole_bits(), 12_000);
+/// assert_eq!(t.as_bits_f64(), 12_000.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Tokens(u64);
@@ -61,22 +61,10 @@ impl Tokens {
         Self::from_bits(bytes * 8)
     }
 
-    /// Creates a token quantity from a raw fixed-point value.
-    #[inline]
-    pub const fn from_raw(raw: u64) -> Self {
-        Tokens(raw)
-    }
-
     /// The raw fixed-point value.
     #[inline]
     pub const fn raw(self) -> u64 {
         self.0
-    }
-
-    /// The whole-bit part (truncating fractional bits).
-    #[inline]
-    pub const fn whole_bits(self) -> u64 {
-        self.0 >> FRAC_BITS
     }
 
     /// Token quantity as fractional bits.
@@ -86,38 +74,26 @@ impl Tokens {
     }
 
     /// Saturating addition.
-    #[inline]
-    pub fn saturating_add(self, rhs: Tokens) -> Tokens {
+    #[cfg(test)] // staged: only its test calls it (DESIGN.md §17)
+    fn saturating_add(self, rhs: Tokens) -> Tokens {
         Tokens(self.0.saturating_add(rhs.0))
     }
 
     /// Saturating subtraction.
-    #[inline]
-    pub fn saturating_sub(self, rhs: Tokens) -> Tokens {
+    #[cfg(test)] // staged: only its test calls it (DESIGN.md §17)
+    fn saturating_sub(self, rhs: Tokens) -> Tokens {
         Tokens(self.0.saturating_sub(rhs.0))
     }
 
     /// Checked subtraction: `None` when `rhs` exceeds `self`.
-    #[inline]
-    pub fn checked_sub(self, rhs: Tokens) -> Option<Tokens> {
+    #[cfg(test)] // staged: only its test calls it (DESIGN.md §17)
+    fn checked_sub(self, rhs: Tokens) -> Option<Tokens> {
         self.0.checked_sub(rhs.0).map(Tokens)
     }
 
-    /// Clamps to at most `cap`.
-    #[inline]
-    pub fn min(self, cap: Tokens) -> Tokens {
-        Tokens(self.0.min(cap.0))
-    }
-
-    /// Returns the larger of two quantities.
-    #[inline]
-    pub fn max(self, rhs: Tokens) -> Tokens {
-        Tokens(self.0.max(rhs.0))
-    }
-
     /// Whether this quantity covers `needed`.
-    #[inline]
-    pub fn covers(self, needed: Tokens) -> bool {
+    #[cfg(test)] // staged: only its test calls it (DESIGN.md §17)
+    fn covers(self, needed: Tokens) -> bool {
         self.0 >= needed.0
     }
 }
@@ -155,7 +131,7 @@ impl core::ops::Sub for Tokens {
 ///
 /// let r = TokenRate::from_bit_rate(BitRate::from_gbps(10.0));
 /// // 10 Gbps for 1 us = 10_000 bits.
-/// assert_eq!(r.accrued(Nanos::from_micros(1)).whole_bits(), 10_000);
+/// assert_eq!(r.accrued(Nanos::from_micros(1)).as_bits_f64().round(), 10_000.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TokenRate(u64);
@@ -203,31 +179,22 @@ impl TokenRate {
 
     /// Scales this rate by the integer ratio `numer / denom`
     /// (the paper's Equation 5 weighted split).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `denom` is zero.
-    pub fn scaled(self, numer: u64, denom: u64) -> TokenRate {
+    #[cfg(test)] // staged: only its test calls it (DESIGN.md §17)
+    fn scaled(self, numer: u64, denom: u64) -> TokenRate {
         assert!(denom > 0, "denominator must be positive");
         TokenRate((self.0 as u128 * numer as u128 / denom as u128) as u64)
     }
 
     /// Saturating subtraction (the paper's Equation 4 residual rate).
-    #[inline]
-    pub fn saturating_sub(self, rhs: TokenRate) -> TokenRate {
+    #[cfg(test)] // staged: only its test calls it (DESIGN.md §17)
+    fn saturating_sub(self, rhs: TokenRate) -> TokenRate {
         TokenRate(self.0.saturating_sub(rhs.0))
     }
 
     /// Saturating addition.
-    #[inline]
-    pub fn saturating_add(self, rhs: TokenRate) -> TokenRate {
+    #[cfg(test)] // staged: only its test calls it (DESIGN.md §17)
+    fn saturating_add(self, rhs: TokenRate) -> TokenRate {
         TokenRate(self.0.saturating_add(rhs.0))
-    }
-
-    /// Returns the smaller of two rates.
-    #[inline]
-    pub fn min(self, rhs: TokenRate) -> TokenRate {
-        TokenRate(self.0.min(rhs.0))
     }
 }
 
@@ -245,7 +212,7 @@ mod tests {
 
     #[test]
     fn tokens_roundtrip_bits() {
-        assert_eq!(Tokens::from_bits(123).whole_bits(), 123);
+        assert_eq!(Tokens::from_bits(123).as_bits_f64(), 123.0);
         assert_eq!(Tokens::from_bytes(10), Tokens::from_bits(80));
     }
 
@@ -277,7 +244,7 @@ mod tests {
         let tr = TokenRate::from_bit_rate(BitRate::from_gbps(40.0));
         let t = tr.accrued(Nanos::from_millis(1));
         // 40 Gbps × 1 ms = 40 Mbit.
-        let bits = t.whole_bits();
+        let bits = t.raw() >> FRAC_BITS;
         assert!(
             (bits as i64 - 40_000_000).unsigned_abs() < 1_000,
             "got {bits}"
@@ -290,7 +257,7 @@ mod tests {
         let tr = TokenRate::from_bit_rate(BitRate::from_mbps(1));
         let t = tr.accrued(Nanos::from_micros(1));
         assert!(t > Tokens::ZERO);
-        assert_eq!(t.whole_bits(), 1);
+        assert_eq!(t.raw() >> FRAC_BITS, 1);
     }
 
     #[test]

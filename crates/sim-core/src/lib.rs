@@ -6,9 +6,8 @@
 //! * [`time`] — integer-nanosecond time ([`Nanos`]) and processor cycles
 //!   ([`Cycles`]) with explicit frequency conversions.
 //! * [`units`] — bit-rate and size units with Ethernet wire-overhead helpers.
-//! * [`clock`] — the [`Clock`] abstraction that lets the *same* scheduling
-//!   code run under simulated virtual time and under wall-clock time
-//!   (on real OS threads).
+//! * [`clock`] — the [`Clock`] abstraction and the [`WallClock`] that
+//!   runs the *same* scheduling code on real OS threads.
 //! * [`event`] — a deterministic event queue ([`EventQueue`]) with stable
 //!   FIFO ordering among simultaneous events.
 //! * [`rng`] — seeded deterministic random numbers for reproducible
@@ -49,7 +48,7 @@ pub mod time;
 pub mod units;
 
 pub use chart::{multi_sparkline, sparkline};
-pub use clock::{Clock, VirtualClock, WallClock};
+pub use clock::{Clock, WallClock};
 pub use event::EventQueue;
 pub use rng::SimRng;
 pub use series::{BinnedSeries, SeriesRecorder};

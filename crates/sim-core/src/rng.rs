@@ -100,7 +100,8 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `p` is not in `[0, 1]`.
-    pub fn chance(&mut self, p: f64) -> bool {
+    #[cfg(test)] // staged: only its test calls it (DESIGN.md §17)
+    fn chance(&mut self, p: f64) -> bool {
         assert!((0.0..=1.0).contains(&p), "probability out of range");
         self.uniform() < p
     }

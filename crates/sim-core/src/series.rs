@@ -266,7 +266,7 @@ mod tests {
     fn mean_rate_window() {
         let s = BinnedSeries {
             name: "x".into(),
-            bin: Nanos::from_secs(1),
+            bin: Nanos::from_millis(1_000),
             rates: vec![
                 BitRate::from_gbps(2.0),
                 BitRate::from_gbps(4.0),

@@ -48,7 +48,8 @@ impl RunningStats {
     }
 
     /// Number of observations.
-    pub fn count(&self) -> u64 {
+    #[cfg(test)] // staged: only its test calls it (DESIGN.md §17)
+    fn count(&self) -> u64 {
         self.count
     }
 
@@ -86,7 +87,8 @@ impl RunningStats {
     }
 
     /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &RunningStats) {
+    #[cfg(test)] // staged: only its test calls it (DESIGN.md §17)
+    fn merge(&mut self, other: &RunningStats) {
         if other.count == 0 {
             return;
         }
@@ -210,16 +212,6 @@ impl Histogram {
         self.stats.std_dev()
     }
 
-    /// Exact minimum (`None` if empty).
-    pub fn min(&self) -> Option<f64> {
-        self.stats.min()
-    }
-
-    /// Exact maximum (`None` if empty).
-    pub fn max(&self) -> Option<f64> {
-        self.stats.max()
-    }
-
     /// Approximate quantile (bucket upper bound), `q` in `[0, 1]`.
     ///
     /// Returns 0 for an empty histogram.
@@ -252,7 +244,8 @@ impl Histogram {
     /// # Panics
     ///
     /// Panics if the bucket layouts differ.
-    pub fn merge(&mut self, other: &Histogram) {
+    #[cfg(test)] // staged: only its test calls it (DESIGN.md §17)
+    fn merge(&mut self, other: &Histogram) {
         assert_eq!(
             self.counts.len(),
             other.counts.len(),

@@ -49,11 +49,6 @@ impl Ticker {
         }
     }
 
-    /// The configured interval.
-    pub fn interval(&self) -> Nanos {
-        self.interval
-    }
-
     /// The next boundary that will fire.
     pub fn next_tick(&self) -> Nanos {
         self.next

@@ -53,25 +53,6 @@ impl Nanos {
         Nanos(ms * 1_000_000)
     }
 
-    /// Creates a time from whole seconds.
-    #[inline]
-    pub const fn from_secs(s: u64) -> Self {
-        Nanos(s * 1_000_000_000)
-    }
-
-    /// Creates a time from fractional seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is negative or not finite.
-    pub fn from_secs_f64(s: f64) -> Self {
-        assert!(
-            s.is_finite() && s >= 0.0,
-            "seconds must be finite and non-negative"
-        );
-        Nanos((s * 1e9).round() as u64)
-    }
-
     /// Raw nanosecond count.
     #[inline]
     pub const fn as_nanos(self) -> u64 {
@@ -101,38 +82,6 @@ impl Nanos {
     pub fn saturating_sub(self, rhs: Nanos) -> Nanos {
         Nanos(self.0.saturating_sub(rhs.0))
     }
-
-    /// Checked subtraction.
-    #[inline]
-    pub fn checked_sub(self, rhs: Nanos) -> Option<Nanos> {
-        self.0.checked_sub(rhs.0).map(Nanos)
-    }
-
-    /// Saturating addition: clamps at [`Nanos::MAX`].
-    #[inline]
-    pub fn saturating_add(self, rhs: Nanos) -> Nanos {
-        Nanos(self.0.saturating_add(rhs.0))
-    }
-
-    /// Returns the larger of two instants.
-    #[inline]
-    pub fn max(self, rhs: Nanos) -> Nanos {
-        if self >= rhs {
-            self
-        } else {
-            rhs
-        }
-    }
-
-    /// Returns the smaller of two instants.
-    #[inline]
-    pub fn min(self, rhs: Nanos) -> Nanos {
-        if self <= rhs {
-            self
-        } else {
-            rhs
-        }
-    }
 }
 
 impl Add for Nanos {
@@ -152,7 +101,7 @@ impl AddAssign for Nanos {
 
 /// Plain integer subtraction: an underflow panics in debug builds and
 /// *wraps* in release builds. A caller whose operands can be out of order
-/// uses [`Nanos::saturating_sub`] or [`Nanos::checked_sub`].
+/// uses [`Nanos::saturating_sub`].
 impl Sub for Nanos {
     type Output = Nanos;
     #[inline]
@@ -356,10 +305,8 @@ mod tests {
 
     #[test]
     fn nanos_constructors_agree() {
-        assert_eq!(Nanos::from_secs(1), Nanos::from_millis(1_000));
         assert_eq!(Nanos::from_millis(1), Nanos::from_micros(1_000));
         assert_eq!(Nanos::from_micros(1), Nanos::from_nanos(1_000));
-        assert_eq!(Nanos::from_secs_f64(0.5), Nanos::from_millis(500));
     }
 
     #[test]
@@ -371,10 +318,6 @@ mod tests {
         assert_eq!(a * 3, Nanos::from_nanos(300));
         assert_eq!(a / 4, Nanos::from_nanos(25));
         assert_eq!(b.saturating_sub(a), Nanos::ZERO);
-        assert_eq!(a.checked_sub(b), Some(Nanos::from_nanos(60)));
-        assert_eq!(b.checked_sub(a), None);
-        assert_eq!(a.max(b), a);
-        assert_eq!(a.min(b), b);
     }
 
     // Release builds have no overflow checks: there the subtraction wraps.
@@ -390,7 +333,7 @@ mod tests {
         assert_eq!(Nanos::from_nanos(5).to_string(), "5ns");
         assert_eq!(Nanos::from_micros(5).to_string(), "5.000us");
         assert_eq!(Nanos::from_millis(5).to_string(), "5.000ms");
-        assert_eq!(Nanos::from_secs(5).to_string(), "5.000s");
+        assert_eq!(Nanos::from_millis(5_000).to_string(), "5.000s");
     }
 
     #[test]

@@ -33,12 +33,6 @@ impl BitRate {
         BitRate(bps)
     }
 
-    /// Creates a rate from kilobits per second (decimal kilo).
-    #[inline]
-    pub const fn from_kbps(kbps: u64) -> Self {
-        BitRate(kbps * 1_000)
-    }
-
     /// Creates a rate from megabits per second.
     #[inline]
     pub const fn from_mbps(mbps: u64) -> Self {
@@ -103,28 +97,10 @@ impl BitRate {
         BitRate((self.0 as u128 * numer as u128 / denom as u128) as u64)
     }
 
-    /// Saturating subtraction of two rates.
-    #[inline]
-    pub fn saturating_sub(self, rhs: BitRate) -> BitRate {
-        BitRate(self.0.saturating_sub(rhs.0))
-    }
-
     /// Sum of two rates.
     #[inline]
     pub fn saturating_add(self, rhs: BitRate) -> BitRate {
         BitRate(self.0.saturating_add(rhs.0))
-    }
-
-    /// Returns the smaller of two rates.
-    #[inline]
-    pub fn min(self, rhs: BitRate) -> BitRate {
-        BitRate(self.0.min(rhs.0))
-    }
-
-    /// Returns the larger of two rates.
-    #[inline]
-    pub fn max(self, rhs: BitRate) -> BitRate {
-        BitRate(self.0.max(rhs.0))
     }
 }
 
@@ -149,8 +125,8 @@ impl fmt::Display for BitRate {
 /// ```
 /// use sim_core::units::ByteSize;
 ///
-/// let mtu = ByteSize::from_bytes(1500);
-/// assert_eq!(mtu.as_bits(), 12_000);
+/// let buffer = ByteSize::from_kib(64);
+/// assert_eq!(buffer.as_bits(), 524_288);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ByteSize(u64);
@@ -159,28 +135,10 @@ impl ByteSize {
     /// Zero bytes.
     pub const ZERO: ByteSize = ByteSize(0);
 
-    /// Creates a size from bytes.
-    #[inline]
-    pub const fn from_bytes(b: u64) -> Self {
-        ByteSize(b)
-    }
-
     /// Creates a size from kibibytes (1024 bytes).
     #[inline]
     pub const fn from_kib(k: u64) -> Self {
         ByteSize(k * 1024)
-    }
-
-    /// Creates a size from mebibytes.
-    #[inline]
-    pub const fn from_mib(m: u64) -> Self {
-        ByteSize(m * 1024 * 1024)
-    }
-
-    /// Size in bytes.
-    #[inline]
-    pub const fn as_bytes(self) -> u64 {
-        self.0
     }
 
     /// Size in bits.
@@ -264,7 +222,8 @@ impl WireFraming {
     }
 
     /// Goodput fraction: payload bits over wire bits for a given frame size.
-    pub fn efficiency(&self, frame_len: u64) -> f64 {
+    #[cfg(test)] // staged: only its test calls it (DESIGN.md §17)
+    fn efficiency(&self, frame_len: u64) -> f64 {
         let wire = self.wire_bits(frame_len);
         if wire == 0 {
             return 1.0;
@@ -286,8 +245,7 @@ mod tests {
     #[test]
     fn bitrate_constructors() {
         assert_eq!(BitRate::from_gbps(10.0), BitRate::from_mbps(10_000));
-        assert_eq!(BitRate::from_mbps(1), BitRate::from_kbps(1_000));
-        assert_eq!(BitRate::from_kbps(1), BitRate::from_bps(1_000));
+        assert_eq!(BitRate::from_mbps(1), BitRate::from_bps(1_000_000));
     }
 
     #[test]
@@ -342,16 +300,15 @@ mod tests {
 
     #[test]
     fn bytesize_units() {
-        assert_eq!(ByteSize::from_kib(2).as_bytes(), 2048);
-        assert_eq!(ByteSize::from_mib(1).as_bytes(), 1024 * 1024);
-        assert_eq!(ByteSize::from_bytes(1).as_bits(), 8);
+        assert_eq!(ByteSize::from_kib(2).as_bits(), 2048 * 8);
+        assert_eq!(ByteSize::ZERO.as_bits(), 0);
     }
 
     #[test]
     fn displays() {
         assert_eq!(BitRate::from_gbps(40.0).to_string(), "40.00Gbps");
         assert_eq!(BitRate::from_mbps(100).to_string(), "100.00Mbps");
-        assert_eq!(ByteSize::from_bytes(512).to_string(), "512B");
+        assert_eq!(ByteSize::ZERO.to_string(), "0B");
         assert_eq!(ByteSize::from_kib(4).to_string(), "4.00KiB");
     }
 }

@@ -34,7 +34,7 @@
 //! supplied by the caller, so the *identical* instrumentation runs:
 //!
 //! * under **virtual time** inside the discrete-event simulator, where
-//!   `sim_core::clock::VirtualClock` advances only when events fire, and
+//!   time advances only when events fire, and
 //! * under **wall-clock time** on real OS threads, where
 //!   `sim_core::clock::WallClock` reads the hardware clock.
 //!
@@ -58,7 +58,6 @@
 //!
 //! let snap = reg.snapshot(Nanos::from_micros(10));
 //! assert_eq!(snap.counter("nic.tx_packets"), 1);
-//! println!("{}", snap.render());                 // `fv stats` table
 //! println!("{}", snap.to_json().to_pretty());    // `fv demo --json`
 //! ```
 

@@ -301,35 +301,6 @@ impl Snapshot {
             _ => 1,
         }
     }
-
-    /// Metrics whose name starts with `prefix`.
-    pub fn with_prefix<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a MetricEntry> {
-        self.entries
-            .iter()
-            .filter(move |e| e.name.starts_with(prefix))
-    }
-
-    /// Renders an aligned `name value` table, one metric per line.
-    pub fn render(&self) -> String {
-        let width = self.entries.iter().map(|e| e.name.len()).max().unwrap_or(0);
-        let mut out = String::new();
-        for e in &self.entries {
-            let value = match &e.value {
-                MetricValue::Counter(v) => format!("{v}"),
-                MetricValue::Gauge { value, max } => format!("{value} (max {max})"),
-                MetricValue::Histogram(h) => format!(
-                    "n={} mean={:.0} p50={} p99={} max={}",
-                    h.count,
-                    h.mean(),
-                    h.p50,
-                    h.p99,
-                    h.max
-                ),
-            };
-            out.push_str(&format!("{:width$}  {}\n", e.name, value));
-        }
-        out
-    }
 }
 
 impl ToJson for HistogramSnapshot {
@@ -451,7 +422,8 @@ mod tests {
         let snap = reg.snapshot(Nanos::ZERO);
         let names: Vec<&str> = snap.entries.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, ["a.one", "b.depth", "b.two"]);
-        assert_eq!(snap.with_prefix("b.").count(), 2);
+        let b = snap.entries.iter().filter(|e| e.name.starts_with("b."));
+        assert_eq!(b.count(), 2);
     }
 
     #[test]
@@ -470,16 +442,6 @@ mod tests {
         let other = reg.clone();
         other.counter("shared").add(5);
         assert_eq!(reg.snapshot(Nanos::ZERO).counter("shared"), 5);
-    }
-
-    #[test]
-    fn render_aligns_names() {
-        let reg = Registry::new();
-        reg.counter("short").add(1);
-        reg.counter("a.much.longer.name").add(2);
-        let text = reg.snapshot(Nanos::ZERO).render();
-        assert!(text.contains("a.much.longer.name  2"));
-        assert!(text.lines().count() == 2);
     }
 
     #[test]

@@ -133,7 +133,10 @@ fn ceiling_bounds_borrowed_bandwidth() {
         vec![
             ClassSpec::new(ClassId(1), "root", None).rate(gbps(4.0)),
             ClassSpec::new(ClassId(10), "a", Some(ClassId(1))),
-            ClassSpec::new(ClassId(20), "b", Some(ClassId(1))).ceil(gbps(2.5)),
+            ClassSpec {
+                ceil: Some(gbps(2.5)),
+                ..ClassSpec::new(ClassId(20), "b", Some(ClassId(1)))
+            },
         ],
         TreeParams::default(),
     )

@@ -88,8 +88,22 @@ fn vf_scoped_classification_separates_tenants() {
     // Same 5-tuple arriving on different VFs lands in different classes —
     // the SR-IOV multi-tenant pattern of the paper's Observation 3.
     let mut cls: Classifier<u32> = Classifier::new(0, 64);
-    cls.add_rule(FilterRule::new(1, FlowMatch::any().vf(VfPort(1)), 100));
-    cls.add_rule(FilterRule::new(1, FlowMatch::any().vf(VfPort(2)), 200));
+    cls.add_rule(FilterRule::new(
+        1,
+        FlowMatch {
+            vf: Some(VfPort(1)),
+            ..FlowMatch::any()
+        },
+        100,
+    ));
+    cls.add_rule(FilterRule::new(
+        1,
+        FlowMatch {
+            vf: Some(VfPort(2)),
+            ..FlowMatch::any()
+        },
+        200,
+    ));
     let flow = FlowKey::tcp([10, 0, 0, 1], 1000, [10, 0, 0, 2], 80);
     // NB: the cache key is the flow; per-VF classes need per-VF flows.
     // Tenants have distinct source addresses in practice:

@@ -9,7 +9,7 @@ use flowvalve::label::ClassId;
 use flowvalve::sched::RealExec;
 use flowvalve::tree::{ClassSpec, SchedulingTree, TreeParams};
 use sim_core::event::EventQueue;
-use sim_core::fixed::{TokenRate, Tokens};
+use sim_core::fixed::{TokenRate, FRAC_BITS};
 use sim_core::rng::SimRng;
 use sim_core::time::Nanos;
 use sim_core::units::{BitRate, WireFraming};
@@ -159,13 +159,10 @@ fn schedule_respects_the_root_budget() {
         // shadow bursts (buckets start full).
         let elapsed = now;
         let budget = root.bits_in(elapsed)
-            + 3 * Tokens::from_bits(0)
-                .max(Tokens::from_raw(
-                    TokenRate::from_bit_rate(root)
-                        .accrued(TreeParams::default().burst_window)
-                        .raw(),
-                ))
-                .whole_bits()
+            + 3 * (TokenRate::from_bit_rate(root)
+                .accrued(TreeParams::default().burst_window)
+                .raw()
+                >> FRAC_BITS)
             + 2 * 1518 * 8 * 4; // minimum burst floors
         assert!(
             passed_bits <= budget + BITS,

@@ -47,6 +47,12 @@ fn chaos(plan: &str) -> fv_chaos::ChaosReport {
     run_chaos(&policy(), &plan, Attachments::default()).expect("run succeeds")
 }
 
+/// The sampler recovery was judged on.
+fn sampler(report: &fv_chaos::ChaosReport) -> &fv_scope::TimeSampler {
+    let sampler = report.run.sampler.as_ref();
+    sampler.expect("run_chaos always attaches a sampler")
+}
+
 #[test]
 fn wire_flap_recovers_drains_backlog_and_restores_per_band_rates() {
     let report = chaos(
@@ -66,8 +72,7 @@ fn wire_flap_recovers_drains_backlog_and_restores_per_band_rates() {
     let mut slos = Vec::new();
     for id in ["1:10", "1:20", "1:30"] {
         let series = format!("fv.class.{id}.tx_bits");
-        let before = report
-            .sampler()
+        let before = sampler(&report)
             .window_rate(&series, pre.0, pre.1)
             .unwrap_or_else(|| panic!("{series} has pre-fault samples"));
         assert!(before > 0.0, "{series} idle before the fault");
@@ -78,7 +83,7 @@ fn wire_flap_recovers_drains_backlog_and_restores_per_band_rates() {
             max: 1.20 * before,
         });
     }
-    let verdict = evaluate(&slos, report.sampler(), (clear + SETTLE, horizon));
+    let verdict = evaluate(&slos, sampler(&report), (clear + SETTLE, horizon));
     assert!(verdict.passed(), "{}", verdict.render());
     // The flap really did build a queue, and it has drained back to
     // steady-state occupancy (a few frames in flight on a 10G stream):
@@ -159,16 +164,14 @@ fn host_pause_silences_one_band_then_recovers() {
         "pause silenced nothing"
     );
     // The paused app's band went quiet during the window...
-    let during = report
-        .sampler()
+    let during = sampler(&report)
         .window_rate(
             "fv.class.1:10.tx_bits",
             Nanos::from_millis(3) + Nanos::from_micros(200),
             Nanos::from_millis(5),
         )
         .unwrap_or(0.0);
-    let before = report
-        .sampler()
+    let before = sampler(&report)
         .window_rate(
             "fv.class.1:10.tx_bits",
             Nanos::from_millis(1),
@@ -210,8 +213,7 @@ fn reconfig_halves_throughput_then_restores_it() {
     );
     assert!(report.passed(), "{}", report.render());
     let rate = |from_ms: u64, to_ms: u64| {
-        report
-            .sampler()
+        sampler(&report)
             .window_rate(
                 "nic.tx_bits",
                 Nanos::from_millis(from_ms),
