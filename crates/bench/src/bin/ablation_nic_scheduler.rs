@@ -6,7 +6,10 @@
 //! than KVS, *but* keeps 2 Gbps guaranteed when the subtree has more than
 //! 4 Gbps" — needs runtime rate recomputation. This driver runs both the
 //! hardware traffic manager and FlowValve on that policy fragment and
-//! shows the TM starving ML while FlowValve holds the guarantee.
+//! shows the TM starving ML while FlowValve holds the guarantee. The TM is
+//! configured as its strict-priority half, a [`Prio`] qdisc draining into
+//! the NIC's wire model ([`TxFifo`]): with KVS and ML on different levels,
+//! WRR has nothing to split.
 //!
 //! Run: `cargo run --release -p bench --bin ablation_nic_scheduler`
 
@@ -18,31 +21,25 @@ use netstack::flow::FlowKey;
 use netstack::packet::{AppId, Packet, PacketIdGen, VfPort};
 use np_sim::config::NicConfig;
 use np_sim::nic::{RxOutcome, SmartNic};
-use np_sim::tm_multi::{HwQueueConfig, MultiQueueTm};
+use np_sim::tm::TxFifo;
+use qdisc::prio::Prio;
 use sim_core::time::Nanos;
-use sim_core::units::{BitRate, WireFraming};
+use sim_core::units::{BitRate, ByteSize, WireFraming};
 
 const HORIZON: Nanos = Nanos::from_millis(10);
 
 /// Offers KVS and ML traffic (both greedy) against a 6 Gbps subtree.
 /// Returns (kvs_gbps, ml_gbps).
 fn run_hw_tm() -> (f64, f64) {
-    // The best the fixed scheme can do: KVS strictly prior, ML below it.
-    let mut tm = MultiQueueTm::new(
+    // The best the fixed scheme can do: KVS strictly prior, ML below it,
+    // a PRIO qdisc of two 256-packet bands in front of the NIC's wire.
+    let mut prio = Prio::new(2, u64::MAX, 256);
+    // The wire is only handed a frame once it is idle, so the backlog
+    // bound never binds.
+    let mut wire = TxFifo::new(
         BitRate::from_gbps(6.0),
         WireFraming::ETHERNET,
-        vec![
-            HwQueueConfig {
-                prio: 0,
-                weight: 1,
-                capacity: 256,
-            },
-            HwQueueConfig {
-                prio: 1,
-                weight: 1,
-                capacity: 256,
-            },
-        ],
+        ByteSize::from_kib(64),
     );
     let mut ids = PacketIdGen::new();
     let mut t = Nanos::ZERO;
@@ -52,26 +49,26 @@ fn run_hw_tm() -> (f64, f64) {
     let ml_flow = FlowKey::tcp([10, 0, 0, 2], 1, [10, 0, 255, 1], 5002);
     let mut drain_t = Nanos::ZERO;
     while t < HORIZON {
-        tm.enqueue(
+        // A full band tail-drops: that is the fixed scheme's only recourse.
+        let _ = prio.enqueue(
             0,
             Packet::new(ids.next_id(), kvs_flow, 1_518, AppId(0), VfPort(0), t),
         );
-        tm.enqueue(
+        let _ = prio.enqueue(
             1,
             Packet::new(ids.next_id(), ml_flow, 1_518, AppId(1), VfPort(0), t),
         );
         // Drain everything the wire permits up to the next arrival.
         drain_t = drain_t.max(t);
         while drain_t <= t + gap {
-            match tm.dequeue(drain_t) {
-                Some((p, done)) => {
-                    if done <= HORIZON {
-                        bits[p.app.0 as usize] += p.frame_bits();
-                    }
-                    drain_t = done;
-                }
-                None => break,
+            let Some(p) = prio.dequeue() else { break };
+            let done = wire
+                .enqueue_pkt(p.frame_len, drain_t, p.id)
+                .expect("an idle wire takes the frame");
+            if done <= HORIZON {
+                bits[p.app.0 as usize] += p.frame_bits();
             }
+            drain_t = done;
         }
         t += gap;
     }

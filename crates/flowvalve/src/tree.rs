@@ -34,7 +34,7 @@ use std::sync::Mutex;
 
 use crate::bucket::{AtomicRate, TokenBucket};
 use crate::error::BuildTreeError;
-use crate::label::{ClassId, QosLabel, MAX_DEPTH};
+use crate::label::{ClassId, QosLabel, MAX_BORROW, MAX_DEPTH};
 
 /// User-facing configuration of one traffic class.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -727,7 +727,8 @@ impl SchedulingTree {
     /// # Errors
     ///
     /// Returns [`BuildTreeError::UnknownBorrowClass`] if `leaf` or any
-    /// lender is not in the tree.
+    /// lender is not in the tree, [`BuildTreeError::TooManyLenders`] if
+    /// `borrow` is longer than [`MAX_BORROW`].
     pub fn label(&self, leaf: ClassId, borrow: &[ClassId]) -> Result<QosLabel, BuildTreeError> {
         let mut idx = self
             .node_index(leaf)
@@ -742,6 +743,9 @@ impl SchedulingTree {
             if self.node_index(*b).is_none() {
                 return Err(BuildTreeError::UnknownBorrowClass(*b));
             }
+        }
+        if borrow.len() > MAX_BORROW {
+            return Err(BuildTreeError::TooManyLenders(leaf));
         }
         Ok(QosLabel::new(&path, borrow))
     }
@@ -1201,6 +1205,18 @@ mod tests {
             tree.label(ClassId(10), &[ClassId(99)]),
             Err(BuildTreeError::UnknownBorrowClass(_))
         ));
+    }
+
+    #[test]
+    fn a_label_takes_at_most_max_borrow_lenders() {
+        let tree = simple_tree();
+        let lenders = [ClassId(10); MAX_BORROW + 1];
+        let l = tree.label(ClassId(20), &lenders[..MAX_BORROW]).unwrap();
+        assert_eq!(l.borrow().len(), MAX_BORROW);
+        assert_eq!(
+            tree.label(ClassId(20), &lenders),
+            Err(BuildTreeError::TooManyLenders(ClassId(20)))
+        );
     }
 
     #[test]

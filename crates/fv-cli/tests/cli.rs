@@ -130,6 +130,50 @@ fn rates_past_the_token_range_are_refused_by_name() {
     }
 }
 
+/// A filter may name at most eight lender classes; `QosLabel::new` panics
+/// on a ninth, so the tree must refuse it first.
+#[test]
+fn a_ninth_lender_is_refused_by_name() {
+    let script = |lenders: usize| {
+        let mut s = String::from(
+            "fv qdisc add dev nic0 root handle 1: fv\n\
+             fv class add dev nic0 parent root classid 1:1 rate 10gbit\n\
+             fv class add dev nic0 parent 1:1 classid 1:10\n",
+        );
+        for i in 0..lenders {
+            s += &format!("fv class add dev nic0 parent 1:1 classid 1:{}\n", 20 + i);
+        }
+        let borrow: Vec<String> = (0..lenders).map(|i| format!("1:{}", 20 + i)).collect();
+        s += &format!(
+            "fv filter add dev nic0 match ip dport 5001 flowid 1:10 borrow {}\n",
+            borrow.join(",")
+        );
+        write_script(&s)
+    };
+    let eight = script(8);
+    let out = fv()
+        .arg("check")
+        .arg(&eight.path)
+        .output()
+        .expect("fv runs");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let nine = script(9);
+    for cmd in ["show", "demo", "check"] {
+        let out = fv().arg(cmd).arg(&nine.path).output().expect("fv runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "fv {cmd}: {stderr}");
+        assert!(
+            stderr.contains("class 1:10 borrows from more than 8 lender classes"),
+            "fv {cmd}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+}
+
 #[test]
 fn reads_from_stdin() {
     let mut child = fv()

@@ -15,11 +15,12 @@ use std::collections::HashMap;
 
 use netstack::packet::{AppId, Packet};
 use np_sim::nic::{RxOutcome, SmartNic};
+use np_sim::tm::TxFifo;
 use qdisc::costmodel::{DpdkCpuModel, KernelCpuModel};
 use qdisc::dpdk::DpdkQos;
 use qdisc::htb::{Handle, Htb};
 use sim_core::time::Nanos;
-use sim_core::units::{BitRate, WireFraming};
+use sim_core::units::{BitRate, ByteSize, WireFraming};
 
 /// The fate of a packet offered to an egress path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,33 +50,17 @@ impl Outcome {
     }
 }
 
-/// A host wire serializer shared by the software egress paths.
-///
-/// Fields are private; paths construct it internally. It is public only
-/// because `EgressPath`'s variants expose their internals for telemetry.
-#[derive(Debug, Clone, Copy)]
-pub struct HostWire {
-    link: BitRate,
-    framing: WireFraming,
-    free_at: Nanos,
+/// The wire behind a software path: the NIC's transmit FIFO.
+fn host_wire(link: BitRate) -> TxFifo {
+    TxFifo::new(link, WireFraming::ETHERNET, ByteSize::from_kib(1024))
 }
 
-impl HostWire {
-    fn new(link: BitRate) -> Self {
-        HostWire {
-            link,
-            framing: WireFraming::ETHERNET,
-            free_at: Nanos::ZERO,
-        }
-    }
-
-    /// Serializes a frame starting no earlier than `now`; returns the
-    /// completion time.
-    fn transmit(&mut self, frame_len: u32, now: Nanos) -> Nanos {
-        let start = self.free_at.max(now);
-        self.free_at = start + self.framing.serialization_time(self.link, frame_len as u64);
-        self.free_at
-    }
+/// Serializes `pkt` starting no earlier than `start`; returns the
+/// completion time. A path polls again only once the wire is idle, so the
+/// FIFO never holds a backlog and never tail-drops.
+fn transmit(wire: &mut TxFifo, pkt: &Packet, start: Nanos) -> Nanos {
+    wire.enqueue_pkt(pkt.frame_len, start, pkt.id)
+        .expect("a software path hands the wire a frame only when it is idle")
 }
 
 /// An egress path under test.
@@ -104,7 +89,7 @@ pub enum EgressPath {
         /// The qdisc lock's next-free time.
         lock_free: Nanos,
         /// The wire behind the qdisc.
-        wire: HostWire,
+        wire: TxFifo,
         /// Fixed NIC forwarding latency after the wire.
         nic_latency: Nanos,
     },
@@ -121,7 +106,7 @@ pub enum EgressPath {
         /// Next instant the scheduler cores can process another packet.
         core_free: Nanos,
         /// The wire behind the scheduler.
-        wire: HostWire,
+        wire: TxFifo,
         /// Fixed NIC forwarding latency after the wire.
         nic_latency: Nanos,
     },
@@ -152,7 +137,7 @@ impl EgressPath {
             cpu: KernelCpuModel::default(),
             last_seen: HashMap::new(),
             lock_free: Nanos::ZERO,
-            wire: HostWire::new(link),
+            wire: host_wire(link),
             nic_latency: Nanos::from_micros(25),
         }
     }
@@ -170,7 +155,7 @@ impl EgressPath {
             cpu: DpdkCpuModel::default(),
             cores,
             core_free: Nanos::ZERO,
-            wire: HostWire::new(link),
+            wire: host_wire(link),
             nic_latency: Nanos::from_micros(25),
         }
     }
@@ -256,7 +241,7 @@ impl EgressPath {
                     // previous packet's serialization.
                     let start = (*lock_free).max(now);
                     *lock_free = start + cpu.per_packet(1) / 2;
-                    let done = wire.transmit(pkt.frame_len, start);
+                    let done = transmit(wire, &pkt, start);
                     let at = done + *nic_latency;
                     (
                         Some(Outcome::Delivered { pkt, at }),
@@ -280,7 +265,7 @@ impl EgressPath {
                 match sched.dequeue(start) {
                     Some(pkt) => {
                         *core_free = start + service;
-                        let done = wire.transmit(pkt.frame_len, start);
+                        let done = transmit(wire, &pkt, start);
                         let at = done + *nic_latency;
                         (
                             Some(Outcome::Delivered { pkt, at }),

@@ -39,7 +39,6 @@ pub mod harness;
 pub mod lock;
 pub mod nic;
 pub mod tm;
-pub mod tm_multi;
 
 use std::sync::Arc;
 
@@ -51,7 +50,6 @@ pub use fault::{FaultInjector, TmFault};
 pub use lock::{LockId, LockTable, PerLockStats};
 pub use nic::{Decision, EgressDecider, NicStats, PassthroughDecider, RxOutcome, SmartNic};
 pub use tm::{TmDrop, TxFifo};
-pub use tm_multi::{HwQueueConfig, MultiQueueTm};
 
 /// Moves one exact tally into `registry`: `cell` becomes the registered
 /// counter `name`, which takes over what `cell` had counted. A component

@@ -11,7 +11,8 @@
 //! * [`prio`] — strict-priority bands (the kernel PRIO qdisc) and
 //!   [`tbf`] — a token-bucket *shaper*: the two reference implementations
 //!   `tests/baseline_references.rs` compares a FlowValve policy against.
-//!   No figure builds them; nothing observes them.
+//!   `prio` is also the fixed-function NIC traffic manager of the §II-B
+//!   ablation; no figure builds `tbf`. Nothing observes either.
 //! * [`dpdk`] — a DPDK QoS Scheduler model (subport → pipe → strict-prio
 //!   traffic classes) with exact conformance.
 //! * [`costmodel`] — the CPU cost side of Figure 13: cores-per-Mpps for

@@ -2,7 +2,8 @@
 //!
 //! The classic classful priority scheduler FlowValve offloads (paper §I):
 //! N FIFO bands, dequeue always serves the highest-priority (lowest-index)
-//! non-empty band.
+//! non-empty band. It is also the strict-priority half of the §II-B
+//! fixed-function NIC traffic manager (`ablation_nic_scheduler`).
 
 use netstack::packet::Packet;
 
@@ -29,13 +30,9 @@ use crate::fifo::{PacketFifo, QueueDrop};
 #[derive(Debug)]
 pub struct Prio {
     bands: Vec<PacketFifo>,
-    enqueued: u64,
     dequeued: u64,
 }
 
-// Kept public, and every method with it, as the reference
-// `tests/baseline_references.rs` holds FlowValve to.
-#[allow(dead_code)]
 impl Prio {
     /// Creates a PRIO qdisc with `bands` bands, each bounded by the given
     /// byte and packet limits.
@@ -49,7 +46,6 @@ impl Prio {
             bands: (0..bands)
                 .map(|_| PacketFifo::new(byte_limit, pkt_limit))
                 .collect(),
-            enqueued: 0,
             dequeued: 0,
         }
     }
@@ -65,11 +61,7 @@ impl Prio {
     ///
     /// Panics if `band` is out of range.
     pub fn enqueue(&mut self, band: usize, pkt: Packet) -> Result<(), QueueDrop> {
-        let r = self.bands[band].push(pkt);
-        if r.is_ok() {
-            self.enqueued += 1;
-        }
-        r
+        self.bands[band].push(pkt)
     }
 
     /// Dequeues from the highest-priority non-empty band.
@@ -80,23 +72,19 @@ impl Prio {
     }
 
     /// Total queued packets.
+    // Kept public for `tests/resilience.rs`'s
+    // `prio_and_tbf_baselines_recover_from_a_wire_stall`.
+    #[allow(dead_code)]
     pub fn backlog_pkts(&self) -> usize {
         self.bands.iter().map(PacketFifo::len).sum()
     }
 
-    /// Packets accepted so far.
-    pub fn enqueued(&self) -> u64 {
-        self.enqueued
-    }
-
     /// Packets dequeued so far.
+    // Kept public for `tests/resilience.rs`'s
+    // `prio_and_tbf_baselines_recover_from_a_wire_stall`.
+    #[allow(dead_code)]
     pub fn dequeued(&self) -> u64 {
         self.dequeued
-    }
-
-    /// Drops across all bands.
-    pub fn drops(&self) -> u64 {
-        self.bands.iter().map(PacketFifo::drops).sum()
     }
 }
 
@@ -144,9 +132,7 @@ mod tests {
         assert!(q.enqueue(0, pkt(1)).is_err());
         // Other band unaffected.
         q.enqueue(1, pkt(2)).unwrap();
-        assert_eq!(q.drops(), 1);
         assert_eq!(q.backlog_pkts(), 2);
-        assert_eq!(q.enqueued(), 2);
     }
 
     #[test]
@@ -177,7 +163,6 @@ mod tests {
         assert_eq!(q.enqueue(0, sized(2, 64)), Err(QueueDrop::OverPkts));
         q.enqueue(1, sized(3, 200)).unwrap();
         assert_eq!(q.enqueue(1, sized(4, 100)), Err(QueueDrop::OverBytes));
-        assert_eq!(q.drops(), 2);
-        assert_eq!((q.enqueued(), q.backlog_pkts()), (3, 3));
+        assert_eq!(q.backlog_pkts(), 3);
     }
 }

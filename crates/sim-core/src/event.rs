@@ -102,18 +102,6 @@ impl<E> EventQueue<E> {
         let s = self.heap.pop()?;
         Some((s.time, s.event))
     }
-
-    /// Whether the queue holds no pending events.
-    #[cfg(test)] // staged: only its test calls it (DESIGN.md §17)
-    fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Drops every pending event.
-    #[cfg(test)] // staged: only its test calls it (DESIGN.md §17)
-    fn clear(&mut self) {
-        self.heap.clear();
-    }
 }
 
 impl<E> Default for EventQueue<E> {
@@ -170,25 +158,6 @@ mod tests {
         q.extend([(Nanos::from_nanos(3), 3u8)]);
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn clear_empties_queue() {
-        let mut q = EventQueue::new();
-        q.schedule(Nanos::ZERO, ());
-        q.clear();
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn clear_rewinds_calendar_epoch() {
-        let mut q = EventQueue::new();
-        q.schedule(Nanos::from_nanos(1_000_000), 1u64);
-        q.pop();
-        q.clear();
-        // A fresh run may start before the previous run's last timestamp.
-        q.schedule(Nanos::from_nanos(7), 2u64);
-        assert_eq!(q.pop(), Some((Nanos::from_nanos(7), 2)));
     }
 
     #[test]

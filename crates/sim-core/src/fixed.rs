@@ -46,8 +46,6 @@ pub struct Tokens(u64);
 impl Tokens {
     /// Zero tokens.
     pub const ZERO: Tokens = Tokens(0);
-    /// Maximum representable token quantity.
-    pub const MAX: Tokens = Tokens(u64::MAX);
 
     /// Creates a token quantity from whole bits.
     #[inline]
@@ -71,30 +69,6 @@ impl Tokens {
     #[inline]
     pub fn as_bits_f64(self) -> f64 {
         self.0 as f64 / SCALE as f64
-    }
-
-    /// Saturating addition.
-    #[cfg(test)] // staged: only its test calls it (DESIGN.md §17)
-    fn saturating_add(self, rhs: Tokens) -> Tokens {
-        Tokens(self.0.saturating_add(rhs.0))
-    }
-
-    /// Saturating subtraction.
-    #[cfg(test)] // staged: only its test calls it (DESIGN.md §17)
-    fn saturating_sub(self, rhs: Tokens) -> Tokens {
-        Tokens(self.0.saturating_sub(rhs.0))
-    }
-
-    /// Checked subtraction: `None` when `rhs` exceeds `self`.
-    #[cfg(test)] // staged: only its test calls it (DESIGN.md §17)
-    fn checked_sub(self, rhs: Tokens) -> Option<Tokens> {
-        self.0.checked_sub(rhs.0).map(Tokens)
-    }
-
-    /// Whether this quantity covers `needed`.
-    #[cfg(test)] // staged: only its test calls it (DESIGN.md §17)
-    fn covers(self, needed: Tokens) -> bool {
-        self.0 >= needed.0
     }
 }
 
@@ -137,9 +111,6 @@ impl core::ops::Sub for Tokens {
 pub struct TokenRate(u64);
 
 impl TokenRate {
-    /// Zero fill rate.
-    pub const ZERO: TokenRate = TokenRate(0);
-
     /// Converts a bandwidth into a token fill rate.
     ///
     /// This is the paper's Equation 2 with the clock normalized to
@@ -176,26 +147,6 @@ impl TokenRate {
         let raw = (self.0 as u128 * dt.as_nanos() as u128 + (1u128 << (shift - 1))) >> shift;
         Tokens(raw.min(u64::MAX as u128) as u64)
     }
-
-    /// Scales this rate by the integer ratio `numer / denom`
-    /// (the paper's Equation 5 weighted split).
-    #[cfg(test)] // staged: only its test calls it (DESIGN.md §17)
-    fn scaled(self, numer: u64, denom: u64) -> TokenRate {
-        assert!(denom > 0, "denominator must be positive");
-        TokenRate((self.0 as u128 * numer as u128 / denom as u128) as u64)
-    }
-
-    /// Saturating subtraction (the paper's Equation 4 residual rate).
-    #[cfg(test)] // staged: only its test calls it (DESIGN.md §17)
-    fn saturating_sub(self, rhs: TokenRate) -> TokenRate {
-        TokenRate(self.0.saturating_sub(rhs.0))
-    }
-
-    /// Saturating addition.
-    #[cfg(test)] // staged: only its test calls it (DESIGN.md §17)
-    fn saturating_add(self, rhs: TokenRate) -> TokenRate {
-        TokenRate(self.0.saturating_add(rhs.0))
-    }
 }
 
 impl fmt::Display for TokenRate {
@@ -214,18 +165,6 @@ mod tests {
     fn tokens_roundtrip_bits() {
         assert_eq!(Tokens::from_bits(123).as_bits_f64(), 123.0);
         assert_eq!(Tokens::from_bytes(10), Tokens::from_bits(80));
-    }
-
-    #[test]
-    fn tokens_saturating_ops() {
-        let a = Tokens::from_bits(10);
-        let b = Tokens::from_bits(30);
-        assert_eq!(a.saturating_sub(b), Tokens::ZERO);
-        assert_eq!(Tokens::MAX.saturating_add(a), Tokens::MAX);
-        assert!(b.covers(a));
-        assert!(!a.covers(b));
-        assert_eq!(a.checked_sub(b), None);
-        assert_eq!(b.checked_sub(a), Some(Tokens::from_bits(20)));
     }
 
     #[test]
@@ -258,24 +197,5 @@ mod tests {
         let t = tr.accrued(Nanos::from_micros(1));
         assert!(t > Tokens::ZERO);
         assert_eq!(t.raw() >> FRAC_BITS, 1);
-    }
-
-    #[test]
-    fn scaled_weighted_split_sums_to_parent() {
-        let parent = TokenRate::from_bit_rate(BitRate::from_gbps(9.0));
-        let a = parent.scaled(1, 3);
-        let b = parent.scaled(2, 3);
-        let sum = a.saturating_add(b);
-        // Integer truncation may lose at most 2 raw units.
-        assert!(parent.raw() - sum.raw() <= 2);
-    }
-
-    #[test]
-    fn residual_rate_subtraction() {
-        let parent = TokenRate::from_bit_rate(BitRate::from_gbps(10.0));
-        let hi = TokenRate::from_bit_rate(BitRate::from_gbps(4.0));
-        let rest = parent.saturating_sub(hi);
-        let g = rest.to_bit_rate().as_gbps();
-        assert!((g - 6.0).abs() < 1e-6, "got {g}");
     }
 }

@@ -95,17 +95,6 @@ impl SimRng {
         -mean * u.ln()
     }
 
-    /// Returns `true` with probability `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not in `[0, 1]`.
-    #[cfg(test)] // staged: only its test calls it (DESIGN.md §17)
-    fn chance(&mut self, p: f64) -> bool {
-        assert!((0.0..=1.0).contains(&p), "probability out of range");
-        self.uniform() < p
-    }
-
     /// Picks a uniformly random element index for a slice of length `len`.
     ///
     /// # Panics
@@ -164,13 +153,6 @@ mod tests {
             seen[r.index(8)] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn chance_extremes() {
-        let mut r = SimRng::seed(13);
-        assert!(!r.chance(0.0));
-        assert!(r.chance(1.0));
     }
 
     #[test]

@@ -47,12 +47,6 @@ impl RunningStats {
         self.max = self.max.max(v);
     }
 
-    /// Number of observations.
-    #[cfg(test)] // staged: only its test calls it (DESIGN.md §17)
-    fn count(&self) -> u64 {
-        self.count
-    }
-
     /// Sample mean (0 if empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -84,29 +78,6 @@ impl RunningStats {
     /// Maximum observation (`None` if empty).
     pub fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    #[cfg(test)] // staged: only its test calls it (DESIGN.md §17)
-    fn merge(&mut self, other: &RunningStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.count as f64 / total as f64;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * self.count as f64 * other.count as f64 / total as f64;
-        self.count = total;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -238,30 +209,6 @@ impl Histogram {
         }
         self.stats.max().unwrap_or(0.0) as u64
     }
-
-    /// Merges another histogram with identical parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bucket layouts differ.
-    #[cfg(test)] // staged: only its test calls it (DESIGN.md §17)
-    fn merge(&mut self, other: &Histogram) {
-        assert_eq!(
-            self.counts.len(),
-            other.counts.len(),
-            "bucket count mismatch"
-        );
-        assert!(
-            (self.base - other.base).abs() < f64::EPSILON
-                && (self.growth - other.growth).abs() < f64::EPSILON,
-            "bucket layout mismatch"
-        );
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.stats.merge(&other.stats);
-    }
 }
 
 impl fmt::Display for Histogram {
@@ -285,7 +232,6 @@ mod tests {
     #[test]
     fn running_stats_basics() {
         let mut s = RunningStats::new();
-        assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.min(), None);
         s.record(1.0);
@@ -294,39 +240,6 @@ mod tests {
         assert_eq!(s.min(), Some(1.0));
         assert_eq!(s.max(), Some(3.0));
         assert_eq!(s.variance(), 1.0);
-    }
-
-    #[test]
-    fn running_stats_merge_matches_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = RunningStats::new();
-        for &v in &data {
-            all.record(v);
-        }
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        for &v in &data[..37] {
-            a.record(v);
-        }
-        for &v in &data[37..] {
-            b.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = RunningStats::new();
-        a.record(5.0);
-        let before = a;
-        a.merge(&RunningStats::new());
-        assert_eq!(a, before);
-        let mut empty = RunningStats::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
     }
 
     #[test]
@@ -378,25 +291,6 @@ mod tests {
     fn histogram_empty_quantile_zero() {
         let h = Histogram::new_latency_ns();
         assert_eq!(h.quantile(0.99), 0);
-    }
-
-    #[test]
-    fn histogram_merge() {
-        let mut a = Histogram::new_latency_ns();
-        let mut b = Histogram::new_latency_ns();
-        a.record(1_000);
-        b.record(2_000);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.mean(), 1_500.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn histogram_merge_layout_mismatch_panics() {
-        let mut a = Histogram::new(100.0, 1.05, 10);
-        let b = Histogram::new(100.0, 1.05, 20);
-        a.merge(&b);
     }
 
     #[test]

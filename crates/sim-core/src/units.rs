@@ -220,16 +220,6 @@ impl WireFraming {
     pub fn serialization_time(&self, rate: BitRate, frame_len: u64) -> Nanos {
         rate.serialization_time(self.wire_bits(frame_len))
     }
-
-    /// Goodput fraction: payload bits over wire bits for a given frame size.
-    #[cfg(test)] // staged: only its test calls it (DESIGN.md §17)
-    fn efficiency(&self, frame_len: u64) -> f64 {
-        let wire = self.wire_bits(frame_len);
-        if wire == 0 {
-            return 1.0;
-        }
-        (frame_len * 8) as f64 / wire as f64
-    }
 }
 
 impl Default for WireFraming {
@@ -289,13 +279,6 @@ mod tests {
     fn min_frame_padding_applies() {
         let w = WireFraming::ETHERNET;
         assert_eq!(w.wire_bits(10), w.wire_bits(64));
-    }
-
-    #[test]
-    fn efficiency_monotone_in_frame_len() {
-        let w = WireFraming::ETHERNET;
-        assert!(w.efficiency(64) < w.efficiency(1518));
-        assert!(w.efficiency(1518) < 1.0);
     }
 
     #[test]

@@ -126,7 +126,7 @@ for m in re.finditer(r"^- \*\*(\d+)\.(.*?)(?=^- \*\*\d+\.|\Z)", roadmap, re.M | 
     if not m.group(2).lstrip("* ").startswith("Closed"):
         items[m.group(1)] = set(re.findall(r"\*\*\((\w)\)", m.group(2)))
 bad = []
-for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
+for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"):
     text = open(doc).read()
     at = lambda m: f"{doc}:{text.count(chr(10), 0, m.start()) + 1}"
     for m in re.finditer(r"§(\d+)", text):
@@ -180,7 +180,7 @@ def resolves(src_dir, segs):
         return all(s in words for s in segs[i + 1:])
     return True
 bad = []
-for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
+for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"):
     text = open(doc).read()
     for m in re.finditer(r"`([a-z_][a-z0-9_]*)((?:::\w+)+)`", text):
         crate, segs = m.group(1), m.group(2)[2:].split("::")

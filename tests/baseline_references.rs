@@ -2,11 +2,12 @@
 //!
 //! Strict priority and token-bucket shaping are the two canonical
 //! scheduling transactions (Programmable Packet Scheduling, PAPERS.md) and
-//! the qdiscs the paper names as offloaded. No figure builds `qdisc::Prio`
-//! or `qdisc::Tbf`; they earn their place here (DESIGN.md "Reachability"):
-//! one seeded open-loop stream goes through a FlowValve policy on the NIC
-//! model and, packet for packet, through the queueing reference drained at
-//! the same rate. After convergence the per-class delivered bits agree.
+//! the qdiscs the paper names as offloaded. No figure builds `qdisc::Tbf`,
+//! which earns its place here (DESIGN.md "Reachability"); `qdisc::Prio` is
+//! also the §II-B ablation's traffic manager. One seeded open-loop stream
+//! goes through a FlowValve policy on the NIC model and, packet for packet,
+//! through the queueing reference drained at the same rate. After
+//! convergence the per-class delivered bits agree.
 
 use flowvalve::frontend::Policy;
 use flowvalve::pipeline::FlowValvePipeline;
