@@ -194,15 +194,50 @@ fn vf_reset_drops_at_the_edge_then_recovers() {
     assert!(report.run.snapshot.counter("chaos.host_skipped") > 0);
 }
 
+/// Sum of the per-engine `nic.me<i>.busy_permille` gauges: how much of
+/// the worker pool's cycle budget the run spent.
+fn busy_permille(snap: &fv_telemetry::Snapshot) -> u64 {
+    let busy = snap
+        .entries
+        .iter()
+        .filter(|e| e.name.ends_with(".busy_permille"));
+    busy.map(|e| match e.value {
+        fv_telemetry::MetricValue::Gauge { value, .. } => value,
+        _ => 0,
+    })
+    .sum()
+}
+
 #[test]
 fn clock_skew_and_cpu_burn_recover() {
-    let report = chaos(
-        "chaos seed 7\n\
-         chaos fault clock_skew at 2ms for 1ms skew 300us\n\
-         chaos fault cpu_burn at 5ms for 1ms cycles 400\n",
-    );
+    const SKEW: &str = "chaos fault clock_skew at 2ms for 1ms skew 300us\n";
+    const BURN: &str = "chaos fault cpu_burn at 5ms for 1ms cycles 400\n";
+    let report = chaos(&format!("chaos seed 7\n{SKEW}{BURN}"));
     assert!(report.passed(), "{}", report.render());
     assert_eq!(report.run.snapshot.counter("chaos.faults_injected"), 2);
+    // The plan alone counts two injections; each fault must also move
+    // something only it reaches, against the same seed unfaulted.
+    let clean = chaos("chaos seed 7\n").run.snapshot;
+    let skewed = chaos(&format!("chaos seed 7\n{SKEW}")).run.snapshot;
+    let burnt = chaos(&format!("chaos seed 7\n{BURN}")).run.snapshot;
+    // The skew reaches only the scheduler's clock: per-class verdicts move.
+    let forwarded = |snap: &fv_telemetry::Snapshot| {
+        ["1:10", "1:20", "1:30"].map(|id| snap.counter(&format!("fv.class.{id}.forwarded")))
+    };
+    assert_ne!(
+        forwarded(&skewed),
+        forwarded(&clean),
+        "the skew moved no verdict"
+    );
+    // The burn reaches only the worker pool: it spends more cycles and
+    // leaves every verdict as it was.
+    assert_eq!(forwarded(&burnt), forwarded(&clean));
+    assert!(
+        busy_permille(&burnt) > busy_permille(&clean),
+        "the burn cost no cycles: {} vs {} permille",
+        busy_permille(&burnt),
+        busy_permille(&clean)
+    );
 }
 
 #[test]
