@@ -10,16 +10,17 @@
 //! fold, snapshot). The two entry points differ only in their per-packet
 //! closure.
 //!
-//! [`run_chaos`] installs a [`ChaosController`] at every hook point: the
-//! NIC's traffic manager, worker pool and lock table, the FlowValve
-//! scheduler clock, and the host boundary. `reconfig` faults additionally
-//! hot-reload the policy mid-run with every rate scaled, restoring the
-//! original when the window closes. After the run, one
-//! [`fv_scope::Slo::RateRecovers`] assertion per completed fault window
-//! checks that aggregate NIC throughput returned to the root rate's
-//! conformance band — the paper's pitch is that the offloaded scheduler
-//! keeps shaping through disturbance, and this is where that claim is
-//! pinned.
+//! [`run_chaos`] installs one [`ChaosController`] as the fault injector of
+//! the NIC (traffic manager, worker pool, lock table) and of the FlowValve
+//! pipeline (scheduler clock), and its per-packet closure is the host
+//! boundary: a frame the controller says the host blocks never reaches
+//! the NIC. `reconfig` faults additionally hot-reload the policy mid-run
+//! with every rate scaled, restoring the original when the window closes.
+//! After the run, one [`fv_scope::Slo::RateRecovers`] assertion per
+//! completed fault window checks that aggregate NIC throughput returned to
+//! the root rate's conformance band — the paper's pitch is that the
+//! offloaded scheduler keeps shaping through disturbance, and this is
+//! where that claim is pinned.
 
 use std::sync::Arc;
 
@@ -31,7 +32,6 @@ use fv_audit::{BucketSnapshot, Ledger, ProvenanceRing};
 use fv_scope::{evaluate, CheckReport, SamplerConfig, Slo, TimeSampler};
 use fv_telemetry::json::{JsonValue, ToJson};
 use fv_telemetry::{Registry, Snapshot, SpanSink};
-use hostsim::HostChaosHook;
 use netstack::flow::FlowKey;
 use netstack::gen::LineRateProcess;
 use netstack::packet::{AppId, Packet, VfPort};
@@ -469,7 +469,7 @@ pub fn run_chaos(
     }
     let controller = Arc::new(ChaosController::new(plan.clone(), &fx.registry));
     let host_skipped = fx.registry.counter("chaos.host_skipped");
-    fx.pipeline().install_chaos_hook(controller.clone());
+    fx.pipeline().install_fault_injector(controller.clone());
     fx.nic.install_fault_injector(controller.clone());
 
     // `reconfig` faults hot-reload the policy; track the applied scale so
@@ -492,7 +492,7 @@ pub fn run_chaos(
         // Host-side faults act before the NIC ever sees the frame: a
         // paused app offers nothing, a reset VF's frames die at the edge.
         // The packet id is spent either way, so ids match the clean run's.
-        if controller.app_paused_until(pkt.app, t).is_some() || controller.vf_down(pkt.vf, t) {
+        if controller.host_blocks(pkt.app, pkt.vf, t) {
             host_skipped.incr();
         } else {
             let _ = nic.rx(pkt, t);
@@ -521,7 +521,7 @@ pub fn run_chaos(
     for (i, f) in plan.faults.iter().enumerate() {
         let name = format!("fault {i} ({}) recovers by +{SETTLE}", f.kind.name());
         match root_rate {
-            _ if f.end() + SETTLE >= HORIZON => unchecked.push(format!(
+            _ if f.end() >= HORIZON - SETTLE => unchecked.push(format!(
                 "note: fault {i} ({}) unchecked (window ends at {} us, \
                  too close to the {} ms horizon)",
                 f.kind.name(),

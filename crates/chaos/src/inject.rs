@@ -1,11 +1,11 @@
 //! The [`ChaosController`]: one object that answers every hook point.
 //!
-//! A single `Arc<ChaosController>` is installed into the NIC model (as an
-//! [`np_sim::FaultInjector`]), the FlowValve pipeline (as a
-//! [`flowvalve::pipeline::SchedChaosHook`]) and the host engine (as a
-//! [`hostsim::HostChaosHook`]). Each hook answers from the fault plan and
-//! the *current virtual time* only, so a faulted run is a pure function of
-//! `(plan, seed)` — replayable byte-for-byte.
+//! A single `Arc<ChaosController>` is installed as the
+//! [`np_sim::FaultInjector`] of both the NIC model and the FlowValve
+//! pipeline it runs, and the harness asks [`ChaosController::host_blocks`]
+//! whether the host lets a packet reach the NIC at all. Each answer comes
+//! from the fault plan and the *current virtual time* only, so a faulted
+//! run is a pure function of `(plan, seed)` — replayable byte-for-byte.
 //!
 //! The controller also owns the subsystem's observability: it counts
 //! injections/recoveries into `chaos.*` metrics and stamps
@@ -17,9 +17,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use flowvalve::pipeline::SchedChaosHook;
 use fv_telemetry::{Counter, EventRing, Registry, TraceKind};
-use hostsim::HostChaosHook;
 use netstack::packet::{AppId, VfPort};
 use np_sim::{FaultInjector, TmFault};
 use sim_core::time::Nanos;
@@ -94,6 +92,17 @@ impl ChaosController {
                     .record(now, TraceKind::FaultClear, f.kind.code(), i as u64);
             }
         }
+    }
+
+    /// Whether the host keeps a frame of `app` leaving through `vf` at
+    /// `now` from reaching the NIC: the app is paused (`host_pause`) or
+    /// the VF is mid-reset (`vf_reset`).
+    pub fn host_blocks(&self, app: AppId, vf: VfPort, now: Nanos) -> bool {
+        self.active(now).any(|f| match f.kind {
+            FaultKind::HostPause { app: a } => AppId(a) == app,
+            FaultKind::VfReset { vf: v } => VfPort(v) == vf,
+            _ => false,
+        })
     }
 
     fn active(&self, now: Nanos) -> impl Iterator<Item = &crate::plan::FaultSpec> {
@@ -173,9 +182,7 @@ impl FaultInjector for ChaosController {
             .max()
             .unwrap_or(1000)
     }
-}
 
-impl SchedChaosHook for ChaosController {
     /// Largest active skew wins.
     fn sched_clock_skew(&self, now: Nanos) -> Nanos {
         self.active(now)
@@ -188,68 +195,34 @@ impl SchedChaosHook for ChaosController {
     }
 }
 
-impl HostChaosHook for ChaosController {
-    fn app_paused_until(&self, app: AppId, now: Nanos) -> Option<Nanos> {
-        self.active(now)
-            .filter_map(|f| match f.kind {
-                FaultKind::HostPause { app: a } if AppId(a) == app => Some(f.end()),
-                _ => None,
-            })
-            .max()
-    }
-
-    fn vf_down(&self, vf: VfPort, now: Nanos) -> bool {
-        self.active(now).any(|f| match f.kind {
-            FaultKind::VfReset { vf: v } => VfPort(v) == vf,
-            _ => false,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::FaultSpec;
 
     fn us(n: u64) -> Nanos {
         Nanos::from_micros(n)
     }
 
-    fn plan_of(faults: Vec<FaultSpec>) -> FaultPlan {
-        FaultPlan { seed: 1, faults }
+    /// A controller over the plan `faults` spells, one `chaos fault` line
+    /// each.
+    fn controller(faults: &str) -> (ChaosController, Registry) {
+        let plan = faults.lines().map(|f| format!("chaos fault {f}\n"));
+        let plan = FaultPlan::parse(&plan.collect::<String>()).expect("plan parses");
+        let reg = Registry::new();
+        (ChaosController::new(plan, &reg), reg)
     }
 
     #[test]
     fn overlapping_windows_compose() {
-        let plan = plan_of(vec![
-            FaultSpec {
-                kind: FaultKind::WireFlap { permille: 500 },
-                at: us(0),
-                dur: us(100),
-            },
-            FaultSpec {
-                kind: FaultKind::WireFlap { permille: 250 },
-                at: us(50),
-                dur: us(100),
-            },
-            FaultSpec {
-                kind: FaultKind::LockSlow { permille: 2000 },
-                at: us(0),
-                dur: us(10),
-            },
-            FaultSpec {
-                kind: FaultKind::CpuBurn { cycles: 100 },
-                at: us(0),
-                dur: us(10),
-            },
-            FaultSpec {
-                kind: FaultKind::CpuBurn { cycles: 50 },
-                at: us(0),
-                dur: us(10),
-            },
-        ]);
-        let reg = Registry::new();
-        let c = ChaosController::new(plan, &reg);
+        let (c, _) = controller(
+            "wire_flap at 0us for 100us permille 500
+             wire_flap at 50us for 100us permille 250
+             lock_slow at 0us for 10us permille 2000
+             cpu_burn at 0us for 10us cycles 100
+             cpu_burn at 0us for 10us cycles 50
+             clock_skew at 0us for 10us skew 3us
+             clock_skew at 5us for 10us skew 7us",
+        );
         assert_eq!(c.wire_rate_permille(us(10)), 500);
         assert_eq!(c.wire_rate_permille(us(60)), 250, "deepest flap wins");
         assert_eq!(c.wire_rate_permille(us(120)), 250);
@@ -257,24 +230,17 @@ mod tests {
         assert_eq!(c.lock_hold_permille(us(5)), 2000);
         assert_eq!(c.lock_hold_permille(us(50)), 1000);
         assert_eq!(c.extra_cycles(us(5)), 150, "cpu burns sum");
+        assert_eq!(c.sched_clock_skew(us(2)), us(3));
+        assert_eq!(c.sched_clock_skew(us(5)), us(7), "largest skew wins");
+        assert_eq!(c.sched_clock_skew(us(15)), Nanos::ZERO);
     }
 
     #[test]
     fn tm_pause_outranks_drop_and_drop_counts_in_window_frames() {
-        let plan = plan_of(vec![
-            FaultSpec {
-                kind: FaultKind::TmDrop { every: 2 },
-                at: us(0),
-                dur: us(100),
-            },
-            FaultSpec {
-                kind: FaultKind::TmPause,
-                at: us(40),
-                dur: us(20),
-            },
-        ]);
-        let reg = Registry::new();
-        let c = ChaosController::new(plan, &reg);
+        let (c, _) = controller(
+            "tm_drop at 0us for 100us every 2
+             tm_pause at 40us for 20us",
+        );
         assert_eq!(c.tm_fault(us(1), 1), TmFault::CorruptDrop, "frame 0 drops");
         assert_eq!(c.tm_fault(us(2), 2), TmFault::None, "frame 1 passes");
         assert_eq!(
@@ -288,44 +254,23 @@ mod tests {
 
     #[test]
     fn host_hooks_match_app_and_vf() {
-        let plan = plan_of(vec![
-            FaultSpec {
-                kind: FaultKind::HostPause { app: 2 },
-                at: us(10),
-                dur: us(20),
-            },
-            FaultSpec {
-                kind: FaultKind::VfReset { vf: 1 },
-                at: us(10),
-                dur: us(20),
-            },
-        ]);
-        let reg = Registry::new();
-        let c = ChaosController::new(plan, &reg);
-        assert_eq!(c.app_paused_until(AppId(2), us(15)), Some(us(30)));
-        assert_eq!(c.app_paused_until(AppId(0), us(15)), None);
-        assert_eq!(c.app_paused_until(AppId(2), us(35)), None);
-        assert!(c.vf_down(VfPort(1), us(15)));
-        assert!(!c.vf_down(VfPort(0), us(15)));
-        assert!(!c.vf_down(VfPort(1), us(35)));
+        let (c, _) = controller(
+            "host_pause at 10us for 20us app 2
+             vf_reset at 10us for 20us vf 1",
+        );
+        assert!(c.host_blocks(AppId(2), VfPort(0), us(15)), "app paused");
+        assert!(c.host_blocks(AppId(0), VfPort(1), us(15)), "vf down");
+        assert!(!c.host_blocks(AppId(0), VfPort(0), us(15)));
+        assert!(!c.host_blocks(AppId(2), VfPort(1), us(35)), "both cleared");
+        assert!(!c.host_blocks(AppId(2), VfPort(1), us(5)), "not yet");
     }
 
     #[test]
     fn transitions_emit_events_and_counters_once() {
-        let plan = plan_of(vec![
-            FaultSpec {
-                kind: FaultKind::TmPause,
-                at: us(10),
-                dur: us(10),
-            },
-            FaultSpec {
-                kind: FaultKind::MeStall { engines: 4 },
-                at: us(15),
-                dur: us(10),
-            },
-        ]);
-        let reg = Registry::new();
-        let c = ChaosController::new(plan, &reg);
+        let (c, reg) = controller(
+            "tm_pause at 10us for 10us
+             me_stall at 15us for 10us engines 4",
+        );
         for t in [0, 5, 12, 12, 16, 22, 22, 30] {
             c.note_transitions(us(t));
         }
@@ -349,20 +294,10 @@ mod tests {
 
     #[test]
     fn stall_reports_widest_window_and_latest_return() {
-        let plan = plan_of(vec![
-            FaultSpec {
-                kind: FaultKind::MeStall { engines: 4 },
-                at: us(0),
-                dur: us(50),
-            },
-            FaultSpec {
-                kind: FaultKind::MeStall { engines: 8 },
-                at: us(10),
-                dur: us(10),
-            },
-        ]);
-        let reg = Registry::new();
-        let c = ChaosController::new(plan, &reg);
+        let (c, _) = controller(
+            "me_stall at 0us for 50us engines 4
+             me_stall at 10us for 10us engines 8",
+        );
         assert_eq!(c.stalled_engines(us(5)), Some((4, us(50))));
         assert_eq!(c.stalled_engines(us(15)), Some((8, us(50))));
         assert_eq!(c.stalled_engines(us(60)), None);

@@ -3,12 +3,12 @@
 //! Real SmartNIC deployments degrade in ways a clean simulation never
 //! shows: links flap, micro-engines stall, traffic managers corrupt
 //! frames, host applications pause. This crate schedules such failures as
-//! *fault windows on the virtual clock* and drives them through hook
-//! points in every layer — the NP model's traffic manager, worker pool
-//! and lock table ([`np_sim::FaultInjector`]), the FlowValve scheduler
-//! clock ([`flowvalve::pipeline::SchedChaosHook`]) and the host boundary
-//! ([`hostsim::HostChaosHook`]) — so the *same* scheduler code runs
-//! faulted or clean.
+//! *fault windows on the virtual clock* and drives them through one
+//! interface, [`np_sim::FaultInjector`], which the NP model's traffic
+//! manager, worker pool and lock table and the FlowValve scheduler clock
+//! all consult; host faults act at the host boundary the harness models,
+//! before a frame reaches the NIC. The *same* scheduler code runs faulted
+//! or clean.
 //!
 //! Because every fault is a pure function of virtual time and all workload
 //! randomness flows from the plan's seed, a faulted run is exactly
@@ -17,7 +17,7 @@
 //! diffable.
 //!
 //! - [`plan`] — the `chaos` command language and [`FaultPlan`]
-//! - [`inject`] — the [`ChaosController`] answering every hook point
+//! - [`inject`] — the [`ChaosController`] answering every fault question
 //! - [`harness`] — the saturation workload behind `fv demo`, written
 //!   once: [`saturate`] runs it clean, [`run_chaos`] runs it faulted and
 //!   adds per-fault recovery assertions from fv-scope. Both take the

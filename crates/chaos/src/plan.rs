@@ -131,9 +131,10 @@ impl FaultSpec {
         now >= self.at && now < self.end()
     }
 
-    /// First instant *after* the fault (exclusive window end).
+    /// First instant *after* the fault (exclusive window end); a window
+    /// the parser would refuse as past the clock's range ends at its top.
     pub fn end(&self) -> Nanos {
-        self.at + self.dur
+        Nanos::from_nanos(self.at.as_nanos().saturating_add(self.dur.as_nanos()))
     }
 }
 
@@ -244,6 +245,9 @@ fn parse_fault(kind: &str, rest: &[&str]) -> Result<FaultSpec, String> {
     if dur == Nanos::ZERO {
         return Err(format!("fault {kind:?} has zero duration"));
     }
+    let (at_ns, dur_ns) = (at.as_nanos(), dur.as_nanos());
+    let end = (at_ns.checked_add(dur_ns))
+        .ok_or_else(|| format!("fault {kind:?} at {at_ns}ns for {dur_ns}ns {PAST_RANGE}"))?;
 
     let one = |name: &str| -> Result<&str, String> {
         match params.as_slice() {
@@ -266,7 +270,7 @@ fn parse_fault(kind: &str, rest: &[&str]) -> Result<FaultSpec, String> {
             permille: parse_u64("permille")?,
         },
         "me_stall" => FaultKind::MeStall {
-            engines: parse_u64("engines")? as usize,
+            engines: narrow("engines", parse_u64("engines")?)?,
         },
         "tm_pause" => {
             if let [(k, _), ..] = params.as_slice() {
@@ -287,14 +291,20 @@ fn parse_fault(kind: &str, rest: &[&str]) -> Result<FaultSpec, String> {
         "cpu_burn" => FaultKind::CpuBurn {
             cycles: parse_u64("cycles")?,
         },
-        "clock_skew" => FaultKind::ClockSkew {
-            skew: parse_duration(one("skew")?)?,
-        },
+        "clock_skew" => {
+            // The scheduler reads `now + skew` for every `now` before `end`.
+            let skew = parse_duration(one("skew")?)?.as_nanos();
+            end.checked_add(skew)
+                .ok_or_else(|| format!("skew {skew}ns at window end {end}ns {PAST_RANGE}"))?;
+            FaultKind::ClockSkew {
+                skew: Nanos::from_nanos(skew),
+            }
+        }
         "host_pause" => FaultKind::HostPause {
-            app: parse_u64("app")? as u16,
+            app: narrow("app", parse_u64("app")?)?,
         },
         "vf_reset" => FaultKind::VfReset {
-            vf: parse_u64("vf")? as u8,
+            vf: narrow("vf", parse_u64("vf")?)?,
         },
         "reconfig" => {
             let scale_permille = parse_u64("scale_permille")?;
@@ -314,6 +324,15 @@ fn parse_fault(kind: &str, rest: &[&str]) -> Result<FaultSpec, String> {
     Ok(FaultSpec { kind, at, dur })
 }
 
+/// How a parse error says a time does not fit [`Nanos`].
+const PAST_RANGE: &str = "runs past the clock's range (18446744073709551615ns)";
+
+/// Narrows parameter `name`, parsed as `n`, to its field's type: a value
+/// that does not fit is refused by value, never wrapped.
+fn narrow<T: TryFrom<u64>>(name: &str, n: u64) -> Result<T, String> {
+    T::try_from(n).map_err(|_| format!("bad {name} {n}: out of range"))
+}
+
 /// Parses `250ns` / `100us` / `3ms` / `1s` (integer value, required unit).
 fn parse_duration(s: &str) -> Result<Nanos, String> {
     let split = s.find(|c: char| !c.is_ascii_digit()).unwrap_or(s.len());
@@ -328,7 +347,10 @@ fn parse_duration(s: &str) -> Result<Nanos, String> {
         "s" => 1_000_000_000,
         _ => return Err(format!("bad duration {s:?}: expected <int><ns|us|ms|s>")),
     };
-    Ok(Nanos::from_nanos(n.saturating_mul(scale)))
+    let ns = n
+        .checked_mul(scale)
+        .ok_or_else(|| format!("duration {s:?} {PAST_RANGE}"));
+    ns.map(Nanos::from_nanos)
 }
 
 impl ToJson for FaultSpec {
@@ -429,6 +451,41 @@ mod tests {
             assert_eq!(err.line, want_line, "script: {script:?} -> {err}");
             assert!(err.to_string().starts_with("plan line"));
         }
+    }
+
+    #[test]
+    fn refuses_a_value_its_field_or_the_clock_cannot_hold() {
+        let max = u64::MAX;
+        for (fault, named) in [
+            ("host_pause at 3ms for 2ms app 65536", "app 65536"),
+            ("vf_reset at 3ms for 1ms vf 256", "vf 256"),
+            (
+                "tm_pause at 1ms for 30000000000s",
+                "\"30000000000s\" runs past",
+            ),
+            (
+                &format!("tm_pause at {max}ns for 2ms"),
+                "for 2000000ns runs past",
+            ),
+            (
+                &format!("clock_skew at 1ms for 1ms skew {max}ns"),
+                "skew 18446744073709551615ns",
+            ),
+        ] {
+            let err =
+                FaultPlan::parse(&format!("chaos seed 1\nchaos fault {fault}\n")).unwrap_err();
+            assert_eq!(err.line, 2, "{err}");
+            assert!(err.msg.contains(named), "{err} does not name {named:?}");
+        }
+        let plan = FaultPlan::parse(&format!(
+            "chaos fault host_pause at 3ms for 2ms app 65535\n\
+             chaos fault vf_reset at {}ns for 1ns vf 255\n",
+            max - 1
+        ));
+        let faults = plan.unwrap().faults;
+        assert_eq!(faults[0].kind, FaultKind::HostPause { app: u16::MAX });
+        assert_eq!(faults[1].kind, FaultKind::VfReset { vf: u8::MAX });
+        assert_eq!(faults[1].end(), Nanos::MAX, "a window may end at the top");
     }
 
     #[test]

@@ -15,6 +15,7 @@ use fv_telemetry::Registry;
 use netstack::packet::Packet;
 use np_sim::config::NicConfig;
 use np_sim::cost::{AttrStage, CostMeter, Op};
+use np_sim::fault::FaultInjector;
 use np_sim::lock::LockTable;
 use np_sim::nic::{Decision, EgressDecider};
 use sim_core::time::{Cycles, Nanos};
@@ -36,18 +37,6 @@ pub enum LockDiscipline {
     /// blocking lock serializes every update (Figure 7(b)); spin time is
     /// charged to the worker, so throughput collapses as cores contend.
     Global,
-}
-
-/// Scheduler-side chaos hook: lets fv-chaos skew the clock the scheduling
-/// function sees relative to the NIC clock (the dual-clock-skew fault).
-/// The pipeline clamps the skewed clock to be monotonic, so token-bucket
-/// epochs never run backwards when a skew window clears.
-pub trait SchedChaosHook: std::fmt::Debug + Send + Sync {
-    /// How far *ahead* of the NIC clock the scheduler's clock runs at
-    /// `now`. Zero (the default) means the clocks agree.
-    fn sched_clock_skew(&self, _now: Nanos) -> Nanos {
-        Nanos::ZERO
-    }
 }
 
 /// Per-class verdict counters, one set per scheduling-tree class.
@@ -191,7 +180,8 @@ pub struct FlowValvePipeline {
     /// walk executes with a recorder threaded through it and the finished
     /// record lands in the ring. `None` (the default) costs one branch.
     audit: Option<AuditHook>,
-    chaos: Option<Arc<dyn SchedChaosHook>>,
+    /// Asked for the scheduling clock's skew on every decision.
+    faults: Option<Arc<dyn FaultInjector>>,
     /// High-water mark of the (possibly skewed) scheduler clock, keeping
     /// it monotonic across fault windows.
     sched_floor: Nanos,
@@ -322,16 +312,17 @@ impl FlowValvePipeline {
             framing: nic.framing,
             telemetry: None,
             audit: None,
-            chaos: None,
+            faults: None,
             sched_floor: Nanos::ZERO,
         })
     }
 
-    /// Installs a chaos hook consulted on every scheduling decision (the
-    /// dual-clock-skew fault). The hook sees the NIC clock and answers how
-    /// far ahead the scheduler's clock runs.
-    pub fn install_chaos_hook(&mut self, hook: Arc<dyn SchedChaosHook>) {
-        self.chaos = Some(hook);
+    /// Installs the fault injector consulted on every scheduling decision
+    /// (the dual-clock-skew fault): it sees the NIC clock and answers, via
+    /// [`FaultInjector::sched_clock_skew`], how far ahead the scheduler's
+    /// clock runs. Hand it the injector the NIC holds.
+    pub fn install_fault_injector(&mut self, injector: Arc<dyn FaultInjector>) {
+        self.faults = Some(injector);
     }
 
     /// Attaches sampled provenance capture. Decisions whose packet id the
@@ -533,9 +524,9 @@ impl EgressDecider for FlowValvePipeline {
         // The scheduling function reads its own clock, which an injected
         // skew fault can run ahead of the NIC clock. Keep it monotonic so
         // epochs never rewind when the skew clears.
-        let sched_now = match &self.chaos {
-            Some(h) => {
-                let skewed = now + h.sched_clock_skew(now);
+        let sched_now = match &self.faults {
+            Some(f) => {
+                let skewed = now + f.sched_clock_skew(now);
                 self.sched_floor = self.sched_floor.max(skewed);
                 self.sched_floor
             }
@@ -805,7 +796,7 @@ mod tests {
         /// Runs the scheduler clock 100 us ahead inside `[0, 10us)`.
         #[derive(Debug)]
         struct Skew;
-        impl SchedChaosHook for Skew {
+        impl FaultInjector for Skew {
             fn sched_clock_skew(&self, now: Nanos) -> Nanos {
                 if now < Nanos::from_micros(10) {
                     Nanos::from_micros(100)
@@ -815,7 +806,7 @@ mod tests {
             }
         }
         let mut p = pipeline_10g();
-        p.install_chaos_hook(Arc::new(Skew));
+        p.install_fault_injector(Arc::new(Skew));
         let mut meter = CostMeter::new(CycleCosts::agilio());
         let mut locks = LockTable::new(16);
         // Inside the window the scheduler sees t ≈ 100 us; once the skew

@@ -805,6 +805,41 @@ fn demo_and_chaos_refuse_a_policy_they_cannot_address() {
     }
 }
 
+/// A plan value its fault cannot hold is refused by value: `app 65536`
+/// used to wrap to app 0, `vf 256` to VF 0, and a window ending past
+/// `u64::MAX` ns to a window that ends before it starts.
+#[test]
+fn chaos_refuses_a_plan_value_out_of_range() {
+    let f = write_script(GOOD);
+    for (fault, named) in [
+        ("host_pause at 3ms for 2ms app 65536", "app 65536"),
+        ("vf_reset at 3ms for 1ms vf 256", "vf 256"),
+        (
+            "host_pause at 18446744073709551615ns for 2ms app 0",
+            "at 18446744073709551615ns for 2000000ns",
+        ),
+    ] {
+        let plan = write_script(&format!("chaos seed 7\nchaos fault {fault}\n"));
+        let out = fv()
+            .arg("chaos")
+            .arg(&f.path)
+            .arg("--plan")
+            .arg(&plan.path)
+            .output()
+            .expect("fv runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{fault}: {err}");
+        assert!(
+            out.stdout.is_empty(),
+            "{fault}: a refused plan runs nothing"
+        );
+        assert!(
+            err.starts_with("fv: ") && err.contains("plan line 2") && err.contains(named),
+            "{fault}: {err}"
+        );
+    }
+}
+
 #[test]
 fn chaos_json_schema_matches_golden() {
     use fv_telemetry::json::JsonValue;

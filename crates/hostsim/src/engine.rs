@@ -6,10 +6,8 @@
 //! bandwidth by *dropping*, TCP converges onto what is left, and the
 //! recorder accumulates the delivered bits into the figure's time series.
 
-use std::sync::Arc;
-
 use netstack::flow::FlowKey;
-use netstack::packet::{AppId, Packet, PacketIdGen, VfPort};
+use netstack::packet::{Packet, PacketIdGen};
 use netstack::tcp::TcpConn;
 use sim_core::event::EventQueue;
 use sim_core::rng::SimRng;
@@ -70,11 +68,11 @@ pub struct RunReport {
     /// Packets dropped anywhere on the path.
     pub dropped: u64,
     /// Retransmission timeouts: windows with no progress for one RTO.
+    // Read only by crates/hostsim/tests/rto_replay.rs, which pins it.
+    #[allow(dead_code)]
     pub timeouts: u64,
     /// The egress path's display name.
     pub path_name: &'static str,
-    /// The simulated horizon.
-    pub horizon: Nanos,
 }
 
 impl RunReport {
@@ -89,33 +87,9 @@ impl RunReport {
     }
 }
 
-/// Host-side chaos hook (fv-chaos): perturbs the sending host rather than
-/// the NIC. Both methods default to "no fault" and must be deterministic
-/// functions of their arguments.
-pub trait HostChaosHook: std::fmt::Debug + Send + Sync {
-    /// When `app`'s process is frozen at `now`, returns the instant the
-    /// pause clears (the sender retries then). `None` = running normally.
-    fn app_paused_until(&self, _app: AppId, _now: Nanos) -> Option<Nanos> {
-        None
-    }
-
-    /// Whether `vf` is down (mid-reset) at `now`. Packets DMA'd into a
-    /// downed VF are lost at the host boundary and surface as losses.
-    fn vf_down(&self, _vf: VfPort, _now: Nanos) -> bool {
-        false
-    }
-}
-
-/// Runs `scenario` over `path`; returns the report and the path (whose
-/// internal statistics the caller may inspect).
-pub fn run(scenario: &Scenario, path: EgressPath) -> (RunReport, EgressPath) {
-    run_with_chaos(scenario, path, None)
-}
-
 /// Everything a send attempt or a packet's fate touches.
 struct Engine<'a> {
     scenario: &'a Scenario,
-    chaos: Option<Arc<dyn HostChaosHook>>,
     path: EgressPath,
     events: EventQueue<Ev>,
     conns: Vec<ConnState<'a>>,
@@ -137,15 +111,8 @@ impl Engine<'_> {
     fn try_send(&mut self, ci: usize, now: Nanos) {
         let s = self.scenario;
         let app = self.conns[ci].app;
-        let chaos = self.chaos.as_deref();
-        let paused = chaos.and_then(|h| h.app_paused_until(app.app, now));
         if !(app.active_at(now) && self.conns[ci].tcp.can_send()) {
             return;
-        }
-        if let Some(until) = paused {
-            // Frozen process: nothing leaves until the pause clears.
-            let retry = until.max(now + Nanos::from_nanos(1));
-            return self.events.schedule(retry, Ev::ConnWake(ci));
         }
         let seq = self.conns[ci].tcp.on_send();
         let slot = &mut self.vf_free[app.vf.0 as usize];
@@ -154,19 +121,13 @@ impl Engine<'_> {
         *slot = next;
         let (id, flow) = (self.ids.next_id(), self.conns[ci].flow);
         let pkt = Packet::new(id, flow, s.frame_len, app.app, app.vf, t_send).with_seq(seq);
-        if chaos.is_some_and(|h| h.vf_down(app.vf, t_send)) {
-            // DMA into a VF under reset: lost at the host boundary; the
-            // sender learns of it like any other loss.
-            self.settle(ci, Outcome::Dropped { pkt, at: t_send });
-        } else {
-            let (outcome, arm) = self.path.send(pkt, t_send);
-            if let Some(out) = outcome {
-                self.settle(ci, out);
-            }
-            if arm && !self.poll_armed {
-                self.poll_armed = true;
-                self.events.schedule(t_send, Ev::Poll);
-            }
+        let (outcome, arm) = self.path.send(pkt, t_send);
+        if let Some(out) = outcome {
+            self.settle(ci, out);
+        }
+        if arm && !self.poll_armed {
+            self.poll_armed = true;
+            self.events.schedule(t_send, Ev::Poll);
         }
         // Pace the next segment of this window and arm the RTO.
         let conn = &mut self.conns[ci];
@@ -211,14 +172,9 @@ impl Engine<'_> {
     }
 }
 
-/// [`run`] with an optional host-side chaos hook consulted on every send
-/// attempt (app pauses) and every DMA handoff (VF resets). With `None`
-/// the loop is byte-identical to the clean run.
-pub fn run_with_chaos(
-    scenario: &Scenario,
-    path: EgressPath,
-    chaos: Option<Arc<dyn HostChaosHook>>,
-) -> (RunReport, EgressPath) {
+/// Runs `scenario` over `path`; returns the report and the path (whose
+/// internal statistics the caller may inspect).
+pub fn run(scenario: &Scenario, path: EgressPath) -> (RunReport, EgressPath) {
     let mut rng = SimRng::seed(scenario.seed);
     // A thousand slots per figure-second, or as many as divide it evenly.
     let scale = scenario.time_scale.as_nanos();
@@ -227,7 +183,6 @@ pub fn run_with_chaos(
     let host_rate = scenario.link.saturating_add(scenario.link);
     let mut e = Engine {
         scenario,
-        chaos,
         path,
         // Pending: a segment's ACK or loss, a connection's wake and timer.
         events: EventQueue::with_capacity(1 << 10),
@@ -302,7 +257,6 @@ pub fn run_with_chaos(
         dropped: e.dropped,
         timeouts: e.timeouts,
         path_name: e.path.name(),
-        horizon: scenario.horizon,
     };
     (report, e.path)
 }
@@ -314,6 +268,7 @@ mod tests {
     use flowvalve::frontend::Policy;
     use flowvalve::pipeline::FlowValvePipeline;
     use flowvalve::tree::TreeParams;
+    use netstack::packet::AppId;
     use np_sim::config::NicConfig;
     use np_sim::nic::{PassthroughDecider, SmartNic};
     use sim_core::units::BitRate;
@@ -447,71 +402,6 @@ mod tests {
         let h = snap.histogram("nic.latency_ns").unwrap();
         assert_eq!(h.count, report.delivered);
         assert!(h.p99 >= h.p50 && h.p50 > 0);
-    }
-
-    #[test]
-    fn host_pause_silences_the_window_and_recovers() {
-        /// App 0 frozen inside `[20ms, 30ms)`.
-        #[derive(Debug)]
-        struct Pause;
-        impl HostChaosHook for Pause {
-            fn app_paused_until(&self, app: AppId, now: Nanos) -> Option<Nanos> {
-                let (from, to) = (Nanos::from_millis(20), Nanos::from_millis(30));
-                (app.0 == 0 && now >= from && now < to).then_some(to)
-            }
-        }
-        let s = one_app_scenario(4);
-        let nic = SmartNic::new(NicConfig::agilio_cx_10g(), Box::new(PassthroughDecider));
-        let (report, _path) = run_with_chaos(&s, EgressPath::flowvalve(nic), Some(Arc::new(Pause)));
-        let series = report
-            .recorder
-            .binned("App0", Nanos::from_millis(5))
-            .unwrap();
-        // The paused window (bins 4-5) delivers almost nothing; afterwards
-        // the connections resume and climb back toward line rate.
-        let during = series.rates[4].as_gbps() + series.rates[5].as_gbps();
-        assert!(during < 1.0, "rate during pause {during} Gbps");
-        let after = series.mean_rate(7, series.rates.len()).as_gbps();
-        assert!(after > 5.0, "post-pause rate {after} Gbps");
-    }
-
-    #[test]
-    fn vf_reset_drops_at_the_host_boundary() {
-        /// VF 0 down for the whole run: every send is lost on the host.
-        #[derive(Debug)]
-        struct Down;
-        impl HostChaosHook for Down {
-            fn vf_down(&self, vf: VfPort, _now: Nanos) -> bool {
-                vf.0 == 0
-            }
-        }
-        let mut s = one_app_scenario(1);
-        s.horizon = Nanos::from_millis(5);
-        let nic = SmartNic::new(NicConfig::agilio_cx_10g(), Box::new(PassthroughDecider));
-        let (report, path) = run_with_chaos(&s, EgressPath::flowvalve(nic), Some(Arc::new(Down)));
-        assert_eq!(report.delivered, 0);
-        assert!(report.dropped > 0);
-        // The NIC never saw a packet — the loss happened on the host side.
-        let EgressPath::FlowValve { nic } = path else {
-            panic!()
-        };
-        assert_eq!(nic.stats().offered, 0);
-    }
-
-    #[test]
-    fn chaos_none_matches_plain_run() {
-        let s = one_app_scenario(2);
-        let go = |chaos: Option<Arc<dyn HostChaosHook>>| {
-            let nic = SmartNic::new(NicConfig::agilio_cx_10g(), Box::new(PassthroughDecider));
-            let (r, _) = run_with_chaos(&s, EgressPath::flowvalve(nic), chaos);
-            (r.delivered, r.dropped)
-        };
-        assert_eq!(go(None), go(None));
-        let (plain, _) = {
-            let nic = SmartNic::new(NicConfig::agilio_cx_10g(), Box::new(PassthroughDecider));
-            run(&s, EgressPath::flowvalve(nic))
-        };
-        assert_eq!(go(None), (plain.delivered, plain.dropped));
     }
 
     #[test]

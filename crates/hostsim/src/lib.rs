@@ -29,6 +29,6 @@ pub mod path;
 pub mod policies;
 pub mod scenario;
 
-pub use engine::{run, run_with_chaos, HostChaosHook, RunReport};
+pub use engine::{run, RunReport};
 pub use path::{EgressPath, Outcome};
 pub use scenario::{AppSpec, Scenario};

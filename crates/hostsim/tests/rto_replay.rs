@@ -5,19 +5,17 @@
 //! `results/*.json` says nothing about the RTO path. These runs do: three
 //! small scenarios over each of the three egress paths, one of them with
 //! a ~1 Mbit/s leaf (12 ms per frame against the 5.2 ms RTO) whose queued
-//! segments starve until the watchdog fires, plus one host pause landing
-//! on those starved connections. Every constant below was printed by the
-//! engine that scheduled one watchdog event per segment; an engine change
-//! must reproduce them exactly.
+//! segments starve until the watchdog fires. Every constant below was
+//! printed by the engine that scheduled one watchdog event per segment; an
+//! engine change must reproduce them exactly.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use flowvalve::frontend::Policy;
 use flowvalve::pipeline::FlowValvePipeline;
 use flowvalve::tree::TreeParams;
 use fv_telemetry::Registry;
-use hostsim::engine::{run_with_chaos, HostChaosHook};
+use hostsim::engine::run;
 use hostsim::path::EgressPath;
 use hostsim::scenario::{AppSpec, Scenario};
 use netstack::packet::AppId;
@@ -129,11 +127,10 @@ fn dpdk(c: &Case) -> EgressPath {
 
 /// Everything the engine reports: a header line, then one line per app
 /// with its delivered rate in each figure-second bin.
-fn fingerprint(c: &Case, path: EgressPath, chaos: Option<Arc<dyn HostChaosHook>>) -> String {
-    let label = if chaos.is_some() { "+pause" } else { "" };
-    let (r, path) = run_with_chaos(&c.scenario, path, chaos);
+fn fingerprint(c: &Case, path: EgressPath) -> String {
+    let (r, path) = run(&c.scenario, path);
     let mut line = format!(
-        "{}{label}/{} delivered={} dropped={} timeouts={} delay=({}, {:#x}, {})",
+        "{}/{} delivered={} dropped={} timeouts={} delay=({}, {:#x}, {})",
         c.name,
         path.name(),
         r.delivered,
@@ -155,20 +152,8 @@ fn fingerprint(c: &Case, path: EgressPath, chaos: Option<Arc<dyn HostChaosHook>>
     line
 }
 
-/// The `Slow` app frozen over `[12 ms, 22 ms)`, while its segments sit in
-/// the starved leaf and their RTOs come due.
-#[derive(Debug)]
-struct PauseSlow;
-
-impl HostChaosHook for PauseSlow {
-    fn app_paused_until(&self, app: AppId, now: Nanos) -> Option<Nanos> {
-        let (from, to) = (Nanos::from_millis(12), Nanos::from_millis(22));
-        (app == AppId(1) && now >= from && now < to).then_some(to)
-    }
-}
-
 /// `timeouts=13` in the starved kernel and DPDK runs is the point: the RTO
-/// path really runs, and the pause moves it (10).
+/// path really runs.
 const EXPECTED: &str = "\
 staged/flowvalve delivered=25629 dropped=930 timeouts=0 delay=(25629, 0x40f8855d36e34866, 202083)
   A=[5416224000,6054998400,4852742400,4855171200,4864886400,5083478400,82579200,0,0]
@@ -193,10 +178,7 @@ starved/kernel-htb delivered=19517 dropped=262 timeouts=13 delay=(19517, 0x41349
   Slow=[31574400,0,2428800,0,0,2428800,0,2428800,0]
 starved/dpdk-qos delivered=16577 dropped=156 timeouts=13 delay=(16577, 0x412a2b11dd782198, 1290399)
   Bulk=[5229206400,5003328000,4991184000,4996041600,5013043200,4998470400,4986326400,5008185600,21859200]
-  Slow=[9715200,0,2428800,0,0,2428800,0,0,0]
-starved+pause/kernel-htb delivered=19521 dropped=262 timeouts=10 delay=(19521, 0x4134980367b4c720, 1906507)
-  Bulk=[6123004800,5833977600,5836406400,5872838400,5914128000,5914128000,5918985600,5909270400,51004800]
-  Slow=[31574400,0,2428800,0,0,2428800,0,2428800,0]";
+  Slow=[9715200,0,2428800,0,0,2428800,0,0,0]";
 
 #[test]
 fn engine_replays_the_per_segment_watchdog_runs() {
@@ -204,15 +186,9 @@ fn engine_replays_the_per_segment_watchdog_runs() {
     let mut got = Vec::new();
     for c in &cases {
         for path in [flowvalve(c, None), kernel(c), dpdk(c)] {
-            got.push(fingerprint(c, path, None));
+            got.push(fingerprint(c, path));
         }
     }
-    let starved = &cases[2];
-    got.push(fingerprint(
-        starved,
-        kernel(starved),
-        Some(Arc::new(PauseSlow)),
-    ));
     let got = got.join("\n");
     assert!(
         got == EXPECTED,
@@ -228,8 +204,8 @@ fn engine_replays_the_per_segment_watchdog_runs() {
 fn attaching_observers_does_not_change_a_run() {
     let c = &cases()[2];
     let registry = Registry::new();
-    let bare = fingerprint(c, flowvalve(c, None), None);
-    let observed = fingerprint(c, flowvalve(c, Some(&registry)), None);
+    let bare = fingerprint(c, flowvalve(c, None));
+    let observed = fingerprint(c, flowvalve(c, Some(&registry)));
     assert!(bare == observed, "bare:\n{bare}\nobserved:\n{observed}");
     let snap = registry.snapshot(c.scenario.horizon);
     for name in ["nic.offered", "fv.class.1:10.forwarded"] {

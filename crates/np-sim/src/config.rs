@@ -14,8 +14,6 @@ use sim_core::units::{BitRate, ByteSize, WireFraming};
 pub struct NicConfig {
     /// Number of worker micro-engines (processing cores).
     pub num_mes: usize,
-    /// Hardware threads per micro-engine; bounds outstanding packets per ME.
-    pub threads_per_me: usize,
     /// Micro-engine clock frequency.
     pub freq: Freq,
     /// Maximum time a packet may wait for a free worker thread before the
@@ -25,10 +23,8 @@ pub struct NicConfig {
     pub line_rate: BitRate,
     /// Wire framing overhead model.
     pub framing: WireFraming,
-    /// Byte capacity of each traffic-manager FIFO queue.
+    /// Byte capacity of the traffic-manager FIFO at the wire side.
     pub tm_queue_capacity: ByteSize,
-    /// Number of traffic-manager FIFO queues at the wire side.
-    pub tm_queues: usize,
     /// Fixed pipeline latency between host DMA and wire, independent of
     /// load (the paper measures 161 µs of unavoidable forwarding latency at
     /// 40 Gbps even with scheduling disabled).
@@ -96,7 +92,7 @@ impl Default for CycleCosts {
 
 impl NicConfig {
     /// The calibrated 40 GbE Agilio-like profile used throughout the
-    /// reproduction: 50 worker MEs × 8 threads at 800 MHz, 40 Gbps wire.
+    /// reproduction: 50 worker MEs at 800 MHz, 40 Gbps wire.
     ///
     /// # Example
     ///
@@ -109,13 +105,11 @@ impl NicConfig {
     pub fn agilio_cx_40g() -> Self {
         NicConfig {
             num_mes: 50,
-            threads_per_me: 8,
             freq: Freq::from_mhz(800),
             rx_max_wait: Nanos::from_micros(50),
             line_rate: BitRate::from_gbps(40.0),
             framing: WireFraming::ETHERNET,
             tm_queue_capacity: ByteSize::from_kib(256),
-            tm_queues: 1,
             base_pipeline_latency: Nanos::from_micros(160),
             costs: CycleCosts::agilio(),
         }
@@ -163,14 +157,8 @@ impl NicConfig {
         if self.num_mes == 0 {
             return Err("num_mes must be positive".into());
         }
-        if self.threads_per_me == 0 {
-            return Err("threads_per_me must be positive".into());
-        }
         if self.line_rate == BitRate::ZERO {
             return Err("line_rate must be positive".into());
-        }
-        if self.tm_queues == 0 {
-            return Err("tm_queues must be positive".into());
         }
         if self.tm_queue_capacity == ByteSize::ZERO {
             return Err("tm_queue_capacity must be positive".into());
@@ -207,7 +195,6 @@ mod tests {
     #[test]
     fn totals() {
         let cfg = NicConfig::agilio_cx_40g();
-        assert_eq!(cfg.num_mes * cfg.threads_per_me, 400);
         assert_eq!(cfg.aggregate_cycle_rate(), 50 * 800_000_000);
     }
 
@@ -228,9 +215,6 @@ mod tests {
     fn invalid_configs_rejected() {
         let mut cfg = NicConfig::agilio_cx_40g();
         cfg.num_mes = 0;
-        assert!(cfg.validate().is_err());
-        let mut cfg = NicConfig::agilio_cx_40g();
-        cfg.tm_queues = 0;
         assert!(cfg.validate().is_err());
         let mut cfg = NicConfig::agilio_cx_40g();
         cfg.line_rate = BitRate::ZERO;

@@ -1,16 +1,19 @@
-//! Fault-injection hook points for the NIC model.
+//! Fault-injection hook points: the one interface every injected fault
+//! goes through.
 //!
 //! The fv-chaos subsystem perturbs the simulation through this trait: the
 //! NIC, worker pool, traffic manager and lock table each consult an
-//! installed [`FaultInjector`] on their hot paths and degrade accordingly.
-//! Every method takes the *current virtual time* and is expected to be a
-//! pure function of it (a fault window `[at, at + dur)` either contains
-//! `now` or it does not), which is what makes a faulted run replayable:
-//! the same packet arrivals against the same plan observe the same faults.
+//! installed [`FaultInjector`] on their hot paths and degrade accordingly,
+//! and the FlowValve pipeline, which runs as the NIC's decider, asks the
+//! same injector how far its scheduling clock is skewed. Every method takes
+//! the *current virtual time* and is expected to be a pure function of it
+//! (a fault window `[at, at + dur)` either contains `now` or it does not),
+//! which is what makes a faulted run replayable: the same packet arrivals
+//! against the same plan observe the same faults.
 //!
 //! All methods default to "no fault", so a blanket injector only overrides
-//! what it perturbs, and a NIC without an injector pays nothing beyond an
-//! `Option` check.
+//! what it perturbs, and a component without an injector pays nothing
+//! beyond an `Option` check.
 
 use sim_core::time::Nanos;
 
@@ -67,6 +70,14 @@ pub trait FaultInjector: std::fmt::Debug + Send + Sync {
     fn lock_hold_permille(&self, _now: Nanos) -> u64 {
         1000
     }
+
+    /// How far *ahead* of the NIC clock the scheduling function's clock
+    /// runs at `now` (the dual-clock-skew fault). Zero means the clocks
+    /// agree; the pipeline keeps the skewed clock monotonic, so epochs
+    /// never rewind when a skew window clears.
+    fn sched_clock_skew(&self, _now: Nanos) -> Nanos {
+        Nanos::ZERO
+    }
 }
 
 #[cfg(test)]
@@ -86,5 +97,6 @@ mod tests {
         assert_eq!(f.extra_cycles(t), 0);
         assert_eq!(f.tm_fault(t, 7), TmFault::None);
         assert_eq!(f.lock_hold_permille(t), 1000);
+        assert_eq!(f.sched_clock_skew(t), Nanos::ZERO);
     }
 }

@@ -42,8 +42,6 @@ impl core::fmt::Debug for Source {
 /// Results of an open-loop run.
 #[derive(Debug)]
 pub struct OpenLoopReport {
-    /// Simulated duration.
-    pub horizon: Nanos,
     /// NIC counters at the end of the run.
     pub nic: NicStats,
     /// Packets whose last bit left the wire within the horizon.
@@ -167,7 +165,6 @@ pub fn run_open_loop(
         }
     });
     OpenLoopReport {
-        horizon,
         nic: nic.stats(),
         wire_packets,
         tx_pps: wire_packets as f64 / horizon.as_secs_f64(),

@@ -9,18 +9,20 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> reachability (every pub fn of crates/*/src has a non-test caller)"
+echo "==> reachability (every pub fn and pub field of crates/*/src has a non-test reader)"
 # DESIGN.md §17 "Reachability": a public function that nothing but tests
-# calls is deleted, made #[cfg(test)], or kept at the item with
-# #[allow(dead_code)] and a comment naming the test that needs it; this
-# script has no allowlist. The compiler decides, on a copy of the tree:
-# every `pub fn` / `pub const fn` of crates/*/src becomes pub(crate), the
+# calls, or a public field that nothing but tests reads, is deleted, made
+# #[cfg(test)], or kept at the item with #[allow(dead_code)] and a comment
+# naming the test that needs it; this script has no allowlist. The
+# compiler decides, on a copy of the tree: every `pub fn` / `pub const fn`
+# and every named `pub` field of crates/*/src becomes pub(crate), the
 # non-test targets are checked (the root workspace's libs, bins and
 # examples, and the benchmark's bin), `pub` goes back on each definition a
 # privacy error points at until both checks are clean, and every function
-# rustc then calls dead has no caller outside tests. Two planted functions
-# test the gate itself: one only a #[cfg(test)] module calls must be
-# flagged, one a bin calls must not.
+# rustc then calls dead has no caller outside tests, every field it calls
+# never read no reader outside them. Planted items test the gate itself:
+# a function and a field only a #[cfg(test)] module uses must be flagged,
+# a function and a field a bin uses must not.
 python3 - <<'PY'
 import glob, json, os, re, shutil, subprocess, sys, tempfile
 tmp = tempfile.mkdtemp()
@@ -29,14 +31,19 @@ try:
     shutil.copytree(".", tree, ignore=shutil.ignore_patterns("target", ".git", ".bench_build"))
     os.chdir(tree)
     with open("crates/bench/src/lib.rs", "a") as f:
-        f.write("\npub fn planted_test_only() {}\npub fn planted_bin_called() {}\n"
-                "#[cfg(test)]\nmod planted {\n#[test]\nfn calls() {\nsuper::planted_test_only();\n}\n}\n")
+        f.write("\npub fn planted_test_only() {}\npub struct Planted {\n    pub planted_bin_read: u8,\n"
+                "    pub planted_test_read: u8,\n}\npub fn planted_bin_called() -> Planted {\n"
+                "    Planted { planted_bin_read: 0, planted_test_read: 0 }\n}\n"
+                "#[cfg(test)]\nmod planted {\n#[test]\nfn calls() {\nsuper::planted_test_only();\n"
+                "let _ = super::planted_bin_called().planted_test_read;\n}\n}\n")
     bin_path = "crates/bench/src/bin/fig13_max_throughput.rs"
     src = open(bin_path).read()
-    open(bin_path, "w").write(src.replace("fn main() {", "fn main() { bench::planted_bin_called();", 1))
+    open(bin_path, "w").write(src.replace(
+        "fn main() {", "fn main() { let _ = bench::planted_bin_called().planted_bin_read;", 1))
     for p in glob.glob("crates/*/src/**/*.rs", recursive=True):
         src = open(p).read()
-        open(p, "w").write(re.sub(r"\bpub (const )?fn\b", lambda m: f"pub(crate) {m.group(1) or ''}fn", src))
+        src = re.sub(r"\bpub (const )?fn\b", lambda m: f"pub(crate) {m.group(1) or ''}fn", src)
+        open(p, "w").write(re.sub(r"^(\s+)pub (\w+\s*:)", r"\1pub(crate) \2", src, flags=re.M))
     env = dict(os.environ, CARGO_TARGET_DIR=os.path.join(tmp, "target"))
     def check():
         out = []
@@ -47,6 +54,10 @@ try:
                 msg = json.loads(line)
                 if msg.get("reason") == "compiler-message":
                     out.append((cwd, msg["message"]))
+            # The benchmark waits for a clean root: rechecking it every
+            # round re-builds what the round just touched a second time.
+            if any(m["level"] == "error" for _, m in out):
+                break
         return out
     def spans(diag):
         yield from diag["spans"]
@@ -59,6 +70,28 @@ try:
         lines[line - 1] = re.sub(r"\bpub\(crate\) ((const )?fn)\b", r"pub \1", old)
         open(path, "w").write("\n".join(lines))
         return lines[line - 1] != old
+    def publish_fields(message):
+        # E0616 / E0451 name the fields and their struct, not where the
+        # struct is defined: reopen them in every struct of that name.
+        names = re.findall(r"`([^`]+)`", message)
+        struct = re.sub(r"<.*", "", names[-1]).split("::")[-1]
+        field = re.compile(rf"^(\s+)pub\(crate\) ((?:{'|'.join(names[:-1])})\s*:)")
+        count = 0
+        for p in glob.glob("crates/*/src/**/*.rs", recursive=True):
+            lines = open(p).read().split("\n")
+            before = count
+            for i, line in enumerate(lines):
+                head = re.match(rf"(\s*)(pub(\(crate\))? )?struct {struct}\b", line)
+                if not head or line.rstrip().endswith(";"):
+                    continue
+                for j in range(i + 1, len(lines)):
+                    if lines[j] == head.group(1) + "}":
+                        break
+                    lines[j], n = field.subn(r"\1pub \2", lines[j])
+                    count += n
+            if count != before:
+                open(p, "w").write("\n".join(lines))
+        return count
     rounds = restored = 0
     while True:
         msgs = check()
@@ -80,6 +113,8 @@ try:
                     if new != src:
                         open(p, "w").write(new)
                         restored += 1
+            elif code in ("E0616", "E0451"):
+                restored += publish_fields(m["message"])
             elif code in ("E0603", "E0624"):
                 for s in spans(m):
                     path = os.path.relpath(os.path.join(cwd, s["file_name"]))
@@ -97,17 +132,27 @@ try:
         for s in m["spans"]:
             text = s["text"][0]
             name = text["text"][text["highlight_start"] - 1:text["highlight_end"] - 1]
-            if s["is_primary"] and re.search(rf"\bfn {name}\b", text["text"]):
-                dead.add((os.path.relpath(os.path.join(cwd, s["file_name"])), s["line_start"], name))
-    planted = {name for _, _, name in dead if name.startswith("planted_")}
-    if planted != {"planted_test_only"}:
-        print(f"reachability self-test: flagged {sorted(planted)}, want only planted_test_only")
+            if not s["is_primary"]:
+                continue
+            if re.search(rf"\bfn {name}\b", text["text"]):
+                kind = "fn"
+            elif "never read" in m["message"] and re.search(rf"\b{name}\s*:", text["text"]):
+                kind = "field"
+            else:
+                continue
+            dead.add((os.path.relpath(os.path.join(cwd, s["file_name"])), s["line_start"], kind, name))
+    planted = {(kind, name) for _, _, kind, name in dead if name.startswith("planted_")}
+    want = {("fn", "planted_test_only"), ("field", "planted_test_read")}
+    if planted != want:
+        print(f"reachability self-test: flagged {sorted(planted)}, want only {sorted(want)}")
         sys.exit(1)
-    dead = sorted(d for d in dead if not d[2].startswith("planted_"))
-    for path, line, name in dead:
-        print(f"  {path}:{line} {name}")
-    print(f"reachability: {len(dead)} pub fn(s) with no non-test caller "
-          f"({rounds} restore rounds, {restored} definitions made pub again; self-test ok)")
+    dead = sorted(d for d in dead if not d[3].startswith("planted_"))
+    for path, line, kind, name in dead:
+        print(f"  {path}:{line} {kind} {name}")
+    fns = sum(kind == "fn" for _, _, kind, _ in dead)
+    print(f"reachability: {fns} pub fn(s) with no non-test caller, {len(dead) - fns} pub field(s) "
+          f"with no non-test reader ({rounds} restore rounds, {restored} definitions made pub again; "
+          f"self-test ok)")
     sys.exit(1 if dead else 0)
 finally:
     shutil.rmtree(tmp)

@@ -3,26 +3,18 @@
 //! Every fault kind the chaos subsystem can inject gets a recovery test:
 //! the fault perturbs a saturated run mid-flight, and an fv-scope SLO
 //! pins that the scheduler returns to its conformance band once the
-//! window clears. Determinism (same plan + seed → byte-identical report)
-//! and clean-path neutrality (empty plan → the unfaulted NIC numbers)
-//! are pinned here too, plus recovery of the kernel baselines (HTB under
-//! a host pause, PRIO/TBF under a wire stall) for comparison.
-
-use std::sync::Arc;
+//! window clears. Host faults (an app pause, a VF reset) act at the host
+//! boundary `run_chaos` models, before the NIC sees the frame. Determinism
+//! (same plan + seed → byte-identical report) and clean-path neutrality
+//! (empty plan → the unfaulted NIC numbers) are pinned here too, plus
+//! recovery of the PRIO/TBF baselines under a wire stall for comparison.
 
 use flowvalve::frontend::Policy;
-use flowvalve::pipeline::FlowValvePipeline;
-use flowvalve::tree::TreeParams;
-use fv_chaos::{run_chaos, saturate, Attachments, ChaosController, FaultPlan, SETTLE};
+use fv_chaos::{run_chaos, saturate, Attachments, FaultPlan, SETTLE};
 use fv_scope::{evaluate, Slo};
-use fv_telemetry::{Registry, ToJson};
-use hostsim::engine::{run, run_with_chaos};
-use hostsim::path::EgressPath;
-use hostsim::scenario::{AppSpec, Scenario};
+use fv_telemetry::ToJson;
 use netstack::flow::FlowKey;
 use netstack::packet::{AppId, Packet, PacketIdGen, VfPort};
-use np_sim::config::NicConfig;
-use np_sim::nic::SmartNic;
 use qdisc::{Prio, Tbf};
 use sim_core::time::Nanos;
 use sim_core::units::BitRate;
@@ -269,6 +261,17 @@ fn reconfig_halves_throughput_then_restores_it() {
     );
 }
 
+/// A window the plan accepts may end anywhere up to the clock's top; one
+/// that ends past the horizon is noted as unchecked, not judged (its end
+/// plus the settle time used to overflow).
+#[test]
+fn a_window_at_the_top_of_the_clock_is_left_unchecked() {
+    let report = chaos("chaos fault tm_pause at 18446744073709551000ns for 1ns\n");
+    assert!(report.passed(), "{}", report.render());
+    assert_eq!(report.unchecked.len(), 1, "{:?}", report.unchecked);
+    assert_eq!(report.run.snapshot.counter("chaos.faults_injected"), 0);
+}
+
 #[test]
 fn same_plan_and_seed_replays_byte_identically() {
     let plan = "chaos seed 42\n\
@@ -280,8 +283,8 @@ fn same_plan_and_seed_replays_byte_identically() {
 }
 
 /// An empty plan must be invisible: the NIC forwards exactly what the
-/// clean run of the same workload forwards, with no fault injector and no
-/// chaos hook installed at all.
+/// clean run of the same workload forwards, with no fault injector
+/// installed at all.
 #[test]
 fn empty_plan_matches_a_run_with_no_injector_installed() {
     let report = chaos("chaos seed 1\n");
@@ -301,83 +304,6 @@ fn empty_plan_matches_a_run_with_no_injector_installed() {
             report.run.snapshot.counter(c),
             clean.snapshot.counter(c),
             "empty plan perturbed {c}"
-        );
-    }
-}
-
-/// FlowValve vs kernel HTB through the full host stack: the same host
-/// pause hits both egress paths, and both must return to their pre-fault
-/// throughput once the application resumes.
-#[test]
-fn host_pause_recovery_flowvalve_vs_htb() {
-    use qdisc::{Handle, Htb, HtbClassSpec, KernelModel};
-    use std::collections::HashMap;
-
-    fn scenario() -> Scenario {
-        let mut s = Scenario::new(BitRate::from_gbps(8.0), Nanos::from_millis(160));
-        s.policy_rate = BitRate::from_gbps(2.0);
-        s.time_scale = Nanos::from_millis(8);
-        s.apps = vec![
-            AppSpec::new("HI", 0, 0, 5001, 2, Nanos::ZERO, s.horizon),
-            AppSpec::new("LO", 1, 1, 5002, 2, Nanos::ZERO, s.horizon),
-        ];
-        s
-    }
-    // Pause app 0 (HI) for figure-seconds 5..10 (40 ms at 8 ms/s).
-    let hook = |reg: &Registry| -> Arc<ChaosController> {
-        Arc::new(ChaosController::new(
-            FaultPlan::parse("chaos fault host_pause at 40ms for 40ms app 0\n").unwrap(),
-            reg,
-        ))
-    };
-
-    let fv_policy = Policy::parse(
-        "fv qdisc add dev nic0 root handle 1: fv\n\
-         fv class add dev nic0 parent root classid 1:1 name root rate 2gbit\n\
-         fv class add dev nic0 parent 1:1 classid 1:10 name hi rate 1gbit ceil 2gbit\n\
-         fv class add dev nic0 parent 1:1 classid 1:20 name lo rate 1gbit ceil 2gbit\n\
-         fv filter add dev nic0 match ip dport 5001 flowid 1:10\n\
-         fv filter add dev nic0 match ip dport 5002 flowid 1:20\n",
-    )
-    .unwrap();
-
-    let s = scenario();
-    let mut cfg = NicConfig::agilio_cx_40g();
-    cfg.line_rate = s.link;
-    let pipeline =
-        FlowValvePipeline::compile(&fv_policy, TreeParams::default(), &cfg).expect("compiles");
-    let fv_reg = Registry::new();
-    let fv_path = EgressPath::flowvalve(SmartNic::new(cfg, Box::new(pipeline)));
-    let (fv_report, _) = run_with_chaos(&s, fv_path, Some(hook(&fv_reg)));
-
-    let htb = Htb::new(
-        vec![
-            HtbClassSpec::new(Handle(1), None, s.policy_rate),
-            HtbClassSpec::new(Handle(10), Some(Handle(1)), s.policy_rate.scaled(1, 2))
-                .ceil(s.policy_rate),
-            HtbClassSpec::new(Handle(20), Some(Handle(1)), s.policy_rate.scaled(1, 2))
-                .ceil(s.policy_rate),
-        ],
-        KernelModel::ideal(),
-    )
-    .expect("hierarchy builds");
-    let map = HashMap::from([(AppId(0), Handle(10)), (AppId(1), Handle(20))]);
-    let htb_reg = Registry::new();
-    let htb_path = EgressPath::kernel(htb, map, s.link);
-    let (htb_report, _) = run_with_chaos(&s, htb_path, Some(hook(&htb_reg)));
-
-    for (name, report) in [("flowvalve", &fv_report), ("htb", &htb_report)] {
-        let before = report.mean_gbps(&s, "HI", 1.0, 5.0);
-        let during = report.mean_gbps(&s, "HI", 6.0, 10.0);
-        let after = report.mean_gbps(&s, "HI", 12.0, 19.0);
-        assert!(before > 0.3, "{name}: HI idle before the pause: {before}");
-        assert!(
-            during < 0.3 * before,
-            "{name}: pause did not bite: {during} vs {before}"
-        );
-        assert!(
-            after > 0.7 * before,
-            "{name}: HI did not recover: {after} vs {before}"
         );
     }
 }
@@ -446,33 +372,4 @@ fn prio_and_tbf_baselines_recover_from_a_wire_stall() {
     assert!(prio.backlog_pkts() <= 4, "prio backlog not drained");
     let per_step = (prio.dequeued() - dequeued_before) as f64 / secs * step.as_secs_f64();
     assert!((0.9..2.1).contains(&per_step), "prio dequeues {per_step}");
-}
-
-/// The unfaulted hostsim engine (`run`) and `run_with_chaos(.., None)`
-/// stay interchangeable — the chaos plumbing costs the clean path nothing.
-#[test]
-fn hostsim_clean_path_is_untouched_by_the_chaos_plumbing() {
-    let mut s = Scenario::new(BitRate::from_gbps(4.0), Nanos::from_millis(40));
-    s.policy_rate = BitRate::from_gbps(2.0);
-    s.apps = vec![AppSpec::new("A", 0, 0, 9000, 2, Nanos::ZERO, s.horizon)];
-    let mk = || {
-        let cfg = {
-            let mut c = NicConfig::agilio_cx_40g();
-            c.line_rate = BitRate::from_gbps(4.0);
-            c
-        };
-        let p = Policy::parse(
-            "fv qdisc add dev nic0 root handle 1: fv default 1:10\n\
-             fv class add dev nic0 parent root classid 1:1 name root rate 2gbit\n\
-             fv class add dev nic0 parent 1:1 classid 1:10 name all rate 2gbit\n\
-             fv filter add dev nic0 match any flowid 1:10\n",
-        )
-        .unwrap();
-        let pipeline = FlowValvePipeline::compile(&p, TreeParams::default(), &cfg).unwrap();
-        EgressPath::flowvalve(SmartNic::new(cfg, Box::new(pipeline)))
-    };
-    let (plain, _) = run(&s, mk());
-    let (chaosless, _) = run_with_chaos(&s, mk(), None);
-    assert_eq!(plain.delivered, chaosless.delivered);
-    assert_eq!(plain.dropped, chaosless.dropped);
 }
