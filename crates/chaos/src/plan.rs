@@ -246,8 +246,11 @@ fn parse_fault(kind: &str, rest: &[&str]) -> Result<FaultSpec, String> {
         return Err(format!("fault {kind:?} has zero duration"));
     }
     let (at_ns, dur_ns) = (at.as_nanos(), dur.as_nanos());
-    let end = (at_ns.checked_add(dur_ns))
-        .ok_or_else(|| format!("fault {kind:?} at {at_ns}ns for {dur_ns}ns {PAST_RANGE}"))?;
+    let Some(end) = at_ns.checked_add(dur_ns) else {
+        return Err(format!(
+            "fault {kind:?} at {at_ns}ns for {dur_ns}ns {PAST_RANGE}"
+        ));
+    };
 
     let one = |name: &str| -> Result<&str, String> {
         match params.as_slice() {

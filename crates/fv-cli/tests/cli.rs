@@ -805,9 +805,9 @@ fn demo_and_chaos_refuse_a_policy_they_cannot_address() {
     }
 }
 
-/// A plan value its fault cannot hold is refused by value: `app 65536`
-/// used to wrap to app 0, `vf 256` to VF 0, and a window ending past
-/// `u64::MAX` ns to a window that ends before it starts.
+/// A plan value its field or the clock cannot hold (`app 65536`, `vf 256`,
+/// a window ending past `u64::MAX` ns) is refused by value, exit 1, before
+/// anything runs: never wrapped into another app, VF or window.
 #[test]
 fn chaos_refuses_a_plan_value_out_of_range() {
     let f = write_script(GOOD);

@@ -261,9 +261,9 @@ fn reconfig_halves_throughput_then_restores_it() {
     );
 }
 
-/// A window the plan accepts may end anywhere up to the clock's top; one
-/// that ends past the horizon is noted as unchecked, not judged (its end
-/// plus the settle time used to overflow).
+/// A window that ends within the settle time of the horizon, or after it,
+/// is noted as unchecked rather than judged, even one ending at the top of
+/// the clock's range.
 #[test]
 fn a_window_at_the_top_of_the_clock_is_left_unchecked() {
     let report = chaos("chaos fault tm_pause at 18446744073709551000ns for 1ns\n");
