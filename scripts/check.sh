@@ -283,13 +283,17 @@ demo scripts/motivation.fv --json
 stats scripts/motivation.fv
 check scripts/motivation.fv
 trace scripts/motivation.fv
+chaos scripts/motivation.fv --plan scripts/demo.chaos
 chaos scripts/motivation.fv --plan scripts/demo.chaos --json
 timeseries scripts/motivation.fv
+timeseries scripts/motivation.fv --jsonl
+profile scripts/motivation.fv
 profile scripts/motivation.fv --folded
 profile scripts/motivation.fv --json
 top scripts/motivation.fv
 why scripts/motivation.fv --pkt 103
 why scripts/motivation.fv --pkt 103 --json
+audit scripts/motivation.fv
 audit scripts/motivation.fv --json
 audit scripts/motivation.fv --plan scripts/demo.chaos --json
 EOF
