@@ -4,8 +4,8 @@
 //! data races corrupt the shared tree), a single global lock (valid but
 //! serializes packet forwarding), and FlowValve's per-class try-locks
 //! (valid *and* parallel). This driver measures the throughput cost of
-//! the global-lock discipline on the NIC model and the rate-conformance
-//! cost of skipping synchronization entirely.
+//! the global-lock discipline against per-class try-locks on the NIC
+//! model; the unsynchronized variant is not modelled.
 //!
 //! Run: `cargo run --release -p bench --bin fig07_lock_ablation`
 

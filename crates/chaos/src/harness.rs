@@ -5,10 +5,11 @@
 //! filter, each offered an equal slice of 1.5x line rate for 10 ms on the
 //! Agilio CX 40G model — through [`np_sim::harness::drive`], and both go
 //! through the same private fixture: it builds the NIC, the registry and
-//! whatever [`Attachments`] asks for, drives the sources, and tears the
-//! run down into a [`Run`] (gauge sync, lock profile, bucket slab, ledger
-//! fold, snapshot). The two entry points differ only in their per-packet
-//! closure.
+//! whatever [`Attachments`] asks for (every observer is built here, so a
+//! caller only says which), drives the sources, and tears the run down
+//! into a [`Run`] (gauge sync, lock profile, bucket slab, ledger fold,
+//! snapshot, attribution profile). The two entry points differ only in
+//! their per-packet closure.
 //!
 //! [`run_chaos`] installs one [`ChaosController`] as the fault injector of
 //! the NIC (traffic manager, worker pool, lock table) and of the FlowValve
@@ -29,9 +30,10 @@ use flowvalve::frontend::Policy;
 use flowvalve::pipeline::FlowValvePipeline;
 use flowvalve::tree::{SchedulingTree, TreeParams};
 use fv_audit::{BucketSnapshot, Ledger, ProvenanceRing};
+use fv_probe::{LatencyAttr, ProbeReport};
 use fv_scope::{evaluate, CheckReport, SamplerConfig, Slo, TimeSampler};
 use fv_telemetry::json::{JsonValue, ToJson};
-use fv_telemetry::{Registry, Snapshot, SpanSink};
+use fv_telemetry::{Registry, Snapshot};
 use netstack::flow::FlowKey;
 use netstack::gen::LineRateProcess;
 use netstack::packet::{AppId, Packet, VfPort};
@@ -72,10 +74,9 @@ pub struct Attachments {
     /// Attach a virtual-time sampler with this configuration.
     pub sampler: Option<SamplerConfig>,
     /// Attach the attribution probes: a [`CycleAttr`] sized for the NIC
-    /// model on the cost meter (handed back as [`Run::cycles`]) and this
-    /// sink on the registry's span path (fv-probe's `LatencyAttr`; the
-    /// caller keeps its own handle).
-    pub probe: Option<Arc<dyn SpanSink>>,
+    /// model on the cost meter and a [`LatencyAttr`] on the registry's
+    /// span path, folded into [`Run::probe`] after the run.
+    pub probe: bool,
     /// Attach provenance capture for the packets the run's registry
     /// samples; after the run the records are folded through the
     /// conservation ledger into `audit.*` counters. Every sampled packet
@@ -89,7 +90,7 @@ impl Default for Attachments {
         Attachments {
             ring_capacity: 1024,
             sampler: None,
-            probe: None,
+            probe: false,
             audit: true,
         }
     }
@@ -157,8 +158,8 @@ pub struct Run {
     pub lock_profile: Vec<PerLockStats>,
     /// The sampler that watched the run, when one was attached.
     pub sampler: Option<TimeSampler>,
-    /// Cycle attribution, when the probes were attached.
-    pub cycles: Option<Arc<CycleAttr>>,
+    /// The attribution profile, when the probes were attached.
+    pub probe: Option<ProbeReport>,
     /// Provenance capture, when auditing was attached.
     pub audit: Option<Audit>,
 }
@@ -323,7 +324,7 @@ struct Fixture {
     sources: Vec<Source>,
     sampler_cfg: Option<SamplerConfig>,
     sampler: Option<TimeSampler>,
-    cycles: Option<Arc<CycleAttr>>,
+    probe: Option<(Arc<CycleAttr>, Arc<LatencyAttr>)>,
     audit: Option<Arc<ProvenanceRing>>,
     flow_names: Vec<(u64, FlowKey)>,
 }
@@ -344,11 +345,12 @@ impl Fixture {
         });
         let tree = pipeline.tree().clone();
         let mut nic = SmartNic::with_registry(cfg.clone(), Box::new(pipeline), &registry);
-        let cycles = attach.probe.map(|sink| {
-            let attr = Arc::new(CycleAttr::new(cfg.num_mes));
-            nic.attach_probe(attr.clone());
-            registry.install_span_sink(sink);
-            attr
+        let probe = attach.probe.then(|| {
+            let cycles = Arc::new(CycleAttr::new(cfg.num_mes));
+            let latency = Arc::new(LatencyAttr::new());
+            nic.attach_probe(cycles.clone());
+            registry.install_span_sink(latency.clone());
+            (cycles, latency)
         });
         Ok(Fixture {
             flow_names: sources
@@ -362,7 +364,7 @@ impl Fixture {
             sources,
             sampler_cfg: attach.sampler,
             sampler: None,
-            cycles,
+            probe,
             audit,
         })
     }
@@ -405,16 +407,21 @@ impl Fixture {
             Ledger::audit(&ring.records(), &slab).install_counters(&self.registry, 0);
             Audit { ring, slab }
         });
+        let snapshot = self.registry.snapshot(HORIZON);
+        let lock_profile = self.nic.per_lock_stats().to_vec();
+        let probe = self.probe.map(|(cycles, latency)| {
+            ProbeReport::build(&cycles, &lock_profile, &latency, &snapshot, HORIZON)
+        });
         Run {
-            snapshot: self.registry.snapshot(HORIZON),
+            snapshot,
             registry: self.registry,
             tree: self.tree,
             horizon: HORIZON,
             offered: slice_of(&self.cfg, self.flow_names.len()),
             flow_names: self.flow_names,
-            lock_profile: self.nic.per_lock_stats().to_vec(),
+            lock_profile,
             sampler: self.sampler,
-            cycles: self.cycles,
+            probe,
             audit,
         }
     }
@@ -649,20 +656,16 @@ mod tests {
     /// NIC or per-class counter.
     #[test]
     fn attachments_do_not_change_the_run() {
-        struct NullSink;
-        impl SpanSink for NullSink {
-            fn span(&self, _: fv_telemetry::Stage, _: Nanos, _: u64, _: Nanos) {}
-        }
         let policy = Policy::parse(POLICY).unwrap();
         let all = Attachments {
             ring_capacity: 1 << 12,
             sampler: Some(SamplerConfig::default().with_interval(Nanos::from_micros(50))),
-            probe: Some(Arc::new(NullSink)),
+            probe: true,
             audit: true,
         };
         let observed = saturate(&policy, 3, all).unwrap();
         let plain = saturate(&policy, 3, bare()).unwrap();
-        assert!(observed.cycles.is_some() && observed.sampler.is_some());
+        assert!(observed.probe.is_some() && observed.sampler.is_some());
         assert!(observed.snapshot.counter("audit.records") > 0);
         let kept = |e: &&fv_telemetry::MetricEntry| {
             matches!(e.value, fv_telemetry::MetricValue::Counter(_))

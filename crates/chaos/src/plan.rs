@@ -53,8 +53,15 @@ pub enum FaultKind {
         permille: u64,
     },
     /// Every packet charged `cycles` extra instruction cycles.
+    ///
+    /// The parser refuses more than [`MAX_BURN_CYCLES`] (2^32, over 5 s of
+    /// an 800 MHz micro-engine) per fault. Even with [`MAX_FAULTS`] burns
+    /// overlapping, a packet's cycle total then stays below 2^39 and, at
+    /// 800 MHz or faster, moves its worker's clock by less than 2^40 ns: the
+    /// cost meter's total, a worker's busy cycles and its
+    /// `start + duration` stay in range for 2^24 packets per worker.
     CpuBurn {
-        /// Extra cycles per packet.
+        /// Extra cycles per packet, at most [`MAX_BURN_CYCLES`].
         cycles: u64,
     },
     /// The scheduler's clock reads `skew` ahead of the NIC clock.
@@ -167,6 +174,9 @@ pub struct FaultPlan {
 /// Controllers track fault activity in a 64-bit mask, so plans are capped.
 pub const MAX_FAULTS: usize = 64;
 
+/// The most cycles one `cpu_burn` fault may charge a packet.
+pub const MAX_BURN_CYCLES: u64 = 1 << 32;
+
 impl FaultPlan {
     /// Parses a plan script. Blank lines and `#` comments are skipped.
     ///
@@ -234,10 +244,16 @@ fn parse_fault(kind: &str, rest: &[&str]) -> Result<FaultSpec, String> {
         let Some(val) = it.next() else {
             return Err(format!("dangling key {key:?}: expected a value"));
         };
-        match *key {
-            "at" => at = Some(parse_duration(val)?),
-            "for" => dur = Some(parse_duration(val)?),
-            k => params.push((k, val)),
+        let slot = match *key {
+            "at" => &mut at,
+            "for" => &mut dur,
+            k => {
+                params.push((k, val));
+                continue;
+            }
+        };
+        if slot.replace(parse_duration(val)?).is_some() {
+            return Err(format!("fault {kind:?} repeats `{key}`"));
         }
     }
     let at = at.ok_or_else(|| format!("fault {kind:?} missing `at <time>`"))?;
@@ -291,9 +307,15 @@ fn parse_fault(kind: &str, rest: &[&str]) -> Result<FaultSpec, String> {
         "lock_slow" => FaultKind::LockSlow {
             permille: parse_u64("permille")?,
         },
-        "cpu_burn" => FaultKind::CpuBurn {
-            cycles: parse_u64("cycles")?,
-        },
+        "cpu_burn" => {
+            let cycles = parse_u64("cycles")?;
+            if cycles > MAX_BURN_CYCLES {
+                return Err(format!(
+                    "bad cycles {cycles}: more than {MAX_BURN_CYCLES} per packet"
+                ));
+            }
+            FaultKind::CpuBurn { cycles }
+        }
         "clock_skew" => {
             // The scheduler reads `now + skew` for every `now` before `end`.
             let skew = parse_duration(one("skew")?)?.as_nanos();
@@ -474,6 +496,14 @@ mod tests {
                 &format!("clock_skew at 1ms for 1ms skew {max}ns"),
                 "skew 18446744073709551615ns",
             ),
+            (
+                &format!("cpu_burn at 1ms for 1ms cycles {max}"),
+                "cycles 18446744073709551615",
+            ),
+            (
+                &format!("cpu_burn at 1ms for 1ms cycles {}", MAX_BURN_CYCLES + 1),
+                "cycles 4294967297",
+            ),
         ] {
             let err =
                 FaultPlan::parse(&format!("chaos seed 1\nchaos fault {fault}\n")).unwrap_err();
@@ -482,13 +512,30 @@ mod tests {
         }
         let plan = FaultPlan::parse(&format!(
             "chaos fault host_pause at 3ms for 2ms app 65535\n\
-             chaos fault vf_reset at {}ns for 1ns vf 255\n",
+             chaos fault vf_reset at {}ns for 1ns vf 255\n\
+             chaos fault cpu_burn at 1ms for 1ms cycles {MAX_BURN_CYCLES}\n",
             max - 1
         ));
         let faults = plan.unwrap().faults;
         assert_eq!(faults[0].kind, FaultKind::HostPause { app: u16::MAX });
         assert_eq!(faults[1].kind, FaultKind::VfReset { vf: u8::MAX });
         assert_eq!(faults[1].end(), Nanos::MAX, "a window may end at the top");
+        let cycles = MAX_BURN_CYCLES;
+        assert_eq!(faults[2].kind, FaultKind::CpuBurn { cycles });
+    }
+
+    /// A second `at` or `for` is refused by key, as a second parameter is,
+    /// instead of silently moving the window.
+    #[test]
+    fn refuses_a_repeated_window_key() {
+        for (fault, key) in [
+            ("wire_flap at 1ms at 2ms for 1ms permille 250", "at"),
+            ("wire_flap at 1ms for 1ms for 2ms permille 250", "for"),
+        ] {
+            let err = FaultPlan::parse(&format!("chaos fault {fault}\n")).unwrap_err();
+            let want = format!("fault \"wire_flap\" repeats `{key}`");
+            assert_eq!((err.line, err.msg), (1, want));
+        }
     }
 
     #[test]

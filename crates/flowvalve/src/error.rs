@@ -28,7 +28,9 @@ pub enum BuildTreeError {
     TooDeep(ClassId),
     /// A class has weight zero.
     ZeroWeight(ClassId),
-    /// A borrow label names a class that does not exist.
+    /// A label's leaf class does not exist.
+    UnknownLeafClass(ClassId),
+    /// A label's borrow list names a lender class that does not exist.
     UnknownBorrowClass(ClassId),
     /// A class's borrow list names more than [`crate::label::MAX_BORROW`]
     /// lenders.
@@ -60,6 +62,9 @@ impl fmt::Display for BuildTreeError {
             }
             BuildTreeError::TooDeep(c) => write!(f, "class {c} exceeds maximum tree depth"),
             BuildTreeError::ZeroWeight(c) => write!(f, "class {c} has zero weight"),
+            BuildTreeError::UnknownLeafClass(c) => {
+                write!(f, "label leaf references unknown class {c}")
+            }
             BuildTreeError::UnknownBorrowClass(c) => {
                 write!(f, "borrow label references unknown class {c}")
             }
@@ -101,6 +106,14 @@ pub enum ParseFvError {
     BadRate(String),
     /// A malformed `major:minor` handle.
     BadHandle(String),
+    /// A qdisc's `default` or a filter's `flowid` names a class the
+    /// policy does not declare.
+    UnknownClass {
+        /// The option naming it (`default` or `flowid`).
+        option: &'static str,
+        /// The undeclared class.
+        class: ClassId,
+    },
     /// The line was empty after stripping comments.
     EmptyCommand,
     /// Building the final tree failed.
@@ -118,6 +131,9 @@ impl fmt::Display for ParseFvError {
             }
             ParseFvError::BadRate(s) => write!(f, "bad rate '{s}'"),
             ParseFvError::BadHandle(s) => write!(f, "bad class handle '{s}'"),
+            ParseFvError::UnknownClass { option, class } => {
+                write!(f, "{option} {class} names no declared class")
+            }
             ParseFvError::EmptyCommand => write!(f, "empty command"),
             ParseFvError::Build(e) => write!(f, "policy error: {e}"),
         }

@@ -26,7 +26,7 @@ use netstack::flow::IpProto;
 use netstack::packet::VfPort;
 use sim_core::units::BitRate;
 
-use crate::error::ParseFvError;
+use crate::error::{BuildTreeError, ParseFvError};
 use crate::label::{ClassId, QosLabel};
 use crate::tree::{ClassSpec, SchedulingTree, TreeParams};
 
@@ -257,17 +257,27 @@ impl Policy {
     ///
     /// # Errors
     ///
-    /// Returns [`ParseFvError::Build`] when the class hierarchy is invalid
-    /// or a filter/default references an unknown class.
+    /// Returns [`ParseFvError::UnknownClass`] when a filter's `flowid` or
+    /// the `default` names an undeclared class, [`ParseFvError::Build`]
+    /// when the class hierarchy is invalid or a `borrow` names an unknown
+    /// class.
     pub fn compile(&self, params: TreeParams) -> Result<CompiledPolicy, ParseFvError> {
         let tree = SchedulingTree::build(self.classes.clone(), params)?;
+        let label = |option, leaf, borrow: &[ClassId]| {
+            tree.label(leaf, borrow).map_err(|e| match e {
+                BuildTreeError::UnknownLeafClass(class) => {
+                    ParseFvError::UnknownClass { option, class }
+                }
+                e => e.into(),
+            })
+        };
         let mut rules = Vec::with_capacity(self.filters.len());
         for f in &self.filters {
-            let label = tree.label(f.class, &f.borrow)?;
+            let label = label("flowid", f.class, &f.borrow)?;
             rules.push(FilterRule::new(f.priority, f.matcher, Some(label)));
         }
         let default = match self.default_class {
-            Some(c) => Some(tree.label(c, &[])?),
+            Some(c) => Some(label("default", c, &[])?),
             None => None,
         };
         Ok((tree, rules, default))
@@ -512,12 +522,29 @@ fv filter add dev nic0 prio 4 match vf 2 flowid 1:30 borrow 1:22
 
     #[test]
     fn compile_rejects_unknown_filter_class() {
-        let p = Policy::parse(
-            "fv class add dev nic0 parent root classid 1:1 rate 1gbit\n\
-             fv filter add dev nic0 match any flowid 1:99\n",
-        )
-        .unwrap();
-        assert!(p.compile(TreeParams::default()).is_err());
+        let compile = |script: &str| {
+            let p = Policy::parse(script).unwrap();
+            p.compile(TreeParams::default())
+                .err()
+                .map(|e| e.to_string())
+        };
+        let root = "fv class add dev nic0 parent root classid 1:1 rate 1gbit\n";
+        let flowid = format!("{root}fv filter add dev nic0 match any flowid 1:99\n");
+        assert_eq!(
+            compile(&flowid).as_deref(),
+            Some("flowid 1:99 names no declared class")
+        );
+        let default = format!("fv qdisc add dev nic0 root handle 1: fv default 1:99\n{root}");
+        assert_eq!(
+            compile(&default).as_deref(),
+            Some("default 1:99 names no declared class")
+        );
+        // An unknown lender stays a borrow error.
+        let lender = format!("{root}fv filter add dev nic0 match any flowid 1:1 borrow 1:99\n");
+        assert_eq!(
+            compile(&lender).as_deref(),
+            Some("policy error: borrow label references unknown class 1:99")
+        );
     }
 
     #[test]

@@ -726,13 +726,14 @@ impl SchedulingTree {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildTreeError::UnknownBorrowClass`] if `leaf` or any
-    /// lender is not in the tree, [`BuildTreeError::TooManyLenders`] if
-    /// `borrow` is longer than [`MAX_BORROW`].
+    /// Returns [`BuildTreeError::UnknownLeafClass`] if `leaf` is not in the
+    /// tree, [`BuildTreeError::UnknownBorrowClass`] if a lender is not,
+    /// [`BuildTreeError::TooManyLenders`] if `borrow` is longer than
+    /// [`MAX_BORROW`].
     pub fn label(&self, leaf: ClassId, borrow: &[ClassId]) -> Result<QosLabel, BuildTreeError> {
         let mut idx = self
             .node_index(leaf)
-            .ok_or(BuildTreeError::UnknownBorrowClass(leaf))?;
+            .ok_or(BuildTreeError::UnknownLeafClass(leaf))?;
         let mut path = vec![self.nodes[idx].spec.id];
         while let Some(p) = self.nodes[idx].parent {
             path.push(self.nodes[p].spec.id);
@@ -1197,10 +1198,10 @@ mod tests {
         let l = tree.label(ClassId(20), &[ClassId(10)]).unwrap();
         assert_eq!(l.path(), &[ClassId(1), ClassId(20)]);
         assert_eq!(l.borrow(), &[ClassId(10)]);
-        assert!(matches!(
+        assert_eq!(
             tree.label(ClassId(99), &[]),
-            Err(BuildTreeError::UnknownBorrowClass(_))
-        ));
+            Err(BuildTreeError::UnknownLeafClass(ClassId(99)))
+        );
         assert!(matches!(
             tree.label(ClassId(10), &[ClassId(99)]),
             Err(BuildTreeError::UnknownBorrowClass(_))

@@ -66,16 +66,15 @@
 
 use std::io::Read;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 use flowvalve::frontend::Policy;
 use flowvalve::label::ClassId;
 use flowvalve::tree::{SchedulingTree, TreeParams};
 use fv_audit::{AuditVerdict, Ledger, ProvenanceRecord, StepKind};
 use fv_chaos::{run_chaos, saturate, Attachments, FaultPlan, Run};
-use fv_probe::{flight_doc, rank_locks, LatencyAttr, ProbeReport, UNATTRIBUTED};
+use fv_probe::{flight_doc, rank_locks, ProbeReport, UNATTRIBUTED};
 use fv_scope::{chrome_trace, evaluate, latency_table, prometheus_text, SamplerConfig, Slo};
-use fv_telemetry::{JsonValue, MetricValue, Snapshot, SpanSink, ToJson, TraceEvent};
+use fv_telemetry::{JsonValue, MetricValue, Snapshot, ToJson, TraceEvent};
 use sim_core::time::Nanos;
 use sim_core::units::BitRate;
 
@@ -246,36 +245,12 @@ fn run_demo(policy: &Policy, attach: Attachments) -> Result<Run, String> {
     saturate(policy, SEED, attach).map_err(|e| e.to_string())
 }
 
-/// Attachments with the attribution probes on when `on`; the latency sink
-/// is shared with the run, the handle stays here for the report.
-fn probes(on: bool, attach: Attachments) -> (Option<Arc<LatencyAttr>>, Attachments) {
-    let latency = on.then(|| Arc::new(LatencyAttr::new()));
-    let probe = latency.clone().map(|l| l as Arc<dyn SpanSink>);
-    (latency, Attachments { probe, ..attach })
-}
-
-/// The attribution report of a run that carried [`probes`].
-fn probe_report(run: &Run, latency: &LatencyAttr) -> ProbeReport {
-    let cycles = run.cycles.as_ref().expect("run carried the probes");
-    ProbeReport::build(
-        cycles,
-        &run.lock_profile,
-        latency,
-        &run.snapshot,
-        run.horizon,
-    )
-}
-
-/// Writes a flight-recorder document: the attribution profile plus
-/// `events`. A write failure is reported but does not change the verdict.
-fn write_flight(
-    path: &str,
-    trigger: &str,
-    run: &Run,
-    latency: &LatencyAttr,
-    events: &[TraceEvent],
-) {
-    let doc = flight_doc(trigger, run.horizon, &probe_report(run, latency), events);
+/// Writes a flight-recorder document: the attribution profile of a run
+/// that carried the probes, plus `events`. A write failure is reported but
+/// does not change the verdict.
+fn write_flight(path: &str, trigger: &str, run: &Run, events: &[TraceEvent]) {
+    let report = run.probe.as_ref().expect("--flight attaches the probes");
+    let doc = flight_doc(trigger, run.horizon, report, events);
     match std::fs::write(path, doc.to_pretty()) {
         Ok(()) => println!(
             "wrote flight recorder {path} ({} trace events)",
@@ -307,12 +282,14 @@ fn emit(out: &Option<String>, text: &str) -> Result<(), String> {
 }
 
 /// The demo with the attribution probes on, and the report they fold to.
-fn run_profiled(policy: &Policy) -> Result<(Run, Arc<LatencyAttr>, ProbeReport), String> {
-    let (latency, attach) = probes(true, Attachments::default());
-    let latency = latency.expect("probes were switched on");
-    let run = run_demo(policy, attach)?;
-    let report = probe_report(&run, &latency);
-    Ok((run, latency, report))
+fn run_profiled(policy: &Policy) -> Result<(Run, ProbeReport), String> {
+    let attach = Attachments {
+        probe: true,
+        ..Attachments::default()
+    };
+    let mut run = run_demo(policy, attach)?;
+    let report = run.probe.take().expect("the probes were attached");
+    Ok((run, report))
 }
 
 /// Reads and parses the `--plan` file.
@@ -600,13 +577,11 @@ fn check(policy: &Policy, flags: &Flags) -> CmdResult {
         println!("conformance: skipped (no class carries a rate or ceil)");
         return Ok(ExitCode::SUCCESS);
     }
-    let (latency, attach) = probes(
-        flags.flight.is_some(),
-        Attachments {
-            sampler: Some(SamplerConfig::default().with_prefix("fv.class.")),
-            ..Attachments::default()
-        },
-    );
+    let attach = Attachments {
+        sampler: Some(SamplerConfig::default()),
+        probe: flags.flight.is_some(),
+        ..Attachments::default()
+    };
     let run = run_demo(policy, attach)?;
     let sampler = run.sampler.as_ref().expect("check attaches a sampler");
     // Steady state: the second half of the run, past bucket warm-up.
@@ -616,8 +591,8 @@ fn check(policy: &Policy, flags: &Flags) -> CmdResult {
     if report.passed() {
         return Ok(ExitCode::SUCCESS);
     }
-    if let (Some(path), Some(latency)) = (&flags.flight, &latency) {
-        write_flight(path, "slo:conformance", &run, latency, &ring_events(&run));
+    if let Some(path) = &flags.flight {
+        write_flight(path, "slo:conformance", &run, &ring_events(&run));
     }
     Ok(ExitCode::FAILURE)
 }
@@ -632,10 +607,7 @@ fn trace(policy: &Policy, flags: &Flags) -> CmdResult {
     let run = run_demo(policy, attach)?;
     let events = ring_events(&run);
     let doc = chrome_trace(&events);
-    let spans = events
-        .iter()
-        .filter(|e| e.kind.is_span() || e.kind == fv_telemetry::TraceKind::LockWait)
-        .count();
+    let spans = events.iter().filter(|e| e.kind.is_span()).count();
     match &flags.out {
         Some(path) => {
             write_out(path, &doc.to_pretty())?;
@@ -664,23 +636,21 @@ fn chaos(policy: &Policy, flags: &Flags) -> CmdResult {
     let plan = load_plan(plan_path)?;
     // `--flight` attaches the attribution probes so the dump can say what
     // the pipeline was doing across the fault windows.
-    let (latency, attach) = probes(
-        flags.flight.is_some(),
-        Attachments {
-            audit: false,
-            ..Attachments::default()
-        },
-    );
+    let attach = Attachments {
+        probe: flags.flight.is_some(),
+        audit: false,
+        ..Attachments::default()
+    };
     let report = run_chaos(policy, &plan, attach).map_err(|e| e.to_string())?;
     if flags.json {
         println!("{}", report.to_json().to_pretty());
     } else {
         print!("{}", report.render());
     }
-    if let (Some(path), Some(latency)) = (&flags.flight, &latency) {
+    if let Some(path) = &flags.flight {
         let trigger = format!("chaos:{} fault windows", plan.faults.len());
         let events = &report.run.snapshot.events;
-        write_flight(path, &trigger, &report.run, latency, events);
+        write_flight(path, &trigger, &report.run, events);
     }
     Ok(if report.passed() {
         ExitCode::SUCCESS
@@ -723,7 +693,7 @@ fn timeseries(policy: &Policy, flags: &Flags) -> CmdResult {
 /// Attribution is deterministic: the same script yields byte-identical
 /// output on every run.
 fn profile(policy: &Policy, flags: &Flags) -> CmdResult {
-    let (_, _, report) = run_profiled(policy)?;
+    let (_, report) = run_profiled(policy)?;
     let text = if flags.folded {
         report.folded()
     } else if flags.json {
@@ -741,11 +711,11 @@ fn profile(policy: &Policy, flags: &Flags) -> CmdResult {
 /// moved the most wire bits (named via the demo's flow table) and the
 /// most contended locks.
 fn top(policy: &Policy) -> CmdResult {
-    let (run, latency, report) = run_profiled(policy)?;
+    let (run, report) = run_profiled(policy)?;
     println!(
         "top: {} spans of sampled packets (1 in {}) attributed across {} classes; \
          flow volumes count sampled packets\n",
-        latency.span_count(),
+        report.span_samples().iter().map(|(_, n)| n).sum::<u64>(),
         report.sample_period,
         report.classes.len()
     );
@@ -873,7 +843,10 @@ fn why(policy: &Policy, flags: &Flags) -> CmdResult {
 /// the token-conservation ledger. Exits 1 on any conservation break;
 /// `--inject-mischarge` corrupts one record first as a gate self-test.
 fn audit_cmd(policy: &Policy, flags: &Flags) -> CmdResult {
-    let (latency, attach) = probes(flags.flight.is_some(), Attachments::default());
+    let attach = Attachments {
+        probe: flags.flight.is_some(),
+        ..Attachments::default()
+    };
     let run = match &flags.plan {
         Some(path) => {
             run_chaos(policy, &load_plan(path)?, attach)
@@ -910,9 +883,9 @@ fn audit_cmd(policy: &Policy, flags: &Flags) -> CmdResult {
     if report.ok() {
         return Ok(ExitCode::SUCCESS);
     }
-    if let (Some(path), Some(latency)) = (&flags.flight, &latency) {
+    if let Some(path) = &flags.flight {
         let trigger = format!("audit:{} conservation violations", report.violations.len());
-        write_flight(path, &trigger, &run, latency, &ring_events(&run));
+        write_flight(path, &trigger, &run, &ring_events(&run));
     }
     Ok(ExitCode::FAILURE)
 }

@@ -14,8 +14,7 @@
 
 use std::sync::Arc;
 
-use fv_telemetry::metrics::{Counter, Histogram};
-use fv_telemetry::trace::{EventRing, TraceKind};
+use fv_telemetry::metrics::Counter;
 use fv_telemetry::Registry;
 use sim_core::time::Nanos;
 
@@ -55,14 +54,6 @@ pub struct PerLockStats {
     pub hold_total: Nanos,
 }
 
-/// What only an observed table records: a wait-time histogram and
-/// `LockWait` trace events.
-#[derive(Debug)]
-struct LockTelemetry {
-    wait_hist: Arc<Histogram>,
-    ring: Arc<EventRing>,
-}
-
 /// A table of simulated locks.
 ///
 /// # Example
@@ -91,7 +82,6 @@ pub struct LockTable {
     contended: Arc<Counter>,
     wait_ns: Arc<Counter>,
     per_lock: Vec<PerLockStats>,
-    telemetry: Option<LockTelemetry>,
     injector: Option<Arc<dyn FaultInjector>>,
 }
 
@@ -105,7 +95,6 @@ impl LockTable {
             contended: Arc::default(),
             wait_ns: Arc::default(),
             per_lock: vec![PerLockStats::default(); n],
-            telemetry: None,
             injector: None,
         }
     }
@@ -133,9 +122,7 @@ impl LockTable {
 
     /// Moves the table's tallies into `registry` as `lock.try_acquired`,
     /// `lock.try_failed`, `lock.contended` and `lock.wait_ns`, carrying
-    /// over what they have counted so far, and starts recording what only
-    /// an observed table keeps: a wait-time histogram and `LockWait` trace
-    /// events for contended acquires.
+    /// over what they have counted so far.
     pub fn attach_telemetry(&mut self, registry: &Registry) {
         for (cell, name) in [
             (&mut self.try_acquired, "lock.try_acquired"),
@@ -145,10 +132,6 @@ impl LockTable {
         ] {
             crate::register_cell(registry, name, cell);
         }
-        self.telemetry = Some(LockTelemetry {
-            wait_hist: registry.histogram("lock.wait_hist_ns"),
-            ring: registry.ring(),
-        });
     }
 
     /// Grows the table to hold at least `n` locks.
@@ -204,13 +187,6 @@ impl LockTable {
         self.try_acquired.add_single_writer(1);
         per.acquires += 1;
         per.hold_total += hold;
-        if let Some(t) = &self.telemetry {
-            t.wait_hist.record(wait.as_nanos());
-            if start > now {
-                t.ring
-                    .record(now, TraceKind::LockWait, lock.0 as u64, wait.as_nanos());
-            }
-        }
         start
     }
 
@@ -301,12 +277,6 @@ mod tests {
         assert_eq!(snap.counter("lock.try_failed"), 1);
         assert_eq!(snap.counter("lock.contended"), 1);
         assert_eq!(snap.counter("lock.wait_ns"), 80);
-        let hist = snap.histogram("lock.wait_hist_ns").expect("wait histogram");
-        assert_eq!(hist.count, 1);
-        assert!(snap
-            .events
-            .iter()
-            .any(|e| e.kind == TraceKind::LockWait && e.a == 0 && e.b == 80));
         // The plain-struct view reads the registry's cells.
         assert_eq!(t.stats().wait_total, Nanos::from_nanos(80));
     }

@@ -2,11 +2,11 @@
 //!
 //! [`chrome_trace`] converts the registry's [`TraceEvent`] tail into a
 //! JSON document `chrome://tracing` and Perfetto open directly. Span
-//! kinds (the `Span*` [`TraceKind`]s, whose `at`/`b` are start and
-//! duration) become `"X"` complete events, one lane (`tid`) per pipeline
-//! stage, so a packet's life renders as ingress → classify → sched →
-//! tm_queue → wire stacked across lanes. Blocking lock waits get their
-//! own lane, and everything else (drops, refills) becomes an `"i"`
+//! kinds (the `Span*` [`TraceKind`](fv_telemetry::trace::TraceKind)s,
+//! whose `at`/`b` are start and duration) become `"X"` complete events,
+//! one lane (`tid`) per pipeline stage, so a packet's life renders as
+//! ingress → classify → sched → tm_queue → wire stacked across lanes.
+//! Everything else (drops, refills, fault windows) becomes an `"i"`
 //! instant event on lane 0.
 //!
 //! Timestamps in the Trace Event Format are **microseconds**; virtual
@@ -14,19 +14,16 @@
 //!
 //! The document opens with `"M"` metadata records — a `process_name` for
 //! the NIC and one `thread_name` per lane — so viewers label the lanes
-//! (`ingress`, `classify`, …, `lock_wait`) instead of showing bare tids.
+//! (`ingress`, `classify`, …, `wire`) instead of showing bare tids.
 
 use fv_telemetry::json::JsonValue;
 use fv_telemetry::span::{Stage, STAGES};
-use fv_telemetry::trace::{TraceEvent, TraceKind};
+use fv_telemetry::trace::TraceEvent;
 use fv_telemetry::Snapshot;
 
-/// The lane (`tid`) lock-wait events render on: one past the last stage.
-const LOCK_LANE: u64 = STAGES.len() as u64;
-
 /// Leading `"M"` metadata records: one `process_name` plus a
-/// `thread_name` per stage lane and the lock lane.
-pub const METADATA_RECORDS: usize = 1 + STAGES.len() + 1;
+/// `thread_name` per stage lane.
+pub const METADATA_RECORDS: usize = 1 + STAGES.len();
 
 fn us(nanos: u64) -> JsonValue {
     JsonValue::Num(nanos as f64 / 1_000.0)
@@ -83,7 +80,6 @@ pub fn chrome_trace(events: &[TraceEvent]) -> JsonValue {
     for stage in STAGES {
         out.push(lane_name(stage as u64, stage.name()));
     }
-    out.push(lane_name(LOCK_LANE, "lock_wait"));
     for e in events {
         let json = match Stage::from_kind(e.kind) {
             Some(stage) => JsonValue::obj([
@@ -95,16 +91,6 @@ pub fn chrome_trace(events: &[TraceEvent]) -> JsonValue {
                 ("pid", JsonValue::UInt(0)),
                 ("tid", JsonValue::UInt(stage as u64)),
                 ("args", JsonValue::obj([("pkt", JsonValue::UInt(e.a))])),
-            ]),
-            None if e.kind == TraceKind::LockWait => JsonValue::obj([
-                ("name", JsonValue::Str("lock_wait".to_owned())),
-                ("cat", JsonValue::Str("lock_wait".to_owned())),
-                ("ph", JsonValue::Str("X".to_owned())),
-                ("ts", us(e.at.as_nanos())),
-                ("dur", us(e.b)),
-                ("pid", JsonValue::UInt(0)),
-                ("tid", JsonValue::UInt(LOCK_LANE)),
-                ("args", JsonValue::obj([("lock", JsonValue::UInt(e.a))])),
             ]),
             None => JsonValue::obj([
                 ("name", JsonValue::Str(e.kind.name().to_owned())),
@@ -159,6 +145,7 @@ pub fn latency_table(snapshot: &Snapshot) -> String {
 mod tests {
     use super::*;
     use fv_telemetry::span::SpanRecorder;
+    use fv_telemetry::trace::TraceKind;
     use fv_telemetry::{Registry, Sampler};
     use sim_core::time::Nanos;
 
@@ -202,18 +189,6 @@ mod tests {
                 .and_then(JsonValue::as_u64),
             Some(1)
         );
-    }
-
-    #[test]
-    fn lock_waits_get_their_own_lane() {
-        let reg = Registry::new();
-        reg.ring()
-            .record(Nanos::from_nanos(5), TraceKind::LockWait, 3, 250);
-        let doc = chrome_trace(&reg.ring().recent(4));
-        let e = &doc.get("traceEvents").and_then(|e| e.as_arr()).unwrap()[METADATA_RECORDS];
-        assert_eq!(e.get("name").and_then(|v| v.as_str()), Some("lock_wait"));
-        assert_eq!(e.get("tid").and_then(JsonValue::as_u64), Some(LOCK_LANE));
-        assert_eq!(e.get("dur").and_then(|v| v.as_f64()), Some(0.25));
     }
 
     #[test]
@@ -285,8 +260,6 @@ mod tests {
                 Some(stage.name())
             );
         }
-        let lock = &events[METADATA_RECORDS - 1];
-        assert_eq!(lock.get("tid").and_then(JsonValue::as_u64), Some(LOCK_LANE));
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //!   bounded ring of *delta* frames, exportable as CSV / JSONL / the
 //!   Prometheus text format (`fv timeseries`).
 //! * [`chrome`] — converts the per-packet stage spans the pipeline stamps
-//!   (ingress → classify → sched → tm_queue → wire, plus qdisc queue
-//!   sojourns and lock waits) into a Chrome-trace JSON document that
-//!   `chrome://tracing` and Perfetto open directly (`fv trace`).
+//!   (ingress → classify → sched → tm_queue → wire) into a Chrome-trace
+//!   JSON document that `chrome://tracing` and Perfetto open directly
+//!   (`fv trace`).
 //! * [`check`] — declarative [`Slo`] assertions (windowed rate bands,
 //!   zero-counters, p99 bounds) evaluated from sampler output, behind
 //!   `fv check` and the rate-conformance tests.

@@ -5,7 +5,7 @@
 //! interval boundary (a [`sim_core::tick::Ticker`] tick) it reads the
 //! registry's counter totals and appends one [`Frame`] of *deltas* — how
 //! much each counter grew over the closed interval. Frames live in a
-//! bounded ring: when full, the oldest frame is discarded,
+//! ring of [`FRAME_CAPACITY`]: when full, the oldest frame is discarded,
 //! so a sampler attached to an unbounded run uses bounded memory.
 //!
 //! Deltas, not totals, are the exported unit because every downstream
@@ -23,23 +23,23 @@ use fv_telemetry::Registry;
 use sim_core::tick::Ticker;
 use sim_core::time::Nanos;
 
-/// How a [`TimeSampler`] samples.
+/// Frames a [`TimeSampler`] retains; older frames are dropped. At the
+/// default 1 ms interval that is 4 s of virtual time, and a 10 ms `fv`
+/// run at its finest 100 µs interval keeps every frame.
+pub const FRAME_CAPACITY: usize = 4096;
+
+/// How a [`TimeSampler`] samples: every registry counter, once per
+/// `interval`.
 #[derive(Debug, Clone)]
 pub struct SamplerConfig {
     /// Virtual time between frames (default 1 ms).
     pub interval: Nanos,
-    /// Maximum retained frames; older frames are dropped (default 4096).
-    pub capacity: usize,
-    /// Counter-name prefixes to sample; empty samples every counter.
-    pub prefixes: Vec<String>,
 }
 
 impl Default for SamplerConfig {
     fn default() -> Self {
         SamplerConfig {
             interval: Nanos::from_millis(1),
-            capacity: 4096,
-            prefixes: Vec::new(),
         }
     }
 }
@@ -49,16 +49,6 @@ impl SamplerConfig {
     pub fn with_interval(mut self, interval: Nanos) -> Self {
         self.interval = interval;
         self
-    }
-
-    /// Restricts sampling to counters starting with `prefix`.
-    pub fn with_prefix(mut self, prefix: impl Into<String>) -> Self {
-        self.prefixes.push(prefix.into());
-        self
-    }
-
-    fn matches(&self, name: &str) -> bool {
-        self.prefixes.is_empty() || self.prefixes.iter().any(|p| name.starts_with(p))
     }
 }
 
@@ -137,10 +127,8 @@ impl TimeSampler {
         // Baseline without emitting a frame: pre-attach accumulation is
         // not part of any sampled interval.
         for (name, handle) in s.registry.counter_handles() {
-            if s.cfg.matches(&name) {
-                let total = handle.total();
-                s.admit(name, handle, total);
-            }
+            let total = handle.total();
+            s.admit(name, handle, total);
         }
         s
     }
@@ -162,7 +150,7 @@ impl TimeSampler {
     fn rescan(&mut self) {
         self.seen_gen = self.registry.counter_generation();
         for (name, handle) in self.registry.counter_handles() {
-            if self.cfg.matches(&name) && !self.index.contains_key(&name) {
+            if !self.index.contains_key(&name) {
                 self.admit(name, handle, 0);
             }
         }
@@ -199,7 +187,7 @@ impl TimeSampler {
             deltas.push(total - self.last[i]);
             self.last[i] = total;
         }
-        if self.frames.len() >= self.cfg.capacity {
+        if self.frames.len() >= FRAME_CAPACITY {
             self.frames.pop_front();
         }
         self.frames.push_back(Frame { at, deltas });
@@ -382,33 +370,14 @@ mod tests {
     }
 
     #[test]
-    fn prefix_filter_limits_columns() {
-        let reg = Registry::new();
-        reg.counter("nic.tx").add(1);
-        reg.counter("tm.fifo.tx").add(2);
-        let mut s = TimeSampler::new(
-            &reg,
-            SamplerConfig::default()
-                .with_interval(us(10))
-                .with_prefix("nic."),
-        );
-        s.advance_to(us(10));
-        assert_eq!(s.names, ["nic.tx"]);
-    }
-
-    #[test]
     fn ring_is_bounded_and_counts_evictions() {
         let reg = Registry::new();
         reg.counter("x");
-        let cfg = SamplerConfig {
-            interval: us(1),
-            capacity: 4,
-            prefixes: Vec::new(),
-        };
-        let mut s = TimeSampler::new(&reg, cfg);
-        s.advance_to(us(10));
-        assert_eq!(s.frames().len(), 4);
-        assert_eq!(s.frames().next().unwrap().at, us(7));
+        let ns = |n: usize| Nanos::from_nanos(n as u64);
+        let mut s = TimeSampler::new(&reg, SamplerConfig::default().with_interval(ns(1)));
+        s.advance_to(ns(FRAME_CAPACITY + 6));
+        assert_eq!(s.frames().len(), FRAME_CAPACITY);
+        assert_eq!(s.frames().next().unwrap().at, ns(7));
     }
 
     #[test]
@@ -433,16 +402,13 @@ mod tests {
     fn window_rate_refuses_evicted_windows() {
         let reg = Registry::new();
         let c = reg.counter("x");
-        let cfg = SamplerConfig {
-            interval: us(1),
-            capacity: 2,
-            prefixes: Vec::new(),
-        };
-        let mut s = TimeSampler::new(&reg, cfg);
+        let ns = |n: usize| Nanos::from_nanos(n as u64);
+        let mut s = TimeSampler::new(&reg, SamplerConfig::default().with_interval(ns(1)));
         c.add(10);
-        s.advance_to(us(10)); // frames 9, 10 retained; 1-8 evicted
-        assert!(s.window_rate("x", Nanos::ZERO, us(10)).is_none());
-        assert!(s.window_rate("x", us(8), us(10)).is_some());
+        let end = ns(FRAME_CAPACITY + 8);
+        s.advance_to(end); // frames 9 ..= end retained; 1-8 evicted
+        assert!(s.window_rate("x", Nanos::ZERO, end).is_none());
+        assert!(s.window_rate("x", ns(8), end).is_some());
     }
 
     #[test]

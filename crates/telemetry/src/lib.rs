@@ -15,8 +15,8 @@
 //!   `TimeSampler`; nothing here keeps a second series.
 //! * [`Ring`] — the one overwrite-oldest ring (try-lock slots, a writer
 //!   never blocks); [`EventRing`] is the registry's ring of individual
-//!   scheduler decisions, token-bucket refills, lock waits and tail drops,
-//!   and `fv_audit`'s provenance ring is the same structure.
+//!   scheduler decisions, token-bucket refills, tail drops and fault
+//!   windows, and `fv_audit`'s provenance ring is the same structure.
 //! * [`Sampler`] — the one per-packet sampling decision: spans, per-packet
 //!   trace events and provenance are kept for the same one packet in 64;
 //!   counters, gauges and `nic.latency_ns` stay exact.

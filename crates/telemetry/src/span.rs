@@ -225,7 +225,7 @@ impl SpanRecorder {
     /// Records a per-packet event that is not a span — a scheduling
     /// verdict, a drop — under the same decision: kept for the packets
     /// [`SpanRecorder::record`] keeps, skipped for the rest. Events that
-    /// are not about one packet (refills, lock waits, faults) go to the
+    /// are not about one packet (refills, faults) go to the
     /// ring directly and are never sampled.
     #[inline]
     pub fn event(&self, at: Nanos, kind: TraceKind, pkt_id: u64, a: u64, b: u64) {

@@ -2,7 +2,7 @@
 //!
 //! A [`Ring`] keeps the newest `capacity` records it is offered, whatever
 //! their type: the registry's [`EventRing`] holds [`TraceEvent`]s — the
-//! scheduler's verdicts, token-bucket refills, lock waits, tail drops,
+//! scheduler's verdicts, token-bucket refills, tail drops, fault windows,
 //! each stamped with a [`Nanos`] timestamp from whichever clock (virtual
 //! or wall) drives the caller — and `fv_audit`'s provenance ring holds
 //! decision records. A writer takes a ticket with one relaxed `fetch_add`
@@ -18,8 +18,8 @@
 //! [`SpanRecorder`](crate::span::SpanRecorder) (or behind the registry's
 //! [`Sampler`](crate::Sampler)) for sampled packets only, so a packet's
 //! events are all here or all absent; `TokenRefill`, `ShadowRefill`,
-//! `LockWait`, `FaultInject` and `FaultClear` are not about one packet and
-//! are recorded every time.
+//! `FaultInject` and `FaultClear` are not about one packet and are
+//! recorded every time.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError, TryLockError};
@@ -40,8 +40,6 @@ pub enum TraceKind {
     TokenRefill,
     /// Shadow-bucket refresh. `a` = class.
     ShadowRefill,
-    /// Blocking lock wait. `a` = lock id, `b` = wait in nanoseconds.
-    LockWait,
     /// Tail drop at a queue. `a` = queue index (0 at the NIC's single
     /// transmit FIFO), `b` = packet id.
     TailDrop,
@@ -77,7 +75,6 @@ impl TraceKind {
             TraceKind::SchedDrop => "sched_drop",
             TraceKind::TokenRefill => "token_refill",
             TraceKind::ShadowRefill => "shadow_refill",
-            TraceKind::LockWait => "lock_wait",
             TraceKind::TailDrop => "tail_drop",
             TraceKind::RxDrop => "rx_drop",
             TraceKind::SpanIngress => "span_ingress",
@@ -264,7 +261,7 @@ mod tests {
     fn recent_caps_at_max() {
         let ring = EventRing::new(8);
         for i in 0..8u64 {
-            ring.record(Nanos::from_nanos(i), TraceKind::LockWait, 0, i);
+            ring.record(Nanos::from_nanos(i), TraceKind::TokenRefill, 0, i);
         }
         assert_eq!(ring.recent(3).len(), 3);
         assert_eq!(ring.recent(3)[0].b, 5);
@@ -355,7 +352,7 @@ mod tests {
             assert!(k.name().starts_with("span_"));
             ring.record(Nanos::from_nanos(i as u64), *k, 42, 100 + i as u64);
         }
-        assert!(!TraceKind::LockWait.is_span());
+        assert!(!TraceKind::TokenRefill.is_span());
         let events = ring.recent(16);
         assert_eq!(events.len(), kinds.len());
         for (e, k) in events.iter().zip(kinds) {

@@ -44,9 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // loop and it snapshots counter deltas at every interval boundary.
     let mut sampler = TimeSampler::new(
         &registry,
-        SamplerConfig::default()
-            .with_interval(Nanos::from_micros(500))
-            .with_prefix("fv.class."),
+        SamplerConfig::default().with_interval(Nanos::from_micros(500)),
     );
 
     let cbr = |gbps| Box::new(CbrProcess::new(BitRate::from_gbps(gbps), 1_518));
@@ -72,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     sampler.advance_to(horizon);
     let snapshot = registry.snapshot(horizon);
 
-    // 1. Time series: the last few CSV rows of each class's tx_bits.
+    // 1. Time series: the last few CSV rows, one column per counter.
     let csv = sampler.to_csv();
     println!(
         "-- timeseries (last 3 of {} frames) --",
