@@ -46,36 +46,33 @@ fn accrual_is_monotonic() {
     }
 }
 
-/// The event queue dequeues in nondecreasing time order with FIFO
-/// tie-breaking, for any insertion order.
+/// The event queue pops exactly the stable sort by time of everything
+/// scheduled on it: earliest first, equal times in insertion order. Pops
+/// are interleaved with the schedules, each of which lands at or after the
+/// last popped time, as in a simulation, and a narrow time range makes
+/// equal times common.
 #[test]
 fn event_queue_is_time_ordered() {
     let mut rng = SimRng::seed(0xF0A6);
-    for _ in 0..50 {
-        let n = rng.range(1, 200) as usize;
-        let times: Vec<u64> = (0..n).map(|_| rng.range(0, 1_000)).collect();
+    for _ in 0..200 {
+        let n = rng.range(1, 300) as usize;
         let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(Nanos::from_nanos(t), i);
-        }
-        let mut last_t = Nanos::ZERO;
-        let mut seen_at_t: Vec<usize> = Vec::new();
-        while let Some((t, i)) = q.pop() {
-            assert!(t >= last_t);
-            if t == last_t {
-                if let Some(&prev) = seen_at_t.last() {
-                    // FIFO among equal timestamps if they were inserted in
-                    // index order with the same time.
-                    if times[prev] == times[i] {
-                        assert!(i > prev);
-                    }
-                }
-            } else {
-                seen_at_t.clear();
+        let mut scheduled: Vec<(u64, usize)> = Vec::with_capacity(n);
+        let mut popped: Vec<(u64, usize)> = Vec::with_capacity(n);
+        let mut now = 0;
+        for i in 0..n {
+            while rng.range(0, 3) == 0 {
+                let Some((t, j)) = q.pop() else { break };
+                now = t.as_nanos();
+                popped.push((now, j));
             }
-            seen_at_t.push(i);
-            last_t = t;
+            let t = now + rng.range(0, 40);
+            q.schedule(Nanos::from_nanos(t), i);
+            scheduled.push((t, i));
         }
+        popped.extend(std::iter::from_fn(|| q.pop()).map(|(t, j)| (t.as_nanos(), j)));
+        scheduled.sort_by_key(|&(t, _)| t);
+        assert_eq!(popped, scheduled);
     }
 }
 
