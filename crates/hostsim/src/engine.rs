@@ -24,7 +24,13 @@ use crate::scenario::{AppSpec, Scenario};
 enum Ev {
     /// A connection may try to send.
     ConnWake(usize),
-    /// An ACK arrived for `(conn, seq)`.
+    /// An ACK arrived for `(conn, seq)`. Scheduled on the queue's FIFO run
+    /// (`EventQueue::schedule_monotone`): a delivery's ACK is due half a
+    /// base RTT after the delivery, and deliveries are settled in the order
+    /// their wire completes them (`Outcome::Delivered::at`, one `TxFifo`
+    /// completion plus the NIC's constant pipeline latency), so ACKs come
+    /// due in the order they are scheduled. One that did not would take the
+    /// heap and still pop in place.
     Ack(usize, u64),
     /// Loss of `(conn, seq)` was detected.
     Loss(usize, u64),
@@ -154,7 +160,7 @@ impl Engine<'_> {
                 let delay = at.saturating_sub(pkt.created_at);
                 self.delay.record(delay.as_nanos());
                 let ack_at = at + self.scenario.base_rtt / 2;
-                self.events.schedule(ack_at, Ev::Ack(ci, pkt.seq));
+                self.events.schedule_monotone(ack_at, Ev::Ack(ci, pkt.seq));
             }
             Outcome::Dropped { pkt, at } => {
                 self.dropped += 1;
@@ -172,25 +178,59 @@ impl Engine<'_> {
     }
 }
 
+/// Most apps a scenario may hold: app `i` sends from `10.0.<i + 1>.1`.
+const MAX_APPS: usize = 255;
+/// An app's connection `c` sends from port `FIRST_PORT + c`.
+const FIRST_PORT: u16 = 40_000;
+/// Most connections an app may hold.
+const MAX_CONNS_PER_APP: usize = (u16::MAX - FIRST_PORT) as usize + 1;
+
 /// Runs `scenario` over `path`; returns the report and the path (whose
 /// internal statistics the caller may inspect).
+///
+/// # Panics
+///
+/// If the scenario has more than 255 apps or an app more than 25 536
+/// connections: a connection's flow key encodes both, and feedback is
+/// routed back to the connection by decoding them.
 pub fn run(scenario: &Scenario, path: EgressPath) -> (RunReport, EgressPath) {
+    let apps = scenario.apps.len();
+    assert!(
+        apps <= MAX_APPS,
+        "a scenario holds at most {MAX_APPS} apps (app i sends from 10.0.<i + 1>.1); this one has {apps}"
+    );
+    for app in &scenario.apps {
+        assert!(
+            app.conns <= MAX_CONNS_PER_APP,
+            "an app holds at most {MAX_CONNS_PER_APP} connections (connection c sends from port {FIRST_PORT} + c); {} has {}",
+            app.name,
+            app.conns
+        );
+    }
     let mut rng = SimRng::seed(scenario.seed);
     // A thousand slots per figure-second, or as many as divide it evenly.
     let scale = scenario.time_scale.as_nanos();
     let slots = (1..=1_000).rev().find(|&n| scale.is_multiple_of(n));
     // 2x the link so the host never binds.
     let host_rate = scenario.link.saturating_add(scenario.link);
+    let framing = WireFraming::ETHERNET;
+    let conns: usize = scenario.apps.iter().map(|app| app.conns).sum();
+    // The heap holds each connection's wake and timer, the poll and the
+    // losses; the run holds the ACKs of the segments in flight, about one
+    // base RTT of the link's frames (more behind a standing queue).
+    let in_flight = scenario.base_rtt.as_nanos()
+        / framing
+            .serialization_time(scenario.link, scenario.frame_len as u64)
+            .as_nanos();
     let mut e = Engine {
         scenario,
         path,
-        // Pending: a segment's ACK or loss, a connection's wake and timer.
-        events: EventQueue::with_capacity(1 << 10),
+        events: EventQueue::with_capacities(2 * conns + 1, in_flight as usize),
         conns: Vec::new(),
         conn_base: Vec::new(),
         ids: PacketIdGen::new(),
         vf_free: [Nanos::ZERO; 256],
-        frame_time: WireFraming::ETHERNET.serialization_time(host_rate, scenario.frame_len as u64),
+        frame_time: framing.serialization_time(host_rate, scenario.frame_len as u64),
         poll_armed: false,
         recorder: SeriesRecorder::new(Nanos::from_nanos(scale / slots.unwrap_or(1))),
         delay: Histogram::new_latency_ns(),
@@ -204,7 +244,7 @@ pub fn run(scenario: &Scenario, path: EgressPath) -> (RunReport, EgressPath) {
             let jitter = Nanos::from_nanos(rng.range(0, scenario.base_rtt.as_nanos().max(2)));
             let wake = Ev::ConnWake(e.conns.len());
             e.events.schedule(app.start + jitter, wake);
-            let src = ([10, 0, (ai + 1) as u8, 1], 40_000 + c as u16);
+            let src = ([10, 0, (ai + 1) as u8, 1], FIRST_PORT + c as u16);
             e.conns.push(ConnState {
                 app,
                 series,
@@ -237,10 +277,10 @@ pub fn run(scenario: &Scenario, path: EgressPath) -> (RunReport, EgressPath) {
             Ev::Poll => {
                 let (outcome, next) = e.path.poll(now);
                 if let Some(out) = outcome {
-                    // Its flow key is 10.0.<app position + 1>.1:<40000 + conn>.
+                    // Its flow key is 10.0.<app position + 1>.1:<FIRST_PORT + conn>.
                     let flow = out.packet().flow;
                     let app = flow.src_ip.octets()[2] as usize - 1;
-                    let ci = e.conn_base[app] + (flow.src_port - 40_000) as usize;
+                    let ci = e.conn_base[app] + (flow.src_port - FIRST_PORT) as usize;
                     e.settle(ci, out);
                 }
                 e.poll_armed = next.is_some();
@@ -402,6 +442,29 @@ mod tests {
         let h = snap.histogram("nic.latency_ns").unwrap();
         assert_eq!(h.count, report.delivered);
         assert!(h.p99 >= h.p50 && h.p50 > 0);
+    }
+
+    fn passthrough() -> EgressPath {
+        EgressPath::flowvalve(SmartNic::new(
+            NicConfig::agilio_cx_10g(),
+            Box::new(PassthroughDecider),
+        ))
+    }
+
+    #[test]
+    #[should_panic(expected = "a scenario holds at most 255 apps")]
+    fn a_256th_app_is_refused() {
+        let mut s = one_app_scenario(1);
+        s.apps = (0..256)
+            .map(|i| AppSpec::new(format!("App{i}"), i, 0, 9000, 1, Nanos::ZERO, s.horizon))
+            .collect();
+        run(&s, passthrough());
+    }
+
+    #[test]
+    #[should_panic(expected = "an app holds at most 25536 connections")]
+    fn a_25537th_connection_is_refused() {
+        run(&one_app_scenario(25_537), passthrough());
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! * [`clock`] — the [`Clock`] abstraction and the [`WallClock`] that
 //!   runs the *same* scheduling code on real OS threads.
 //! * [`event`] — a deterministic event queue ([`EventQueue`]) with stable
-//!   FIFO ordering among simultaneous events.
+//!   FIFO ordering among simultaneous events: a binary heap, plus a FIFO
+//!   run that takes a stream already in time order off the heap.
 //! * [`rng`] — seeded deterministic random numbers for reproducible
 //!   experiments.
 //! * [`series`] / [`stats`] — time-series recording, binning and summary

@@ -50,24 +50,38 @@ fn accrual_is_monotonic() {
 /// scheduled on it: earliest first, equal times in insertion order. Pops
 /// are interleaved with the schedules, each of which lands at or after the
 /// last popped time, as in a simulation, and a narrow time range makes
-/// equal times common.
+/// equal times common. Some cases mix in a stream through
+/// `schedule_monotone` that mostly steps forward, often by nothing, and
+/// now and then back: it must pop as if it had been `schedule`d.
 #[test]
 fn event_queue_is_time_ordered() {
     let mut rng = SimRng::seed(0xF0A6);
-    for _ in 0..200 {
+    for case in 0..400 {
         let n = rng.range(1, 300) as usize;
         let mut q = EventQueue::new();
         let mut scheduled: Vec<(u64, usize)> = Vec::with_capacity(n);
         let mut popped: Vec<(u64, usize)> = Vec::with_capacity(n);
-        let mut now = 0;
+        let (mut now, mut stream) = (0u64, 0u64);
         for i in 0..n {
             while rng.range(0, 3) == 0 {
                 let Some((t, j)) = q.pop() else { break };
                 now = t.as_nanos();
                 popped.push((now, j));
             }
-            let t = now + rng.range(0, 40);
-            q.schedule(Nanos::from_nanos(t), i);
+            let t = if case % 2 == 1 && rng.range(0, 4) != 0 {
+                stream = match rng.range(0, 10) {
+                    0 => stream.saturating_sub(rng.range(1, 20)),
+                    1..=3 => stream,
+                    _ => stream + rng.range(1, 8),
+                }
+                .max(now);
+                q.schedule_monotone(Nanos::from_nanos(stream), i);
+                stream
+            } else {
+                let t = now + rng.range(0, 40);
+                q.schedule(Nanos::from_nanos(t), i);
+                t
+            };
             scheduled.push((t, i));
         }
         popped.extend(std::iter::from_fn(|| q.pop()).map(|(t, j)| (t.as_nanos(), j)));
