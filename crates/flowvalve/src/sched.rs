@@ -1012,6 +1012,9 @@ pub(crate) mod tests {
         /// `run(prog, chain)` under the modeled locks and cost meter, with
         /// a recorder attached to every packet.
         RunSim,
+        /// `run(prog, chain)` under the Figure 7 global lock with a zero
+        /// hold: no update waits, so every epoch lands at `now`.
+        RunGlobal,
     }
 
     /// Drives `packets` packets of seeded all-regime traffic through the
@@ -1077,6 +1080,18 @@ pub(crate) mod tests {
                     }
                     got
                 }
+                Driver::RunGlobal => {
+                    let mut exec = GlobalLockExec {
+                        meter: &mut meter,
+                        locks: &mut locks,
+                        update_hold: Nanos::ZERO,
+                        wait: Nanos::ZERO,
+                    };
+                    let chain = prog.resolve(label).expect("compiled");
+                    let got = tree.run(&prog, chain, bits, now, &mut exec, &mut NoObserver);
+                    assert_eq!(exec.wait, Nanos::ZERO);
+                    got
+                }
             };
             assert_eq!(
                 got, want,
@@ -1105,7 +1120,7 @@ pub(crate) mod tests {
         // 100 k packets over the two-leaf borrowing tree: conforming,
         // overload, borrow flips, epoch rolls, expiry after idle gaps.
         let case = two_leaf_case();
-        for driver in [Driver::ScheduleReal, Driver::RunSim] {
+        for driver in [Driver::ScheduleReal, Driver::RunSim, Driver::RunGlobal] {
             let (_, seen) = assert_admit_matches_reference(&case, 0x5eed_f10e, 100_000, driver);
             assert!(seen.iter().all(|&n| n > 1_000), "vacuous traffic: {seen:?}");
         }
@@ -1114,7 +1129,7 @@ pub(crate) mod tests {
     #[test]
     fn admit_matches_reference_on_a_wide_level_whose_leaves_expire_and_return() {
         let case = wide_case();
-        for driver in [Driver::ScheduleReal, Driver::RunSim] {
+        for driver in [Driver::ScheduleReal, Driver::RunSim, Driver::RunGlobal] {
             // Each leaf's share is a 48th, but the generator's 2 ms idle
             // gaps refill every bucket, so most packets pass.
             let (tree, seen) = assert_admit_matches_reference(&case, 0x5eed_0048, 60_000, driver);
@@ -1143,7 +1158,7 @@ pub(crate) mod tests {
                 .iter()
                 .filter(|l| tree.spec(l.leaf()).unwrap().ceil.is_some())
                 .count();
-            for driver in [Driver::ScheduleReal, Driver::RunSim] {
+            for driver in [Driver::ScheduleReal, Driver::RunSim, Driver::RunGlobal] {
                 let (_, run) = assert_admit_matches_reference(&case, seed, 4_000, driver);
                 seen.iter_mut().zip(run).for_each(|(total, n)| *total += n);
             }
