@@ -720,6 +720,48 @@ mod tests {
     }
 
     #[test]
+    fn a_nic_past_255_engines_charges_and_shards_by_the_real_engine() {
+        use np_sim::cost::CycleAttr;
+        use np_sim::nic::SmartNic;
+        let mut cfg = NicConfig::agilio_cx_10g();
+        cfg.num_mes = 300;
+        let policy = Policy::parse(
+            "fv qdisc add dev nic0 root handle 1: fv\n\
+             fv class add dev nic0 parent root classid 1:1 rate 10gbit\n\
+             fv class add dev nic0 parent 1:1 classid 1:10 name hi\n\
+             fv filter add dev nic0 match ip dport 5001 flowid 1:10\n",
+        )
+        .unwrap();
+        let pipeline = FlowValvePipeline::compile(&policy, TreeParams::default(), &cfg).unwrap();
+        let mut nic = SmartNic::new(cfg, Box::new(pipeline));
+        let attr = Arc::new(CycleAttr::new(300));
+        nic.attach_probe(Arc::clone(&attr));
+        // A burst at t = 0 takes engine i for packet i. One flow visits
+        // engines 0 and 256 only, which share flow-cache shard 0; every
+        // other packet is a second flow.
+        for i in 0..300u64 {
+            let src_port = if i % 256 == 0 { 40_000 } else { 40_001 };
+            let flow = FlowKey::tcp([10, 0, 0, 1], src_port, [10, 0, 0, 2], 5001);
+            let p = Packet::new(i, flow, 64, AppId(0), VfPort(0), Nanos::ZERO);
+            let _ = nic.rx(&p, Nanos::ZERO);
+        }
+        let cells = attr.cells();
+        let cell = |worker, op| {
+            cells
+                .iter()
+                .find(|c| (c.worker, c.op) == (worker, Some(op)))
+                .map(|c| c.count)
+        };
+        // Each engine's charges land in its own row, none in the overflow.
+        assert_eq!(cell(299, Op::Parse), Some(1));
+        assert!(cells.iter().all(|c| c.worker < 300), "overflow row used");
+        // Engine 256 found the flow engine 0 cached in shard 0.
+        assert_eq!(cell(256, Op::ClassifyHit), Some(1));
+        assert_eq!(cell(256, Op::ClassifyMiss), None);
+        assert!(cells.iter().any(|c| c.stage == AttrStage::Classify));
+    }
+
+    #[test]
     fn overload_is_dropped_by_the_scheduler() {
         let mut p = pipeline_10g();
         let mut meter = CostMeter::new(CycleCosts::agilio());

@@ -264,8 +264,13 @@ pub struct CostMeter {
     costs: CycleCosts,
     total: Cycles,
     attr: Option<Arc<CycleAttr>>,
-    worker: u8,
+    /// [`NO_WORKER`] until [`CostMeter::set_worker`] names an engine.
+    worker: usize,
 }
+
+/// The worker a meter charges to before any is set: past every real
+/// engine of any NIC, so its charges take [`CycleAttr`]'s overflow row.
+const NO_WORKER: usize = usize::MAX;
 
 impl CostMeter {
     /// Creates a meter with the given cost table.
@@ -274,7 +279,7 @@ impl CostMeter {
             costs,
             total: Cycles::ZERO,
             attr: None,
-            worker: u8::MAX,
+            worker: NO_WORKER,
         }
     }
 
@@ -288,16 +293,16 @@ impl CostMeter {
     /// Sets the micro-engine subsequent charges are attributed to.
     #[inline]
     pub fn set_worker(&mut self, worker: usize) {
-        self.worker = worker.min(u8::MAX as usize) as u8;
+        self.worker = worker;
     }
 
-    /// The micro-engine charges are currently attributed to (`u8::MAX`
+    /// The micro-engine charges are currently attributed to (`usize::MAX`
     /// when no worker context was set). Doubles as the per-worker stripe
     /// hint for striped hot state — striped consumers mask it, so the
     /// no-context sentinel is safe there too.
     #[inline]
     pub fn worker(&self) -> usize {
-        self.worker as usize
+        self.worker
     }
 
     fn cost_of(&self, op: Op) -> u64 {
@@ -324,13 +329,7 @@ impl CostMeter {
         let cycles = self.cost_of(op) * n;
         self.total += Cycles::new(cycles);
         if let Some(attr) = &self.attr {
-            attr.record(
-                op.stage() as usize,
-                op.index(),
-                self.worker as usize,
-                cycles,
-                n,
-            );
+            attr.record(op.stage() as usize, op.index(), self.worker, cycles, n);
         }
     }
 
@@ -339,7 +338,7 @@ impl CostMeter {
         self.total += c;
         if c > Cycles::ZERO {
             if let Some(attr) = &self.attr {
-                attr.record(stage as usize, RAW_OP, self.worker as usize, c.get(), 1);
+                attr.record(stage as usize, RAW_OP, self.worker, c.get(), 1);
             }
         }
     }
@@ -422,6 +421,28 @@ mod tests {
         assert_eq!(cells.len(), 1);
         assert_eq!(cells[0].worker, 2); // overflow row index == workers()
         assert_eq!(cells[0].stage, AttrStage::Parse);
+    }
+
+    #[test]
+    fn engines_past_255_keep_their_own_rows_apart_from_the_overflow() {
+        let attr = Arc::new(CycleAttr::new(300));
+        let mut m = CostMeter::new(CycleCosts::agilio());
+        m.attach_attr(Arc::clone(&attr));
+        m.charge(Op::TxEnqueue); // no worker context yet
+        for engine in [255, 299] {
+            m.set_worker(engine);
+            assert_eq!(m.worker(), engine);
+            m.charge(Op::Parse);
+        }
+        let rows: Vec<_> = attr.cells().iter().map(|c| (c.worker, c.op)).collect();
+        assert_eq!(
+            rows,
+            [
+                (255, Some(Op::Parse)),
+                (299, Some(Op::Parse)),
+                (300, Some(Op::TxEnqueue))
+            ]
+        );
     }
 
     #[test]
