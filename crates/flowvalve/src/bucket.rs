@@ -136,6 +136,25 @@ impl TokenBucket {
         }
     }
 
+    /// [`TokenBucket::meter`] for the bucket's only writer: a load, and a
+    /// store on green only. With no racing meter there is no transient
+    /// debt to take and repair, so red leaves the level as found without
+    /// touching it, which is what the subtract-and-restore leaves on one
+    /// thread. Callers guarantee that no other thread writes the bucket
+    /// meanwhile (`Exec::EXCLUSIVE`).
+    #[inline]
+    pub(crate) fn meter_single_writer(&self, need: Tokens) -> Color {
+        let need = need.raw() as i64;
+        let level = self.tokens.load(Ordering::Relaxed);
+        if level >= need {
+            self.tokens
+                .store(level.wrapping_sub(need), Ordering::Relaxed);
+            Color::Green
+        } else {
+            Color::Red
+        }
+    }
+
     /// Adds tokens, saturating at the burst capacity.
     pub fn refill(&self, add: Tokens) {
         if add == Tokens::ZERO {
@@ -320,6 +339,35 @@ mod tests {
             added.raw() as i64,
             "greens + residue must equal refills exactly"
         );
+    }
+
+    #[test]
+    fn the_single_writer_meter_replays_the_shared_one_on_one_thread() {
+        use sim_core::rng::SimRng;
+        // Two buckets fed the same seeded needs and refills: every colour
+        // and every level after it agree, reds that find the level short
+        // but out of debt included.
+        let burst = Tokens::from_bits(40_000);
+        let (shared, single) = (TokenBucket::new(burst), TokenBucket::new(burst));
+        let mut rng = SimRng::seed(0x5eed_b0c7);
+        let mut reds = 0;
+        for _ in 0..20_000 {
+            let r = rng.next_u64();
+            if r.is_multiple_of(4) {
+                let add = Tokens::from_bits((r >> 8) % 24_000);
+                shared.refill(add);
+                single.refill(add);
+            }
+            let need = Tokens::from_bits(1 + (r >> 32) % 12_000);
+            let colour = shared.meter(need);
+            assert_eq!(single.meter_single_writer(need), colour);
+            assert_eq!(single.raw(), shared.raw());
+            if colour == Color::Red {
+                assert!(single.raw() >= 0, "a red left debt");
+                reds += 1;
+            }
+        }
+        assert!((2_000..18_000).contains(&reds), "{reds} reds");
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!   workload): locks are the nodes' actual `std::sync` mutexes, and no
 //!   costs are charged because the hardware is doing the timing.
 
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 
 pub use fv_audit::NoObserver;
 use fv_audit::{StepKind, StepObserver, StepRecord};
@@ -36,7 +36,7 @@ use sim_core::time::Nanos;
 use crate::bucket::Color;
 use crate::label::{ClassId, QosLabel, MAX_DEPTH};
 use crate::program::{ChainId, CompiledProgram};
-use crate::tree::{Node, SchedulingTree};
+use crate::tree::{Node, NodeHot, SchedulingTree};
 
 /// Which guarded section a lock protects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,6 +67,15 @@ impl SchedVerdict {
 
 /// The execution environment of one scheduling-function invocation.
 pub trait Exec {
+    /// Whether this environment is the tree's only writer while it runs.
+    /// The paper's workers share a tree and meter it with atomic
+    /// test-and-add; an environment that answers `true` promises that no
+    /// other thread writes the tree meanwhile, so a packet's walk writes
+    /// hot state and meters buckets with plain loads and stores instead
+    /// of read-modify-writes. Verdicts and tree state are the same either
+    /// way; only the host instructions differ.
+    const EXCLUSIVE: bool = false;
+
     /// Charges one modeled operation (no-op under real execution).
     fn charge(&mut self, op: Op);
 
@@ -102,6 +111,13 @@ pub trait Exec {
 }
 
 /// Simulation execution: modeled locks + cycle accounting.
+///
+/// One modeled writer per tree at a time: the discrete-event model runs
+/// every micro-engine on one host thread, so the contention between them
+/// is the modeled lock table and the `Op::AtomicOp` charges, not the
+/// host's atomics, and the walk is the tree's only writer
+/// ([`Exec::EXCLUSIVE`]). A tree it drives must not be shared with
+/// [`RealExec`] threads meanwhile.
 #[derive(Debug)]
 pub struct SimExec<'a> {
     /// The worker's cost meter.
@@ -122,6 +138,8 @@ impl SimExec<'_> {
 }
 
 impl Exec for SimExec<'_> {
+    const EXCLUSIVE: bool = true;
+
     fn charge(&mut self, op: Op) {
         self.meter.charge(op);
     }
@@ -213,6 +231,10 @@ impl Exec for RealExec {
 /// serializes every update (the kernel-HTB discipline transplanted onto
 /// the NIC), implemented as a blocking acquire on lock 0 so the waiting
 /// time is charged to the packet.
+///
+/// Like [`SimExec`], one modeled writer per tree at a time: every worker
+/// of the discrete-event model runs on one host thread, so the walk is the
+/// tree's only writer ([`Exec::EXCLUSIVE`]).
 #[derive(Debug)]
 pub struct GlobalLockExec<'a> {
     /// The worker's cost meter.
@@ -226,6 +248,8 @@ pub struct GlobalLockExec<'a> {
 }
 
 impl Exec for GlobalLockExec<'_> {
+    const EXCLUSIVE: bool = true;
+
     fn charge(&mut self, op: Op) {
         self.meter.charge(op);
     }
@@ -323,7 +347,8 @@ impl SchedulingTree {
     /// may borrow from, in query order; bucket slots are read off the
     /// nodes. Under a modeled [`Exec`] the charge and lock sequence below
     /// *is* the hardware cost model, so its order is part of the contract:
-    /// every virtual-time figure replays it byte for byte.
+    /// every virtual-time figure replays it byte for byte. Under an
+    /// [`Exec::EXCLUSIVE`] one the walk's writes are plain loads and stores.
     fn admit<E: Exec, O: StepObserver>(
         &self,
         path: &[u32],
@@ -334,6 +359,7 @@ impl SchedulingTree {
         obs: &mut O,
     ) -> SchedVerdict {
         let need = Tokens::from_bits(bits);
+        let excl = E::EXCLUSIVE;
         let elide = exec.elide_idle_updates();
         let stripe = exec.stripe();
         self.register_stripe(stripe);
@@ -368,7 +394,7 @@ impl SchedulingTree {
         // The wait-free token test-and-add.
         let meter = |obs: &mut O, kind, node: &Node, slot: u32| {
             let before = level(slot);
-            let green = self.slab_bucket(slot).meter(need) == Color::Green;
+            let green = self.meter(slot, need, excl) == Color::Green;
             report(obs, kind, node, slot, need.raw() as i64, before, green);
             green
         };
@@ -377,9 +403,17 @@ impl SchedulingTree {
         // class's drops poison its siblings' residual rates.
         let count = |exec: &mut E| {
             for &idx in path {
-                self.node(idx as usize).add_consumed(stripe, bits);
+                self.hot_add(
+                    &self.node(idx as usize).hot(stripe).consumed_bits,
+                    bits,
+                    excl,
+                );
                 exec.charge(Op::AtomicOp);
             }
+        };
+        // One verdict counter of `node`'s stripe.
+        let tally = |node: &Node, cell: fn(&NodeHot) -> &AtomicU64| {
+            self.hot_add(cell(node.hot(stripe)), 1, excl);
         };
 
         // Lines 1-5: refresh token buckets root→leaf, then mark every
@@ -391,7 +425,7 @@ impl SchedulingTree {
             report(obs, StepKind::Update, node, node.bucket, 0, before, true);
         }
         for &idx in path {
-            self.node(idx as usize).touch(stripe, now.as_nanos());
+            self.touch(self.node(idx as usize), stripe, now.as_nanos(), excl);
         }
 
         // Lines 6-8: the leaf meter throttles the flow. A configured
@@ -404,13 +438,13 @@ impl SchedulingTree {
         if let Some(ceil) = leaf.ceil_bucket {
             exec.charge(Op::AtomicOp);
             if !meter(obs, StepKind::MeterCeil, leaf, ceil) {
-                leaf.add_dropped(stripe, 1);
+                tally(leaf, |h| &h.dropped);
                 return SchedVerdict::Drop;
             }
         }
         if leaf_green {
             count(exec);
-            leaf.add_forwarded(stripe, 1);
+            tally(leaf, |h| &h.forwarded);
             return SchedVerdict::Forward;
         }
 
@@ -421,14 +455,14 @@ impl SchedulingTree {
             refresh(idx, LockKind::Shadow, exec);
             if meter(obs, StepKind::Borrow, lender, lender.shadow) {
                 count(exec);
-                lender.add_lent(stripe, 1);
-                leaf.add_borrowed(stripe, 1);
+                tally(lender, |h| &h.lent);
+                tally(leaf, |h| &h.borrowed);
                 return SchedVerdict::Borrowed(lender.spec.id);
             }
         }
 
         // Line 16: every bucket is red — the specialized early tail drop.
-        leaf.add_dropped(stripe, 1);
+        tally(leaf, |h| &h.dropped);
         SchedVerdict::Drop
     }
 }
@@ -843,7 +877,10 @@ pub(crate) mod tests {
     ) -> SchedVerdict {
         let need = Tokens::from_bits(bits);
         let idx = |cid: ClassId| tree.node_index(cid).expect("class in tree");
-        let green = |slot: u32| tree.slab_bucket(slot).meter(need) == Color::Green;
+        let green = |slot: u32| tree.meter(slot, need, false) == Color::Green;
+        let tally = |node: &Node, cell: fn(&NodeHot) -> &AtomicU64| {
+            tree.hot_add(cell(node.hot(0)), 1, false);
+        };
         // Lines 1-5: update every class root→leaf.
         for &cid in label.path() {
             reference_update(tree, idx(cid), now);
@@ -854,17 +891,17 @@ pub(crate) mod tests {
         let under_ceil = || leaf.ceil_bucket.is_none_or(green);
         if green(leaf.bucket) {
             if !under_ceil() {
-                leaf.add_dropped(0, 1);
+                tally(leaf, |h| &h.dropped);
                 return SchedVerdict::Drop;
             }
             tree.count_path(label, bits);
-            leaf.add_forwarded(0, 1);
+            tally(leaf, |h| &h.forwarded);
             return SchedVerdict::Forward;
         }
         // Lines 9-15: borrow from each lender's shadow bucket in turn,
         // still within the leaf's ceiling.
         if !under_ceil() {
-            leaf.add_dropped(0, 1);
+            tally(leaf, |h| &h.dropped);
             return SchedVerdict::Drop;
         }
         for &cid in label.borrow() {
@@ -872,13 +909,13 @@ pub(crate) mod tests {
             tree.update_shadow(idx(cid), now);
             if green(lender.shadow) {
                 tree.count_path(label, bits);
-                lender.add_lent(0, 1);
-                leaf.add_borrowed(0, 1);
+                tally(lender, |h| &h.lent);
+                tally(leaf, |h| &h.borrowed);
                 return SchedVerdict::Borrowed(cid);
             }
         }
         // Line 16.
-        leaf.add_dropped(0, 1);
+        tally(leaf, |h| &h.dropped);
         SchedVerdict::Drop
     }
 
@@ -1054,6 +1091,8 @@ pub(crate) mod tests {
             let turn = (i / case.turn) as usize + usize::from((r >> 40).is_multiple_of(8));
             let label = &labels[turn % labels.len()];
             let bits = 4_000 + (r % 16_000);
+            let rmws = |t: &SchedulingTree| t.walk_rmws.load(Relaxed);
+            let (spec_rmws, walk_rmws) = (rmws(&spec_tree), rmws(&tree));
             let want = reference(&spec_tree, label, bits, now);
             let got = match driver {
                 Driver::ScheduleReal => tree.schedule(label, bits, now, &mut RealExec),
@@ -1097,6 +1136,13 @@ pub(crate) mod tests {
                 got, want,
                 "packet {i} of seed {seed:#x} diverged at {now:?}"
             );
+            // Sharing the tree, the walk issues the reference's RMWs, one
+            // per write; as its only writer, none.
+            let shared = match driver {
+                Driver::ScheduleReal => rmws(&spec_tree) - spec_rmws,
+                Driver::RunSim | Driver::RunGlobal => 0,
+            };
+            assert_eq!(rmws(&tree) - walk_rmws, shared, "packet {i}");
             seen[match got {
                 SchedVerdict::Forward => 0,
                 SchedVerdict::Borrowed(_) => 1,
@@ -1171,6 +1217,47 @@ pub(crate) mod tests {
         assert_eq!(deepest, MAX_DEPTH);
         assert!(most_lenders >= 6, "{most_lenders}");
         assert!(ceiled >= 10, "{ceiled}");
+    }
+
+    #[test]
+    fn a_shared_walk_issues_one_rmw_per_write() {
+        // Under RealExec, per packet: one touch per path class, one meter
+        // per token test plus a restore per red, one consumed add per path
+        // class on a pass, and one verdict add (two on a borrow: the
+        // lender's and the leaf's).
+        let (tree, labels) = two_leaf_case().build();
+        let mut rng = SimRng::seed(0x0a7c);
+        let mut now = Nanos::ZERO;
+        let mut seen = [0u64; 3];
+        for i in 0..20_000u64 {
+            let r = rng.next_u64();
+            now += Nanos::from_nanos(200 + r % 1_000);
+            // Each leaf in turn is the busy one and borrows from the other,
+            // which stays active on one packet in eight.
+            let turn = (i / 256) as usize + usize::from((r >> 40).is_multiple_of(8));
+            let label = &labels[turn % labels.len()];
+            let before = tree.walk_rmws.load(Relaxed);
+            let mut rec = Recorder::new();
+            let bits = 4_000 + r % 16_000;
+            let v = tree.schedule_with(label, bits, now, &mut RealExec, &mut rec);
+            let tests = rec.steps.iter().filter(|s| s.kind != StepKind::Update);
+            let (tests, reds) =
+                tests.fold((0, 0), |(n, red), s| (n + 1, red + u64::from(!s.green)));
+            let path = label.path().len() as u64;
+            let (kind, verdict_adds) = match v {
+                SchedVerdict::Forward => (0, 1),
+                SchedVerdict::Borrowed(_) => (1, 2),
+                SchedVerdict::Drop => (2, 1),
+            };
+            seen[kind] += 1;
+            let consumed = path * u64::from(v.passes());
+            assert_eq!(
+                tree.walk_rmws.load(Relaxed) - before,
+                path + tests + reds + consumed + verdict_adds,
+                "packet {i}: {v:?} {rec:?}"
+            );
+        }
+        assert!(seen.iter().all(|&n| n > 500), "vacuous traffic: {seen:?}");
     }
 
     #[test]

@@ -32,7 +32,7 @@ use sim_core::time::Nanos;
 use sim_core::units::BitRate;
 use std::sync::Mutex;
 
-use crate::bucket::{AtomicRate, TokenBucket};
+use crate::bucket::{AtomicRate, Color, TokenBucket};
 use crate::error::BuildTreeError;
 use crate::label::{ClassId, QosLabel, MAX_BORROW, MAX_DEPTH};
 
@@ -168,10 +168,10 @@ const HOT_STRIPE_MASK: usize = HOT_STRIPES - 1;
 pub(crate) struct NodeHot {
     pub(crate) consumed_bits: AtomicU64,
     pub(crate) last_packet: AtomicU64,
-    forwarded: AtomicU64,
-    borrowed: AtomicU64,
-    dropped: AtomicU64,
-    lent: AtomicU64,
+    pub(crate) forwarded: AtomicU64,
+    pub(crate) borrowed: AtomicU64,
+    pub(crate) dropped: AtomicU64,
+    pub(crate) lent: AtomicU64,
 }
 
 pub(crate) struct Node {
@@ -229,7 +229,7 @@ pub(crate) struct Node {
 
 impl Node {
     #[inline]
-    fn hot(&self, stripe: usize) -> &NodeHot {
+    pub(crate) fn hot(&self, stripe: usize) -> &NodeHot {
         &self.hot[stripe & HOT_STRIPE_MASK]
     }
 
@@ -238,40 +238,6 @@ impl Node {
     #[cfg(test)]
     pub(crate) fn all_stripes(&self) -> &[NodeHot; HOT_STRIPES] {
         &self.hot
-    }
-
-    #[inline]
-    pub(crate) fn touch(&self, stripe: usize, now_ns: u64) {
-        self.hot(stripe)
-            .last_packet
-            .fetch_max(now_ns, Ordering::AcqRel);
-    }
-
-    #[inline]
-    pub(crate) fn add_consumed(&self, stripe: usize, bits: u64) {
-        self.hot(stripe)
-            .consumed_bits
-            .fetch_add(bits, Ordering::AcqRel);
-    }
-
-    #[inline]
-    pub(crate) fn add_forwarded(&self, stripe: usize, n: u64) {
-        self.hot(stripe).forwarded.fetch_add(n, Ordering::AcqRel);
-    }
-
-    #[inline]
-    pub(crate) fn add_borrowed(&self, stripe: usize, n: u64) {
-        self.hot(stripe).borrowed.fetch_add(n, Ordering::AcqRel);
-    }
-
-    #[inline]
-    pub(crate) fn add_dropped(&self, stripe: usize, n: u64) {
-        self.hot(stripe).dropped.fetch_add(n, Ordering::AcqRel);
-    }
-
-    #[inline]
-    pub(crate) fn add_lent(&self, stripe: usize, n: u64) {
-        self.hot(stripe).lent.fetch_add(n, Ordering::AcqRel);
     }
 }
 
@@ -373,6 +339,10 @@ pub struct SchedulingTree {
     pub(crate) sibling_reads: AtomicU64,
     #[cfg(test)]
     pub(crate) floor_hits: AtomicU64,
+    /// Read-modify-writes issued on hot state and by slab meters outside
+    /// guarded updates: what a packet's walk pays per shared write.
+    #[cfg(test)]
+    pub(crate) walk_rmws: AtomicU64,
 }
 
 impl core::fmt::Debug for SchedulingTree {
@@ -571,6 +541,8 @@ impl SchedulingTree {
             sibling_reads: AtomicU64::new(0),
             #[cfg(test)]
             floor_hits: AtomicU64::new(0),
+            #[cfg(test)]
+            walk_rmws: AtomicU64::new(0),
         };
         tree.initialize_rates();
         Ok(tree)
@@ -690,6 +662,54 @@ impl SchedulingTree {
         }
         out.sort_by_key(|b| b.index);
         out
+    }
+
+    /// Adds `n` to one hot-state cell on a packet's walk: a `fetch_add`
+    /// where workers share the tree, a plain load and store where the
+    /// caller is its only writer (`Exec::EXCLUSIVE`), the way
+    /// `Counter::add_single_writer` writes.
+    #[inline]
+    pub(crate) fn hot_add(&self, cell: &AtomicU64, n: u64, exclusive: bool) {
+        if exclusive {
+            cell.store(
+                cell.load(Ordering::Relaxed).wrapping_add(n),
+                Ordering::Relaxed,
+            );
+        } else {
+            #[cfg(test)]
+            self.walk_rmws.fetch_add(1, Ordering::Relaxed);
+            cell.fetch_add(n, Ordering::AcqRel);
+        }
+    }
+
+    /// Marks `node` touched at `now_ns` on `stripe` (drives expiry): a
+    /// `fetch_max`, or a compare and store for the only writer.
+    #[inline]
+    pub(crate) fn touch(&self, node: &Node, stripe: usize, now_ns: u64, exclusive: bool) {
+        let cell = &node.hot(stripe).last_packet;
+        if !exclusive {
+            #[cfg(test)]
+            self.walk_rmws.fetch_add(1, Ordering::Relaxed);
+            cell.fetch_max(now_ns, Ordering::AcqRel);
+        } else if cell.load(Ordering::Relaxed) < now_ns {
+            cell.store(now_ns, Ordering::Relaxed);
+        }
+    }
+
+    /// The token test of slab bucket `slot`: [`TokenBucket::meter`], or
+    /// its single-writer form for the only writer.
+    #[inline]
+    pub(crate) fn meter(&self, slot: u32, need: Tokens, exclusive: bool) -> Color {
+        let bucket = &self.slab[slot as usize];
+        if exclusive {
+            return bucket.meter_single_writer(need);
+        }
+        let color = bucket.meter(need);
+        // A red restores what its subtraction took: a second RMW.
+        #[cfg(test)]
+        self.walk_rmws
+            .fetch_add(1 + u64::from(color == Color::Red), Ordering::Relaxed);
+        color
     }
 
     /// Monotonic count of state rolls: incremented on every completed
@@ -965,7 +985,8 @@ impl SchedulingTree {
     #[cfg(test)]
     pub(crate) fn count_path(&self, label: &QosLabel, bits: u64) {
         for cid in label.path() {
-            self.nodes[self.node_index(*cid).expect("class in tree")].add_consumed(0, bits);
+            let node = &self.nodes[self.node_index(*cid).expect("class in tree")];
+            self.hot_add(&node.hot(0).consumed_bits, bits, false);
         }
     }
 
@@ -974,7 +995,8 @@ impl SchedulingTree {
     #[cfg(test)]
     pub(crate) fn touch_path(&self, label: &QosLabel, now: Nanos) {
         for cid in label.path() {
-            self.nodes[self.node_index(*cid).expect("class in tree")].touch(0, now.as_nanos());
+            let node = &self.nodes[self.node_index(*cid).expect("class in tree")];
+            self.touch(node, 0, now.as_nanos(), false);
         }
     }
 

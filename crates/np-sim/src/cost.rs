@@ -305,6 +305,7 @@ impl CostMeter {
         self.worker
     }
 
+    #[inline]
     fn cost_of(&self, op: Op) -> u64 {
         match op {
             Op::Parse => self.costs.parse,
@@ -320,11 +321,15 @@ impl CostMeter {
     }
 
     /// Charges one operation.
+    #[inline]
     pub fn charge(&mut self, op: Op) {
         self.charge_n(op, 1);
     }
 
-    /// Charges `n` repetitions of an operation.
+    /// Charges `n` repetitions of an operation. Inline, so a caller's
+    /// run of charges folds into its own code; the attached branch's
+    /// [`CycleAttr`] fold stays one out-of-line call.
+    #[inline]
     pub fn charge_n(&mut self, op: Op, n: u64) {
         let cycles = self.cost_of(op) * n;
         self.total += Cycles::new(cycles);

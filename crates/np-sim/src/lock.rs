@@ -106,6 +106,7 @@ impl LockTable {
     }
 
     /// The hold time after any injected lock-latency inflation.
+    #[inline]
     fn effective_hold(&self, now: Nanos, hold: Nanos) -> Nanos {
         match &self.injector {
             Some(inj) => {
@@ -135,6 +136,7 @@ impl LockTable {
     }
 
     /// Grows the table to hold at least `n` locks.
+    #[inline]
     pub fn ensure(&mut self, n: usize) {
         if self.free_at.len() < n {
             self.free_at.resize(n, Nanos::ZERO);
@@ -148,6 +150,7 @@ impl LockTable {
     /// # Panics
     ///
     /// Panics if `lock` is out of range.
+    #[inline]
     pub fn try_acquire(&mut self, lock: LockId, now: Nanos, hold: Nanos) -> bool {
         let hold = self.effective_hold(now, hold);
         let per = &mut self.per_lock[lock.0 as usize];
