@@ -14,7 +14,9 @@
 //! losing racer leaves transient debt that concurrent meters observe as
 //! "no tokens" (a conservative red), and the restore erases it, so tokens
 //! are never created or lost. The same type serves as the *shadow bucket*
-//! holding a class's lendable tokens.
+//! holding a class's lendable tokens. Where one thread is the tree's only
+//! writer (the discrete-event model), the scheduling function meters with a
+//! load and a store instead: the same colours and levels, no atomic RMW.
 
 use std::sync::atomic::{AtomicI64, Ordering};
 
@@ -140,8 +142,9 @@ impl TokenBucket {
     /// store on green only. With no racing meter there is no transient
     /// debt to take and repair, so red leaves the level as found without
     /// touching it, which is what the subtract-and-restore leaves on one
-    /// thread. Callers guarantee that no other thread writes the bucket
-    /// meanwhile (`Exec::EXCLUSIVE`).
+    /// thread. Callers guarantee that no other thread touches the bucket
+    /// meanwhile (`Exec::EXCLUSIVE`), so `Relaxed` suffices, as in
+    /// `SchedulingTree::hot_add`.
     #[inline]
     pub(crate) fn meter_single_writer(&self, need: Tokens) -> Color {
         let need = need.raw() as i64;

@@ -140,6 +140,7 @@ impl SimExec<'_> {
 impl Exec for SimExec<'_> {
     const EXCLUSIVE: bool = true;
 
+    #[inline]
     fn charge(&mut self, op: Op) {
         self.meter.charge(op);
     }
@@ -250,6 +251,7 @@ pub struct GlobalLockExec<'a> {
 impl Exec for GlobalLockExec<'_> {
     const EXCLUSIVE: bool = true;
 
+    #[inline]
     fn charge(&mut self, op: Op) {
         self.meter.charge(op);
     }
@@ -359,7 +361,6 @@ impl SchedulingTree {
         obs: &mut O,
     ) -> SchedVerdict {
         let need = Tokens::from_bits(bits);
-        let excl = E::EXCLUSIVE;
         let elide = exec.elide_idle_updates();
         let stripe = exec.stripe();
         self.register_stripe(stripe);
@@ -394,7 +395,7 @@ impl SchedulingTree {
         // The wait-free token test-and-add.
         let meter = |obs: &mut O, kind, node: &Node, slot: u32| {
             let before = level(slot);
-            let green = self.meter(slot, need, excl) == Color::Green;
+            let green = self.meter(slot, need, E::EXCLUSIVE) == Color::Green;
             report(obs, kind, node, slot, need.raw() as i64, before, green);
             green
         };
@@ -406,14 +407,14 @@ impl SchedulingTree {
                 self.hot_add(
                     &self.node(idx as usize).hot(stripe).consumed_bits,
                     bits,
-                    excl,
+                    E::EXCLUSIVE,
                 );
                 exec.charge(Op::AtomicOp);
             }
         };
         // One verdict counter of `node`'s stripe.
         let tally = |node: &Node, cell: fn(&NodeHot) -> &AtomicU64| {
-            self.hot_add(cell(node.hot(stripe)), 1, excl);
+            self.hot_add(cell(node.hot(stripe)), 1, E::EXCLUSIVE);
         };
 
         // Lines 1-5: refresh token buckets root→leaf, then mark every
@@ -425,7 +426,12 @@ impl SchedulingTree {
             report(obs, StepKind::Update, node, node.bucket, 0, before, true);
         }
         for &idx in path {
-            self.touch(self.node(idx as usize), stripe, now.as_nanos(), excl);
+            self.touch(
+                self.node(idx as usize),
+                stripe,
+                now.as_nanos(),
+                E::EXCLUSIVE,
+            );
         }
 
         // Lines 6-8: the leaf meter throttles the flow. A configured

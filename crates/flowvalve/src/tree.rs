@@ -667,7 +667,11 @@ impl SchedulingTree {
     /// Adds `n` to one hot-state cell on a packet's walk: a `fetch_add`
     /// where workers share the tree, a plain load and store where the
     /// caller is its only writer (`Exec::EXCLUSIVE`), the way
-    /// `Counter::add_single_writer` writes.
+    /// `Counter::add_single_writer` writes. The only writer's accesses are
+    /// `Relaxed`: no other thread touches the tree while it runs, and one
+    /// that reads the tree afterwards synchronizes with it through whatever
+    /// handed the tree over (a join, a channel), which orders these stores
+    /// before that read.
     #[inline]
     pub(crate) fn hot_add(&self, cell: &AtomicU64, n: u64, exclusive: bool) {
         if exclusive {

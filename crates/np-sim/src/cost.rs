@@ -305,7 +305,7 @@ impl CostMeter {
         self.worker
     }
 
-    #[inline]
+    #[inline(always)]
     fn cost_of(&self, op: Op) -> u64 {
         match op {
             Op::Parse => self.costs.parse,
@@ -321,15 +321,17 @@ impl CostMeter {
     }
 
     /// Charges one operation.
-    #[inline]
+    #[inline(always)]
     pub fn charge(&mut self, op: Op) {
         self.charge_n(op, 1);
     }
 
-    /// Charges `n` repetitions of an operation. Inline, so a caller's
-    /// run of charges folds into its own code; the attached branch's
-    /// [`CycleAttr`] fold stays one out-of-line call.
-    #[inline]
+    /// Charges `n` repetitions of an operation. Always inlined, so a
+    /// caller's run of constant-op charges folds into its own code (with
+    /// plain `#[inline]` the compiler kept one local copy and called it
+    /// per charge); the attached branch's [`CycleAttr`] fold stays one
+    /// out-of-line call.
+    #[inline(always)]
     pub fn charge_n(&mut self, op: Op, n: u64) {
         let cycles = self.cost_of(op) * n;
         self.total += Cycles::new(cycles);
