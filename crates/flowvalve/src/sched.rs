@@ -19,7 +19,9 @@
 //!
 //! * [`SimExec`] — inside the discrete-event NIC model: lock contention is
 //!   *modeled* through [`np_sim::lock::LockTable`] and every operation is
-//!   charged to a [`np_sim::cost::CostMeter`];
+//!   charged to a [`np_sim::cost::CostMeter`]; one host thread runs every
+//!   modeled worker, so the walk is the tree's only writer
+//!   ([`Exec::EXCLUSIVE`]) and writes it with plain loads and stores;
 //! * [`RealExec`] — on real OS threads (the `wallclock_2t` benchmark
 //!   workload): locks are the nodes' actual `std::sync` mutexes, and no
 //!   costs are charged because the hardware is doing the timing.

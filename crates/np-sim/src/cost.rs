@@ -192,13 +192,19 @@ impl CycleAttr {
         self.workers
     }
 
+    #[inline]
     fn slot(&self, stage: usize, op: usize, worker: usize) -> usize {
         let w = worker.min(self.workers);
         (w * ATTR_STAGES.len() + stage) * OP_SLOTS + op
     }
 
     /// Single-writer adds: the one writer is the [`CostMeter`] the array
-    /// is attached to, charging from behind its `&mut self`.
+    /// is attached to, charging from behind its `&mut self`. Inline with
+    /// `slot`, like the charge that calls it: a charge whose fast path is
+    /// folded into its caller would otherwise pay an out-of-line call per
+    /// charge as soon as an array is attached, and the attached run would
+    /// pay for the call the unattached one saved.
+    #[inline]
     fn record(&self, stage: usize, op: usize, worker: usize, cycles: u64, n: u64) {
         let i = self.slot(stage, op, worker);
         self.cycles[i].add_single_writer(cycles);
@@ -329,8 +335,7 @@ impl CostMeter {
     /// Charges `n` repetitions of an operation. Always inlined, so a
     /// caller's run of constant-op charges folds into its own code (with
     /// plain `#[inline]` the compiler kept one local copy and called it
-    /// per charge); the attached branch's [`CycleAttr`] fold stays one
-    /// out-of-line call.
+    /// per charge), the attached branch's [`CycleAttr`] fold included.
     #[inline(always)]
     pub fn charge_n(&mut self, op: Op, n: u64) {
         let cycles = self.cost_of(op) * n;
