@@ -394,7 +394,7 @@ impl SchedulingTree {
             }
             exec.charge(Op::AtomicOp);
         };
-        // The wait-free token test-and-add.
+        // The wait-free token test-and-add, or its only-writer form.
         let meter = |obs: &mut O, kind, node: &Node, slot: u32| {
             let before = level(slot);
             let green = self.meter(slot, need, E::EXCLUSIVE) == Color::Green;

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Interleaved parent/change pairs of the whole-path benchmark, the
-# protocol a performance claim rests on (the choosing-metrics rule: at least
-# nine pairs in ten won, medians further apart than the parent's quartiles):
+# Interleaved parent/change pairs of the whole-path benchmark, the protocol
+# a performance claim rests on: at least ten pairs, and a gain counts when the
+# change wins nine in ten and the medians lie further apart than the
+# parent's quartiles.
 #
 #   scripts/ab.sh <parent-rev> <change-rev> <workload> <pairs> [seconds] [first-seed]
 #
@@ -11,12 +12,12 @@
 # seed first-seed + k (default 1001) untraced for `seconds` (default 24) on
 # both sides, the parent first on even k and the change first on odd k.
 # Prints one line per pair, then each side's median and quartiles, the
-# change's wins on pkts_per_s and whether the rule holds. The temporary
-# directory is removed on exit; the checkout is left untouched. Run nothing
-# else meanwhile: wallclock_2t occupies two CPUs.
+# change's wins on pkts_per_s and, from ten pairs on, whether the rule
+# holds. The temporary directory is removed on exit; the checkout is left
+# untouched. Run nothing else meanwhile: wallclock_2t occupies two CPUs.
 set -euo pipefail
 if [ $# -lt 4 ]; then
-    sed -n '6p' "$0" >&2
+    sed -n '7p' "$0" >&2
     exit 2
 fi
 parent=$1 change=$2 workload=$3 pairs=$4 seconds=${5:-24} seed0=${6:-1001}
@@ -74,7 +75,8 @@ n = len(runs["parent"])
 wins = sum(pk("change", i) > pk("parent", i) for i in range(n))
 q1, pmed, q3 = stats["parent", "pkts_per_s"]
 cmed = stats["change", "pkts_per_s"][1]
-holds = 10 * wins >= 9 * n and cmed - pmed > q3 - q1
+holds = n >= 10 and 10 * wins >= 9 * n and cmed - pmed > q3 - q1
 print("pkts_per_s: change wins %d/%d, median gap %+.4g vs parent IQR %.4g: gain %s"
-      % (wins, n, cmed - pmed, q3 - q1, "holds" if holds else "does not hold"))
+      % (wins, n, cmed - pmed, q3 - q1, "holds" if holds else
+         "does not hold" if n >= 10 else "not judged (fewer than ten pairs)"))
 '
