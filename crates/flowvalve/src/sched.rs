@@ -1084,6 +1084,7 @@ pub(crate) mod tests {
         // ~12 kbit packets at this mean gap offer three times the root rate.
         let root_bps = case.specs[0].rate.expect("root rate").as_bps();
         let gap = 4_000_000_000_000 / root_bps;
+        let rmws = |t: &SchedulingTree| t.walk_rmws.load(Relaxed);
         for i in 0..packets {
             let r = rng.next_u64();
             // Overload in the main, broken up by gaps past the update
@@ -1099,7 +1100,6 @@ pub(crate) mod tests {
             let turn = (i / case.turn) as usize + usize::from((r >> 40).is_multiple_of(8));
             let label = &labels[turn % labels.len()];
             let bits = 4_000 + (r % 16_000);
-            let rmws = |t: &SchedulingTree| t.walk_rmws.load(Relaxed);
             let (spec_rmws, walk_rmws) = (rmws(&spec_tree), rmws(&tree));
             let want = reference(&spec_tree, label, bits, now);
             let got = match driver {
