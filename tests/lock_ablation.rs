@@ -1,16 +1,15 @@
-//! Figure 7's lock ablation: the conclusion on the committed result, and
-//! the mechanism on one NIC.
+//! Figure 7's lock ablation: the mechanism on one NIC.
 //!
 //! FlowValve's per-class try-locks never block (paper Fig. 7(c)); one
 //! global blocking lock serializes every packet's updates (Fig. 7(b)). The
-//! `fig07_lock_ablation` binary writes the first test's file, and
-//! `scripts/check.sh` fails when a rerun no longer reproduces it, so that
-//! test holds the model, not only the file.
+//! conclusion on the committed result, per-class at least five times the
+//! global lock's 64 B rate, is a case of `tests/paper_checkpoints.rs`;
+//! `scripts/check.sh` fails when a rerun no longer reproduces that file, so
+//! the case holds the model, not only the file.
 
 use flowvalve::frontend::Policy;
 use flowvalve::pipeline::{FlowValvePipeline, LockDiscipline};
 use flowvalve::tree::TreeParams;
-use fv_telemetry::JsonValue;
 use netstack::flow::FlowKey;
 use netstack::gen::LineRateProcess;
 use netstack::packet::{AppId, VfPort};
@@ -18,26 +17,6 @@ use np_sim::config::NicConfig;
 use np_sim::harness::{run_open_loop, Source};
 use np_sim::nic::SmartNic;
 use sim_core::time::Nanos;
-
-#[test]
-fn per_class_try_locks_forward_five_times_the_global_locks_64b_rate() {
-    let doc = JsonValue::parse(include_str!("../results/fig07_lock_ablation.json"))
-        .expect("fig07_lock_ablation.json parses");
-    let mpps64 = |discipline: &str| {
-        let rows = doc.as_arr().expect("an array of rows");
-        let row = rows
-            .iter()
-            .filter_map(JsonValue::as_arr)
-            .find(|r| r[0].as_str() == Some(discipline))
-            .unwrap_or_else(|| panic!("no {discipline:?} row"));
-        row[1].as_f64().expect("64 B Mpps")
-    };
-    let (per_class, global) = (mpps64("per-class try-lock"), mpps64("global blocking lock"));
-    assert!(
-        per_class >= 5.0 * global,
-        "per-class {per_class} Mpps vs global {global} Mpps at 64 B"
-    );
-}
 
 /// Under 64 B line-rate load the workers queue on the global lock, and
 /// `SmartNic::lock_stats` counts the contended acquires and their wait;
