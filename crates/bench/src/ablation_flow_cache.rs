@@ -1,7 +1,7 @@
 //! Ablation (paper Observation 2): the exact-match flow cache.
 //!
 //! Netronome's EMFC serves classification from dedicated lookup engines,
-//! ~10x faster than walking the filter table. This driver measures the
+//! ~10x faster than walking the filter table. This figure measures the
 //! NIC's maximum 64 B throughput with the cache enabled (steady-state
 //! hits) versus disabled (every packet pays the table walk), and sweeps
 //! the active-flow count against the cache capacity to show the falloff
@@ -12,12 +12,10 @@
 //! island it visits. A warm-up window runs the full working set across
 //! every island first; throughput and hit ratio are taken over the
 //! measurement window that follows, from the cache-stats delta.
-//!
-//! Run: `cargo run --release -p bench --bin ablation_flow_cache`
 
-use bench::{banner, write_json};
 use flowvalve::pipeline::FlowValvePipeline;
 use flowvalve::tree::TreeParams;
+use fv_telemetry::{JsonValue, ToJson};
 use hostsim::policies;
 use hostsim::scenario::Scenario;
 use netstack::flow::FlowKey;
@@ -25,6 +23,8 @@ use netstack::packet::{AppId, Packet, PacketIdGen, VfPort};
 use np_sim::config::NicConfig;
 use np_sim::nic::{RxOutcome, SmartNic};
 use sim_core::time::Nanos;
+
+use crate::FigureText;
 
 const HORIZON: Nanos = Nanos::from_millis(2);
 /// Long enough for every (flow, island) pair to take its one cold miss
@@ -106,12 +106,10 @@ fn measure(flows: u16, cache_small: bool) -> (f64, f64) {
     (tx as f64 / HORIZON.as_secs_f64() / 1e6, hit)
 }
 
-fn main() {
-    banner(
-        "Observation 2 ablation",
-        "exact-match flow cache on/off, 64 B line-rate injection",
-    );
-    println!(
+/// Runs the figure; see the module docs.
+pub fn figure(out: &mut String) -> JsonValue {
+    writeln!(
+        out,
         "\n{:<22} {:>8} {:>12} {:>10}",
         "configuration", "flows", "Mpps", "hit ratio"
     );
@@ -123,12 +121,17 @@ fn main() {
         ("cache thrashed", 4_096, true),
     ] {
         let (mpps, hit) = measure(flows, small);
-        println!("{name:<22} {flows:>8} {mpps:>12.2} {:>9.1}%", hit * 100.0);
-        rows.push((name.to_owned(), flows, mpps, hit));
+        writeln!(
+            out,
+            "{name:<22} {flows:>8} {mpps:>12.2} {:>9.1}%",
+            hit * 100.0
+        );
+        rows.push((name, flows, mpps, hit));
     }
-    println!("\nwith the cache thrashed every packet pays the filter-table walk");
-    println!("(~10x the hit cost), and the 64 B compute bound collapses accordingly —");
-    println!("the reason the paper's labeling function leans on the EMFC accelerator.");
-    let p = write_json("ablation_flow_cache", &rows);
-    println!("results -> {}", p.display());
+    out.push_str(concat!(
+        "\nwith the cache thrashed every packet pays the filter-table walk\n",
+        "(~10x the hit cost), and the 64 B compute bound collapses accordingly —\n",
+        "the reason the paper's labeling function leans on the EMFC accelerator.\n",
+    ));
+    rows.to_json()
 }

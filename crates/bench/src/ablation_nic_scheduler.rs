@@ -4,19 +4,17 @@
 //! The fixed scheme (strict priority + WRR) can express static shares, but
 //! the motivation example's conditional policy — "ML is lower priority
 //! than KVS, *but* keeps 2 Gbps guaranteed when the subtree has more than
-//! 4 Gbps" — needs runtime rate recomputation. This driver runs both the
+//! 4 Gbps" — needs runtime rate recomputation. This figure runs both the
 //! hardware traffic manager and FlowValve on that policy fragment and
 //! shows the TM starving ML while FlowValve holds the guarantee. The TM is
 //! configured as its strict-priority half, a [`Prio`] qdisc draining into
 //! the NIC's wire model ([`TxFifo`]): with KVS and ML on different levels,
 //! WRR has nothing to split.
-//!
-//! Run: `cargo run --release -p bench --bin ablation_nic_scheduler`
 
-use bench::{banner, write_json};
 use flowvalve::frontend::Policy;
 use flowvalve::pipeline::FlowValvePipeline;
 use flowvalve::tree::TreeParams;
+use fv_telemetry::{JsonValue, ToJson};
 use netstack::flow::FlowKey;
 use netstack::packet::{AppId, Packet, PacketIdGen, VfPort};
 use np_sim::config::NicConfig;
@@ -25,6 +23,8 @@ use np_sim::tm::TxFifo;
 use qdisc::prio::Prio;
 use sim_core::time::Nanos;
 use sim_core::units::{BitRate, ByteSize, WireFraming};
+
+use crate::FigureText;
 
 const HORIZON: Nanos = Nanos::from_millis(10);
 
@@ -113,34 +113,41 @@ fn run_flowvalve() -> (f64, f64) {
     (g(bits[0]), g(bits[1]))
 }
 
-fn main() {
-    banner(
-        "§II-B ablation",
-        "fixed-function NIC scheduler vs FlowValve on a conditional policy",
+/// Runs the figure; see the module docs.
+pub fn figure(out: &mut String) -> JsonValue {
+    writeln!(
+        out,
+        "\npolicy: KVS prior to ML inside a 6 Gbps subtree, ML guaranteed 2 Gbps\n"
     );
-    println!("\npolicy: KVS prior to ML inside a 6 Gbps subtree, ML guaranteed 2 Gbps\n");
-    println!("{:<26} {:>10} {:>10}", "scheduler", "KVS Gbps", "ML Gbps");
+    writeln!(
+        out,
+        "{:<26} {:>10} {:>10}",
+        "scheduler", "KVS Gbps", "ML Gbps"
+    );
     let (k_hw, m_hw) = run_hw_tm();
-    println!(
+    writeln!(
+        out,
         "{:<26} {k_hw:>10.2} {m_hw:>10.2}   <- ML starved",
         "hw strict-prio + wrr"
     );
     let (k_fv, m_fv) = run_flowvalve();
-    println!(
+    writeln!(
+        out,
         "{:<26} {k_fv:>10.2} {m_fv:>10.2}   <- guarantee held",
         "flowvalve"
     );
 
-    println!("\nthe fixed scheme has no way to express \"prior *unless* the sibling");
-    println!("falls below its guarantee\": strict priority starves ML entirely, while");
-    println!("FlowValve's runtime rate recomputation reserves ML's floor (≥ ~2 Gbps).");
+    out.push_str(concat!(
+        "\nthe fixed scheme has no way to express \"prior *unless* the sibling\n",
+        "falls below its guarantee\": strict priority starves ML entirely, while\n",
+        "FlowValve's runtime rate recomputation reserves ML's floor (≥ ~2 Gbps).\n",
+    ));
 
-    let rows = vec![
-        ("hw_kvs".to_owned(), k_hw),
-        ("hw_ml".to_owned(), m_hw),
-        ("fv_kvs".to_owned(), k_fv),
-        ("fv_ml".to_owned(), m_fv),
+    let rows = [
+        ("hw_kvs", k_hw),
+        ("hw_ml", m_hw),
+        ("fv_kvs", k_fv),
+        ("fv_ml", m_fv),
     ];
-    let p = write_json("ablation_nic_scheduler", &rows);
-    println!("results -> {}", p.display());
+    rows.to_json()
 }

@@ -3,20 +3,20 @@
 //! The guarded update epoch (Figure 8) trades precision for lock traffic:
 //! a shorter ΔT tracks rate changes faster but enters the guarded section
 //! more often; a larger burst window tolerates TCP sawtooths but loosens
-//! short-term conformance. This driver sweeps both and reports rate
+//! short-term conformance. This figure sweeps both and reports rate
 //! conformance error and the modeled lock contention.
-//!
-//! Run: `cargo run --release -p bench --bin ablation_update_interval`
 
-use bench::{banner, write_json};
 use flowvalve::label::ClassId;
 use flowvalve::sched::SimExec;
 use flowvalve::tree::{ClassSpec, SchedulingTree, TreeParams};
+use fv_telemetry::{JsonValue, ToJson};
 use np_sim::config::CycleCosts;
 use np_sim::cost::CostMeter;
 use np_sim::lock::LockTable;
 use sim_core::time::Nanos;
 use sim_core::units::BitRate;
+
+use crate::FigureText;
 
 /// Drives a single 2 Gbps-capped class with 6 Gbps offered for 20 ms and
 /// returns (achieved_gbps, try_lock_failure_ratio).
@@ -59,12 +59,10 @@ fn measure(min_update: Nanos, burst_window: Nanos) -> (f64, f64) {
     (achieved, fail_ratio)
 }
 
-fn main() {
-    banner(
-        "ΔT / burst ablation",
-        "update interval and burst window vs rate conformance",
-    );
-    println!(
+/// Runs the figure; see the module docs.
+pub fn figure(out: &mut String) -> JsonValue {
+    writeln!(
+        out,
         "\ntarget 2.00 Gbps, offered 6 Gbps, single class:\n\n{:>10} {:>12} {:>14} {:>14} {:>12}",
         "ΔT (us)", "burst (us)", "achieved Gbps", "conform err", "lock fails"
     );
@@ -74,7 +72,8 @@ fn main() {
             let (achieved, fails) =
                 measure(Nanos::from_micros(dt_us), Nanos::from_micros(burst_us));
             let err = (achieved - 2.0).abs() / 2.0;
-            println!(
+            writeln!(
+                out,
                 "{dt_us:>10} {burst_us:>12} {achieved:>14.3} {:>13.1}% {:>11.1}%",
                 err * 100.0,
                 fails * 100.0
@@ -82,14 +81,15 @@ fn main() {
             rows.push((dt_us, burst_us, achieved, err, fails));
         }
     }
-    println!("\nreading the table:");
-    println!("  - conformance holds within ~1-5% whenever burst ≥ ΔT x rate");
-    println!("  - when the burst window is SMALLER than ΔT, each refill saturates at");
-    println!("    the cap and the surplus tokens are lost: the class undershoots");
-    println!("    catastrophically (e.g. ΔT=2ms/burst=100us achieves 5% of target) —");
-    println!("    the concrete reason the paper replenishes on every packet-arrival");
-    println!("    epoch instead of a slow timer");
-    println!("  - larger bursts trade a small steady overshoot for sawtooth tolerance");
-    let p = write_json("ablation_update_interval", &rows);
-    println!("results -> {}", p.display());
+    out.push_str(concat!(
+        "\nreading the table:\n",
+        "  - conformance holds within ~1-5% whenever burst ≥ ΔT x rate\n",
+        "  - when the burst window is SMALLER than ΔT, each refill saturates at\n",
+        "    the cap and the surplus tokens are lost: the class undershoots\n",
+        "    catastrophically (e.g. ΔT=2ms/burst=100us achieves 5% of target) —\n",
+        "    the concrete reason the paper replenishes on every packet-arrival\n",
+        "    epoch instead of a slow timer\n",
+        "  - larger bursts trade a small steady overshoot for sawtooth tolerance\n",
+    ));
+    rows.to_json()
 }

@@ -3,18 +3,18 @@
 //! When a high-priority class's rate steps, the change must propagate
 //! through the asynchronous update epochs: A0's new Γ is published at the
 //! end of its epoch, A1 picks it up one epoch later, and so on down the
-//! priority chain (paper §IV-D). This driver steps the top class's rate
+//! priority chain (paper §IV-D). This figure steps the top class's rate
 //! and measures, per chain position, how long the lower class's published
 //! θ takes to converge — and sweeps the tree depth and the update
 //! interval ΔT.
-//!
-//! Run: `cargo run --release -p bench --bin fig10_propagation_delay`
 
-use bench::{banner, write_json};
 use flowvalve::label::ClassId;
 use flowvalve::tree::{ClassSpec, SchedulingTree, TreeParams};
+use fv_telemetry::{JsonValue, ToJson};
 use sim_core::time::Nanos;
 use sim_core::units::BitRate;
+
+use crate::FigureText;
 
 /// Builds a *nested* chain of `n` levels under a 10 Gbps root: at each
 /// level a prio-0 leaf `Ai` competes with a prio-1 interior `Si+1` that
@@ -103,29 +103,36 @@ fn convergence_delay(depth: usize, interval: Nanos, from: f64, to: f64) -> Nanos
     settled.unwrap_or(horizon)
 }
 
-fn main() {
-    banner(
-        "Figure 10 (analysis)",
-        "propagation delay of token-rate changes through the priority chain",
-    );
-
+/// Runs the figure; see the module docs.
+pub fn figure(out: &mut String) -> JsonValue {
     let mut rows = Vec::new();
-    println!("\nstep: A0 goes 2 -> 7 Gbps; time for the last class's θ to settle (10%):\n");
-    println!("{:>6} {:>12} {:>16}", "depth", "ΔT (us)", "settle (ms)");
+    writeln!(
+        out,
+        "\nstep: A0 goes 2 -> 7 Gbps; time for the last class's θ to settle (10%):\n"
+    );
+    writeln!(
+        out,
+        "{:>6} {:>12} {:>16}",
+        "depth", "ΔT (us)", "settle (ms)"
+    );
     for depth in [2usize, 3, 4, 6] {
         for interval_us in [50u64, 100, 200] {
             let d = convergence_delay(depth, Nanos::from_micros(interval_us), 2.0, 7.0);
-            println!("{depth:>6} {interval_us:>12} {:>16.3}", d.as_millis_f64());
+            writeln!(
+                out,
+                "{depth:>6} {interval_us:>12} {:>16.3}",
+                d.as_millis_f64()
+            );
             rows.push((depth, interval_us, d.as_millis_f64()));
         }
     }
 
-    println!("\nshape checks (paper §IV-D):");
-    println!("  - delay scales linearly with the update interval ΔT (dominant term:");
-    println!("    the Γ-EWMA needs ~4-5 epochs; per-level staleness adds ≤1 ΔT each)");
-    println!("  - absolute delays stay well under the paper's tens-of-milliseconds");
-    println!("    bound and are invisible at 1 s figure bins");
-
-    let p = write_json("fig10_propagation_delay", &rows);
-    println!("results -> {}", p.display());
+    out.push_str(concat!(
+        "\nshape checks (paper §IV-D):\n",
+        "  - delay scales linearly with the update interval ΔT (dominant term:\n",
+        "    the Γ-EWMA needs ~4-5 epochs; per-level staleness adds ≤1 ΔT each)\n",
+        "  - absolute delays stay well under the paper's tens-of-milliseconds\n",
+        "    bound and are invisible at 1 s figure bins\n",
+    ));
+    rows.to_json()
 }

@@ -5,19 +5,18 @@
 //! active apps at every stage while keeping the link full (work
 //! conservation through shadow-bucket borrowing). The paper additionally
 //! varies connection counts from 4 to 256 with unchanged results; this
-//! driver replays the scenario at several connection counts.
-//!
-//! Run: `cargo run --release -p bench --bin fig11b_fair_queueing`
+//! figure replays the scenario at several connection counts.
 
-use bench::{banner, flowvalve_path, sparkline_chart, throughput_table, write_json};
+use fv_telemetry::{JsonValue, ToJson};
 use hostsim::engine::run;
 use hostsim::policies;
 use hostsim::scenario::Scenario;
 use np_sim::config::NicConfig;
 
-fn main() {
-    banner("Figure 11(b)", "40 Gbps fair queueing, staged app joins");
+use crate::{flowvalve_path, throughput_charts, FigureText};
 
+/// Runs the figure; see the module docs.
+pub fn figure(out: &mut String) -> JsonValue {
     let mut results: Vec<(String, f64)> = Vec::new();
     for (conns_a, conns_b) in [(4usize, 4usize), (16, 64)] {
         let mut scenario = Scenario::fair_queueing_40g(conns_a);
@@ -32,13 +31,8 @@ fn main() {
         );
         let (report, _path) = run(&scenario, path);
 
-        println!("\n--- connections per app: {conns_a}/{conns_b} ---");
-        println!("\nthroughput over figure time:\n");
-        print!("{}", sparkline_chart(&scenario, &report));
-        if conns_a == 4 && conns_b == 4 {
-            println!("\nper-figure-second throughput (Gbps):\n");
-            print!("{}", throughput_table(&scenario, &report));
-        }
+        writeln!(out, "\n--- connections per app: {conns_a}/{conns_b} ---");
+        throughput_charts(out, &scenario, &report, conns_a == 4 && conns_b == 4);
 
         // Stage expectations: equal split of 40 Gbps among active apps.
         let stages: &[(f64, f64, &[&str], f64)] = &[
@@ -48,7 +42,7 @@ fn main() {
             (32.0, 40.0, &["App0", "App1", "App2", "App3"], 10.0),
             (42.0, 50.0, &["App1", "App2", "App3"], 13.3),
         ];
-        println!("\nstage summaries (expected equal split):");
+        writeln!(out, "\nstage summaries (expected equal split):");
         for &(from, to, apps, expect) in stages {
             let measured: Vec<f64> = apps
                 .iter()
@@ -59,7 +53,8 @@ fn main() {
                 .zip(&measured)
                 .map(|(a, m)| format!("{a}={m:.1}"))
                 .collect();
-            println!(
+            writeln!(
+                out,
                 "  [{from:>4.1}..{to:>4.1}s) expect ~{expect:>5.1} Gbps each: {}",
                 shown.join("  ")
             );
@@ -67,9 +62,13 @@ fn main() {
                 results.push((format!("c{conns_a}_{conns_b}_{a}_{from}_{to}"), *m));
             }
         }
-        println!("delivered {} dropped {}", report.delivered, report.dropped);
+        writeln!(
+            out,
+            "delivered {} dropped {}",
+            report.delivered, report.dropped
+        );
     }
-
-    let p = write_json("fig11b_fair_queueing", &results);
-    println!("\nresults -> {}", p.display());
+    // A blank line above the runner's `results -> ...` line.
+    out.push('\n');
+    results.to_json()
 }

@@ -5,20 +5,17 @@
 //! * App2's join at 20 s does not disturb App0 (it only splits S2's share);
 //! * after App0 stops at 30 s the remaining apps share the link roughly
 //!   equally, because borrowing is not weighted.
-//!
-//! Run: `cargo run --release -p bench --bin fig11c_weighted_fairness`
 
-use bench::{banner, flowvalve_path, sparkline_chart, throughput_table, write_json};
+use fv_telemetry::{JsonValue, ToJson};
 use hostsim::engine::run;
 use hostsim::policies;
 use hostsim::scenario::Scenario;
 use np_sim::config::NicConfig;
 
-fn main() {
-    banner(
-        "Figure 11(c)",
-        "40 Gbps weighted fair queueing (Figure 12 policy)",
-    );
+use crate::{flowvalve_path, throughput_charts, FigureText};
+
+/// Runs the figure; see the module docs.
+pub fn figure(out: &mut String) -> JsonValue {
     let scenario = Scenario::weighted_fairness_40g(4);
     let path = flowvalve_path(
         &policies::weighted_fairness_fv(scenario.link, &scenario),
@@ -26,69 +23,74 @@ fn main() {
     );
     let (report, _path) = run(&scenario, path);
 
-    println!("\nthroughput over figure time:\n");
-    print!("{}", sparkline_chart(&scenario, &report));
-    println!("\nper-figure-second throughput (Gbps):\n");
-    print!("{}", throughput_table(&scenario, &report));
+    throughput_charts(out, &scenario, &report, true);
 
-    // Steady-state windows skip ~3 figure-seconds after each join: the
-    // 600x time compression stretches a ~50 ms TCP slow-start transient
-    // over multiple figure seconds that would be sub-pixel in the paper.
+    // Steady-state windows skip ~3 figure-seconds after each join: at the
+    // 40x time compression a figure second is 25 ms, so a TCP slow-start
+    // transient of tens of milliseconds, sub-pixel in the paper, spans
+    // 2-3 figure seconds here.
     let m = |a: &str, f: f64, t: f64| report.mean_gbps(&scenario, a, f, t);
-    println!("\nstage summaries (steady-state windows):");
-    println!(
+    writeln!(out, "\nstage summaries (steady-state windows):");
+    writeln!(
+        out,
         "  [ 2..10s)  App0 alone              expect ~40: App0={:.1}",
         m("App0", 2.0, 10.0)
     );
-    println!(
+    writeln!(
+        out,
         "  [14..20s)  App0:App1 = 1:1          expect 20/20: App0={:.1} App1={:.1}",
         m("App0", 14.0, 20.0),
         m("App1", 14.0, 20.0)
     );
-    println!(
+    writeln!(
+        out,
         "  [22..25s)  App2 splits S2           expect 20/10/10: App0={:.1} App1={:.1} App2={:.1}",
         m("App0", 22.0, 25.0),
         m("App1", 22.0, 25.0),
         m("App2", 22.0, 25.0)
     );
-    println!(
+    writeln!(
+        out,
         "  [28..30s)  App2+App3 split S2       expect 20/10/5/5: App0={:.1} App1={:.1} App2={:.1} App3={:.1}",
         m("App0", 28.0, 30.0),
         m("App1", 28.0, 30.0),
         m("App2", 28.0, 30.0),
         m("App3", 28.0, 30.0)
     );
-    println!(
+    writeln!(
+        out,
         "  [33..50s)  App0 gone               hierarchy gives 20/10/10: App1={:.1} App2={:.1} App3={:.1}",
         m("App1", 33.0, 50.0),
         m("App2", 33.0, 50.0),
         m("App3", 33.0, 50.0)
     );
-    println!("             (paper's prototype measured a flat ~13.3 equal share here: its");
-    println!("              work conservation is borrowing-only, while this reproduction's");
-    println!("              Subprocedure-3 weight redistribution preserves the hierarchy)");
+    out.push_str(concat!(
+        "             (paper's prototype measured a flat ~13.3 equal share here: its\n",
+        "              work conservation is borrowing-only, while this reproduction's\n",
+        "              Subprocedure-3 weight redistribution preserves the hierarchy)\n",
+    ));
 
-    println!("\npaper checkpoints:");
+    writeln!(out, "\npaper checkpoints:");
     let app0_before = m("App0", 17.0, 20.0);
     let app0_after_app2 = m("App0", 22.0, 25.0);
-    println!(
+    writeln!(
+        out,
         "  App2's join leaves App0 untouched: {:.1} -> {:.1} Gbps (paper: unchanged)",
         app0_before, app0_after_app2
     );
 
-    let rows: Vec<(String, f64)> = vec![
-        ("app0_2_10".into(), m("App0", 2.0, 10.0)),
-        ("app0_14_20".into(), m("App0", 14.0, 20.0)),
-        ("app1_14_20".into(), m("App1", 14.0, 20.0)),
-        ("app0_22_25".into(), app0_after_app2),
-        ("app0_28_30".into(), m("App0", 28.0, 30.0)),
-        ("app1_28_30".into(), m("App1", 28.0, 30.0)),
-        ("app2_28_30".into(), m("App2", 28.0, 30.0)),
-        ("app3_28_30".into(), m("App3", 28.0, 30.0)),
-        ("app1_33_50".into(), m("App1", 33.0, 50.0)),
-        ("app2_33_50".into(), m("App2", 33.0, 50.0)),
-        ("app3_33_50".into(), m("App3", 33.0, 50.0)),
+    let rows = [
+        ("app0_2_10", m("App0", 2.0, 10.0)),
+        ("app0_14_20", m("App0", 14.0, 20.0)),
+        ("app1_14_20", m("App1", 14.0, 20.0)),
+        ("app0_22_25", app0_after_app2),
+        ("app0_28_30", m("App0", 28.0, 30.0)),
+        ("app1_28_30", m("App1", 28.0, 30.0)),
+        ("app2_28_30", m("App2", 28.0, 30.0)),
+        ("app3_28_30", m("App3", 28.0, 30.0)),
+        ("app1_33_50", m("App1", 33.0, 50.0)),
+        ("app2_33_50", m("App2", 33.0, 50.0)),
+        ("app3_33_50", m("App3", 33.0, 50.0)),
     ];
-    let p = write_json("fig11c_weighted_fairness", &rows);
-    println!("results -> {}", p.display());
+    rows.to_json()
 }

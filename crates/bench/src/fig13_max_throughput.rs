@@ -7,62 +7,35 @@
 //! 4.75 Mpps (line rate), 64 B = 19.69 Mpps (compute-bound); DPDK 1518 B =
 //! 2.25 Mpps on one core, 64 B = 9.06 Mpps on four cores, and ~8 cores to
 //! match FlowValve's 19.69 Mpps.
-//!
-//! Run: `cargo run --release -p bench --bin fig13_max_throughput`
 
-use bench::{banner, write_json};
-use flowvalve::pipeline::FlowValvePipeline;
-use flowvalve::tree::TreeParams;
+use flowvalve::pipeline::LockDiscipline;
+use fv_telemetry::{JsonValue, ToJson};
 use hostsim::policies;
-use hostsim::scenario::Scenario;
-use netstack::flow::FlowKey;
-use netstack::gen::LineRateProcess;
-use netstack::packet::{AppId, VfPort};
 use np_sim::config::NicConfig;
-use np_sim::harness::{run_open_loop, Source};
-use np_sim::nic::SmartNic;
+use np_sim::harness::run_open_loop;
 use qdisc::costmodel::{DpdkCpuModel, KernelCpuModel};
 use sim_core::time::Nanos;
+
+use crate::FigureText;
 
 /// Measures FlowValve's max throughput for one frame size: four sources at
 /// an aggregate far beyond line rate, fair-queueing policy installed.
 fn flowvalve_mpps(frame_len: u32) -> (f64, f64) {
     let cfg = NicConfig::agilio_cx_40g();
-    let scenario = Scenario::fair_queueing_40g(4); // names/vfs/ports only
-    let policy = policies::fair_queueing_fv(cfg.line_rate, &scenario);
-    let pipeline =
-        FlowValvePipeline::compile(&policy, TreeParams::default(), &cfg).expect("policy compiles");
-    let mut nic = SmartNic::new(cfg.clone(), Box::new(pipeline));
-
-    // Each source injects one quarter of 2x line rate.
-    let sources: Vec<Source> = (0..4u16)
-        .map(|i| Source {
-            flow: FlowKey::tcp([10, 0, 1 + i as u8, 1], 40_000, [10, 0, 255, 1], 9000 + i),
-            app: AppId(i),
-            vf: VfPort(i as u8),
-            process: Box::new(LineRateProcess::new(
-                cfg.line_rate.scaled(2, 4),
-                frame_len,
-                cfg.framing,
-            )),
-        })
-        .collect();
-
-    let horizon = Nanos::from_millis(4);
-    let report = run_open_loop(&mut nic, sources, horizon, 7);
+    let (mut nic, sources) =
+        policies::fair_queueing_saturation(&cfg, frame_len, LockDiscipline::PerClass);
+    let report = run_open_loop(&mut nic, sources, Nanos::from_millis(4), 7);
     (report.tx_pps / 1e6, report.throughput.as_gbps())
 }
 
-fn main() {
-    banner(
-        "Figure 13",
-        "max throughput vs packet size (fair queueing, full-speed injection)",
-    );
+/// Runs the figure; see the module docs.
+pub fn figure(out: &mut String) -> JsonValue {
     let cfg = NicConfig::agilio_cx_40g();
     let dpdk = DpdkCpuModel::default();
     let kernel = KernelCpuModel::default();
 
-    println!(
+    writeln!(
+        out,
         "\n{:>6} {:>10} | {:>12} {:>9} | {:>12} {:>6} | {:>12}",
         "size", "line Mpps", "FV Mpps", "FV Gbps", "DPDK Mpps", "cores", "HTB Mpps"
     );
@@ -83,19 +56,21 @@ fn main() {
         // above 10 Gbps because it cannot enforce policy there).
         let htb_mpps = kernel.max_pps(4) / 1e6;
 
-        println!(
-            "{size:>5}B {line_pps:>10.2} | {fv_mpps:>12.2} {fv_gbps:>9.2} | {dpdk_mpps:>12.2} {cores:>6} | {htb_mpps:>12.2}",
+        writeln!(
+            out,
+            "{size:>5}B {line_pps:>10.2} | {fv_mpps:>12.2} {fv_gbps:>9.2} | {dpdk_mpps:>12.2} {cores:>6} | {htb_mpps:>12.2}"
         );
         rows.push((size, fv_mpps, fv_gbps, dpdk_mpps, cores, htb_mpps));
     }
 
-    println!("\npaper anchors: FV 19.69 Mpps @64B, 3.23 @1518B; DPDK 9.06 @64B (4 cores), 2.25 @1518B (1 core)");
-    println!("CPU-core savings: FlowValve uses 0 host cores for scheduling;");
-    println!(
+    out.push_str(concat!(
+        "\npaper anchors: FV 19.69 Mpps @64B, 3.23 @1518B; DPDK 9.06 @64B (4 cores), 2.25 @1518B (1 core)\n",
+        "CPU-core savings: FlowValve uses 0 host cores for scheduling;\n",
+    ));
+    writeln!(
+        out,
         "matching its 64B rate costs DPDK ~{} cores (paper: ~8).",
         dpdk.cores_needed(rows[0].1 * 1e6)
     );
-
-    let p = write_json("fig13_max_throughput", &rows);
-    println!("results -> {}", p.display());
+    rows.to_json()
 }

@@ -14,11 +14,10 @@
 //!   ~161 µs forwarding floor — with almost no variation — and the
 //!   scheduling-disabled NIC shows the same floor;
 //! * HTB is omitted above 10 Gbps (it cannot enforce policy there).
-//!
-//! Run: `cargo run --release -p bench --bin fig14_one_way_delay`
 
-use bench::{banner, dpdk_path, flowvalve_path, kernel_path, write_json};
+use fv_telemetry::{JsonValue, ToJson};
 use hostsim::engine::run;
+use hostsim::path::EgressPath;
 use hostsim::policies;
 use hostsim::scenario::{AppSpec, Scenario};
 use netstack::flow::FlowKey;
@@ -27,10 +26,13 @@ use netstack::packet::{AppId, VfPort};
 use np_sim::config::NicConfig;
 use np_sim::harness::{run_open_loop, Source};
 use np_sim::nic::{PassthroughDecider, SmartNic};
-use qdisc::htb::KernelModel;
+use qdisc::dpdk::DpdkQos;
+use qdisc::htb::{Htb, KernelModel};
 use sim_core::stats::Histogram;
 use sim_core::time::Nanos;
 use sim_core::units::BitRate;
+
+use crate::{flowvalve_path, FigureText};
 
 /// A saturating, unstaged fair-queueing scenario on `link`.
 fn saturating_scenario(link: BitRate) -> Scenario {
@@ -59,14 +61,16 @@ fn fv(link: BitRate, nic: NicConfig) -> Histogram {
 fn htb(link: BitRate) -> Histogram {
     let s = saturating_scenario(link);
     let (specs, map) = policies::fair_queueing_htb(link, 4);
-    let (report, _path) = run(&s, kernel_path(specs, map, &s, KernelModel::centos7()));
+    let htb = Htb::new(specs, KernelModel::centos7()).expect("experiment hierarchy builds");
+    let (report, _path) = run(&s, EgressPath::kernel(htb, map, link));
     report.delay
 }
 
 fn dpdk(link: BitRate, cores: usize) -> Histogram {
     let s = saturating_scenario(link);
     let (cfg, map) = policies::fair_queueing_dpdk(link, 4);
-    let (report, _path) = run(&s, dpdk_path(cfg, map, &s, cores));
+    let path = EgressPath::dpdk(DpdkQos::new(cfg), map, link, cores);
+    let (report, _path) = run(&s, path);
     report.delay
 }
 
@@ -86,29 +90,16 @@ fn forward_only(nic: NicConfig) -> Histogram {
     run_open_loop(&mut nic, sources, Nanos::from_millis(10), 11).delay
 }
 
-fn row(name: &str, h: &Histogram) -> (String, f64, f64, f64) {
-    (
-        name.to_owned(),
-        h.mean() / 1e3,
-        h.std_dev() / 1e3,
-        h.quantile(0.99) as f64 / 1e3,
-    )
-}
-
-fn main() {
-    banner(
-        "Figure 14",
-        "one-way delay under saturating fair-queueing TCP load",
-    );
-
-    let mut rows = Vec::new();
-    println!(
+/// Runs the figure; see the module docs.
+pub fn figure(out: &mut String) -> JsonValue {
+    writeln!(
+        out,
         "\n{:<26} {:>10} {:>10} {:>10}",
         "scheduler", "mean us", "sd us", "p99 us"
     );
     let g10 = BitRate::from_gbps(10.0);
     let g40 = BitRate::from_gbps(40.0);
-    let table: Vec<(&str, Histogram)> = vec![
+    let table = [
         ("flowvalve@10G", fv(g10, NicConfig::agilio_cx_10g())),
         ("dpdk-qos@10G (2 cores)", dpdk(g10, 2)),
         ("kernel-htb@10G", htb(g10)),
@@ -116,17 +107,19 @@ fn main() {
         ("forward-only@40G", forward_only(NicConfig::agilio_cx_40g())),
         ("dpdk-qos@40G (8 cores)", dpdk(g40, 8)),
     ];
-    for (name, h) in &table {
-        let r = row(name, h);
-        println!("{:<26} {:>10.2} {:>10.2} {:>10.2}", r.0, r.1, r.2, r.3);
-        rows.push(r);
+    let mut rows = Vec::new();
+    for (name, h) in table {
+        let (mean, sd) = (h.mean() / 1e3, h.std_dev() / 1e3);
+        let p99 = h.quantile(0.99) as f64 / 1e3;
+        writeln!(out, "{name:<26} {mean:>10.2} {sd:>10.2} {p99:>10.2}");
+        rows.push((name, mean, sd, p99));
     }
 
-    println!("\npaper checkpoints:");
-    println!("  - FlowValve lowest at 10G (no standing queue: it drops instead of buffering)");
-    println!("  - HTB worst at 10G (TCP bufferbloat in class queues + watchdog jitter)");
-    println!("  - FlowValve @40G ~161 us with near-zero variation; same floor without scheduling");
-
-    let p = write_json("fig14_one_way_delay", &rows);
-    println!("results -> {}", p.display());
+    out.push_str(concat!(
+        "\npaper checkpoints:\n",
+        "  - FlowValve lowest at 10G (no standing queue: it drops instead of buffering)\n",
+        "  - HTB worst at 10G (TCP bufferbloat in class queues + watchdog jitter)\n",
+        "  - FlowValve @40G ~161 us with near-zero variation; same floor without scheduling\n",
+    ));
+    rows.to_json()
 }

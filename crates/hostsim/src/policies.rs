@@ -10,7 +10,14 @@
 use std::collections::HashMap;
 
 use flowvalve::frontend::Policy;
-use netstack::packet::AppId;
+use flowvalve::pipeline::{FlowValvePipeline, LockDiscipline};
+use flowvalve::tree::TreeParams;
+use netstack::flow::FlowKey;
+use netstack::gen::LineRateProcess;
+use netstack::packet::{AppId, VfPort};
+use np_sim::config::NicConfig;
+use np_sim::harness::Source;
+use np_sim::nic::SmartNic;
 use qdisc::dpdk::DpdkQosConfig;
 use qdisc::htb::{Handle, HtbClassSpec};
 use sim_core::units::BitRate;
@@ -118,6 +125,35 @@ pub fn fair_queueing_fv(link: BitRate, scenario: &Scenario) -> Policy {
     Policy::parse(&script).expect("fair queueing policy parses")
 }
 
+/// Fig. 13's saturation: a NIC on `cfg` enforcing [`fair_queueing_fv`]
+/// under `discipline`, and four sources, one per app of
+/// [`Scenario::fair_queueing_40g`], each offering a quarter of twice line
+/// rate in `frame`-byte frames. Each caller runs it through
+/// [`np_sim::harness::run_open_loop`] to its own horizon and seed.
+pub fn fair_queueing_saturation(
+    cfg: &NicConfig,
+    frame: u32,
+    discipline: LockDiscipline,
+) -> (SmartNic, Vec<Source>) {
+    let policy = fair_queueing_fv(cfg.line_rate, &Scenario::fair_queueing_40g(4));
+    let pipeline = FlowValvePipeline::compile(&policy, TreeParams::default(), cfg)
+        .expect("fair queueing policy compiles")
+        .with_lock_discipline(discipline);
+    let sources = (0..4u16)
+        .map(|i| Source {
+            flow: FlowKey::tcp([10, 0, 1 + i as u8, 1], 40_000, [10, 0, 255, 1], 9000 + i),
+            app: AppId(i),
+            vf: VfPort(i as u8),
+            process: Box::new(LineRateProcess::new(
+                cfg.line_rate.scaled(2, 4),
+                frame,
+                cfg.framing,
+            )),
+        })
+        .collect();
+    (SmartNic::new(cfg.clone(), Box::new(pipeline)), sources)
+}
+
 /// The Figure 12 weighted policy as an `fv` script:
 /// App0 : S1 = 1:1, App1 : S2 = 1:1, App2 : App3 = 1:1, with sibling
 /// borrowing at each level.
@@ -172,7 +208,6 @@ pub fn fair_queueing_htb(link: BitRate, n: usize) -> (Vec<HtbClassSpec>, HashMap
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowvalve::tree::TreeParams;
 
     #[test]
     fn motivation_fv_compiles() {

@@ -10,9 +10,26 @@
 //! scenarios compress each "figure second" to [`Scenario::time_scale`]
 //! simulated time; EXPERIMENTS.md reports both axes.
 
+use flowvalve::tree::TreeParams;
 use netstack::packet::{AppId, VfPort};
 use sim_core::time::Nanos;
 use sim_core::units::BitRate;
+
+/// Scheduling-tree parameters for the closed-loop TCP figures.
+///
+/// The figures compress time 40x ([`Scenario::time_scale`]: a figure
+/// second is 25 ms), so a TCP sawtooth that spans seconds on the testbed
+/// spans tens of milliseconds here. A 2 ms burst window lets the token
+/// buckets absorb its bursts (the hardware prototype's buckets do the same
+/// relative to real sawtooths) while staying an order of magnitude below
+/// the 25 ms figure-second bins.
+pub fn experiment_tree_params() -> TreeParams {
+    TreeParams {
+        burst_window: Nanos::from_millis(2),
+        shadow_burst_window: Nanos::from_millis(1),
+        ..TreeParams::default()
+    }
+}
 
 /// One application (tenant process) in a scenario.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -7,16 +7,10 @@
 //!
 //! Run with: `cargo run --release --example qdisc_shootout`
 
-use flowvalve::pipeline::FlowValvePipeline;
-use flowvalve::tree::TreeParams;
+use flowvalve::pipeline::LockDiscipline;
 use hostsim::policies;
-use hostsim::scenario::Scenario;
-use netstack::flow::FlowKey;
-use netstack::gen::LineRateProcess;
-use netstack::packet::{AppId, VfPort};
 use np_sim::config::NicConfig;
-use np_sim::harness::{run_open_loop, Source};
-use np_sim::nic::SmartNic;
+use np_sim::harness::run_open_loop;
 use qdisc::costmodel::{DpdkCpuModel, KernelCpuModel};
 use sim_core::time::Nanos;
 
@@ -31,23 +25,8 @@ fn main() {
         "size", "line", "flowvalve", "dpdk (4 core)", "kernel htb"
     );
     for size in [64u32, 512, 1518] {
-        let scenario = Scenario::fair_queueing_40g(4);
-        let policy = policies::fair_queueing_fv(cfg.line_rate, &scenario);
-        let pipeline = FlowValvePipeline::compile(&policy, TreeParams::default(), &cfg)
-            .expect("policy compiles");
-        let mut nic = SmartNic::new(cfg.clone(), Box::new(pipeline));
-        let sources: Vec<Source> = (0..4u16)
-            .map(|i| Source {
-                flow: FlowKey::tcp([10, 0, 1 + i as u8, 1], 40_000, [10, 0, 255, 1], 9000 + i),
-                app: AppId(i),
-                vf: VfPort(i as u8),
-                process: Box::new(LineRateProcess::new(
-                    cfg.line_rate.scaled(2, 4),
-                    size,
-                    cfg.framing,
-                )),
-            })
-            .collect();
+        let (mut nic, sources) =
+            policies::fair_queueing_saturation(&cfg, size, LockDiscipline::PerClass);
         let report = run_open_loop(&mut nic, sources, Nanos::from_millis(2), 9);
 
         let line = cfg.framing.line_rate_pps(cfg.line_rate, size as u64) / 1e6;

@@ -36,7 +36,7 @@ try:
                 "    Planted { planted_bin_read: 0, planted_test_read: 0 }\n}\n"
                 "#[cfg(test)]\nmod planted {\n#[test]\nfn calls() {\nsuper::planted_test_only();\n"
                 "let _ = super::planted_bin_called().planted_test_read;\n}\n}\n")
-    bin_path = "crates/bench/src/bin/fig13_max_throughput.rs"
+    bin_path = "crates/bench/src/bin/figures.rs"
     src = open(bin_path).read()
     open(bin_path, "w").write(src.replace(
         "fn main() {", "fn main() { let _ = bench::planted_bin_called().planted_bin_read;", 1))
@@ -250,19 +250,21 @@ cargo build --release
 echo "==> cargo test -q (tier-1: the whole workspace, via default-members)"
 cargo test -q
 
-echo "==> figure replay (every driver must rewrite results/ byte for byte)"
-# The committed results/*.json are what the drivers write and results/*.txt
-# what they print (per-figure-second tables, delivered/dropped counts), so
-# a diff here is a behaviour change of the simulated path: either
-# unintended, or to be committed and named row by row in CHANGES.md.
-replay_start=$SECONDS
-for src in crates/bench/src/bin/{ablation,discussion,fig}*.rs; do
-    name="$(basename "$src" .rs)"
-    cargo run --release -q -p bench --bin "$name" > "results/$name.txt"
-done
-echo "figure replay: all twelve drivers in $((SECONDS - replay_start)) s"
-git diff --exit-code --stat results/ \
-    || { echo "figure drivers no longer reproduce the committed results/"; exit 1; }
+echo "==> figure replay (the figures must rewrite results/ byte for byte)"
+# The committed results/*.json are the rows each figure of bench::FIGURES
+# returns and results/*.txt the text it writes (per-figure-second tables,
+# delivered/dropped counts), so a diff here is a behaviour change of the
+# simulated path: either unintended, or to be committed and named row by
+# row in CHANGES.md. The files are deleted first, so a figure dropped from
+# the table shows as a deleted file and a new one as an untracked file.
+rm -f results/*.txt results/*.json
+TIMEFORMAT="figure replay: every figure in %R s"
+time cargo run --release -q -p bench
+if [ -n "$(git status --porcelain results/)" ]; then
+    git status --short results/
+    echo "the figures no longer reproduce the committed results/"
+    exit 1
+fi
 
 echo "==> CLI replay (every deterministic fv invocation must hash to results/cli_replay.sha256)"
 # The figure-replay gate for the front ends: the committed digests are

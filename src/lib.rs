@@ -5,8 +5,7 @@
 //! Start with the [`flowvalve`] crate for the paper's contribution, or run
 //! `cargo run --example quickstart` for a guided tour. The benchmark
 //! harness regenerating every figure of the paper lives in the `bench`
-//! crate (`cargo run --release -p bench --bin fig11a_flowvalve_motivation`
-//! and friends).
+//! crate (`cargo run --release -p bench` writes them all to `results/`).
 
 pub use classifier;
 pub use flowvalve;

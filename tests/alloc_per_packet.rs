@@ -12,17 +12,13 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use flowvalve::pipeline::FlowValvePipeline;
-use flowvalve::tree::TreeParams;
+use flowvalve::pipeline::{FlowValvePipeline, LockDiscipline};
 use hostsim::engine::run;
 use hostsim::path::EgressPath;
 use hostsim::policies;
-use hostsim::scenario::Scenario;
-use netstack::flow::FlowKey;
-use netstack::gen::LineRateProcess;
-use netstack::packet::{AppId, VfPort};
+use hostsim::scenario::{experiment_tree_params, Scenario};
 use np_sim::config::NicConfig;
-use np_sim::harness::{run_open_loop, Source};
+use np_sim::harness::run_open_loop;
 use np_sim::nic::SmartNic;
 use sim_core::time::Nanos;
 
@@ -80,27 +76,11 @@ fn extra(horizon: Nanos, mut measure: impl FnMut(Nanos) -> (u64, u64)) -> Extra 
     }
 }
 
-/// Fig. 13's FlowValve point at 64 B: the fair-queueing policy, four
-/// sources at a quarter of twice line rate each, through `run_open_loop`.
+/// Fig. 13's FlowValve point at 64 B: `policies::fair_queueing_saturation`
+/// through `run_open_loop`.
 fn fig13_64b(horizon: Nanos) -> (u64, u64) {
     let cfg = NicConfig::agilio_cx_40g();
-    let scenario = Scenario::fair_queueing_40g(4);
-    let policy = policies::fair_queueing_fv(cfg.line_rate, &scenario);
-    let pipeline =
-        FlowValvePipeline::compile(&policy, TreeParams::default(), &cfg).expect("compiles");
-    let mut nic = SmartNic::new(cfg.clone(), Box::new(pipeline));
-    let sources: Vec<Source> = (0..4u16)
-        .map(|i| Source {
-            flow: FlowKey::tcp([10, 0, 1 + i as u8, 1], 40_000, [10, 0, 255, 1], 9000 + i),
-            app: AppId(i),
-            vf: VfPort(i as u8),
-            process: Box::new(LineRateProcess::new(
-                cfg.line_rate.scaled(2, 4),
-                64,
-                cfg.framing,
-            )),
-        })
-        .collect();
+    let (mut nic, sources) = policies::fair_queueing_saturation(&cfg, 64, LockDiscipline::PerClass);
     let before = allocs();
     let report = run_open_loop(&mut nic, sources, horizon, 7);
     (allocs() - before, report.nic.offered)
@@ -113,20 +93,16 @@ fn an_open_loop_64b_packet_allocates_nothing() {
     assert_eq!(run.allocs, 0, "{run:?}");
 }
 
-/// Fig. 11b's closed loop, four connections per app and the figure
-/// drivers' burst windows (`bench::experiment_tree_params`), cut to its
+/// Fig. 11b's closed loop, four connections per app and the figures'
+/// burst windows (`hostsim::scenario::experiment_tree_params`), cut to its
 /// first stage (App0 alone until figure-second 10).
 fn fig11b(horizon: Nanos) -> (u64, u64) {
     let mut scenario = Scenario::fair_queueing_40g(4);
     scenario.horizon = horizon;
     let cfg = NicConfig::agilio_cx_40g();
-    let params = TreeParams {
-        burst_window: Nanos::from_millis(2),
-        shadow_burst_window: Nanos::from_millis(1),
-        ..TreeParams::default()
-    };
     let policy = policies::fair_queueing_fv(scenario.link, &scenario);
-    let pipeline = FlowValvePipeline::compile(&policy, params, &cfg).expect("compiles");
+    let pipeline =
+        FlowValvePipeline::compile(&policy, experiment_tree_params(), &cfg).expect("compiles");
     let path = EgressPath::flowvalve(SmartNic::new(cfg, Box::new(pipeline)));
     let before = allocs();
     let (report, _path) = run(&scenario, path);
