@@ -248,7 +248,9 @@ echo "==> cargo build --release"
 cargo build --release
 
 echo "==> cargo test -q (tier-1: the whole workspace, via default-members)"
-cargo test -q
+# Timed like the figure replay, so the price of a new test shows on every run.
+TIMEFORMAT="tier-1 tests: the whole workspace in %R s"
+time cargo test -q
 
 echo "==> figure replay (the figures must rewrite results/ byte for byte)"
 # The committed results/*.json are the rows each figure of bench::FIGURES
@@ -287,6 +289,7 @@ check scripts/motivation.fv
 trace scripts/motivation.fv
 chaos scripts/motivation.fv --plan scripts/demo.chaos
 chaos scripts/motivation.fv --plan scripts/demo.chaos --json
+chaos scripts/motivation.fv --plan scripts/tm_drop.chaos
 timeseries scripts/motivation.fv
 timeseries scripts/motivation.fv --jsonl
 profile scripts/motivation.fv
