@@ -18,7 +18,6 @@
 use fv_telemetry::{JsonValue, Ring, ToJson};
 use sim_core::time::Nanos;
 
-use fv_telemetry::DropCause;
 pub use fv_telemetry::Sampler;
 
 /// What kind of chain step executed.
@@ -84,6 +83,36 @@ impl AuditVerdict {
             AuditVerdict::Borrowed(_) => "borrowed",
             AuditVerdict::Drop => "drop",
         }
+    }
+}
+
+/// Why the admission walk refused a packet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DropCause {
+    /// The leaf class token bucket had too few tokens and no lender could
+    /// cover the packet.
+    NoTokens,
+    /// The class ceiling bucket refused the packet — the HTB-style bound
+    /// that caps borrowing.
+    OverCeil,
+}
+
+impl DropCause {
+    /// Stable snake_case name, as in `fv why --json`.
+    pub fn name(&self) -> &'static str {
+        match self {
+            DropCause::NoTokens => "no_tokens",
+            DropCause::OverCeil => "over_ceil",
+        }
+    }
+}
+
+impl core::fmt::Display for DropCause {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.write_str(match self {
+            DropCause::NoTokens => "class out of tokens",
+            DropCause::OverCeil => "class over ceiling",
+        })
     }
 }
 
@@ -429,6 +458,23 @@ mod tests {
         });
         assert_eq!(r.deciding_step(), Some(1));
         assert_eq!(rec(1).deciding_step(), None);
+    }
+
+    #[test]
+    fn a_refusal_names_its_cause_in_text_and_json() {
+        for (cause, text, name) in [
+            (DropCause::NoTokens, "class out of tokens", "no_tokens"),
+            (DropCause::OverCeil, "class over ceiling", "over_ceil"),
+        ] {
+            let r = ProvenanceRecord {
+                verdict: AuditVerdict::Drop,
+                cause: Some(cause),
+                ..rec(4)
+            };
+            assert!(r.canonical().ends_with(&format!("verdict drop ({text})\n")));
+            let json = r.to_json();
+            assert_eq!(json.get("cause").and_then(|v| v.as_str()), Some(name));
+        }
     }
 
     #[test]

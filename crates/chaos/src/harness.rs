@@ -206,7 +206,7 @@ impl ChaosReport {
             "injected {} cleared {} | tm fault-drops {} host-skipped {}\n\n",
             snap.counter("chaos.faults_injected"),
             snap.counter("chaos.faults_cleared"),
-            snap.counter("tm.fifo.fault_drops"),
+            snap.counter("nic.fault_drops"),
             snap.counter("chaos.host_skipped"),
         ));
         for note in &self.unchecked {
@@ -234,10 +234,6 @@ impl ToJson for ChaosReport {
                     (
                         "faults_cleared",
                         JsonValue::UInt(snap.counter("chaos.faults_cleared")),
-                    ),
-                    (
-                        "tm_fault_drops",
-                        JsonValue::UInt(snap.counter("tm.fifo.fault_drops")),
                     ),
                     (
                         "nic_fault_drops",
@@ -592,7 +588,6 @@ mod tests {
         let snap = &report.run.snapshot;
         assert!(report.passed(), "{}", report.render());
         assert_eq!(snap.counter("chaos.faults_injected"), 0);
-        assert_eq!(snap.counter("tm.fifo.fault_drops"), 0);
         assert_eq!(snap.counter("nic.fault_drops"), 0);
         assert_eq!(snap.counter("chaos.host_skipped"), 0);
         assert!(snap.counter("nic.tx_packets") > 0);

@@ -157,15 +157,13 @@ fn counters_are_exact_on_an_observed_nic() {
     ] {
         assert_eq!(snapshot.counter(name), tally, "{name}");
     }
-    // The FIFO's cells and the NIC's count the same departures and drops,
-    // and `stats()` reads what the registry holds.
-    for (fifo, nic_name, tally) in [
-        ("tm.fifo.tx_packets", "nic.tx_packets", nic.tx_packets),
-        ("tm.fifo.tx_bits", "nic.tx_bits", nic.tx_bits),
-        ("tm.fifo.tail_drops", "nic.tail_drops", nic.tail_drops),
+    // `stats()` reads what the registry holds.
+    for (name, tally) in [
+        ("nic.tx_packets", nic.tx_packets),
+        ("nic.tx_bits", nic.tx_bits),
+        ("nic.tail_drops", nic.tail_drops),
     ] {
-        assert_eq!(snapshot.counter(fifo), tally, "{fifo}");
-        assert_eq!(snapshot.counter(nic_name), tally, "{nic_name}");
+        assert_eq!(snapshot.counter(name), tally, "{name}");
     }
     assert!(nic.tx_bits > 0);
 

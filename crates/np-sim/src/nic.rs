@@ -220,7 +220,7 @@ impl SmartNic {
     }
 
     /// Builds a NIC whose counters, gauges, and trace events live in
-    /// `registry` (namespaces `nic.*`, `lock.*`, `tm.fifo.*`). Every
+    /// `registry` (`nic.*`, `lock.*`, `tm.fifo.backlog_bytes`). Every
     /// component of the pipeline records into the same event ring, so a
     /// single [`Registry::snapshot`] shows drops by cause alongside lock
     /// contention and FIFO occupancy.
@@ -293,7 +293,6 @@ impl SmartNic {
         // unchanged. Unobserved, `stats()` counts them all the same.
         if let Some(obs) = &self.telemetry.observer {
             self.telemetry.fault_drops = obs.registry.counter("nic.fault_drops");
-            self.fifo.attach_fault_telemetry(&obs.registry);
         }
         self.fifo.set_fault_injector(Arc::clone(&injector));
         self.locks.set_fault_injector(Arc::clone(&injector));
@@ -383,9 +382,6 @@ impl SmartNic {
                         self.telemetry.fault_drops.add_single_writer(1);
                         RxOutcome::FaultDrop { at: release }
                     }
-                    // The TM only ever refuses with the two causes above;
-                    // the scheduler/queue causes cannot reach this FIFO.
-                    Err(_) => RxOutcome::TailDrop { at: release },
                 }
             }
         }
@@ -591,8 +587,14 @@ mod tests {
         assert_eq!(snap.counter("nic.offered"), 2);
         assert_eq!(snap.counter("nic.sched_drops"), 1);
         assert_eq!(snap.counter("nic.tx_packets"), 1);
-        // The wire-side FIFO recorded the same packet under its namespace.
-        assert_eq!(snap.counter("tm.fifo.tx_packets"), 1);
+        // Counted once: the wire-side FIFO registers only its backlog gauge.
+        let fifo: Vec<&str> = snap
+            .entries
+            .iter()
+            .map(|e| e.name.as_str())
+            .filter(|name| name.starts_with("tm."))
+            .collect();
+        assert_eq!(fifo, ["tm.fifo.backlog_bytes"]);
         // NicStats is a view over the same counters.
         let s = nic.stats();
         assert_eq!(s.offered, snap.counter("nic.offered"));
@@ -702,7 +704,6 @@ mod tests {
         let s = nic.stats();
         assert_eq!(s.fault_drops, 2);
         assert_eq!(reg.snapshot(Nanos::ZERO).counter("nic.fault_drops"), 2);
-        assert_eq!(reg.snapshot(Nanos::ZERO).counter("tm.fifo.fault_drops"), 2);
     }
 
     #[test]
@@ -815,9 +816,6 @@ mod tests {
             ("nic.tail_drops", s.tail_drops),
             ("nic.tx_packets", s.tx_packets),
             ("nic.tx_bits", s.tx_bits),
-            ("tm.fifo.tx_packets", s.tx_packets),
-            ("tm.fifo.tx_bits", s.tx_bits),
-            ("tm.fifo.tail_drops", s.tail_drops),
         ] {
             assert_eq!(snap.counter(name), tally, "{name}");
         }

@@ -11,10 +11,15 @@
 //! Tail drop happens when the backlog would exceed the configured byte
 //! capacity; this is the *un*-specialized tail drop that FlowValve's
 //! early-drop decisions are designed to pre-empt.
+//!
+//! The FIFO counts nothing: the caller that owns the packet's fate (the
+//! NIC's `nic.*` tallies) counts what [`TxFifo::enqueue_pkt`] returns. An
+//! observed FIFO records only what it alone knows the time of: its
+//! backlog, the `tm_queue`/`wire` spans and the `TailDrop` event.
 
 use std::sync::Arc;
 
-use fv_telemetry::metrics::{Counter, Gauge};
+use fv_telemetry::metrics::Gauge;
 use fv_telemetry::span::{SpanRecorder, Stage};
 use fv_telemetry::trace::TraceKind;
 use fv_telemetry::Registry;
@@ -23,13 +28,14 @@ use sim_core::units::{BitRate, ByteSize, WireFraming};
 
 use crate::fault::{FaultInjector, TmFault};
 
-pub use fv_telemetry::DropCause;
-
-/// Why the traffic manager refused a packet. Since the drop-cause
-/// unification this is the shared [`fv_telemetry::DropCause`]; the traffic
-/// manager only ever produces the [`DropCause::TailDrop`] /
-/// [`DropCause::CorruptDrop`] variants.
-pub type TmDrop = DropCause;
+/// Why the traffic manager refused a packet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TmDrop {
+    /// The backlog would exceed the FIFO's capacity.
+    TailDrop,
+    /// An injected fault corrupted the frame.
+    CorruptDrop,
+}
 
 /// What only an observed FIFO records: its occupancy and, for sampled
 /// packets, `TailDrop` trace events and `tm_queue`/`wire` spans.
@@ -67,14 +73,6 @@ pub struct TxFifo {
     free_at: Nanos,
     /// Latest enqueue timestamp seen, to keep internal time monotonic.
     last_t: Nanos,
-    /// Packets sent, frame bits sent (no framing overhead), tail drops and
-    /// corruption drops, the single count of each event: free-standing
-    /// until [`TxFifo::attach_telemetry`] swaps in the registry's
-    /// `tm.fifo.*` cells. Written only from `&mut self`.
-    tx_packets: Arc<Counter>,
-    tx_bits: Arc<Counter>,
-    tail_drops: Arc<Counter>,
-    fault_drops: Arc<Counter>,
     telemetry: Option<FifoTelemetry>,
     injector: Option<Arc<dyn FaultInjector>>,
 }
@@ -94,10 +92,6 @@ impl TxFifo {
             max_backlog: rate.serialization_time(capacity.as_bits()),
             free_at: Nanos::ZERO,
             last_t: Nanos::ZERO,
-            tx_packets: Arc::default(),
-            tx_bits: Arc::default(),
-            tail_drops: Arc::default(),
-            fault_drops: Arc::default(),
             telemetry: None,
             injector: None,
         }
@@ -109,37 +103,16 @@ impl TxFifo {
         self.injector = Some(injector);
     }
 
-    /// Moves the FIFO's tallies into `registry` as `tm.fifo.tx_packets`,
-    /// `tm.fifo.tx_bits` and `tm.fifo.tail_drops`, carrying over what they
-    /// have counted so far, and starts recording what only an observed
-    /// FIFO keeps: an occupancy gauge (whose high-water mark survives
-    /// drains), exact, and — for the packets the registry's sampler
-    /// selects — `TailDrop` trace events and `tm_queue`/`wire` stage spans.
+    /// Starts recording what only an observed FIFO keeps: the
+    /// `tm.fifo.backlog_bytes` occupancy gauge (whose high-water mark
+    /// survives drains), exact, and — for the packets the registry's
+    /// sampler selects — `TailDrop` trace events and `tm_queue`/`wire`
+    /// stage spans.
     pub fn attach_telemetry(&mut self, registry: &Registry) {
-        for (cell, name) in [
-            (&mut self.tx_packets, "tm.fifo.tx_packets"),
-            (&mut self.tx_bits, "tm.fifo.tx_bits"),
-            (&mut self.tail_drops, "tm.fifo.tail_drops"),
-        ] {
-            crate::register_cell(registry, name, cell);
-        }
         self.telemetry = Some(FifoTelemetry {
             backlog_bytes: registry.gauge("tm.fifo.backlog_bytes"),
             spans: SpanRecorder::new(registry),
         });
-    }
-
-    /// Moves the corruption-drop tally into `registry` as
-    /// `tm.fifo.fault_drops`.
-    ///
-    /// Deliberately separate from [`TxFifo::attach_telemetry`]: fault
-    /// drops require an injector, so a fault-free run never grows its
-    /// snapshot schema. Call alongside [`TxFifo::set_fault_injector`];
-    /// a no-op until telemetry is attached.
-    pub fn attach_fault_telemetry(&mut self, registry: &Registry) {
-        if self.telemetry.is_some() {
-            crate::register_cell(registry, "tm.fifo.fault_drops", &mut self.fault_drops);
-        }
     }
 
     /// Offers packet `pkt_id`, a frame of `frame_len` bytes, to the FIFO at
@@ -163,15 +136,11 @@ impl TxFifo {
             match inj.tm_fault(t, pkt_id) {
                 TmFault::None => {}
                 TmFault::Paused { until } => paused_until = until,
-                TmFault::CorruptDrop => {
-                    self.fault_drops.add_single_writer(1);
-                    return Err(TmDrop::CorruptDrop);
-                }
+                TmFault::CorruptDrop => return Err(TmDrop::CorruptDrop),
             }
         }
         let backlog = self.free_at.saturating_sub(t);
         if backlog > self.max_backlog {
-            self.tail_drops.add_single_writer(1);
             if let Some(tel) = &self.telemetry {
                 tel.spans.event(t, TraceKind::TailDrop, pkt_id, 0, pkt_id);
             }
@@ -187,8 +156,6 @@ impl TxFifo {
         }
         let wire_start = self.free_at.max(t).max(paused_until);
         self.free_at = wire_start + ser;
-        self.tx_packets.add_single_writer(1);
-        self.tx_bits.add_single_writer(frame_len as u64 * 8);
         if let Some(tel) = &self.telemetry {
             let occupancy = self.rate.bits_in(self.free_at - t) / 8;
             tel.backlog_bytes.set(occupancy);
@@ -249,14 +216,10 @@ mod tests {
         // Fill past 10 KiB: each enqueue is 1 KB; at t=0, the 11th packet
         // sees 80 us of backlog => allowed; the 12th sees 88 us > 81.92 us
         // => drop.
-        let mut accepted = 0;
-        for id in 0..12 {
-            if f.enqueue_pkt(1_000, Nanos::ZERO, id).is_ok() {
-                accepted += 1;
-            }
+        for id in 0..11 {
+            assert!(f.enqueue_pkt(1_000, Nanos::ZERO, id).is_ok());
         }
-        assert_eq!(accepted, 11);
-        assert_eq!(f.tail_drops.total(), 1);
+        assert_eq!(f.enqueue_pkt(1_000, Nanos::ZERO, 11), Err(TmDrop::TailDrop));
     }
 
     #[test]
@@ -276,21 +239,8 @@ mod tests {
             ByteSize::from_kib(64),
         );
         let done = f.enqueue_pkt(64, Nanos::ZERO, 0).unwrap();
-        // (64 + 20) * 8 = 672 ns on the wire...
+        // (64 + 20) * 8 = 672 ns on the wire.
         assert_eq!(done, Nanos::from_nanos(672));
-        // ...but only 512 frame bits counted as throughput.
-        assert_eq!(f.tx_bits.total(), 512);
-    }
-
-    #[test]
-    fn throughput_accounting() {
-        let mut f = fifo_1g();
-        for i in 0..10u64 {
-            let _ = f.enqueue_pkt(1_000, Nanos::from_micros(i * 10), i);
-        }
-        // Frame bits only: 10 x 8 000, none of the (zero) framing.
-        assert_eq!(f.tx_bits.total(), 80_000);
-        assert_eq!(f.tx_packets.total(), 10);
     }
 
     #[test]
@@ -304,9 +254,6 @@ mod tests {
             let _ = f.enqueue_pkt(1_000, Nanos::ZERO, id);
         }
         let snap = reg.snapshot(Nanos::ZERO);
-        assert_eq!(snap.counter("tm.fifo.tx_packets"), 11);
-        assert_eq!(snap.counter("tm.fifo.tx_bits"), 11 * 8_000);
-        assert_eq!(snap.counter("tm.fifo.tail_drops"), 1);
         match snap.get("tm.fifo.backlog_bytes") {
             Some(MetricValue::Gauge { max, .. }) => assert_eq!(*max, 11_000),
             other => panic!("unexpected {other:?}"),
@@ -316,24 +263,6 @@ mod tests {
             .iter()
             .any(|e| e.kind == TraceKind::TailDrop && (e.a, e.b) == (0, 11)));
         assert_eq!(snap.histogram("span.wire_ns").unwrap().count, 11);
-    }
-
-    #[test]
-    fn attaching_after_traffic_carries_the_totals_into_the_registry() {
-        let mut f = fifo_1g();
-        // 10 KiB buffer, 1 KB frames: 11 accepted, the 12th tail-drops.
-        for id in 0..12 {
-            let _ = f.enqueue_pkt(1_000, Nanos::ZERO, id);
-        }
-        let reg = Registry::new();
-        f.attach_telemetry(&reg);
-        f.enqueue_pkt(1_000, Nanos::from_millis(1), 12).unwrap();
-        let snap = reg.snapshot(Nanos::ZERO);
-        assert_eq!(snap.counter("tm.fifo.tx_packets"), 12);
-        assert_eq!(snap.counter("tm.fifo.tx_bits"), 12 * 8_000);
-        assert_eq!(snap.counter("tm.fifo.tail_drops"), 1);
-        let totals = [&f.tx_packets, &f.tx_bits, &f.tail_drops].map(|c| c.total());
-        assert_eq!(totals, [12, 96_000, 1]);
     }
 
     #[derive(Debug)]
@@ -394,10 +323,7 @@ mod tests {
 
     #[test]
     fn corruption_fault_drops_and_counts() {
-        let reg = Registry::new();
         let mut f = fifo_1g();
-        f.attach_telemetry(&reg);
-        f.attach_fault_telemetry(&reg);
         f.set_fault_injector(Arc::new(FaultAt {
             from: Nanos::ZERO,
             to: Nanos::from_micros(1),
@@ -408,10 +334,8 @@ mod tests {
             f.enqueue_pkt(1_000, Nanos::ZERO, 0),
             Err(TmDrop::CorruptDrop)
         );
-        assert!(f.enqueue_pkt(1_000, Nanos::from_micros(5), 1).is_ok());
-        assert_eq!(f.fault_drops.total(), 1);
-        assert_eq!(f.tx_packets.total(), 1);
-        let snap = reg.snapshot(Nanos::ZERO);
-        assert_eq!(snap.counter("tm.fifo.fault_drops"), 1);
+        // The dropped frame never occupied the wire.
+        let done = f.enqueue_pkt(1_000, Nanos::from_micros(5), 1).unwrap();
+        assert_eq!(done, Nanos::from_nanos(5_000 + 8_000));
     }
 }

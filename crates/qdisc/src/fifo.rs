@@ -1,15 +1,20 @@
 //! A byte-bounded packet FIFO: the building block of every software qdisc.
+//!
+//! A refused push names its cause, a [`QueueDrop`]: the packet-count or the
+//! byte limit. The queue counts its drops in a plain integer.
 
 use std::collections::VecDeque;
 
 use netstack::packet::Packet;
 
-pub use fv_telemetry::DropCause;
-
-/// Why an enqueue was refused. Since the drop-cause unification this is
-/// the shared [`fv_telemetry::DropCause`]; software qdiscs only ever produce
-/// the [`DropCause::OverPkts`] / [`DropCause::OverBytes`] variants.
-pub type QueueDrop = DropCause;
+/// Why an enqueue was refused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum QueueDrop {
+    /// The queue's packet-count limit was reached.
+    OverPkts,
+    /// The queue's byte limit would be exceeded.
+    OverBytes,
+}
 
 /// A FIFO with byte and packet limits.
 ///

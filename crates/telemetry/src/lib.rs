@@ -20,9 +20,6 @@
 //! * [`Sampler`] — the one per-packet sampling decision: spans, per-packet
 //!   trace events and provenance are kept for the same one packet in 64;
 //!   counters, gauges and `nic.latency_ns` stay exact.
-//! * [`cause`] — the one [`DropCause`] taxonomy, here so the NIC model and
-//!   the qdisc baselines can name a drop's cause without depending on the
-//!   auditor.
 //! * [`json`] — a small JSON emitter ([`ToJson`]/[`JsonValue`]) behind the
 //!   `fv demo --json` exporter and the figure result files (this workspace
 //!   builds with no crates.io access, so there is no `serde_json`).
@@ -61,7 +58,6 @@
 //! println!("{}", snap.to_json().to_pretty());    // `fv demo --json`
 //! ```
 
-pub mod cause;
 pub mod json;
 pub mod metrics;
 pub mod registry;
@@ -69,7 +65,6 @@ pub mod sampler;
 pub mod span;
 pub mod trace;
 
-pub use cause::DropCause;
 pub use json::{JsonValue, ToJson};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{MetricEntry, MetricValue, Registry, Snapshot};

@@ -120,16 +120,10 @@ fn tm_pause_and_corruption_burst_recover() {
     );
     assert!(report.passed(), "{}", report.render());
     assert_eq!(report.recovery.results.len(), 2);
-    // The corruption burst visibly dropped frames, and both the TM and
-    // the NIC counted them.
+    // The corruption burst visibly dropped frames, and the NIC counted them.
     assert!(
-        report.run.snapshot.counter("tm.fifo.fault_drops") > 0,
+        report.run.snapshot.counter("nic.fault_drops") > 0,
         "corruption burst dropped nothing"
-    );
-    assert_eq!(
-        report.run.snapshot.counter("tm.fifo.fault_drops"),
-        report.run.snapshot.counter("nic.fault_drops"),
-        "TM and NIC disagree on fault drops"
     );
 }
 
