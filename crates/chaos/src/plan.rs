@@ -182,9 +182,11 @@ impl FaultPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`ParsePlanError`] naming the first malformed line.
+    /// Returns [`ParsePlanError`] naming the first malformed line, a
+    /// second `chaos seed` line among them.
     pub fn parse(script: &str) -> Result<FaultPlan, ParsePlanError> {
         let mut plan = FaultPlan::default();
+        let mut seed_line = None;
         for (i, raw) in script.lines().enumerate() {
             let lineno = i + 1;
             let line = raw.split('#').next().unwrap_or("").trim();
@@ -195,6 +197,9 @@ impl FaultPlan {
             let toks: Vec<&str> = line.split_whitespace().collect();
             match toks.as_slice() {
                 ["chaos", "seed", v] => {
+                    if let Some(first) = seed_line.replace(lineno) {
+                        return Err(err(format!("repeats `chaos seed` (first on line {first})")));
+                    }
                     plan.seed = v
                         .parse()
                         .map_err(|_| err(format!("bad seed {v:?}: expected a u64")))?;
@@ -536,6 +541,13 @@ mod tests {
             let want = format!("fault \"wire_flap\" repeats `{key}`");
             assert_eq!((err.line, err.msg), (1, want));
         }
+    }
+
+    #[test]
+    fn refuses_a_repeated_seed() {
+        let err = FaultPlan::parse("chaos seed 1\n# replay\nchaos seed 2\n").unwrap_err();
+        let want = "repeats `chaos seed` (first on line 1)";
+        assert_eq!((err.line, err.msg.as_str()), (3, want));
     }
 
     #[test]

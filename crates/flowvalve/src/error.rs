@@ -95,6 +95,8 @@ pub enum ParseFvError {
     UnknownVerb(String),
     /// A required option is missing.
     MissingOption(&'static str),
+    /// An option was given twice in one command.
+    RepeatedOption(&'static str),
     /// An option value failed to parse.
     BadValue {
         /// The option name.
@@ -126,6 +128,7 @@ impl fmt::Display for ParseFvError {
             ParseFvError::UnknownObject(s) => write!(f, "unknown object '{s}'"),
             ParseFvError::UnknownVerb(s) => write!(f, "unknown verb '{s}'"),
             ParseFvError::MissingOption(o) => write!(f, "missing option '{o}'"),
+            ParseFvError::RepeatedOption(o) => write!(f, "option '{o}' given twice"),
             ParseFvError::BadValue { option, value } => {
                 write!(f, "bad value '{value}' for option '{option}'")
             }

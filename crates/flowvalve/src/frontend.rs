@@ -20,6 +20,8 @@
 //! Matchers: `ip dport <port>`, `ip sport <port>`, `ip src <cidr>`,
 //! `ip dst <cidr>`, `ip proto tcp|udp`, `vf <n>`, or `any`.
 //! Rates accept `bit`, `kbit`, `mbit`, `gbit` suffixes as `tc` does.
+//! Each option and matcher field may appear once per command; a value is
+//! never read as an option, so a class may be named `prio`.
 
 use classifier::{Cidr, FilterRule, FlowMatch};
 use netstack::flow::IpProto;
@@ -125,14 +127,23 @@ impl Policy {
     }
 
     fn parse_qdisc(&mut self, words: &[&str]) -> Result<(), ParseFvError> {
+        let mut seen = Seen::default();
         let mut it = words.iter();
         while let Some(&w) = it.next() {
-            if w == "default" {
-                let v = it.next().ok_or(ParseFvError::MissingOption("default"))?;
-                self.default_class = Some(parse_handle(v)?);
+            seen.once(w, &["dev", "handle", "default"])?;
+            match w {
+                "default" => {
+                    let v = it.next().ok_or(ParseFvError::MissingOption("default"))?;
+                    self.default_class = Some(parse_handle(v)?);
+                }
+                // `dev` and `handle` take a value, which is ignored like
+                // `root` and the qdisc kind: the reproduction manages a
+                // single device and qdisc.
+                "dev" | "handle" => {
+                    it.next();
+                }
+                _ => {}
             }
-            // `dev`, `root`, `handle`, and the qdisc kind are accepted and
-            // ignored: the reproduction manages a single device and qdisc.
         }
         Ok(())
     }
@@ -146,8 +157,15 @@ impl Policy {
         let mut prio = 0u8;
         let mut weight = 1u32;
 
+        let mut seen = Seen::default();
         let mut it = words.iter();
         while let Some(&w) = it.next() {
+            seen.once(
+                w,
+                &[
+                    "dev", "parent", "classid", "name", "rate", "ceil", "prio", "weight",
+                ],
+            )?;
             let mut value = |opt: &'static str| -> Result<&str, ParseFvError> {
                 it.next().copied().ok_or(ParseFvError::MissingOption(opt))
             };
@@ -208,8 +226,10 @@ impl Policy {
         let mut class: Option<ClassId> = None;
         let mut borrow = Vec::new();
 
+        let mut seen = Seen::default();
         let mut it = words.iter().peekable();
         while let Some(&w) = it.next() {
+            seen.once(w, &["dev", "prio", "match", "flowid", "borrow"])?;
             match w {
                 "dev" => {
                     it.next().ok_or(ParseFvError::MissingOption("dev"))?;
@@ -222,7 +242,7 @@ impl Policy {
                     })?;
                 }
                 "match" => {
-                    matcher = parse_match(&mut it)?;
+                    matcher = parse_match(&mut it, &mut seen)?;
                 }
                 "flowid" => {
                     let v = it.next().ok_or(ParseFvError::MissingOption("flowid"))?;
@@ -284,6 +304,25 @@ impl Policy {
     }
 }
 
+/// The options one command has given so far, so that a repeated one is
+/// refused instead of silently replacing the first.
+#[derive(Default)]
+struct Seen(Vec<&'static str>);
+
+impl Seen {
+    /// Notes `word` if it is one of `options`; `Err` if it was noted before.
+    fn once(&mut self, word: &str, options: &[&'static str]) -> Result<(), ParseFvError> {
+        let Some(&option) = options.iter().find(|&&o| o == word) else {
+            return Ok(());
+        };
+        if self.0.contains(&option) {
+            return Err(ParseFvError::RepeatedOption(option));
+        }
+        self.0.push(option);
+        Ok(())
+    }
+}
+
 /// Parses a `major:minor` (or bare `minor`) class handle.
 fn parse_handle(s: &str) -> Result<ClassId, ParseFvError> {
     let bad = || ParseFvError::BadHandle(s.to_owned());
@@ -319,8 +358,12 @@ fn parse_rate(s: &str) -> Result<BitRate, ParseFvError> {
     Ok(BitRate::from_bps((value * mult as f64).round() as u64))
 }
 
-/// Parses the matcher words following `match`.
-fn parse_match<'a, I>(it: &mut std::iter::Peekable<I>) -> Result<FlowMatch, ParseFvError>
+/// Parses the matcher words following `match`; `seen` refuses a field
+/// given twice.
+fn parse_match<'a, I>(
+    it: &mut std::iter::Peekable<I>,
+    seen: &mut Seen,
+) -> Result<FlowMatch, ParseFvError>
 where
     I: Iterator<Item = &'a &'a str>,
 {
@@ -333,6 +376,7 @@ where
             Some(&"ip") => {
                 it.next();
                 let field = *it.next().ok_or(ParseFvError::MissingOption("match ip"))?;
+                seen.once(field, &["dport", "sport", "src", "dst", "proto"])?;
                 let value = *it
                     .next()
                     .ok_or(ParseFvError::MissingOption("match ip value"))?;
@@ -373,6 +417,7 @@ where
             }
             Some(&"vf") => {
                 it.next();
+                seen.once("vf", &["vf"])?;
                 let value = *it.next().ok_or(ParseFvError::MissingOption("vf"))?;
                 m.vf = Some(VfPort(value.parse().map_err(|_| {
                     ParseFvError::BadValue {
@@ -545,6 +590,57 @@ fv filter add dev nic0 prio 4 match vf 2 flowid 1:30 borrow 1:22
             compile(&lender).as_deref(),
             Some("policy error: borrow label references unknown class 1:99")
         );
+    }
+
+    #[test]
+    fn a_repeated_option_is_refused_by_name() {
+        let cases = [
+            (
+                "qdisc add dev nic0 root handle 1: fv default 1:1 default 1:2",
+                "default",
+            ),
+            (
+                "class add dev nic0 parent root classid 1:1 rate 10gbit rate 1gbit",
+                "rate",
+            ),
+            (
+                "class add parent root classid 1:1 ceil 2gbit ceil 5gbit",
+                "ceil",
+            ),
+            ("class add parent root classid 1:1 classid 1:2", "classid"),
+            (
+                "class add parent root classid 1:1 prio 1 weight 2 prio 0",
+                "prio",
+            ),
+            (
+                "filter add dev nic0 match any flowid 1:1 flowid 1:2",
+                "flowid",
+            ),
+            ("filter add match vf 1 flowid 1:1 match vf 2", "match"),
+            (
+                "filter add match ip dport 80 ip dport 443 flowid 1:1",
+                "dport",
+            ),
+            ("filter add match vf 1 vf 2 flowid 1:1", "vf"),
+        ];
+        for (command, option) in cases {
+            let err = Policy::default().parse_command(command).unwrap_err();
+            assert_eq!(err, ParseFvError::RepeatedOption(option), "{command}");
+            assert_eq!(err.to_string(), format!("option '{option}' given twice"));
+        }
+    }
+
+    #[test]
+    fn a_value_that_spells_an_option_still_parses() {
+        let p = Policy::parse(
+            "fv qdisc add dev default root handle 1: fv default 1:1\n\
+             fv class add dev rate parent root classid 1:1 name prio prio 1 rate 1gbit\n",
+        )
+        .unwrap();
+        assert_eq!(p.default_class, Some(ClassId(1)));
+        let class = &p.classes[0];
+        assert_eq!((class.name.as_str(), class.prio), ("prio", 1));
+        assert_eq!(class.rate, Some(BitRate::from_gbps(1.0)));
     }
 
     #[test]

@@ -56,9 +56,9 @@
 //!
 //! Scripts use the `tc`-style dialect documented in
 //! `flowvalve::frontend`; `-` reads from stdin. Valued flags accept
-//! `--flag value` and `--flag=value`; an unknown flag, a missing value and
-//! an unparsable number each exit 2 with the flag named above the usage
-//! line.
+//! `--flag value` and `--flag=value`, once each; an unknown flag, a missing
+//! value, an unparsable number and a valued flag given twice each exit 2
+//! with the flag named above the usage line.
 //!
 //! A reader that closes the pipe early (`fv top … | head -8`) ends `fv` the
 //! way it ends `yes`: killed by `SIGPIPE`, silently, which a shell reports
@@ -181,12 +181,12 @@ fn parse_args(args: &[String]) -> Result<(Flags, Vec<&str>), String> {
                 .map_err(|_| format!("{name}: `{v}` is not a non-negative integer"))
         };
         match (name, inline) {
-            ("--out", _) => flags.out = Some(value()?.to_owned()),
-            ("--interval-us", _) => flags.interval_us = Some(number(value()?)?),
-            ("--plan", _) => flags.plan = Some(value()?.to_owned()),
-            ("--flight", _) => flags.flight = Some(value()?.to_owned()),
-            ("--pkt", _) => flags.pkt = Some(number(value()?)?),
-            ("--flow", _) => flags.flow = Some(value()?.to_owned()),
+            ("--out", _) => once(&mut flags.out, name, value()?.to_owned())?,
+            ("--interval-us", _) => once(&mut flags.interval_us, name, number(value()?)?)?,
+            ("--plan", _) => once(&mut flags.plan, name, value()?.to_owned())?,
+            ("--flight", _) => once(&mut flags.flight, name, value()?.to_owned())?,
+            ("--pkt", _) => once(&mut flags.pkt, name, number(value()?)?)?,
+            ("--flow", _) => once(&mut flags.flow, name, value()?.to_owned())?,
             ("--json", None) => flags.json = true,
             ("--csv", None) => flags.csv = true,
             ("--jsonl", None) => flags.jsonl = true,
@@ -197,6 +197,14 @@ fn parse_args(args: &[String]) -> Result<(Flags, Vec<&str>), String> {
         }
     }
     Ok((flags, positional))
+}
+
+/// Fills valued flag `name`'s slot; `Err` when the flag was given before.
+fn once<T>(slot: &mut Option<T>, name: &str, value: T) -> Result<(), String> {
+    match slot.replace(value) {
+        None => Ok(()),
+        Some(_) => Err(format!("{name} given twice")),
+    }
 }
 
 fn run() -> CmdResult {

@@ -686,6 +686,19 @@ fn valued_flag_without_a_value_is_refused() {
 }
 
 #[test]
+fn valued_flag_given_twice_is_refused() {
+    assert_refused(&["why", "--pkt", "103", "--pkt=64"], "--pkt given twice");
+    assert_refused(
+        &["timeseries", "--interval-us=10", "--interval-us", "20"],
+        "--interval-us given twice",
+    );
+    assert_refused(
+        &["chaos", "--plan", "a", "--plan", "b"],
+        "--plan given twice",
+    );
+}
+
+#[test]
 fn unparsable_number_is_refused() {
     assert_refused(&["timeseries", "--interval-us", "abc"], "--interval-us");
     assert_refused(&["timeseries", "--interval-us=abc"], "--interval-us");
