@@ -288,8 +288,8 @@ impl SmartNic {
     /// scheduler code runs faulted or clean — only these hook points
     /// consult the injector.
     pub fn install_fault_injector(&mut self, injector: Arc<dyn FaultInjector>) {
-        // Faults are now possible, so an observed NIC's fault-drop counters
-        // join the registry; fault-free NICs keep their snapshot schema
+        // Faults are now possible, so an observed NIC's fault-drop counter
+        // joins the registry; fault-free NICs keep their snapshot schema
         // unchanged. Unobserved, `stats()` counts them all the same.
         if let Some(obs) = &self.telemetry.observer {
             self.telemetry.fault_drops = obs.registry.counter("nic.fault_drops");
