@@ -76,6 +76,13 @@ pub trait Exec {
     /// hot state and meters buckets with plain loads and stores instead
     /// of read-modify-writes. Verdicts and tree state are the same either
     /// way; only the host instructions differ.
+    ///
+    /// The same bit decides the two other differences between the worlds.
+    /// A shared tree's walk skips the guarded-update attempt of a class
+    /// still inside its minimum update interval (a guaranteed no-op), where
+    /// an exclusive one keeps it because its try-lock and charge *are* the
+    /// modeled hardware cost. A shared tree's thread writes its own
+    /// hot-state stripe, an exclusive walk stripe 0.
     const EXCLUSIVE: bool = false;
 
     /// Charges one modeled operation (no-op under real execution).
@@ -91,25 +98,6 @@ pub trait Exec {
         kind: LockKind,
         now: Nanos,
     ) -> bool;
-
-    /// Whether the scheduling function may skip the guarded-update attempt
-    /// for a class still inside its minimum update interval. Within the
-    /// interval the update is a guaranteed no-op, so eliding it cannot
-    /// change verdicts or tree state — but modeled environments keep the
-    /// attempt because its try-lock and charge *are* the hardware cost
-    /// model, and eliding them would change every virtual-time figure.
-    fn elide_idle_updates(&self) -> bool {
-        false
-    }
-
-    /// Hot-state stripe this execution writes its per-node counters to.
-    /// Modeled environments are single-threaded per worker and keep the
-    /// default stripe 0; real-thread execution returns a stable per-thread
-    /// stripe so concurrent workers never share a counter cache line.
-    /// Merged totals are stripe-independent (see `NodeHot`).
-    fn stripe(&self) -> usize {
-        0
-    }
 }
 
 /// Simulation execution: modeled locks + cycle accounting.
@@ -194,14 +182,6 @@ fn thread_stripe() -> usize {
 
 impl Exec for RealExec {
     fn charge(&mut self, _op: Op) {}
-
-    fn elide_idle_updates(&self) -> bool {
-        true
-    }
-
-    fn stripe(&self) -> usize {
-        thread_stripe()
-    }
 
     fn locked_update(
         &mut self,
@@ -363,8 +343,8 @@ impl SchedulingTree {
         obs: &mut O,
     ) -> SchedVerdict {
         let need = Tokens::from_bits(bits);
-        let elide = exec.elide_idle_updates();
-        let stripe = exec.stripe();
+        let elide = !E::EXCLUSIVE;
+        let stripe = if E::EXCLUSIVE { 0 } else { thread_stripe() };
         self.register_stripe(stripe);
 
         let level = |slot: u32| match O::ENABLED {
@@ -701,7 +681,7 @@ pub(crate) mod tests {
         let stripe = std::thread::scope(|s| loop {
             let stripe = s
                 .spawn(|| {
-                    let stripe = RealExec.stripe() % HOT_STRIPES;
+                    let stripe = thread_stripe() % HOT_STRIPES;
                     if stripe != 0 {
                         let v =
                             tree.schedule(&label, 12_000, Nanos::from_micros(100), &mut RealExec);
@@ -730,9 +710,9 @@ pub(crate) mod tests {
 
     #[test]
     fn thread_stripe_is_stable_per_thread() {
-        let a = RealExec.stripe();
-        assert_eq!(a, RealExec.stripe(), "stripe must not move within a thread");
-        let b = std::thread::spawn(|| (RealExec.stripe(), RealExec.stripe()))
+        let a = thread_stripe();
+        assert_eq!(a, thread_stripe(), "stripe must not move within a thread");
+        let b = std::thread::spawn(|| (thread_stripe(), thread_stripe()))
             .join()
             .unwrap();
         assert_eq!(b.0, b.1);

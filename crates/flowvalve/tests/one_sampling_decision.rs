@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use flowvalve::frontend::Policy;
 use flowvalve::pipeline::FlowValvePipeline;
-use flowvalve::tree::TreeParams;
+use flowvalve::tree::{ClassCounters, SchedulingTree, TreeParams};
 use fv_audit::{AuditVerdict, ProvenanceRing};
 use fv_telemetry::{Registry, Sampler, Snapshot, Stage, TraceEvent, TraceKind, STAGES};
 use netstack::flow::FlowKey;
@@ -49,6 +49,8 @@ struct Observed {
     snapshot: Snapshot,
     /// The NIC's own view of its tallies.
     nic: NicStats,
+    /// The scheduling tree the pipeline ran, with its own verdict tallies.
+    tree: Arc<SchedulingTree>,
     locks: LockStats,
     per_lock: Vec<PerLockStats>,
     /// The registry's per-packet decision.
@@ -105,6 +107,7 @@ fn run() -> Observed {
     let sampler = registry.sampler();
     let provenance = Arc::new(ProvenanceRing::new(4096));
     pipeline.attach_auditor(provenance.clone(), sampler);
+    let tree = pipeline.tree().clone();
     let mut nic = SmartNic::with_registry(cfg, Box::new(pipeline), &registry);
     let (stream, t) = offer(&mut nic);
     nic.sync_gauges(t);
@@ -117,6 +120,7 @@ fn run() -> Observed {
         stream,
         snapshot: registry.snapshot(t),
         nic: nic.stats(),
+        tree,
         locks: nic.lock_stats(),
         per_lock: nic.per_lock_stats().to_vec(),
         sampler,
@@ -135,6 +139,7 @@ fn counters_are_exact_on_an_observed_nic() {
         stream,
         snapshot,
         nic,
+        tree,
         locks,
         per_lock,
         ..
@@ -210,6 +215,19 @@ fn counters_are_exact_on_an_observed_nic() {
     assert_eq!(forwarded + borrowed + dropped, PACKETS - rx_drops);
     assert_eq!(dropped, sched_drops);
     assert_eq!(verdicts(".lent"), borrowed);
+    // Two cells count each verdict while both exist: the tree's `NodeHot`
+    // tallies and the pipeline's registry cells. They must agree class by
+    // class.
+    for id in tree.class_ids() {
+        let cell = |field: &str| snapshot.counter(&format!("fv.class.{id}.{field}"));
+        let registered = ClassCounters {
+            forwarded: cell("forwarded"),
+            borrowed: cell("borrowed"),
+            dropped: cell("dropped"),
+            lent: cell("lent"),
+        };
+        assert_eq!(tree.counters(id), Some(registered), "{id}");
+    }
 
     // End-to-end latency is a per-packet histogram, not a sampled span.
     let latency = snapshot
