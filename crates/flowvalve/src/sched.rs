@@ -343,7 +343,6 @@ impl SchedulingTree {
         obs: &mut O,
     ) -> SchedVerdict {
         let need = Tokens::from_bits(bits);
-        let elide = !E::EXCLUSIVE;
         let stripe = if E::EXCLUSIVE { 0 } else { thread_stripe() };
         self.register_stripe(stripe);
 
@@ -366,9 +365,10 @@ impl SchedulingTree {
         };
         // The guarded refresh of a class bucket (Subprocedure 1) or of a
         // lender's shadow bucket (Subprocedure 2): one core per class wins
-        // the try-lock, the rest proceed (Figure 7(c)).
+        // the try-lock, the rest proceed (Figure 7(c)). Only a shared tree
+        // skips an attempt that cannot change anything yet.
         let refresh = |idx: u32, kind, exec: &mut E| {
-            if !elide || self.update_due(idx as usize, kind == LockKind::Shadow, now) {
+            if E::EXCLUSIVE || self.update_due(idx as usize, kind == LockKind::Shadow, now) {
                 exec.charge(Op::LockOp);
                 exec.locked_update(self, idx as usize, kind, now);
             }

@@ -5,7 +5,7 @@
 //! loads — the same wait-free reads the data plane uses. Test-only: it is
 //! the whole-tree equality probe of the scheduling engine's differential
 //! test (`sched::tests::admit_matches_reference_on_random_trees`), which
-//! compares two trees snapshot for snapshot (DESIGN.md §17).
+//! compares two trees snapshot for snapshot (DESIGN.md §11.1).
 
 use sim_core::time::Nanos;
 use sim_core::units::BitRate;

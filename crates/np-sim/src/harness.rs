@@ -68,7 +68,7 @@ pub struct OpenLoopReport {
 /// `horizon` is not emitted.
 ///
 /// The merge calls out instead of being an `Iterator<Item = Packet>`:
-/// DESIGN.md §14 has the `sat_64B` measurement that decided it.
+/// DESIGN.md §9.1 has the `sat_64B` measurement that decided it.
 pub fn drive(
     mut sources: Vec<Source>,
     horizon: Nanos,

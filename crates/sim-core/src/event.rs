@@ -15,7 +15,7 @@
 //! takes the smaller of its head and the heap's top by `(time, sequence
 //! number)`, so the pop order is the heap's alone, ties included. On
 //! `tcp_closed_loop` this leaves the heap ≈ 17 events where it held ≈ 870
-//! (DESIGN.md §7).
+//! (DESIGN.md §4).
 
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BinaryHeap, VecDeque};

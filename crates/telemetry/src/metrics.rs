@@ -20,7 +20,7 @@
 //! Nothing here is striped per thread: every front end records from one
 //! thread, and striping the counters and the histogram header measured
 //! level on the benchmark's `demo_observed`, `tcp_closed_loop` and
-//! `wallclock_2t` (DESIGN.md §13, §18).
+//! `wallclock_2t` (DESIGN.md §8.2).
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 

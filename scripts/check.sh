@@ -160,32 +160,52 @@ PY
 
 echo "==> cross-references (every §N names a DESIGN.md section, every ROADMAP item an open one)"
 # A section or item renumbered or closed leaves its references behind;
-# nothing else notices. An item is open unless its marker says "Closed"; a
-# lettered part is a bold "(x)" inside the item.
+# nothing else notices. A "§N" or "§N.M" in the docs, and a "DESIGN.md §N"
+# in a Rust comment, must name a "## N." or "### N.M" heading of DESIGN.md.
+# An item is open unless its marker says "Closed"; a lettered part is a
+# bold "(x)" inside the item. benchmark/ is not scanned: it changes only
+# with the benchmark.
 python3 - <<'PY'
-import re, sys
-sections = set(re.findall(r"^## (\d+)\.", open("DESIGN.md").read(), re.M))
+import glob, re, sys
+design = open("DESIGN.md").read()
+sections = set(re.findall(r"^## (\d+)\.", design, re.M))
+sections |= set(re.findall(r"^### (\d+\.\d+) ", design, re.M))
 roadmap = open("ROADMAP.md").read().split("\n## Open items", 1)[1].split("\n### ", 1)[0]
 items = {}
 for m in re.finditer(r"^- \*\*(\d+)\.(.*?)(?=^- \*\*\d+\.|\Z)", roadmap, re.M | re.S):
     if not m.group(2).lstrip("* ").startswith("Closed"):
         items[m.group(1)] = set(re.findall(r"\*\*\((\w)\)", m.group(2)))
+ref = r"§\d+(?:\.\d+)?"
 bad = []
-for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"):
+def dangling(where, text, matches):
+    for m in matches:
+        for n in re.findall(r"§(\d+(?:\.\d+)?)", m.group(0)):
+            if n not in sections:
+                bad.append(f"{where}:{text.count(chr(10), 0, m.start()) + 1}: §{n} names no DESIGN.md section")
+for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md", ".claude/skills/verify/SKILL.md"):
     text = open(doc).read()
+    dangling(doc, text, re.finditer(ref, text))
+    if doc == "ROADMAP.md":
+        continue
     at = lambda m: f"{doc}:{text.count(chr(10), 0, m.start()) + 1}"
-    for m in re.finditer(r"§(\d+)", text):
-        if m.group(1) not in sections:
-            bad.append(f"{at(m)}: §{m.group(1)} names no DESIGN.md section")
     for m in re.finditer(r"ROADMAP\s+item\s+(\d+)(?:\s+\((\w)\))?", text):
         n, part = m.groups()
         if n not in items:
             bad.append(f"{at(m)}: ROADMAP item {n} is not an open item")
         elif part and part not in items[n]:
             bad.append(f"{at(m)}: ROADMAP item {n} has no part ({part})")
+# In Rust only "DESIGN.md §N" counts (other § are the paper's): "DESIGN.md
+# §7.4, §8", "`DESIGN.md` §4 and §9", also across a comment line break.
+cited = 0
+for pattern in ("crates/*/src/**/*.rs", "src/**/*.rs", "tests/**/*.rs", "examples/**/*.rs"):
+    for path in sorted(glob.glob(pattern, recursive=True)):
+        text = open(path).read()
+        refs = list(re.finditer(rf"DESIGN\.md`?(?:\s|//[/!]?)+{ref}(?:(?:,\s*|\s+and\s+|–){ref})*", text))
+        cited += len(refs)
+        dangling(path, text, refs)
 for b in bad:
     print(f"  {b}")
-print(f"cross-references: {len(bad)} dangling")
+print(f"cross-references: {len(bad)} dangling ({cited} DESIGN.md citations in Rust)")
 sys.exit(1 if bad else 0)
 PY
 

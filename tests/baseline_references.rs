@@ -3,7 +3,7 @@
 //! Strict priority and token-bucket shaping are the two canonical
 //! scheduling transactions (Programmable Packet Scheduling, PAPERS.md) and
 //! the qdiscs the paper names as offloaded. No figure builds `qdisc::Tbf`,
-//! which earns its place here (DESIGN.md "Reachability"); `qdisc::Prio` is
+//! which earns its place here (DESIGN.md §11.1); `qdisc::Prio` is
 //! also the §II-B ablation's traffic manager. One seeded open-loop stream
 //! goes through a FlowValve policy on the NIC model and, packet for packet,
 //! through the queueing reference drained at the same rate. After
