@@ -343,6 +343,7 @@ impl SchedulingTree {
         obs: &mut O,
     ) -> SchedVerdict {
         let need = Tokens::from_bits(bits);
+        let elide = !E::EXCLUSIVE;
         let stripe = if E::EXCLUSIVE { 0 } else { thread_stripe() };
         self.register_stripe(stripe);
 
@@ -365,10 +366,9 @@ impl SchedulingTree {
         };
         // The guarded refresh of a class bucket (Subprocedure 1) or of a
         // lender's shadow bucket (Subprocedure 2): one core per class wins
-        // the try-lock, the rest proceed (Figure 7(c)). Only a shared tree
-        // skips an attempt that cannot change anything yet.
+        // the try-lock, the rest proceed (Figure 7(c)).
         let refresh = |idx: u32, kind, exec: &mut E| {
-            if E::EXCLUSIVE || self.update_due(idx as usize, kind == LockKind::Shadow, now) {
+            if !elide || self.update_due(idx as usize, kind == LockKind::Shadow, now) {
                 exec.charge(Op::LockOp);
                 exec.locked_update(self, idx as usize, kind, now);
             }
