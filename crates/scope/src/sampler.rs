@@ -15,10 +15,8 @@
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use fv_telemetry::json::JsonValue;
-use fv_telemetry::metrics::Counter;
 use fv_telemetry::Registry;
 use sim_core::tick::Ticker;
 use sim_core::time::Nanos;
@@ -96,13 +94,6 @@ pub struct TimeSampler {
     ticker: Ticker,
     names: Vec<String>,
     index: HashMap<String, usize>,
-    /// Cached counter handles, column-aligned with `names`. Resolved once
-    /// at attach time and re-resolved only when the registry's counter
-    /// generation moves: the per-tick path reads totals through these
-    /// wait-free `Arc`s instead of walking the registry under its lock.
-    handles: Vec<Arc<Counter>>,
-    /// The [`Registry::counter_generation`] the handle cache reflects.
-    seen_gen: u64,
     last: Vec<u64>,
     frames: VecDeque<Frame>,
 }
@@ -119,41 +110,23 @@ impl TimeSampler {
             ticker,
             names: Vec::new(),
             index: HashMap::new(),
-            handles: Vec::new(),
-            seen_gen: registry.counter_generation(),
             last: Vec::new(),
             frames: VecDeque::new(),
         };
         // Baseline without emitting a frame: pre-attach accumulation is
         // not part of any sampled interval.
         for (name, handle) in s.registry.counter_handles() {
-            let total = handle.total();
-            s.admit(name, handle, total);
+            s.admit(name, handle.total());
         }
         s
     }
 
-    fn admit(&mut self, name: String, handle: Arc<Counter>, baseline: u64) -> usize {
+    fn admit(&mut self, name: String, baseline: u64) -> usize {
         let idx = self.names.len();
         self.index.insert(name.clone(), idx);
         self.names.push(name);
-        self.handles.push(handle);
         self.last.push(baseline);
         idx
-    }
-
-    /// Folds counters that registered since the last rescan into the
-    /// column set. Cold path: runs only when the registry's counter
-    /// generation moved. A mid-run counter is admitted with a zero
-    /// baseline — its whole total accumulated within sampled time, so it
-    /// becomes the first frame's delta.
-    fn rescan(&mut self) {
-        self.seen_gen = self.registry.counter_generation();
-        for (name, handle) in self.registry.counter_handles() {
-            if !self.index.contains_key(&name) {
-                self.admit(name, handle, 0);
-            }
-        }
     }
 
     /// Retained frames, oldest first.
@@ -175,16 +148,20 @@ impl TimeSampler {
     }
 
     fn sample_at(&mut self, at: Nanos) {
-        // One atomic load answers "did any counter register since my last
-        // tick?"; the rescan (registry lock, name clones) happens only
-        // when it did, so steady-state ticks are pure handle reads.
-        if self.registry.counter_generation() != self.seen_gen {
-            self.rescan();
-        }
-        let mut deltas = Vec::with_capacity(self.handles.len());
-        for (i, handle) in self.handles.iter().enumerate() {
+        // Counters come sorted by name. One that registered since the last
+        // tick joins with a zero baseline: its whole total accumulated
+        // within sampled time, so it becomes the first frame's delta.
+        let mut deltas = vec![0; self.names.len()];
+        for (name, handle) in self.registry.counter_handles() {
+            let i = match self.index.get(&name) {
+                Some(&i) => i,
+                None => {
+                    deltas.push(0);
+                    self.admit(name, 0)
+                }
+            };
             let total = handle.total();
-            deltas.push(total - self.last[i]);
+            deltas[i] = total - self.last[i];
             self.last[i] = total;
         }
         if self.frames.len() >= FRAME_CAPACITY {

@@ -11,7 +11,6 @@
 //! `fv stats` view) or as a JSON document (`fv demo --json`).
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use sim_core::time::Nanos;
@@ -39,11 +38,6 @@ fn type_conflict(name: &str, existing: &Metric, requested: &str) -> ! {
 
 struct Inner {
     metrics: Mutex<BTreeMap<String, Metric>>,
-    /// Bumped once per newly registered *counter*. Samplers cache their
-    /// `Arc<Counter>` handles and compare this sequence each tick; a
-    /// rescan (lock + name clones) only happens when a counter actually
-    /// registered since the last tick (see [`Registry::counter_handles`]).
-    counter_gen: AtomicU64,
     ring: Arc<EventRing>,
     /// The per-packet sampling decision every recorder built from this
     /// registry copies (see [`crate::sampler`]).
@@ -88,7 +82,6 @@ impl Registry {
         Registry {
             inner: Arc::new(Inner {
                 metrics: Mutex::new(BTreeMap::new()),
-                counter_gen: AtomicU64::new(0),
                 ring: Arc::new(EventRing::new(capacity)),
                 sampler,
                 span_sink: SinkCell::default(),
@@ -99,16 +92,7 @@ impl Registry {
     /// The entry named `name`, built by `fresh` when there is none yet.
     fn get_or_create(&self, name: &str, fresh: fn() -> Metric) -> Metric {
         let mut metrics = self.inner.metrics.lock().unwrap();
-        let entry = metrics.entry(name.to_owned()).or_insert_with(|| {
-            let metric = fresh();
-            if let Metric::Counter(_) = metric {
-                // Under the metrics lock, so a sampler that observes the
-                // new sequence also observes the entry.
-                self.inner.counter_gen.fetch_add(1, Ordering::Release);
-            }
-            metric
-        });
-        entry.clone()
+        metrics.entry(name.to_owned()).or_insert_with(fresh).clone()
     }
 
     /// Gets or creates the counter named `name`.
@@ -173,19 +157,8 @@ impl Registry {
         Arc::clone(&self.inner.span_sink)
     }
 
-    /// Sequence number of counter registrations: increments once per new
-    /// counter. A sampler that cached [`Registry::counter_handles`] can
-    /// compare this (one relaxed atomic load) to decide whether the set
-    /// of counters grew — the hot "nothing new" case takes no lock and
-    /// clones no strings.
-    pub fn counter_generation(&self) -> u64 {
-        self.inner.counter_gen.load(Ordering::Acquire)
-    }
-
     /// Names and shared handles of every registered counter, sorted by
-    /// name. Registration is the cold path; callers cache these handles
-    /// and read totals through them wait-free, rescanning only when
-    /// [`Registry::counter_generation`] moves.
+    /// name; totals read through a handle are live.
     pub fn counter_handles(&self) -> Vec<(String, Arc<Counter>)> {
         let metrics = self.inner.metrics.lock().unwrap();
         metrics
@@ -376,17 +349,13 @@ mod tests {
     }
 
     #[test]
-    fn counter_generation_moves_only_on_new_counters() {
+    fn counter_handles_are_the_live_counters_sorted_by_name() {
         let reg = Registry::new();
-        assert_eq!(reg.counter_generation(), 0);
-        reg.counter("a");
         reg.counter("b");
-        assert_eq!(reg.counter_generation(), 2);
-        reg.counter("a"); // re-registration: same handle, no bump
-        assert_eq!(reg.counter_generation(), 2);
-        reg.gauge("g"); // other metric kinds don't move it
+        reg.counter("a");
+        reg.counter("a"); // re-registration: same handle
+        reg.gauge("g"); // other metric kinds are not counters
         reg.histogram("h");
-        assert_eq!(reg.counter_generation(), 2);
         // Handles are live: writing through one is visible everywhere.
         let handles = reg.counter_handles();
         assert_eq!(
