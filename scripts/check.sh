@@ -10,7 +10,7 @@ echo "==> cargo fmt --check"
 cargo fmt --check
 
 echo "==> reachability (every pub fn and pub field of crates/*/src has a non-test reader)"
-# DESIGN.md §17 "Reachability": a public function that nothing but tests
+# DESIGN.md §11.1 "Reachability": a public function that nothing but tests
 # calls, or a public field that nothing but tests reads, is deleted, made
 # #[cfg(test)], or kept at the item with #[allow(dead_code)] and a comment
 # naming the test that needs it; this script has no allowlist. The
@@ -161,7 +161,8 @@ PY
 echo "==> cross-references (every §N names a DESIGN.md section, every ROADMAP item an open one)"
 # A section or item renumbered or closed leaves its references behind;
 # nothing else notices. A "§N" or "§N.M" in the docs, and a "DESIGN.md §N"
-# in a Rust comment, must name a "## N." or "### N.M" heading of DESIGN.md.
+# in a Rust or scripts/*.sh comment, must name a "## N." or "### N.M"
+# heading of DESIGN.md.
 # An item is open unless its marker says "Closed"; a lettered part is a
 # bold "(x)" inside the item. benchmark/ is not scanned: it changes only
 # with the benchmark.
@@ -194,18 +195,18 @@ for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md", ".claude/s
             bad.append(f"{at(m)}: ROADMAP item {n} is not an open item")
         elif part and part not in items[n]:
             bad.append(f"{at(m)}: ROADMAP item {n} has no part ({part})")
-# In Rust only "DESIGN.md §N" counts (other § are the paper's): "DESIGN.md
+# In code only "DESIGN.md §N" counts (other § are the paper's): "DESIGN.md
 # §7.4, §8", "`DESIGN.md` §4 and §9", also across a comment line break.
 cited = 0
-for pattern in ("crates/*/src/**/*.rs", "src/**/*.rs", "tests/**/*.rs", "examples/**/*.rs"):
+for pattern in ("crates/*/src/**/*.rs", "src/**/*.rs", "tests/**/*.rs", "examples/**/*.rs", "scripts/*.sh"):
     for path in sorted(glob.glob(pattern, recursive=True)):
         text = open(path).read()
-        refs = list(re.finditer(rf"DESIGN\.md`?(?:\s|//[/!]?)+{ref}(?:(?:,\s*|\s+and\s+|–){ref})*", text))
+        refs = list(re.finditer(rf"DESIGN\.md`?(?:\s|//[/!]?|#)+{ref}(?:(?:,\s*|\s+and\s+|–){ref})*", text))
         cited += len(refs)
         dangling(path, text, refs)
 for b in bad:
     print(f"  {b}")
-print(f"cross-references: {len(bad)} dangling ({cited} DESIGN.md citations in Rust)")
+print(f"cross-references: {len(bad)} dangling ({cited} DESIGN.md citations in Rust and scripts)")
 sys.exit(1 if bad else 0)
 PY
 
