@@ -413,7 +413,6 @@ mod tests {
             leaf: 10,
             wire_bits: 12_000,
             verdict: AuditVerdict::Forward,
-            cause: None,
             cache_hit: true,
             reload_gen: 0,
             epoch: 0,

@@ -129,8 +129,6 @@ pub struct ProvenanceRecord {
     pub wire_bits: u64,
     /// The verdict.
     pub verdict: AuditVerdict,
-    /// Why the packet was refused, when it was.
-    pub cause: Option<DropCause>,
     /// Whether the packet's classification hit the exact-match flow cache
     /// (a miss walked the filter table and filled the entry).
     pub cache_hit: bool,
@@ -148,6 +146,17 @@ impl ProvenanceRecord {
     /// Index of the step that decided a refusal: the last non-green step.
     pub fn deciding_step(&self) -> Option<usize> {
         self.steps.iter().rposition(|s| !s.green)
+    }
+
+    /// Why the packet was refused, when it was: the deciding step names
+    /// it. A red ceiling meter is an [`DropCause::OverCeil`], any other
+    /// red meter the leaf (and its lenders) out of tokens.
+    pub fn cause(&self) -> Option<DropCause> {
+        let kind = |i: usize| self.steps[i].kind;
+        (self.verdict == AuditVerdict::Drop).then(|| match self.deciding_step().map(kind) {
+            Some(StepKind::MeterCeil) => DropCause::OverCeil,
+            _ => DropCause::NoTokens,
+        })
     }
 
     /// The canonical walk text: everything the *scheduling semantics*
@@ -184,7 +193,7 @@ impl ProvenanceRecord {
             }
             v => {
                 let _ = write!(out, "verdict {}", v.name());
-                if let Some(c) = self.cause {
+                if let Some(c) = self.cause() {
                     let _ = write!(out, " ({c})");
                 }
                 let _ = writeln!(out);
@@ -240,7 +249,7 @@ impl ToJson for ProvenanceRecord {
         }
         pairs.push((
             "cause",
-            match self.cause {
+            match self.cause() {
                 Some(c) => JsonValue::Str(c.name().to_string()),
                 None => JsonValue::Null,
             },
@@ -361,7 +370,6 @@ mod tests {
             leaf: 10,
             wire_bits: 12_000,
             verdict: AuditVerdict::Forward,
-            cause: None,
             cache_hit: true,
             reload_gen: 1,
             epoch: 6,
@@ -462,18 +470,48 @@ mod tests {
 
     #[test]
     fn a_refusal_names_its_cause_in_text_and_json() {
-        for (cause, text, name) in [
-            (DropCause::NoTokens, "class out of tokens", "no_tokens"),
-            (DropCause::OverCeil, "class over ceiling", "over_ceil"),
+        // A red step of each kind decides the refusal; the green leaf
+        // meter before it does not.
+        for (kind, cause, text, name) in [
+            (
+                StepKind::MeterLeaf,
+                DropCause::NoTokens,
+                "class out of tokens",
+                "no_tokens",
+            ),
+            (
+                StepKind::MeterCeil,
+                DropCause::OverCeil,
+                "class over ceiling",
+                "over_ceil",
+            ),
+            (
+                StepKind::Borrow,
+                DropCause::NoTokens,
+                "class out of tokens",
+                "no_tokens",
+            ),
         ] {
-            let r = ProvenanceRecord {
+            let mut r = ProvenanceRecord {
                 verdict: AuditVerdict::Drop,
-                cause: Some(cause),
                 ..rec(4)
             };
+            let step = r.steps[0];
+            r.steps.push(StepRecord {
+                kind,
+                green: false,
+                ..step
+            });
+            assert_eq!(r.cause(), Some(cause));
             assert!(r.canonical().ends_with(&format!("verdict drop ({text})\n")));
             let json = r.to_json();
             assert_eq!(json.get("cause").and_then(|v| v.as_str()), Some(name));
+        }
+        // Only a drop has a cause.
+        for verdict in [AuditVerdict::Forward, AuditVerdict::Borrowed(20)] {
+            let r = ProvenanceRecord { verdict, ..rec(4) };
+            assert_eq!(r.cause(), None);
+            assert_eq!(r.to_json().get("cause"), Some(&JsonValue::Null));
         }
     }
 

@@ -7,7 +7,7 @@
 //! conformance error and the modeled lock contention.
 
 use flowvalve::label::ClassId;
-use flowvalve::sched::SimExec;
+use flowvalve::sched::{LockDiscipline, SimExec};
 use flowvalve::tree::{ClassSpec, SchedulingTree, TreeParams};
 use fv_telemetry::{JsonValue, ToJson};
 use np_sim::config::CycleCosts;
@@ -40,14 +40,11 @@ fn measure(min_update: Nanos, burst_window: Nanos) -> (f64, f64) {
     let mut locks = LockTable::new(8);
     let horizon = Nanos::from_millis(20);
     let gap = Nanos::from_nanos(2_000); // 12 kbit / 2 us = 6 Gbps offered
+    let hold = Nanos::from_nanos(325);
+    let mut exec = SimExec::new(&mut meter, &mut locks, hold, LockDiscipline::PerClass);
     let mut now = Nanos::ZERO;
     let mut passed_bits = 0u64;
     while now < horizon {
-        let mut exec = SimExec {
-            meter: &mut meter,
-            locks: &mut locks,
-            update_hold: Nanos::from_nanos(325),
-        };
         if tree.schedule(&label, 12_000, now, &mut exec).passes() {
             passed_bits += 12_000;
         }

@@ -7,7 +7,7 @@
 //! This figure runs the fair-queueing policy on the hypothetical
 //! `agilio_100g` profile (96 MEs @ 1.2 GHz) across packet sizes.
 
-use flowvalve::pipeline::LockDiscipline;
+use flowvalve::sched::LockDiscipline;
 use fv_telemetry::{JsonValue, ToJson};
 use hostsim::policies;
 use np_sim::config::NicConfig;

@@ -7,7 +7,7 @@
 //! the global-lock discipline against per-class try-locks on the NIC
 //! model; the unsynchronized variant is not modelled.
 
-use flowvalve::pipeline::LockDiscipline;
+use flowvalve::sched::LockDiscipline;
 use fv_telemetry::{JsonValue, ToJson};
 use hostsim::policies;
 use np_sim::config::NicConfig;

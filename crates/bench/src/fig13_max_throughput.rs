@@ -8,7 +8,7 @@
 //! 2.25 Mpps on one core, 64 B = 9.06 Mpps on four cores, and ~8 cores to
 //! match FlowValve's 19.69 Mpps.
 
-use flowvalve::pipeline::LockDiscipline;
+use flowvalve::sched::LockDiscipline;
 use fv_telemetry::{JsonValue, ToJson};
 use hostsim::policies;
 use np_sim::config::NicConfig;

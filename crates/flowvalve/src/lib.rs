@@ -65,7 +65,7 @@ pub use bucket::{Color, TokenBucket};
 pub use error::{BuildTreeError, ParseFvError};
 pub use frontend::{FilterSpec, Policy};
 pub use label::{ClassId, QosLabel};
-pub use pipeline::{FlowValvePipeline, LockDiscipline};
+pub use pipeline::FlowValvePipeline;
 pub use program::{ChainId, CompiledProgram};
-pub use sched::{Exec, GlobalLockExec, RealExec, SchedVerdict, SimExec};
+pub use sched::{Exec, LockDiscipline, RealExec, SchedVerdict, SimExec};
 pub use tree::{ClassCounters, ClassSpec, SchedulingTree, TreeParams};

@@ -4,10 +4,7 @@
 use std::sync::Arc;
 
 use classifier::{CacheResult, Classifier, FilterRule, FilterTable};
-use fv_audit::{
-    AuditVerdict, DropCause, NoObserver, ProvenanceRecord, ProvenanceRing, Recorder, Sampler,
-    StepKind,
-};
+use fv_audit::{AuditVerdict, NoObserver, ProvenanceRecord, ProvenanceRing, Recorder, Sampler};
 use fv_telemetry::metrics::Counter;
 use fv_telemetry::span::{SpanRecorder, Stage};
 use fv_telemetry::trace::TraceKind;
@@ -24,20 +21,8 @@ use crate::error::{BuildTreeError, ParseFvError};
 use crate::frontend::Policy;
 use crate::label::{ClassId, QosLabel};
 use crate::program::{ChainId, CompiledProgram};
-use crate::sched::{GlobalLockExec, SchedVerdict, SimExec};
+use crate::sched::{LockDiscipline, SchedVerdict, SimExec};
 use crate::tree::{SchedulingTree, TreeParams};
-
-/// How scheduling-tree updates are serialized (the Figure 7 ablation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LockDiscipline {
-    /// FlowValve's design: one try-lock per class (Figure 7(c)).
-    #[default]
-    PerClass,
-    /// The kernel-HTB discipline transplanted onto the NIC: one global
-    /// blocking lock serializes every update (Figure 7(b)); spin time is
-    /// charged to the worker, so throughput collapses as cores contend.
-    Global,
-}
 
 /// Per-class verdict counters, one set per scheduling-tree class.
 struct ClassChannels {
@@ -537,84 +522,50 @@ impl EgressDecider for FlowValvePipeline {
         // with the flow-cache entry; a reload replaces classifier and
         // program together, so it is never stale.
         self.decisions += 1;
-        let verdict = match self.discipline {
-            LockDiscipline::PerClass => {
-                let mut exec = SimExec {
-                    meter,
-                    locks,
-                    update_hold: self.update_hold,
-                };
-                match self.audit.as_ref().filter(|a| a.sampler.hit(pkt.id)) {
-                    // Sampled: the same single walk runs with a recorder
-                    // threaded through it; charges and verdict are
-                    // identical to the unsampled path.
-                    Some(audit) => {
-                        let (_, leaf) = leaf_of(chain);
-                        let mut rec = Recorder::new();
-                        let verdict = self
-                            .tree
-                            .run(program, chain, wire_bits, sched_now, &mut exec, &mut rec);
-                        let cause = (verdict == SchedVerdict::Drop).then(|| {
-                            // The deciding step names the refusal: a red
-                            // ceiling meter is an OverCeil, any other red
-                            // meter is the leaf (and its lenders) out of
-                            // tokens.
-                            match rec.steps.iter().rev().find(|s| !s.green).map(|s| s.kind) {
-                                Some(StepKind::MeterCeil) => DropCause::OverCeil,
-                                _ => DropCause::NoTokens,
-                            }
-                        });
-                        audit.ring.record(ProvenanceRecord {
-                            pkt_id: pkt.id,
-                            at: sched_now,
-                            leaf: leaf.0,
-                            wire_bits,
-                            verdict: match verdict {
-                                SchedVerdict::Forward => AuditVerdict::Forward,
-                                SchedVerdict::Borrowed(l) => AuditVerdict::Borrowed(l.0),
-                                SchedVerdict::Drop => AuditVerdict::Drop,
-                            },
-                            cause,
-                            cache_hit: cache == CacheResult::Hit,
-                            reload_gen: self.reload_gen,
-                            epoch: self.tree.epoch(),
-                            chain: chain.index(),
-                            steps: rec.steps,
-                        });
-                        verdict
-                    }
-                    None => self.tree.run(
-                        program,
-                        chain,
-                        wire_bits,
-                        sched_now,
-                        &mut exec,
-                        &mut NoObserver,
-                    ),
-                }
-            }
-            LockDiscipline::Global => {
-                let mut exec = GlobalLockExec {
-                    meter,
-                    locks,
-                    update_hold: self.update_hold,
-                    wait: Nanos::ZERO,
-                };
-                let verdict = self.tree.run(
-                    program,
-                    chain,
+        let mut exec = SimExec::new(meter, locks, self.update_hold, self.discipline);
+        let verdict = match self.audit.as_ref().filter(|a| a.sampler.hit(pkt.id)) {
+            // Sampled: the same single walk runs with a recorder threaded
+            // through it; charges and verdict are identical to the
+            // unsampled path.
+            Some(audit) => {
+                let (_, leaf) = leaf_of(chain);
+                let mut rec = Recorder::new();
+                let verdict = self
+                    .tree
+                    .run(program, chain, wire_bits, sched_now, &mut exec, &mut rec);
+                audit.ring.record(ProvenanceRecord {
+                    pkt_id: pkt.id,
+                    at: sched_now,
+                    leaf: leaf.0,
                     wire_bits,
-                    sched_now,
-                    &mut exec,
-                    &mut NoObserver,
-                );
-                // The worker spins while waiting for the global lock:
-                // charge the wait as busy cycles.
-                let wait = exec.wait;
-                meter.charge_cycles(AttrStage::Sched, self.freq.cycles_in(wait));
+                    verdict: match verdict {
+                        SchedVerdict::Forward => AuditVerdict::Forward,
+                        SchedVerdict::Borrowed(l) => AuditVerdict::Borrowed(l.0),
+                        SchedVerdict::Drop => AuditVerdict::Drop,
+                    },
+                    cache_hit: cache == CacheResult::Hit,
+                    reload_gen: self.reload_gen,
+                    epoch: self.tree.epoch(),
+                    chain: chain.index(),
+                    steps: rec.steps,
+                });
                 verdict
             }
+            None => self.tree.run(
+                program,
+                chain,
+                wire_bits,
+                sched_now,
+                &mut exec,
+                &mut NoObserver,
+            ),
         };
+        // Under the global lock the worker spins while it waits: charge the
+        // wait as busy cycles.
+        let wait = exec.wait;
+        if wait > Nanos::ZERO {
+            meter.charge_cycles(AttrStage::Sched, self.freq.cycles_in(wait));
+        }
         if let Some((t, classify_dur)) = traced {
             // Sched span: every cycle the scheduling function charged
             // (token grabs, lock waits, updates), placed right after the
@@ -646,6 +597,7 @@ impl EgressDecider for FlowValvePipeline {
 mod tests {
     use super::*;
     use crate::sched::tests::reference;
+    use fv_audit::{DropCause, Ledger};
     use netstack::flow::FlowKey;
     use netstack::packet::{AppId, VfPort};
     use np_sim::config::CycleCosts;
@@ -1158,12 +1110,11 @@ mod tests {
                     decision == Decision::Drop,
                     rec.verdict == AuditVerdict::Drop
                 );
-                assert_eq!(rec.cause.is_some(), rec.verdict == AuditVerdict::Drop);
                 assert_eq!(rec.leaf, [10, 20][class], "packet {id}");
                 assert_eq!(rec.chain, chains[class], "packet {id} ran a foreign chain");
                 assert_eq!(rec.reload_gen, reload_gen, "packet {id}");
                 seen.labeled += 1;
-                seen.over_ceil += u64::from(rec.cause == Some(DropCause::OverCeil));
+                seen.over_ceil += u64::from(rec.cause() == Some(DropCause::OverCeil));
                 if rec.epoch > seen.last_epoch {
                     seen.after_epoch_roll += 1;
                 }
@@ -1244,16 +1195,22 @@ mod tests {
         // packet's own updates behind each other, so with a hold time they
         // run at later instants than under per-class try-locks; with a
         // guarded section that costs no time, one worker gets the same
-        // verdicts either way.
+        // verdicts either way, and records the same walks.
         let mut nic = NicConfig::agilio_cx_10g();
         nic.costs.class_update = 0;
         let policy = Policy::parse(POLICY_V2).unwrap();
-        let mut sides = [LockDiscipline::PerClass, LockDiscipline::Global].map(|discipline| Side {
-            pipe: FlowValvePipeline::compile(&policy, TreeParams::default(), &nic)
+        let mut sides = [LockDiscipline::PerClass, LockDiscipline::Global].map(|discipline| {
+            let mut pipe = FlowValvePipeline::compile(&policy, TreeParams::default(), &nic)
                 .unwrap()
-                .with_lock_discipline(discipline),
-            meter: CostMeter::new(nic.costs),
-            locks: LockTable::new(64),
+                .with_lock_discipline(discipline);
+            let ring = Arc::new(ProvenanceRing::new(1024));
+            pipe.attach_auditor(ring.clone(), Sampler::default());
+            let side = Side {
+                pipe,
+                meter: CostMeter::new(nic.costs),
+                locks: LockTable::new(64),
+            };
+            (side, ring)
         });
         let mut rng = SimRng::seed(0x10c4_d15c);
         let mut drops = 0;
@@ -1267,18 +1224,33 @@ mod tests {
             };
             let p = sized_pkt(id, dport, 200 + (r % 1_300) as u32);
             let now = Nanos::from_nanos(id * 500);
-            let [per_class, global] = &mut sides;
+            let [(per_class, _), (global, _)] = &mut sides;
             let decision = per_class.decide(&p, now);
             assert_eq!(decision, global.decide(&p, now), "packet {id}");
             drops += u64::from(decision == Decision::Drop);
         }
         assert!((4_000..36_000).contains(&drops), "{drops} drops");
-        let [per_class, global] = &sides;
+        let [(per_class, per_class_ring), (global, global_ring)] = &sides;
         for cid in per_class.pipe.tree.class_ids() {
             assert_eq!(
                 per_class.pipe.tree.counters(cid),
                 global.pipe.tree.counters(cid)
             );
+        }
+        // Both disciplines are audited: the same sampled packets, the same
+        // walks, and each ring conserves tokens against its own slab.
+        let walks = |ring: &ProvenanceRing| {
+            let records = ring.records();
+            let walks = records.iter().map(|r| (r.pkt_id, r.canonical()));
+            (walks.collect::<Vec<_>>(), records)
+        };
+        let (per_class_walks, per_class_records) = walks(per_class_ring);
+        let (global_walks, global_records) = walks(global_ring);
+        assert!(per_class_walks.len() > 500, "{}", per_class_walks.len());
+        assert_eq!(per_class_walks, global_walks);
+        for (side, records) in [(per_class, per_class_records), (global, global_records)] {
+            let report = Ledger::audit(&records, &side.pipe.tree.slab_snapshot());
+            assert!(report.ok(), "{}", report.render());
         }
     }
 }

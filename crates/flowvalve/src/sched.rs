@@ -100,6 +100,18 @@ pub trait Exec {
     ) -> bool;
 }
 
+/// How scheduling-tree updates are serialized (the Figure 7 ablation).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum LockDiscipline {
+    /// FlowValve's design: one try-lock per class (Figure 7(c)).
+    #[default]
+    PerClass,
+    /// The kernel-HTB discipline transplanted onto the NIC: one global
+    /// blocking lock serializes every update (Figure 7(b)); spin time is
+    /// charged to the worker, so throughput collapses as cores contend.
+    Global,
+}
+
 /// Simulation execution: modeled locks + cycle accounting.
 ///
 /// One modeled writer per tree at a time: the discrete-event model runs
@@ -110,20 +122,50 @@ pub trait Exec {
 /// [`RealExec`] threads meanwhile.
 #[derive(Debug)]
 pub struct SimExec<'a> {
-    /// The worker's cost meter.
-    pub meter: &'a mut CostMeter,
-    /// The NIC-wide modeled lock table.
-    pub locks: &'a mut LockTable,
-    /// How long the guarded update section holds its lock.
-    pub update_hold: Nanos,
+    meter: &'a mut CostMeter,
+    locks: &'a mut LockTable,
+    update_hold: Nanos,
+    discipline: LockDiscipline,
+    /// Blocking wait this packet suffered for the global lock (always
+    /// zero under [`LockDiscipline::PerClass`]).
+    pub(crate) wait: Nanos,
 }
 
-impl SimExec<'_> {
+impl<'a> SimExec<'a> {
+    /// The worker's cost meter, the NIC-wide modeled lock table (lock 0 is
+    /// the global lock), how long the guarded update section holds its
+    /// lock, and how the guarded updates are serialized: a try-lock per
+    /// class and shadow bucket, or a blocking acquire of lock 0 for each.
+    pub fn new(
+        meter: &'a mut CostMeter,
+        locks: &'a mut LockTable,
+        update_hold: Nanos,
+        discipline: LockDiscipline,
+    ) -> Self {
+        SimExec {
+            meter,
+            locks,
+            update_hold,
+            discipline,
+            wait: Nanos::ZERO,
+        }
+    }
+
     fn lock_id(idx: usize, kind: LockKind) -> LockId {
         LockId(match kind {
             LockKind::Class => 2 * idx as u32,
             LockKind::Shadow => 2 * idx as u32 + 1,
         })
+    }
+
+    /// The global lock: blocks on lock 0 and returns when the update
+    /// starts, adding the wait to the packet's.
+    #[cold]
+    fn acquire_global(&mut self, now: Nanos) -> Nanos {
+        self.locks.ensure(1);
+        let start = self.locks.acquire(LockId(0), now, self.update_hold);
+        self.wait += start - now;
+        start
     }
 }
 
@@ -142,17 +184,22 @@ impl Exec for SimExec<'_> {
         kind: LockKind,
         now: Nanos,
     ) -> bool {
-        self.locks.ensure(2 * tree.len());
-        if !self
-            .locks
-            .try_acquire(Self::lock_id(idx, kind), now, self.update_hold)
-        {
-            return false;
-        }
+        let start = if self.discipline == LockDiscipline::Global {
+            self.acquire_global(now)
+        } else {
+            self.locks.ensure(2 * tree.len());
+            if !self
+                .locks
+                .try_acquire(Self::lock_id(idx, kind), now, self.update_hold)
+            {
+                return false;
+            }
+            now
+        };
         self.meter.charge(Op::ClassUpdate);
         match kind {
-            LockKind::Class => tree.update_node(idx, now),
-            LockKind::Shadow => tree.update_shadow(idx, now),
+            LockKind::Class => tree.update_node(idx, start),
+            LockKind::Shadow => tree.update_shadow(idx, start),
         };
         true
     }
@@ -207,53 +254,6 @@ impl Exec for RealExec {
                 Err(_) => false,
             },
         }
-    }
-}
-
-/// Degenerate execution for the Figure 7 ablation: a single *global* lock
-/// serializes every update (the kernel-HTB discipline transplanted onto
-/// the NIC), implemented as a blocking acquire on lock 0 so the waiting
-/// time is charged to the packet.
-///
-/// Like [`SimExec`], one modeled writer per tree at a time: every worker
-/// of the discrete-event model runs on one host thread, so the walk is the
-/// tree's only writer ([`Exec::EXCLUSIVE`]).
-#[derive(Debug)]
-pub struct GlobalLockExec<'a> {
-    /// The worker's cost meter.
-    pub meter: &'a mut CostMeter,
-    /// The NIC-wide modeled lock table (lock 0 is the global lock).
-    pub locks: &'a mut LockTable,
-    /// Hold time of the guarded section.
-    pub update_hold: Nanos,
-    /// Accumulated blocking wait this packet suffered.
-    pub wait: Nanos,
-}
-
-impl Exec for GlobalLockExec<'_> {
-    const EXCLUSIVE: bool = true;
-
-    #[inline]
-    fn charge(&mut self, op: Op) {
-        self.meter.charge(op);
-    }
-
-    fn locked_update(
-        &mut self,
-        tree: &SchedulingTree,
-        idx: usize,
-        kind: LockKind,
-        now: Nanos,
-    ) -> bool {
-        self.locks.ensure(1);
-        let start = self.locks.acquire(LockId(0), now, self.update_hold);
-        self.wait += start - now;
-        self.meter.charge(Op::ClassUpdate);
-        match kind {
-            LockKind::Class => tree.update_node(idx, start),
-            LockKind::Shadow => tree.update_shadow(idx, start),
-        };
-        true
     }
 }
 
@@ -497,14 +497,11 @@ pub(crate) mod tests {
         start: Nanos,
     ) -> usize {
         let (mut meter, mut locks) = sim_parts();
+        let hold = Nanos::from_nanos(300);
+        let mut exec = SimExec::new(&mut meter, &mut locks, hold, LockDiscipline::PerClass);
         let mut passed = 0;
         let mut now = start;
         for _ in 0..pkts {
-            let mut exec = SimExec {
-                meter: &mut meter,
-                locks: &mut locks,
-                update_hold: Nanos::from_nanos(300),
-            };
             if tree.schedule(label, bits, now, &mut exec).passes() {
                 passed += 1;
             }
@@ -557,6 +554,8 @@ pub(crate) mod tests {
         let hi = tree.label(ClassId(10), &[]).unwrap();
         let lo = tree.label(ClassId(20), &[]).unwrap();
         let (mut meter, mut locks) = sim_parts();
+        let hold = Nanos::from_nanos(300);
+        let mut exec = SimExec::new(&mut meter, &mut locks, hold, LockDiscipline::PerClass);
         // Interleave: hi offers 9 Gbps, lo offers 9 Gbps; total 18 > 10.
         // Expect hi to pass ~everything, lo to get ~1 Gbps.
         let mut now = Nanos::ZERO;
@@ -564,11 +563,6 @@ pub(crate) mod tests {
         let mut lo_pass = 0u64;
         let n = 60_000;
         for i in 0..n {
-            let mut exec = SimExec {
-                meter: &mut meter,
-                locks: &mut locks,
-                update_hold: Nanos::from_nanos(300),
-            };
             let label = if i % 2 == 0 { &hi } else { &lo };
             let v = tree.schedule(label, 12_000, now, &mut exec);
             if v.passes() {
@@ -607,15 +601,12 @@ pub(crate) mod tests {
         let a = tree.label(ClassId(10), &[]).unwrap();
         let b = tree.label(ClassId(20), &[ClassId(10)]).unwrap();
         let (mut meter, mut locks) = sim_parts();
+        let hold = Nanos::from_nanos(300);
+        let mut exec = SimExec::new(&mut meter, &mut locks, hold, LockDiscipline::PerClass);
         let mut now = Nanos::ZERO;
         let mut b_passed = 0u64;
         let n = 40_000;
         for i in 0..n {
-            let mut exec = SimExec {
-                meter: &mut meter,
-                locks: &mut locks,
-                update_hold: Nanos::from_nanos(300),
-            };
             // a sends one packet for every eight of b: ~1 Gbps vs ~8 Gbps.
             if i % 8 == 0 {
                 let _ = tree.schedule(&a, 12_000, now, &mut exec);
@@ -649,11 +640,7 @@ pub(crate) mod tests {
         let idx = tree.node_index(ClassId(10)).unwrap();
         let hold = Nanos::from_micros(1);
         {
-            let mut exec = SimExec {
-                meter: &mut meter,
-                locks: &mut locks,
-                update_hold: hold,
-            };
+            let mut exec = SimExec::new(&mut meter, &mut locks, hold, LockDiscipline::PerClass);
             assert!(exec.locked_update(&tree, idx, LockKind::Class, Nanos::ZERO));
             // Second attempt at the same instant loses the try-lock.
             assert!(!exec.locked_update(&tree, idx, LockKind::Class, Nanos::ZERO));
@@ -720,15 +707,11 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn global_lock_exec_accumulates_wait() {
+    fn a_global_discipline_accumulates_the_packets_wait() {
         let tree = tree_prio();
         let (mut meter, mut locks) = sim_parts();
-        let mut exec = GlobalLockExec {
-            meter: &mut meter,
-            locks: &mut locks,
-            update_hold: Nanos::from_micros(1),
-            wait: Nanos::ZERO,
-        };
+        let hold = Nanos::from_micros(1);
+        let mut exec = SimExec::new(&mut meter, &mut locks, hold, LockDiscipline::Global);
         let idx = tree.node_index(ClassId(10)).unwrap();
         // Two updates at the same instant: the second waits a full hold.
         exec.locked_update(&tree, idx, LockKind::Class, Nanos::ZERO);
@@ -1037,8 +1020,9 @@ pub(crate) mod tests {
         /// `run(prog, chain)` under the modeled locks and cost meter, with
         /// a recorder attached to every packet.
         RunSim,
-        /// `run(prog, chain)` under the Figure 7 global lock with a zero
-        /// hold: no update waits, so every epoch lands at `now`.
+        /// `run(prog, chain)` under the modeled locks with the Figure 7
+        /// global discipline and a zero hold: no update waits, so every
+        /// epoch lands at `now`.
         RunGlobal,
     }
 
@@ -1087,11 +1071,12 @@ pub(crate) mod tests {
                 Driver::RunSim => {
                     // The modeled hold is shorter than any gap, so every
                     // try-lock wins, as the reference assumes.
-                    let mut exec = SimExec {
-                        meter: &mut meter,
-                        locks: &mut locks,
-                        update_hold: Nanos::from_nanos(20),
-                    };
+                    let mut exec = SimExec::new(
+                        &mut meter,
+                        &mut locks,
+                        Nanos::from_nanos(20),
+                        LockDiscipline::PerClass,
+                    );
                     let chain = prog.resolve(label).expect("compiled");
                     let mut rec = Recorder::new();
                     let got = tree.run(&prog, chain, bits, now, &mut exec, &mut rec);
@@ -1108,12 +1093,8 @@ pub(crate) mod tests {
                     got
                 }
                 Driver::RunGlobal => {
-                    let mut exec = GlobalLockExec {
-                        meter: &mut meter,
-                        locks: &mut locks,
-                        update_hold: Nanos::ZERO,
-                        wait: Nanos::ZERO,
-                    };
+                    let global = LockDiscipline::Global;
+                    let mut exec = SimExec::new(&mut meter, &mut locks, Nanos::ZERO, global);
                     let chain = prog.resolve(label).expect("compiled");
                     let got = tree.run(&prog, chain, bits, now, &mut exec, &mut NoObserver);
                     assert_eq!(exec.wait, Nanos::ZERO);
@@ -1273,11 +1254,7 @@ pub(crate) mod tests {
                     label,
                     bits,
                     now,
-                    &mut SimExec {
-                        meter: &mut ma,
-                        locks: &mut la,
-                        update_hold: hold,
-                    },
+                    &mut SimExec::new(&mut ma, &mut la, hold, LockDiscipline::PerClass),
                     &mut ra,
                 );
                 let vb = tb.run(
@@ -1285,11 +1262,7 @@ pub(crate) mod tests {
                     prog.resolve(label).expect("compiled"),
                     bits,
                     now,
-                    &mut SimExec {
-                        meter: &mut mb,
-                        locks: &mut lb,
-                        update_hold: hold,
-                    },
+                    &mut SimExec::new(&mut mb, &mut lb, hold, LockDiscipline::PerClass),
                     &mut rb,
                 );
                 assert_eq!(va, vb, "packet {i}");

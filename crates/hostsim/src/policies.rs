@@ -10,7 +10,8 @@
 use std::collections::HashMap;
 
 use flowvalve::frontend::Policy;
-use flowvalve::pipeline::{FlowValvePipeline, LockDiscipline};
+use flowvalve::pipeline::FlowValvePipeline;
+use flowvalve::sched::LockDiscipline;
 use flowvalve::tree::TreeParams;
 use netstack::flow::FlowKey;
 use netstack::gen::LineRateProcess;

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example qdisc_shootout`
 
-use flowvalve::pipeline::LockDiscipline;
+use flowvalve::sched::LockDiscipline;
 use hostsim::policies;
 use np_sim::config::NicConfig;
 use np_sim::harness::run_open_loop;

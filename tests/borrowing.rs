@@ -3,7 +3,7 @@
 //! sharing, and ceilings that bound borrowed bandwidth.
 
 use flowvalve::label::ClassId;
-use flowvalve::sched::SimExec;
+use flowvalve::sched::{LockDiscipline, SimExec};
 use flowvalve::tree::{ClassSpec, SchedulingTree, TreeParams};
 use np_sim::config::CycleCosts;
 use np_sim::cost::CostMeter;
@@ -26,19 +26,14 @@ fn drive(
 ) -> Vec<u64> {
     let mut meter = CostMeter::new(CycleCosts::agilio());
     let mut locks = LockTable::new(4 * tree.len());
+    let hold = Nanos::from_nanos(300);
+    let mut exec = SimExec::new(&mut meter, &mut locks, hold, LockDiscipline::PerClass);
     let mut passed = vec![0u64; flows.len()];
     let mut now = Nanos::ZERO;
     for i in 0..steps {
         for (k, &(label, bits, every)) in flows.iter().enumerate() {
-            if i % every == 0 {
-                let mut exec = SimExec {
-                    meter: &mut meter,
-                    locks: &mut locks,
-                    update_hold: Nanos::from_nanos(300),
-                };
-                if tree.schedule(label, bits, now, &mut exec).passes() {
-                    passed[k] += bits;
-                }
+            if i % every == 0 && tree.schedule(label, bits, now, &mut exec).passes() {
+                passed[k] += bits;
             }
         }
         now += step;

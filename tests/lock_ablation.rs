@@ -8,7 +8,8 @@
 //! the case holds the model, not only the file.
 
 use flowvalve::frontend::Policy;
-use flowvalve::pipeline::{FlowValvePipeline, LockDiscipline};
+use flowvalve::pipeline::FlowValvePipeline;
+use flowvalve::sched::LockDiscipline;
 use flowvalve::tree::TreeParams;
 use netstack::flow::FlowKey;
 use netstack::gen::LineRateProcess;
