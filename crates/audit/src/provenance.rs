@@ -149,7 +149,7 @@ impl ProvenanceRecord {
     }
 
     /// Why the packet was refused, when it was: the deciding step names
-    /// it. A red ceiling meter is an [`DropCause::OverCeil`], any other
+    /// it. A red ceiling meter is [`DropCause::OverCeil`], any other
     /// red meter the leaf (and its lenders) out of tokens.
     pub fn cause(&self) -> Option<DropCause> {
         let kind = |i: usize| self.steps[i].kind;
@@ -472,25 +472,12 @@ mod tests {
     fn a_refusal_names_its_cause_in_text_and_json() {
         // A red step of each kind decides the refusal; the green leaf
         // meter before it does not.
-        for (kind, cause, text, name) in [
-            (
-                StepKind::MeterLeaf,
-                DropCause::NoTokens,
-                "class out of tokens",
-                "no_tokens",
-            ),
-            (
-                StepKind::MeterCeil,
-                DropCause::OverCeil,
-                "class over ceiling",
-                "over_ceil",
-            ),
-            (
-                StepKind::Borrow,
-                DropCause::NoTokens,
-                "class out of tokens",
-                "no_tokens",
-            ),
+        let no_tokens = (DropCause::NoTokens, "class out of tokens", "no_tokens");
+        let over_ceil = (DropCause::OverCeil, "class over ceiling", "over_ceil");
+        for (kind, (cause, text, name)) in [
+            (StepKind::MeterLeaf, no_tokens),
+            (StepKind::MeterCeil, over_ceil),
+            (StepKind::Borrow, no_tokens),
         ] {
             let mut r = ProvenanceRecord {
                 verdict: AuditVerdict::Drop,

@@ -18,10 +18,11 @@
 //! logic runs in two worlds:
 //!
 //! * [`SimExec`] — inside the discrete-event NIC model: lock contention is
-//!   *modeled* through [`np_sim::lock::LockTable`] and every operation is
-//!   charged to a [`np_sim::cost::CostMeter`]; one host thread runs every
-//!   modeled worker, so the walk is the tree's only writer
-//!   ([`Exec::EXCLUSIVE`]) and writes it with plain loads and stores;
+//!   *modeled* through [`np_sim::lock::LockTable`] under either
+//!   [`LockDiscipline`] (per-class try-locks, or Figure 7's global lock)
+//!   and every operation is charged to a [`np_sim::cost::CostMeter`]; one
+//!   host thread runs every modeled worker, so the walk is the tree's only
+//!   writer ([`Exec::EXCLUSIVE`]) and writes it with plain loads and stores;
 //! * [`RealExec`] — on real OS threads (the `wallclock_2t` benchmark
 //!   workload): locks are the nodes' actual `std::sync` mutexes, and no
 //!   costs are charged because the hardware is doing the timing.
