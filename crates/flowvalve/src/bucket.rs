@@ -7,13 +7,14 @@
 //! by whichever core wins the try-lock.
 //!
 //! [`TokenBucket`] models the NFP's transactional-memory *test-and-add*:
-//! [`TokenBucket::meter`] is a single unconditional `fetch_sub` whose
-//! previous value decides the verdict — one atomic round-trip on green, a
-//! second `fetch_add` to restore on red — instead of a compare-exchange
-//! retry loop. The counter is interpreted as a *signed* token level: a
-//! losing racer leaves transient debt that concurrent meters observe as
-//! "no tokens" (a conservative red), and the restore erases it, so tokens
-//! are never created or lost. The same type serves as the *shadow bucket*
+//! [`TokenBucket::meter`] loads the level and answers red without writing
+//! when it is short; otherwise one `fetch_sub` whose previous value decides
+//! the verdict — one atomic round-trip on green, a second `fetch_add` to
+//! restore on a red that lost a race — instead of a compare-exchange retry
+//! loop. The counter is interpreted as a *signed* token level: a losing
+//! racer leaves transient debt that concurrent meters observe as "no
+//! tokens" (a conservative red), and the restore erases it, so tokens are
+//! never created or lost. The same type serves as the *shadow bucket*
 //! holding a class's lendable tokens. Where one thread is the tree's only
 //! writer (the discrete-event model), the scheduling function meters with a
 //! load and a store instead: the same colours and levels, no atomic RMW.
@@ -35,8 +36,8 @@ pub enum Color {
 ///
 /// # Concurrency model
 ///
-/// The level is a signed fixed-point counter. [`meter`] subtracts first
-/// and repairs on failure, so under contention the level may be
+/// The level is a signed fixed-point counter. [`meter`] subtracts when its
+/// load saw enough and repairs on failure, so under contention the level may be
 /// *transiently* negative; any meter that observes the debt returns a
 /// conservative [`Color::Red`]. The invariant that holds at all times is
 /// conservation: tokens consumed by green verdicts never exceed tokens
@@ -115,18 +116,26 @@ impl TokenBucket {
     /// tokens are consumed, on red the bucket is left as found (Figure 8
     /// steps 2 and 5).
     ///
-    /// This is the test-and-add fast path: a green verdict costs exactly
-    /// one atomic instruction, a red costs two (subtract + restore).
+    /// Load first: a level below `need` is red without a write, decided
+    /// at the load (a linearization point, as the subtraction is for the
+    /// rest). Otherwise the test-and-add: one `fetch_sub`, green when the
+    /// previous level still covered the need, else a `fetch_add` restores
+    /// what a racing meter left too little of. So a green costs one atomic
+    /// RMW, a red none, and only a red that lost a race two. On one thread
+    /// it replays [`TokenBucket::meter_single_writer`] colour for colour
+    /// and level for level.
     ///
-    /// A test-and-test-and-set variant (plain read first, RMW only when
-    /// the read says green) was benchmarked and rejected: it makes red a
-    /// single load, but serializes a load + branch in front of the RMW on
-    /// every *green* packet and doubles the coherence transactions under
-    /// contention (`meter_green` and `meter_contended/*` regressed ~15%).
-    /// Steady traffic is green-dominated, so the unconditional RMW wins.
+    /// A red that writes moves a line every metering core shares; under
+    /// saturation most verdicts are red. Measured on the benchmark's
+    /// `wallclock_2t` (two threads, about two thirds of the decisions red;
+    /// interleaved 12 s pairs on a shared 2-vCPU Xeon): the load-first form
+    /// alone took `pkts_per_s` from 11.26 to 13.86 M (6 of 6 pairs).
     #[inline]
     pub fn meter(&self, need: Tokens) -> Color {
         let need = need.raw() as i64;
+        if self.tokens.load(Ordering::Acquire) < need {
+            return Color::Red;
+        }
         let prev = self.tokens.fetch_sub(need, Ordering::AcqRel);
         if prev >= need {
             Color::Green
@@ -139,10 +148,9 @@ impl TokenBucket {
     }
 
     /// [`TokenBucket::meter`] for the bucket's only writer: a load, and a
-    /// store on green only. With no racing meter there is no transient
-    /// debt to take and repair, so red leaves the level as found without
-    /// touching it, which is what the subtract-and-restore leaves on one
-    /// thread. Callers guarantee that no other thread touches the bucket
+    /// store on green only: the shared meter's green without the `lock`
+    /// prefix, since with no racing meter there is no transient debt to
+    /// take and repair. Callers guarantee that no other thread touches the bucket
     /// meanwhile (`Exec::EXCLUSIVE`), so `Relaxed` suffices, as in
     /// `SchedulingTree::hot_add`.
     #[inline]

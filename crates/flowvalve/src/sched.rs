@@ -24,10 +24,14 @@
 //!   host thread runs every modeled worker, so the walk is the tree's only
 //!   writer ([`Exec::EXCLUSIVE`]) and writes it with plain loads and stores;
 //! * [`RealExec`] — on real OS threads (the `wallclock_2t` benchmark
-//!   workload): locks are the nodes' actual `std::sync` mutexes, and no
-//!   costs are charged because the hardware is doing the timing.
+//!   workload): locks are the nodes' actual `std::sync` mutexes, no costs
+//!   are charged because the hardware is doing the timing, and each thread
+//!   writes the hot-state stripe it leased, so only a green meter's
+//!   test-and-add is a shared write.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{
+    AtomicU64, AtomicUsize, Ordering::Acquire, Ordering::Relaxed, Ordering::Release,
+};
 
 pub use fv_audit::NoObserver;
 use fv_audit::{StepKind, StepObserver, StepRecord};
@@ -39,7 +43,7 @@ use sim_core::time::Nanos;
 use crate::bucket::Color;
 use crate::label::{ClassId, QosLabel, MAX_DEPTH};
 use crate::program::{ChainId, CompiledProgram};
-use crate::tree::{Node, NodeHot, SchedulingTree};
+use crate::tree::{Node, NodeHot, SchedulingTree, HOT_STRIPES};
 
 /// Which guarded section a lock protects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,8 +86,12 @@ pub trait Exec {
     /// A shared tree's walk skips the guarded-update attempt of a class
     /// still inside its minimum update interval (a guaranteed no-op), where
     /// an exclusive one keeps it because its try-lock and charge *are* the
-    /// modeled hardware cost. A shared tree's thread writes its own
-    /// hot-state stripe, an exclusive walk stripe 0.
+    /// modeled hardware cost. An exclusive walk writes hot-state stripe 0;
+    /// a shared tree's thread writes the stripe it leased
+    /// (`thread_stripe`), as that stripe's only writer, and so with plain
+    /// loads and stores too, or, when every leasable stripe is taken, the
+    /// shared stripe 0 with RMWs. Either way a shared walk meters with the
+    /// atomic test-and-add: the buckets are what the paper's cores share.
     const EXCLUSIVE: bool = false;
 
     /// Charges one modeled operation (no-op under real execution).
@@ -211,21 +219,54 @@ impl Exec for SimExec<'_> {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct RealExec;
 
-/// Stable per-thread stripe hint: each thread is handed the next slot of a
-/// global round-robin on first use, so as many concurrent workers as the
-/// tree has stripes per node land on distinct cache lines (beyond that,
-/// stripes are shared but still correct). Returns the raw index; the tree
-/// masks it against its own stripe count.
-///
-/// The assignment is per-thread, not per-call: one TLS read on the hot
-/// path, no atomics.
+/// Bit `s` is set while a live thread leases hot-state stripe `s`; bit 0,
+/// the shared stripe, never is.
+static LEASED: AtomicUsize = AtomicUsize::new(0);
+
+/// A thread's lease on one hot-state stripe, given back when the thread
+/// exits; stripe 0 when there was none to take.
+struct Lease(usize);
+
+impl Lease {
+    /// Takes the lowest free stripe among 1..`HOT_STRIPES`. The `Acquire`
+    /// pairs with the `Release` of the thread that gave it back, so the
+    /// new owner's plain loads read what the last one stored.
+    fn claim() -> Lease {
+        let leasable = (1 << HOT_STRIPES) - 2;
+        let mut held = LEASED.load(Relaxed);
+        loop {
+            let free = leasable & !held;
+            if free == 0 {
+                return Lease(0);
+            }
+            let bit = free & free.wrapping_neg();
+            match LEASED.compare_exchange_weak(held, held | bit, Acquire, Relaxed) {
+                Ok(_) => return Lease(bit.trailing_zeros() as usize),
+                Err(now) => held = now,
+            }
+        }
+    }
+}
+
+impl Drop for Lease {
+    fn drop(&mut self) {
+        if self.0 != 0 {
+            LEASED.fetch_and(!(1 << self.0), Release);
+        }
+    }
+}
+
+/// The calling thread's hot-state stripe, stable for the thread's
+/// lifetime: the stripe it leased on first use, of which it is the only
+/// writer while it runs, or the shared stripe 0 when all
+/// `HOT_STRIPES - 1` leasable ones were taken (and from a thread-local
+/// destructor that runs after the lease's). One TLS read on the hot path.
 #[inline]
 fn thread_stripe() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
     thread_local! {
-        static STRIPE: usize = NEXT.fetch_add(1, Relaxed);
+        static LEASE: Lease = Lease::claim();
     }
-    STRIPE.with(|s| *s)
+    LEASE.try_with(|l| l.0).unwrap_or(0)
 }
 
 impl Exec for RealExec {
@@ -333,7 +374,9 @@ impl SchedulingTree {
     /// nodes. Under a modeled [`Exec`] the charge and lock sequence below
     /// *is* the hardware cost model, so its order is part of the contract:
     /// every virtual-time figure replays it byte for byte. Under an
-    /// [`Exec::EXCLUSIVE`] one the walk's writes are plain loads and stores.
+    /// [`Exec::EXCLUSIVE`] one the walk's writes are plain loads and stores;
+    /// on a leased stripe (`stripe != 0`) so are its hot-state writes, and
+    /// only a green meter issues an RMW.
     fn admit<E: Exec, O: StepObserver>(
         &self,
         path: &[u32],
@@ -390,14 +433,14 @@ impl SchedulingTree {
                 self.hot_add(
                     &self.node(idx as usize).hot(stripe).consumed_bits,
                     bits,
-                    E::EXCLUSIVE,
+                    E::EXCLUSIVE || stripe != 0,
                 );
                 exec.charge(Op::AtomicOp);
             }
         };
         // One verdict counter of `node`'s stripe.
         let tally = |node: &Node, cell: fn(&NodeHot) -> &AtomicU64| {
-            self.hot_add(cell(node.hot(stripe)), 1, E::EXCLUSIVE);
+            self.hot_add(cell(node.hot(stripe)), 1, E::EXCLUSIVE || stripe != 0);
         };
 
         // Lines 1-5: refresh token buckets root→leaf, then mark every
@@ -413,7 +456,7 @@ impl SchedulingTree {
                 self.node(idx as usize),
                 stripe,
                 now.as_nanos(),
-                E::EXCLUSIVE,
+                E::EXCLUSIVE || stripe != 0,
             );
         }
 
@@ -460,7 +503,7 @@ impl SchedulingTree {
 pub(crate) mod tests {
     use super::*;
     use crate::snapshot::TreeSnapshot;
-    use crate::tree::{ClassSpec, TreeParams, HOT_STRIPES};
+    use crate::tree::{ClassSpec, TreeParams};
     use fv_audit::Recorder;
     use np_sim::config::CycleCosts;
     use sim_core::fixed::{TokenRate, RATE_FRAC_BITS};
@@ -485,6 +528,22 @@ pub(crate) mod tests {
 
     fn sim_parts() -> (CostMeter, LockTable) {
         (CostMeter::new(CycleCosts::agilio()), LockTable::new(8))
+    }
+
+    /// Runs `f` on a fresh thread, joined before it returns, while no other
+    /// caller runs. Every test of this crate that walks under `RealExec`
+    /// goes through here: stripe leases are process-wide and a thread keeps
+    /// its lease until it exits, so this way no lease is out when `f`
+    /// starts, and which stripe a thread of `f` leases, and whether one is
+    /// free at all, is `f`'s doing alone, whatever libtest's thread count.
+    pub(crate) fn leased<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+        static LEASES: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _turn = LEASES
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        assert_eq!(LEASED.load(Acquire), 0, "a stripe lease outlived its test");
+        std::thread::scope(|s| s.spawn(f).join())
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
     }
 
     /// Drives `pkts` packets of `bits` each through the tree at a constant
@@ -664,47 +723,180 @@ pub(crate) mod tests {
     fn a_stripe_first_written_after_build_is_counted_and_drained() {
         let tree = tree_prio();
         let label = tree.label(ClassId(10), &[]).unwrap();
-        // A fresh thread draws the next stripe slot; draw until one lands
-        // off stripe 0 (two consecutive slots cannot both).
-        let stripe = std::thread::scope(|s| loop {
-            let stripe = s
-                .spawn(|| {
-                    let stripe = thread_stripe() % HOT_STRIPES;
-                    if stripe != 0 {
-                        let v =
-                            tree.schedule(&label, 12_000, Nanos::from_micros(100), &mut RealExec);
-                        assert_eq!(v, SchedVerdict::Forward);
-                    }
-                    stripe
-                })
-                .join()
-                .unwrap();
-            if stripe != 0 {
-                break stripe;
-            }
+        // A fresh thread leases the first stripe off the shared one.
+        let stripe = leased(|| {
+            let v = tree.schedule(&label, 12_000, Nanos::from_micros(100), &mut RealExec);
+            assert_eq!(v, SchedVerdict::Forward);
+            thread_stripe()
         });
+        assert_eq!(stripe, 1);
         assert_eq!(tree.counters(ClassId(10)).unwrap().forwarded, 1);
         for cid in [ClassId(1), ClassId(10)] {
             let mut held = [0; HOT_STRIPES];
             held[stripe] = 12_000;
             assert_eq!(tree.consumed_bits_by_stripe(cid), held, "{cid}");
-            // The next epoch drains the late stripe into Γ.
+            // The next epoch drains the late stripe into Γ, by difference:
+            // the stripe keeps its count and its one writer.
             let idx = tree.node_index(cid).unwrap();
             assert!(tree.update_node(idx, Nanos::from_micros(200)));
             assert_eq!(tree.consumed_bits_by_stripe(cid), [0; HOT_STRIPES]);
+            let kept = &tree.node(idx).hot(stripe).consumed_bits;
+            assert_eq!(kept.load(Relaxed), 12_000, "{cid}");
             assert!(tree.gamma(cid, Nanos::from_micros(200)).unwrap() > BitRate::ZERO);
         }
+        assert_eq!(tree.drained_bits.load(Relaxed), 2 * 12_000);
     }
 
     #[test]
-    fn thread_stripe_is_stable_per_thread() {
-        let a = thread_stripe();
-        assert_eq!(a, thread_stripe(), "stripe must not move within a thread");
-        let b = std::thread::spawn(|| (thread_stripe(), thread_stripe()))
-            .join()
-            .unwrap();
-        assert_eq!(b.0, b.1);
-        assert_ne!(a, b.0, "fresh threads get fresh stripe slots");
+    fn a_stripe_lease_is_stable_per_thread_and_comes_back_at_exit() {
+        let tree = tree_prio();
+        let label = tree.label(ClassId(20), &[]).unwrap();
+        // 64 generations of two threads, each spawned and joined in turn,
+        // the way a benchmark pass starts its workers: every generation
+        // leases stripes 1 and 2 again.
+        let verdicts = leased(|| {
+            let mut verdicts = [0u64; 2];
+            for generation in 0..64u64 {
+                let both = std::sync::Barrier::new(2);
+                let (label, tree, both) = (&label, &tree, &both);
+                let mut run: Vec<_> = std::thread::scope(|s| {
+                    let workers: Vec<_> = (0..2u64)
+                        .map(|k| {
+                            s.spawn(move || {
+                                let stripe = thread_stripe();
+                                both.wait();
+                                let mut tally = [0u64; 2];
+                                for i in 0..200u64 {
+                                    let ns = generation * 1_000_000 + i * 1_000 + k;
+                                    let now = Nanos::from_nanos(ns);
+                                    let v = tree.schedule(label, 12_000, now, &mut RealExec);
+                                    tally[usize::from(!v.passes())] += 1;
+                                }
+                                assert_eq!(thread_stripe(), stripe, "the stripe moved");
+                                (stripe, tally)
+                            })
+                        })
+                        .collect();
+                    // A join returns after the thread gave its lease back.
+                    workers.into_iter().map(|h| h.join().unwrap()).collect()
+                });
+                run.sort_unstable();
+                let stripes: Vec<usize> = run.iter().map(|(s, _)| *s).collect();
+                assert_eq!(stripes, [1, 2], "generation {generation}");
+                for (_, tally) in run {
+                    verdicts[0] += tally[0];
+                    verdicts[1] += tally[1];
+                }
+            }
+            verdicts
+        });
+        // The merge reads no further than the stripes written, and the 128
+        // threads' verdicts all landed.
+        assert_eq!(tree.live_stripes(), 3);
+        let c = tree.counters(ClassId(20)).unwrap();
+        assert_eq!([c.forwarded, c.dropped], verdicts);
+        assert_eq!(c.forwarded + c.dropped, 64 * 2 * 200);
+        assert!(verdicts.iter().all(|&n| n > 0), "{verdicts:?}");
+    }
+
+    #[test]
+    fn the_eighth_concurrent_thread_writes_the_shared_stripe_with_rmws() {
+        let hold = std::sync::Mutex::new(());
+        let (holders, seen) = leased(|| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::scope(|s| {
+                // Taken in the scope, so a failing assertion releases the
+                // holders before the scope waits for them.
+                let release = hold.lock().unwrap();
+                let mut holders = Vec::new();
+                let seen = loop {
+                    let (tx, hold) = (tx.clone(), &hold);
+                    let thread = s.spawn(move || match thread_stripe() {
+                        0 => tx.send((0, assert_walk_rmws_per_packet())).unwrap(),
+                        stripe => {
+                            tx.send((stripe, [0; 3])).unwrap();
+                            drop(hold.lock());
+                        }
+                    });
+                    match rx.recv().unwrap() {
+                        (0, seen) => {
+                            thread.join().unwrap();
+                            break seen;
+                        }
+                        (stripe, _) => holders.push((stripe, thread)),
+                    }
+                };
+                drop(release);
+                let stripes: Vec<usize> = holders
+                    .into_iter()
+                    .map(|(stripe, thread)| {
+                        thread.join().unwrap();
+                        stripe
+                    })
+                    .collect();
+                (stripes, seen)
+            })
+        });
+        // Seven threads held the seven leasable stripes, one each.
+        assert_eq!(holders, (1..HOT_STRIPES).collect::<Vec<_>>());
+        assert!(seen.iter().all(|&n| n > 500), "vacuous traffic: {seen:?}");
+    }
+
+    #[test]
+    fn gamma_by_difference_conserves_forwarded_bits_under_owners_and_a_drainer() {
+        // Hammering, not exploring: two owners forward on one path while a
+        // third thread forces update epochs on its classes for as long as
+        // they run; no interleaving is enumerated. Every bit forwarded is
+        // drained into Γ once or still pending, never both or neither.
+        let tree = tree_prio();
+        let label = tree.label(ClassId(10), &[]).unwrap();
+        let clock = AtomicU64::new(1);
+        let now = || Nanos::from_nanos(clock.fetch_add(40, Relaxed));
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let (forwarded, epochs) = leased(|| {
+            std::thread::scope(|s| {
+                let owners: Vec<_> = (0..2)
+                    .map(|_| {
+                        s.spawn(|| {
+                            let mut bits_out = 0;
+                            for i in 0..20_000u64 {
+                                let bits = 4_000 + i % 9_000;
+                                if tree.schedule(&label, bits, now(), &mut RealExec).passes() {
+                                    bits_out += bits;
+                                }
+                            }
+                            bits_out
+                        })
+                    })
+                    .collect();
+                let drainer = s.spawn(|| {
+                    let mut epochs = 0u64;
+                    while !done.load(Acquire) {
+                        for cid in label.path() {
+                            let idx = tree.node_index(*cid).unwrap();
+                            let _lock = tree.node(idx).update_mutex.lock().unwrap();
+                            // A whole update interval on: always due.
+                            let due = Nanos::from_nanos(clock.fetch_add(50_000, Relaxed) + 50_000);
+                            epochs += u64::from(tree.update_node(idx, due));
+                        }
+                        std::thread::yield_now();
+                    }
+                    epochs
+                });
+                let owned: Vec<_> = owners.into_iter().map(|h| h.join()).collect();
+                done.store(true, Release);
+                let forwarded: u64 = owned.into_iter().map(Result::unwrap).sum();
+                (forwarded, drainer.join().unwrap())
+            })
+        });
+        let pending: u64 = label
+            .path()
+            .iter()
+            .flat_map(|cid| tree.consumed_bits_by_stripe(*cid))
+            .sum();
+        let drained = tree.drained_bits.load(Relaxed);
+        assert_eq!(drained + pending, 2 * forwarded, "{drained} + {pending}");
+        assert!(epochs > 0 && drained > 0, "{epochs} epochs, {drained} bits");
     }
 
     #[test]
@@ -728,26 +920,28 @@ pub(crate) mod tests {
         // beyond sanity — timing is nondeterministic here by design).
         let tree = Arc::new(tree_prio());
         let label = tree.label(ClassId(10), &[]).unwrap();
-        let total: u64 = std::thread::scope(|s| {
-            (0..4)
-                .map(|t| {
-                    let tree = Arc::clone(&tree);
-                    s.spawn(move || {
-                        let mut exec = RealExec;
-                        let mut passed = 0u64;
-                        for i in 0..10_000u64 {
-                            let now = Nanos::from_nanos(t * 13 + i * 100);
-                            if tree.schedule(&label, 12_000, now, &mut exec).passes() {
-                                passed += 1;
+        let total: u64 = leased(|| {
+            std::thread::scope(|s| {
+                (0..4)
+                    .map(|t| {
+                        let tree = Arc::clone(&tree);
+                        s.spawn(move || {
+                            let mut exec = RealExec;
+                            let mut passed = 0u64;
+                            for i in 0..10_000u64 {
+                                let now = Nanos::from_nanos(t * 13 + i * 100);
+                                if tree.schedule(&label, 12_000, now, &mut exec).passes() {
+                                    passed += 1;
+                                }
                             }
-                        }
-                        passed
+                            passed
+                        })
                     })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .sum()
+                    .collect::<Vec<_>>()
+                    .into_iter()
+                    .map(|h| h.join().unwrap())
+                    .sum()
+            })
         });
         assert!(total > 0);
         let c = tree.counters(ClassId(10)).unwrap();
@@ -1016,7 +1210,7 @@ pub(crate) mod tests {
     #[derive(Clone, Copy)]
     enum Driver {
         /// `schedule(&label)` on real locks: idle updates elided, counters
-        /// on the calling thread's stripe.
+        /// on the stripe the calling thread leased.
         ScheduleReal,
         /// `run(prog, chain)` under the modeled locks and cost meter, with
         /// a recorder attached to every packet.
@@ -1034,6 +1228,24 @@ pub(crate) mod tests {
     /// level of the slab, and the epoch count. Returns the tree `admit` ran
     /// on and how many packets were forwarded, borrowed and dropped.
     fn assert_admit_matches_reference(
+        case: &Case,
+        seed: u64,
+        packets: u64,
+        driver: Driver,
+    ) -> (SchedulingTree, [u64; 3]) {
+        match driver {
+            Driver::ScheduleReal => leased(|| {
+                assert_eq!(thread_stripe(), 1);
+                admit_against_reference(case, seed, packets, driver)
+            }),
+            Driver::RunSim | Driver::RunGlobal => {
+                admit_against_reference(case, seed, packets, driver)
+            }
+        }
+    }
+
+    /// [`assert_admit_matches_reference`] on the calling thread.
+    fn admit_against_reference(
         case: &Case,
         seed: u64,
         packets: u64,
@@ -1106,10 +1318,18 @@ pub(crate) mod tests {
                 got, want,
                 "packet {i} of seed {seed:#x} diverged at {now:?}"
             );
-            // Sharing the tree, the walk issues the reference's RMWs, one
-            // per write; as its only writer, none.
+            // On a leased stripe, the walk issues the reference's meter RMWs,
+            // one per green, and none of its touches, Γ adds and verdict
+            // adds; as the tree's only writer, none at all.
             let shared = match driver {
-                Driver::ScheduleReal => rmws(&spec_tree) - spec_rmws,
+                Driver::ScheduleReal => {
+                    let path = label.path().len() as u64;
+                    let verdict_adds = 1 + u64::from(matches!(got, SchedVerdict::Borrowed(_)));
+                    rmws(&spec_tree)
+                        - spec_rmws
+                        - path * (1 + u64::from(got.passes()))
+                        - verdict_adds
+                }
                 Driver::RunSim | Driver::RunGlobal => 0,
             };
             assert_eq!(rmws(&tree) - walk_rmws, shared, "packet {i}");
@@ -1189,12 +1409,17 @@ pub(crate) mod tests {
         assert!(ceiled >= 10, "{ceiled}");
     }
 
-    #[test]
-    fn a_shared_walk_issues_one_rmw_per_write() {
-        // Under RealExec, per packet: one touch per path class, one meter
-        // per token test plus a restore per red, one consumed add per path
-        // class on a pass, and one verdict add (two on a borrow: the
-        // lender's and the leaf's).
+    /// Drives seeded two-leaf traffic through `schedule` under `RealExec`
+    /// on the calling thread and checks the RMWs of every walk against the
+    /// thread's stripe. On a leased one, only a green meter writes shared
+    /// state: one RMW per green token test, so 1 for a forward or a borrow
+    /// and 0 for a drop on the uncapped leaf's two-class path. On the
+    /// shared stripe 0, every write is an RMW: one touch per path class, a
+    /// green meter, one Γ add per path class on a pass, and one verdict add
+    /// (two on a borrow: the lender's and the leaf's). Returns how many
+    /// packets were forwarded, borrowed and dropped.
+    fn assert_walk_rmws_per_packet() -> [u64; 3] {
+        let stripe = thread_stripe();
         let (tree, labels) = two_leaf_case().build();
         let mut rng = SimRng::seed(0x0a7c);
         let mut now = Nanos::ZERO;
@@ -1211,8 +1436,7 @@ pub(crate) mod tests {
             let bits = 4_000 + r % 16_000;
             let v = tree.schedule_with(label, bits, now, &mut RealExec, &mut rec);
             let tests = rec.steps.iter().filter(|s| s.kind != StepKind::Update);
-            let (tests, reds) =
-                tests.fold((0, 0), |(n, red), s| (n + 1, red + u64::from(!s.green)));
+            let greens = tests.filter(|s| s.green).count() as u64;
             let path = label.path().len() as u64;
             let (kind, verdict_adds) = match v {
                 SchedVerdict::Forward => (0, 1),
@@ -1220,13 +1444,25 @@ pub(crate) mod tests {
                 SchedVerdict::Drop => (2, 1),
             };
             seen[kind] += 1;
-            let consumed = path * u64::from(v.passes());
-            assert_eq!(
-                tree.walk_rmws.load(Relaxed) - before,
-                path + tests + reds + consumed + verdict_adds,
-                "packet {i}: {v:?} {rec:?}"
-            );
+            let shared = match stripe {
+                0 => path + path * u64::from(v.passes()) + verdict_adds,
+                _ => 0,
+            };
+            let rmws = tree.walk_rmws.load(Relaxed) - before;
+            assert_eq!(rmws, greens + shared, "packet {i}: {v:?} {rec:?}");
+            if stripe != 0 && label.leaf() == ClassId(10) {
+                assert_eq!(rmws, u64::from(v.passes()), "packet {i}: {v:?}");
+            }
         }
+        seen
+    }
+
+    #[test]
+    fn an_owned_stripe_walk_issues_one_rmw_per_green_meter() {
+        let seen = leased(|| {
+            assert_eq!(thread_stripe(), 1);
+            assert_walk_rmws_per_packet()
+        });
         assert!(seen.iter().all(|&n| n > 500), "vacuous traffic: {seen:?}");
     }
 

@@ -110,12 +110,15 @@ mod tests {
     fn capture_reflects_config_and_runtime() {
         let t = tree();
         let label = t.label(ClassId(10), &[]).expect("leaf exists");
-        let mut exec = RealExec;
-        let mut now = Nanos::ZERO;
-        for _ in 0..2_000 {
-            now += Nanos::from_micros(2);
-            let _ = t.schedule(&label, 12_000, now, &mut exec);
-        }
+        let now = crate::sched::tests::leased(|| {
+            let mut exec = RealExec;
+            let mut now = Nanos::ZERO;
+            for _ in 0..2_000 {
+                now += Nanos::from_micros(2);
+                let _ = t.schedule(&label, 12_000, now, &mut exec);
+            }
+            now
+        });
         let snap = TreeSnapshot::capture(&t, now);
         assert_eq!(snap.classes.len(), 3);
         let a = snap.class(ClassId(10)).expect("present");

@@ -148,11 +148,20 @@ pub struct ClassCounters {
 /// 2…8 cannot be told apart on a 2-vCPU host: the count is **unverified
 /// between 2 and 8**.
 ///
+/// Stripe 0 is the shared stripe; stripes 1..`HOT_STRIPES` are leased. A
+/// `RealExec` thread leases a free one for its lifetime (`thread_stripe`
+/// in `sched.rs`) and, as its only writer, writes it with plain loads and
+/// stores; a thread that finds none free writes stripe 0 with RMWs, and a
+/// `SimExec` walk, the tree's only writer, writes stripe 0 with plain
+/// stores. So seven threads at a time own a line each.
+///
 /// A merge reads only the *live* stripes, `hot[..live]`, where `live` is
 /// one past the highest stripe any packet has written to this tree (1 at
 /// build; see `SchedulingTree::register_stripe`). A stripe past it has
 /// never been written and holds zeros, which add nothing to a sum and
-/// nothing to a max, so the merge is exact. Under `SimExec` every packet
+/// nothing to a max, so the merge is exact. Leases go lowest stripe first
+/// and come back at thread exit, so `live` tracks the most threads that
+/// ever ran at once, not how many ever ran. Under `SimExec` every packet
 /// writes stripe 0 and a merge is one line.
 pub(crate) const HOT_STRIPES: usize = 8;
 const HOT_STRIPE_MASK: usize = HOT_STRIPES - 1;
@@ -332,6 +341,12 @@ pub struct SchedulingTree {
     /// One past the highest hot-state stripe a packet has written: every
     /// merge reads `hot[..live]` (see `HOT_STRIPES`).
     live: AtomicUsize,
+    /// Per node, per stripe: the `consumed_bits` value the node's last
+    /// update epoch drained, so the next one takes the difference and the
+    /// stripe keeps its one writer. Read and written only under the node's
+    /// update lock. Kept out of `Node`, whose layout the simulated walk
+    /// reads.
+    drained: Box<[[AtomicU64; HOT_STRIPES]]>,
     telemetry: OnceLock<TreeTelemetry>,
     /// Same-level sibling activity reads by `update_node`, and its epochs
     /// that read none because the level floor held.
@@ -343,6 +358,9 @@ pub struct SchedulingTree {
     /// guarded updates: what a packet's walk pays per shared write.
     #[cfg(test)]
     pub(crate) walk_rmws: AtomicU64,
+    /// Bits `update_node` has drained into Γ, every class together.
+    #[cfg(test)]
+    pub(crate) drained_bits: AtomicU64,
 }
 
 impl core::fmt::Debug for SchedulingTree {
@@ -528,6 +546,7 @@ impl SchedulingTree {
         }
 
         let tree = SchedulingTree {
+            drained: nodes.iter().map(|_| Default::default()).collect(),
             nodes,
             slab,
             index: flat,
@@ -543,6 +562,8 @@ impl SchedulingTree {
             floor_hits: AtomicU64::new(0),
             #[cfg(test)]
             walk_rmws: AtomicU64::new(0),
+            #[cfg(test)]
+            drained_bits: AtomicU64::new(0),
         };
         tree.initialize_rates();
         Ok(tree)
@@ -665,13 +686,13 @@ impl SchedulingTree {
     }
 
     /// Adds `n` to one hot-state cell on a packet's walk: a `fetch_add`
-    /// where workers share the tree, a plain load and store where the
-    /// caller is its only writer (`Exec::EXCLUSIVE`), the way
-    /// `Counter::add_single_writer` writes. The only writer's accesses are
-    /// `Relaxed`: no other thread touches the tree while it runs, and one
-    /// that reads the tree afterwards synchronizes with it through whatever
-    /// handed the tree over (a join, a channel), which orders these stores
-    /// before that read.
+    /// where workers share the cell, a plain load and store where the
+    /// caller is its only writer (`Exec::EXCLUSIVE`, or a leased stripe),
+    /// the way `Counter::add_single_writer` writes. The only writer's
+    /// accesses are `Relaxed`: a reader merging meanwhile sees a value the
+    /// cell held, and one that reads afterwards synchronizes with the
+    /// writer through whatever ended its writing (a join, a channel, the
+    /// lease's release), which orders these stores before that read.
     #[inline]
     pub(crate) fn hot_add(&self, cell: &AtomicU64, n: u64, exclusive: bool) {
         if exclusive {
@@ -687,7 +708,7 @@ impl SchedulingTree {
     }
 
     /// Marks `node` touched at `now_ns` on `stripe` (drives expiry): a
-    /// `fetch_max`, or a compare and store for the only writer.
+    /// `fetch_max`, or a compare and store for the stripe's only writer.
     #[inline]
     pub(crate) fn touch(&self, node: &Node, stripe: usize, now_ns: u64, exclusive: bool) {
         let cell = &node.hot(stripe).last_packet;
@@ -709,10 +730,12 @@ impl SchedulingTree {
             return bucket.meter_single_writer(need);
         }
         let color = bucket.meter(need);
-        // A red restores what its subtraction took: a second RMW.
+        // A green is one subtraction, a red at the load none. A red that
+        // lost a race to a concurrent meter issues two the tally leaves
+        // out; the walks it pins run one at a time.
         #[cfg(test)]
         self.walk_rmws
-            .fetch_add(1 + u64::from(color == Color::Red), Ordering::Relaxed);
+            .fetch_add(u64::from(color == Color::Green), Ordering::Relaxed);
         color
     }
 
@@ -786,6 +809,12 @@ impl SchedulingTree {
         if live > 1 && self.live.load(Ordering::Relaxed) < live {
             self.live.fetch_max(live, Ordering::Relaxed);
         }
+    }
+
+    /// One past the highest hot-state stripe a packet has written.
+    #[cfg(test)]
+    pub(crate) fn live_stripes(&self) -> usize {
+        self.live.load(Ordering::Relaxed)
     }
 
     /// The hot-state stripes of class `idx` that packets have written.
@@ -866,12 +895,22 @@ impl SchedulingTree {
         n.last_update.store(now.as_nanos(), Ordering::Release);
 
         // Γ: fold this epoch's instantaneous consumption rate (Equation 3).
-        // Drain every live stripe: the sum of the swapped values is the
-        // exact consumption since the last epoch.
-        let consumed: u64 = self
+        // Drain every live stripe by difference: each stripe's count only
+        // grows, so what it gained since the mark this lock holder left is
+        // the exact consumption since the last epoch, and the stripe keeps
+        // its one writer.
+        let consumed = self
             .live_hot(idx)
-            .map(|h| h.consumed_bits.swap(0, Ordering::AcqRel))
-            .sum();
+            .zip(&self.drained[idx])
+            .map(|(h, mark)| {
+                let total = h.consumed_bits.load(Ordering::Acquire);
+                let gained = total.wrapping_sub(mark.load(Ordering::Relaxed));
+                mark.store(total, Ordering::Relaxed);
+                gained
+            })
+            .fold(0, u64::wrapping_add);
+        #[cfg(test)]
+        self.drained_bits.fetch_add(consumed, Ordering::Relaxed);
         // A very long gap means the class was idle; treat the stale epoch
         // as zero-rate rather than averaging bits over the whole gap.
         let dt_capped = dt.min(self.params.expiry);
@@ -1004,11 +1043,15 @@ impl SchedulingTree {
         }
     }
 
-    /// Bits counted and not yet drained into Γ, per hot-state stripe.
+    /// Bits counted and not yet drained into Γ, per hot-state stripe: what
+    /// each stripe gained since the last epoch's mark.
     #[cfg(test)]
     pub(crate) fn consumed_bits_by_stripe(&self, id: ClassId) -> [u64; HOT_STRIPES] {
-        let n = &self.nodes[self.node_index(id).expect("class in tree")];
-        std::array::from_fn(|s| n.hot[s].consumed_bits.load(Ordering::Acquire))
+        let i = self.node_index(id).expect("class in tree");
+        std::array::from_fn(|s| {
+            let total = self.nodes[i].hot[s].consumed_bits.load(Ordering::Acquire);
+            total.wrapping_sub(self.drained[i][s].load(Ordering::Relaxed))
+        })
     }
 
     /// The published token rate θ of a class, as a bandwidth.
@@ -1181,10 +1224,12 @@ mod tests {
         // ceiling instead of draining it.
         let t = tree(bound, bound).expect("the bound builds");
         let label = t.label(ClassId(10), &[]).unwrap();
-        let mut exec = crate::sched::RealExec;
-        assert!(t.schedule(&label, 12_144, Nanos::ZERO, &mut exec).passes());
-        let later = params.expiry + params.min_update_interval;
-        assert!(t.schedule(&label, 12_144, later, &mut exec).passes());
+        crate::sched::tests::leased(|| {
+            let mut exec = crate::sched::RealExec;
+            assert!(t.schedule(&label, 12_144, Nanos::ZERO, &mut exec).passes());
+            let later = params.expiry + params.min_update_interval;
+            assert!(t.schedule(&label, 12_144, later, &mut exec).passes());
+        });
     }
 
     #[test]

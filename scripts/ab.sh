@@ -13,7 +13,9 @@
 # both sides, the parent first on even k and the change first on odd k.
 # Prints one line per pair, then each side's median and quartiles, the
 # change's wins on pkts_per_s and, from ten pairs on, whether the rule
-# holds. The temporary directory is removed on exit; the checkout is left
+# holds. For each other end-to-end metric (all lower-is-better) it prints
+# how many pairs the change read worse in, and flags the metric when the
+# change's median lies above the parent's upper quartile. The temporary directory is removed on exit; the checkout is left
 # untouched. Run nothing else meanwhile: wallclock_2t occupies two CPUs.
 set -euo pipefail
 if [ $# -lt 4 ]; then
@@ -70,13 +72,20 @@ for side, rs in runs.items():
         q1, med, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else xs * 3
         stats[side, key] = (q1, med, q3)
         print("%-6s %-14s median %.6g  quartiles %.6g .. %.6g" % (side, key, med, q1, q3))
-pk = lambda side, i: [r["metrics"]["pkts_per_s"]["value"] for r in runs[side]][i]
+val = lambda side, key, i: runs[side][i]["metrics"][key]["value"]
 n = len(runs["parent"])
-wins = sum(pk("change", i) > pk("parent", i) for i in range(n))
+wins = sum(val("change", "pkts_per_s", i) > val("parent", "pkts_per_s", i) for i in range(n))
 q1, pmed, q3 = stats["parent", "pkts_per_s"]
 cmed = stats["change", "pkts_per_s"][1]
 holds = n >= 10 and 10 * wins >= 9 * n and cmed - pmed > q3 - q1
 print("pkts_per_s: change wins %d/%d, median gap %+.4g vs parent IQR %.4g: gain %s"
       % (wins, n, cmed - pmed, q3 - q1, "holds" if holds else
          "does not hold" if n >= 10 else "not judged (fewer than ten pairs)"))
+for key in keys[1:]:
+    worse = sum(val("change", key, i) > val("parent", key, i) for i in range(n))
+    q1, pmed, q3 = stats["parent", key]
+    cmed = stats["change", key][1]
+    print("%s: change worse in %d/%d, median %.6g vs parent %.6g (quartiles %.6g .. %.6g)%s"
+          % (key, worse, n, cmed, pmed, q1, q3,
+             ": WORSE, beyond the parent quartiles" if cmed > q3 else ""))
 '
