@@ -36,10 +36,10 @@ pub enum Color {
 ///
 /// # Concurrency model
 ///
-/// The level is a signed fixed-point counter. [`meter`] subtracts when its
-/// load saw enough and repairs on failure, so under contention the level may be
-/// *transiently* negative; any meter that observes the debt returns a
-/// conservative [`Color::Red`]. The invariant that holds at all times is
+/// The level is a signed fixed-point counter. [`meter`] subtracts when
+/// its load saw enough and repairs on failure, so under contention the
+/// level may be *transiently* negative; any meter that observes the debt
+/// returns a conservative [`Color::Red`]. The invariant that holds at all times is
 /// conservation: tokens consumed by green verdicts never exceed tokens
 /// added by [`refill`]/[`set_level`]. Spurious reds
 /// under contention are allowed (the paper's NIC accepts the same: a
@@ -122,14 +122,14 @@ impl TokenBucket {
     /// previous level still covered the need, else a `fetch_add` restores
     /// what a racing meter left too little of. So a green costs one atomic
     /// RMW, a red none, and only a red that lost a race two. On one thread
-    /// it replays [`TokenBucket::meter_single_writer`] colour for colour
-    /// and level for level.
+    /// it replays the single-writer meter (`meter_single_writer`) colour
+    /// for colour and level for level.
     ///
     /// A red that writes moves a line every metering core shares; under
-    /// saturation most verdicts are red. Measured on the benchmark's
-    /// `wallclock_2t` (two threads, about two thirds of the decisions red;
-    /// interleaved 12 s pairs on a shared 2-vCPU Xeon): the load-first form
-    /// alone took `pkts_per_s` from 11.26 to 13.86 M (6 of 6 pairs).
+    /// saturation most verdicts are red. On the benchmark's `wallclock_2t`
+    /// (two threads, about two thirds of the decisions red; interleaved
+    /// 12 s pairs on a shared 2-vCPU Xeon), a prototype of the load-first
+    /// form alone took `pkts_per_s` from 11.26 to 13.86 M (6 of 6 pairs).
     #[inline]
     pub fn meter(&self, need: Tokens) -> Color {
         let need = need.raw() as i64;
@@ -150,8 +150,8 @@ impl TokenBucket {
     /// [`TokenBucket::meter`] for the bucket's only writer: a load, and a
     /// store on green only: the shared meter's green without the `lock`
     /// prefix, since with no racing meter there is no transient debt to
-    /// take and repair. Callers guarantee that no other thread touches the bucket
-    /// meanwhile (`Exec::EXCLUSIVE`), so `Relaxed` suffices, as in
+    /// take and repair. Callers guarantee that no other thread touches the
+    /// bucket meanwhile (`Exec::EXCLUSIVE`), so `Relaxed` suffices, as in
     /// `SchedulingTree::hot_add`.
     #[inline]
     pub(crate) fn meter_single_writer(&self, need: Tokens) -> Color {

@@ -314,3 +314,39 @@ fn a_packet_that_misses_the_flow_cache_allocates_nothing() {
     );
     assert_eq!(allocs, 0, "over {packets} packets");
 }
+
+#[test]
+fn a_real_thread_walk_allocates_nothing_its_stripe_lease_included() {
+    use flowvalve::label::ClassId;
+    use flowvalve::sched::RealExec;
+    use flowvalve::tree::{ClassSpec, SchedulingTree};
+    use sim_core::units::BitRate;
+
+    let tree = SchedulingTree::build(
+        vec![
+            ClassSpec::new(ClassId(1), "root", None).rate(BitRate::from_gbps(10.0)),
+            ClassSpec::new(ClassId(10), "a", Some(ClassId(1))),
+        ],
+        TreeParams::default(),
+    )
+    .expect("tree builds");
+    let label = tree.label(ClassId(10), &[]).expect("leaf exists");
+    // A fresh thread's first walk leases its stripe and registers the
+    // lease's thread-local destructor; the rest only walk.
+    let (first, rest) = std::thread::scope(|s| {
+        s.spawn(|| {
+            let before = allocs();
+            let _ = tree.schedule(&label, 12_000, Nanos::ZERO, &mut RealExec);
+            let first = allocs() - before;
+            let before = allocs();
+            for i in 1..10_000u64 {
+                let now = Nanos::from_nanos(i * 500);
+                let _ = tree.schedule(&label, 12_000, now, &mut RealExec);
+            }
+            (first, allocs() - before)
+        })
+        .join()
+        .expect("walker thread")
+    });
+    assert_eq!((first, rest), (0, 0));
+}
