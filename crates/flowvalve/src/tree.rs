@@ -169,7 +169,8 @@ const HOT_STRIPE_MASK: usize = HOT_STRIPES - 1;
 /// One stripe of a node's per-packet hot state. Everything a forwarding
 /// thread writes per packet lives here, one aligned cache line per stripe,
 /// so concurrent workers hammering the same class (or the shared root)
-/// never bounce a line between cores. Merges read the live stripes (see
+/// never bounce a line between cores per packet; only the class's update
+/// epoch visits it, to drain Γ. Merges read the live stripes (see
 /// `HOT_STRIPES`) and are exact: sums for the counters, which only ever
 /// grow, and `max` for `last_packet`.
 #[repr(align(64))]
@@ -181,7 +182,17 @@ pub(crate) struct NodeHot {
     pub(crate) borrowed: AtomicU64,
     pub(crate) dropped: AtomicU64,
     pub(crate) lent: AtomicU64,
+    /// The `consumed_bits` value the node's last update epoch drained from
+    /// this stripe, so the next one takes the difference and the stripe
+    /// keeps its one writer. Read and written only under the node's update
+    /// lock. It sits in the line's spare bytes, so `NodeHot` stays one line
+    /// and `Node`, whose layout the simulated walk reads, keeps its own; a
+    /// tree-level array of marks instead cost an allocation and a cold
+    /// line per epoch, and read lower on `flow_churn` (DESIGN.md §7.1).
+    drained: AtomicU64,
 }
+
+const _: () = assert!(std::mem::size_of::<NodeHot>() == 64);
 
 pub(crate) struct Node {
     pub(crate) spec: ClassSpec,
@@ -341,12 +352,6 @@ pub struct SchedulingTree {
     /// One past the highest hot-state stripe a packet has written: every
     /// merge reads `hot[..live]` (see `HOT_STRIPES`).
     live: AtomicUsize,
-    /// Per node, per stripe: the `consumed_bits` value the node's last
-    /// update epoch drained, so the next one takes the difference and the
-    /// stripe keeps its one writer. Read and written only under the node's
-    /// update lock. Kept out of `Node`, whose layout the simulated walk
-    /// reads.
-    drained: Box<[[AtomicU64; HOT_STRIPES]]>,
     telemetry: OnceLock<TreeTelemetry>,
     /// Same-level sibling activity reads by `update_node`, and its epochs
     /// that read none because the level floor held.
@@ -546,7 +551,6 @@ impl SchedulingTree {
         }
 
         let tree = SchedulingTree {
-            drained: nodes.iter().map(|_| Default::default()).collect(),
             nodes,
             slab,
             index: flat,
@@ -901,11 +905,10 @@ impl SchedulingTree {
         // its one writer.
         let consumed = self
             .live_hot(idx)
-            .zip(&self.drained[idx])
-            .map(|(h, mark)| {
+            .map(|h| {
                 let total = h.consumed_bits.load(Ordering::Acquire);
-                let gained = total.wrapping_sub(mark.load(Ordering::Relaxed));
-                mark.store(total, Ordering::Relaxed);
+                let gained = total.wrapping_sub(h.drained.load(Ordering::Relaxed));
+                h.drained.store(total, Ordering::Relaxed);
                 gained
             })
             .fold(0, u64::wrapping_add);
@@ -1047,10 +1050,10 @@ impl SchedulingTree {
     /// each stripe gained since the last epoch's mark.
     #[cfg(test)]
     pub(crate) fn consumed_bits_by_stripe(&self, id: ClassId) -> [u64; HOT_STRIPES] {
-        let i = self.node_index(id).expect("class in tree");
+        let n = &self.nodes[self.node_index(id).expect("class in tree")];
         std::array::from_fn(|s| {
-            let total = self.nodes[i].hot[s].consumed_bits.load(Ordering::Acquire);
-            total.wrapping_sub(self.drained[i][s].load(Ordering::Relaxed))
+            let total = n.hot[s].consumed_bits.load(Ordering::Acquire);
+            total.wrapping_sub(n.hot[s].drained.load(Ordering::Relaxed))
         })
     }
 
