@@ -1122,7 +1122,7 @@ fn every_replayed_json_output_parses_and_round_trips() {
         .take_while(|&l| l != "EOF")
         .filter(|l| l.ends_with("--json"))
         .collect();
-    assert_eq!(lines.len(), 6, "{lines:?}");
+    assert_eq!(lines.len(), 7, "{lines:?}");
     for line in lines {
         let out = fv()
             .current_dir(&root)

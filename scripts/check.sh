@@ -311,6 +311,7 @@ trace scripts/motivation.fv
 chaos scripts/motivation.fv --plan scripts/demo.chaos
 chaos scripts/motivation.fv --plan scripts/demo.chaos --json
 chaos scripts/motivation.fv --plan scripts/tm_drop.chaos
+chaos scripts/motivation.fv --plan scripts/reconfig.chaos --json
 timeseries scripts/motivation.fv
 timeseries scripts/motivation.fv --jsonl
 profile scripts/motivation.fv
