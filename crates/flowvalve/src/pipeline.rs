@@ -22,88 +22,65 @@ use crate::frontend::Policy;
 use crate::label::{ClassId, QosLabel};
 use crate::program::{ChainId, CompiledProgram};
 use crate::sched::{LockDiscipline, SchedVerdict, SimExec};
-use crate::tree::{SchedulingTree, TreeParams};
+use crate::tree::{ClassCounters, SchedulingTree, TreeParams};
 
-/// Per-class verdict counters, one set per scheduling-tree class.
-struct ClassChannels {
-    forwarded: Arc<Counter>,
-    borrowed: Arc<Counter>,
-    dropped: Arc<Counter>,
-    lent: Arc<Counter>,
-    tx_bits: Arc<Counter>,
-}
-
-/// Registry handles for the pipeline's per-class verdict accounting
+/// Registry wiring for the pipeline's per-class accounting
 /// (`fv.class.<id>.*` namespace, exact) and its per-packet records:
-/// classify/sched spans and verdict events, for sampled packets.
+/// classify/sched spans and verdict events, for sampled packets. The tree
+/// counts every verdict, and the registry reads those tallies as views,
+/// so the one cell written here is each class's `tx_bits`.
 struct PipelineTelemetry {
     registry: Registry,
-    /// Indexed by the tree's node index.
-    per_class: Vec<ClassChannels>,
+    /// Wire bits passed per class, indexed by the tree's node index.
+    tx_bits: Vec<Arc<Counter>>,
     spans: SpanRecorder,
 }
 
 impl PipelineTelemetry {
-    fn new(registry: &Registry, tree: &SchedulingTree) -> Self {
-        let per_class = (0..tree.len())
+    fn new(registry: &Registry, tree: &Arc<SchedulingTree>) -> Self {
+        let tx_bits = (0..tree.len())
             .map(|idx| {
-                let base = format!("fv.class.{}", tree.node(idx).spec.id);
-                ClassChannels {
-                    forwarded: registry.counter(&format!("{base}.forwarded")),
-                    borrowed: registry.counter(&format!("{base}.borrowed")),
-                    dropped: registry.counter(&format!("{base}.dropped")),
-                    lent: registry.counter(&format!("{base}.lent")),
-                    tx_bits: registry.counter(&format!("{base}.tx_bits")),
-                }
+                let id = tree.node(idx).spec.id;
+                let view = |verdict: &str, of: fn(ClassCounters) -> u64| {
+                    let tree = Arc::clone(tree);
+                    let read = move || tree.counters(id).map_or(0, of);
+                    registry.counter_view(&format!("fv.class.{id}.{verdict}"), read);
+                };
+                view("forwarded", |c| c.forwarded);
+                view("borrowed", |c| c.borrowed);
+                view("dropped", |c| c.dropped);
+                view("lent", |c| c.lent);
+                registry.counter(&format!("fv.class.{id}.tx_bits"))
             })
             .collect();
         PipelineTelemetry {
             registry: registry.clone(),
-            per_class,
+            tx_bits,
             spans: SpanRecorder::new(registry),
         }
     }
 
-    /// Counts the verdict (every packet) and traces it (sampled packets).
-    /// The leaf's channels are found through the node index its chain
-    /// ends in, a lender's through the tree's direct-indexed id table: no
-    /// hashing either way. The counts are single-writer adds: the one
-    /// caller is `decide`, from behind the pipeline's `&mut self`.
+    /// Counts the wire bits a passing verdict sends (every packet) and
+    /// traces the verdict (sampled packets). The leaf's cell is found
+    /// through the node index its chain ends in: no hashing. The add is
+    /// single-writer: the one caller is `decide`, from behind the
+    /// pipeline's `&mut self`.
     fn record(
         &self,
         now: Nanos,
-        tree: &SchedulingTree,
         pkt_id: u64,
         (leaf_node, leaf): (usize, ClassId),
         wire_bits: u64,
         verdict: SchedVerdict,
     ) {
-        let leaf_channels = self.per_class.get(leaf_node);
         let (kind, b) = match verdict {
-            SchedVerdict::Forward => {
-                if let Some(c) = leaf_channels {
-                    c.forwarded.add_single_writer(1);
-                    c.tx_bits.add_single_writer(wire_bits);
-                }
-                (TraceKind::SchedForward, wire_bits)
-            }
-            SchedVerdict::Borrowed(lender) => {
-                if let Some(c) = leaf_channels {
-                    c.borrowed.add_single_writer(1);
-                    c.tx_bits.add_single_writer(wire_bits);
-                }
-                if let Some(c) = tree.node_index(lender).and_then(|i| self.per_class.get(i)) {
-                    c.lent.add_single_writer(1);
-                }
-                (TraceKind::SchedBorrow, lender.0 as u64)
-            }
-            SchedVerdict::Drop => {
-                if let Some(c) = leaf_channels {
-                    c.dropped.add_single_writer(1);
-                }
-                (TraceKind::SchedDrop, wire_bits)
-            }
+            SchedVerdict::Forward => (TraceKind::SchedForward, wire_bits),
+            SchedVerdict::Borrowed(lender) => (TraceKind::SchedBorrow, lender.0 as u64),
+            SchedVerdict::Drop => (TraceKind::SchedDrop, wire_bits),
         };
+        if verdict.passes() {
+            self.tx_bits[leaf_node].add_single_writer(wire_bits);
+        }
         self.spans.event(now, kind, pkt_id, leaf.0 as u64, b);
     }
 }
@@ -324,7 +301,8 @@ impl FlowValvePipeline {
         self.audit = Some(AuditHook { ring, sampler });
     }
 
-    /// Wires per-class verdict counters (`fv.class.<id>.*`, exact), the
+    /// Wires per-class counters (`fv.class.<id>.*`, exact: the verdicts
+    /// as views over [`SchedulingTree::counters`], plus `tx_bits`), the
     /// classify/sched spans and verdict trace events of sampled packets,
     /// and the tree's refill telemetry into `registry`.
     /// Typically called with the same registry the owning
@@ -575,7 +553,7 @@ impl EgressDecider for FlowValvePipeline {
                 .record(Stage::Sched, now + classify_dur, pkt.id, sched_dur);
         }
         if let Some(t) = &self.telemetry {
-            t.record(now, &self.tree, pkt.id, leaf_of(chain), wire_bits, verdict);
+            t.record(now, pkt.id, leaf_of(chain), wire_bits, verdict);
         }
         if verdict.passes() {
             Decision::Forward
@@ -1022,6 +1000,69 @@ mod tests {
         }
         let s = side.pipe.cache_stats();
         assert!(s.misses > 16, "second lap hit: {s:?}");
+    }
+
+    #[test]
+    fn the_registry_reads_verdict_counts_across_a_reload() {
+        // About 12 Gbps, seven packets in eight to the busy class, which
+        // alternates every 256 packets: both leaves forward, borrow, lend
+        // and drop.
+        let offer = |side: &mut Side, ids: std::ops::Range<u64>| {
+            for id in ids {
+                let busy = 5_001 + (id / 256 % 2) as u16;
+                let dport = if id % 8 == 0 { 10_003 - busy } else { busy };
+                side.decide(&sized_pkt(id, dport, 1_000), Nanos::from_nanos(id * 700));
+            }
+        };
+        let mut side = Side::new(POLICY_V1);
+        let registry = Registry::new();
+        side.pipe.attach_telemetry(&registry);
+        offer(&mut side, 0..20_000);
+        let old = Arc::clone(side.pipe.tree());
+        side.reload(POLICY_V2).unwrap();
+        offer(&mut side, 20_000..40_000);
+        let totals = registry.counter_totals();
+        // The same registry again moves no total.
+        side.pipe.attach_telemetry(&registry);
+        assert_eq!(registry.counter_totals(), totals);
+
+        // Each class's four counters are the old tree's counts at the
+        // reload plus the new tree's.
+        let snap = registry.snapshot(Nanos::ZERO);
+        let new = side.pipe.tree();
+        let mut all = ClassCounters::default();
+        for id in new.class_ids() {
+            let (a, b) = (old.counters(id).unwrap(), new.counters(id).unwrap());
+            let read = |verdict: &str| snap.counter(&format!("fv.class.{id}.{verdict}"));
+            let registered = ClassCounters {
+                forwarded: read("forwarded"),
+                borrowed: read("borrowed"),
+                dropped: read("dropped"),
+                lent: read("lent"),
+            };
+            let both = ClassCounters {
+                forwarded: a.forwarded + b.forwarded,
+                borrowed: a.borrowed + b.borrowed,
+                dropped: a.dropped + b.dropped,
+                lent: a.lent + b.lent,
+            };
+            assert_eq!(registered, both, "{id}");
+            all.forwarded += registered.forwarded;
+            all.borrowed += registered.borrowed;
+            all.dropped += registered.dropped;
+            all.lent += registered.lent;
+        }
+        for tree in [&old, new] {
+            let c = tree.counters(ClassId(10)).unwrap();
+            assert!(c.forwarded > 0 && c.borrowed > 0, "{c:?}");
+        }
+        assert!(all.dropped > 0, "{all:?}");
+        assert_eq!(all.lent, all.borrowed);
+        // Verdicts are counted at leaves only, one per decision.
+        assert_eq!(
+            all.forwarded + all.borrowed + all.dropped,
+            side.pipe.decision_cache_stats().0
+        );
     }
 
     /// The traffic generator's state and what the traffic so far has put

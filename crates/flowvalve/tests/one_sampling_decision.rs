@@ -215,9 +215,8 @@ fn counters_are_exact_on_an_observed_nic() {
     assert_eq!(forwarded + borrowed + dropped, PACKETS - rx_drops);
     assert_eq!(dropped, sched_drops);
     assert_eq!(verdicts(".lent"), borrowed);
-    // Two cells count each verdict while both exist: the tree's `NodeHot`
-    // tallies and the pipeline's registry cells. They must agree class by
-    // class.
+    // One count per verdict: the tree's `NodeHot` tallies, which the
+    // registry reads for every class.
     for id in tree.class_ids() {
         let cell = |field: &str| snapshot.counter(&format!("fv.class.{id}.{field}"));
         let registered = ClassCounters {

@@ -115,8 +115,8 @@ impl TimeSampler {
         };
         // Baseline without emitting a frame: pre-attach accumulation is
         // not part of any sampled interval.
-        for (name, handle) in s.registry.counter_handles() {
-            s.admit(name, handle.total());
+        for (name, total) in s.registry.counter_totals() {
+            s.admit(name, total);
         }
         s
     }
@@ -152,7 +152,7 @@ impl TimeSampler {
         // tick joins with a zero baseline: its whole total accumulated
         // within sampled time, so it becomes the first frame's delta.
         let mut deltas = vec![0; self.names.len()];
-        for (name, handle) in self.registry.counter_handles() {
+        for (name, total) in self.registry.counter_totals() {
             let i = match self.index.get(&name) {
                 Some(&i) => i,
                 None => {
@@ -160,7 +160,6 @@ impl TimeSampler {
                     self.admit(name, 0)
                 }
             };
-            let total = handle.total();
             deltas[i] = total - self.last[i];
             self.last[i] = total;
         }

@@ -21,19 +21,29 @@ use crate::sampler::Sampler;
 use crate::span::{SinkCell, SpanSink};
 use crate::trace::{EventRing, TraceEvent};
 
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 enum Metric {
     Counter(Arc<Counter>),
+    /// A counter whose total its owner keeps (see [`Registry::counter_view`]).
+    CounterView(Arc<dyn Fn() -> u64 + Send + Sync>),
     Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
 }
 
+impl Metric {
+    /// The total of a counter or a counter view.
+    fn total(&self) -> Option<u64> {
+        match self {
+            Metric::Counter(c) => Some(c.total()),
+            Metric::CounterView(read) => Some(read()),
+            _ => None,
+        }
+    }
+}
+
 /// A name is one metric of one kind for the life of the registry.
-fn type_conflict(name: &str, existing: &Metric, requested: &str) -> ! {
-    panic!(
-        "metric {name:?} already registered with another type \
-         (existing {existing:?}, requested {requested})"
-    )
+fn type_conflict(name: &str, requested: &str) -> ! {
+    panic!("metric {name:?} already registered with another type (requested {requested})")
 }
 
 struct Inner {
@@ -103,8 +113,30 @@ impl Registry {
     pub fn counter(&self, name: &str) -> Arc<Counter> {
         match self.get_or_create(name, || Metric::Counter(Arc::default())) {
             Metric::Counter(c) => c,
-            other => type_conflict(name, &other, "counter"),
+            _ => type_conflict(name, "counter"),
         }
+    }
+
+    /// Registers `name` as a counter whose total its owner keeps: every
+    /// read of the registry reports `read()` as the counter's value, as it
+    /// would a cell's. Registering the name again hands it to the new
+    /// reader where the old one stands, so a new owner continues the
+    /// total and the same owner again counts nothing twice. `read` runs
+    /// under the registry's lock, so it must not call into the registry,
+    /// and its total must never fall.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is already registered as a different metric type.
+    pub fn counter_view(&self, name: &str, read: impl Fn() -> u64 + Send + Sync + 'static) {
+        let mut metrics = self.inner.metrics.lock().unwrap();
+        let base = match metrics.get(name) {
+            None => 0,
+            Some(Metric::CounterView(old)) => old().saturating_sub(read()),
+            Some(_) => type_conflict(name, "counter view"),
+        };
+        let view = Arc::new(move || base + read());
+        metrics.insert(name.to_owned(), Metric::CounterView(view));
     }
 
     /// Gets or creates the gauge named `name`.
@@ -115,7 +147,7 @@ impl Registry {
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
         match self.get_or_create(name, || Metric::Gauge(Arc::default())) {
             Metric::Gauge(g) => g,
-            other => type_conflict(name, &other, "gauge"),
+            _ => type_conflict(name, "gauge"),
         }
     }
 
@@ -127,7 +159,7 @@ impl Registry {
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         match self.get_or_create(name, || Metric::Histogram(Arc::default())) {
             Metric::Histogram(h) => h,
-            other => type_conflict(name, &other, "histogram"),
+            _ => type_conflict(name, "histogram"),
         }
     }
 
@@ -157,16 +189,13 @@ impl Registry {
         Arc::clone(&self.inner.span_sink)
     }
 
-    /// Names and shared handles of every registered counter, sorted by
-    /// name; totals read through a handle are live.
-    pub fn counter_handles(&self) -> Vec<(String, Arc<Counter>)> {
+    /// Names and totals of every registered counter, views included,
+    /// sorted by name.
+    pub fn counter_totals(&self) -> Vec<(String, u64)> {
         let metrics = self.inner.metrics.lock().unwrap();
         metrics
             .iter()
-            .filter_map(|(name, metric)| match metric {
-                Metric::Counter(c) => Some((name.clone(), Arc::clone(c))),
-                _ => None,
-            })
+            .filter_map(|(name, metric)| Some((name.clone(), metric.total()?)))
             .collect()
     }
 
@@ -180,6 +209,7 @@ impl Registry {
                 name: name.clone(),
                 value: match metric {
                     Metric::Counter(c) => MetricValue::Counter(c.total()),
+                    Metric::CounterView(read) => MetricValue::Counter(read()),
                     Metric::Gauge(g) => MetricValue::Gauge {
                         value: g.get(),
                         max: g.max(),
@@ -349,21 +379,61 @@ mod tests {
     }
 
     #[test]
-    fn counter_handles_are_the_live_counters_sorted_by_name() {
+    fn counter_totals_list_cells_and_views_sorted_by_name() {
         let reg = Registry::new();
-        reg.counter("b");
+        reg.counter("c").add(3);
         reg.counter("a");
-        reg.counter("a"); // re-registration: same handle
+        reg.counter("a"); // re-registration: same cell
+        reg.counter_view("b", || 7);
         reg.gauge("g"); // other metric kinds are not counters
         reg.histogram("h");
-        // Handles are live: writing through one is visible everywhere.
-        let handles = reg.counter_handles();
-        assert_eq!(
-            handles.iter().map(|(n, _)| n.as_str()).collect::<Vec<_>>(),
-            ["a", "b"]
-        );
-        handles[0].1.add(5);
-        assert_eq!(reg.snapshot(Nanos::ZERO).counter("a"), 5);
+        let totals = reg.counter_totals();
+        assert_eq!(totals, [("a".into(), 0), ("b".into(), 7), ("c".into(), 3)]);
+        // A snapshot cannot tell a view from a cell.
+        let snap = reg.snapshot(Nanos::ZERO);
+        assert_eq!(snap.get("b"), Some(&MetricValue::Counter(7)));
+    }
+
+    #[test]
+    fn a_view_registered_again_continues_its_total() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        let reg = Registry::new();
+        let owner = |tally: &Arc<AtomicU64>| {
+            let tally = Arc::clone(tally);
+            move || tally.load(Ordering::Relaxed)
+        };
+        let first = Arc::new(AtomicU64::new(5));
+        reg.counter_view("v", owner(&first));
+        // The same owner again counts nothing twice.
+        reg.counter_view("v", owner(&first));
+        assert_eq!(reg.snapshot(Nanos::ZERO).counter("v"), 5);
+        // A new owner continues from where the old one stands, and the
+        // old one no longer counts.
+        let second = Arc::new(AtomicU64::new(2));
+        reg.counter_view("v", owner(&second));
+        assert_eq!(reg.snapshot(Nanos::ZERO).counter("v"), 5);
+        second.fetch_add(4, Ordering::Relaxed);
+        first.fetch_add(100, Ordering::Relaxed);
+        assert_eq!(reg.counter_totals(), [("v".into(), 9)]);
+        // The same owner after it counted: still one count.
+        reg.counter_view("v", owner(&second));
+        assert_eq!(reg.snapshot(Nanos::ZERO).counter("v"), 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "already registered")]
+    fn a_cell_on_a_views_name_is_a_type_conflict() {
+        let reg = Registry::new();
+        reg.counter_view("x", || 0);
+        reg.counter("x");
+    }
+
+    #[test]
+    #[should_panic(expected = "already registered")]
+    fn a_view_on_a_cells_name_is_a_type_conflict() {
+        let reg = Registry::new();
+        reg.counter("x");
+        reg.counter_view("x", || 0);
     }
 
     #[test]
