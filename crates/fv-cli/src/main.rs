@@ -57,8 +57,9 @@
 //! Scripts use the `tc`-style dialect documented in
 //! `flowvalve::frontend`; `-` reads from stdin. Valued flags accept
 //! `--flag value` and `--flag=value`, once each; an unknown flag, a missing
-//! value, an unparsable number and a valued flag given twice each exit 2
-//! with the flag named above the usage line.
+//! value, an unparsable number, a valued flag given twice and two output
+//! formats (`--csv --prom`) each exit 2 with the flags named above the
+//! usage line.
 //!
 //! A reader that closes the pipe early (`fv top … | head -8`) ends `fv` the
 //! way it ends `yes`: killed by `SIGPIPE`, silently, which a shell reports
@@ -157,7 +158,8 @@ fn main() -> ExitCode {
 
 /// Splits the command line into flags and positionals. A valued flag
 /// takes its value after `=` or from the next argument. `Err` names the
-/// flag that is unknown, lacks its value or carries an unparsable number.
+/// flag that is unknown, lacks its value or carries an unparsable number,
+/// or the two output formats given.
 fn parse_args(args: &[String]) -> Result<(Flags, Vec<&str>), String> {
     let mut flags = Flags::default();
     let mut positional: Vec<&str> = Vec::new();
@@ -195,6 +197,21 @@ fn parse_args(args: &[String]) -> Result<(Flags, Vec<&str>), String> {
             ("--inject-mischarge", None) => flags.inject_mischarge = true,
             _ => return Err(format!("unknown flag {arg}")),
         }
+    }
+    // A subcommand's output formats are alternatives: refuse a second.
+    let mut formats = [
+        ("--json", flags.json),
+        ("--csv", flags.csv),
+        ("--jsonl", flags.jsonl),
+        ("--prom", flags.prom),
+        ("--folded", flags.folded),
+    ]
+    .into_iter()
+    .filter_map(|(name, given)| given.then_some(name));
+    if let (Some(first), Some(second)) = (formats.next(), formats.next()) {
+        return Err(format!(
+            "{first} and {second} are alternative output formats"
+        ));
     }
     Ok((flags, positional))
 }

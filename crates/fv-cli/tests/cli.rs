@@ -699,6 +699,18 @@ fn valued_flag_given_twice_is_refused() {
 }
 
 #[test]
+fn two_output_formats_are_refused() {
+    assert_refused(
+        &["timeseries", "--csv", "--prom"],
+        "--csv and --prom are alternative output formats",
+    );
+    assert_refused(
+        &["profile", "--folded", "--json"],
+        "--json and --folded are alternative output formats",
+    );
+}
+
+#[test]
 fn unparsable_number_is_refused() {
     assert_refused(&["timeseries", "--interval-us", "abc"], "--interval-us");
     assert_refused(&["timeseries", "--interval-us=abc"], "--interval-us");
