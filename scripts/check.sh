@@ -400,6 +400,12 @@ if $FV audit scripts/motivation.fv --inject-mischarge >/dev/null; then
 fi
 echo "audit ok: mischarge caught"
 
+echo "==> examples smoke (each runs to exit 0; scope_observability fails on its SLOs)"
+for example in quickstart latency_sensitive_priority scope_observability; do
+    cargo run --release -q --example "$example" >/dev/null \
+        || { echo "example $example failed"; exit 1; }
+done
+
 echo "==> benchmark/run.sh --smoke + its unit tests (the whole-path benchmark still builds and runs)"
 # The benchmark is a package of its own that compiles against the crates'
 # public API; a PR that breaks a name it or its tests use must fail here,
