@@ -199,19 +199,11 @@ fn parse_args(args: &[String]) -> Result<(Flags, Vec<&str>), String> {
         }
     }
     // A subcommand's output formats are alternatives: refuse a second.
-    let mut formats = [
-        ("--json", flags.json),
-        ("--csv", flags.csv),
-        ("--jsonl", flags.jsonl),
-        ("--prom", flags.prom),
-        ("--folded", flags.folded),
-    ]
-    .into_iter()
-    .filter_map(|(name, given)| given.then_some(name));
-    if let (Some(first), Some(second)) = (formats.next(), formats.next()) {
-        return Err(format!(
-            "{first} and {second} are alternative output formats"
-        ));
+    let given = [flags.json, flags.csv, flags.jsonl, flags.prom, flags.folded];
+    let names = ["--json", "--csv", "--jsonl", "--prom", "--folded"];
+    let mut formats = names.into_iter().zip(given).filter(|&(_, on)| on);
+    if let (Some((first, _)), Some((second, _))) = (formats.next(), formats.next()) {
+        return Err(format!("{first} and {second}: one output format at a time"));
     }
     Ok((flags, positional))
 }

@@ -702,11 +702,11 @@ fn valued_flag_given_twice_is_refused() {
 fn two_output_formats_are_refused() {
     assert_refused(
         &["timeseries", "--csv", "--prom"],
-        "--csv and --prom are alternative output formats",
+        "--csv and --prom: one output format at a time",
     );
     assert_refused(
         &["profile", "--folded", "--json"],
-        "--json and --folded are alternative output formats",
+        "--json and --folded: one output format at a time",
     );
 }
 

@@ -30,17 +30,6 @@ enum Metric {
     Histogram(Arc<Histogram>),
 }
 
-impl Metric {
-    /// The total of a counter or a counter view.
-    fn total(&self) -> Option<u64> {
-        match self {
-            Metric::Counter(c) => Some(c.total()),
-            Metric::CounterView(read) => Some(read()),
-            _ => None,
-        }
-    }
-}
-
 /// A name is one metric of one kind for the life of the registry.
 fn type_conflict(name: &str, requested: &str) -> ! {
     panic!("metric {name:?} already registered with another type (requested {requested})")
@@ -195,7 +184,11 @@ impl Registry {
         let metrics = self.inner.metrics.lock().unwrap();
         metrics
             .iter()
-            .filter_map(|(name, metric)| Some((name.clone(), metric.total()?)))
+            .filter_map(|(name, metric)| match metric {
+                Metric::Counter(c) => Some((name.clone(), c.total())),
+                Metric::CounterView(read) => Some((name.clone(), read())),
+                _ => None,
+            })
             .collect()
     }
 
