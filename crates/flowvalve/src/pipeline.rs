@@ -24,6 +24,17 @@ use crate::program::{ChainId, CompiledProgram};
 use crate::sched::{LockDiscipline, SchedVerdict, SimExec};
 use crate::tree::{ClassCounters, SchedulingTree, TreeParams};
 
+/// One tally of a class's [`ClassCounters`].
+type Tally = fn(ClassCounters) -> u64;
+
+/// The verdict tallies the registry reads from the tree, by name.
+const VERDICTS: [(&str, Tally); 4] = [
+    ("forwarded", |c| c.forwarded),
+    ("borrowed", |c| c.borrowed),
+    ("dropped", |c| c.dropped),
+    ("lent", |c| c.lent),
+];
+
 /// Registry wiring for the pipeline's per-class accounting
 /// (`fv.class.<id>.*` namespace, exact) and its per-packet records:
 /// classify/sched spans and verdict events, for sampled packets. The tree
@@ -41,15 +52,11 @@ impl PipelineTelemetry {
         let tx_bits = (0..tree.len())
             .map(|idx| {
                 let id = tree.node(idx).spec.id;
-                let view = |verdict: &str, of: fn(ClassCounters) -> u64| {
+                for (verdict, of) in VERDICTS {
                     let tree = Arc::clone(tree);
                     let read = move || tree.counters(id).map_or(0, of);
                     registry.counter_view(&format!("fv.class.{id}.{verdict}"), read);
-                };
-                view("forwarded", |c| c.forwarded);
-                view("borrowed", |c| c.borrowed);
-                view("dropped", |c| c.dropped);
-                view("lent", |c| c.lent);
+                }
                 registry.counter(&format!("fv.class.{id}.tx_bits"))
             })
             .collect();
@@ -378,17 +385,24 @@ impl FlowValvePipeline {
             FilterTable::from_rules(default, rules),
             self.compiled.cache_capacity,
         )?;
-        self.tree = Arc::new(tree);
+        let old = std::mem::replace(&mut self.tree, Arc::new(tree));
         self.reload_gen = self.reload_gen.wrapping_add(1);
         self.pending_compile_ops += self.compiled.program.compile_ops();
         self.update_hold = nic.freq.duration_of(Cycles::new(nic.costs.class_update));
         self.freq = nic.freq;
         self.framing = nic.framing;
         // Re-wire telemetry against the new tree: classes may have changed,
-        // and the fresh tree has no ring attached yet. Counters for classes
-        // that survive the reload keep accumulating.
+        // and the fresh tree has no ring attached yet. Every old class's
+        // verdict totals stay where they stand without holding on to the
+        // old tree; those of classes that survive the reload go on
+        // counting in the new one.
         if let Some(t) = &self.telemetry {
             let registry = t.registry.clone();
+            for id in old.class_ids() {
+                for (verdict, _) in VERDICTS {
+                    registry.counter_view(&format!("fv.class.{id}.{verdict}"), || 0);
+                }
+            }
             self.tree.attach_telemetry(&registry);
             self.telemetry = Some(PipelineTelemetry::new(&registry, &self.tree));
         }
@@ -1063,6 +1077,29 @@ mod tests {
             all.forwarded + all.borrowed + all.dropped,
             side.pipe.decision_cache_stats().0
         );
+    }
+
+    #[test]
+    fn a_class_a_reload_removes_keeps_its_totals_and_frees_the_old_tree() {
+        let mut side = Side::new(POLICY_V1);
+        let registry = Registry::new();
+        side.pipe.attach_telemetry(&registry);
+        for id in 0..2_000 {
+            side.decide(&pkt(id, 5002), Nanos::from_nanos(id * 1_000));
+        }
+        let forwarded = side.pipe.tree().counters(ClassId(20)).unwrap().forwarded;
+        assert!(forwarded > 0);
+        let old = Arc::downgrade(side.pipe.tree());
+        side.reload(
+            "fv qdisc add dev nic0 root handle 1: fv\n\
+             fv class add dev nic0 parent root classid 1:1 rate 10gbit\n\
+             fv class add dev nic0 parent 1:1 classid 1:10\n\
+             fv filter add dev nic0 match ip dport 5001 flowid 1:10\n",
+        )
+        .unwrap();
+        assert!(old.upgrade().is_none(), "a view still holds the old tree");
+        let snap = registry.snapshot(Nanos::ZERO);
+        assert_eq!(snap.counter("fv.class.1:20.forwarded"), forwarded);
     }
 
     /// The traffic generator's state and what the traffic so far has put
