@@ -24,7 +24,6 @@ use crate::program::{ChainId, CompiledProgram};
 use crate::sched::{LockDiscipline, SchedVerdict, SimExec};
 use crate::tree::{ClassCounters, SchedulingTree, TreeParams};
 
-/// One tally of a class's [`ClassCounters`].
 type Tally = fn(ClassCounters) -> u64;
 
 /// The verdict tallies the registry reads from the tree, by name.
@@ -37,9 +36,8 @@ const VERDICTS: [(&str, Tally); 4] = [
 
 /// Registry wiring for the pipeline's per-class accounting
 /// (`fv.class.<id>.*` namespace, exact) and its per-packet records:
-/// classify/sched spans and verdict events, for sampled packets. The tree
-/// counts every verdict, and the registry reads those tallies as views,
-/// so the one cell written here is each class's `tx_bits`.
+/// classify/sched spans and verdict events, for sampled packets. The
+/// verdicts are views over the tree's tallies; `tx_bits` is a cell.
 struct PipelineTelemetry {
     registry: Registry,
     /// Wire bits passed per class, indexed by the tree's node index.
@@ -67,11 +65,10 @@ impl PipelineTelemetry {
         }
     }
 
-    /// Counts the wire bits a passing verdict sends (every packet) and
-    /// traces the verdict (sampled packets). The leaf's cell is found
-    /// through the node index its chain ends in: no hashing. The add is
-    /// single-writer: the one caller is `decide`, from behind the
-    /// pipeline's `&mut self`.
+    /// Counts a passing verdict's wire bits in its leaf's cell, found by
+    /// node index (every packet), and traces the verdict (sampled packets).
+    /// The add is single-writer: the one caller is `decide`, from behind
+    /// the pipeline's `&mut self`.
     fn record(
         &self,
         now: Nanos,
@@ -308,11 +305,10 @@ impl FlowValvePipeline {
         self.audit = Some(AuditHook { ring, sampler });
     }
 
-    /// Wires per-class counters (`fv.class.<id>.*`, exact: the verdicts
-    /// as views over [`SchedulingTree::counters`], plus `tx_bits`), the
-    /// classify/sched spans and verdict trace events of sampled packets,
-    /// and the tree's refill telemetry into `registry`.
-    /// Typically called with the same registry the owning
+    /// Wires per-class counters (`fv.class.<id>.*`, exact; verdicts read
+    /// from [`SchedulingTree::counters`]), the classify/sched spans and
+    /// verdict trace events of sampled packets, and the tree's refill
+    /// telemetry into `registry`. Typically called with the same registry the owning
     /// [`np_sim::nic::SmartNic`] records into, so one snapshot covers the
     /// whole pipeline.
     pub fn attach_telemetry(&mut self, registry: &Registry) {
@@ -392,10 +388,9 @@ impl FlowValvePipeline {
         self.freq = nic.freq;
         self.framing = nic.framing;
         // Re-wire telemetry against the new tree: classes may have changed,
-        // and the fresh tree has no ring attached yet. Every old class's
-        // verdict totals stay where they stand without holding on to the
-        // old tree; those of classes that survive the reload go on
-        // counting in the new one.
+        // and the fresh tree has no ring attached yet. The old tree's
+        // verdict views freeze at their totals and let it go; the new
+        // tree's continue those of the classes it keeps.
         if let Some(t) = &self.telemetry {
             let registry = t.registry.clone();
             for id in old.class_ids() {
@@ -1017,7 +1012,7 @@ mod tests {
     }
 
     #[test]
-    fn the_registry_reads_verdict_counts_across_a_reload() {
+    fn the_registry_reads_verdict_counts_across_reloads() {
         // About 12 Gbps, seven packets in eight to the busy class, which
         // alternates every 256 packets: both leaves forward, borrow, lend
         // and drop.
@@ -1040,56 +1035,27 @@ mod tests {
         side.pipe.attach_telemetry(&registry);
         assert_eq!(registry.counter_totals(), totals);
 
-        // Each class's four counters are the old tree's counts at the
-        // reload plus the new tree's.
+        // Each class's counters are the old tree's counts at the reload
+        // plus the new tree's, and the leaves' verdicts are the decisions.
         let snap = registry.snapshot(Nanos::ZERO);
-        let new = side.pipe.tree();
-        let mut all = ClassCounters::default();
-        for id in new.class_ids() {
+        let read = |id, verdict| snap.counter(&format!("fv.class.{id}.{verdict}"));
+        let (new, ids) = (side.pipe.tree(), old.class_ids());
+        let sum = |verdict| ids.iter().map(|&id| read(id, verdict)).sum::<u64>();
+        for &id in &ids {
             let (a, b) = (old.counters(id).unwrap(), new.counters(id).unwrap());
-            let read = |verdict: &str| snap.counter(&format!("fv.class.{id}.{verdict}"));
-            let registered = ClassCounters {
-                forwarded: read("forwarded"),
-                borrowed: read("borrowed"),
-                dropped: read("dropped"),
-                lent: read("lent"),
-            };
-            let both = ClassCounters {
-                forwarded: a.forwarded + b.forwarded,
-                borrowed: a.borrowed + b.borrowed,
-                dropped: a.dropped + b.dropped,
-                lent: a.lent + b.lent,
-            };
-            assert_eq!(registered, both, "{id}");
-            all.forwarded += registered.forwarded;
-            all.borrowed += registered.borrowed;
-            all.dropped += registered.dropped;
-            all.lent += registered.lent;
+            for (verdict, of) in VERDICTS {
+                assert_eq!(read(id, verdict), of(a) + of(b), "{id} {verdict}");
+            }
         }
-        for tree in [&old, new] {
-            let c = tree.counters(ClassId(10)).unwrap();
-            assert!(c.forwarded > 0 && c.borrowed > 0, "{c:?}");
-        }
-        assert!(all.dropped > 0, "{all:?}");
-        assert_eq!(all.lent, all.borrowed);
-        // Verdicts are counted at leaves only, one per decision.
-        assert_eq!(
-            all.forwarded + all.borrowed + all.dropped,
-            side.pipe.decision_cache_stats().0
-        );
-    }
+        assert!(old.counters(ClassId(10)).unwrap().borrowed > 0 && sum("dropped") > 0);
+        assert_eq!(sum("lent"), sum("borrowed"));
+        let decided = sum("forwarded") + sum("borrowed") + sum("dropped");
+        assert_eq!(decided, side.pipe.decision_cache_stats().0);
 
-    #[test]
-    fn a_class_a_reload_removes_keeps_its_totals_and_frees_the_old_tree() {
-        let mut side = Side::new(POLICY_V1);
-        let registry = Registry::new();
-        side.pipe.attach_telemetry(&registry);
-        for id in 0..2_000 {
-            side.decide(&pkt(id, 5002), Nanos::from_nanos(id * 1_000));
-        }
-        let forwarded = side.pipe.tree().counters(ClassId(20)).unwrap().forwarded;
-        assert!(forwarded > 0);
-        let old = Arc::downgrade(side.pipe.tree());
+        // A reload that removes 1:20 keeps every total where it stands and
+        // lets both earlier trees go.
+        let trees = [Arc::downgrade(&old), Arc::downgrade(new)];
+        drop(old);
         side.reload(
             "fv qdisc add dev nic0 root handle 1: fv\n\
              fv class add dev nic0 parent root classid 1:1 rate 10gbit\n\
@@ -1097,9 +1063,8 @@ mod tests {
              fv filter add dev nic0 match ip dport 5001 flowid 1:10\n",
         )
         .unwrap();
-        assert!(old.upgrade().is_none(), "a view still holds the old tree");
-        let snap = registry.snapshot(Nanos::ZERO);
-        assert_eq!(snap.counter("fv.class.1:20.forwarded"), forwarded);
+        assert!(trees.iter().all(|t| t.upgrade().is_none()));
+        assert_eq!(registry.counter_totals(), totals);
     }
 
     /// The traffic generator's state and what the traffic so far has put

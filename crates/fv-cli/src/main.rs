@@ -57,9 +57,8 @@
 //! Scripts use the `tc`-style dialect documented in
 //! `flowvalve::frontend`; `-` reads from stdin. Valued flags accept
 //! `--flag value` and `--flag=value`, once each; an unknown flag, a missing
-//! value, an unparsable number, a valued flag given twice and two output
-//! formats (`--csv --prom`) each exit 2 with the flags named above the
-//! usage line.
+//! value, an unparsable number, a valued flag given twice and a second
+//! output format each exit 2 with the flags named above the usage line.
 //!
 //! A reader that closes the pipe early (`fv top … | head -8`) ends `fv` the
 //! way it ends `yes`: killed by `SIGPIPE`, silently, which a shell reports
@@ -158,8 +157,7 @@ fn main() -> ExitCode {
 
 /// Splits the command line into flags and positionals. A valued flag
 /// takes its value after `=` or from the next argument. `Err` names the
-/// flag that is unknown, lacks its value or carries an unparsable number,
-/// or the two output formats given.
+/// flag that is unknown, valueless, unparsable or repeated, or a second format.
 fn parse_args(args: &[String]) -> Result<(Flags, Vec<&str>), String> {
     let mut flags = Flags::default();
     let mut positional: Vec<&str> = Vec::new();
