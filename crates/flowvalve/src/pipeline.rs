@@ -308,9 +308,9 @@ impl FlowValvePipeline {
     /// Wires per-class counters (`fv.class.<id>.*`, exact; verdicts read
     /// from [`SchedulingTree::counters`]), the classify/sched spans and
     /// verdict trace events of sampled packets, and the tree's refill
-    /// telemetry into `registry`. Typically called with the same registry the owning
-    /// [`np_sim::nic::SmartNic`] records into, so one snapshot covers the
-    /// whole pipeline.
+    /// telemetry into `registry`. Typically called with the same registry
+    /// the owning [`np_sim::nic::SmartNic`] records into, so one snapshot
+    /// covers the whole pipeline.
     pub fn attach_telemetry(&mut self, registry: &Registry) {
         self.tree.attach_telemetry(registry);
         self.telemetry = Some(PipelineTelemetry::new(registry, &self.tree));

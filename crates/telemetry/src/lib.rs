@@ -10,8 +10,8 @@
 //!   relaxed atomics only.
 //! * [`Counter`] / [`Gauge`] / [`Histogram`] — one-word counters (one
 //!   cell per exact tally, written with a plain add by the component that
-//!   owns it, or a view over a count the owner keeps itself:
-//!   [`Registry::counter_view`]), occupancy gauges with high-water marks and log-linear
+//!   owns it, or a [`Registry::counter_view`] over a count the owner
+//!   keeps itself), occupancy gauges with high-water marks and log-linear
 //!   latency histograms. Rates are read off counters by `fv-scope`'s
 //!   `TimeSampler`; nothing here keeps a second series.
 //! * [`Ring`] — the one overwrite-oldest ring (try-lock slots, a writer
