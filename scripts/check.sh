@@ -314,12 +314,14 @@ chaos scripts/motivation.fv --plan scripts/tm_drop.chaos
 chaos scripts/motivation.fv --plan scripts/reconfig.chaos --json
 timeseries scripts/motivation.fv
 timeseries scripts/motivation.fv --jsonl
+timeseries scripts/motivation.fv --prom
 profile scripts/motivation.fv
 profile scripts/motivation.fv --folded
 profile scripts/motivation.fv --json
 top scripts/motivation.fv
 why scripts/motivation.fv --pkt 103
 why scripts/motivation.fv --pkt 103 --json
+why scripts/motivation.fv --flow 1:30
 audit scripts/motivation.fv
 audit scripts/motivation.fv --json
 audit scripts/motivation.fv --plan scripts/demo.chaos --json
