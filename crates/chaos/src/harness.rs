@@ -5,11 +5,11 @@
 //! filter, each offered an equal slice of 1.5x line rate for 10 ms on the
 //! Agilio CX 40G model — through [`np_sim::harness::drive`], and both go
 //! through the same private fixture: it builds the NIC, the registry and
-//! whatever [`Attachments`] asks for (every observer is built here, so a
-//! caller only says which), drives the sources, and tears the run down
-//! into a [`Run`] (gauge sync, lock profile, bucket slab, ledger fold,
-//! snapshot, attribution profile). The two entry points differ only in
-//! their per-packet closure.
+//! every observer (a caller only picks the sampler's interval and whether
+//! provenance is kept, through [`Attachments`]), drives the sources, and
+//! tears the run down into a [`Run`] (gauge sync, lock profile, bucket
+//! slab, ledger fold, snapshot, attribution profile). The two entry points
+//! differ only in their per-packet closure.
 //!
 //! [`run_chaos`] installs one [`ChaosController`] as the fault injector of
 //! the NIC (traffic manager, worker pool, lock table) and of the FlowValve
@@ -57,26 +57,31 @@ const HORIZON: Nanos = Nanos::from_millis(10);
 /// Source addresses run from 10.0.0.10 to 10.0.0.255, one per filter.
 pub const MAX_FLOWS: usize = 246;
 
+/// Event-ring slots of every run's registry. A 10 ms run of
+/// `scripts/motivation.fv` records 5 102 events, so the ring keeps the
+/// whole run and `fv trace` and every flight-recorder dump see all of it.
+const RING_CAPACITY: usize = 1 << 17;
+
 /// Provenance-ring slots: the newest 4096 sampled decisions. At the
 /// registry's 1 packet in 64 that is more than a run makes, so `fv why` and
 /// `fv audit` see every one.
 const AUDIT_RING_CAPACITY: usize = 4096;
 
-/// The observers a saturation run carries. Every one of them is an
-/// observer only: the packet-level outcome of a run is the same whatever
-/// is attached. None of them chooses a sampling rate: spans, per-packet
-/// trace events, the probe's feed and provenance all follow the run
-/// registry's one per-packet decision (`fv_telemetry::Sampler`).
+/// What a caller chooses of a saturation run's observers. Every run
+/// carries a registry whose event ring holds the whole run, a
+/// virtual-time sampler and the attribution probes (a [`CycleAttr`] sized
+/// for the NIC model on the cost meter, a [`LatencyAttr`] on the span
+/// path). Every one of them is an observer only: the packet-level outcome
+/// of a run is the same whatever is attached. None of them chooses a
+/// sampling rate: spans, per-packet trace events, the probe's feed and
+/// provenance all follow the run registry's one per-packet decision
+/// (`fv_telemetry::Sampler`).
 #[derive(Clone)]
 pub struct Attachments {
-    /// Event-ring capacity (`fv trace` wants a deep ring).
-    pub ring_capacity: usize,
-    /// Attach a virtual-time sampler with this configuration.
-    pub sampler: Option<SamplerConfig>,
-    /// Attach the attribution probes: a [`CycleAttr`] sized for the NIC
-    /// model on the cost meter and a [`LatencyAttr`] on the registry's
-    /// span path, folded into [`Run::probe`] after the run.
-    pub probe: bool,
+    /// The sampler's configuration (default: 1 ms frames). [`run_chaos`]
+    /// judges recovery on 100 µs frames and samples at that interval
+    /// whatever this says.
+    pub sampler: SamplerConfig,
     /// Attach provenance capture for the packets the run's registry
     /// samples; after the run the records are folded through the
     /// conservation ledger into `audit.*` counters. Every sampled packet
@@ -85,12 +90,10 @@ pub struct Attachments {
 }
 
 impl Default for Attachments {
-    /// What `fv demo` carries: a shallow event ring and provenance capture.
+    /// What `fv demo` carries: 1 ms sampler frames and provenance capture.
     fn default() -> Self {
         Attachments {
-            ring_capacity: 1024,
-            sampler: None,
-            probe: false,
+            sampler: SamplerConfig::default(),
             audit: true,
         }
     }
@@ -156,10 +159,10 @@ pub struct Run {
     pub flow_names: Vec<(u64, FlowKey)>,
     /// Per-lock contention rows, collected on every run (cheap).
     pub lock_profile: Vec<PerLockStats>,
-    /// The sampler that watched the run, when one was attached.
-    pub sampler: Option<TimeSampler>,
-    /// The attribution profile, when the probes were attached.
-    pub probe: Option<ProbeReport>,
+    /// The sampler that watched the run.
+    pub sampler: TimeSampler,
+    /// The attribution profile the probes folded to.
+    pub probe: ProbeReport,
     /// Provenance capture, when auditing was attached.
     pub audit: Option<Audit>,
 }
@@ -311,16 +314,16 @@ fn pipeline_of(nic: &mut SmartNic) -> &mut FlowValvePipeline {
 
 /// One saturation run between set-up and tear-down: `build`, then any
 /// hooks the caller installs on `nic`/`registry`, then `drive`, then
-/// `finish`.
+/// `finish` with the sampler `drive` returned.
 struct Fixture {
     cfg: NicConfig,
     registry: Registry,
     nic: SmartNic,
     tree: Arc<SchedulingTree>,
     sources: Vec<Source>,
-    sampler_cfg: Option<SamplerConfig>,
-    sampler: Option<TimeSampler>,
-    probe: Option<(Arc<CycleAttr>, Arc<LatencyAttr>)>,
+    sampler: SamplerConfig,
+    cycles: Arc<CycleAttr>,
+    latency: Arc<LatencyAttr>,
     audit: Option<Arc<ProvenanceRing>>,
     flow_names: Vec<(u64, FlowKey)>,
 }
@@ -331,7 +334,7 @@ impl Fixture {
         let sources = sources(policy, &cfg)?;
         let mut pipeline = FlowValvePipeline::compile(policy, TreeParams::default(), &cfg)
             .map_err(RunError::Compile)?;
-        let registry = Registry::with_ring_capacity(attach.ring_capacity);
+        let registry = Registry::with_ring_capacity(RING_CAPACITY);
         pipeline.attach_telemetry(&registry);
         let audit = attach.audit.then(|| {
             let sampler = registry.sampler();
@@ -341,13 +344,10 @@ impl Fixture {
         });
         let tree = pipeline.tree().clone();
         let mut nic = SmartNic::with_registry(cfg.clone(), Box::new(pipeline), &registry);
-        let probe = attach.probe.then(|| {
-            let cycles = Arc::new(CycleAttr::new(cfg.num_mes));
-            let latency = Arc::new(LatencyAttr::new());
-            nic.attach_probe(cycles.clone());
-            registry.install_span_sink(latency.clone());
-            (cycles, latency)
-        });
+        let cycles = Arc::new(CycleAttr::new(cfg.num_mes));
+        let latency = Arc::new(LatencyAttr::new());
+        nic.attach_probe(cycles.clone());
+        registry.install_span_sink(latency.clone());
         Ok(Fixture {
             flow_names: sources
                 .iter()
@@ -358,9 +358,9 @@ impl Fixture {
             nic,
             tree,
             sources,
-            sampler_cfg: attach.sampler,
-            sampler: None,
-            probe,
+            sampler: attach.sampler,
+            cycles,
+            latency,
             audit,
         })
     }
@@ -370,28 +370,25 @@ impl Fixture {
     }
 
     /// Merges the sources and hands each packet to `on_packet`, after the
-    /// sampler has been advanced to its arrival time.
-    fn drive(&mut self, seed: u64, mut on_packet: impl FnMut(&mut SmartNic, &Packet)) {
+    /// sampler has been advanced to its arrival time; returns the sampler.
+    fn drive(
+        &mut self,
+        seed: u64,
+        mut on_packet: impl FnMut(&mut SmartNic, &Packet),
+    ) -> TimeSampler {
         // Created here and not in `build`, so the counters the caller's
         // hooks registered are in its baseline.
-        let mut sampler = self
-            .sampler_cfg
-            .take()
-            .map(|cfg| TimeSampler::new(&self.registry, cfg));
+        let mut sampler = TimeSampler::new(&self.registry, self.sampler.clone());
         let nic = &mut self.nic;
         drive(std::mem::take(&mut self.sources), HORIZON, seed, |pkt| {
-            if let Some(s) = sampler.as_mut() {
-                s.advance_to(pkt.created_at);
-            }
+            sampler.advance_to(pkt.created_at);
             on_packet(nic, pkt);
         });
-        if let Some(s) = sampler.as_mut() {
-            s.advance_to(HORIZON);
-        }
-        self.sampler = sampler;
+        sampler.advance_to(HORIZON);
+        sampler
     }
 
-    fn finish(mut self) -> Run {
+    fn finish(mut self, sampler: TimeSampler) -> Run {
         // Publish cold-path gauges (per-engine utilization, θ/Γ) and capture.
         self.nic.sync_gauges(HORIZON);
         let live = self.pipeline();
@@ -405,9 +402,13 @@ impl Fixture {
         });
         let snapshot = self.registry.snapshot(HORIZON);
         let lock_profile = self.nic.per_lock_stats().to_vec();
-        let probe = self.probe.map(|(cycles, latency)| {
-            ProbeReport::build(&cycles, &lock_profile, &latency, &snapshot, HORIZON)
-        });
+        let probe = ProbeReport::build(
+            &self.cycles,
+            &lock_profile,
+            &self.latency,
+            &snapshot,
+            HORIZON,
+        );
         Run {
             snapshot,
             registry: self.registry,
@@ -416,7 +417,7 @@ impl Fixture {
             offered: slice_of(&self.cfg, self.flow_names.len()),
             flow_names: self.flow_names,
             lock_profile,
-            sampler: self.sampler,
+            sampler,
             probe,
             audit,
         }
@@ -424,7 +425,7 @@ impl Fixture {
 }
 
 /// Saturates every filtered class with an equal share of 1.5x line rate
-/// for 10 ms of simulated time, full telemetry attached.
+/// for 10 ms of simulated time, every observer attached.
 ///
 /// Deterministic: the same `(policy, seed)` yields the same [`Run`],
 /// whatever `attach` carries.
@@ -435,18 +436,18 @@ impl Fixture {
 /// [`MAX_FLOWS`], or does not compile.
 pub fn saturate(policy: &Policy, seed: u64, attach: Attachments) -> Result<Run, RunError> {
     let mut fx = Fixture::build(policy, attach)?;
-    fx.drive(seed, |nic, pkt| {
+    let sampler = fx.drive(seed, |nic, pkt| {
         let _ = nic.rx(pkt, pkt.created_at);
     });
-    Ok(fx.finish())
+    Ok(fx.finish(sampler))
 }
 
 /// Runs the saturation workload under `plan` and judges recovery.
 ///
 /// Deterministic: the same `(policy, plan)` pair produces a byte-identical
 /// [`ChaosReport::to_json`] document on every run. Recovery is judged on
-/// the sampled `nic.tx_bits` series, so a run whose `attach` names no
-/// sampler gets a 100 µs one.
+/// the sampled `nic.tx_bits` series, so the run samples every 100 µs
+/// whatever `attach.sampler` says.
 ///
 /// # Errors
 ///
@@ -458,9 +459,7 @@ pub fn run_chaos(
     plan: &FaultPlan,
     mut attach: Attachments,
 ) -> Result<ChaosReport, RunError> {
-    attach
-        .sampler
-        .get_or_insert_with(|| SamplerConfig::default().with_interval(Nanos::from_micros(100)));
+    attach.sampler = SamplerConfig::default().with_interval(Nanos::from_micros(100));
     let mut fx = Fixture::build(policy, attach)?;
     let cfg = fx.cfg.clone();
     for f in &plan.faults {
@@ -478,7 +477,7 @@ pub fn run_chaos(
     // `reconfig` faults hot-reload the policy; track the applied scale so
     // each window reloads exactly once on entry and once on exit.
     let mut applied_scale: Option<u64> = None;
-    fx.drive(plan.seed, |nic, pkt| {
+    let sampler = fx.drive(plan.seed, |nic, pkt| {
         let t = pkt.created_at;
         controller.note_transitions(t);
         let want_scale = plan.reconfig_scale_at(t);
@@ -507,7 +506,7 @@ pub fn run_chaos(
     fx.registry
         .gauge("chaos.tm_backlog_bytes")
         .set(fx.nic.tm_backlog_bytes(HORIZON));
-    let run = fx.finish();
+    let run = fx.finish(sampler);
 
     // One recovery assertion per fault window that ends early enough to
     // observe a post-settle window: aggregate throughput back in the root
@@ -546,8 +545,7 @@ pub fn run_chaos(
         }
     }
 
-    let sampler = run.sampler.as_ref().expect("attached above");
-    let recovery = evaluate(&slos, sampler, (Nanos::ZERO, HORIZON));
+    let recovery = evaluate(&slos, &run.sampler, (Nanos::ZERO, HORIZON));
     Ok(ChaosReport {
         plan: plan.clone(),
         run,
@@ -647,32 +645,66 @@ mod tests {
         );
     }
 
-    /// Attachments are observers: switching every one of them on moves no
-    /// NIC or per-class counter.
+    /// Observers are observers: the fully observed run counts what the
+    /// same sources count through an unobserved NIC and pipeline, NIC
+    /// tallies against `nic.stats()` and verdicts against the tree's.
     #[test]
     fn attachments_do_not_change_the_run() {
+        use fv_telemetry::MetricValue;
+
         let policy = Policy::parse(POLICY).unwrap();
-        let all = Attachments {
-            ring_capacity: 1 << 12,
-            sampler: Some(SamplerConfig::default().with_interval(Nanos::from_micros(50))),
-            probe: true,
-            audit: true,
-        };
-        let observed = saturate(&policy, 3, all).unwrap();
-        let plain = saturate(&policy, 3, bare()).unwrap();
-        assert!(observed.probe.is_some() && observed.sampler.is_some());
-        assert!(observed.snapshot.counter("audit.records") > 0);
-        let kept = |e: &&fv_telemetry::MetricEntry| {
-            matches!(e.value, fv_telemetry::MetricValue::Counter(_))
-                && (e.name.starts_with("nic.") || e.name.starts_with("fv.class."))
-        };
-        let counters = |run: &Run| -> Vec<_> {
-            let rows = run.snapshot.entries.iter().filter(kept);
-            rows.map(|e| (e.name.clone(), run.snapshot.counter(&e.name)))
-                .collect()
-        };
-        assert!(counters(&plain).len() > 10);
-        assert_eq!(counters(&observed), counters(&plain));
+        let observed = saturate(&policy, 3, Attachments::default()).unwrap();
+        let snap = &observed.snapshot;
+        assert!(snap.counter("audit.records") > 0);
+
+        let cfg = NicConfig::agilio_cx_40g();
+        let pipeline = FlowValvePipeline::compile(&policy, TreeParams::default(), &cfg).unwrap();
+        let tree = pipeline.tree().clone();
+        let mut nic = SmartNic::new(cfg.clone(), Box::new(pipeline));
+        drive(sources(&policy, &cfg).unwrap(), HORIZON, 3, |pkt| {
+            let _ = nic.rx(pkt, pkt.created_at);
+        });
+        let s = nic.stats();
+        let nic_tallies = [
+            ("nic.offered", s.offered),
+            ("nic.rx_drops", s.rx_drops),
+            ("nic.sched_drops", s.sched_drops),
+            ("nic.tail_drops", s.tail_drops),
+            ("nic.fault_drops", s.fault_drops),
+            ("nic.tx_packets", s.tx_packets),
+            ("nic.tx_bits", s.tx_bits),
+        ];
+        let counters = snap.entries.iter().filter_map(|e| match e.value {
+            MetricValue::Counter(v) => Some((e.name.as_str(), v)),
+            _ => None,
+        });
+        let mut checked = 0;
+        for (name, v) in counters {
+            if name.starts_with("nic.") {
+                let (_, bare) = nic_tallies
+                    .iter()
+                    .find(|(n, _)| *n == name)
+                    .unwrap_or_else(|| panic!("{name} has no `nic.stats()` field"));
+                assert_eq!(v, *bare, "{name}");
+                checked += 1;
+            }
+        }
+        for id in tree.class_ids() {
+            let c = tree.counters(id).unwrap();
+            let base = format!("fv.class.{id}");
+            for (verdict, bare) in [
+                ("forwarded", c.forwarded),
+                ("borrowed", c.borrowed),
+                ("dropped", c.dropped),
+                ("lent", c.lent),
+            ] {
+                let name = format!("{base}.{verdict}");
+                let read = snap.get(&name);
+                assert_eq!(read, Some(&MetricValue::Counter(bare)), "{name}");
+                checked += 1;
+            }
+        }
+        assert!(checked > 10 && s.tx_packets > 0 && s.sched_drops > 0);
     }
 
     /// The stage table a sampled run prints reads the distribution every

@@ -20,10 +20,11 @@
 //! - [`inject`] — the [`ChaosController`] answering every fault question
 //! - [`harness`] — the saturation workload behind `fv demo`, written
 //!   once: [`saturate`] runs it clean, [`run_chaos`] runs it faulted and
-//!   adds per-fault recovery assertions from fv-scope. Both take the
-//!   observers to carry as one [`Attachments`] value and leave a [`Run`]
-//!   behind; every `fv` subcommand and every resilience test goes through
-//!   one of the two.
+//!   adds per-fault recovery assertions from fv-scope. Both carry every
+//!   observer, take the caller's two choices (sampler interval, provenance
+//!   capture) as one [`Attachments`] value and leave a [`Run`] behind;
+//!   every `fv` subcommand and every resilience test goes through one of
+//!   the two.
 //!
 //! # Example
 //!

@@ -12,35 +12,33 @@
 //! fv stats <script.fv> [--json]  run the same demo and print
 //!                                `tc -s qdisc show`-style statistics
 //! fv trace <script.fv> [--out FILE]
-//!                                run the demo with per-packet span
-//!                                tracing and export a Chrome-trace JSON
+//!                                run the demo and export its per-packet
+//!                                span trace as a Chrome-trace JSON
 //!                                document (open in chrome://tracing or
 //!                                Perfetto); without --out the JSON goes
 //!                                to stdout
 //! fv timeseries <script.fv> [--csv|--jsonl|--prom] [--interval-us N]
-//!                                run the demo with the virtual-time
-//!                                sampler attached and export the
+//!               [--out FILE]     run the demo and export its sampler's
 //!                                counter-delta time series
 //! fv chaos <script.fv> --plan <plan> [--json] [--flight FILE]
 //!                                run the demo with the plan's faults
 //!                                injected and judge post-fault recovery
 //!                                (--json: deterministic, replayable
 //!                                report for diffing; --flight: write a
-//!                                flight-recorder dump covering the fault
-//!                                windows)
+//!                                flight-recorder dump of the whole run,
+//!                                fault windows included)
 //! fv profile <script.fv> [--folded|--json] [--out FILE]
-//!                                run the demo with the attribution
-//!                                profiler attached and print the
+//!                                run the demo and print the
 //!                                cycle/contention/latency profile
 //!                                (--folded: flamegraph folded stacks)
-//! fv top <script.fv>             run the profiled demo and print the
+//! fv top <script.fv>             run the demo and print the
 //!                                heaviest flows and most contended locks
 //! fv why <script.fv> --pkt <id>|--flow <class> [--json]
-//!                                run the demo with provenance capture and
-//!                                explain a sampled scheduling decision:
-//!                                every executed chain step with bucket
-//!                                tokens before/after, the deciding step,
-//!                                and whether the flow cache classified it
+//!                                run the demo and explain a sampled
+//!                                scheduling decision: every executed
+//!                                chain step with bucket tokens
+//!                                before/after, the deciding step, and
+//!                                whether the flow cache classified it
 //! fv audit <script.fv> [--plan <plan>] [--json] [--flight FILE]
 //!                                run the demo (or a faulted run under
 //!                                --plan) with provenance capture and fold
@@ -52,13 +50,14 @@
 //! ```
 //!
 //! `fv check` also accepts `--flight FILE`: on SLO violation it dumps the
-//! attribution profile plus the trace-ring tail for post-mortem analysis.
+//! attribution profile plus the run's trace ring for post-mortem analysis.
 //!
 //! Scripts use the `tc`-style dialect documented in
-//! `flowvalve::frontend`; `-` reads from stdin. Valued flags accept
-//! `--flag value` and `--flag=value`, once each; an unknown flag, a missing
+//! `flowvalve::frontend`; `-` reads from stdin. Flags may come anywhere on
+//! the line; valued flags accept `--flag value` and `--flag=value`, once
+//! each. An unknown flag, a flag the subcommand does not read, a missing
 //! value, an unparsable number, a valued flag given twice and a second
-//! output format each exit 2 with the flags named above the usage line.
+//! output format each exit 2 with the flag named above the usage line.
 //!
 //! A reader that closes the pipe early (`fv top … | head -8`) ends `fv` the
 //! way it ends `yes`: killed by `SIGPIPE`, silently, which a shell reports
@@ -72,7 +71,7 @@ use flowvalve::label::ClassId;
 use flowvalve::tree::{SchedulingTree, TreeParams};
 use fv_audit::{AuditVerdict, Ledger, ProvenanceRecord, StepKind};
 use fv_chaos::{run_chaos, saturate, Attachments, FaultPlan, Run};
-use fv_probe::{flight_doc, rank_locks, ProbeReport, UNATTRIBUTED};
+use fv_probe::{flight_doc, rank_locks, UNATTRIBUTED};
 use fv_scope::{chrome_trace, evaluate, latency_table, prometheus_text, SamplerConfig, Slo};
 use fv_telemetry::{JsonValue, MetricValue, Snapshot, ToJson, TraceEvent};
 use sim_core::time::Nanos;
@@ -88,28 +87,77 @@ fn read_script(path: &str) -> std::io::Result<String> {
     }
 }
 
+/// Every flag `fv` knows, with the name of its value; `None` marks a
+/// switch.
+const FLAGS: &[(&str, Option<&str>)] = &[
+    ("--json", None),
+    ("--csv", None),
+    ("--jsonl", None),
+    ("--prom", None),
+    ("--folded", None),
+    ("--inject-mischarge", None),
+    ("--out", Some("FILE")),
+    ("--interval-us", Some("N")),
+    ("--plan", Some("FILE")),
+    ("--flight", Some("FILE")),
+    ("--pkt", Some("ID")),
+    ("--flow", Some("CLASS")),
+];
+
+/// The output formats: alternatives, so a command line carries one at most.
+const FORMATS: [&str; 5] = ["--json", "--csv", "--jsonl", "--prom", "--folded"];
+
+/// What runs a subcommand.
+type Subcommand = fn(&Policy, &Flags) -> CmdResult;
+
+/// Every subcommand: its name, the flags it reads (any other exits 2) and
+/// its function. Dispatch and the usage text both read this table.
+const COMMANDS: &[(&str, &[&str], Subcommand)] = &[
+    ("check", &["--flight"], check),
+    ("show", &[], show),
+    ("demo", &["--json"], demo),
+    ("stats", &["--json"], stats),
+    ("trace", &["--out"], trace),
+    (
+        "timeseries",
+        &["--csv", "--jsonl", "--prom", "--interval-us", "--out"],
+        timeseries,
+    ),
+    ("chaos", &["--plan", "--json", "--flight"], chaos),
+    ("profile", &["--folded", "--json", "--out"], profile),
+    ("top", &[], top),
+    ("why", &["--pkt", "--flow", "--json"], why),
+    (
+        "audit",
+        &["--plan", "--json", "--flight", "--inject-mischarge"],
+        audit_cmd,
+    ),
+];
+
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: fv <check|show|demo|stats|trace|timeseries|chaos|profile|top|why|audit> \
-         <script.fv|-> [--json] [--out FILE] [--csv|--jsonl|--prom] \
-         [--interval-us N] [--plan FILE] [--folded] [--flight FILE] \
-         [--pkt ID] [--flow CLASS] [--inject-mischarge]"
-    );
+    eprintln!("usage: fv <subcommand> <script.fv|-> [flags]");
+    for &(name, flags, _) in COMMANDS {
+        let mut line = format!("  {name:<11}");
+        for &flag in flags {
+            match FLAGS.iter().find(|(name, _)| *name == flag) {
+                Some((_, Some(value))) => line.push_str(&format!(" [{flag} {value}]")),
+                _ => line.push_str(&format!(" [{flag}]")),
+            }
+        }
+        eprintln!("{}", line.trim_end());
+    }
     ExitCode::from(2)
 }
 
-/// Parsed command-line flags (everything after the positionals).
+/// The flags of one command line.
 #[derive(Default)]
 struct Flags {
-    json: bool,
-    csv: bool,
-    jsonl: bool,
-    prom: bool,
-    folded: bool,
+    /// The output format given (one of [`FORMATS`]), if any.
+    format: Option<&'static str>,
     out: Option<String>,
     interval_us: Option<u64>,
     plan: Option<String>,
-    /// Flight-recorder output path (`fv check` / `fv chaos`).
+    /// Flight-recorder output path (`fv check` / `fv chaos` / `fv audit`).
     flight: Option<String>,
     /// Packet id `fv why` explains.
     pkt: Option<u64>,
@@ -118,6 +166,41 @@ struct Flags {
     /// `fv audit` self-test: corrupt one provenance record before the
     /// ledger runs, proving a mischarge is caught (must exit 1).
     inject_mischarge: bool,
+}
+
+impl Flags {
+    /// Records flag `name` of [`FLAGS`] with the value that followed it.
+    /// `Err` when a valued flag has no value, an unparsable one or one
+    /// already, and on a second output format.
+    fn set(&mut self, name: &'static str, value: Option<&str>) -> Result<(), String> {
+        if FORMATS.contains(&name) {
+            return match self.format.replace(name) {
+                Some(first) if first != name => {
+                    Err(format!("{first} and {name}: one output format at a time"))
+                }
+                _ => Ok(()),
+            };
+        }
+        if name == "--inject-mischarge" {
+            self.inject_mischarge = true;
+            return Ok(());
+        }
+        let value = value.ok_or_else(|| format!("{name} needs a value"))?;
+        let number = || {
+            value
+                .parse::<u64>()
+                .map_err(|_| format!("{name}: `{value}` is not a non-negative integer"))
+        };
+        match name {
+            "--out" => once(&mut self.out, name, value.to_owned()),
+            "--interval-us" => once(&mut self.interval_us, name, number()?),
+            "--plan" => once(&mut self.plan, name, value.to_owned()),
+            "--flight" => once(&mut self.flight, name, value.to_owned()),
+            "--pkt" => once(&mut self.pkt, name, number()?),
+            "--flow" => once(&mut self.flow, name, value.to_owned()),
+            _ => unreachable!("{name} is a flag of FLAGS"),
+        }
+    }
 }
 
 /// What a subcommand returns: its exit code, or the message `main` prints
@@ -155,55 +238,49 @@ fn main() -> ExitCode {
     })
 }
 
-/// Splits the command line into flags and positionals. A valued flag
-/// takes its value after `=` or from the next argument. `Err` names the
-/// flag that is unknown, valueless, unparsable or repeated, or a second format.
-fn parse_args(args: &[String]) -> Result<(Flags, Vec<&str>), String> {
-    let mut flags = Flags::default();
-    let mut positional: Vec<&str> = Vec::new();
+/// Splits the command line into the subcommand, the script path and the
+/// flags, which may come anywhere. A valued flag takes its value after `=`
+/// or from the next argument. `Err` names an unknown flag, a flag the
+/// subcommand does not read, and whatever [`Flags::set`] refuses, or says
+/// the positionals are not one subcommand and one script.
+fn parse_args(args: &[String]) -> Result<(Subcommand, &str, Flags), String> {
+    let mut given = Vec::new();
+    let mut positional = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         if !arg.starts_with("--") {
-            positional.push(arg);
+            positional.push(arg.as_str());
             continue;
         }
         let (name, inline) = match arg.split_once('=') {
             Some((name, value)) => (name, Some(value)),
             None => (arg.as_str(), None),
         };
-        let mut value = || {
-            inline
-                .or_else(|| it.next().map(String::as_str))
-                .ok_or_else(|| format!("{name} needs a value"))
+        // A switch takes no value: `--json=1` is not a flag `fv` knows.
+        let known = FLAGS
+            .iter()
+            .find(|(flag, value)| *flag == name && (value.is_some() || inline.is_none()));
+        let Some(&(name, valued)) = known else {
+            return Err(format!("unknown flag {arg}"));
         };
-        let number = |v: &str| {
-            v.parse::<u64>()
-                .map_err(|_| format!("{name}: `{v}` is not a non-negative integer"))
-        };
-        match (name, inline) {
-            ("--out", _) => once(&mut flags.out, name, value()?.to_owned())?,
-            ("--interval-us", _) => once(&mut flags.interval_us, name, number(value()?)?)?,
-            ("--plan", _) => once(&mut flags.plan, name, value()?.to_owned())?,
-            ("--flight", _) => once(&mut flags.flight, name, value()?.to_owned())?,
-            ("--pkt", _) => once(&mut flags.pkt, name, number(value()?)?)?,
-            ("--flow", _) => once(&mut flags.flow, name, value()?.to_owned())?,
-            ("--json", None) => flags.json = true,
-            ("--csv", None) => flags.csv = true,
-            ("--jsonl", None) => flags.jsonl = true,
-            ("--prom", None) => flags.prom = true,
-            ("--folded", None) => flags.folded = true,
-            ("--inject-mischarge", None) => flags.inject_mischarge = true,
-            _ => return Err(format!("unknown flag {arg}")),
+        let value = valued.and_then(|_| inline.or_else(|| it.next().map(String::as_str)));
+        given.push((name, value));
+    }
+    let [cmd, path] = positional[..] else {
+        return Err("expected a subcommand and a script".into());
+    };
+    let &(_, reads, subcommand) = COMMANDS
+        .iter()
+        .find(|(name, _, _)| *name == cmd)
+        .ok_or_else(|| format!("unknown subcommand {cmd}"))?;
+    let mut flags = Flags::default();
+    for (name, value) in given {
+        if !reads.contains(&name) {
+            return Err(format!("{cmd} does not read {name}"));
         }
+        flags.set(name, value)?;
     }
-    // A subcommand's output formats are alternatives: refuse a second.
-    let given = [flags.json, flags.csv, flags.jsonl, flags.prom, flags.folded];
-    let names = ["--json", "--csv", "--jsonl", "--prom", "--folded"];
-    let mut formats = names.into_iter().zip(given).filter(|&(_, on)| on);
-    if let (Some((first, _)), Some((second, _))) = (formats.next(), formats.next()) {
-        return Err(format!("{first} and {second}: one output format at a time"));
-    }
-    Ok((flags, positional))
+    Ok((subcommand, path, flags))
 }
 
 /// Fills valued flag `name`'s slot; `Err` when the flag was given before.
@@ -216,40 +293,16 @@ fn once<T>(slot: &mut Option<T>, name: &str, value: T) -> Result<(), String> {
 
 fn run() -> CmdResult {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (flags, positional) = match parse_args(&args) {
+    let (subcommand, path, flags) = match parse_args(&args) {
         Ok(parsed) => parsed,
         Err(msg) => {
             eprintln!("fv: {msg}");
             return Ok(usage());
         }
     };
-    let (cmd, path) = match positional.as_slice() {
-        [cmd, path] => (*cmd, *path),
-        _ => return Ok(usage()),
-    };
     let script = read_script(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let policy = Policy::parse(&script).map_err(|e| format!("parse error: {e}"))?;
-
-    match cmd {
-        "check" => check(&policy, &flags),
-        "show" => policy
-            .compile(TreeParams::default())
-            .map(|(tree, _, _)| {
-                print!("{}", tree.render());
-                ExitCode::SUCCESS
-            })
-            .map_err(|e| e.to_string()),
-        "demo" => demo(&policy, flags.json),
-        "stats" => stats(&policy, flags.json),
-        "trace" => trace(&policy, &flags),
-        "timeseries" => timeseries(&policy, &flags),
-        "chaos" => chaos(&policy, &flags),
-        "profile" => profile(&policy, &flags),
-        "top" => top(&policy),
-        "why" => why(&policy, &flags),
-        "audit" => audit_cmd(&policy, &flags),
-        _ => Ok(usage()),
-    }
+    subcommand(&policy, &flags)
 }
 
 /// Seed of every clean `fv` run.
@@ -260,12 +313,12 @@ fn run_demo(policy: &Policy, attach: Attachments) -> Result<Run, String> {
     saturate(policy, SEED, attach).map_err(|e| e.to_string())
 }
 
-/// Writes a flight-recorder document: the attribution profile of a run
-/// that carried the probes, plus `events`. A write failure is reported but
-/// does not change the verdict.
-fn write_flight(path: &str, trigger: &str, run: &Run, events: &[TraceEvent]) {
-    let report = run.probe.as_ref().expect("--flight attaches the probes");
-    let doc = flight_doc(trigger, run.horizon, report, events);
+/// Writes a flight-recorder document: the run's attribution profile plus
+/// every event of its trace ring, which holds the whole run. A write
+/// failure is reported but does not change the verdict.
+fn write_flight(path: &str, trigger: &str, run: &Run) {
+    let events = ring_events(run);
+    let doc = flight_doc(trigger, run.horizon, &run.probe, &events);
     match std::fs::write(path, doc.to_pretty()) {
         Ok(()) => println!(
             "wrote flight recorder {path} ({} trace events)",
@@ -296,17 +349,6 @@ fn emit(out: &Option<String>, text: &str) -> Result<(), String> {
     }
 }
 
-/// The demo with the attribution probes on, and the report they fold to.
-fn run_profiled(policy: &Policy) -> Result<(Run, ProbeReport), String> {
-    let attach = Attachments {
-        probe: true,
-        ..Attachments::default()
-    };
-    let mut run = run_demo(policy, attach)?;
-    let report = run.probe.take().expect("the probes were attached");
-    Ok((run, report))
-}
-
 /// Reads and parses the `--plan` file.
 fn load_plan(path: &str) -> Result<FaultPlan, String> {
     let text = read_script(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -324,11 +366,20 @@ fn fmt_bps(bps: u64) -> String {
     format!("{}", BitRate::from_bps(bps))
 }
 
+/// Prints the scheduling tree the policy compiles to.
+fn show(policy: &Policy, _: &Flags) -> CmdResult {
+    let (tree, _, _) = policy
+        .compile(TreeParams::default())
+        .map_err(|e| e.to_string())?;
+    print!("{}", tree.render());
+    Ok(ExitCode::SUCCESS)
+}
+
 /// Runs the saturation demo and prints per-class verdicts, all routed
 /// through the telemetry snapshot (`--json` dumps the whole snapshot).
-fn demo(policy: &Policy, json: bool) -> CmdResult {
+fn demo(policy: &Policy, flags: &Flags) -> CmdResult {
     let run = run_demo(policy, Attachments::default())?;
-    if json {
+    if flags.format == Some("--json") {
         println!("{}", run.snapshot.to_json().to_pretty());
         return Ok(ExitCode::SUCCESS);
     }
@@ -388,9 +439,9 @@ fn demo(policy: &Policy, json: bool) -> CmdResult {
 
 /// Runs the saturation demo and prints `tc -s qdisc show`-style per-class
 /// statistics from the telemetry snapshot.
-fn stats(policy: &Policy, json: bool) -> CmdResult {
+fn stats(policy: &Policy, flags: &Flags) -> CmdResult {
     let run = run_demo(policy, Attachments::default())?;
-    if json {
+    if flags.format == Some("--json") {
         println!("{}", run.snapshot.to_json().to_pretty());
         return Ok(ExitCode::SUCCESS);
     }
@@ -563,11 +614,11 @@ fn conformance_slos(tree: &SchedulingTree) -> (Vec<Slo>, Vec<String>) {
     (slos, notes)
 }
 
-/// Validates the policy, then runs the saturation demo with the sampler
-/// attached and evaluates the derived rate-conformance SLOs over the
-/// steady-state second half of the run. With `--flight FILE`, an SLO
-/// violation additionally dumps a flight-recorder document (attribution
-/// profile plus the trace-ring tail) for post-mortem analysis.
+/// Validates the policy, then runs the saturation demo and evaluates the
+/// derived rate-conformance SLOs on its sampler over the steady-state
+/// second half of the run. With `--flight FILE`, an SLO violation
+/// additionally dumps a flight-recorder document (attribution profile plus
+/// the trace ring) for post-mortem analysis.
 fn check(policy: &Policy, flags: &Flags) -> CmdResult {
     let (tree, rules, default) = policy
         .compile(TreeParams::default())
@@ -592,34 +643,24 @@ fn check(policy: &Policy, flags: &Flags) -> CmdResult {
         println!("conformance: skipped (no class carries a rate or ceil)");
         return Ok(ExitCode::SUCCESS);
     }
-    let attach = Attachments {
-        sampler: Some(SamplerConfig::default()),
-        probe: flags.flight.is_some(),
-        ..Attachments::default()
-    };
-    let run = run_demo(policy, attach)?;
-    let sampler = run.sampler.as_ref().expect("check attaches a sampler");
+    let run = run_demo(policy, Attachments::default())?;
     // Steady state: the second half of the run, past bucket warm-up.
     let window = (Nanos::from_nanos(run.horizon.as_nanos() / 2), run.horizon);
-    let report = evaluate(&slos, sampler, window);
+    let report = evaluate(&slos, &run.sampler, window);
     print!("{}", report.render());
     if report.passed() {
         return Ok(ExitCode::SUCCESS);
     }
     if let Some(path) = &flags.flight {
-        write_flight(path, "slo:conformance", &run, &ring_events(&run));
+        write_flight(path, "slo:conformance", &run);
     }
     Ok(ExitCode::FAILURE)
 }
 
-/// Runs the demo with a deep event ring and exports the span trace as a
+/// Runs the demo and exports the span trace of its whole event ring as a
 /// Chrome-trace JSON document, plus a per-stage latency table.
 fn trace(policy: &Policy, flags: &Flags) -> CmdResult {
-    let attach = Attachments {
-        ring_capacity: 1 << 17,
-        ..Attachments::default()
-    };
-    let run = run_demo(policy, attach)?;
+    let run = run_demo(policy, Attachments::default())?;
     let events = ring_events(&run);
     let doc = chrome_trace(&events);
     let spans = events.iter().filter(|e| e.kind.is_span()).count();
@@ -649,23 +690,19 @@ fn chaos(policy: &Policy, flags: &Flags) -> CmdResult {
         return Ok(ExitCode::from(2));
     };
     let plan = load_plan(plan_path)?;
-    // `--flight` attaches the attribution probes so the dump can say what
-    // the pipeline was doing across the fault windows.
     let attach = Attachments {
-        probe: flags.flight.is_some(),
         audit: false,
         ..Attachments::default()
     };
     let report = run_chaos(policy, &plan, attach).map_err(|e| e.to_string())?;
-    if flags.json {
+    if flags.format == Some("--json") {
         println!("{}", report.to_json().to_pretty());
     } else {
         print!("{}", report.render());
     }
     if let Some(path) = &flags.flight {
         let trigger = format!("chaos:{} fault windows", plan.faults.len());
-        let events = &report.run.snapshot.events;
-        write_flight(path, &trigger, &report.run, events);
+        write_flight(path, &trigger, &report.run);
     }
     Ok(if report.passed() {
         ExitCode::SUCCESS
@@ -674,8 +711,8 @@ fn chaos(policy: &Policy, flags: &Flags) -> CmdResult {
     })
 }
 
-/// Runs the demo with the virtual-time sampler attached and prints the
-/// counter-delta time series (CSV by default).
+/// Runs the demo and prints its sampler's counter-delta time series (CSV
+/// by default).
 fn timeseries(policy: &Policy, flags: &Flags) -> CmdResult {
     let mut cfg = SamplerConfig::default();
     if let Some(us) = flags.interval_us {
@@ -686,47 +723,41 @@ fn timeseries(policy: &Policy, flags: &Flags) -> CmdResult {
         cfg.interval = Nanos::from_nanos(ns);
     }
     let attach = Attachments {
-        sampler: Some(cfg),
+        sampler: cfg,
         ..Attachments::default()
     };
     let run = run_demo(policy, attach)?;
-    let sampler = run.sampler.as_ref().expect("timeseries attaches a sampler");
-    let text = if flags.prom {
-        prometheus_text(&run.snapshot)
-    } else if flags.jsonl {
-        sampler.to_jsonl()
-    } else {
-        sampler.to_csv()
+    let text = match flags.format {
+        Some("--prom") => prometheus_text(&run.snapshot),
+        Some("--jsonl") => run.sampler.to_jsonl(),
+        _ => run.sampler.to_csv(),
     };
     emit(&flags.out, &text)?;
     Ok(ExitCode::SUCCESS)
 }
 
-/// Runs the demo with the attribution probes attached and prints the
-/// cycle/contention/latency profile. `--folded` emits flamegraph folded
+/// Runs the demo and prints the cycle/contention/latency profile its
+/// attribution probes folded to. `--folded` emits flamegraph folded
 /// stacks (pipe into `inferno-flamegraph`); `--json` the full document.
 /// Attribution is deterministic: the same script yields byte-identical
 /// output on every run.
 fn profile(policy: &Policy, flags: &Flags) -> CmdResult {
-    let (_, report) = run_profiled(policy)?;
-    let text = if flags.folded {
-        report.folded()
-    } else if flags.json {
-        let mut s = report.to_json().to_pretty();
-        s.push('\n');
-        s
-    } else {
-        report.render()
+    let report = run_demo(policy, Attachments::default())?.probe;
+    let text = match flags.format {
+        Some("--folded") => report.folded(),
+        Some("--json") => format!("{}\n", report.to_json().to_pretty()),
+        _ => report.render(),
     };
     emit(&flags.out, &text)?;
     Ok(ExitCode::SUCCESS)
 }
 
-/// Runs the profiled demo and prints the heavy hitters: the flows that
-/// moved the most wire bits (named via the demo's flow table) and the
-/// most contended locks.
-fn top(policy: &Policy) -> CmdResult {
-    let (run, report) = run_profiled(policy)?;
+/// Runs the demo and prints the heavy hitters of its attribution profile:
+/// the flows that moved the most wire bits (named via the demo's flow
+/// table) and the most contended locks.
+fn top(policy: &Policy, _: &Flags) -> CmdResult {
+    let run = run_demo(policy, Attachments::default())?;
+    let report = &run.probe;
     println!(
         "top: {} spans of sampled packets (1 in {}) attributed across {} classes; \
          flow volumes count sampled packets\n",
@@ -805,7 +836,7 @@ fn why(policy: &Policy, flags: &Flags) -> CmdResult {
                 run.snapshot.sample_period()
             )
         })?;
-        if flags.json {
+        if flags.format == Some("--json") {
             println!("{}", rec.to_json().to_pretty());
         } else {
             print!("{}", rec.render());
@@ -823,7 +854,7 @@ fn why(policy: &Policy, flags: &Flags) -> CmdResult {
         if recs.is_empty() {
             return Err(format!("no sampled decisions for class {id}"));
         }
-        if flags.json {
+        if flags.format == Some("--json") {
             println!(
                 "{}",
                 JsonValue::arr(recs.iter().map(|r| r.to_json())).to_pretty()
@@ -858,10 +889,7 @@ fn why(policy: &Policy, flags: &Flags) -> CmdResult {
 /// the token-conservation ledger. Exits 1 on any conservation break;
 /// `--inject-mischarge` corrupts one record first as a gate self-test.
 fn audit_cmd(policy: &Policy, flags: &Flags) -> CmdResult {
-    let attach = Attachments {
-        probe: flags.flight.is_some(),
-        ..Attachments::default()
-    };
+    let attach = Attachments::default();
     let run = match &flags.plan {
         Some(path) => {
             run_chaos(policy, &load_plan(path)?, attach)
@@ -886,7 +914,7 @@ fn audit_cmd(policy: &Policy, flags: &Flags) -> CmdResult {
         }
     }
     let report = Ledger::audit(&records, &audit.slab);
-    if flags.json {
+    if flags.format == Some("--json") {
         println!("{}", report.to_json().to_pretty());
     } else {
         println!(
@@ -900,7 +928,26 @@ fn audit_cmd(policy: &Policy, flags: &Flags) -> CmdResult {
     }
     if let Some(path) = &flags.flight {
         let trigger = format!("audit:{} conservation violations", report.violations.len());
-        write_flight(path, &trigger, &run, &ring_events(&run));
+        write_flight(path, &trigger, &run);
     }
     Ok(ExitCode::FAILURE)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `COMMANDS` and `FLAGS` name the same flags: one only a table of
+    /// subcommands reads would be refused as unknown, one no subcommand
+    /// reads would be refused everywhere.
+    #[test]
+    fn every_flag_is_read_and_every_read_flag_is_known() {
+        let read: Vec<&str> = COMMANDS.iter().flat_map(|c| c.1.iter().copied()).collect();
+        for &flag in &read {
+            assert!(FLAGS.iter().any(|f| f.0 == flag), "{flag} is not in FLAGS");
+        }
+        for (flag, _) in FLAGS {
+            assert!(read.contains(flag), "no subcommand reads {flag}");
+        }
+    }
 }

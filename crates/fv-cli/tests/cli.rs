@@ -676,12 +676,25 @@ fn unknown_flag_is_refused() {
     assert_refused(&["demo", "--bogus"], "unknown flag --bogus");
     // A switch takes no value: `--json=1` is not a flag `fv` knows.
     assert_refused(&["demo", "--json=1"], "unknown flag --json=1");
+    // A flag `fv` knows is refused by a subcommand that does not read it.
+    assert_refused(&["demo", "--prom"], "demo does not read --prom");
+    assert_refused(
+        &["why", "--pkt", "103", "--folded"],
+        "why does not read --folded",
+    );
+    // Flags may come before the positionals too.
+    let f = write_script(GOOD);
+    let out = fv().args(["--csv", "demo"]).arg(&f.path).output();
+    let out = out.expect("fv runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("demo does not read --csv"), "{stderr}");
 }
 
 #[test]
 fn valued_flag_without_a_value_is_refused() {
-    for flag in ["--pkt", "--plan", "--out"] {
-        assert_refused(&["why", flag], &format!("{flag} needs a value"));
+    for (cmd, flag) in [("why", "--pkt"), ("chaos", "--plan"), ("trace", "--out")] {
+        assert_refused(&[cmd, flag], &format!("{flag} needs a value"));
     }
 }
 
@@ -701,7 +714,7 @@ fn valued_flag_given_twice_is_refused() {
 #[test]
 fn two_output_formats_are_refused() {
     assert_refused(&["timeseries", "--csv", "--prom"], "--csv and --prom:");
-    assert_refused(&["profile", "--folded", "--json"], "--json and --folded:");
+    assert_refused(&["profile", "--folded", "--json"], "--folded and --json:");
 }
 
 #[test]
@@ -789,6 +802,18 @@ fn chaos_flight_writes_profile_dump() {
             .and_then(JsonValue::as_u64)
             .unwrap()
             > 0
+    );
+    // The dump covers the fault window: its trace starts no later than
+    // the plan's first fault (2 ms), not in the run's last microseconds.
+    let trace = doc.get("trace").and_then(JsonValue::as_arr).unwrap();
+    let earliest = trace
+        .iter()
+        .filter_map(|e| e.get("at_ns").and_then(JsonValue::as_u64))
+        .min()
+        .expect("the dump carries trace events");
+    assert!(
+        earliest <= 2_000_000,
+        "earliest trace event at {earliest} ns"
     );
 }
 

@@ -2,7 +2,8 @@
 //!
 //! A [`TimeSampler`] is driven from the simulation's event loop: call
 //! [`TimeSampler::advance_to`] as virtual time moves, and on every
-//! interval boundary (a [`sim_core::tick::Ticker`] tick) it reads the
+//! interval boundary it crosses (`interval`, `2 * interval`, …: the end of
+//! each interval, so a frame covers the whole of it) it reads the
 //! registry's counter totals and appends one [`Frame`] of *deltas* — how
 //! much each counter grew over the closed interval. Frames live in a
 //! ring of [`FRAME_CAPACITY`]: when full, the oldest frame is discarded,
@@ -18,7 +19,6 @@ use std::collections::VecDeque;
 
 use fv_telemetry::json::JsonValue;
 use fv_telemetry::Registry;
-use sim_core::tick::Ticker;
 use sim_core::time::Nanos;
 
 /// Frames a [`TimeSampler`] retains; older frames are dropped. At the
@@ -91,7 +91,8 @@ pub struct Frame {
 pub struct TimeSampler {
     registry: Registry,
     cfg: SamplerConfig,
-    ticker: Ticker,
+    /// The next interval boundary to sample at.
+    next: Nanos,
     names: Vec<String>,
     index: HashMap<String, usize>,
     last: Vec<u64>,
@@ -101,13 +102,20 @@ pub struct TimeSampler {
 impl TimeSampler {
     /// Attaches a sampler to `registry`. Counters existing at attach time
     /// are baselined immediately; counters that register later join the
-    /// series at their first sampled tick.
+    /// series at their first sampled boundary.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.interval` is zero.
     pub fn new(registry: &Registry, cfg: SamplerConfig) -> TimeSampler {
-        let ticker = Ticker::new(cfg.interval);
+        assert!(
+            cfg.interval > Nanos::ZERO,
+            "sampling interval must be positive"
+        );
         let mut s = TimeSampler {
             registry: registry.clone(),
+            next: cfg.interval,
             cfg,
-            ticker,
             names: Vec::new(),
             index: HashMap::new(),
             last: Vec::new(),
@@ -135,21 +143,19 @@ impl TimeSampler {
     }
 
     /// Advances virtual time to `now`, emitting one frame per interval
-    /// boundary crossed. Call with monotonically non-decreasing times;
+    /// boundary crossed, a boundary at `now` included (the interval it
+    /// closes is complete). Call with monotonically non-decreasing times;
     /// calls that cross no boundary are cheap (one comparison).
     pub fn advance_to(&mut self, now: Nanos) {
-        if self.ticker.next_tick() > now {
-            return;
-        }
-        let due: Vec<Nanos> = self.ticker.due(now).collect();
-        for at in due {
-            self.sample_at(at);
+        while self.next <= now {
+            self.sample_at(self.next);
+            self.next += self.cfg.interval;
         }
     }
 
     fn sample_at(&mut self, at: Nanos) {
         // Counters come sorted by name. One that registered since the last
-        // tick joins with a zero baseline: its whole total accumulated
+        // frame joins with a zero baseline: its whole total accumulated
         // within sampled time, so it becomes the first frame's delta.
         let mut deltas = vec![0; self.names.len()];
         for (name, total) in self.registry.counter_totals() {
@@ -313,6 +319,29 @@ mod tests {
         c.add(50);
         s.advance_to(us(30));
         assert_eq!(s.to_csv(), "t_ns,x\n10000,100\n20000,0\n30000,50\n");
+    }
+
+    #[test]
+    fn time_standing_still_emits_no_frame() {
+        let reg = Registry::new();
+        reg.counter("x");
+        let mut s = TimeSampler::new(&reg, SamplerConfig::default().with_interval(us(10)));
+        let at = |s: &TimeSampler| s.frames().map(|f| f.at).collect::<Vec<_>>();
+        s.advance_to(us(9));
+        assert!(at(&s).is_empty());
+        // Every boundary crossed emits once, in order, one at `now` included.
+        s.advance_to(us(20));
+        assert_eq!(at(&s), [us(10), us(20)]);
+        s.advance_to(us(20));
+        s.advance_to(us(29));
+        assert_eq!(at(&s), [us(10), us(20)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn zero_interval_is_refused() {
+        let cfg = SamplerConfig::default().with_interval(Nanos::ZERO);
+        let _ = TimeSampler::new(&Registry::new(), cfg);
     }
 
     #[test]

@@ -44,7 +44,6 @@ pub mod fixed;
 pub mod rng;
 pub mod series;
 pub mod stats;
-pub mod tick;
 pub mod time;
 pub mod units;
 
@@ -54,6 +53,5 @@ pub use event::EventQueue;
 pub use rng::SimRng;
 pub use series::{BinnedSeries, SeriesRecorder};
 pub use stats::{Histogram, RunningStats};
-pub use tick::Ticker;
 pub use time::{Cycles, Freq, Nanos};
 pub use units::{BitRate, ByteSize, WireFraming};

@@ -41,8 +41,7 @@ fn chaos(plan: &str) -> fv_chaos::ChaosReport {
 
 /// The sampler recovery was judged on.
 fn sampler(report: &fv_chaos::ChaosReport) -> &fv_scope::TimeSampler {
-    let sampler = report.run.sampler.as_ref();
-    sampler.expect("run_chaos always attaches a sampler")
+    &report.run.sampler
 }
 
 #[test]
