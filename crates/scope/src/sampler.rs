@@ -321,20 +321,42 @@ mod tests {
         assert_eq!(s.to_csv(), "t_ns,x\n10000,100\n20000,0\n30000,50\n");
     }
 
-    #[test]
-    fn time_standing_still_emits_no_frame() {
+    fn frame_times(s: &TimeSampler) -> Vec<Nanos> {
+        s.frames().map(|f| f.at).collect()
+    }
+
+    fn sampler_every_10us() -> TimeSampler {
         let reg = Registry::new();
         reg.counter("x");
-        let mut s = TimeSampler::new(&reg, SamplerConfig::default().with_interval(us(10)));
-        let at = |s: &TimeSampler| s.frames().map(|f| f.at).collect::<Vec<_>>();
+        TimeSampler::new(&reg, SamplerConfig::default().with_interval(us(10)))
+    }
+
+    #[test]
+    fn boundaries_emit_once_in_order() {
+        let mut s = sampler_every_10us();
+        s.advance_to(us(35));
+        assert_eq!(frame_times(&s), [us(10), us(20), us(30)]);
+        s.advance_to(us(35));
+        assert_eq!(frame_times(&s), [us(10), us(20), us(30)]);
+    }
+
+    #[test]
+    fn boundary_exactly_at_now_emits() {
+        let mut s = sampler_every_10us();
         s.advance_to(us(9));
-        assert!(at(&s).is_empty());
-        // Every boundary crossed emits once, in order, one at `now` included.
-        s.advance_to(us(20));
-        assert_eq!(at(&s), [us(10), us(20)]);
-        s.advance_to(us(20));
+        assert!(frame_times(&s).is_empty());
+        s.advance_to(us(10));
+        assert_eq!(frame_times(&s), [us(10)]);
+    }
+
+    #[test]
+    fn time_standing_still_emits_no_frame() {
+        let mut s = sampler_every_10us();
+        s.advance_to(us(25));
+        assert_eq!(frame_times(&s), [us(10), us(20)]);
+        s.advance_to(us(25));
         s.advance_to(us(29));
-        assert_eq!(at(&s), [us(10), us(20)]);
+        assert_eq!(frame_times(&s), [us(10), us(20)]);
     }
 
     #[test]
