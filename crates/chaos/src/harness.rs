@@ -634,7 +634,7 @@ mod tests {
         let full = sources(&with_filters(MAX_FLOWS), &cfg).unwrap();
         let last = full.last().unwrap();
         assert_eq!(full.len(), 246);
-        assert_eq!(last.flow.src_ip, std::net::Ipv4Addr::new(10, 0, 0, 255));
+        assert_eq!(last.flow.src_ip(), std::net::Ipv4Addr::new(10, 0, 0, 255));
         assert_eq!((last.vf, last.app), (VfPort(245), AppId(245)));
         let err = sources(&with_filters(MAX_FLOWS + 1), &cfg).unwrap_err();
         assert_eq!(err, RunError::TooManyFilters(247));

@@ -15,11 +15,12 @@
 //! and lookups stay O(probe length) forever. The table is sized at twice
 //! the flow capacity, capping the load factor at 50%.
 //!
-//! A packet hashes its flow key once and probes once:
-//! [`FlowCache::get_or_insert_with`] is the whole miss-fill discipline in
-//! one call, and every entry keeps the low 32 bits of its hash — compared
-//! before the 13-byte key on the way down a probe chain, and read back
-//! (instead of re-hashing the key) when a deletion shifts the chain.
+//! A packet probes once, and hashes nothing: the flow key carries the low
+//! 32 bits of its hash ([`FlowKey::tag`]), worked out when the key was
+//! built. [`FlowCache::get_or_insert_with`] is the whole miss-fill
+//! discipline in one call; the tag yields the home slot, is compared
+//! before the rest of the 18-byte key on the way down a probe chain, and
+//! is read back from the resident key when a deletion shifts the chain.
 //!
 //! [FNV]: netstack::flow::FlowKey::stable_hash
 
@@ -56,11 +57,10 @@ pub struct CacheStats {
 
 #[derive(Debug, Clone, PartialEq)]
 struct Entry<V> {
+    /// The key's tag (`key.tag()`) yields its home slot: the slot array
+    /// never exceeds 2^21 slots.
     key: FlowKey,
     value: V,
-    /// Low 32 bits of `key.stable_hash()`. The slot array never exceeds
-    /// 2^21 slots, so the tag also yields the home slot.
-    tag: u32,
     /// Second-chance reference bit: set on hit, cleared by the clock hand.
     referenced: bool,
 }
@@ -117,16 +117,16 @@ impl<V> FlowCache<V> {
         }
     }
 
-    /// Probes linearly from the home slot of `hash` (`flow.stable_hash()`);
-    /// returns `Ok(slot)` on a key match or `Err(first_empty_slot)` on a
-    /// miss. Always terminates: the load factor never exceeds 50%.
+    /// Probes linearly from the home slot of `tag` (`flow.tag()` on the
+    /// packet path); returns `Ok(slot)` on a key match or
+    /// `Err(first_empty_slot)` on a miss. Always terminates: the load
+    /// factor never exceeds 50%.
     #[inline]
-    fn probe(&self, flow: &FlowKey, hash: u64) -> Result<usize, usize> {
-        let tag = hash as u32;
-        let mut i = hash as usize & self.mask;
+    fn probe(&self, flow: &FlowKey, tag: u32) -> Result<usize, usize> {
+        let mut i = tag as usize & self.mask;
         loop {
             match &self.slots[i] {
-                Some(e) if e.tag == tag && e.key == *flow => return Ok(i),
+                Some(e) if e.key.tag() == tag && e.key == *flow => return Ok(i),
                 Some(_) => i = (i + 1) & self.mask,
                 None => return Err(i),
             }
@@ -143,14 +143,15 @@ impl<V> FlowCache<V> {
     }
 
     /// Installs an *unreferenced* entry for an absent `flow` whose probe
-    /// ended at `empty`, clock-evicting a victim first if at capacity.
-    fn fill(&mut self, flow: FlowKey, hash: u64, mut empty: usize, value: V) -> &V {
+    /// from the home slot of `tag` ended at `empty`, clock-evicting a
+    /// victim first if at capacity.
+    fn fill(&mut self, flow: FlowKey, tag: u32, mut empty: usize, value: V) -> &V {
         if self.len >= self.capacity {
             // The eviction's backward shift leaves exactly one new hole.
             // The first empty slot on this flow's probe chain is whichever
             // of the old one and the hole comes first from the home slot.
             let hole = self.evict_one();
-            let home = hash as usize & self.mask;
+            let home = tag as usize & self.mask;
             if (hole.wrapping_sub(home) & self.mask) < (empty.wrapping_sub(home) & self.mask) {
                 empty = hole;
             }
@@ -159,13 +160,13 @@ impl<V> FlowCache<V> {
         let entry = self.slots[empty].insert(Entry {
             key: flow,
             value,
-            tag: hash as u32,
             referenced: false,
         });
         &entry.value
     }
 
-    /// The miss-fill discipline in one hash and one probe: a hit sets the
+    /// The miss-fill discipline in one probe from the key's carried tag: a
+    /// hit sets the
     /// entry's reference bit; a miss runs `walk` (the table walk), evicts
     /// if at capacity, and installs the verdict unreferenced. Counters,
     /// slot placement and victims are exactly those of a lookup followed,
@@ -177,22 +178,24 @@ impl<V> FlowCache<V> {
         flow: &FlowKey,
         walk: impl FnOnce() -> V,
     ) -> (&V, CacheResult) {
-        let hash = flow.stable_hash();
-        match self.probe(flow, hash) {
+        let tag = flow.tag();
+        match self.probe(flow, tag) {
             Ok(i) => (&self.hit(i).value, CacheResult::Hit),
             Err(empty) => {
                 self.stats.misses += 1;
-                (self.fill(*flow, hash, empty, walk()), CacheResult::Miss)
+                (self.fill(*flow, tag, empty, walk()), CacheResult::Miss)
             }
         }
     }
 
     /// Looks up `flow`, refreshing its recency on a hit. With `insert` and
     /// `peek`, the two-probe discipline `get_or_insert_with` is tested
-    /// against.
+    /// against; the three hash the five fields themselves
+    /// (`stable_hash`), so that test also holds each key's carried tag to
+    /// an independent hash.
     #[cfg(test)]
     fn lookup(&mut self, flow: &FlowKey) -> (Option<&V>, CacheResult) {
-        match self.probe(flow, flow.stable_hash()) {
+        match self.probe(flow, flow.stable_hash() as u32) {
             Ok(i) => (Some(&self.hit(i).value), CacheResult::Hit),
             Err(_) => {
                 self.stats.misses += 1;
@@ -205,15 +208,15 @@ impl<V> FlowCache<V> {
     /// capacity.
     #[cfg(test)]
     fn insert(&mut self, flow: FlowKey, verdict: V) {
-        let hash = flow.stable_hash();
-        match self.probe(&flow, hash) {
+        let tag = flow.stable_hash() as u32;
+        match self.probe(&flow, tag) {
             Ok(i) => {
                 let e = self.slots[i].as_mut().expect("probed occupied slot");
                 e.value = verdict;
                 e.referenced = true;
             }
             Err(empty) => {
-                self.fill(flow, hash, empty, verdict);
+                self.fill(flow, tag, empty, verdict);
             }
         }
     }
@@ -249,7 +252,7 @@ impl<V> FlowCache<V> {
     /// Reads an entry without touching recency or statistics.
     #[cfg(test)]
     fn peek(&self, flow: &FlowKey) -> Option<&V> {
-        match self.probe(flow, flow.stable_hash()) {
+        match self.probe(flow, flow.stable_hash() as u32) {
             Ok(i) => self.slots[i].as_ref().map(|e| &e.value),
             Err(_) => None,
         }
@@ -259,7 +262,7 @@ impl<V> FlowCache<V> {
     /// hole anywhere in a probe chain for `backward_shift_from` to close.
     #[cfg(test)]
     fn invalidate(&mut self, flow: &FlowKey) -> Option<V> {
-        match self.probe(flow, flow.stable_hash()) {
+        match self.probe(flow, flow.stable_hash() as u32) {
             Ok(i) => Some(self.remove_slot(i).0.value),
             Err(_) => None,
         }
@@ -274,7 +277,7 @@ impl<V> FlowCache<V> {
         loop {
             j = (j + 1) & self.mask;
             let Some(e) = &self.slots[j] else { return i };
-            let home = e.tag as usize & self.mask;
+            let home = e.key.tag() as usize & self.mask;
             if (j.wrapping_sub(home) & self.mask) >= (j.wrapping_sub(i) & self.mask) {
                 self.slots[i] = self.slots[j].take();
                 i = j;
@@ -311,11 +314,12 @@ mod tests {
     #[test]
     fn slot_sizes_stay_within_budget() {
         use std::mem::size_of;
-        // A 36-byte, 2-aligned verdict (an optional QoS label) and the
-        // pipeline's 12-byte compiled verdict, each with key, tag and
-        // reference bit; the empty-slot marker costs nothing extra.
-        assert!(size_of::<Option<Entry<[u16; 18]>>>() <= 56);
-        assert!(size_of::<Option<Entry<[u32; 3]>>>() <= 40);
+        // The pipeline's verdict, an `Option<ChainId>` (8 B, 4-aligned),
+        // beside the 18-byte key and its reference bit: 27 B, padded to
+        // 28. The empty-slot marker costs nothing extra, and the key's tag
+        // as bytes adds no alignment; a `u32` tag would make this 32.
+        assert_eq!(size_of::<FlowKey>(), 18);
+        assert_eq!(size_of::<Option<Entry<Option<u32>>>>(), 28);
     }
 
     #[test]
@@ -500,12 +504,11 @@ mod tests {
                 if c.len >= c.capacity {
                     c.evict_one();
                 }
-                let hash = f.stable_hash();
-                let empty = c.probe(f, hash).expect_err("absent after a miss");
+                let tag = f.stable_hash() as u32;
+                let empty = c.probe(f, tag).expect_err("absent after a miss");
                 c.slots[empty] = Some(Entry {
                     key: *f,
                     value: v,
-                    tag: hash as u32,
                     referenced: false,
                 });
                 c.len += 1;

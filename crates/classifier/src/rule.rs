@@ -83,27 +83,27 @@ impl FlowMatch {
     #[cfg(test)]
     pub fn matches(&self, flow: &FlowKey, vf: VfPort) -> bool {
         if let Some(c) = self.src {
-            if !c.contains(flow.src_ip) {
+            if !c.contains(flow.src_ip()) {
                 return false;
             }
         }
         if let Some(c) = self.dst {
-            if !c.contains(flow.dst_ip) {
+            if !c.contains(flow.dst_ip()) {
                 return false;
             }
         }
         if let Some(p) = self.src_port {
-            if p != flow.src_port {
+            if p != flow.src_port() {
                 return false;
             }
         }
         if let Some(p) = self.dst_port {
-            if p != flow.dst_port {
+            if p != flow.dst_port() {
                 return false;
             }
         }
         if let Some(p) = self.proto {
-            if p != flow.proto {
+            if p != flow.proto() {
                 return false;
             }
         }

@@ -95,12 +95,12 @@ impl MaskSig {
     fn key_of_flow(self, flow: &FlowKey, vf: VfPort) -> ExactKey {
         let has = |bit: u8| self.fields & bit != 0;
         pack(
-            u32::from(flow.src_ip) & self.src_mask,
-            u32::from(flow.dst_ip) & self.dst_mask,
-            if has(SIG_SPORT) { flow.src_port } else { 0 },
-            if has(SIG_DPORT) { flow.dst_port } else { 0 },
+            u32::from(flow.src_ip()) & self.src_mask,
+            u32::from(flow.dst_ip()) & self.dst_mask,
+            if has(SIG_SPORT) { flow.src_port() } else { 0 },
+            if has(SIG_DPORT) { flow.dst_port() } else { 0 },
             if has(SIG_PROTO) {
-                proto_key(flow.proto)
+                proto_key(flow.proto())
             } else {
                 0
             },

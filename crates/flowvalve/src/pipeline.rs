@@ -916,7 +916,7 @@ mod tests {
         }
 
         fn verdict(&self, p: &Packet, now: Nanos) -> AuditVerdict {
-            let label = &self.labels[usize::from(p.flow.dst_port - 5_001)];
+            let label = &self.labels[usize::from(p.flow.dst_port() - 5_001)];
             let bits = self.framing.wire_bits(p.frame_len as u64);
             match reference(&self.tree, label, bits, now) {
                 SchedVerdict::Forward => AuditVerdict::Forward,

@@ -242,7 +242,7 @@ fn decided(o: &Offered) -> bool {
 
 /// The leaf class `POLICY` files a packet under.
 fn class_of(pkt: &Packet) -> u64 {
-    match (pkt.vf.0, pkt.flow.dst_port) {
+    match (pkt.vf.0, pkt.flow.dst_port()) {
         (1, 5001) => 20,
         (1, 5002) => 30,
         _ => 10,

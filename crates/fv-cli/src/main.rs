@@ -1,56 +1,8 @@
 //! `fv` — the FlowValve command-line front end.
 //!
-//! ```text
-//! fv check <script.fv>           parse and validate a policy script,
-//!                                then run the saturation demo and check
-//!                                rate-conformance SLOs against it
-//! fv show  <script.fv>           print the compiled scheduling tree
-//! fv demo  <script.fv> [--json]  run a 10 ms saturation demo on the NIC
-//!                                model and print per-class rates and
-//!                                verdicts (--json: machine-readable
-//!                                telemetry snapshot)
-//! fv stats <script.fv> [--json]  run the same demo and print
-//!                                `tc -s qdisc show`-style statistics
-//! fv trace <script.fv> [--out FILE]
-//!                                run the demo and export its per-packet
-//!                                span trace as a Chrome-trace JSON
-//!                                document (open in chrome://tracing or
-//!                                Perfetto); without --out the JSON goes
-//!                                to stdout
-//! fv timeseries <script.fv> [--csv|--jsonl|--prom] [--interval-us N]
-//!               [--out FILE]     run the demo and export its sampler's
-//!                                counter-delta time series
-//! fv chaos <script.fv> --plan <plan> [--json] [--flight FILE]
-//!                                run the demo with the plan's faults
-//!                                injected and judge post-fault recovery
-//!                                (--json: deterministic, replayable
-//!                                report for diffing; --flight: write a
-//!                                flight-recorder dump of the whole run,
-//!                                fault windows included)
-//! fv profile <script.fv> [--folded|--json] [--out FILE]
-//!                                run the demo and print the
-//!                                cycle/contention/latency profile
-//!                                (--folded: flamegraph folded stacks)
-//! fv top <script.fv>             run the demo and print the
-//!                                heaviest flows and most contended locks
-//! fv why <script.fv> --pkt <id>|--flow <class> [--json]
-//!                                run the demo and explain a sampled
-//!                                scheduling decision: every executed
-//!                                chain step with bucket tokens
-//!                                before/after, the deciding step, and
-//!                                whether the flow cache classified it
-//! fv audit <script.fv> [--plan <plan>] [--json] [--flight FILE]
-//!                                run the demo (or a faulted run under
-//!                                --plan) with provenance capture and fold
-//!                                the records through the
-//!                                token-conservation ledger; exits 1 on
-//!                                any conservation break
-//!                                (--inject-mischarge: corrupt one record
-//!                                first, proving the auditor catches it)
-//! ```
-//!
-//! `fv check` also accepts `--flight FILE`: on SLO violation it dumps the
-//! attribution profile plus the run's trace ring for post-mortem analysis.
+//! `fv <subcommand> <script.fv|-> [flags]`. Run `fv` alone for the usage:
+//! every subcommand with what it does and the flags it reads, printed
+//! from the `COMMANDS` table that dispatch reads too.
 //!
 //! Scripts use the `tc`-style dialect documented in
 //! `flowvalve::frontend`; `-` reads from stdin. Flags may come anywhere on
@@ -110,25 +62,68 @@ const FORMATS: [&str; 5] = ["--json", "--csv", "--jsonl", "--prom", "--folded"];
 /// What runs a subcommand.
 type Subcommand = fn(&Policy, &Flags) -> CmdResult;
 
-/// Every subcommand: its name, the flags it reads (any other exits 2) and
-/// its function. Dispatch and the usage text both read this table.
-const COMMANDS: &[(&str, &[&str], Subcommand)] = &[
-    ("check", &["--flight"], check),
-    ("show", &[], show),
-    ("demo", &["--json"], demo),
-    ("stats", &["--json"], stats),
-    ("trace", &["--out"], trace),
+/// Every subcommand: its name, what it does (its line of the usage), the
+/// flags it reads (any other exits 2) and its function. Dispatch and the
+/// usage text both read this table.
+const COMMANDS: &[(&str, &str, &[&str], Subcommand)] = &[
+    (
+        "check",
+        "parse the script, run the demo and check its rate SLOs",
+        &["--flight"],
+        check,
+    ),
+    ("show", "print the compiled scheduling tree", &[], show),
+    (
+        "demo",
+        "run the 10 ms saturation demo: per-class rates and verdicts",
+        &["--json"],
+        demo,
+    ),
+    (
+        "stats",
+        "run the demo: `tc -s qdisc show`-style statistics",
+        &["--json"],
+        stats,
+    ),
+    (
+        "trace",
+        "run the demo: its span trace as Chrome-trace JSON",
+        &["--out"],
+        trace,
+    ),
     (
         "timeseries",
+        "run the demo: its sampler's counter-delta time series",
         &["--csv", "--jsonl", "--prom", "--interval-us", "--out"],
         timeseries,
     ),
-    ("chaos", &["--plan", "--json", "--flight"], chaos),
-    ("profile", &["--folded", "--json", "--out"], profile),
-    ("top", &[], top),
-    ("why", &["--pkt", "--flow", "--json"], why),
+    (
+        "chaos",
+        "run the demo under the plan's faults and judge the recovery",
+        &["--plan", "--json", "--flight"],
+        chaos,
+    ),
+    (
+        "profile",
+        "run the demo: its cycle, contention and latency profile",
+        &["--folded", "--json", "--out"],
+        profile,
+    ),
+    (
+        "top",
+        "run the demo: the heaviest flows and the most contended locks",
+        &[],
+        top,
+    ),
+    (
+        "why",
+        "run the demo and explain one sampled scheduling decision",
+        &["--pkt", "--flow", "--json"],
+        why,
+    ),
     (
         "audit",
+        "audit the run's token conservation; exit status 1 on a break",
         &["--plan", "--json", "--flight", "--inject-mischarge"],
         audit_cmd,
     ),
@@ -136,15 +131,18 @@ const COMMANDS: &[(&str, &[&str], Subcommand)] = &[
 
 fn usage() -> ExitCode {
     eprintln!("usage: fv <subcommand> <script.fv|-> [flags]");
-    for &(name, flags, _) in COMMANDS {
-        let mut line = format!("  {name:<11}");
+    for &(name, what, flags, _) in COMMANDS {
+        eprintln!("  {name:<11} {what}");
+        let mut line = String::new();
         for &flag in flags {
             match FLAGS.iter().find(|(name, _)| *name == flag) {
                 Some((_, Some(value))) => line.push_str(&format!(" [{flag} {value}]")),
                 _ => line.push_str(&format!(" [{flag}]")),
             }
         }
-        eprintln!("{}", line.trim_end());
+        if !line.is_empty() {
+            eprintln!("  {:<11}{line}", "");
+        }
     }
     ExitCode::from(2)
 }
@@ -269,9 +267,9 @@ fn parse_args(args: &[String]) -> Result<(Subcommand, &str, Flags), String> {
     let [cmd, path] = positional[..] else {
         return Err("expected a subcommand and a script".into());
     };
-    let &(_, reads, subcommand) = COMMANDS
+    let &(_, _, reads, subcommand) = COMMANDS
         .iter()
-        .find(|(name, _, _)| *name == cmd)
+        .find(|(name, ..)| *name == cmd)
         .ok_or_else(|| format!("unknown subcommand {cmd}"))?;
     let mut flags = Flags::default();
     for (name, value) in given {
@@ -942,7 +940,7 @@ mod tests {
     /// reads would be refused everywhere.
     #[test]
     fn every_flag_is_read_and_every_read_flag_is_known() {
-        let read: Vec<&str> = COMMANDS.iter().flat_map(|c| c.1.iter().copied()).collect();
+        let read: Vec<&str> = COMMANDS.iter().flat_map(|c| c.2.iter().copied()).collect();
         for &flag in &read {
             assert!(FLAGS.iter().any(|f| f.0 == flag), "{flag} is not in FLAGS");
         }

@@ -200,6 +200,49 @@ fn usage_on_bad_invocation() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
 }
 
+/// The usage names every subcommand on a line of its own, followed by
+/// what it does; the lines under it list the flags it reads.
+#[test]
+fn usage_describes_every_subcommand() {
+    let out = fv().output().expect("fv runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    // Below the line that says what was wrong with the command line.
+    let mut lines = stderr.lines().skip(1);
+    assert_eq!(
+        lines.next(),
+        Some("usage: fv <subcommand> <script.fv|-> [flags]")
+    );
+    let described: Vec<(&str, &str)> = lines
+        .filter(|l| !l.trim_start().starts_with('['))
+        .map(|l| l.trim_start().split_once(' ').unwrap_or((l.trim(), "")))
+        .map(|(name, what)| (name, what.trim()))
+        .collect();
+    let names: Vec<&str> = described.iter().map(|(name, _)| *name).collect();
+    assert_eq!(
+        names,
+        [
+            "check",
+            "show",
+            "demo",
+            "stats",
+            "trace",
+            "timeseries",
+            "chaos",
+            "profile",
+            "top",
+            "why",
+            "audit"
+        ],
+        "stderr: {stderr}"
+    );
+    for (name, what) in described {
+        assert!(
+            what.split_whitespace().count() >= 4,
+            "{name} has no description: {stderr}"
+        );
+    }
+}
+
 #[test]
 fn demo_prints_class_table() {
     let f = write_script(GOOD);

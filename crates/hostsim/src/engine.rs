@@ -279,8 +279,8 @@ pub fn run(scenario: &Scenario, path: EgressPath) -> (RunReport, EgressPath) {
                 if let Some(out) = outcome {
                     // Its flow key is 10.0.<app position + 1>.1:<FIRST_PORT + conn>.
                     let flow = out.packet().flow;
-                    let app = flow.src_ip.octets()[2] as usize - 1;
-                    let ci = e.conn_base[app] + (flow.src_port - FIRST_PORT) as usize;
+                    let app = flow.src_ip().octets()[2] as usize - 1;
+                    let ci = e.conn_base[app] + (flow.src_port() - FIRST_PORT) as usize;
                     e.settle(ci, out);
                 }
                 e.poll_armed = next.is_some();

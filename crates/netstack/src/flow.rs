@@ -47,27 +47,34 @@ impl fmt::Display for IpProto {
 
 /// An IPv4 5-tuple identifying a flow.
 ///
+/// The key carries the low 32 bits of its [`FlowKey::stable_hash`], worked
+/// out once when it is built, as the NFP's ingress parser hands the flow
+/// hash on with the packet: a flow-cache lookup reads [`FlowKey::tag`]
+/// instead of rehashing the tuple. The tuple's fields are read through
+/// accessors, so no code can change one and leave the tag stale.
+///
 /// # Example
 ///
 /// ```
 /// use netstack::flow::{FlowKey, IpProto};
 ///
 /// let f = FlowKey::tcp([10, 0, 0, 1], 40_000, [10, 0, 0, 2], 5001);
-/// assert_eq!(f.proto, IpProto::Tcp);
+/// assert_eq!(f.proto(), IpProto::Tcp);
+/// assert_eq!(f.tag(), f.stable_hash() as u32);
 /// assert_eq!(f.to_string(), "tcp 10.0.0.1:40000 -> 10.0.0.2:5001");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlowKey {
-    /// Source IPv4 address.
-    pub src_ip: Ipv4Addr,
-    /// Destination IPv4 address.
-    pub dst_ip: Ipv4Addr,
-    /// Source transport port.
-    pub src_port: u16,
-    /// Destination transport port.
-    pub dst_port: u16,
-    /// Transport protocol.
-    pub proto: IpProto,
+    src_ip: Ipv4Addr,
+    dst_ip: Ipv4Addr,
+    src_port: u16,
+    dst_port: u16,
+    proto: IpProto,
+    /// Low 32 bits of `stable_hash()`, little-endian. Bytes rather than a
+    /// `u32` keep the key 2-aligned at 18 B, and so a flow-cache slot of
+    /// the pipeline's verdict at 28 B. Declared last, so the derived
+    /// orderings compare the tuple first and never reach it.
+    tag: [u8; 4],
 }
 
 impl FlowKey {
@@ -78,13 +85,7 @@ impl FlowKey {
         dst_ip: impl Into<Ipv4Addr>,
         dst_port: u16,
     ) -> Self {
-        FlowKey {
-            src_ip: src_ip.into(),
-            dst_ip: dst_ip.into(),
-            src_port,
-            dst_port,
-            proto: IpProto::Tcp,
-        }
+        Self::new(src_ip.into(), src_port, dst_ip.into(), dst_port, IpProto::Tcp)
     }
 
     /// Creates a UDP flow key.
@@ -94,18 +95,72 @@ impl FlowKey {
         dst_ip: impl Into<Ipv4Addr>,
         dst_port: u16,
     ) -> Self {
-        FlowKey {
-            src_ip: src_ip.into(),
-            dst_ip: dst_ip.into(),
-            src_port,
-            dst_port,
-            proto: IpProto::Udp,
-        }
+        Self::new(src_ip.into(), src_port, dst_ip.into(), dst_port, IpProto::Udp)
     }
 
-    /// A stable 64-bit hash of the tuple, used for RSS-style core placement
-    /// and flow-cache bucketing. This is a simple FNV-1a; it only needs to
-    /// be deterministic and well-spread, not cryptographic.
+    /// The one constructor: hashes the tuple and keeps the tag.
+    fn new(
+        src_ip: Ipv4Addr,
+        src_port: u16,
+        dst_ip: Ipv4Addr,
+        dst_port: u16,
+        proto: IpProto,
+    ) -> Self {
+        let mut key = FlowKey {
+            src_ip,
+            dst_ip,
+            src_port,
+            dst_port,
+            proto,
+            tag: [0; 4],
+        };
+        key.tag = (key.stable_hash() as u32).to_le_bytes();
+        key
+    }
+
+    /// Source IPv4 address.
+    #[inline]
+    pub fn src_ip(&self) -> Ipv4Addr {
+        self.src_ip
+    }
+
+    /// Destination IPv4 address.
+    #[inline]
+    pub fn dst_ip(&self) -> Ipv4Addr {
+        self.dst_ip
+    }
+
+    /// Source transport port.
+    #[inline]
+    pub fn src_port(&self) -> u16 {
+        self.src_port
+    }
+
+    /// Destination transport port.
+    #[inline]
+    pub fn dst_port(&self) -> u16 {
+        self.dst_port
+    }
+
+    /// Transport protocol.
+    #[inline]
+    pub fn proto(&self) -> IpProto {
+        self.proto
+    }
+
+    /// The low 32 bits of [`FlowKey::stable_hash`], computed when the key
+    /// was built: what the flow cache places and compares the key by.
+    #[inline]
+    pub fn tag(&self) -> u32 {
+        u32::from_le_bytes(self.tag)
+    }
+
+    /// A stable 64-bit FNV-1a hash of the tuple, worked out from the five
+    /// fields on every call. Its low 32 bits are the key's [`FlowKey::tag`],
+    /// which places the key in the flow cache; the whole hash is the flow
+    /// id the probe files a sampled packet under, and the chaos harness
+    /// names its driven flows by it. It only needs to be deterministic and
+    /// well-spread, not cryptographic.
     pub fn stable_hash(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01B3;
@@ -161,6 +216,38 @@ mod tests {
         let b = FlowKey::tcp([10, 0, 0, 1], 1001, [10, 0, 0, 2], 80);
         assert_eq!(a.stable_hash(), a.stable_hash());
         assert_ne!(a.stable_hash(), b.stable_hash());
+    }
+
+    /// The carried tag is the low half of the hash the tuple gives, for
+    /// every protocol a key can hold, and a key built twice from one
+    /// tuple carries one tag.
+    #[test]
+    fn tag_is_the_low_half_of_the_stable_hash() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..3_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let [a, b, c, d, e, f, g, h] = x.to_le_bytes();
+            let (src, dst) = ([10, a, b, c], [d, e, f, g]);
+            let (sport, dport) = ((x >> 8) as u16, (x >> 40) as u16);
+            let proto = match h % 3 {
+                0 => IpProto::Tcp,
+                1 => IpProto::Udp,
+                _ => IpProto::Other(h),
+            };
+            let key = FlowKey::new(src.into(), sport, dst.into(), dport, proto);
+            assert_eq!(key.tag(), key.stable_hash() as u32, "{key}");
+            let again = match proto {
+                IpProto::Tcp => FlowKey::tcp(src, sport, dst, dport),
+                IpProto::Udp => FlowKey::udp(src, sport, dst, dport),
+                IpProto::Other(_) => {
+                    FlowKey::new(src.into(), sport, dst.into(), dport, proto)
+                }
+            };
+            assert_eq!(key, again);
+            assert_eq!(key.tag(), again.tag(), "{key}");
+        }
     }
 
     #[test]
