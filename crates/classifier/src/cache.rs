@@ -166,12 +166,11 @@ impl<V> FlowCache<V> {
     }
 
     /// The miss-fill discipline in one probe from the key's carried tag: a
-    /// hit sets the
-    /// entry's reference bit; a miss runs `walk` (the table walk), evicts
-    /// if at capacity, and installs the verdict unreferenced. Counters,
-    /// slot placement and victims are exactly those of a lookup followed,
-    /// on a miss, by an insert (the test-only `lookup` and `insert` this
-    /// is held to).
+    /// hit sets the entry's reference bit; a miss runs `walk` (the table
+    /// walk), evicts if at capacity, and installs the verdict unreferenced.
+    /// Counters, slot placement and victims are exactly those of a lookup
+    /// followed, on a miss, by an insert (the test-only `lookup` and
+    /// `insert` this is held to).
     #[inline]
     pub fn get_or_insert_with(
         &mut self,
@@ -317,9 +316,11 @@ mod tests {
         // The pipeline's verdict, an `Option<ChainId>` (8 B, 4-aligned),
         // beside the 18-byte key and its reference bit: 27 B, padded to
         // 28. The empty-slot marker costs nothing extra, and the key's tag
-        // as bytes adds no alignment; a `u32` tag would make this 32.
+        // as bytes adds no alignment; a `u32` tag would make this 32. A
+        // 36-byte, 2-aligned verdict (an optional QoS label) pads 55 to 56.
         assert_eq!(size_of::<FlowKey>(), 18);
         assert_eq!(size_of::<Option<Entry<Option<u32>>>>(), 28);
+        assert_eq!(size_of::<Option<Entry<[u16; 18]>>>(), 56);
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub struct FlowKey {
     /// Low 32 bits of `stable_hash()`, little-endian. Bytes rather than a
     /// `u32` keep the key 2-aligned at 18 B, and so a flow-cache slot of
     /// the pipeline's verdict at 28 B. Declared last, so the derived
-    /// orderings compare the tuple first and never reach it.
+    /// orderings are the tuple's: equal tuples carry equal tags.
     tag: [u8; 4],
 }
 
@@ -85,7 +85,13 @@ impl FlowKey {
         dst_ip: impl Into<Ipv4Addr>,
         dst_port: u16,
     ) -> Self {
-        Self::new(src_ip.into(), src_port, dst_ip.into(), dst_port, IpProto::Tcp)
+        Self::new(
+            src_ip.into(),
+            src_port,
+            dst_ip.into(),
+            dst_port,
+            IpProto::Tcp,
+        )
     }
 
     /// Creates a UDP flow key.
@@ -95,7 +101,13 @@ impl FlowKey {
         dst_ip: impl Into<Ipv4Addr>,
         dst_port: u16,
     ) -> Self {
-        Self::new(src_ip.into(), src_port, dst_ip.into(), dst_port, IpProto::Udp)
+        Self::new(
+            src_ip.into(),
+            src_port,
+            dst_ip.into(),
+            dst_port,
+            IpProto::Udp,
+        )
     }
 
     /// The one constructor: hashes the tuple and keeps the tag.
@@ -241,9 +253,7 @@ mod tests {
             let again = match proto {
                 IpProto::Tcp => FlowKey::tcp(src, sport, dst, dport),
                 IpProto::Udp => FlowKey::udp(src, sport, dst, dport),
-                IpProto::Other(_) => {
-                    FlowKey::new(src.into(), sport, dst.into(), dport, proto)
-                }
+                IpProto::Other(_) => FlowKey::new(src.into(), sport, dst.into(), dport, proto),
             };
             assert_eq!(key, again);
             assert_eq!(key.tag(), again.tag(), "{key}");

@@ -3,8 +3,8 @@
 //! This crate provides everything packet-shaped that the rest of the
 //! workspace consumes:
 //!
-//! * [`flow`] — IPv4 5-tuples ([`FlowKey`]) with stable hashing for
-//!   RSS-style placement.
+//! * [`flow`] — IPv4 5-tuples ([`FlowKey`]) with a stable FNV-1a hash,
+//!   whose low 32 bits each key carries as its flow-cache tag.
 //! * [`packet`] — the simulation [`Packet`] (flow key + frame length +
 //!   provenance), deliberately payload-free for 40 Gbps-scale simulation.
 //! * [`tcp`] — a NewReno-style AIMD window model; the congestion-responsive
