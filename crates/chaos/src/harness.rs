@@ -5,11 +5,11 @@
 //! filter, each offered an equal slice of 1.5x line rate for 10 ms on the
 //! Agilio CX 40G model — through [`np_sim::harness::drive`], and both go
 //! through the same private fixture: it builds the NIC, the registry and
-//! every observer (a caller only picks the sampler's interval and whether
-//! provenance is kept, through [`Attachments`]), drives the sources, and
-//! tears the run down into a [`Run`] (gauge sync, lock profile, bucket
-//! slab, ledger fold, snapshot, attribution profile). The two entry points
-//! differ only in their per-packet closure.
+//! every observer, provenance capture included (a caller of [`saturate`]
+//! picks only the sampler's interval), drives the sources, and tears the
+//! run down into a [`Run`] (gauge sync, bucket slab, ledger fold,
+//! snapshot, attribution profile). The two entry points differ only in
+//! their per-packet closure.
 //!
 //! [`run_chaos`] installs one [`ChaosController`] as the fault injector of
 //! the NIC (traffic manager, worker pool, lock table) and of the FlowValve
@@ -40,7 +40,6 @@ use netstack::packet::{AppId, Packet, VfPort};
 use np_sim::config::NicConfig;
 use np_sim::cost::CycleAttr;
 use np_sim::harness::{drive, Source};
-use np_sim::lock::PerLockStats;
 use np_sim::nic::SmartNic;
 use sim_core::time::Nanos;
 use sim_core::units::BitRate;
@@ -66,38 +65,6 @@ const RING_CAPACITY: usize = 1 << 17;
 /// registry's 1 packet in 64 that is more than a run makes, so `fv why` and
 /// `fv audit` see every one.
 const AUDIT_RING_CAPACITY: usize = 4096;
-
-/// What a caller chooses of a saturation run's observers. Every run
-/// carries a registry whose event ring holds the whole run, a
-/// virtual-time sampler and the attribution probes (a [`CycleAttr`] sized
-/// for the NIC model on the cost meter, a [`LatencyAttr`] on the span
-/// path). Every one of them is an observer only: the packet-level outcome
-/// of a run is the same whatever is attached. None of them chooses a
-/// sampling rate: spans, per-packet trace events, the probe's feed and
-/// provenance all follow the run registry's one per-packet decision
-/// (`fv_telemetry::Sampler`).
-#[derive(Clone)]
-pub struct Attachments {
-    /// The sampler's configuration (default: 1 ms frames). [`run_chaos`]
-    /// judges recovery on 100 µs frames and samples at that interval
-    /// whatever this says.
-    pub sampler: SamplerConfig,
-    /// Attach provenance capture for the packets the run's registry
-    /// samples; after the run the records are folded through the
-    /// conservation ledger into `audit.*` counters. Every sampled packet
-    /// id of the run stays resident in the provenance ring.
-    pub audit: bool,
-}
-
-impl Default for Attachments {
-    /// What `fv demo` carries: 1 ms sampler frames and provenance capture.
-    fn default() -> Self {
-        Attachments {
-            sampler: SamplerConfig::default(),
-            audit: true,
-        }
-    }
-}
 
 /// Why a saturation run could not start.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -129,10 +96,9 @@ impl core::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-/// The provenance capture of a run with [`Attachments::audit`] set; the
-/// conservation ledger has already been folded into the run's `audit.*`
-/// counters. The rate it was sampled at is the snapshot's
-/// [`Snapshot::sample_period`].
+/// The provenance capture of a run; the conservation ledger has already
+/// been folded into the run's `audit.*` counters. The rate it was sampled
+/// at is the snapshot's [`Snapshot::sample_period`].
 #[derive(Debug)]
 pub struct Audit {
     /// Every sampled decision.
@@ -141,7 +107,14 @@ pub struct Audit {
     pub slab: Vec<BucketSnapshot>,
 }
 
-/// Everything a saturation run leaves behind.
+/// Everything a saturation run leaves behind. Every run carries a registry
+/// whose event ring holds the whole run, a virtual-time sampler, the
+/// attribution probes (a [`CycleAttr`] sized for the NIC model on the cost
+/// meter, a [`LatencyAttr`] on the span path) and provenance capture. Each
+/// is an observer only: the packet-level outcome of a run is the same
+/// whatever is attached. None of them chooses a sampling rate: spans,
+/// per-packet trace events, the probe's feed and provenance all follow the
+/// run registry's one per-packet decision (`fv_telemetry::Sampler`).
 #[derive(Debug)]
 pub struct Run {
     /// End-of-run registry snapshot.
@@ -157,14 +130,13 @@ pub struct Run {
     /// `stable_hash` → flow key of every driven flow, so profile output
     /// can name them.
     pub flow_names: Vec<(u64, FlowKey)>,
-    /// Per-lock contention rows, collected on every run (cheap).
-    pub lock_profile: Vec<PerLockStats>,
     /// The sampler that watched the run.
     pub sampler: TimeSampler,
-    /// The attribution profile the probes folded to.
+    /// The attribution profile the probes folded to; its `locks` are the
+    /// run's per-lock contention rows, wait-ranked.
     pub probe: ProbeReport,
-    /// Provenance capture, when auditing was attached.
-    pub audit: Option<Audit>,
+    /// Provenance capture of every sampled packet.
+    pub audit: Audit,
 }
 
 /// What a chaos run adds to the [`Run`] underneath it.
@@ -324,24 +296,20 @@ struct Fixture {
     sampler: SamplerConfig,
     cycles: Arc<CycleAttr>,
     latency: Arc<LatencyAttr>,
-    audit: Option<Arc<ProvenanceRing>>,
+    audit: Arc<ProvenanceRing>,
     flow_names: Vec<(u64, FlowKey)>,
 }
 
 impl Fixture {
-    fn build(policy: &Policy, attach: Attachments) -> Result<Fixture, RunError> {
+    fn build(policy: &Policy, sampler: SamplerConfig) -> Result<Fixture, RunError> {
         let cfg = NicConfig::agilio_cx_40g();
         let sources = sources(policy, &cfg)?;
         let mut pipeline = FlowValvePipeline::compile(policy, TreeParams::default(), &cfg)
             .map_err(RunError::Compile)?;
         let registry = Registry::with_ring_capacity(RING_CAPACITY);
         pipeline.attach_telemetry(&registry);
-        let audit = attach.audit.then(|| {
-            let sampler = registry.sampler();
-            let ring = Arc::new(ProvenanceRing::new(AUDIT_RING_CAPACITY));
-            pipeline.attach_auditor(ring.clone(), sampler);
-            ring
-        });
+        let audit = Arc::new(ProvenanceRing::new(AUDIT_RING_CAPACITY));
+        pipeline.attach_auditor(audit.clone(), registry.sampler());
         let tree = pipeline.tree().clone();
         let mut nic = SmartNic::with_registry(cfg.clone(), Box::new(pipeline), &registry);
         let cycles = Arc::new(CycleAttr::new(cfg.num_mes));
@@ -358,7 +326,7 @@ impl Fixture {
             nic,
             tree,
             sources,
-            sampler: attach.sampler,
+            sampler,
             cycles,
             latency,
             audit,
@@ -396,15 +364,11 @@ impl Fixture {
         let slab = live.tree().slab_snapshot();
         // Fold the sampled provenance through the conservation ledger before
         // the snapshot, so `audit.*` counters are part of it.
-        let audit = self.audit.take().map(|ring| {
-            Ledger::audit(&ring.records(), &slab).install_counters(&self.registry, 0);
-            Audit { ring, slab }
-        });
+        Ledger::audit(&self.audit.records(), &slab).install_counters(&self.registry, 0);
         let snapshot = self.registry.snapshot(HORIZON);
-        let lock_profile = self.nic.per_lock_stats().to_vec();
         let probe = ProbeReport::build(
             &self.cycles,
-            &lock_profile,
+            self.nic.per_lock_stats(),
             &self.latency,
             &snapshot,
             HORIZON,
@@ -416,26 +380,29 @@ impl Fixture {
             horizon: HORIZON,
             offered: slice_of(&self.cfg, self.flow_names.len()),
             flow_names: self.flow_names,
-            lock_profile,
             sampler,
             probe,
-            audit,
+            audit: Audit {
+                ring: self.audit,
+                slab,
+            },
         }
     }
 }
 
 /// Saturates every filtered class with an equal share of 1.5x line rate
-/// for 10 ms of simulated time, every observer attached.
+/// for 10 ms of simulated time, every observer attached, the sampler
+/// framing counters as `sampler` says.
 ///
 /// Deterministic: the same `(policy, seed)` yields the same [`Run`],
-/// whatever `attach` carries.
+/// whatever `sampler` says.
 ///
 /// # Errors
 ///
 /// Returns a [`RunError`] when the policy has no filter, more than
 /// [`MAX_FLOWS`], or does not compile.
-pub fn saturate(policy: &Policy, seed: u64, attach: Attachments) -> Result<Run, RunError> {
-    let mut fx = Fixture::build(policy, attach)?;
+pub fn saturate(policy: &Policy, seed: u64, sampler: SamplerConfig) -> Result<Run, RunError> {
+    let mut fx = Fixture::build(policy, sampler)?;
     let sampler = fx.drive(seed, |nic, pkt| {
         let _ = nic.rx(pkt, pkt.created_at);
     });
@@ -446,21 +413,16 @@ pub fn saturate(policy: &Policy, seed: u64, attach: Attachments) -> Result<Run, 
 ///
 /// Deterministic: the same `(policy, plan)` pair produces a byte-identical
 /// [`ChaosReport::to_json`] document on every run. Recovery is judged on
-/// the sampled `nic.tx_bits` series, so the run samples every 100 µs
-/// whatever `attach.sampler` says.
+/// the sampled `nic.tx_bits` series, which the run samples every 100 µs.
 ///
 /// # Errors
 ///
 /// As [`saturate`] (the seed is the plan's), plus [`RunError::Reconfig`]
 /// when a `reconfig` fault scales the policy into one that does not
 /// compile — found before the first packet, not halfway through the run.
-pub fn run_chaos(
-    policy: &Policy,
-    plan: &FaultPlan,
-    mut attach: Attachments,
-) -> Result<ChaosReport, RunError> {
-    attach.sampler = SamplerConfig::default().with_interval(Nanos::from_micros(100));
-    let mut fx = Fixture::build(policy, attach)?;
+pub fn run_chaos(policy: &Policy, plan: &FaultPlan) -> Result<ChaosReport, RunError> {
+    let sampler = SamplerConfig::default().with_interval(Nanos::from_micros(100));
+    let mut fx = Fixture::build(policy, sampler)?;
     let cfg = fx.cfg.clone();
     for f in &plan.faults {
         if let FaultKind::Reconfig { scale_permille } = f.kind {
@@ -511,37 +473,27 @@ pub fn run_chaos(
     // One recovery assertion per fault window that ends early enough to
     // observe a post-settle window: aggregate throughput back in the root
     // rate's band.
-    let root_rate = run
-        .tree
-        .class_ids()
-        .into_iter()
-        .filter_map(|id| run.tree.spec(id))
-        .find(|s| s.parent.is_none())
-        .and_then(|s| s.rate);
+    let root_bps = run.tree.root_rate().as_bps() as f64;
     let mut slos = Vec::new();
     let mut unchecked = Vec::new();
     for (i, f) in plan.faults.iter().enumerate() {
-        let name = format!("fault {i} ({}) recovers by +{SETTLE}", f.kind.name());
-        match root_rate {
-            _ if f.end() >= HORIZON - SETTLE => unchecked.push(format!(
+        if f.end() >= HORIZON - SETTLE {
+            unchecked.push(format!(
                 "note: fault {i} ({}) unchecked (window ends at {} us, \
                  too close to the {} ms horizon)",
                 f.kind.name(),
                 f.end().as_nanos() / 1_000,
                 HORIZON.as_nanos() / 1_000_000,
-            )),
-            Some(rate) => slos.push(Slo::RateRecovers {
-                name,
+            ));
+        } else {
+            slos.push(Slo::RateRecovers {
+                name: format!("fault {i} ({}) recovers by +{SETTLE}", f.kind.name()),
                 series: "nic.tx_bits".into(),
-                min: 0.70 * rate.as_bps() as f64,
-                max: 1.15 * rate.as_bps() as f64,
+                min: 0.70 * root_bps,
+                max: 1.15 * root_bps,
                 clear: f.end(),
                 within: SETTLE,
-            }),
-            None => unchecked.push(format!(
-                "note: fault {i} ({}) unchecked (root class carries no rate)",
-                f.kind.name(),
-            )),
+            });
         }
     }
 
@@ -568,16 +520,9 @@ mod tests {
         fv filter add dev nic0 match ip dport 5002 flowid 1:20\n\
         fv filter add dev nic0 match ip dport 5003 flowid 1:30\n";
 
-    fn bare() -> Attachments {
-        Attachments {
-            audit: false,
-            ..Attachments::default()
-        }
-    }
-
     fn chaos(plan: &str) -> ChaosReport {
         let policy = Policy::parse(POLICY).unwrap();
-        run_chaos(&policy, &FaultPlan::parse(plan).unwrap(), bare()).unwrap()
+        run_chaos(&policy, &FaultPlan::parse(plan).unwrap()).unwrap()
     }
 
     #[test]
@@ -640,7 +585,7 @@ mod tests {
         assert_eq!(err, RunError::TooManyFilters(247));
         assert!(err.to_string().contains("at most 246"), "{err}");
         assert_eq!(
-            saturate(&with_filters(0), 1, bare()).unwrap_err(),
+            saturate(&with_filters(0), 1, SamplerConfig::default()).unwrap_err(),
             RunError::NoFilters
         );
     }
@@ -653,7 +598,7 @@ mod tests {
         use fv_telemetry::MetricValue;
 
         let policy = Policy::parse(POLICY).unwrap();
-        let observed = saturate(&policy, 3, Attachments::default()).unwrap();
+        let observed = saturate(&policy, 3, SamplerConfig::default()).unwrap();
         let snap = &observed.snapshot;
         assert!(snap.counter("audit.records") > 0);
 
@@ -716,7 +661,9 @@ mod tests {
         use fv_telemetry::{Sampler, Stage};
 
         let policy = Policy::parse(include_str!("../../../scripts/motivation.fv")).unwrap();
-        let sampled = saturate(&policy, 1, bare()).unwrap().snapshot;
+        let sampled = saturate(&policy, 1, SamplerConfig::default())
+            .unwrap()
+            .snapshot;
 
         let cfg = NicConfig::agilio_cx_40g();
         let registry = Registry::with_sampler(1024, Sampler::one_in_pow2(0));

@@ -144,7 +144,7 @@ impl FaultInjector for ChaosController {
             .sum()
     }
 
-    fn tm_fault(&self, now: Nanos, _pkt_id: u64) -> TmFault {
+    fn tm_fault(&self, now: Nanos) -> TmFault {
         let mut pause_until = None::<Nanos>;
         let mut drop_every = None::<u64>;
         for f in self.active(now) {
@@ -241,15 +241,15 @@ mod tests {
             "tm_drop at 0us for 100us every 2
              tm_pause at 40us for 20us",
         );
-        assert_eq!(c.tm_fault(us(1), 1), TmFault::CorruptDrop, "frame 0 drops");
-        assert_eq!(c.tm_fault(us(2), 2), TmFault::None, "frame 1 passes");
+        assert_eq!(c.tm_fault(us(1)), TmFault::CorruptDrop, "frame 0 drops");
+        assert_eq!(c.tm_fault(us(2)), TmFault::None, "frame 1 passes");
         assert_eq!(
-            c.tm_fault(us(45), 3),
+            c.tm_fault(us(45)),
             TmFault::Paused { until: us(60) },
             "pause wins over drop"
         );
-        assert_eq!(c.tm_fault(us(70), 4), TmFault::CorruptDrop);
-        assert_eq!(c.tm_fault(us(200), 5), TmFault::None, "after the window");
+        assert_eq!(c.tm_fault(us(70)), TmFault::CorruptDrop);
+        assert_eq!(c.tm_fault(us(200)), TmFault::None, "after the window");
     }
 
     #[test]

@@ -21,16 +21,17 @@
 //! - [`harness`] — the saturation workload behind `fv demo`, written
 //!   once: [`saturate`] runs it clean, [`run_chaos`] runs it faulted and
 //!   adds per-fault recovery assertions from fv-scope. Both carry every
-//!   observer, take the caller's two choices (sampler interval, provenance
-//!   capture) as one [`Attachments`] value and leave a [`Run`] behind;
-//!   every `fv` subcommand and every resilience test goes through one of
-//!   the two.
+//!   observer, provenance capture included, and leave a [`Run`] behind
+//!   ([`saturate`]'s caller picks the sampler interval; [`run_chaos`]
+//!   samples every 100 µs); every `fv` subcommand and every resilience
+//!   test goes through one of the two.
 //!
 //! # Example
 //!
 //! ```
 //! use flowvalve::frontend::Policy;
-//! use fv_chaos::{run_chaos, saturate, Attachments, FaultPlan};
+//! use fv_chaos::{run_chaos, saturate, FaultPlan};
+//! use fv_scope::SamplerConfig;
 //!
 //! let policy = Policy::parse(
 //!     "fv qdisc add dev nic0 root handle 1: fv default 1:10\n\
@@ -39,16 +40,18 @@
 //!      fv filter add dev nic0 match any flowid 1:10\n",
 //! )
 //! .unwrap();
-//! let clean = saturate(&policy, 42, Attachments::default()).unwrap();
+//! let clean = saturate(&policy, 42, SamplerConfig::default()).unwrap();
 //! assert!(clean.snapshot.counter("nic.tx_packets") > 0);
+//! assert!(clean.snapshot.counter("audit.records") > 0);
 //!
 //! let plan = FaultPlan::parse(
 //!     "chaos seed 42\n\
 //!      chaos fault wire_flap at 3ms for 2ms permille 250\n",
 //! )
 //! .unwrap();
-//! let report = run_chaos(&policy, &plan, Attachments::default()).unwrap();
+//! let report = run_chaos(&policy, &plan).unwrap();
 //! assert_eq!(report.run.snapshot.counter("chaos.faults_injected"), 1);
+//! assert_eq!(report.run.snapshot.counter("audit.violations"), 0);
 //! assert!(report.passed(), "{}", report.render());
 //! ```
 
@@ -56,6 +59,6 @@ pub mod harness;
 pub mod inject;
 pub mod plan;
 
-pub use harness::{run_chaos, saturate, Attachments, Audit, ChaosReport, Run, RunError, SETTLE};
+pub use harness::{run_chaos, saturate, Audit, ChaosReport, Run, RunError, SETTLE};
 pub use inject::ChaosController;
 pub use plan::{FaultKind, FaultPlan, FaultSpec, ParsePlanError};

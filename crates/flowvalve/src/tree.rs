@@ -642,6 +642,15 @@ impl SchedulingTree {
         self.node_index(id).map(|i| &self.nodes[i].spec)
     }
 
+    /// The root class's rate ([`SchedulingTree::build`] refuses a root
+    /// without one).
+    pub fn root_rate(&self) -> BitRate {
+        self.nodes[self.root]
+            .spec
+            .rate
+            .expect("build refuses a root without a rate")
+    }
+
     #[inline]
     pub(crate) fn node_index(&self, id: ClassId) -> Option<usize> {
         match self.index.get(id.0 as usize) {

@@ -22,8 +22,8 @@ use flowvalve::frontend::Policy;
 use flowvalve::label::ClassId;
 use flowvalve::tree::{SchedulingTree, TreeParams};
 use fv_audit::{AuditVerdict, Ledger, ProvenanceRecord, StepKind};
-use fv_chaos::{run_chaos, saturate, Attachments, FaultPlan, Run};
-use fv_probe::{flight_doc, rank_locks, UNATTRIBUTED};
+use fv_chaos::{run_chaos, saturate, FaultPlan, Run};
+use fv_probe::{flight_doc, UNATTRIBUTED};
 use fv_scope::{chrome_trace, evaluate, latency_table, prometheus_text, SamplerConfig, Slo};
 use fv_telemetry::{JsonValue, MetricValue, Snapshot, ToJson, TraceEvent};
 use sim_core::time::Nanos;
@@ -306,9 +306,10 @@ fn run() -> CmdResult {
 /// Seed of every clean `fv` run.
 const SEED: u64 = 1;
 
-/// The clean saturation run behind every reporting subcommand.
-fn run_demo(policy: &Policy, attach: Attachments) -> Result<Run, String> {
-    saturate(policy, SEED, attach).map_err(|e| e.to_string())
+/// The clean saturation run behind every reporting subcommand but
+/// `timeseries`, which picks its own sampler frames.
+fn run_demo(policy: &Policy) -> Result<Run, String> {
+    saturate(policy, SEED, SamplerConfig::default()).map_err(|e| e.to_string())
 }
 
 /// Writes a flight-recorder document: the run's attribution profile plus
@@ -376,7 +377,7 @@ fn show(policy: &Policy, _: &Flags) -> CmdResult {
 /// Runs the saturation demo and prints per-class verdicts, all routed
 /// through the telemetry snapshot (`--json` dumps the whole snapshot).
 fn demo(policy: &Policy, flags: &Flags) -> CmdResult {
-    let run = run_demo(policy, Attachments::default())?;
+    let run = run_demo(policy)?;
     if flags.format == Some("--json") {
         println!("{}", run.snapshot.to_json().to_pretty());
         return Ok(ExitCode::SUCCESS);
@@ -438,7 +439,7 @@ fn demo(policy: &Policy, flags: &Flags) -> CmdResult {
 /// Runs the saturation demo and prints `tc -s qdisc show`-style per-class
 /// statistics from the telemetry snapshot.
 fn stats(policy: &Policy, flags: &Flags) -> CmdResult {
-    let run = run_demo(policy, Attachments::default())?;
+    let run = run_demo(policy)?;
     if flags.format == Some("--json") {
         println!("{}", run.snapshot.to_json().to_pretty());
         return Ok(ExitCode::SUCCESS);
@@ -484,10 +485,9 @@ fn stats(policy: &Policy, flags: &Flags) -> CmdResult {
             snap.counter(&format!("{base}.lent")),
         );
     }
-    let locks = rank_locks(&run.lock_profile);
-    if !locks.is_empty() {
+    if !run.probe.locks.is_empty() {
         println!("locks (ranked by wait):");
-        for l in &locks {
+        for l in &run.probe.locks {
             println!(
                 " lock {}: acquires {} contended {} try-fail {} \
                  wait {} ns hold {} ns contention {}/1000",
@@ -501,15 +501,13 @@ fn stats(policy: &Policy, flags: &Flags) -> CmdResult {
             );
         }
     }
-    if run.audit.is_some() {
-        println!(
-            "audit: {} sampled records (1 in {}), {} meter steps checked, {} violations",
-            snap.counter("audit.records"),
-            snap.sample_period(),
-            snap.counter("audit.steps_checked"),
-            snap.counter("audit.violations"),
-        );
-    }
+    println!(
+        "audit: {} sampled records (1 in {}), {} meter steps checked, {} violations",
+        snap.counter("audit.records"),
+        snap.sample_period(),
+        snap.counter("audit.steps_checked"),
+        snap.counter("audit.violations"),
+    );
     Ok(ExitCode::SUCCESS)
 }
 
@@ -552,12 +550,7 @@ fn conformance_slos(tree: &SchedulingTree) -> (Vec<Slo>, Vec<String>) {
         .into_iter()
         .filter_map(|id| tree.spec(id).and_then(|s| s.parent))
         .collect();
-    let root_rate = tree
-        .class_ids()
-        .into_iter()
-        .filter_map(|id| tree.spec(id))
-        .find(|s| s.parent.is_none())
-        .and_then(|s| s.rate);
+    let root_rate = tree.root_rate();
     let mut slos = Vec::new();
     let mut notes = Vec::new();
     let mut leaf_series = Vec::new();
@@ -584,31 +577,30 @@ fn conformance_slos(tree: &SchedulingTree) -> (Vec<Slo>, Vec<String>) {
                 });
             }
         }
-        match (spec.ceil, root_rate) {
-            (Some(ceil), _) => slos.push(Slo::RateBetween {
-                name: format!("class {id} ({}) under ceil {ceil}", spec.name),
-                series,
-                min: 0.0,
-                max: 1.05 * ceil.as_bps() as f64,
-            }),
-            (None, Some(root)) => slos.push(Slo::RateBetween {
-                name: format!("class {id} ({}) under root rate {root}", spec.name),
-                series,
-                min: 0.0,
-                max: 1.05 * root.as_bps() as f64,
-            }),
-            (None, None) => {}
-        }
-    }
-    if let Some(rate) = root_rate {
-        let r = rate.as_bps() as f64;
-        slos.push(Slo::SumRateBetween {
-            name: format!("leaves sum to root rate {rate} within 5%"),
-            series: leaf_series,
-            min: 0.95 * r,
-            max: 1.05 * r,
+        let (name, cap) = match spec.ceil {
+            Some(ceil) => (
+                format!("class {id} ({}) under ceil {ceil}", spec.name),
+                ceil,
+            ),
+            None => (
+                format!("class {id} ({}) under root rate {root_rate}", spec.name),
+                root_rate,
+            ),
+        };
+        slos.push(Slo::RateBetween {
+            name,
+            series,
+            min: 0.0,
+            max: 1.05 * cap.as_bps() as f64,
         });
     }
+    let r = root_rate.as_bps() as f64;
+    slos.push(Slo::SumRateBetween {
+        name: format!("leaves sum to root rate {root_rate} within 5%"),
+        series: leaf_series,
+        min: 0.95 * r,
+        max: 1.05 * r,
+    });
     (slos, notes)
 }
 
@@ -637,11 +629,7 @@ fn check(policy: &Policy, flags: &Flags) -> CmdResult {
     for note in &notes {
         println!("{note}");
     }
-    if slos.is_empty() {
-        println!("conformance: skipped (no class carries a rate or ceil)");
-        return Ok(ExitCode::SUCCESS);
-    }
-    let run = run_demo(policy, Attachments::default())?;
+    let run = run_demo(policy)?;
     // Steady state: the second half of the run, past bucket warm-up.
     let window = (Nanos::from_nanos(run.horizon.as_nanos() / 2), run.horizon);
     let report = evaluate(&slos, &run.sampler, window);
@@ -658,7 +646,7 @@ fn check(policy: &Policy, flags: &Flags) -> CmdResult {
 /// Runs the demo and exports the span trace of its whole event ring as a
 /// Chrome-trace JSON document, plus a per-stage latency table.
 fn trace(policy: &Policy, flags: &Flags) -> CmdResult {
-    let run = run_demo(policy, Attachments::default())?;
+    let run = run_demo(policy)?;
     let events = ring_events(&run);
     let doc = chrome_trace(&events);
     let spans = events.iter().filter(|e| e.kind.is_span()).count();
@@ -688,11 +676,7 @@ fn chaos(policy: &Policy, flags: &Flags) -> CmdResult {
         return Ok(ExitCode::from(2));
     };
     let plan = load_plan(plan_path)?;
-    let attach = Attachments {
-        audit: false,
-        ..Attachments::default()
-    };
-    let report = run_chaos(policy, &plan, attach).map_err(|e| e.to_string())?;
+    let report = run_chaos(policy, &plan).map_err(|e| e.to_string())?;
     if flags.format == Some("--json") {
         println!("{}", report.to_json().to_pretty());
     } else {
@@ -720,11 +704,7 @@ fn timeseries(policy: &Policy, flags: &Flags) -> CmdResult {
             .ok_or_else(|| format!("--interval-us must be between 1 and {}", u64::MAX / 1_000))?;
         cfg.interval = Nanos::from_nanos(ns);
     }
-    let attach = Attachments {
-        sampler: cfg,
-        ..Attachments::default()
-    };
-    let run = run_demo(policy, attach)?;
+    let run = saturate(policy, SEED, cfg).map_err(|e| e.to_string())?;
     let text = match flags.format {
         Some("--prom") => prometheus_text(&run.snapshot),
         Some("--jsonl") => run.sampler.to_jsonl(),
@@ -740,7 +720,7 @@ fn timeseries(policy: &Policy, flags: &Flags) -> CmdResult {
 /// Attribution is deterministic: the same script yields byte-identical
 /// output on every run.
 fn profile(policy: &Policy, flags: &Flags) -> CmdResult {
-    let report = run_demo(policy, Attachments::default())?.probe;
+    let report = run_demo(policy)?.probe;
     let text = match flags.format {
         Some("--folded") => report.folded(),
         Some("--json") => format!("{}\n", report.to_json().to_pretty()),
@@ -754,7 +734,7 @@ fn profile(policy: &Policy, flags: &Flags) -> CmdResult {
 /// the flows that moved the most wire bits (named via the demo's flow
 /// table) and the most contended locks.
 fn top(policy: &Policy, _: &Flags) -> CmdResult {
-    let run = run_demo(policy, Attachments::default())?;
+    let run = run_demo(policy)?;
     let report = &run.probe;
     println!(
         "top: {} spans of sampled packets (1 in {}) attributed across {} classes; \
@@ -824,10 +804,9 @@ fn why(policy: &Policy, flags: &Flags) -> CmdResult {
         eprintln!("fv: why requires --pkt <id> or --flow <class>");
         return Ok(ExitCode::from(2));
     }
-    let run = run_demo(policy, Attachments::default())?;
-    let audit = run.audit.as_ref().expect("why runs with auditing attached");
+    let run = run_demo(policy)?;
     if let Some(pkt) = flags.pkt {
-        let rec = audit.ring.get(pkt).ok_or_else(|| {
+        let rec = run.audit.ring.get(pkt).ok_or_else(|| {
             format!(
                 "no provenance for pkt {pkt}: not sampled (1 in {} by \
                  packet id), unlabeled, or evicted from the ring",
@@ -843,7 +822,8 @@ fn why(policy: &Policy, flags: &Flags) -> CmdResult {
         let label = flags.flow.as_deref().expect("checked above");
         let id =
             resolve_class(&run.tree, label).ok_or_else(|| format!("no class named {label}"))?;
-        let recs: Vec<ProvenanceRecord> = audit
+        let recs: Vec<ProvenanceRecord> = run
+            .audit
             .ring
             .records()
             .into_iter()
@@ -887,17 +867,15 @@ fn why(policy: &Policy, flags: &Flags) -> CmdResult {
 /// the token-conservation ledger. Exits 1 on any conservation break;
 /// `--inject-mischarge` corrupts one record first as a gate self-test.
 fn audit_cmd(policy: &Policy, flags: &Flags) -> CmdResult {
-    let attach = Attachments::default();
     let run = match &flags.plan {
         Some(path) => {
-            run_chaos(policy, &load_plan(path)?, attach)
+            run_chaos(policy, &load_plan(path)?)
                 .map_err(|e| e.to_string())?
                 .run
         }
-        None => run_demo(policy, attach)?,
+        None => run_demo(policy)?,
     };
-    let audit = run.audit.as_ref().expect("audit runs with capture on");
-    let mut records = audit.ring.records();
+    let mut records = run.audit.ring.records();
     if flags.inject_mischarge {
         // Gate self-test: move one green meter step's after-level by one
         // token. The ledger must flag exactly this as a mischarge.
@@ -911,7 +889,7 @@ fn audit_cmd(policy: &Policy, flags: &Flags) -> CmdResult {
             return Err("--inject-mischarge found no green meter step to corrupt".into());
         }
     }
-    let report = Ledger::audit(&records, &audit.slab);
+    let report = Ledger::audit(&records, &run.audit.slab);
     if flags.format == Some("--json") {
         println!("{}", report.to_json().to_pretty());
     } else {

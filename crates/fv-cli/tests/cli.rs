@@ -947,6 +947,46 @@ fn chaos_json_schema_matches_golden() {
     assert_matches_golden("chaos_json_schema.txt", &schema);
 }
 
+/// The replayed `fv chaos … --plan scripts/reconfig.chaos --json` line
+/// carries the conservation ledger's verdict on the run's two hot reloads:
+/// sampled records folded, meter steps checked, no violation.
+#[test]
+fn reconfig_chaos_json_reports_no_conservation_violation() {
+    use fv_telemetry::json::JsonValue;
+
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let out = fv()
+        .current_dir(&root)
+        .args([
+            "chaos",
+            "scripts/motivation.fv",
+            "--plan",
+            "scripts/reconfig.chaos",
+        ])
+        .arg("--json")
+        .output()
+        .expect("fv runs");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let doc = JsonValue::parse(&String::from_utf8_lossy(&out.stdout)).expect("chaos json");
+    let metrics = doc
+        .get("snapshot")
+        .and_then(|s| s.get("metrics"))
+        .expect("snapshot metrics");
+    let counter = |name: &str| {
+        metrics
+            .get(name)
+            .and_then(JsonValue::as_u64)
+            .unwrap_or_else(|| panic!("no counter {name}"))
+    };
+    assert!(counter("audit.records") > 0);
+    assert!(counter("audit.steps_checked") > 0);
+    assert_eq!(counter("audit.violations"), 0);
+}
+
 #[test]
 fn stats_reports_per_lock_contention() {
     let f = write_script(GOOD);

@@ -60,7 +60,7 @@ pub trait FaultInjector: std::fmt::Debug + Send + Sync {
     }
 
     /// Traffic-manager verdict for a frame offered at `now`.
-    fn tm_fault(&self, _now: Nanos, _pkt_id: u64) -> TmFault {
+    fn tm_fault(&self, _now: Nanos) -> TmFault {
         TmFault::None
     }
 
@@ -95,7 +95,7 @@ mod tests {
         assert_eq!(f.wire_rate_permille(t), 1000);
         assert_eq!(f.stalled_engines(t), None);
         assert_eq!(f.extra_cycles(t), 0);
-        assert_eq!(f.tm_fault(t, 7), TmFault::None);
+        assert_eq!(f.tm_fault(t), TmFault::None);
         assert_eq!(f.lock_hold_permille(t), 1000);
         assert_eq!(f.sched_clock_skew(t), Nanos::ZERO);
     }

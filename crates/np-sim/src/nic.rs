@@ -671,7 +671,7 @@ mod tests {
     #[derive(Debug)]
     struct Window;
     impl FaultInjector for Window {
-        fn tm_fault(&self, now: Nanos, _pkt_id: u64) -> TmFault {
+        fn tm_fault(&self, now: Nanos) -> TmFault {
             if now >= Nanos::from_micros(2) && now < Nanos::from_micros(4) {
                 TmFault::CorruptDrop
             } else {

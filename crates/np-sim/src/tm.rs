@@ -133,7 +133,7 @@ impl TxFifo {
         self.last_t = t;
         let mut paused_until = Nanos::ZERO;
         if let Some(inj) = &self.injector {
-            match inj.tm_fault(t, pkt_id) {
+            match inj.tm_fault(t) {
                 TmFault::None => {}
                 TmFault::Paused { until } => paused_until = until,
                 TmFault::CorruptDrop => return Err(TmDrop::CorruptDrop),
@@ -281,7 +281,7 @@ mod tests {
                 1000
             }
         }
-        fn tm_fault(&self, now: Nanos, _pkt_id: u64) -> TmFault {
+        fn tm_fault(&self, now: Nanos) -> TmFault {
             if now >= self.from && now < self.to {
                 self.fault
             } else {

@@ -9,7 +9,7 @@
 //! with the cockpit's last seconds.
 
 use fv_telemetry::trace::TraceEvent;
-use fv_telemetry::JsonValue;
+use fv_telemetry::{JsonValue, ToJson};
 use sim_core::time::Nanos;
 
 use crate::report::ProbeReport;
@@ -26,17 +26,7 @@ pub fn flight_doc(
         ("trigger", JsonValue::Str(trigger.to_string())),
         ("at_ns", JsonValue::UInt(at.as_nanos())),
         ("profile", report.to_json()),
-        (
-            "trace",
-            JsonValue::arr(events.iter().map(|e| {
-                JsonValue::obj([
-                    ("at_ns", JsonValue::UInt(e.at.as_nanos())),
-                    ("kind", JsonValue::Str(e.kind.name().to_string())),
-                    ("a", JsonValue::UInt(e.a)),
-                    ("b", JsonValue::UInt(e.b)),
-                ])
-            })),
-        ),
+        ("trace", JsonValue::arr(events.iter().map(ToJson::to_json))),
     ])
 }
 

@@ -294,7 +294,7 @@ echo "==> CLI replay (every deterministic fv invocation must hash to results/cli
 # what the binary printed when they were last regenerated, so a diff is a
 # behaviour change of `fv` — unintended, or to be committed and named in
 # CHANGES.md. A non-zero exit fails too, which makes the `check` line the
-# rate-conformance gate and the two `audit` lines the conservation gates.
+# rate-conformance gate and the three `audit` lines the conservation gates.
 # The `why --pkt` id is the one sampled packet of ids 64..127 (fv-cli's
 # replayed_why_line_names_a_sampled_packet asks the sampler and fails on
 # any other).

@@ -5,13 +5,15 @@
 //! pins that the scheduler returns to its conformance band once the
 //! window clears. Host faults (an app pause, a VF reset) act at the host
 //! boundary `run_chaos` models, before the NIC sees the frame. Determinism
-//! (same plan + seed → byte-identical report) and clean-path neutrality
-//! (empty plan → the unfaulted NIC numbers) are pinned here too, plus
-//! recovery of the PRIO/TBF baselines under a wire stall for comparison.
+//! (same plan + seed → byte-identical report), clean-path neutrality
+//! (empty plan → the unfaulted NIC numbers) and token conservation across
+//! hot reloads are pinned here too, plus recovery of the PRIO/TBF
+//! baselines under a wire stall for comparison.
 
 use flowvalve::frontend::Policy;
-use fv_chaos::{run_chaos, saturate, Attachments, FaultPlan, SETTLE};
-use fv_scope::{evaluate, Slo};
+use fv_audit::Ledger;
+use fv_chaos::{run_chaos, saturate, FaultPlan, SETTLE};
+use fv_scope::{evaluate, SamplerConfig, Slo};
 use fv_telemetry::ToJson;
 use netstack::flow::FlowKey;
 use netstack::packet::{AppId, Packet, PacketIdGen, VfPort};
@@ -36,7 +38,7 @@ fn policy() -> Policy {
 
 fn chaos(plan: &str) -> fv_chaos::ChaosReport {
     let plan = FaultPlan::parse(plan).expect("plan parses");
-    run_chaos(&policy(), &plan, Attachments::default()).expect("run succeeds")
+    run_chaos(&policy(), &plan).expect("run succeeds")
 }
 
 /// The sampler recovery was judged on.
@@ -254,6 +256,31 @@ fn reconfig_halves_throughput_then_restores_it() {
     );
 }
 
+/// `fv chaos scripts/motivation.fv --plan scripts/reconfig.chaos` reloads
+/// the policy twice, at 4 ms and at 6 ms. The provenance ring holds sampled
+/// decisions of all three trees (before, during and after the window: the
+/// run samples about 760, the ring keeps 4096), and the conservation
+/// ledger finds no break in any of them.
+#[test]
+fn tokens_are_conserved_across_both_hot_reloads() {
+    let policy = Policy::parse(include_str!("../scripts/motivation.fv")).expect("policy parses");
+    let plan = FaultPlan::parse(include_str!("../scripts/reconfig.chaos")).expect("plan parses");
+    let run = run_chaos(&policy, &plan).expect("run succeeds").run;
+    let records = run.audit.ring.records();
+    assert!(records.len() < 4096, "the 4096-slot ring wrapped");
+    for gen in 0..=2 {
+        assert!(
+            records.iter().any(|r| r.reload_gen == gen),
+            "no sampled decision of reload generation {gen}"
+        );
+    }
+    let report = Ledger::audit(&records, &run.audit.slab);
+    assert!(report.ok(), "{}", report.render());
+    assert!(report.steps_checked > 0);
+    assert_eq!(run.snapshot.counter("audit.records"), records.len() as u64);
+    assert_eq!(run.snapshot.counter("audit.violations"), 0);
+}
+
 /// A window that ends within the settle time of the horizon, or after it,
 /// is noted as unchecked rather than judged, even one ending at the top of
 /// the clock's range.
@@ -281,7 +308,7 @@ fn same_plan_and_seed_replays_byte_identically() {
 #[test]
 fn empty_plan_matches_a_run_with_no_injector_installed() {
     let report = chaos("chaos seed 1\n");
-    let clean = saturate(&policy(), 1, Attachments::default()).expect("run succeeds");
+    let clean = saturate(&policy(), 1, SamplerConfig::default()).expect("run succeeds");
     for c in [
         "nic.offered",
         "nic.tx_packets",
