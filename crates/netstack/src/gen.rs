@@ -157,16 +157,23 @@ impl ArrivalProcess for OnOffProcess {
 /// Full-speed injection: back-to-back fixed-size frames at the line rate of
 /// the ingress link — the stress pattern of Figure 13.
 ///
-/// Gaps are emitted from a cumulative schedule so integer-nanosecond
+/// Arrival `k` is due at `⌊k·W / R⌋` ns, for `W` wire bits per frame
+/// (times 10⁹) and a rate of `R` bits per second, so integer-nanosecond
 /// rounding never drifts: over N packets the total elapsed time is exact to
-/// within one nanosecond, even for 17-ns-per-packet 40 GbE minimum frames.
+/// within one nanosecond, even for 16.8-ns-per-packet 40 GbE minimum
+/// frames. The gaps are carried, not divided: with `W = q·R + r`, every gap
+/// is `q` or `q + 1`, and it is `q + 1` exactly when `(k − 1)·r mod R`, the
+/// remainder carried from the previous arrival, reaches `R − r`.
 #[derive(Debug, Clone)]
 pub struct LineRateProcess {
-    wire_bits: u64,
+    /// `⌊W / R⌋`: the shorter gap.
+    gap_ns: u64,
+    /// `W mod R`: what each arrival adds to the carried remainder.
+    rem_step: u64,
     rate_bps: u64,
+    /// `k·W mod R` after `k` arrivals.
+    rem: u64,
     frame_len: u32,
-    sent: u64,
-    last_t_ns: u64,
 }
 
 impl LineRateProcess {
@@ -178,24 +185,34 @@ impl LineRateProcess {
     /// Panics if `link` is zero.
     pub fn new(link: BitRate, frame_len: u32, framing: WireFraming) -> Self {
         assert!(link > BitRate::ZERO, "link rate must be positive");
+        let rate_bps = link.as_bps();
+        let w = framing.wire_bits(frame_len as u64) as u128 * 1_000_000_000;
         LineRateProcess {
-            wire_bits: framing.wire_bits(frame_len as u64),
-            rate_bps: link.as_bps(),
+            gap_ns: (w / rate_bps as u128) as u64,
+            rem_step: (w % rate_bps as u128) as u64,
+            rate_bps,
+            rem: 0,
             frame_len,
-            sent: 0,
-            last_t_ns: 0,
         }
     }
 }
 
 impl ArrivalProcess for LineRateProcess {
     fn next_arrival(&mut self, _rng: &mut SimRng) -> (Nanos, u32) {
-        self.sent += 1;
-        let t_ns = (self.sent as u128 * self.wire_bits as u128 * 1_000_000_000u128
-            / self.rate_bps as u128) as u64;
-        let gap = t_ns - self.last_t_ns;
-        self.last_t_ns = t_ns;
-        (Nanos::from_nanos(gap), self.frame_len)
+        // `rem + rem_step >= rate`, written so that neither side can
+        // overflow: both remainders are below the rate.
+        let carry = self.rem >= self.rate_bps - self.rem_step;
+        // `(rem + rem_step) mod rate`, exact in wrapping arithmetic
+        // because the true value lies in [0, rate).
+        self.rem = self.rem.wrapping_add(self.rem_step).wrapping_sub(if carry {
+            self.rate_bps
+        } else {
+            0
+        });
+        (
+            Nanos::from_nanos(self.gap_ns + carry as u64),
+            self.frame_len,
+        )
     }
 }
 
@@ -256,6 +273,38 @@ mod tests {
             (pps - expect).abs() / expect < 1e-6,
             "{pps} against {expect}"
         );
+    }
+
+    #[test]
+    fn line_rate_gaps_are_the_differences_of_the_exact_schedule() {
+        // Rates that do not divide the frame's wire time evenly, up to ones
+        // where the carried remainder's sum would overflow u64.
+        let rates = [
+            40_000_000_000u64,
+            10_000_000_000,
+            7_777_777_777,
+            3,
+            1_000_003,
+        ];
+        let rates = rates
+            .into_iter()
+            .chain([(1 << 63) + 12_345, u64::MAX - 2, u64::MAX]);
+        let mut rng = SimRng::seed(45);
+        for (rate, len) in rates.zip([64u32, 1518, 64, 1, 9000, 64, 1518, 100]) {
+            let mut p = LineRateProcess::new(BitRate::from_bps(rate), len, WireFraming::ETHERNET);
+            let w = WireFraming::ETHERNET.wire_bits(len as u64) as u128 * 1_000_000_000;
+            let due = |k: u128| k * w / rate as u128;
+            // 250 000 arrivals per rate, 2·10⁶ in all.
+            for k in 1..=250_000u128 {
+                let (gap, got_len) = p.next_arrival(&mut rng);
+                assert_eq!(
+                    gap.as_nanos() as u128,
+                    due(k) - due(k - 1),
+                    "arrival {k} at {rate} bps"
+                );
+                assert_eq!(got_len, len);
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use sim_core::time::{Cycles, Freq, Nanos};
+use sim_core::time::{CycleTime, Cycles, Freq, Nanos};
 
 /// Outcome of trying to dispatch a packet to a worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,6 +48,8 @@ pub struct WorkerPool {
     /// Min-heap of `(free time, engine index)` pairs.
     free_at: BinaryHeap<Reverse<(Nanos, usize)>>,
     freq: Freq,
+    /// `freq.duration_of`, without its `u128` division per packet.
+    cycle_time: CycleTime,
     rx_max_wait: Nanos,
     /// Instruction cycles retired by each micro-engine individually.
     busy: Vec<Cycles>,
@@ -67,6 +69,7 @@ impl WorkerPool {
         WorkerPool {
             free_at: (0..n).map(|i| Reverse((Nanos::ZERO, i))).collect(),
             freq,
+            cycle_time: CycleTime::new(freq),
             rx_max_wait,
             busy: vec![Cycles::ZERO; n],
             pending: None,
@@ -145,7 +148,7 @@ impl WorkerPool {
     pub fn complete(&mut self, start: Nanos, cost: Cycles) -> Nanos {
         let (pending, engine) = self.pending.take().expect("no pending dispatch");
         assert_eq!(pending, start, "completion does not match dispatch");
-        let done = start + self.freq.duration_of(cost);
+        let done = start + self.cycle_time.duration_of(cost);
         self.busy[engine] += cost;
         self.free_at.push(Reverse((done, engine)));
         done
@@ -294,6 +297,29 @@ mod tests {
         };
         assert_eq!(start, Nanos::ZERO);
         p1.complete(start, Cycles::ZERO);
+    }
+
+    #[test]
+    fn completions_are_duration_of_at_the_models_clocks() {
+        for freq in [
+            Freq::from_mhz(800),
+            Freq::from_ghz(1.2),
+            Freq::from_mhz(1000),
+        ] {
+            // Packet costs, and counts past 2^64 / 10^9 whose product
+            // takes the u128 fallback.
+            let costs = [0, 1, 2, 3, 119, 120, 121, 180, 700, 1_000_003];
+            let wide = [u64::MAX / 1_000_000_000 + 1, u64::MAX / 2, u64::MAX];
+            for cost in costs.into_iter().chain(wide).map(Cycles::new) {
+                let mut p = WorkerPool::new(1, freq, Nanos::ZERO);
+                assert_eq!(
+                    p.dispatch(Nanos::ZERO),
+                    Dispatch::Started { start: Nanos::ZERO }
+                );
+                let done = p.complete(Nanos::ZERO, cost);
+                assert_eq!(done, freq.duration_of(cost), "{cost} at {freq}");
+            }
+        }
     }
 
     #[test]

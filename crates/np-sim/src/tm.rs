@@ -24,7 +24,7 @@ use fv_telemetry::span::{SpanRecorder, Stage};
 use fv_telemetry::trace::TraceKind;
 use fv_telemetry::Registry;
 use sim_core::time::Nanos;
-use sim_core::units::{BitRate, ByteSize, WireFraming};
+use sim_core::units::{BitRate, ByteSize, WireFraming, WireTime};
 
 use crate::fault::{FaultInjector, TmFault};
 
@@ -65,7 +65,8 @@ struct FifoTelemetry {
 /// ```
 #[derive(Debug)]
 pub struct TxFifo {
-    rate: BitRate,
+    /// The wire rate's conversions, without a `u128` division per frame.
+    wire: WireTime,
     framing: WireFraming,
     /// Maximum backlog expressed as drain time (capacity / rate).
     max_backlog: Nanos,
@@ -86,10 +87,11 @@ impl TxFifo {
     pub fn new(rate: BitRate, framing: WireFraming, capacity: ByteSize) -> Self {
         assert!(rate > BitRate::ZERO, "wire rate must be positive");
         assert!(capacity > ByteSize::ZERO, "capacity must be positive");
+        let wire = WireTime::new(rate);
         TxFifo {
-            rate,
+            wire,
             framing,
-            max_backlog: rate.serialization_time(capacity.as_bits()),
+            max_backlog: wire.serialization_time(capacity.as_bits()),
             free_at: Nanos::ZERO,
             last_t: Nanos::ZERO,
             telemetry: None,
@@ -146,7 +148,9 @@ impl TxFifo {
             }
             return Err(TmDrop::TailDrop);
         }
-        let mut ser = self.framing.serialization_time(self.rate, frame_len as u64);
+        let mut ser = self
+            .wire
+            .serialization_time(self.framing.wire_bits(frame_len as u64));
         if let Some(inj) = &self.injector {
             let permille = inj.wire_rate_permille(t).max(1);
             if permille != 1000 {
@@ -157,7 +161,7 @@ impl TxFifo {
         let wire_start = self.free_at.max(t).max(paused_until);
         self.free_at = wire_start + ser;
         if let Some(tel) = &self.telemetry {
-            let occupancy = self.rate.bits_in(self.free_at - t) / 8;
+            let occupancy = self.wire.bits_in(self.free_at - t) / 8;
             tel.backlog_bytes.set(occupancy);
             tel.spans.record(Stage::TmQueue, t, pkt_id, wire_start - t);
             tel.spans.record(Stage::Wire, wire_start, pkt_id, ser);
@@ -168,7 +172,7 @@ impl TxFifo {
     /// Current queue backlog in bytes at time `t`.
     pub fn backlog_bytes(&self, t: Nanos) -> u64 {
         let backlog = self.free_at.saturating_sub(t.max(self.last_t));
-        self.rate.bits_in(backlog) / 8
+        self.wire.bits_in(backlog) / 8
     }
 }
 
@@ -191,6 +195,24 @@ mod tests {
         // 1000 bytes = 8000 bits at 1 bit/ns.
         let done = f.enqueue_pkt(1_000, Nanos::ZERO, 0).unwrap();
         assert_eq!(done, Nanos::from_nanos(8_000));
+    }
+
+    #[test]
+    fn serialization_is_the_framing_arithmetic_at_the_models_rates() {
+        for gbps in [10.0, 40.0, 100.0, 7.777_777_777] {
+            let rate = BitRate::from_gbps(gbps);
+            let framing = WireFraming::ETHERNET;
+            for len in (0..=9_018).step_by(7).chain([64, 1518, u32::MAX]) {
+                let mut f = TxFifo::new(rate, framing, ByteSize::from_kib(64));
+                let done = f.enqueue_pkt(len, Nanos::ZERO, 0).unwrap();
+                assert_eq!(
+                    done,
+                    framing.serialization_time(rate, len as u64),
+                    "{len} B at {rate}"
+                );
+                assert_eq!(f.backlog_bytes(Nanos::ZERO), rate.bits_in(done) / 8);
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! or serialize. Memory is one integer per series per slot of the run,
 //! however many packets were delivered.
 
+use crate::scale::Scale;
 use crate::time::Nanos;
 use crate::units::BitRate;
 
@@ -65,6 +66,8 @@ impl BinnedSeries {
 #[derive(Debug, Clone)]
 pub struct SeriesRecorder {
     slot: Nanos,
+    /// `t ↦ ⌊t / slot⌋` without a division per record.
+    slot_of: Scale,
     /// `(name, bits per slot)` in registration order; the slots reach as
     /// far as the latest event recorded.
     series: Vec<(String, Vec<u64>)>,
@@ -81,6 +84,7 @@ impl SeriesRecorder {
         assert!(slot > Nanos::ZERO, "slot width must be positive");
         SeriesRecorder {
             slot,
+            slot_of: Scale::new(1, 0, slot.as_nanos()),
             series: Vec::new(),
         }
     }
@@ -104,7 +108,7 @@ impl SeriesRecorder {
     /// Panics if `series` did not come from [`SeriesRecorder::series`].
     pub fn record(&mut self, series: usize, t: Nanos, bits: u64) {
         let slots = &mut self.series[series].1;
-        let i = (t.as_nanos() / self.slot.as_nanos()) as usize;
+        let i = self.slot_of.apply(t.as_nanos()) as usize;
         if i >= slots.len() {
             slots.resize(i + 1, 0);
         }
@@ -234,6 +238,41 @@ mod tests {
                 let want = bits as u128 * 1_000_000_000 / bin.as_nanos() as u128;
                 assert_eq!(rate.as_bps() as u128, want, "bin {b} of {per_bin} slots");
             }
+        }
+    }
+
+    #[test]
+    fn records_land_in_the_slot_a_division_picks() {
+        let mut rng = crate::rng::SimRng::seed(45);
+        for slot in [1, 7, 100, 1_000, 999_983, 1_000_000, u64::MAX / 3, u64::MAX] {
+            let mut rec = SeriesRecorder::new(Nanos::from_nanos(slot));
+            let a = rec.series("a");
+            let mut want = vec![0u64; 65];
+            let slots = 64.min(u64::MAX / slot);
+            let edges = [
+                0,
+                1,
+                slot - 1,
+                slot,
+                slot.saturating_add(1),
+                u64::MAX / slot * slot,
+            ];
+            let seeded = (0..500).map(|_| rng.range(0, slots) * slot + rng.range(0, slot));
+            for (t, bits) in edges
+                .into_iter()
+                .chain(seeded)
+                .filter(|&t| t / slot <= 64)
+                .zip(1..)
+            {
+                rec.record(a, Nanos::from_nanos(t), bits);
+                want[(t / slot) as usize] += bits;
+            }
+            let got = rec.slots_of("a").expect("recorded");
+            assert_eq!(got, &want[..got.len()], "slots of {slot} ns");
+            assert!(
+                want[got.len()..].iter().all(|&b| b == 0),
+                "slots of {slot} ns"
+            );
         }
     }
 

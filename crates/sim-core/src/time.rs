@@ -10,6 +10,8 @@ use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
+use crate::scale::Scale;
+
 /// A point in (or span of) simulated time, in nanoseconds.
 ///
 /// `Nanos` is deliberately a thin newtype over `u64` so it is free to copy
@@ -216,6 +218,44 @@ impl Freq {
     }
 }
 
+/// [`Freq::duration_of`] at one frequency, its division precomputed: the
+/// conversion of a caller that turns a cycle count into time per packet.
+///
+/// Returns exactly what `duration_of` returns for every cycle count: the
+/// rounded quotient `⌊(c·10⁹ + ⌊f/2⌋) / f⌋` goes through a [`Scale`], which
+/// takes `duration_of`'s own `u128` arithmetic only when `c·10⁹/g`
+/// overflows `u64` (`g = gcd(10⁹, f)`; at 1.2 GHz, past 3.7·10¹⁸ cycles).
+///
+/// # Example
+///
+/// ```
+/// use sim_core::time::{CycleTime, Cycles, Freq, Nanos};
+///
+/// let f = Freq::from_mhz(1_200);
+/// let at = CycleTime::new(f);
+/// assert_eq!(at.duration_of(Cycles::new(1_200)), Nanos::from_micros(1));
+/// assert_eq!(at.duration_of(Cycles::new(7)), f.duration_of(Cycles::new(7)));
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct CycleTime(Scale);
+
+impl CycleTime {
+    /// [`Freq::duration_of`] at `freq`.
+    pub fn new(freq: Freq) -> Self {
+        CycleTime(Scale::new(1_000_000_000, freq.0 / 2, freq.0))
+    }
+
+    /// The duration of `cycles`, rounded to the nearest nanosecond with a
+    /// 1 ns floor for a non-zero count, as [`Freq::duration_of`].
+    #[inline]
+    pub fn duration_of(&self, cycles: Cycles) -> Nanos {
+        if cycles.0 == 0 {
+            return Nanos::ZERO;
+        }
+        Nanos::from_nanos(self.0.apply(cycles.0).max(1))
+    }
+}
+
 impl fmt::Display for Freq {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.0 >= 1_000_000_000 {
@@ -350,6 +390,53 @@ mod tests {
         // A single cycle at 2 GHz is 0.5 ns; we floor to 1 ns so work is never free.
         assert_eq!(f.duration_of(Cycles::new(1)), Nanos::from_nanos(1));
         assert_eq!(f.duration_of(Cycles::ZERO), Nanos::ZERO);
+    }
+
+    #[test]
+    fn cycle_time_is_duration_of_for_every_count() {
+        let mut rng = crate::rng::SimRng::seed(45);
+        let clocks = [
+            1,
+            2,
+            3,
+            999_999_999,
+            800_000_000,
+            1_200_000_000,
+            1_333_333_333,
+        ];
+        let clocks = clocks
+            .into_iter()
+            .chain([2_000_000_000, u64::MAX / 3, u64::MAX]);
+        for hz in clocks {
+            let f = Freq::from_hz(hz);
+            let at = CycleTime::new(f);
+            let counts = [
+                0,
+                1,
+                2,
+                5,
+                6,
+                7,
+                1_199,
+                1_200,
+                1_201,
+                hz / 2,
+                hz,
+                hz.saturating_add(1),
+            ];
+            // Past 2^64 / 10⁹ cycles the product overflows: the fallback.
+            let wide = [
+                u64::MAX / 1_000_000_000 + 1,
+                u64::MAX / 5 + 1,
+                u64::MAX - 1,
+                u64::MAX,
+            ];
+            let seeded = (0..2_000).map(|_| rng.next_u64() >> rng.range(0, 64));
+            for c in counts.into_iter().chain(wide).chain(seeded) {
+                let c = Cycles::new(c);
+                assert_eq!(at.duration_of(c), f.duration_of(c), "{c} at {f}");
+            }
+        }
     }
 
     #[test]

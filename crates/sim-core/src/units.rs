@@ -7,6 +7,7 @@
 
 use core::fmt;
 
+use crate::scale::Scale;
 use crate::time::Nanos;
 
 /// A bandwidth in bits per second.
@@ -101,6 +102,60 @@ impl BitRate {
     #[inline]
     pub fn saturating_add(self, rhs: BitRate) -> BitRate {
         BitRate(self.0.saturating_add(rhs.0))
+    }
+}
+
+/// [`BitRate::serialization_time`] and [`BitRate::bits_in`] at one
+/// positive rate, their divisions precomputed: the conversions of a wire
+/// that times every frame it sends.
+///
+/// Each returns exactly what the `BitRate` method returns for every
+/// argument: `⌈b·10⁹ / R⌉` and `⌊R·t / 10⁹⌋` go through a [`Scale`], which
+/// takes the `u128` arithmetic only when the reduced product overflows
+/// `u64` (at 40 Gbps the fractions reduce to `⌊(b + 39) / 40⌋` and
+/// `40·t`: the first overflows for no frame, the second past 14 years).
+///
+/// # Example
+///
+/// ```
+/// use sim_core::time::Nanos;
+/// use sim_core::units::{BitRate, WireTime};
+///
+/// let rate = BitRate::from_gbps(40.0);
+/// let wire = WireTime::new(rate);
+/// assert_eq!(wire.serialization_time(672), Nanos::from_nanos(17)); // ⌈16.8⌉
+/// assert_eq!(wire.bits_in(Nanos::from_micros(1)), rate.bits_in(Nanos::from_micros(1)));
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct WireTime {
+    serialization: Scale,
+    bits: Scale,
+}
+
+impl WireTime {
+    /// The conversions at `rate`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rate` is zero.
+    pub fn new(rate: BitRate) -> Self {
+        assert!(rate > BitRate::ZERO, "wire rate must be positive");
+        WireTime {
+            serialization: Scale::new(1_000_000_000, rate.0 - 1, rate.0),
+            bits: Scale::new(rate.0, 0, 1_000_000_000),
+        }
+    }
+
+    /// Time to serialize `bits`, rounded up to whole nanoseconds.
+    #[inline]
+    pub fn serialization_time(&self, bits: u64) -> Nanos {
+        Nanos::from_nanos(self.serialization.apply(bits))
+    }
+
+    /// How many bits can be sent in `dt`.
+    #[inline]
+    pub fn bits_in(&self, dt: Nanos) -> u64 {
+        self.bits.apply(dt.as_nanos())
     }
 }
 
@@ -255,6 +310,50 @@ mod tests {
     fn bits_in_window() {
         let r = BitRate::from_gbps(40.0);
         assert_eq!(r.bits_in(Nanos::from_micros(1)), 40_000);
+    }
+
+    #[test]
+    fn wire_time_is_the_rate_arithmetic_for_every_argument() {
+        let mut rng = crate::rng::SimRng::seed(45);
+        let rates = [1, 3, 999, 1_000_000_000, 7_777_777_777, 10_000_000_000];
+        let rates = rates
+            .into_iter()
+            .chain([40_000_000_000, 100_000_000_000, u64::MAX]);
+        for bps in rates {
+            let rate = BitRate::from_bps(bps);
+            let wire = WireTime::new(rate);
+            let edges = [
+                0,
+                1,
+                2,
+                511,
+                512,
+                672,
+                12_304,
+                1_000_000_000,
+                bps - 1,
+                bps,
+                bps.saturating_add(1),
+            ];
+            // Past 2^64 / 10⁹ bits (or 2^64 / R ns) the product overflows:
+            // the fallback.
+            let wide = [
+                u64::MAX / 1_000_000_000 + 1,
+                u64::MAX / 40 + 1,
+                u64::MAX - 1,
+                u64::MAX,
+            ];
+            let seeded = (0..2_000).map(|_| rng.next_u64() >> rng.range(0, 64));
+            for x in edges.into_iter().chain(wide).chain(seeded) {
+                let dt = Nanos::from_nanos(x);
+                assert_eq!(
+                    wire.serialization_time(x),
+                    rate.serialization_time(x),
+                    "{x} bits at {rate}"
+                );
+                assert_eq!(wire.bits_in(dt), rate.bits_in(dt), "{dt} at {rate}");
+            }
+        }
     }
 
     #[test]
