@@ -268,6 +268,122 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> codegen guard (no u128 division and no libm log on the per-packet path)"
+# DESIGN.md §4: the simulated path's per-packet arithmetic is integer and
+# exact, with no __udivti3 / __umodti3 (u128 division) and no libm `log`.
+# The guard disassembles each listed per-packet symbol and every function of
+# the workspace's own crates it calls, transitively, and fails on any
+# reference to those three, called directly or through the GOT slot a PIE
+# build calls them by (objdump -R resolves the slot: a RELATIVE entry to the
+# statically linked __udivti3, a GLOB_DAT entry to libm's log; a loop may
+# load the slot into a register and call that). It stops at Scale::wide,
+# the #[cold] fallback that runs the u128 definition when a product
+# overflows u64. A listed symbol that is missing fails too, so inlining
+# cannot void the guard. A planted program tests the guard itself: a u128
+# division, a log and a call into the first must be flagged, a clean
+# function not.
+python3 - <<'PY'
+import os, re, shutil, subprocess, sys, tempfile
+FORBIDDEN = {"__udivti3", "__umodti3", "log"}
+OWN = re.compile(r"^<?(sim_core|netstack|np_sim|hostsim|flowvalve|classifier|qdisc|fv_\w+)::")
+FALLBACK = {"sim_core::scale::Scale::wide"}
+NIC = ["np_sim::nic::SmartNic::rx", "np_sim::engine::WorkerPool::complete",
+       "np_sim::tm::TxFifo::enqueue_pkt",
+       "<netstack::gen::LineRateProcess as netstack::gen::ArrivalProcess>::next_arrival"]
+GUARDED = {"target/release/fv": NIC,
+           "target/release/figures": NIC + ["sim_core::stats::Histogram::record",
+                                            "sim_core::series::SeriesRecorder::record",
+                                            "hostsim::engine::Engine::settle"]}
+def out(*cmd):
+    return subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
+def forbidden_calls(binary, names):
+    """{name: [call chains ending in a forbidden symbol]}, None for a missing name."""
+    syms, by_addr, got = {}, {}, {}
+    for line in out("nm", "-C", "-n", "-S", "--defined-only", binary).splitlines():
+        m = re.match(r"([0-9a-f]+) ([0-9a-f]+) [tTwW] (.*)$", line)
+        if m:
+            addr, size = int(m.group(1), 16), int(m.group(2), 16)
+            syms.setdefault(m.group(3), []).append((addr, size))
+            by_addr.setdefault(addr, m.group(3))
+    for line in out("objdump", "-R", binary).splitlines():
+        m = re.match(r"([0-9a-f]+) (R_X86_64_\w+)\s+(\S+)", line)
+        if m and m.group(2) == "R_X86_64_RELATIVE":
+            target = by_addr.get(int(m.group(3).split("+")[-1], 16))
+            if target:
+                got[int(m.group(1), 16)] = target
+        elif m:
+            got[int(m.group(1), 16)] = m.group(3).split("@")[0]
+    def callees(addr, size):
+        dis = out("objdump", "-d", "--no-show-raw-insn", "-C", f"--start-address={addr:#x}",
+                  f"--stop-address={addr + size:#x}", binary)
+        for line in dis.splitlines():
+            m = re.search(r"\(%rip\)[^#]*# ([0-9a-f]+)", line)
+            if m and int(m.group(1), 16) in got:
+                yield got[int(m.group(1), 16)]
+                continue
+            m = re.search(r"\s(call|jmp)\s+([0-9a-f]+) <([^>]*)>", line)
+            if m and not addr <= int(m.group(2), 16) < addr + size:
+                yield by_addr.get(int(m.group(2), 16), m.group(3).split("@")[0])
+    found = {}
+    for name in names:
+        if name not in syms:
+            found[name] = None
+            continue
+        chains, seen, todo = [], set(), [(name,)]
+        while todo:
+            path = todo.pop()
+            if path[-1] in seen:
+                continue
+            seen.add(path[-1])
+            for addr, size in syms.get(path[-1], []):
+                for callee in callees(addr, size):
+                    if callee in FORBIDDEN:
+                        chains.append(path + (callee,))
+                    elif OWN.match(callee) and callee not in FALLBACK:
+                        todo.append(path + (callee,))
+        found[name] = chains
+    return found
+tmp = tempfile.mkdtemp()
+try:
+    open(os.path.join(tmp, "planted.rs"), "w").write(
+        "use std::hint::black_box;\n"
+        "#[inline(never)]\npub fn planted_divides(n: u64, d: u64) -> u64 {\n"
+        "    (n as u128 * 1_000_000_000 / d as u128) as u64\n}\n"
+        "#[inline(never)]\npub fn planted_logs(v: f64) -> f64 {\n    v.ln()\n}\n"
+        "#[inline(never)]\npub fn planted_calls_through(n: u64) -> u64 {\n"
+        "    planted_divides(n, black_box(3)) + 1\n}\n"
+        "#[inline(never)]\npub fn planted_clean(n: u64) -> u64 {\n    n.wrapping_mul(3) >> 1\n}\n"
+        "fn main() {\n    let n = black_box(7);\n"
+        "    black_box((planted_divides(n, black_box(3)), planted_logs(black_box(2.0))));\n"
+        "    black_box((planted_calls_through(n), planted_clean(n)));\n}\n")
+    planted = os.path.join(tmp, "planted")
+    subprocess.run(["rustc", "-O", "--edition", "2021", "--crate-name", "sim_core", "-o", planted,
+                    os.path.join(tmp, "planted.rs")], check=True)
+    names = [f"sim_core::planted_{n}" for n in ("divides", "logs", "calls_through", "clean")]
+    got = {n.split("planted_")[1]: sorted(c[-1] for c in chains)
+           for n, chains in forbidden_calls(planted, names).items() if chains is not None}
+    want = {"divides": ["__udivti3"], "logs": ["log"], "calls_through": ["__udivti3"], "clean": []}
+    if got != want:
+        print(f"codegen guard self-test: flagged {got}, want {want}")
+        sys.exit(1)
+finally:
+    shutil.rmtree(tmp)
+bad = instances = 0
+for binary, names in GUARDED.items():
+    for name, chains in forbidden_calls(binary, names).items():
+        if chains is None:
+            print(f"  {binary}: {name} is missing (inlined or renamed): list what inlines it")
+            bad += 1
+            continue
+        instances += 1
+        for chain in chains:
+            print(f"  {binary}: " + " -> ".join(chain))
+            bad += 1
+print(f"codegen guard: {instances} per-packet symbols in {len(GUARDED)} binaries, "
+      f"{bad} forbidden calls or missing symbols (self-test ok)")
+sys.exit(1 if bad else 0)
+PY
+
 echo "==> cargo test -q (tier-1: the whole workspace, via default-members)"
 # Timed like the figure replay, so the price of a new test shows on every run.
 TIMEFORMAT="tier-1 tests: the whole workspace in %R s"
@@ -416,5 +532,20 @@ echo "==> benchmark/run.sh --smoke + its unit tests (the whole-path benchmark st
 # 8 s cold.
 benchmark/run.sh --smoke >/dev/null
 (cd benchmark && cargo test --offline -q)
+
+echo "==> scripts/profile.sh smoke (the sampler builds, preloads, and names the hot symbols)"
+# A 1 s flow_churn run: the preloaded sampler must take samples at its
+# 10 kHz, the run must still report correct, and the busiest symbols must
+# resolve to the simulator's own functions, not to "?" or unmapped pages.
+scripts/profile.sh flow_churn 1 > "$TMP/profile.txt"
+python3 - "$TMP/profile.txt" <<'PY'
+import re, sys
+lines = open(sys.argv[1]).read().splitlines()
+head = re.match(r"(\d+) samples at 10 kHz; pkts_per_s [\d.]+ M, correct (\w+)", lines[0])
+assert head and int(head.group(1)) >= 5000 and head.group(2) == "True", lines[0]
+names = [line.split(None, 2)[2] for line in lines[1:6]]
+assert any(re.match(r"<?(np_sim|flowvalve|classifier|sim_core|netstack)::", n) for n in names), names
+print(f"profile.sh ok: {head.group(1)} samples, top symbol {names[0]}")
+PY
 
 echo "All checks passed."
