@@ -31,6 +31,10 @@ pub enum Dispatch {
 
 /// A pool of worker micro-engines.
 ///
+/// A worker's completion time is its start plus the packet's cycles at the
+/// pool's clock, converted per packet through a [`CycleTime`]: exactly
+/// [`Freq::duration_of`], without its `u128` division.
+///
 /// # Example
 ///
 /// ```
@@ -48,7 +52,6 @@ pub struct WorkerPool {
     /// Min-heap of `(free time, engine index)` pairs.
     free_at: BinaryHeap<Reverse<(Nanos, usize)>>,
     freq: Freq,
-    /// `freq.duration_of`, without its `u128` division per packet.
     cycle_time: CycleTime,
     rx_max_wait: Nanos,
     /// Instruction cycles retired by each micro-engine individually.

@@ -18,8 +18,6 @@
 //!   figures.
 //! * [`fixed`] — the fixed-point token arithmetic shared by every token
 //!   bucket in the workspace.
-//! * [`scale`] — exact integer scaling by a fixed fraction through a
-//!   precomputed reciprocal: the per-packet time conversions.
 //!
 //! # Example
 //!
@@ -44,7 +42,7 @@ pub mod clock;
 pub mod event;
 pub mod fixed;
 pub mod rng;
-pub mod scale;
+mod scale;
 pub mod series;
 pub mod stats;
 pub mod time;
@@ -54,7 +52,6 @@ pub use chart::{multi_sparkline, sparkline};
 pub use clock::{Clock, WallClock};
 pub use event::EventQueue;
 pub use rng::SimRng;
-pub use scale::Scale;
 pub use series::{BinnedSeries, SeriesRecorder};
 pub use stats::{Histogram, RunningStats};
 pub use time::{CycleTime, Cycles, Freq, Nanos};

@@ -3,7 +3,7 @@
 //! The simulator converts cycles to nanoseconds, bits to serialization
 //! time and timestamps to recorder slots once per packet, each by a divisor
 //! that never changes during a run. A `u128` quotient compiles to a call to
-//! `__udivti3` and a `u64` one to `div`, both tens of cycles. A [`Scale`]
+//! `__udivti3` and a `u64` one to `div`, both tens of cycles. A `Scale`
 //! reduces the fraction once and applies the divisor through a multiply-high
 //! reciprocal (Granlund and Montgomery, "Division by Invariant Integers
 //! using Multiplication", PLDI 1994, Fig. 4.1), which is exact for every
@@ -14,25 +14,14 @@
 /// expression `((n as u128 * mul as u128 + add as u128) / div as u128) as
 /// u64` it replaces.
 ///
-/// [`Scale::new`] divides `mul`, `add` and `div` by `gcd(mul, div)` (the
+/// `Scale::new` divides `mul`, `add` and `div` by `gcd(mul, div)` (the
 /// quotient is unchanged: `⌊(g·x + a) / (g·d)⌋ = ⌊(x + ⌊a/g⌋) / d⌋`), so
-/// `n·mul + add` fits `u64` for every numerator the simulator meets. When
-/// it does not, [`Scale::apply`] takes a `#[cold]` path that evaluates the
-/// `u128` expression itself.
-///
-/// # Example
-///
-/// ```
-/// use sim_core::scale::Scale;
-///
-/// // Nanoseconds of `n` cycles at 1.2 GHz, rounded to nearest:
-/// // (n·10⁹ + 6·10⁸) / (1.2·10⁹), which reduces to (5n + 3) / 6.
-/// let ns = Scale::new(1_000_000_000, 600_000_000, 1_200_000_000);
-/// assert_eq!(ns.apply(1_200), 1_000);
-/// assert_eq!(ns.apply(u64::MAX), ((u64::MAX as u128 * 5 + 3) / 6) as u64);
-/// ```
+/// `n·mul + add` fits `u64` for every numerator the simulator meets:
+/// nanoseconds of `n` cycles at 1.2 GHz, `(n·10⁹ + 6·10⁸) / (1.2·10⁹)`,
+/// reduce to `(5n + 3) / 6`. When it does not fit, `Scale::apply` takes a
+/// `#[cold]` path that evaluates the `u128` expression itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Scale {
+pub(crate) struct Scale {
     mul: u64,
     add: u64,
     div: u64,
@@ -49,7 +38,7 @@ impl Scale {
     /// # Panics
     ///
     /// Panics if `div` is zero.
-    pub fn new(mul: u64, add: u64, div: u64) -> Scale {
+    pub(crate) fn new(mul: u64, add: u64, div: u64) -> Scale {
         assert!(div > 0, "a scale needs a positive divisor");
         let g = gcd(mul, div);
         let (mul, add, div) = (mul / g, add / g, div / g);
@@ -67,7 +56,7 @@ impl Scale {
 
     /// `⌊(n·mul + add) / div⌋` as a `u64`.
     #[inline]
-    pub fn apply(&self, n: u64) -> u64 {
+    pub(crate) fn apply(&self, n: u64) -> u64 {
         match n
             .checked_mul(self.mul)
             .and_then(|x| x.checked_add(self.add))

@@ -222,7 +222,7 @@ impl Freq {
 /// conversion of a caller that turns a cycle count into time per packet.
 ///
 /// Returns exactly what `duration_of` returns for every cycle count: the
-/// rounded quotient `⌊(c·10⁹ + ⌊f/2⌋) / f⌋` goes through a [`Scale`], which
+/// rounded quotient `⌊(c·10⁹ + ⌊f/2⌋) / f⌋` goes through a `Scale`, which
 /// takes `duration_of`'s own `u128` arithmetic only when `c·10⁹/g`
 /// overflows `u64` (`g = gcd(10⁹, f)`; at 1.2 GHz, past 3.7·10¹⁸ cycles).
 ///

@@ -110,7 +110,7 @@ impl BitRate {
 /// that times every frame it sends.
 ///
 /// Each returns exactly what the `BitRate` method returns for every
-/// argument: `⌈b·10⁹ / R⌉` and `⌊R·t / 10⁹⌋` go through a [`Scale`], which
+/// argument: `⌈b·10⁹ / R⌉` and `⌊R·t / 10⁹⌋` go through a `Scale`, which
 /// takes the `u128` arithmetic only when the reduced product overflows
 /// `u64` (at 40 Gbps the fractions reduce to `⌊(b + 39) / 40⌋` and
 /// `40·t`: the first overflows for no frame, the second past 14 years).
